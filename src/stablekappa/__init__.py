@@ -17,7 +17,7 @@ from .diophantine import (
     estimate_exponent,
     min_abs_sin,
 )
-from .kappa import KappaQuery, exit_transform, g_any_beta, gprime_any_beta, kappa
+from .kappa import KappaQuery, exit_transform, g_any_beta, gprime_any_beta, kappa, plan
 from .params import (
     ConvergenceFailureError,
     DegenerateLogError,
@@ -99,6 +99,7 @@ __all__ = [
     "kernel_geom_sine",
     "kernel_poisson",
     "min_abs_sin",
+    "plan",
     "validate",
     "__version__",
 ]

@@ -10,15 +10,15 @@ or self-test failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .diophantine import AlphaKind, cf_expand, classify, estimate_exponent
-from .kappa import KappaQuery, exit_transform, g_any_beta, gprime_any_beta, kappa
+from .diophantine import cf_expand, classify, estimate_exponent
+from .kappa import KappaQuery, exit_transform, g_any_beta, gprime_any_beta, kappa, plan
 from .params import (
     ConvergenceFailureError,
     EvalResult,
@@ -31,7 +31,7 @@ from .params import (
     Tolerance,
     validate,
 )
-from .quadrature import QuadConfig, g_quad, gprime_quad
+from .quadrature import QuadConfig, g_quad
 from .series import (
     aux_int0b,
     aux_intbinfty,
@@ -41,7 +41,7 @@ from .series import (
     kernel_geom_sine,
     kernel_poisson,
 )
-from .special import RationalAlpha, find_doney_case, gprime_rational
+from .special import RationalAlpha, gprime_rational
 
 _FIELDS = ("alpha", "rho", "beta", "gamma", "method", "value",
            "abs_error_bound", "terms_or_nodes_used", "status")
@@ -140,16 +140,32 @@ def _add_common(p: argparse.ArgumentParser, rho: bool = True, beta: bool = False
                    help="evaluate g' instead of g")
 
 
-def _failure_record(args, status: str, gamma: float | None = None) -> OutputRecord:
+_INVALID = (OutOfRangeError, MethodNotApplicableError, ZeroDivisionError)
+_NOCONV = (ConvergenceFailureError, IllConditionedSeriesError)
+_STATUS = {1: "invalid_params", 2: "convergence_failure"}  # by exit code
+
+
+def _exit_code(exc: Exception) -> int:
+    return 1 if isinstance(exc, _INVALID) else 2
+
+
+def _report(exc: Exception) -> int:
+    """Print an evaluation error to stderr and return its exit code."""
+    print(f"error: {exc}", file=sys.stderr)
+    return _exit_code(exc)
+
+
+def _failure_record(args, code: int, gamma: float | None = None) -> OutputRecord:
     return OutputRecord(
         alpha=args.alpha, rho=getattr(args, "rho", None),
         beta=getattr(args, "beta", None), gamma=gamma,
         method=args.method, value=None, abs_error_bound=None,
-        terms_or_nodes_used=None, status=status)
+        terms_or_nodes_used=None, status=_STATUS[code])
 
 
-_INVALID = (OutOfRangeError, MethodNotApplicableError, ZeroDivisionError)
-_NOCONV = (ConvergenceFailureError, IllConditionedSeriesError)
+def _ok_record(args, beta: float, gamma: float | None, res: EvalResult) -> OutputRecord:
+    return OutputRecord(args.alpha, args.rho, beta, gamma, res.method.value,
+                        res.value, res.abs_error_bound, res.terms_or_nodes_used, "ok")
 
 
 def cmd_eval(args) -> int:
@@ -158,18 +174,11 @@ def cmd_eval(args) -> int:
         tol = _tolerance(args)
         fn = gprime_any_beta if args.derivative else g_any_beta
         res = fn(params, args.beta, _method(args), tol)
-    except _INVALID as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _emit([_failure_record(args, "invalid_params")], args.format)
-        return 1
-    except _NOCONV as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _emit([_failure_record(args, "convergence_failure")], args.format)
-        return 2
-    rec = OutputRecord(args.alpha, args.rho, args.beta, None,
-                       res.method.value, res.value, res.abs_error_bound,
-                       res.terms_or_nodes_used, "ok")
-    _emit([rec], args.format)
+    except _INVALID + _NOCONV as exc:
+        code = _report(exc)
+        _emit([_failure_record(args, code)], args.format)
+        return code
+    _emit([_ok_record(args, args.beta, None, res)], args.format)
     return 0
 
 
@@ -180,26 +189,16 @@ def cmd_kappa(args) -> int:
         if args.transform is not None:
             eta, gamma, theta = args.transform
             res = exit_transform(params, eta, gamma, theta, _method(args), tol)
-            rec = OutputRecord(args.alpha, args.rho, theta, gamma,
-                               res.method.value, res.value, res.abs_error_bound,
-                               res.terms_or_nodes_used, "ok")
+            rec = _ok_record(args, theta, gamma, res)
         else:
             if args.beta is None:
                 raise OutOfRangeError("kappa needs --beta (or --transform)")
             res = kappa(params, KappaQuery(args.gamma, args.beta), _method(args), tol)
-            rec = OutputRecord(args.alpha, args.rho, args.beta, args.gamma,
-                               res.method.value, res.value, res.abs_error_bound,
-                               res.terms_or_nodes_used, "ok")
-    except _INVALID as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _emit([_failure_record(args, "invalid_params", getattr(args, "gamma", None))],
-              args.format)
-        return 1
-    except _NOCONV as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _emit([_failure_record(args, "convergence_failure", getattr(args, "gamma", None))],
-              args.format)
-        return 2
+            rec = _ok_record(args, args.beta, args.gamma, res)
+    except _INVALID + _NOCONV as exc:
+        code = _report(exc)
+        _emit([_failure_record(args, code, args.gamma)], args.format)
+        return code
     _emit([rec], args.format)
     return 0
 
@@ -220,45 +219,26 @@ def cmd_table(args) -> int:
     try:
         params = validate(args.alpha, args.rho)
     except _INVALID as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _report(exc)
     tol = _tolerance(args)
     method = _method(args)
     betas = _linspace(args.beta_start, args.beta_stop, args.beta_count)
     gammas = (None if args.gamma_count is None
               else _linspace(args.gamma_start, args.gamma_stop, args.gamma_count))
 
-    points: list[tuple[float, float | None]] = []
-    for b in betas:
-        if gammas is None:
-            points.append((b, None))
-        else:
-            for gm in gammas:
-                points.append((b, gm))
-
-    def one(point: tuple[float, float | None]) -> OutputRecord:
-        b, gm = point
+    def one(b: float, gm: float | None) -> OutputRecord:
         try:
             if gm is None:
                 fn = gprime_any_beta if args.derivative else g_any_beta
                 res = fn(params, b, method, tol)
             else:
                 res = kappa(params, KappaQuery(gm, b), method, tol)
-            return OutputRecord(args.alpha, args.rho, b, gm, res.method.value,
-                                res.value, res.abs_error_bound,
-                                res.terms_or_nodes_used, "ok")
-        except _INVALID:
+            return _ok_record(args, b, gm, res)
+        except _INVALID + _NOCONV as exc:
             return OutputRecord(args.alpha, args.rho, b, gm, args.method,
-                                None, None, None, "invalid_params")
-        except _NOCONV:
-            return OutputRecord(args.alpha, args.rho, b, gm, args.method,
-                                None, None, None, "convergence_failure")
+                                None, None, None, _STATUS[_exit_code(exc)])
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(one, points))
-    else:
-        records = [one(pt) for pt in points]
+    records = [one(b, gm) for b in betas for gm in gammas or (None,)]
     _emit(records, args.format)
     if any(r.status == "invalid_params" for r in records):
         return 1
@@ -267,67 +247,44 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _applicable_methods(params: StableParams, beta: float, derivative: bool,
-                        tol: Tolerance):
-    """(name -> EvalResult) plus (name -> skip reason), deterministic order."""
+_COLUMNS = ("quadrature", "series", "rational", "doney")  # compare's row order
+
+
+def _run_plan(params: StableParams, beta: float, derivative: bool,
+              tol: Tolerance):
+    """Every candidate of the plan: (name -> EvalResult) plus (name -> skip
+    reason).  A candidate that does not converge is skipped; the last
+    failure is raised when none converges."""
     results: dict[str, EvalResult] = {}
     skipped: dict[str, str] = {}
-    aclass = classify(params.alpha, tol, min(beta, 1.0 / beta) if beta > 1 else beta)
-
-    if derivative:
-        results["quadrature"] = gprime_quad(params, beta, QuadConfig(
-            abs_tol=tol.abs_tol, max_refinements=tol.max_quad_refinements))
-    else:
-        results["quadrature"] = g_quad(params, beta, QuadConfig(
-            abs_tol=tol.abs_tol, max_refinements=tol.max_quad_refinements))
-
-    if aclass.kind is AlphaKind.IRRATIONAL:
+    failure = None
+    for step in plan(params, beta, derivative, MethodChoice.AUTO, tol):
+        name = step.method.value
+        if step.run is None:
+            skipped[name] = step.reason
+            continue
         try:
-            fn = gprime_any_beta if derivative else g_any_beta
-            results["series"] = fn(params, beta, MethodChoice.SERIES, tol)
-        except _NOCONV:
-            skipped["series"] = "skipped: did not converge"
-    elif aclass.kind is AlphaKind.ILL_CONDITIONED:
-        skipped["series"] = "skipped: ill-conditioned"
-    else:
-        skipped["series"] = "skipped: rational alpha"
-
-    if derivative:
-        if aclass.kind is AlphaKind.RATIONAL and 0.0 < beta < 1.0:
-            results["rational"] = gprime_rational(
-                RationalAlpha(aclass.p, aclass.q), params.rho, beta, tol)
-        else:
-            skipped["rational"] = "skipped: needs rational alpha and beta in (0, 1)"
-        skipped["doney"] = "skipped: closed form covers g only"
-    else:
-        case = find_doney_case(params)
-        if case is not None:
-            try:
-                results["doney"] = g_any_beta(params, beta, MethodChoice.DONEY, tol)
-            except _INVALID:
-                skipped["doney"] = "skipped: not applicable at this beta"
-        else:
-            skipped["doney"] = "skipped: no (k, l) with rho + k = l/alpha"
-    return results, skipped
+            results[name] = step.run()
+        except _NOCONV as exc:
+            skipped[name] = "skipped: did not converge"
+            failure = exc
+    if not results:
+        raise failure
+    return ({n: results[n] for n in _COLUMNS if n in results},
+            {n: skipped[n] for n in _COLUMNS if n in skipped})
 
 
 def cmd_compare(args) -> int:
     try:
         params = validate(args.alpha, args.rho)
         tol = _tolerance(args)
-        results, skipped = _applicable_methods(params, args.beta,
-                                               args.derivative, tol)
-    except _INVALID as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _NOCONV as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        results, skipped = _run_plan(params, args.beta, args.derivative, tol)
+    except _INVALID + _NOCONV as exc:
+        return _report(exc)
 
     names = list(results)
     max_delta = 0.0
     worst_pair = ""
-    bound_sum_of_worst = 0.0
     deltas: list[tuple[str, float, float]] = []
     for i, a in enumerate(names):
         for b in names[i + 1:]:
@@ -337,7 +294,6 @@ def cmd_compare(args) -> int:
             if d > max_delta:
                 max_delta = d
                 worst_pair = f"{a}-{b}"
-                bound_sum_of_worst = bs
     agree = all(d <= bs + 1e-15 for _, d, bs in deltas)
 
     if args.format == "json":
@@ -377,22 +333,19 @@ def cmd_classify(args) -> int:
         cf = cf_expand(args.alpha, 64)
         aclass = classify(args.alpha, tol, args.beta)
     except _INVALID as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _report(exc)
     try:
         nhat = estimate_exponent(cf)
     except InsufficientDataError:
         nhat = None
-    try:
-        params = StableParams(args.alpha, args.rho) if args.rho is not None else None
-    except _INVALID:
-        params = None
-    if params is not None and find_doney_case(params) is not None:
-        recommended = "doney"
-    elif aclass.kind is AlphaKind.IRRATIONAL:
-        recommended = "series"
-    else:
-        recommended = "quadrature"
+    recommended = None
+    if args.rho is not None:
+        try:
+            steps = plan(StableParams(args.alpha, args.rho), args.beta, False,
+                         MethodChoice.AUTO, tol)
+            recommended = next(step.method.value for step in steps if step.run)
+        except _INVALID:
+            pass  # no recommendation for an inadmissible rho or beta
 
     payload = {
         "alpha": args.alpha,
@@ -480,7 +433,7 @@ def _selftest_checks(tol_override: float | None):
 
 def cmd_selftest(args) -> int:
     groups = set(args.only) if args.only else None
-    checks = _selftest_checks(args.tol if args.tol_given else None)
+    checks = _selftest_checks(args.tol)
     failures = 0
     ran = 0
     for group, name, err, thr in checks:
@@ -495,6 +448,7 @@ def cmd_selftest(args) -> int:
     return 0 if failures == 0 and ran > 0 else 2
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="stablekappa",
                      description="Ladder-process Laplace exponent of stable "
@@ -522,7 +476,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--gamma-start", type=float, default=None)
     p.add_argument("--gamma-stop", type=float, default=None)
     p.add_argument("--gamma-count", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="worker threads")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; rows are evaluated sequentially")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("compare", help="run every applicable method at one point")
@@ -559,21 +514,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except SystemExit as exc:  # --help and friends
         return 0 if exc.code in (0, None) else 1
-    if getattr(args, "func", None) is cmd_selftest:
-        args.tol_given = args.tol is not None
-        if args.tol is None:
-            args.tol = 0.0
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except _INVALID as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _NOCONV as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except _INVALID + _NOCONV as exc:
+        return _report(exc)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Assembly of kappa(gamma, beta) and evaluator dispatch.
+"""Assembly of kappa(gamma, beta) and the evaluation plan behind g and g'.
 
 kappa(gamma, beta) = gamma^rho * exp(g(beta * gamma^(-1/alpha))) is taken
 as the definition (the alternative normalization with an unspecified
@@ -6,16 +6,24 @@ multiplicative constant is not modeled).  g itself is defined by its
 integral for beta in (0, 1] and extended to all beta > 0 through the
 reflection identity g(beta) = g(1/beta) + alpha rho log(beta).
 
-Dispatch policy for beta in (0, 0.95]: a Doney closed form when a case
-exists (exact and cheapest), else the series when alpha is irrational and
-well conditioned, else quadrature.  The band (0.95, 1.05) always goes to
-quadrature, where both series slow down; beta >= 1.05 reflects.
+Which evaluator runs is decided in one place, ``plan``: it yields the
+candidate methods for one beta, for g or g', in the order they are tried,
+each with the reason it runs or is skipped.  For beta <= 0.95 the order is
+the Doney closed form (g only; exact and cheapest), the rational split
+series (g', rational alpha), the small-divisor series (irrational alpha
+that ``classify`` finds well conditioned at this beta), then quadrature.
+In the band 0.95 < beta < 1.05, where both series slow down, quadrature
+comes first and the Doney and series candidates are skipped; beta >= 1.05
+is planned at 1/beta and every result reflected.  A forced method runs
+alone, except in the band.  The plan is lazy: ``find_doney_case`` and
+``classify`` run only when a candidate that needs them comes up.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterator, NamedTuple
 
 from .accurate import EPS
 from .diophantine import AlphaKind, classify
@@ -30,11 +38,12 @@ from .params import (
     Tolerance,
 )
 from .quadrature import QuadConfig, g_quad, gprime_quad
-from .series import SeriesReport, g_series, gprime_series
+from .series import g_series, gprime_series
 from .special import RationalAlpha, find_doney_case, g_doney, gprime_rational
 
 _BAND_LO = 0.95
 _BAND_HI = 1.05
+_FALLBACK = (ConvergenceFailureError, IllConditionedSeriesError)
 
 
 @dataclass(frozen=True)
@@ -51,12 +60,34 @@ class KappaQuery:
             raise OutOfRangeError(f"beta must be nonnegative, got {self.beta!r}")
 
 
+class Candidate(NamedTuple):
+    """One step of an evaluation plan; ``run`` is None when it is skipped."""
+
+    method: MethodChoice
+    reason: str
+    run: Callable[[], EvalResult] | None = None
+
+
+# the skipped steps, shared by every plan
+_IN_BAND = "skipped: 0.95 < beta < 1.05, where quadrature runs"
+_DONEY_IN_BAND = Candidate(MethodChoice.DONEY, _IN_BAND)
+_DONEY_G_ONLY = Candidate(MethodChoice.DONEY, "skipped: closed form covers g only")
+_NO_DONEY_CASE = Candidate(MethodChoice.DONEY, "skipped: no (k, l) with rho + k = l/alpha")
+_NOT_RATIONAL = Candidate(MethodChoice.RATIONAL,
+                          "skipped: needs rational alpha and beta in (0, 1)")
+_SERIES_IN_BAND = Candidate(MethodChoice.SERIES, _IN_BAND)
+_SERIES_RATIONAL = Candidate(MethodChoice.SERIES, "skipped: rational alpha")
+_SERIES_ILL = Candidate(MethodChoice.SERIES, "skipped: ill-conditioned")
+
+
 def _quad_cfg(tol: Tolerance) -> QuadConfig:
     return QuadConfig(abs_tol=tol.abs_tol, rel_tol=1e-14,
                       max_refinements=tol.max_quad_refinements)
 
 
-def _from_series(report: SeriesReport) -> EvalResult:
+def _series_result(series, params: StableParams, beta: float, tol: Tolerance,
+                   aclass) -> EvalResult:
+    report = series(params, beta, tol, aclass)
     return EvalResult(report.value, report.tail_bound + report.noise_bound,
                       MethodChoice.SERIES,
                       report.terms_first_series + report.terms_second_series)
@@ -68,93 +99,138 @@ def _doney_result(params: StableParams, beta: float, case) -> EvalResult:
     return EvalResult(value, bound, MethodChoice.DONEY, case.k + case.l)
 
 
-def _dispatch_g(params: StableParams, beta: float, method: MethodChoice,
+def _reflected(inner: EvalResult, params: StableParams, beta: float,
+               derivative: bool) -> EvalResult:
+    """g(beta) = g(1/beta) + alpha rho log(beta), or its derivative
+    g'(beta) = alpha rho / beta - g'(1/beta) / beta^2, from the inner result."""
+    if derivative:
+        value = params.alpha * params.rho / beta - inner.value / (beta * beta)
+        bound = inner.abs_error_bound / (beta * beta) + 4.0 * EPS * (1.0 + abs(value))
+    else:
+        value = inner.value + params.alpha * params.rho * math.log(beta)
+        bound = inner.abs_error_bound + 4.0 * EPS * (1.0 + abs(value))
+    return EvalResult(value, bound, inner.method, inner.terms_or_nodes_used)
+
+
+def _quadrature(params: StableParams, beta: float, derivative: bool,
                 tol: Tolerance) -> EvalResult:
-    """Evaluator selection for beta in the series-friendly zone (0, 0.95]."""
+    return (gprime_quad if derivative else g_quad)(params, beta, _quad_cfg(tol))
+
+
+def _forced(params: StableParams, beta: float, derivative: bool,
+            method: MethodChoice, tol: Tolerance, runnable) -> Candidate:
+    """The single candidate of a forced method, or MethodNotApplicableError."""
     if method is MethodChoice.QUADRATURE:
-        return g_quad(params, beta, _quad_cfg(tol))
-    if method is MethodChoice.DONEY:
-        case = find_doney_case(params)
-        if case is None:
-            raise MethodNotApplicableError(
-                "no (k, l) with rho + k = l/alpha within the search range")
-        return _doney_result(params, beta, case)
+        return runnable(method, "forced", _quadrature, params, beta, derivative, tol)
     if method is MethodChoice.SERIES:
-        return _from_series(g_series(params, beta, tol))
+        return runnable(method, "forced", _series_result,
+                        gprime_series if derivative else g_series, params, beta, tol, None)
+    if derivative:
+        if method is MethodChoice.DONEY:
+            raise MethodNotApplicableError(
+                "the Doney closed form is implemented for g only, not g'")
+        return runnable(method, "forced", gprime_rational,
+                        RationalAlpha.from_alpha(params.alpha), params.rho, beta, tol)
     if method is MethodChoice.RATIONAL:
         raise MethodNotApplicableError(
             "the rational-alpha formula defines g' only; g uses quadrature")
-    # auto: Doney -> series -> quadrature, by accuracy per cost
     case = find_doney_case(params)
-    if case is not None:
-        return _doney_result(params, beta, case)
-    aclass = classify(params.alpha, tol, beta)
-    if aclass.kind is AlphaKind.IRRATIONAL:
-        try:
-            return _from_series(g_series(params, beta, tol, aclass))
-        except (ConvergenceFailureError, IllConditionedSeriesError):
-            pass
-    return g_quad(params, beta, _quad_cfg(tol))
-
-
-def _dispatch_gprime(params: StableParams, beta: float, method: MethodChoice,
-                     tol: Tolerance) -> EvalResult:
-    if method is MethodChoice.QUADRATURE:
-        return gprime_quad(params, beta, _quad_cfg(tol))
-    if method is MethodChoice.SERIES:
-        return _from_series(gprime_series(params, beta, tol))
-    if method is MethodChoice.RATIONAL:
-        return gprime_rational(RationalAlpha.from_alpha(params.alpha),
-                               params.rho, beta, tol)
-    if method is MethodChoice.DONEY:
+    if case is None:
         raise MethodNotApplicableError(
-            "the Doney closed form is implemented for g only, not g'")
+            "no (k, l) with rho + k = l/alpha within the search range")
+    return runnable(method, "forced", _doney_result, params, beta, case)
+
+
+def plan(params: StableParams, beta: float, derivative: bool = False,
+         method: MethodChoice = MethodChoice.AUTO,
+         tol: Tolerance | None = None) -> Iterator[Candidate]:
+    """The candidate evaluators of g(beta) (or g'(beta)) in the order they
+    are tried, each with the reason it runs or is skipped.  A beta >= 1.05
+    is planned at 1/beta and every result reflected back to beta."""
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise OutOfRangeError(f"beta must be positive, got {beta!r}")
+    tol = tol or Tolerance()
+    outer = None
+    if beta >= _BAND_HI:
+        outer, beta = beta, 1.0 / beta
+
+    def runnable(m: MethodChoice, reason: str, fn, *args) -> Candidate:
+        if outer is None:
+            return Candidate(m, reason, lambda: fn(*args))
+        return Candidate(m, reason + "; at 1/beta, reflected",
+                         lambda: _reflected(fn(*args), params, outer, derivative))
+
+    band = beta > _BAND_LO
+    if band:
+        yield runnable(MethodChoice.QUADRATURE, "0.95 < beta < 1.05, where both "
+                       "series slow down", _quadrature, params, beta, derivative, tol)
+        if method is not MethodChoice.AUTO:
+            return
+    elif method is not MethodChoice.AUTO:
+        yield _forced(params, beta, derivative, method, tol, runnable)
+        return
+
+    if derivative:
+        yield _DONEY_G_ONLY
+    else:
+        case = find_doney_case(params)
+        if case is None:
+            yield _NO_DONEY_CASE
+        elif band:
+            yield _DONEY_IN_BAND
+        else:
+            yield runnable(MethodChoice.DONEY, f"Doney case (k, l) = ({case.k}, {case.l})",
+                           _doney_result, params, beta, case)
+
     aclass = classify(params.alpha, tol, beta)
+    if derivative:
+        if aclass.kind is AlphaKind.RATIONAL and beta < 1.0:
+            yield runnable(MethodChoice.RATIONAL, "rational alpha", gprime_rational,
+                           RationalAlpha(aclass.p, aclass.q), params.rho, beta, tol)
+        else:
+            yield _NOT_RATIONAL
     if aclass.kind is AlphaKind.RATIONAL:
-        return gprime_rational(RationalAlpha(aclass.p, aclass.q),
-                               params.rho, beta, tol)
-    if aclass.kind is AlphaKind.IRRATIONAL:
-        try:
-            return _from_series(gprime_series(params, beta, tol, aclass))
-        except (ConvergenceFailureError, IllConditionedSeriesError):
-            pass
-    return gprime_quad(params, beta, _quad_cfg(tol))
+        yield _SERIES_RATIONAL
+    elif aclass.kind is AlphaKind.ILL_CONDITIONED:
+        yield _SERIES_ILL
+    elif band:
+        yield _SERIES_IN_BAND
+    else:
+        yield runnable(MethodChoice.SERIES, "irrational alpha, well conditioned here",
+                       _series_result, gprime_series if derivative else g_series,
+                       params, beta, tol, aclass)
+    if not band:
+        yield runnable(MethodChoice.QUADRATURE, "reference evaluator",
+                       _quadrature, params, beta, derivative, tol)
+
+
+def _any_beta(params: StableParams, beta: float, derivative: bool,
+              method: MethodChoice, tol: Tolerance | None) -> EvalResult:
+    """The first candidate of the plan that converges.  One that raises
+    ConvergenceFailureError or IllConditionedSeriesError passes to the
+    next; the last failure is raised."""
+    failure = None
+    for step in plan(params, beta, derivative, method, tol):
+        if step.run is not None:
+            try:
+                return step.run()
+            except _FALLBACK as exc:
+                failure = exc
+    raise failure
 
 
 def g_any_beta(params: StableParams, beta: float,
                method: MethodChoice = MethodChoice.AUTO,
                tol: Tolerance | None = None) -> EvalResult:
-    """g(beta) for any beta > 0, reflecting across beta = 1 as needed."""
-    tol = tol or Tolerance()
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise OutOfRangeError(f"beta must be positive, got {beta!r}")
-    if beta >= _BAND_HI:
-        inner = g_any_beta(params, 1.0 / beta, method, tol)
-        value = inner.value + params.alpha * params.rho * math.log(beta)
-        bound = inner.abs_error_bound + 4.0 * EPS * (1.0 + abs(value))
-        return EvalResult(value, bound, inner.method, inner.terms_or_nodes_used)
-    if beta > _BAND_LO:
-        # both series representations slow down near beta = 1
-        return g_quad(params, beta, _quad_cfg(tol))
-    return _dispatch_g(params, beta, method, tol)
+    """g(beta) for any beta > 0 by the first candidate of ``plan`` that converges."""
+    return _any_beta(params, beta, False, method, tol)
 
 
 def gprime_any_beta(params: StableParams, beta: float,
                     method: MethodChoice = MethodChoice.AUTO,
                     tol: Tolerance | None = None) -> EvalResult:
-    """g'(beta) for any beta > 0; the reflection derivative is
-    g'(beta) = alpha rho / beta - g'(1/beta) / beta^2."""
-    tol = tol or Tolerance()
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise OutOfRangeError(f"beta must be positive, got {beta!r}")
-    if beta >= _BAND_HI:
-        inner = gprime_any_beta(params, 1.0 / beta, method, tol)
-        value = params.alpha * params.rho / beta - inner.value / (beta * beta)
-        bound = inner.abs_error_bound / (beta * beta) + 4.0 * EPS * (1.0 + abs(value))
-        return EvalResult(value, bound, inner.method, inner.terms_or_nodes_used)
-    if beta > _BAND_LO:
-        return gprime_quad(params, beta, _quad_cfg(tol))
-    return _dispatch_gprime(params, beta, method, tol)
+    """g'(beta) for any beta > 0 by the first candidate of ``plan`` that converges."""
+    return _any_beta(params, beta, True, method, tol)
 
 
 def kappa(params: StableParams, q: KappaQuery,
@@ -182,6 +258,9 @@ def exit_transform(params: StableParams, eta: float, gamma: float, theta: float,
     produces the same floating-point value.
     """
     tol = tol or Tolerance()
+    for name, arg in (("eta", eta), ("gamma", gamma), ("theta", theta)):
+        if not math.isfinite(arg):
+            raise OutOfRangeError(f"{name} must be finite, got {arg!r}")
     if not eta > 0.0:
         raise OutOfRangeError(f"eta must be positive, got {eta!r}")
     if gamma < 0.0 or theta < 0.0:

@@ -177,55 +177,54 @@ def _build_panels(f_fin, f_tail, beta: float, rho: float,
     return _panel_set(f_fin, fin) + _panel_set(f_tail, tail)
 
 
-def g_quad(params: StableParams, beta: float,
-           cfg: QuadConfig | None = None) -> EvalResult:
-    """g(beta) by adaptive quadrature, valid for any beta > 0."""
+def _quad(params: StableParams, beta: float, cfg: QuadConfig | None,
+          derivative: bool) -> EvalResult:
+    """g(beta) or g'(beta) by adaptive quadrature; the two differ only in
+    their pair of integrands over (0, 1] and over the mapped tail."""
     if not beta > 0.0:
         raise OutOfRangeError(f"beta must be positive, got {beta!r}")
     cfg = cfg or QuadConfig()
     alpha = params.alpha
     sinr = sin_pi(params.rho)
     cosr = cos_pi(params.rho)
-    c = sinr / math.pi
 
-    def f_fin(x: float) -> float:
-        return c * beta * math.log1p(x ** alpha) / (
-            (x + beta * cosr) ** 2 + (beta * sinr) ** 2)
+    if derivative:
+        c = alpha * sinr / math.pi
 
-    def f_tail(y: float) -> float:
-        # x = 1/y; log(1 + y**-alpha) written as log1p(y**alpha) - alpha*log(y)
-        return c * beta * (math.log1p(y ** alpha) - alpha * math.log(y)) / (
-            (1.0 + y * beta * cosr) ** 2 + (y * beta * sinr) ** 2)
+        def f_fin(x: float) -> float:
+            xa = x ** alpha
+            return c * xa / (1.0 + xa) / (
+                (x + beta * cosr) ** 2 + (beta * sinr) ** 2)
+
+        def f_tail(y: float) -> float:
+            return c / (1.0 + y ** alpha) / (
+                (1.0 + y * beta * cosr) ** 2 + (y * beta * sinr) ** 2)
+    else:
+        c = sinr / math.pi
+
+        def f_fin(x: float) -> float:
+            return c * beta * math.log1p(x ** alpha) / (
+                (x + beta * cosr) ** 2 + (beta * sinr) ** 2)
+
+        def f_tail(y: float) -> float:
+            # x = 1/y; log(1 + y**-alpha) written as log1p(y**alpha) - alpha*log(y)
+            return c * beta * (math.log1p(y ** alpha) - alpha * math.log(y)) / (
+                (1.0 + y * beta * cosr) ** 2 + (y * beta * sinr) ** 2)
 
     panels = _build_panels(f_fin, f_tail, beta, params.rho, cfg.split_points)
     value, err, nodes = _integrate(panels, cfg.abs_tol, cfg.rel_tol,
                                    cfg.max_refinements)
     bound = max(err, 4.0 * EPS * (1.0 + abs(value)))
     return EvalResult(value, bound, MethodChoice.QUADRATURE, nodes)
+
+
+def g_quad(params: StableParams, beta: float,
+           cfg: QuadConfig | None = None) -> EvalResult:
+    """g(beta) by adaptive quadrature, valid for any beta > 0."""
+    return _quad(params, beta, cfg, derivative=False)
 
 
 def gprime_quad(params: StableParams, beta: float,
                 cfg: QuadConfig | None = None) -> EvalResult:
     """g'(beta) by adaptive quadrature, valid for any beta > 0."""
-    if not beta > 0.0:
-        raise OutOfRangeError(f"beta must be positive, got {beta!r}")
-    cfg = cfg or QuadConfig()
-    alpha = params.alpha
-    sinr = sin_pi(params.rho)
-    cosr = cos_pi(params.rho)
-    c = alpha * sinr / math.pi
-
-    def f_fin(x: float) -> float:
-        xa = x ** alpha
-        return c * xa / (1.0 + xa) / (
-            (x + beta * cosr) ** 2 + (beta * sinr) ** 2)
-
-    def f_tail(y: float) -> float:
-        return c / (1.0 + y ** alpha) / (
-            (1.0 + y * beta * cosr) ** 2 + (y * beta * sinr) ** 2)
-
-    panels = _build_panels(f_fin, f_tail, beta, params.rho, cfg.split_points)
-    value, err, nodes = _integrate(panels, cfg.abs_tol, cfg.rel_tol,
-                                   cfg.max_refinements)
-    bound = max(err, 4.0 * EPS * (1.0 + abs(value)))
-    return EvalResult(value, bound, MethodChoice.QUADRATURE, nodes)
+    return _quad(params, beta, cfg, derivative=True)

@@ -67,14 +67,55 @@ class SeriesReport:
             raise OutOfRangeError("term counts must be nonnegative")
 
 
-def _require_series_ok(aclass: AlphaClass) -> None:
-    if aclass.kind is AlphaKind.RATIONAL:
-        raise MethodNotApplicableError(
-            "series evaluation needs irrational alpha; "
-            "use the rational-alpha or quadrature evaluators")
-    if aclass.kind is AlphaKind.ILL_CONDITIONED:
-        raise IllConditionedSeriesError(
-            "small divisors exceed the work/noise budget at this beta and tolerance")
+def _divisor_series(beta: float, step: float, div: tuple[float, float],
+                    num: tuple[float, float], derivative: bool, c: float,
+                    nu: float, tol: Tolerance, abs_sum: float, carry: float,
+                    name: str, divisor: str):
+    """One of the two divisor series of g (or g'), summed until the model
+    tail bound (divisors above c / m^nu) drops below half the tolerance.
+
+        g:   sum_m (-1)^(m+1) beta^(step m) sin(m pi num) / (m sin(m pi div))
+        g':  sum_m (-1)^(m+1) step beta^(step m - 1) sin(m pi num) / sin(m pi div)
+
+    Returns (value, terms, tail bound, abs_sum plus the |terms|, smallest
+    divisor); a failure reports carry plus the partial sum as its value.
+    """
+    # prefactor, exponent shift and index power of each term: m^deg is
+    # carried as idx, which steps by deg
+    pre, shift, deg = (step, 1.0, 0) if derivative else (1.0, 0.0, 1)
+    power = nu - deg
+    base = beta ** step
+    half_tol = 0.5 * tol.abs_tol
+    (div_hi, div_lo), (num_hi, num_lo) = div, num
+    acc = CompensatedSum()
+    min_div = math.inf
+    tail = math.inf
+    idx = 1
+    # beta^(step m - shift): the tail bound of term m is made from term
+    # m + 1's power, which the next term then reuses
+    bpow = beta ** (step - shift)
+    for m in range(1, tol.max_terms + 1):
+        den = sin_mpi(m, div_hi, div_lo)
+        if den == 0.0:
+            raise IllConditionedSeriesError(f"divisor {divisor.format(m)} vanished")
+        signed = pre if m % 2 == 1 else -pre
+        term = signed * bpow * sin_mpi(m, num_hi, num_lo) / (idx * den)
+        acc.add(term)
+        abs_sum += abs(term)
+        if abs(den) < min_div:
+            min_div = abs(den)
+        idx += deg
+        j = m + 1
+        bpow = beta ** (step * j - shift)
+        nxt = pre * bpow * j ** power / c
+        ratio = base * ((j + 1) / j) ** power
+        if ratio < 1.0:
+            tail = nxt / (1.0 - ratio)
+            if tail < half_tol:
+                return acc.value, m, tail, abs_sum, min_div
+    raise ConvergenceFailureError(
+        f"{name}: tail bound {tail:.3e} above tolerance after {tol.max_terms} terms",
+        value=carry + acc.value, error_bound=tail)
 
 
 def _series_sums(params: StableParams, beta: float, tol: Tolerance,
@@ -82,117 +123,54 @@ def _series_sums(params: StableParams, beta: float, tol: Tolerance,
     alpha, rho = params.alpha, params.rho
     c = aclass.floor_constant
     nu = (aclass.exponent_estimate or 2.0) - 1.0
-    half_tol = 0.5 * tol.abs_tol
-    inv_hi, inv_lo = div2(1.0, alpha)
-    ra_hi, ra_lo = two_prod(rho, alpha)
+    v1, terms1, tail1, abs_sum, min1 = _divisor_series(
+        beta, 1.0, div2(1.0, alpha), (rho, 0.0), derivative, c, nu, tol,
+        0.0, 0.0, "first series", "sin({} pi/alpha)")
     # at the spectrally one-sided endpoint rho*alpha = 1 the second series
     # vanishes termwise
-    skip_second = abs(rho * alpha - 1.0) <= 4.0 * EPS
+    v2, terms2, tail2, min2 = 0.0, 0, 0.0, math.inf
+    if abs(rho * alpha - 1.0) > 4.0 * EPS:
+        v2, terms2, tail2, abs_sum, min2 = _divisor_series(
+            beta, alpha, (alpha, 0.0), two_prod(rho, alpha), derivative, c, nu,
+            tol, abs_sum, v1, "second series", "sin({} pi alpha)")
 
-    acc1 = CompensatedSum()
-    abs_sum = 0.0
-    min_div = math.inf
-    tail1 = math.inf
-    terms1 = 0
-    for m in range(1, tol.max_terms + 1):
-        den = sin_mpi(m, inv_hi, inv_lo)
-        if den == 0.0:
-            raise IllConditionedSeriesError(f"divisor sin({m} pi/alpha) vanished")
-        num = sin_mpi(m, rho)
-        sign = 1.0 if m % 2 == 1 else -1.0
-        if derivative:
-            term = sign * beta ** (m - 1) * num / den
-        else:
-            term = sign * beta ** m * num / (m * den)
-        acc1.add(term)
-        abs_sum += abs(term)
-        if abs(den) < min_div:
-            min_div = abs(den)
-        terms1 = m
-        k = m + 1
-        if derivative:
-            nxt = beta ** (k - 1) * k ** nu / c
-            ratio = beta * ((k + 1) / k) ** nu
-        else:
-            nxt = beta ** k * k ** (nu - 1.0) / c
-            ratio = beta * ((k + 1) / k) ** (nu - 1.0)
-        if ratio < 1.0:
-            tail1 = nxt / (1.0 - ratio)
-            if tail1 < half_tol:
-                break
-    else:
-        raise ConvergenceFailureError(
-            f"first series: tail bound {tail1:.3e} above tolerance after "
-            f"{tol.max_terms} terms", value=acc1.value, error_bound=tail1)
-
-    acc2 = CompensatedSum()
-    tail2 = 0.0
-    terms2 = 0
-    if not skip_second:
-        tail2 = math.inf
-        base = beta ** alpha
-        for k in range(1, tol.max_terms + 1):
-            den = sin_mpi(k, alpha)
-            if den == 0.0:
-                raise IllConditionedSeriesError(f"divisor sin({k} pi alpha) vanished")
-            num = sin_mpi(k, ra_hi, ra_lo)
-            sign = 1.0 if k % 2 == 1 else -1.0
-            if derivative:
-                term = alpha * sign * beta ** (alpha * k - 1.0) * num / den
-            else:
-                term = sign * beta ** (alpha * k) * num / (k * den)
-            acc2.add(term)
-            abs_sum += abs(term)
-            if abs(den) < min_div:
-                min_div = abs(den)
-            terms2 = k
-            j = k + 1
-            if derivative:
-                nxt = alpha * beta ** (alpha * j - 1.0) * j ** nu / c
-                ratio = base * ((j + 1) / j) ** nu
-            else:
-                nxt = beta ** (alpha * j) * j ** (nu - 1.0) / c
-                ratio = base * ((j + 1) / j) ** (nu - 1.0)
-            if ratio < 1.0:
-                tail2 = nxt / (1.0 - ratio)
-                if tail2 < half_tol:
-                    break
-        else:
-            raise ConvergenceFailureError(
-                f"second series: tail bound {tail2:.3e} above tolerance after "
-                f"{tol.max_terms} terms", value=acc1.value + acc2.value,
-                error_bound=tail2)
-
-    value = acc1.value + acc2.value
+    value = v1 + v2
     noise = 4.0 * EPS * (abs_sum + abs(value))
+    min_div = min(min1, min2)
     return SeriesReport(value, terms1, terms2, tail1 + tail2,
                         min_div if math.isfinite(min_div) else 0.0, noise)
+
+
+def _series(params: StableParams, beta: float, tol: Tolerance | None,
+            aclass: AlphaClass | None, derivative: bool) -> SeriesReport:
+    tol = tol or Tolerance()
+    if beta == 0.0 and not derivative:
+        return SeriesReport(0.0, 0, 0, 0.0, 0.0)
+    if not 0.0 < beta < 1.0:
+        lower = "0 <" if derivative else "0 <="
+        raise OutOfRangeError(f"series form needs {lower} beta < 1, got {beta!r}")
+    if aclass is None:
+        aclass = classify(params.alpha, tol, beta)
+    if aclass.kind is AlphaKind.RATIONAL:
+        raise MethodNotApplicableError(
+            "series evaluation needs irrational alpha; "
+            "use the rational-alpha or quadrature evaluators")
+    if aclass.kind is AlphaKind.ILL_CONDITIONED:
+        raise IllConditionedSeriesError(
+            "small divisors exceed the work/noise budget at this beta and tolerance")
+    return _series_sums(params, beta, tol, aclass, derivative)
 
 
 def g_series(params: StableParams, beta: float, tol: Tolerance | None = None,
              aclass: AlphaClass | None = None) -> SeriesReport:
     """g(beta) by the two-series expansion, for 0 <= beta < 1."""
-    tol = tol or Tolerance()
-    if beta == 0.0:
-        return SeriesReport(0.0, 0, 0, 0.0, 0.0)
-    if not 0.0 < beta < 1.0:
-        raise OutOfRangeError(f"series form needs 0 <= beta < 1, got {beta!r}")
-    if aclass is None:
-        aclass = classify(params.alpha, tol, beta)
-    _require_series_ok(aclass)
-    return _series_sums(params, beta, tol, aclass, derivative=False)
+    return _series(params, beta, tol, aclass, derivative=False)
 
 
 def gprime_series(params: StableParams, beta: float, tol: Tolerance | None = None,
                   aclass: AlphaClass | None = None) -> SeriesReport:
     """g'(beta) by the termwise-differentiated expansion, for 0 < beta < 1."""
-    tol = tol or Tolerance()
-    if not 0.0 < beta < 1.0:
-        raise OutOfRangeError(f"series form needs 0 < beta < 1, got {beta!r}")
-    if aclass is None:
-        aclass = classify(params.alpha, tol, beta)
-    _require_series_ok(aclass)
-    return _series_sums(params, beta, tol, aclass, derivative=True)
+    return _series(params, beta, tol, aclass, derivative=True)
 
 
 # ---------------------------------------------------------------------------

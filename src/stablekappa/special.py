@@ -185,6 +185,38 @@ def g_doney(params: StableParams, beta: float, case: DoneyCase) -> float:
     return g_k_closed(alpha, x1, case.k) - g_k_closed(1.0 / alpha, x2, case.l)
 
 
+def _nonresonant(beta: float, a: int, b: int, step: float,
+                 num: tuple[float, float], lead: float, tol: Tolerance,
+                 target: float, abs_sum: float, name: str):
+    """sum over m not divisible by a of
+    (-1)^(m+1) step beta^(step m - 1) sin(m pi num) / sin(m pi b/a),
+    stopped once the tail bound step beta^(step m) / (lead (1 - beta^step)
+    sin(pi/a)) drops below target.  Returns (value, tail bound, abs_sum
+    plus the |terms|, terms used); empty when a = 1.
+    """
+    if a == 1:
+        return 0.0, 0.0, abs_sum, 0
+    num_hi, num_lo = num
+    tail_den = lead * (1.0 - beta ** step) * sin_pi(1.0 / a)
+    acc = CompensatedSum()
+    terms = 0
+    tail = math.inf
+    for m in range(1, tol.max_terms + 1):
+        if m % a != 0:
+            r = (m * b) % (2 * a) / a
+            den = sin_pi(r if r <= 1.0 else r - 2.0)
+            signed = step if m % 2 == 1 else -step
+            term = signed * beta ** (step * m - 1.0) * sin_mpi(m, num_hi, num_lo) / den
+            acc.add(term)
+            abs_sum += abs(term)
+            terms += 1
+        tail = step * beta ** (step * m) / tail_den
+        if tail < target:
+            return acc.value, tail, abs_sum, terms
+    raise ConvergenceFailureError(f"{name} nonresonant sum did not converge",
+                                  value=acc.value, error_bound=tail)
+
+
 def gprime_rational(ra: RationalAlpha, rho: float, beta: float,
                     tol: Tolerance | None = None) -> EvalResult:
     """g'(beta) for rational alpha = p/q by the split four-sum formula.
@@ -205,55 +237,15 @@ def gprime_rational(ra: RationalAlpha, rho: float, beta: float,
     StableParams(alpha, rho)  # admissibility gate
     target = 0.125 * tol.abs_tol
     log_beta = math.log(beta)
-    terms = 0
-    abs_sum = 0.0
 
-    # first nonresonant sum over m with p not dividing m
-    s1 = CompensatedSum()
-    tail1 = 0.0
-    if p > 1:
-        floor1 = sin_pi(1.0 / p)
-        tail1 = math.inf
-        for m in range(1, tol.max_terms + 1):
-            if m % p != 0:
-                r = (m * q) % (2 * p) / p
-                den = sin_pi(r if r <= 1.0 else r - 2.0)
-                sign = 1.0 if m % 2 == 1 else -1.0
-                term = sign * beta ** (m - 1) * sin_mpi(m, rho) / den
-                s1.add(term)
-                abs_sum += abs(term)
-                terms += 1
-            tail1 = beta ** m / ((1.0 - beta) * floor1)
-            if tail1 < target:
-                break
-        else:
-            raise ConvergenceFailureError("first nonresonant sum did not converge",
-                                          value=s1.value, error_bound=tail1)
-
-    # second nonresonant sum over k with q not dividing k
-    s2 = CompensatedSum()
-    tail2 = 0.0
-    if q > 1:
-        floor2 = sin_pi(1.0 / q)
-        ra_hi, ra_lo = dd_div(*two_prod(rho, float(p)), float(q))  # rho*alpha
-        base = beta ** alpha
-        tail2 = math.inf
-        for k in range(1, tol.max_terms + 1):
-            if k % q != 0:
-                r = (k * p) % (2 * q) / q
-                den = sin_pi(r if r <= 1.0 else r - 2.0)
-                sign = 1.0 if k % 2 == 1 else -1.0
-                term = alpha * sign * beta ** (alpha * k - 1.0) * \
-                    sin_mpi(k, ra_hi, ra_lo) / den
-                s2.add(term)
-                abs_sum += abs(term)
-                terms += 1
-            tail2 = alpha * beta ** (alpha * k) / (beta * (1.0 - base) * floor2)
-            if tail2 < target:
-                break
-        else:
-            raise ConvergenceFailureError("second nonresonant sum did not converge",
-                                          value=s2.value, error_bound=tail2)
+    # nonresonant sums over m with p not dividing m, and over k with q not
+    # dividing k (the second in powers beta^alpha, with sin(k pi rho alpha))
+    v1, tail1, abs_sum, terms1 = _nonresonant(beta, p, q, 1.0, (rho, 0.0), 1.0,
+                                              tol, target, 0.0, "first")
+    rho_alpha = dd_div(*two_prod(rho, float(p)), float(q))
+    v2, tail2, abs_sum, terms2 = _nonresonant(beta, q, p, alpha, rho_alpha, beta,
+                                              tol, target, abs_sum, "second")
+    terms = terms1 + terms2
 
     # resonant part, reindexed by m = n p, k = n q
     s3 = CompensatedSum()
@@ -276,7 +268,7 @@ def gprime_rational(ra: RationalAlpha, rho: float, beta: float,
         raise ConvergenceFailureError("resonant sum did not converge",
                                       value=s3.value, error_bound=tail3)
 
-    value = s1.value + s2.value + s3.value
+    value = v1 + v2 + s3.value
     bound = tail1 + tail2 + tail3 + 4.0 * EPS * (abs_sum + abs(value))
     if not math.isfinite(bound):
         bound = abs(value)

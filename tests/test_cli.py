@@ -1,7 +1,13 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
-from stablekappa.cli import main
+import pytest
+
+from stablekappa import MethodChoice, g_any_beta, validate
+from stablekappa.cli import _build_parser, main
 
 SQRT2 = repr(math.sqrt(2.0))
 
@@ -218,3 +224,74 @@ def test_unknown_method_exit_1(capsys):
     code, _, _ = run(capsys, "eval", "--alpha", "0.8", "--rho", "0.25",
                      "--beta", "0.5", "--method", "magic")
     assert code == 1
+
+
+def test_compare_band_skips_quadrature_reruns(capsys):
+    code, out, _ = run(capsys, "compare", "--alpha", "0.8", "--rho", "0.25",
+                       "--beta", "0.97", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload["methods"]) == ["quadrature"]
+    assert payload["skipped"]["doney"] == (
+        "skipped: 0.95 < beta < 1.05, where quadrature runs")
+    code, out, _ = run(capsys, "compare", "--alpha", SQRT2, "--rho", "0.5",
+                       "--beta", "0.97", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert list(payload["methods"]) == ["quadrature"]
+    assert payload["skipped"]["series"].startswith("skipped: 0.95 < beta < 1.05")
+
+
+def test_compare_skips_rational_that_does_not_converge(capsys):
+    code, out, _ = run(capsys, "compare", "--derivative", "--alpha", "0.8",
+                       "--rho", "0.3", "--beta", "0.998", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["skipped"]["rational"] == "skipped: did not converge"
+    assert list(payload["methods"]) == ["quadrature"]
+    assert payload["agree"] is True
+
+
+@pytest.mark.parametrize("alpha, rho", [(SQRT2, "0.5"), ("0.8", "0.25"),
+                                        ("0.5", "0.3"), ("0.500000000001", "0.3")])
+@pytest.mark.parametrize("beta", ["0.3", "0.9", "0.97", "2.5"])
+def test_classify_recommends_what_dispatch_runs(capsys, alpha, rho, beta):
+    code, out, _ = run(capsys, "classify", "--alpha", alpha, "--rho", rho,
+                       "--beta", beta, "--format", "json")
+    assert code == 0
+    ran = g_any_beta(validate(float(alpha), float(rho)), float(beta),
+                     MethodChoice.AUTO)
+    assert json.loads(out)["recommended_method"] == ran.method.value
+
+
+def test_classify_without_rho_recommends_nothing(capsys):
+    code, out, _ = run(capsys, "classify", "--alpha", SQRT2, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["recommended_method"] is None
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    calls = [["eval", "--alpha", SQRT2, "--rho", "0.5", "--beta", "0.3"],
+             ["selftest", "--only", "kernels"],
+             ["eval", "--alpha", "0.8", "--rho", "0.25", "--beta", "2.5",
+              "--format", "json"]]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for argv in calls:
+        code, out, _ = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "stablekappa", *argv],
+                               capture_output=True, text=True, check=False,
+                               env={"PYTHONPATH": src})
+        assert (code, out) == (fresh.returncode, fresh.stdout)
+
+
+def test_help_from_the_reused_parser_is_unchanged(capsys):
+    for argv in (["--help"], ["table", "--help"]):
+        outputs = []
+        for _ in range(2):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+    assert _build_parser() is _build_parser()
+    code, out, _ = run(capsys, "--help")
+    assert out == _build_parser.__wrapped__().format_help()

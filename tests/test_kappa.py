@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import pytest
@@ -17,6 +18,10 @@ from stablekappa import (
     kappa,
     validate,
 )
+from stablekappa.kappa import plan
+
+# the package re-exports the function kappa under the submodule's name
+kappa_module = importlib.import_module("stablekappa.kappa")
 
 SQRT2 = math.sqrt(2.0)
 TOL = Tolerance(abs_tol=1e-11)
@@ -172,3 +177,62 @@ def test_kappa_query_validation():
         KappaQuery(0.0, 0.5)
     with pytest.raises(OutOfRangeError):
         KappaQuery(1.0, -0.1)
+
+
+@pytest.mark.parametrize("arg", ["eta", "gamma", "theta"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_exit_transform_rejects_nonfinite_by_name(arg, bad):
+    values = {"eta": 1.0, "gamma": 1.0, "theta": 1.0, arg: bad}
+    with pytest.raises(OutOfRangeError, match=f"^{arg} must be finite"):
+        exit_transform(validate(0.8, 0.25), values["eta"], values["gamma"],
+                       values["theta"])
+
+
+def _methods(params, beta, derivative):
+    return [(step.method.value, step.run is not None)
+            for step in plan(params, beta, derivative, MethodChoice.AUTO, TOL)]
+
+
+def test_plan_order_and_skips():
+    assert _methods(validate(SQRT2, 0.5), 0.3, False) == [
+        ("doney", False), ("series", True), ("quadrature", True)]
+    assert _methods(validate(0.5, 0.3), 0.3, True) == [
+        ("doney", False), ("rational", True), ("series", False), ("quadrature", True)]
+    # the band puts quadrature first; reflection keeps the inner order
+    assert _methods(validate(0.8, 0.25), 0.97, False) == [
+        ("quadrature", True), ("doney", False), ("series", False)]
+    assert _methods(validate(0.5, 0.3), 2.5, True) == _methods(validate(0.5, 0.3), 0.4, True)
+
+
+def test_plan_reflected_candidate_matches_dispatch():
+    p = validate(0.5, 0.3)
+    for step in plan(p, 2.5, True, MethodChoice.AUTO, TOL):
+        if step.run is not None:
+            assert step.run() == gprime_any_beta(p, 2.5, MethodChoice.AUTO, TOL)
+            break
+
+
+def test_dispatch_looks_up_only_what_it_runs(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("not needed here")
+
+    # a Doney case needs no conditioning verdict
+    monkeypatch.setattr(kappa_module, "classify", forbidden)
+    assert g_any_beta(validate(0.8, 0.25), 0.5, tol=TOL).method is MethodChoice.DONEY
+    # inside the band quadrature runs before any search
+    monkeypatch.setattr(kappa_module, "find_doney_case", forbidden)
+    assert g_any_beta(validate(SQRT2, 0.5), 0.97, tol=TOL).method is MethodChoice.QUADRATURE
+    assert gprime_any_beta(validate(0.5, 0.3), 1.03, tol=TOL).method is MethodChoice.QUADRATURE
+
+
+def test_failed_candidate_passes_to_the_next(monkeypatch):
+    def diverges(*args, **kwargs):
+        raise kappa_module.ConvergenceFailureError("budget exhausted")
+
+    p = validate(0.5, 0.3)
+    monkeypatch.setattr(kappa_module, "gprime_rational", diverges)
+    res = gprime_any_beta(p, 0.4, MethodChoice.AUTO, TOL)
+    assert res == gprime_quad(p, 0.4, kappa_module._quad_cfg(TOL))
+    monkeypatch.setattr(kappa_module, "gprime_quad", diverges)
+    with pytest.raises(kappa_module.ConvergenceFailureError, match="budget"):
+        gprime_any_beta(p, 0.4, MethodChoice.AUTO, TOL)

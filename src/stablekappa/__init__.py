@@ -31,7 +31,7 @@ from .params import (
     Tolerance,
     validate,
 )
-from .quadrature import QuadConfig, g_quad, gprime_quad
+from .quadrature import g_quad, gprime_quad
 from .series import (
     SeriesReport,
     aux_int0b,
@@ -70,7 +70,6 @@ __all__ = [
     "MethodChoice",
     "MethodNotApplicableError",
     "OutOfRangeError",
-    "QuadConfig",
     "RationalAlpha",
     "SeriesReport",
     "StableParams",

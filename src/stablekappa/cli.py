@@ -31,7 +31,7 @@ from .params import (
     Tolerance,
     validate,
 )
-from .quadrature import QuadConfig, g_quad
+from .quadrature import g_quad
 from .series import (
     aux_int0b,
     aux_intbinfty,
@@ -122,22 +122,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(p: argparse.ArgumentParser, rho: bool = True, beta: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, beta: bool = False, method: bool = True,
+                derivative: bool = True, csv: bool = True) -> None:
+    """The flags of eval, kappa, table and compare; each command gets only
+    those its handler reads."""
     p.add_argument("--alpha", type=float, required=True, help="stability index in (0, 2]")
-    if rho:
-        p.add_argument("--rho", type=float, required=True,
-                       help="positivity parameter in [1-1/alpha, 1/alpha] & (0, 1)")
+    p.add_argument("--rho", type=float, required=True,
+                   help="positivity parameter in [1-1/alpha, 1/alpha] & (0, 1)")
     if beta:
         p.add_argument("--beta", type=float, required=True, help="space argument")
-    p.add_argument("--method", choices=[m.value for m in MethodChoice],
-                   default="auto", help="evaluator (default: auto)")
+    if method:
+        p.add_argument("--method", choices=[m.value for m in MethodChoice],
+                       default="auto", help="evaluator (default: auto)")
     p.add_argument("--tol", type=float, default=1e-10, help="absolute tolerance")
     p.add_argument("--max-terms", type=int, default=10000, dest="max_terms",
                    help="series term budget")
-    p.add_argument("--format", choices=["json", "csv", "text"], default="text",
-                   help="output format")
-    p.add_argument("--derivative", action="store_true",
-                   help="evaluate g' instead of g")
+    p.add_argument("--format", choices=["json", "csv", "text"] if csv else ["json", "text"],
+                   default="text", help="output format")
+    if derivative:
+        p.add_argument("--derivative", action="store_true",
+                       help="evaluate g' instead of g")
 
 
 _INVALID = (OutOfRangeError, MethodNotApplicableError, ZeroDivisionError)
@@ -213,9 +217,13 @@ def _linspace(start: float, stop: float, count: int) -> list[float]:
 
 
 def cmd_table(args) -> int:
+    gamma_grid = (args.gamma_start, args.gamma_stop, args.gamma_count)
+    if None in gamma_grid and gamma_grid != (None, None, None):
+        raise _UsageError("--gamma-start, --gamma-stop and --gamma-count go together")
+    if args.derivative and args.gamma_count is not None:
+        raise _UsageError("--derivative applies to g, not to a gamma grid of kappa")
     if args.beta_count < 1 or (args.gamma_count is not None and args.gamma_count < 1):
-        print("error: empty sweep range", file=sys.stderr)
-        return 1
+        raise _UsageError("empty sweep range")
     try:
         params = validate(args.alpha, args.rho)
     except _INVALID as exc:
@@ -374,7 +382,7 @@ def _selftest_checks(tol_override: float | None):
     checks: list[tuple[str, str, float, float]] = []
 
     def add(group: str, name: str, err: float, thr: float) -> None:
-        checks.append((group, name, err, tol_override if tol_override else thr))
+        checks.append((group, name, err, thr if tol_override is None else tol_override))
 
     ps, cf = kernel_alt_sine(1.0, 0.3, 100000)
     add("kernels", "alt-sine z=1 w=0.3 M=1e5", abs(ps - cf), 1e-3)
@@ -412,8 +420,8 @@ def _selftest_checks(tol_override: float | None):
         params = StableParams(alpha, rho)
         worst = 0.0
         for beta in (1.5, 2.0, 5.0):
-            big = g_quad(params, beta, QuadConfig(abs_tol=1e-11))
-            small = g_quad(params, 1.0 / beta, QuadConfig(abs_tol=1e-11))
+            big = g_quad(params, beta, Tolerance(abs_tol=1e-11))
+            small = g_quad(params, 1.0 / beta, Tolerance(abs_tol=1e-11))
             resid = abs(big.value - small.value - alpha * rho * math.log(beta))
             worst = max(worst, resid)
         add("reflection", f"alpha={alpha:.4f}", worst, 1e-9)
@@ -460,7 +468,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("kappa", help="evaluate kappa(gamma, beta) or the exit transform")
-    _add_common(p)
+    _add_common(p, derivative=False)
     p.add_argument("--beta", type=float, default=None, help="space argument")
     p.add_argument("--gamma", type=float, default=1.0, help="time argument")
     p.add_argument("--transform", type=float, nargs=3, default=None,
@@ -481,7 +489,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("compare", help="run every applicable method at one point")
-    _add_common(p, beta=True)
+    _add_common(p, beta=True, method=False, csv=False)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("classify", help="continued fraction and conditioning of alpha")
@@ -492,7 +500,7 @@ def _build_parser() -> _Parser:
                    help="beta at which conditioning is projected")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-terms", type=int, default=10000, dest="max_terms")
-    p.add_argument("--format", choices=["json", "csv", "text"], default="text")
+    p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("selftest", help="run the identity self-test suite")
@@ -506,16 +514,14 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help and friends
         return 0 if exc.code in (0, None) else 1
-    try:
-        return args.func(args)
     except _INVALID + _NOCONV as exc:
         return _report(exc)
 

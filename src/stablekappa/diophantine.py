@@ -19,10 +19,9 @@ at the requested (beta, tolerance), not about the number itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable
 
 from .accurate import EPS, div2, sin_mpi, sin_pi
 from .params import InsufficientDataError, OutOfRangeError, Tolerance
@@ -143,13 +142,12 @@ def min_abs_sin(x: float, M: int) -> float:
 class AlphaClass:
     """Conditioning verdict for a stability index.
 
-    ``min_sin_profile`` maps an index m to a model lower bound valid for
-    both divisor families |sin(m*pi/alpha)| and |sin(m*pi*alpha)|; for a
+    The model lower bound for both divisor families |sin(m*pi/alpha)| and
+    |sin(m*pi*alpha)| is floor_constant / m**(exponent_estimate - 1); for a
     recognized rational p/q it is the constant sin(pi/max(p, q)).
     """
 
     kind: AlphaKind
-    min_sin_profile: Callable[[int], float] = field(compare=False, repr=False)
     p: int | None = None
     q: int | None = None
     exponent_estimate: float | None = None
@@ -194,7 +192,6 @@ def _classify_cached(alpha: float, tol: Tolerance, beta: float) -> AlphaClass:
         floor = sin_pi(1.0 / max(p_last, q_last)) if max(p_last, q_last) > 1 else 0.0
         return AlphaClass(
             kind=AlphaKind.RATIONAL,
-            min_sin_profile=lambda m, f=floor: f,
             p=p_last, q=q_last,
             floor_constant=floor,
         )
@@ -204,22 +201,14 @@ def _classify_cached(alpha: float, tol: Tolerance, beta: float) -> AlphaClass:
         nhat = 2.0
     nu = nhat - 1.0
     c = _floor_constant(alpha, nu)
-    profile = lambda m, c=c, nu=nu: c / m ** nu  # noqa: E731
 
     beta_proj = min(max(beta, 1e-6), 0.95)
     m1, s1 = _projected_cost(beta_proj, 1.0, 1.0, c, nu, tol)
     m2, s2 = _projected_cost(beta_proj, alpha, alpha, c, nu, tol)
     noise = 4.0 * EPS * (s1 + s2)
-    if m1 is None or m2 is None or noise > 0.5 * tol.abs_tol:
-        return AlphaClass(
-            kind=AlphaKind.ILL_CONDITIONED,
-            min_sin_profile=profile,
-            exponent_estimate=nhat,
-            floor_constant=c,
-        )
+    ill = m1 is None or m2 is None or noise > 0.5 * tol.abs_tol
     return AlphaClass(
-        kind=AlphaKind.IRRATIONAL,
-        min_sin_profile=profile,
+        kind=AlphaKind.ILL_CONDITIONED if ill else AlphaKind.IRRATIONAL,
         exponent_estimate=nhat,
         floor_constant=c,
     )

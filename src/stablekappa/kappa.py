@@ -37,7 +37,7 @@ from .params import (
     StableParams,
     Tolerance,
 )
-from .quadrature import QuadConfig, g_quad, gprime_quad
+from .quadrature import g_quad, gprime_quad
 from .series import g_series, gprime_series
 from .special import RationalAlpha, find_doney_case, g_doney, gprime_rational
 
@@ -80,11 +80,6 @@ _SERIES_RATIONAL = Candidate(MethodChoice.SERIES, "skipped: rational alpha")
 _SERIES_ILL = Candidate(MethodChoice.SERIES, "skipped: ill-conditioned")
 
 
-def _quad_cfg(tol: Tolerance) -> QuadConfig:
-    return QuadConfig(abs_tol=tol.abs_tol, rel_tol=1e-14,
-                      max_refinements=tol.max_quad_refinements)
-
-
 def _series_result(series, params: StableParams, beta: float, tol: Tolerance,
                    aclass) -> EvalResult:
     report = series(params, beta, tol, aclass)
@@ -114,7 +109,7 @@ def _reflected(inner: EvalResult, params: StableParams, beta: float,
 
 def _quadrature(params: StableParams, beta: float, derivative: bool,
                 tol: Tolerance) -> EvalResult:
-    return (gprime_quad if derivative else g_quad)(params, beta, _quad_cfg(tol))
+    return (gprime_quad if derivative else g_quad)(params, beta, tol)
 
 
 def _forced(params: StableParams, beta: float, derivative: bool,

@@ -13,13 +13,13 @@ mapped onto (0, 1] by x = 1/y (never truncated).  Interval ends touching 0
 get an extra quartic map x = s*t**4 that absorbs the log/x**alpha endpoint
 singularities into a C^2 integrand.  Panels use the embedded (G7, K15)
 pair; the worst panel is bisected until the summed |K15 - G7| estimate
-meets the tolerance.  Node placement is fully deterministic.
+meets the tolerance: the larger of ``Tolerance.abs_tol`` and a fixed
+relative 1e-14 of the value.  Node placement is fully deterministic.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .accurate import EPS, cos_pi, sin_pi
 from .params import (
@@ -28,6 +28,7 @@ from .params import (
     MethodChoice,
     OutOfRangeError,
     StableParams,
+    Tolerance,
 )
 
 # 15-point Kronrod nodes (positive half) and weights; the embedded 7-point
@@ -59,21 +60,7 @@ _WG = (
     0.41795918367346939,
 )
 
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Quadrature accuracy targets and refinement budget."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-14
-    max_refinements: int = 30
-    split_points: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise OutOfRangeError("tolerances must be positive")
-        if self.max_refinements < 1:
-            raise OutOfRangeError("max_refinements must be positive")
+_REL_TOL = 1e-14  # relative error target; the absolute one is Tolerance.abs_tol
 
 
 def _gk15(f, a: float, b: float) -> tuple[float, float]:
@@ -94,7 +81,7 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
     return resk * half, abs((resk - resg) * half)
 
 
-def _integrate(panels, abs_tol: float, rel_tol: float,
+def _integrate(panels, abs_tol: float,
                max_refinements: int) -> tuple[float, float, int]:
     """Adaptive bisection over an initial panel list.
 
@@ -112,7 +99,7 @@ def _integrate(panels, abs_tol: float, rel_tol: float,
     while True:
         total = math.fsum(item[3] for item in work)
         toterr = math.fsum(item[4] for item in work)
-        if toterr <= max(abs_tol, rel_tol * abs(total)):
+        if toterr <= max(abs_tol, _REL_TOL * abs(total)):
             return total, toterr, nodes
         if refinements >= max_refinements:
             raise ConvergenceFailureError(
@@ -154,8 +141,7 @@ def _panel_set(f, splits: list[float]):
     return panels
 
 
-def _build_panels(f_fin, f_tail, beta: float, rho: float,
-                  split_points: tuple[float, ...] | None):
+def _build_panels(f_fin, f_tail, beta: float, rho: float):
     fin: list[float] = []
     tail: list[float] = []
 
@@ -165,11 +151,7 @@ def _build_panels(f_fin, f_tail, beta: float, rho: float,
         elif x > 1.0:
             tail.append(1.0 / x)
 
-    if split_points is None:
-        add(beta)
-    else:
-        for s in split_points:
-            add(s)
+    add(beta)
     if rho > 0.9 or rho < 0.1:
         # near-double-root of the denominator around x = beta
         for s in (0.9 * beta, 1.1 * beta):
@@ -177,13 +159,13 @@ def _build_panels(f_fin, f_tail, beta: float, rho: float,
     return _panel_set(f_fin, fin) + _panel_set(f_tail, tail)
 
 
-def _quad(params: StableParams, beta: float, cfg: QuadConfig | None,
+def _quad(params: StableParams, beta: float, tol: Tolerance | None,
           derivative: bool) -> EvalResult:
     """g(beta) or g'(beta) by adaptive quadrature; the two differ only in
     their pair of integrands over (0, 1] and over the mapped tail."""
     if not beta > 0.0:
         raise OutOfRangeError(f"beta must be positive, got {beta!r}")
-    cfg = cfg or QuadConfig()
+    tol = tol or Tolerance()
     alpha = params.alpha
     sinr = sin_pi(params.rho)
     cosr = cos_pi(params.rho)
@@ -211,20 +193,19 @@ def _quad(params: StableParams, beta: float, cfg: QuadConfig | None,
             return c * beta * (math.log1p(y ** alpha) - alpha * math.log(y)) / (
                 (1.0 + y * beta * cosr) ** 2 + (y * beta * sinr) ** 2)
 
-    panels = _build_panels(f_fin, f_tail, beta, params.rho, cfg.split_points)
-    value, err, nodes = _integrate(panels, cfg.abs_tol, cfg.rel_tol,
-                                   cfg.max_refinements)
+    panels = _build_panels(f_fin, f_tail, beta, params.rho)
+    value, err, nodes = _integrate(panels, tol.abs_tol, tol.max_quad_refinements)
     bound = max(err, 4.0 * EPS * (1.0 + abs(value)))
     return EvalResult(value, bound, MethodChoice.QUADRATURE, nodes)
 
 
 def g_quad(params: StableParams, beta: float,
-           cfg: QuadConfig | None = None) -> EvalResult:
+           tol: Tolerance | None = None) -> EvalResult:
     """g(beta) by adaptive quadrature, valid for any beta > 0."""
-    return _quad(params, beta, cfg, derivative=False)
+    return _quad(params, beta, tol, derivative=False)
 
 
 def gprime_quad(params: StableParams, beta: float,
-                cfg: QuadConfig | None = None) -> EvalResult:
+                tol: Tolerance | None = None) -> EvalResult:
     """g'(beta) by adaptive quadrature, valid for any beta > 0."""
-    return _quad(params, beta, cfg, derivative=True)
+    return _quad(params, beta, tol, derivative=True)

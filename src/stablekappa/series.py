@@ -49,15 +49,13 @@ class SeriesReport:
 
     tail_bound is the truncation bound (heuristic if the irrationality
     exponent behind it is an estimate); noise_bound estimates the rounding
-    floor of the compensated accumulation.  divisor_floor_used records the
-    smallest divisor magnitude actually encountered.
+    floor of the compensated accumulation.
     """
 
     value: float
     terms_first_series: int
     terms_second_series: int
     tail_bound: float
-    divisor_floor_used: float
     noise_bound: float = 0.0
 
     def __post_init__(self) -> None:
@@ -77,8 +75,8 @@ def _divisor_series(beta: float, step: float, div: tuple[float, float],
         g:   sum_m (-1)^(m+1) beta^(step m) sin(m pi num) / (m sin(m pi div))
         g':  sum_m (-1)^(m+1) step beta^(step m - 1) sin(m pi num) / sin(m pi div)
 
-    Returns (value, terms, tail bound, abs_sum plus the |terms|, smallest
-    divisor); a failure reports carry plus the partial sum as its value.
+    Returns (value, terms, tail bound, abs_sum plus the |terms|); a failure
+    reports carry plus the partial sum as its value.
     """
     # prefactor, exponent shift and index power of each term: m^deg is
     # carried as idx, which steps by deg
@@ -88,7 +86,6 @@ def _divisor_series(beta: float, step: float, div: tuple[float, float],
     half_tol = 0.5 * tol.abs_tol
     (div_hi, div_lo), (num_hi, num_lo) = div, num
     acc = CompensatedSum()
-    min_div = math.inf
     tail = math.inf
     idx = 1
     # beta^(step m - shift): the tail bound of term m is made from term
@@ -102,8 +99,6 @@ def _divisor_series(beta: float, step: float, div: tuple[float, float],
         term = signed * bpow * sin_mpi(m, num_hi, num_lo) / (idx * den)
         acc.add(term)
         abs_sum += abs(term)
-        if abs(den) < min_div:
-            min_div = abs(den)
         idx += deg
         j = m + 1
         bpow = beta ** (step * j - shift)
@@ -112,7 +107,7 @@ def _divisor_series(beta: float, step: float, div: tuple[float, float],
         if ratio < 1.0:
             tail = nxt / (1.0 - ratio)
             if tail < half_tol:
-                return acc.value, m, tail, abs_sum, min_div
+                return acc.value, m, tail, abs_sum
     raise ConvergenceFailureError(
         f"{name}: tail bound {tail:.3e} above tolerance after {tol.max_terms} terms",
         value=carry + acc.value, error_bound=tail)
@@ -123,29 +118,27 @@ def _series_sums(params: StableParams, beta: float, tol: Tolerance,
     alpha, rho = params.alpha, params.rho
     c = aclass.floor_constant
     nu = (aclass.exponent_estimate or 2.0) - 1.0
-    v1, terms1, tail1, abs_sum, min1 = _divisor_series(
+    v1, terms1, tail1, abs_sum = _divisor_series(
         beta, 1.0, div2(1.0, alpha), (rho, 0.0), derivative, c, nu, tol,
         0.0, 0.0, "first series", "sin({} pi/alpha)")
     # at the spectrally one-sided endpoint rho*alpha = 1 the second series
     # vanishes termwise
-    v2, terms2, tail2, min2 = 0.0, 0, 0.0, math.inf
+    v2, terms2, tail2 = 0.0, 0, 0.0
     if abs(rho * alpha - 1.0) > 4.0 * EPS:
-        v2, terms2, tail2, abs_sum, min2 = _divisor_series(
+        v2, terms2, tail2, abs_sum = _divisor_series(
             beta, alpha, (alpha, 0.0), two_prod(rho, alpha), derivative, c, nu,
             tol, abs_sum, v1, "second series", "sin({} pi alpha)")
 
     value = v1 + v2
     noise = 4.0 * EPS * (abs_sum + abs(value))
-    min_div = min(min1, min2)
-    return SeriesReport(value, terms1, terms2, tail1 + tail2,
-                        min_div if math.isfinite(min_div) else 0.0, noise)
+    return SeriesReport(value, terms1, terms2, tail1 + tail2, noise)
 
 
 def _series(params: StableParams, beta: float, tol: Tolerance | None,
             aclass: AlphaClass | None, derivative: bool) -> SeriesReport:
     tol = tol or Tolerance()
     if beta == 0.0 and not derivative:
-        return SeriesReport(0.0, 0, 0, 0.0, 0.0)
+        return SeriesReport(0.0, 0, 0, 0.0)
     if not 0.0 < beta < 1.0:
         lower = "0 <" if derivative else "0 <="
         raise OutOfRangeError(f"series form needs {lower} beta < 1, got {beta!r}")

@@ -15,7 +15,6 @@ import pytest
 from stablekappa import (
     KappaQuery,
     MethodChoice,
-    QuadConfig,
     RationalAlpha,
     StableParams,
     Tolerance,
@@ -50,7 +49,7 @@ SQRT3 = math.sqrt(3.0)
 ALPHAS_IRRATIONAL = (SQRT2, SQRT3, 2.0 - SQRT2)
 BETAS = tuple(0.1 * i for i in range(1, 10))
 TOL = Tolerance()
-TIGHT_QUAD = QuadConfig(abs_tol=1e-12)
+TIGHT_QUAD = Tolerance(abs_tol=1e-12)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -195,6 +195,12 @@ def test_selftest_unreachable_tol_fails(capsys):
     assert "FAIL" in out
 
 
+def test_selftest_tol_zero_is_an_override(capsys):
+    code, out, _ = run(capsys, "selftest", "--tol", "0", "--only", "kernels")
+    assert code == 2
+    assert "FAIL" in out
+
+
 def test_selftest_only_subset(capsys):
     code, out, _ = run(capsys, "selftest", "--only", "kernels")
     assert code == 0
@@ -217,6 +223,31 @@ def test_byte_determinism_repeated_runs(capsys):
 def test_usage_error_exit_1(capsys):
     code, _, err = run(capsys, "eval", "--alpha", "0.8")
     assert code == 1
+    assert "usage error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kappa", "--alpha", "0.8", "--rho", "0.25", "--beta", "0.5", "--derivative"],
+    ["compare", "--alpha", "0.8", "--rho", "0.25", "--beta", "0.5", "--method", "series"],
+    ["compare", "--alpha", "0.8", "--rho", "0.25", "--beta", "0.5", "--format", "csv"],
+    ["classify", "--alpha", "0.8", "--format", "csv"],
+])
+def test_flag_the_command_does_not_read_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "usage error" in err
+
+
+@pytest.mark.parametrize("gamma", [
+    ["--gamma-count", "2"],
+    ["--gamma-start", "1.0", "--gamma-stop", "2.0"],
+    ["--gamma-start", "1.0", "--gamma-stop", "2.0", "--gamma-count", "2", "--derivative"],
+])
+def test_table_gamma_grid_usage_errors(capsys, gamma):
+    code, out, err = run(capsys, "table", "--alpha", "0.8", "--rho", "0.25",
+                         "--beta-start", "0.2", "--beta-stop", "0.4",
+                         "--beta-count", "2", *gamma)
+    assert (code, out) == (1, "")
     assert "usage error" in err
 
 

@@ -30,6 +30,9 @@ ALPHAS = (
 )
 BETAS = ("0.3", "0.97", "2.5")
 DERIVATIVE = ((), ("--derivative",))
+FORCED = ("quadrature", "series", "rational", "doney")
+# a tolerance and term budget other than the defaults
+BUDGET = ("--tol", "1e-12", "--max-terms", "20000")
 
 
 def _cases() -> dict[str, list[list[str]]]:
@@ -43,6 +46,10 @@ def _cases() -> dict[str, list[list[str]]]:
                 for fmt in ("text", "json"):
                     cases["compare"].append(["compare", *ar, "--beta", beta,
                                              "--format", fmt, *d])
+            for beta in ("0.3", "2.5"):
+                for method in FORCED:
+                    cases["eval"].append(["eval", *ar, "--beta", beta,
+                                          "--method", method, *d])
             cases["table"].append(["table", *ar, "--beta-start", "0.3",
                                    "--beta-stop", "2.5", "--beta-count", "5",
                                    "--format", "csv", *d])
@@ -61,6 +68,11 @@ def _cases() -> dict[str, list[list[str]]]:
                                       "--beta", beta, "--format", "json"])
     cases["compare"].append(["compare", "--alpha", "0.8", "--rho", "0.3",
                              "--beta", "0.998", "--derivative"])
+    ar = ["--alpha", ALPHAS[0][0], "--rho", ALPHAS[0][1]]
+    cases["eval"].append(["eval", *ar, "--beta", "0.3", *BUDGET])
+    cases["table"].append(["table", *ar, "--beta-start", "0.3", "--beta-stop", "2.5",
+                           "--beta-count", "5", "--format", "csv", *BUDGET])
+    cases["compare"].append(["compare", *ar, "--beta", "0.3", *BUDGET])
     cases["selftest"] += [["selftest"], ["selftest", "--only", "kernels"]]
     return cases
 

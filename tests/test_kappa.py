@@ -8,7 +8,6 @@ from stablekappa import (
     MethodChoice,
     MethodNotApplicableError,
     OutOfRangeError,
-    QuadConfig,
     Tolerance,
     exit_transform,
     g_any_beta,
@@ -46,7 +45,7 @@ def test_auto_dispatch_series_for_sqrt2():
     p = validate(SQRT2, 0.5)
     res = g_any_beta(p, 0.3, MethodChoice.AUTO, TOL)
     assert res.method is MethodChoice.SERIES
-    ref = g_quad(p, 0.3, QuadConfig(abs_tol=1e-12))
+    ref = g_quad(p, 0.3, Tolerance(abs_tol=1e-12))
     assert abs(res.value - ref.value) < 1e-9
 
 
@@ -66,7 +65,7 @@ def test_forced_method_threads_through_reflection():
     p = validate(SQRT2, 0.5)
     res = g_any_beta(p, 4.0, MethodChoice.SERIES, TOL)
     assert res.method is MethodChoice.SERIES
-    direct = g_quad(p, 4.0, QuadConfig(abs_tol=1e-12))
+    direct = g_quad(p, 4.0, Tolerance(abs_tol=1e-12))
     assert abs(res.value - direct.value) < 1e-9
 
 
@@ -88,7 +87,7 @@ def test_gprime_any_beta_dispatch():
 def test_gprime_reflection():
     p = validate(SQRT2, 0.5)
     res = gprime_any_beta(p, 2.5, MethodChoice.AUTO, TOL)
-    direct = gprime_quad(p, 2.5, QuadConfig(abs_tol=1e-12))
+    direct = gprime_quad(p, 2.5, Tolerance(abs_tol=1e-12))
     assert abs(res.value - direct.value) < 1e-9
 
 
@@ -232,7 +231,7 @@ def test_failed_candidate_passes_to_the_next(monkeypatch):
     p = validate(0.5, 0.3)
     monkeypatch.setattr(kappa_module, "gprime_rational", diverges)
     res = gprime_any_beta(p, 0.4, MethodChoice.AUTO, TOL)
-    assert res == gprime_quad(p, 0.4, kappa_module._quad_cfg(TOL))
+    assert res == gprime_quad(p, 0.4, TOL)
     monkeypatch.setattr(kappa_module, "gprime_quad", diverges)
     with pytest.raises(kappa_module.ConvergenceFailureError, match="budget"):
         gprime_any_beta(p, 0.4, MethodChoice.AUTO, TOL)

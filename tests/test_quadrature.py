@@ -6,7 +6,7 @@ from stablekappa import (
     ConvergenceFailureError,
     MethodChoice,
     OutOfRangeError,
-    QuadConfig,
+    Tolerance,
     g_quad,
     gprime_quad,
     validate,
@@ -14,7 +14,7 @@ from stablekappa import (
 
 from conftest import admissible_rho_grid, g_integral_oracle, gprime_integral_oracle
 
-TIGHT = QuadConfig(abs_tol=1e-12)
+TIGHT = Tolerance(abs_tol=1e-12)
 
 
 def test_g_doney_example_closed_form():
@@ -107,8 +107,8 @@ def test_reflection_identity_direct_integrals():
 def test_tolerance_monotonicity():
     p = validate(1.3, 0.45)
     for beta in (0.2, 0.7, 1.0, 2.0):
-        loose = g_quad(p, beta, QuadConfig(abs_tol=1e-6))
-        tight = g_quad(p, beta, QuadConfig(abs_tol=1e-11))
+        loose = g_quad(p, beta, Tolerance(abs_tol=1e-6))
+        tight = g_quad(p, beta, Tolerance(abs_tol=1e-11))
         assert tight.abs_error_bound <= loose.abs_error_bound
 
 
@@ -122,8 +122,7 @@ def test_near_singular_rho_band():
 def test_convergence_failure_raises():
     p = validate(0.8, 0.25)
     with pytest.raises(ConvergenceFailureError):
-        g_quad(p, 0.5, QuadConfig(abs_tol=1e-300, rel_tol=1e-300,
-                                  max_refinements=3))
+        g_quad(p, 0.5, Tolerance(abs_tol=1e-300, max_quad_refinements=3))
 
 
 def test_beta_must_be_positive():
@@ -132,10 +131,3 @@ def test_beta_must_be_positive():
         g_quad(p, 0.0)
     with pytest.raises(OutOfRangeError):
         gprime_quad(p, -1.0)
-
-
-def test_custom_split_points_respected():
-    p = validate(0.8, 0.25)
-    default = g_quad(p, 0.5, TIGHT)
-    custom = g_quad(p, 0.5, QuadConfig(abs_tol=1e-12, split_points=(0.25, 0.5, 2.0)))
-    assert abs(default.value - custom.value) < 1e-10

@@ -6,7 +6,6 @@ from scipy.integrate import quad
 from stablekappa import (
     IllConditionedSeriesError,
     MethodNotApplicableError,
-    QuadConfig,
     Tolerance,
     aux_int0b,
     aux_intbinfty,
@@ -21,7 +20,7 @@ from stablekappa import (
     validate,
 )
 
-TIGHT = QuadConfig(abs_tol=1e-12)
+TIGHT = Tolerance(abs_tol=1e-12)
 SQRT2 = math.sqrt(2.0)
 
 

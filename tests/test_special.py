@@ -5,7 +5,6 @@ import pytest
 from stablekappa import (
     ConvergenceFailureError,
     OutOfRangeError,
-    QuadConfig,
     RationalAlpha,
     Tolerance,
     find_doney_case,
@@ -22,7 +21,7 @@ from stablekappa import (
 
 from conftest import gprime_integral_oracle
 
-TIGHT = QuadConfig(abs_tol=1e-12)
+TIGHT = Tolerance(abs_tol=1e-12)
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 

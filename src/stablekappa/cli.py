@@ -187,21 +187,25 @@ def cmd_eval(args) -> int:
 
 
 def cmd_kappa(args) -> int:
+    if args.transform is not None and (args.beta is not None or args.gamma is not None):
+        raise _UsageError("--transform takes its own GAMMA and THETA; "
+                          "it does not combine with --beta or --gamma")
+    gamma = 1.0 if args.gamma is None else args.gamma
     try:
         params = validate(args.alpha, args.rho)
         tol = _tolerance(args)
         if args.transform is not None:
-            eta, gamma, theta = args.transform
-            res = exit_transform(params, eta, gamma, theta, _method(args), tol)
-            rec = _ok_record(args, theta, gamma, res)
+            eta, t_gamma, theta = args.transform
+            res = exit_transform(params, eta, t_gamma, theta, _method(args), tol)
+            rec = _ok_record(args, theta, t_gamma, res)
         else:
             if args.beta is None:
                 raise OutOfRangeError("kappa needs --beta (or --transform)")
-            res = kappa(params, KappaQuery(args.gamma, args.beta), _method(args), tol)
-            rec = _ok_record(args, args.beta, args.gamma, res)
+            res = kappa(params, KappaQuery(gamma, args.beta), _method(args), tol)
+            rec = _ok_record(args, args.beta, gamma, res)
     except _INVALID + _NOCONV as exc:
         code = _report(exc)
-        _emit([_failure_record(args, code, args.gamma)], args.format)
+        _emit([_failure_record(args, code, gamma)], args.format)
         return code
     _emit([rec], args.format)
     return 0
@@ -224,10 +228,7 @@ def cmd_table(args) -> int:
         raise _UsageError("--derivative applies to g, not to a gamma grid of kappa")
     if args.beta_count < 1 or (args.gamma_count is not None and args.gamma_count < 1):
         raise _UsageError("empty sweep range")
-    try:
-        params = validate(args.alpha, args.rho)
-    except _INVALID as exc:
-        return _report(exc)
+    params = validate(args.alpha, args.rho)
     tol = _tolerance(args)
     method = _method(args)
     betas = _linspace(args.beta_start, args.beta_stop, args.beta_count)
@@ -283,12 +284,8 @@ def _run_plan(params: StableParams, beta: float, derivative: bool,
 
 
 def cmd_compare(args) -> int:
-    try:
-        params = validate(args.alpha, args.rho)
-        tol = _tolerance(args)
-        results, skipped = _run_plan(params, args.beta, args.derivative, tol)
-    except _INVALID + _NOCONV as exc:
-        return _report(exc)
+    params = validate(args.alpha, args.rho)
+    results, skipped = _run_plan(params, args.beta, args.derivative, _tolerance(args))
 
     names = list(results)
     max_delta = 0.0
@@ -336,12 +333,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        tol = _tolerance(args)
-        cf = cf_expand(args.alpha, 64)
-        aclass = classify(args.alpha, tol, args.beta)
-    except _INVALID as exc:
-        return _report(exc)
+    tol = _tolerance(args)
+    cf = cf_expand(args.alpha, 64)
+    aclass = classify(args.alpha, tol, args.beta)
     try:
         nhat = estimate_exponent(cf)
     except InsufficientDataError:
@@ -470,7 +464,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("kappa", help="evaluate kappa(gamma, beta) or the exit transform")
     _add_common(p, derivative=False)
     p.add_argument("--beta", type=float, default=None, help="space argument")
-    p.add_argument("--gamma", type=float, default=1.0, help="time argument")
+    p.add_argument("--gamma", type=float, default=None,
+                   help="time argument (default: 1)")
     p.add_argument("--transform", type=float, nargs=3, default=None,
                    metavar=("ETA", "GAMMA", "THETA"),
                    help="evaluate 1/((theta+gamma) kappa(eta,gamma) kappa(eta,theta))")

@@ -14,12 +14,18 @@ turns that machinery into computable heuristics:
 A float can never certify membership in a number-theoretic set, so
 ``IllConditioned`` is a statement about projected work and rounding noise
 at the requested (beta, tolerance), not about the number itself.
+
+Only that last verdict depends on beta and the tolerance.  The expansion,
+the rational verdict, the exponent estimate and the calibrated floor
+depend on alpha alone; ``_profile`` computes them once per alpha (an LRU
+over ``_PROFILE_CACHE`` alphas), and ``classify`` adds the per-beta
+projection on top.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -32,6 +38,7 @@ RATIONAL_DENOMINATOR_CAP = 1_000_000
 
 _CALIBRATION_DEPTH = 256    # indices probed when fitting the divisor floor
 _EXPONENT_Q_MIN = 8         # denominators below this carry no growth signal
+_PROFILE_CACHE = 64         # alphas whose beta-free profile is kept
 
 
 class AlphaKind(Enum):
@@ -184,8 +191,10 @@ def _projected_cost(beta: float, step: float, prefactor: float,
     return None, s_abs
 
 
-@lru_cache(maxsize=512)
-def _classify_cached(alpha: float, tol: Tolerance, beta: float) -> AlphaClass:
+@lru_cache(maxsize=_PROFILE_CACHE)
+def _profile(alpha: float) -> AlphaClass:
+    """The beta-free part of ``classify``: Rational(p, q), or Irrational
+    with the exponent estimate and the calibrated floor constant."""
     cf = cf_expand(alpha, 64)
     p_last, q_last = cf.convergents[-1]
     if cf.exact and q_last <= RATIONAL_DENOMINATOR_CAP:
@@ -199,18 +208,10 @@ def _classify_cached(alpha: float, tol: Tolerance, beta: float) -> AlphaClass:
         nhat = estimate_exponent(cf)
     except InsufficientDataError:
         nhat = 2.0
-    nu = nhat - 1.0
-    c = _floor_constant(alpha, nu)
-
-    beta_proj = min(max(beta, 1e-6), 0.95)
-    m1, s1 = _projected_cost(beta_proj, 1.0, 1.0, c, nu, tol)
-    m2, s2 = _projected_cost(beta_proj, alpha, alpha, c, nu, tol)
-    noise = 4.0 * EPS * (s1 + s2)
-    ill = m1 is None or m2 is None or noise > 0.5 * tol.abs_tol
     return AlphaClass(
-        kind=AlphaKind.ILL_CONDITIONED if ill else AlphaKind.IRRATIONAL,
+        kind=AlphaKind.IRRATIONAL,
         exponent_estimate=nhat,
-        floor_constant=c,
+        floor_constant=_floor_constant(alpha, nhat - 1.0),
     )
 
 
@@ -220,7 +221,23 @@ def classify(alpha: float, tol: Tolerance | None = None, beta: float = 0.9) -> A
     Rational(p, q) when the expansion terminates at a modest denominator;
     IllConditioned when the projected series work or the projected rounding
     noise exceeds the budget of ``tol`` at this beta; Irrational otherwise.
+    Only the IllConditioned verdict depends on beta and ``tol``: the rest
+    is the per-alpha profile, computed once, and each call reruns just the
+    projection of the two series' cost at this beta.
     """
     if not 0.0 < alpha <= 2.0:
         raise OutOfRangeError(f"alpha must lie in (0, 2], got {alpha!r}")
-    return _classify_cached(float(alpha), tol or Tolerance(), float(beta))
+    alpha = float(alpha)
+    profile = _profile(alpha)
+    if profile.kind is AlphaKind.RATIONAL:
+        return profile
+    tol = tol or Tolerance()
+    nu = profile.exponent_estimate - 1.0
+    c = profile.floor_constant
+    beta_proj = min(max(float(beta), 1e-6), 0.95)
+    m1, s1 = _projected_cost(beta_proj, 1.0, 1.0, c, nu, tol)
+    m2, s2 = _projected_cost(beta_proj, alpha, alpha, c, nu, tol)
+    noise = 4.0 * EPS * (s1 + s2)
+    if m1 is None or m2 is None or noise > 0.5 * tol.abs_tol:
+        return replace(profile, kind=AlphaKind.ILL_CONDITIONED)
+    return profile

@@ -20,7 +20,10 @@ identity kernels used as self-test oracles.
 from __future__ import annotations
 
 import math
+import threading
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .accurate import (
     EPS,
@@ -65,6 +68,22 @@ class SeriesReport:
             raise OutOfRangeError("term counts must be nonnegative")
 
 
+_SINE_TABLES = 8          # (divisor, numerator) pairs whose sines are kept
+_SINE_TABLE_TERMS = 4096  # indices kept per pair; later ones are recomputed
+_SINE_TABLE_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=_SINE_TABLES)
+def _sine_table(div: tuple[float, float], num: tuple[float, float]) -> array:
+    """sin(m pi div), sin(m pi num) for m = 1, 2, ... interleaved: entry m
+    sits at 2m - 2 and 2m - 1.  The values do not depend on beta, so every
+    beta of a (divisor, numerator) pair shares them.  The table starts
+    empty and grows on demand; entry m is appended, under the lock, only
+    while the length is 2m - 2, so no reader ever sees the pair misaligned.
+    """
+    return array("d")
+
+
 def _divisor_series(beta: float, step: float, div: tuple[float, float],
                     num: tuple[float, float], derivative: bool, c: float,
                     nu: float, tol: Tolerance, abs_sum: float, carry: float,
@@ -85,6 +104,7 @@ def _divisor_series(beta: float, step: float, div: tuple[float, float],
     base = beta ** step
     half_tol = 0.5 * tol.abs_tol
     (div_hi, div_lo), (num_hi, num_lo) = div, num
+    sines = _sine_table(div, num)
     acc = CompensatedSum()
     tail = math.inf
     idx = 1
@@ -92,11 +112,19 @@ def _divisor_series(beta: float, step: float, div: tuple[float, float],
     # m + 1's power, which the next term then reuses
     bpow = beta ** (step - shift)
     for m in range(1, tol.max_terms + 1):
-        den = sin_mpi(m, div_hi, div_lo)
-        if den == 0.0:
-            raise IllConditionedSeriesError(f"divisor {divisor.format(m)} vanished")
+        if 2 * m <= len(sines):
+            den, sin_num = sines[2 * m - 2], sines[2 * m - 1]
+        else:
+            den = sin_mpi(m, div_hi, div_lo)
+            if den == 0.0:
+                raise IllConditionedSeriesError(f"divisor {divisor.format(m)} vanished")
+            sin_num = sin_mpi(m, num_hi, num_lo)
+            if m <= _SINE_TABLE_TERMS:
+                with _SINE_TABLE_LOCK:
+                    if len(sines) == 2 * m - 2:
+                        sines.extend((den, sin_num))
         signed = pre if m % 2 == 1 else -pre
-        term = signed * bpow * sin_mpi(m, num_hi, num_lo) / (idx * den)
+        term = signed * bpow * sin_num / (idx * den)
         acc.add(term)
         abs_sum += abs(term)
         idx += deg

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .accurate import (
     EPS,
@@ -54,6 +55,7 @@ from .params import (
 
 DEFAULT_K_MAX = 32
 _MATCH_RTOL = 4.0 * EPS
+_DONEY_CACHE = 64
 
 
 @dataclass(frozen=True)
@@ -97,11 +99,14 @@ class RationalAlpha:
         return cls(p, q)
 
 
+@lru_cache(maxsize=_DONEY_CACHE)
 def find_doney_case(params: StableParams, k_max: int = DEFAULT_K_MAX) -> DoneyCase | None:
     """Smallest k in [1, k_max] with rho + k = l/alpha for an integer l >= 0.
 
     Matching tolerance is 4 ulp relative on rho + k; returns None when no
     such pair exists, which is the generic outcome for irrational alpha.
+    The answer depends on (params, k_max) alone and is cached for the last
+    ``_DONEY_CACHE`` of them.
     """
     if k_max < 1:
         raise OutOfRangeError("k_max must be at least 1")

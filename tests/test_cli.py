@@ -251,6 +251,28 @@ def test_table_gamma_grid_usage_errors(capsys, gamma):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("extra", [
+    ["--beta", "7", "--gamma", "9"],
+    ["--beta", "7"],
+    ["--gamma", "9"],
+    ["--gamma", "1.0"],
+])
+def test_kappa_transform_with_beta_or_gamma_is_a_usage_error(capsys, extra):
+    code, out, err = run(capsys, "kappa", "--alpha", "0.8", "--rho", "0.25",
+                         "--transform", "1.0", "0.3", "2.5", *extra)
+    assert (code, out) == (1, "")
+    assert "usage error" in err
+
+
+def test_kappa_gamma_defaults_to_one(capsys):
+    argv = ["kappa", "--alpha", "0.8", "--rho", "0.25", "--beta", "0.5",
+            "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["gamma"] == 1.0
+    assert run(capsys, *argv, "--gamma", "1.0") == (0, out, "")
+
+
 def test_unknown_method_exit_1(capsys):
     code, _, _ = run(capsys, "eval", "--alpha", "0.8", "--rho", "0.25",
                      "--beta", "0.5", "--method", "magic")

@@ -15,8 +15,15 @@ from stablekappa import (
     estimate_exponent,
     min_abs_sin,
 )
-from stablekappa.accurate import div2, sin_mpi
-from stablekappa.diophantine import ContinuedFraction
+from stablekappa.accurate import EPS, div2, sin_mpi, sin_pi
+from stablekappa.diophantine import (
+    RATIONAL_DENOMINATOR_CAP,
+    AlphaClass,
+    ContinuedFraction,
+    _floor_constant,
+    _profile,
+    _projected_cost,
+)
 
 
 def _cf_oracle(x_str: str, n: int) -> list[int]:
@@ -175,3 +182,56 @@ def test_classify_profile_is_model_floor():
     scaled = [min(abs(sin_mpi(m, *inv)), abs(sin_mpi(m, alpha))) * m ** nu
               for m in range(1, 257)]
     assert min(scaled + [0.5]) == ac.floor_constant
+
+
+# ---------------------------------------------------------------------------
+# the per-alpha profile cache behind classify
+# ---------------------------------------------------------------------------
+
+CACHE_ALPHAS = (math.sqrt(2.0), math.pi / 2.0, 0.5 + math.sqrt(2.0) / 40.0,
+                1.0000001, 1.50000001, 0.8)
+CACHE_BETAS = (2e-6, 1e-4, 0.01, 0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.95, 0.99)
+CACHE_TOLS = (Tolerance(), Tolerance(abs_tol=1e-13, max_terms=2000))
+
+
+def _classify_uncached(alpha: float, tol: Tolerance, beta: float) -> AlphaClass:
+    """classify recomputed from scratch, with no cache in between."""
+    cf = cf_expand(alpha, 64)
+    p_last, q_last = cf.convergents[-1]
+    if cf.exact and q_last <= RATIONAL_DENOMINATOR_CAP:
+        floor = sin_pi(1.0 / max(p_last, q_last)) if max(p_last, q_last) > 1 else 0.0
+        return AlphaClass(kind=AlphaKind.RATIONAL, p=p_last, q=q_last,
+                          floor_constant=floor)
+    try:
+        nhat = estimate_exponent(cf)
+    except InsufficientDataError:
+        nhat = 2.0
+    nu = nhat - 1.0
+    c = _floor_constant(alpha, nu)
+    beta_proj = min(max(beta, 1e-6), 0.95)
+    m1, s1 = _projected_cost(beta_proj, 1.0, 1.0, c, nu, tol)
+    m2, s2 = _projected_cost(beta_proj, alpha, alpha, c, nu, tol)
+    ill = m1 is None or m2 is None or 4.0 * EPS * (s1 + s2) > 0.5 * tol.abs_tol
+    return AlphaClass(kind=AlphaKind.ILL_CONDITIONED if ill else AlphaKind.IRRATIONAL,
+                      exponent_estimate=nhat, floor_constant=c)
+
+
+def test_classify_matches_uncached_recomputation():
+    _profile.cache_clear()
+    kinds = set()
+    for alpha in CACHE_ALPHAS:
+        for tol in CACHE_TOLS:
+            for beta in CACHE_BETAS:
+                got = classify(alpha, tol, beta)
+                want = _classify_uncached(alpha, tol, beta)
+                assert got == want, (alpha, tol, beta)
+                assert got.floor_constant.hex() == want.floor_constant.hex()
+                kinds.add(got.kind)
+    assert kinds == set(AlphaKind)
+
+
+def test_profile_cache_stays_at_its_bound():
+    bound = _profile.cache_info().maxsize
+    for i in range(bound + 8):
+        classify(1.0 + math.sqrt(2.0) / (100.0 + i), beta=0.5)
+    assert _profile.cache_info().currsize == bound

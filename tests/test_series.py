@@ -1,7 +1,11 @@
 import math
+import sys
+import threading
 
 import pytest
 from scipy.integrate import quad
+
+from stablekappa import series as series_module
 
 from stablekappa import (
     IllConditionedSeriesError,
@@ -225,3 +229,82 @@ def test_kernel_convergence_envelopes():
         partial, closed = kernel_alt_sine(z, w, M)
         envelope = 4.0 / (2.0 * M * abs(math.sin(0.5 * (z + math.pi))))
         assert abs(partial - closed) <= envelope
+
+
+# ---------------------------------------------------------------------------
+# the per-(divisor, numerator) sine tables shared across betas
+# ---------------------------------------------------------------------------
+
+TABLE_PARAMS = ((SQRT2, 0.5), (0.5 + SQRT2 / 40.0, 0.5))
+TABLE_BETAS = (0.02, 0.07, 0.15, 0.3, 0.42, 0.5, 0.61, 0.75, 0.83, 0.88, 0.9)
+
+
+def _bits(rep):
+    return (rep.value.hex(), rep.tail_bound.hex(), rep.noise_bound.hex(),
+            rep.terms_first_series, rep.terms_second_series)
+
+
+def _cold(params, beta, series):
+    series_module._sine_table.cache_clear()
+    return _bits(series(params, beta))
+
+
+@pytest.mark.parametrize("alpha,rho", TABLE_PARAMS)
+@pytest.mark.parametrize("series", [g_series, gprime_series])
+def test_sine_tables_leave_values_bit_identical(alpha, rho, series):
+    p = validate(alpha, rho)
+    cold = {beta: _cold(p, beta, series) for beta in TABLE_BETAS}
+    # ascending, each sum runs past the table and grows it midway;
+    # descending, the first sum builds it and the others only read
+    for order in (TABLE_BETAS, TABLE_BETAS[::-1]):
+        series_module._sine_table.cache_clear()
+        for beta in order:
+            assert _bits(series(p, beta)) == cold[beta], (order[0], beta)
+
+
+def test_sine_table_past_its_length_cap(monkeypatch):
+    p = validate(SQRT2, 0.5)
+    cold = _cold(p, 0.6, g_series)
+    monkeypatch.setattr(series_module, "_SINE_TABLE_TERMS", 5)
+    series_module._sine_table.cache_clear()
+    assert _bits(g_series(p, 0.6)) == cold
+    assert _bits(g_series(p, 0.6)) == cold
+    tables = [series_module._sine_table(series_module.div2(1.0, SQRT2), (0.5, 0.0)),
+              series_module._sine_table((SQRT2, 0.0), series_module.two_prod(0.5, SQRT2))]
+    assert [len(t) for t in tables] == [10, 10]
+
+
+def test_sine_tables_under_concurrent_growth():
+    alpha, rho = TABLE_PARAMS[1]
+    p = validate(alpha, rho)
+    serial = {(beta, s): _cold(p, beta, s)
+              for beta in TABLE_BETAS for s in (g_series, gprime_series)}
+    series_module._sine_table.cache_clear()
+    start = threading.Barrier(4)
+    results = [None] * 4
+
+    def worker(i):
+        betas = TABLE_BETAS if i % 2 == 0 else TABLE_BETAS[::-1]
+        series = g_series if i < 2 else gprime_series
+        start.wait()
+        results[i] = {(beta, series): _bits(series(p, beta)) for beta in betas}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert got and all(serial[key] == bits for key, bits in got.items())
+
+
+def test_sine_table_cache_stays_at_its_bound():
+    bound = series_module._sine_table.cache_info().maxsize
+    for i in range(bound):
+        g_series(validate(1.0 + SQRT2 / (100.0 + i), 0.5), 0.3)
+    assert series_module._sine_table.cache_info().currsize == bound

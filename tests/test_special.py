@@ -192,3 +192,10 @@ def test_resonant_terms_match_limit_expression():
         s4 = -alpha * rho * (-1.0) ** (n * (p + q)) * beta ** (n * p - 1) \
             * math.cos(alpha * rho * n * q * math.pi)
         assert abs((s3 + s4) - term) < 1e-15 * max(1.0, abs(term))
+
+
+def test_find_doney_case_cache_stays_at_its_bound():
+    bound = find_doney_case.cache_info().maxsize
+    for i in range(bound + 8):
+        find_doney_case(validate(1.0 + SQRT2 / (100.0 + i), 0.5))
+    assert find_doney_case.cache_info().currsize == bound

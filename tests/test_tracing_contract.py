@@ -1,9 +1,11 @@
-"""The names and result fields the benchmark's tracer wraps and reads.
+"""The names and result fields the benchmark's tracer wraps and reads,
+and the work counters it records on a fixed sweep.
 
 ``bench/tracing.py`` replaces package functions by name from outside the
 package and counts work from their results, so a rename inside the
-package would silently zero a per-layer counter.  The tracer patches
-modules in place, hence the separate interpreter.
+package would silently zero a per-layer counter.  The counters do not
+depend on the hardware, so they gate work regressions exactly.  The
+tracer patches modules in place, hence the separate interpreter.
 """
 
 import json
@@ -13,7 +15,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-SCRIPT = """
+# installs the tracer, runs a body, prints the body's exit code and the metrics
+TRACED = """
 import contextlib, io, json, sys
 sys.path[:0] = sys.argv[1:3]
 import stablekappa, stablekappa.cli
@@ -21,6 +24,12 @@ from tracing import Tracer
 
 tracer = Tracer()
 entry = tracer.install()
+{body}
+print(json.dumps({{"code": code, "metrics": {{
+    name: m["value"] for name, m in tracer.metrics().items()}}}}))
+"""
+
+LAYERS = """
 with contextlib.redirect_stdout(io.StringIO()):
     # beta 0.3 runs the series, 0.97 lies in the band where quadrature runs
     code = entry["main"](["table", "--alpha", repr(2 ** 0.5), "--rho", "0.5",
@@ -28,19 +37,40 @@ with contextlib.redirect_stdout(io.StringIO()):
                           "--beta-count", "2"])
 # g' at rational alpha runs the split series
 entry["gprime_any_beta"](stablekappa.validate(0.5, 0.3), 0.4)
-print(json.dumps({"code": code, "metrics": {
-    name: m["value"] for name, m in tracer.metrics().items()}}))
+"""
+
+# a 40-row g table at sqrt 2: the series runs at every row
+SWEEP = """
+with contextlib.redirect_stdout(io.StringIO()):
+    code = entry["main"](["table", "--alpha", repr(2 ** 0.5), "--rho", "0.5",
+                          "--beta-start", "0.01", "--beta-stop", "0.9",
+                          "--beta-count", "40"])
 """
 
 
-def test_tracer_counts_every_wrapped_layer():
+def _traced(body: str) -> dict:
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "src"), str(ROOT / "bench")],
+        [sys.executable, "-c", TRACED.format(body=body), str(ROOT / "src"),
+         str(ROOT / "bench")],
         capture_output=True, text=True, timeout=60, check=False)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["code"] == 0
-    metrics = result["metrics"]
+    return result["metrics"]
+
+
+def test_tracer_counts_every_wrapped_layer():
+    metrics = _traced(LAYERS)
     for name in ("series.terms", "quadrature.nodes", "special.rational.terms",
                  "diophantine.classify.calls"):
         assert metrics[name] > 0, name
+
+
+def test_sweep_work_counters():
+    # one calibration of the divisor floor (256 indices, two families) for
+    # the whole table, and each series sine computed once across the betas
+    metrics = _traced(SWEEP)
+    assert metrics["diophantine.classify.calls"] == 40
+    assert metrics["diophantine.classify.reductions"] == 512
+    assert metrics["accurate.reductions"] <= 1434
+    assert metrics["series.terms"] == 3799

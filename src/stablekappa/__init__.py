@@ -15,7 +15,6 @@ from .diophantine import (
     cf_expand,
     classify,
     estimate_exponent,
-    min_abs_sin,
 )
 from .kappa import KappaQuery, exit_transform, g_any_beta, gprime_any_beta, kappa, plan
 from .params import (
@@ -34,14 +33,8 @@ from .params import (
 from .quadrature import g_quad, gprime_quad
 from .series import (
     SeriesReport,
-    aux_int0b,
-    aux_intbinfty,
     g_series,
     gprime_series,
-    kernel_alt_sine,
-    kernel_cosecant,
-    kernel_geom_sine,
-    kernel_poisson,
 )
 from .special import (
     DoneyCase,
@@ -49,8 +42,6 @@ from .special import (
     find_doney_case,
     g_doney,
     g_k_closed,
-    g_k_series,
-    gprime_half_closed,
     gprime_rational,
 )
 
@@ -74,8 +65,6 @@ __all__ = [
     "SeriesReport",
     "StableParams",
     "Tolerance",
-    "aux_int0b",
-    "aux_intbinfty",
     "cf_expand",
     "classify",
     "estimate_exponent",
@@ -84,20 +73,13 @@ __all__ = [
     "g_any_beta",
     "g_doney",
     "g_k_closed",
-    "g_k_series",
     "g_quad",
     "g_series",
     "gprime_any_beta",
-    "gprime_half_closed",
     "gprime_quad",
     "gprime_rational",
     "gprime_series",
     "kappa",
-    "kernel_alt_sine",
-    "kernel_cosecant",
-    "kernel_geom_sine",
-    "kernel_poisson",
-    "min_abs_sin",
     "plan",
     "validate",
     "__version__",

@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import math
-import random
 import sys
 from dataclasses import dataclass
 
@@ -32,15 +31,7 @@ from .params import (
     validate,
 )
 from .quadrature import g_quad
-from .series import (
-    aux_int0b,
-    aux_intbinfty,
-    gprime_series,
-    kernel_alt_sine,
-    kernel_cosecant,
-    kernel_geom_sine,
-    kernel_poisson,
-)
+from .series import gprime_series
 from .special import RationalAlpha, gprime_rational
 
 _FIELDS = ("alpha", "rho", "beta", "gamma", "method", "value",
@@ -159,12 +150,10 @@ def _report(exc: Exception) -> int:
     return _exit_code(exc)
 
 
-def _failure_record(args, code: int, gamma: float | None = None) -> OutputRecord:
-    return OutputRecord(
-        alpha=args.alpha, rho=getattr(args, "rho", None),
-        beta=getattr(args, "beta", None), gamma=gamma,
-        method=args.method, value=None, abs_error_bound=None,
-        terms_or_nodes_used=None, status=_STATUS[code])
+def _failure_record(args, code: int, beta: float | None,
+                    gamma: float | None = None) -> OutputRecord:
+    return OutputRecord(args.alpha, args.rho, beta, gamma, args.method,
+                        None, None, None, _STATUS[code])
 
 
 def _ok_record(args, beta: float, gamma: float | None, res: EvalResult) -> OutputRecord:
@@ -180,7 +169,7 @@ def cmd_eval(args) -> int:
         res = fn(params, args.beta, _method(args), tol)
     except _INVALID + _NOCONV as exc:
         code = _report(exc)
-        _emit([_failure_record(args, code)], args.format)
+        _emit([_failure_record(args, code, args.beta)], args.format)
         return code
     _emit([_ok_record(args, args.beta, None, res)], args.format)
     return 0
@@ -190,24 +179,24 @@ def cmd_kappa(args) -> int:
     if args.transform is not None and (args.beta is not None or args.gamma is not None):
         raise _UsageError("--transform takes its own GAMMA and THETA; "
                           "it does not combine with --beta or --gamma")
-    gamma = 1.0 if args.gamma is None else args.gamma
+    if args.transform is not None:
+        eta, gamma, beta = args.transform  # the record shows THETA as beta
+    else:
+        beta, gamma = args.beta, 1.0 if args.gamma is None else args.gamma
     try:
         params = validate(args.alpha, args.rho)
         tol = _tolerance(args)
         if args.transform is not None:
-            eta, t_gamma, theta = args.transform
-            res = exit_transform(params, eta, t_gamma, theta, _method(args), tol)
-            rec = _ok_record(args, theta, t_gamma, res)
+            res = exit_transform(params, eta, gamma, beta, _method(args), tol)
         else:
-            if args.beta is None:
+            if beta is None:
                 raise OutOfRangeError("kappa needs --beta (or --transform)")
-            res = kappa(params, KappaQuery(gamma, args.beta), _method(args), tol)
-            rec = _ok_record(args, args.beta, gamma, res)
+            res = kappa(params, KappaQuery(gamma, beta), _method(args), tol)
     except _INVALID + _NOCONV as exc:
         code = _report(exc)
-        _emit([_failure_record(args, code, gamma)], args.format)
+        _emit([_failure_record(args, code, beta, gamma)], args.format)
         return code
-    _emit([rec], args.format)
+    _emit([_ok_record(args, beta, gamma, res)], args.format)
     return 0
 
 
@@ -244,8 +233,7 @@ def cmd_table(args) -> int:
                 res = kappa(params, KappaQuery(gm, b), method, tol)
             return _ok_record(args, b, gm, res)
         except _INVALID + _NOCONV as exc:
-            return OutputRecord(args.alpha, args.rho, b, gm, args.method,
-                                None, None, None, _STATUS[_exit_code(exc)])
+            return _failure_record(args, _exit_code(exc), b, gm)
 
     records = [one(b, gm) for b in betas for gm in gammas or (None,)]
     _emit(records, args.format)
@@ -283,23 +271,32 @@ def _run_plan(params: StableParams, beta: float, derivative: bool,
             {n: skipped[n] for n in _COLUMNS if n in skipped})
 
 
+def _pairwise(results: dict[str, EvalResult]) -> list[tuple[str, float, float]]:
+    """(pair, |difference|, sum of the two stated bounds) for every pair of
+    results; the pair agrees up to ``_agreement_threshold`` of that sum."""
+    names = list(results)
+    return [(f"{a}-{b}", abs(results[a].value - results[b].value),
+             results[a].abs_error_bound + results[b].abs_error_bound)
+            for i, a in enumerate(names) for b in names[i + 1:]]
+
+
+def _agreement_threshold(bound_sum: float) -> float:
+    """The largest difference at which two results still agree."""
+    return bound_sum + 1e-15
+
+
 def cmd_compare(args) -> int:
     params = validate(args.alpha, args.rho)
     results, skipped = _run_plan(params, args.beta, args.derivative, _tolerance(args))
 
-    names = list(results)
+    deltas = _pairwise(results)
     max_delta = 0.0
     worst_pair = ""
-    deltas: list[tuple[str, float, float]] = []
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            d = abs(results[a].value - results[b].value)
-            bs = results[a].abs_error_bound + results[b].abs_error_bound
-            deltas.append((f"{a}-{b}", d, bs))
-            if d > max_delta:
-                max_delta = d
-                worst_pair = f"{a}-{b}"
-    agree = all(d <= bs + 1e-15 for _, d, bs in deltas)
+    for pair, d, _ in deltas:
+        if d > max_delta:
+            max_delta = d
+            worst_pair = pair
+    agree = all(d <= _agreement_threshold(bs) for _, d, bs in deltas)
 
     if args.format == "json":
         payload = {
@@ -371,45 +368,43 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _selftest_checks(tol_override: float | None):
-    """Deterministic identity checks: (group, name, error, threshold)."""
-    checks: list[tuple[str, str, float, float]] = []
+# (alpha, rho, beta, derivative): points where the plan runs at least two
+# methods.  Series, Doney and the rational split each meet quadrature, and
+# the last point is planned at 1/beta and reflected.  At ill-conditioned
+# alpha only quadrature runs, so it has no point here.
+_METHOD_POINTS = (
+    (math.sqrt(2.0), 0.5, 0.3, False),
+    (math.sqrt(2.0), 0.5, 0.3, True),
+    (0.8, 0.25, 0.3, False),
+    (0.8, 0.25, 0.3, True),
+    (0.5, 0.3, 0.3, True),
+    (0.8, 0.25, 2.5, True),
+)
+# g' against the central difference of g: at h = 1e-4 its truncation
+# h^2 |g'''| / 6 is 3.5e-9, and g's own errors (about 1e-14) over 2h add 1e-10.
+_DIFF_STEP = 1e-4
+_DIFF_TOL = 1e-8
 
-    def add(group: str, name: str, err: float, thr: float) -> None:
-        checks.append((group, name, err, thr if tol_override is None else tol_override))
 
-    ps, cf = kernel_alt_sine(1.0, 0.3, 100000)
-    add("kernels", "alt-sine z=1 w=0.3 M=1e5", abs(ps - cf), 1e-3)
-    pneg, cneg = kernel_alt_sine(-1.0, 0.3, 1000)
-    ppos, cpos = kernel_alt_sine(1.0, 0.3, 1000)
-    add("kernels", "alt-sine antisymmetry", abs(pneg + ppos) + abs(cneg + cpos), 1e-15)
-    ps, cf = kernel_cosecant(0.5, 10000)
-    add("kernels", "cosecant z=1/2 K=1e4", abs(ps - cf), 1e-7)
-    ps, cf = kernel_cosecant(1.0 / 3.0, 10000)
-    add("kernels", "cosecant z=1/3 K=1e4", abs(ps - cf), 1e-7)
-    rng = random.Random(20240811)
-    worst = 0.0
-    for _ in range(100):
-        p = rng.uniform(-0.95, 0.95)
-        x = rng.uniform(0.05, 3.0)
-        n = rng.randint(1, 20)
-        fs, cl = kernel_geom_sine(p, x, n)
-        worst = max(worst, abs(fs - cl))
-    add("kernels", "geometric-sine 100 random", worst, 1e-12)
-    ps, cf = kernel_poisson(0.5, 1.0, 60)
-    add("kernels", "poisson x=0.5 z=1 M=60", abs(ps - cf), 1e-12)
+def _methods_checks():
+    """The methods check each other: every pair the plan runs agrees as in
+    ``compare``, and g' agrees with a central difference of g."""
+    tol = Tolerance()
+    for alpha, rho, beta, derivative in _METHOD_POINTS:
+        results, _ = _run_plan(StableParams(alpha, rho), beta, derivative, tol)
+        target = "g'" if derivative else "g"
+        for pair, d, bs in _pairwise(results):
+            yield (f"{target} alpha={alpha:.4f} rho={rho!r} beta={beta!r} {pair}",
+                   d, _agreement_threshold(bs))
+    params, beta, h = StableParams(math.sqrt(2.0), 0.5), 0.3, _DIFF_STEP
+    slope = (g_quad(params, beta + h, tol).value
+             - g_quad(params, beta - h, tol).value) / (2.0 * h)
+    err = abs(gprime_series(params, beta, tol).value - slope)
+    yield (f"g' alpha={params.alpha:.4f} rho={params.rho!r} beta={beta!r} series "
+           f"vs central difference of quadrature g, h={h:.0e}", err, _DIFF_TOL)
 
-    r = aux_int0b(1.0, 0.5)
-    add("integrals", "int0b(1, 1/2)", abs(r.value - (0.5 - math.log(1.5))), 1e-10)
-    r = aux_intbinfty(0.5, 1.0)
-    add("integrals", "intbinfty(1/2, 1)", abs(r.value - math.pi / 2.0), 1e-10)
-    r = aux_intbinfty(1.0, 0.5)
-    add("integrals", "intbinfty(1, 1/2)", abs(r.value - math.log(3.0)), 1e-10)
-    base = aux_intbinfty(2.0, 0.5).value
-    drift = [abs(aux_intbinfty(2.0 + e, 0.5).value - base) for e in (1e-3, 1e-4, 1e-5)]
-    add("integrals", "intbinfty branch continuity", drift[2],
-        10.0 * 1e-5 * (1.0 + abs(base)))
 
+def _reflection_checks():
     for alpha, rho in ((math.sqrt(2.0), 0.5), (0.8, 0.25)):
         params = StableParams(alpha, rho)
         worst = 0.0
@@ -418,8 +413,10 @@ def _selftest_checks(tol_override: float | None):
             small = g_quad(params, 1.0 / beta, Tolerance(abs_tol=1e-11))
             resid = abs(big.value - small.value - alpha * rho * math.log(beta))
             worst = max(worst, resid)
-        add("reflection", f"alpha={alpha:.4f}", worst, 1e-9)
+        yield f"alpha={alpha:.4f}", worst, 1e-9
 
+
+def _resonance_checks():
     rho, beta = 0.5, 0.4
     ref = gprime_rational(RationalAlpha(1, 2), rho, beta).value
     errs = []
@@ -427,25 +424,32 @@ def _selftest_checks(tol_override: float | None):
         aj = 0.5 + math.sqrt(2.0) / j
         rep = gprime_series(StableParams(aj, rho), beta, Tolerance(abs_tol=1e-11))
         errs.append(abs(rep.value - ref))
-    add("resonance", "resonant limit err(40) < err(10)",
-        errs[1] / errs[0], 1.0)
-    add("resonance", "resonant limit err(40) sane", errs[1], 5e-2)
-    return checks
+    yield "resonant limit err(40) < err(10)", errs[1] / errs[0], 1.0
+    yield "resonant limit err(40) sane", errs[1], 5e-2
+
+
+# group -> its checks, each (name, error, threshold), in output order
+_SELFTEST_GROUPS = {
+    "methods": _methods_checks,
+    "reflection": _reflection_checks,
+    "resonance": _resonance_checks,
+}
 
 
 def cmd_selftest(args) -> int:
-    groups = set(args.only) if args.only else None
-    checks = _selftest_checks(args.tol)
     failures = 0
     ran = 0
-    for group, name, err, thr in checks:
-        if groups is not None and group not in groups:
+    for group, checks in _SELFTEST_GROUPS.items():
+        if args.only and group not in args.only:
             continue
-        ran += 1
-        ok = err <= thr
-        if not ok:
-            failures += 1
-        print(f"{'PASS' if ok else 'FAIL'} {group}/{name}: err={err:.3e} tol={thr:.3e}")
+        for name, err, thr in checks():
+            if args.tol is not None:
+                thr = args.tol
+            ran += 1
+            ok = err <= thr
+            if not ok:
+                failures += 1
+            print(f"{'PASS' if ok else 'FAIL'} {group}/{name}: err={err:.3e} tol={thr:.3e}")
     print(f"selftest: {ran - failures}/{ran} passed")
     return 0 if failures == 0 and ran > 0 else 2
 
@@ -498,11 +502,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("selftest", help="run the identity self-test suite")
+    p = sub.add_parser("selftest", help="run the method cross-check self-test suite")
     p.add_argument("--tol", type=float, default=None,
                    help="override every check threshold")
     p.add_argument("--only", action="append", default=None,
-                   choices=["kernels", "integrals", "reflection", "resonance"],
+                   choices=list(_SELFTEST_GROUPS),
                    help="restrict to one or more check groups")
     p.set_defaults(func=cmd_selftest)
     return parser

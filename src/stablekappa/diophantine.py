@@ -8,7 +8,6 @@ turns that machinery into computable heuristics:
 
 * ``cf_expand``       partial quotients and convergents of a float,
 * ``estimate_exponent`` a denominator-growth estimate of N (clamped at 2),
-* ``min_abs_sin``     brute-force divisor minima with exact reduction,
 * ``classify``        the verdict used for method dispatch.
 
 A float can never certify membership in a number-theoretic set, so
@@ -126,23 +125,6 @@ def estimate_exponent(cf: ContinuedFraction) -> float:
     deep = [r for qk, r in ratios if qk >= _EXPONENT_Q_MIN]
     pool = deep if deep else [r for _, r in ratios]
     return max(2.0, max(pool) + 1.0)
-
-
-def min_abs_sin(x: float, M: int) -> float:
-    """min over 1 <= m <= M of |sin(m*pi*x)|.
-
-    The argument m*x is reduced modulo 1 with the two-term machinery from
-    ``accurate`` so the minimum is trustworthy even for m in the hundreds
-    of thousands.
-    """
-    if M < 1:
-        raise OutOfRangeError("M must be at least 1")
-    best = math.inf
-    for m in range(1, M + 1):
-        v = abs(sin_mpi(m, x))
-        if v < best:
-            best = v
-    return best
 
 
 @dataclass(frozen=True)

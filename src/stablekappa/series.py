@@ -11,10 +11,6 @@ and g' is its termwise derivative.  Truncation uses the model floor
 resulting tail bound is rigorous exactly when the exponent estimate N is,
 so it is reported rather than hidden.  Both series are accumulated with
 compensated summation and combined in a fixed order.
-
-The module also carries the auxiliary alternating series for
-int_0^b y^p/(1+y) dy and int_b^inf y^-p/(1+y) dy, and four classical
-identity kernels used as self-test oracles.
 """
 
 from __future__ import annotations
@@ -30,15 +26,12 @@ from .accurate import (
     CompensatedSum,
     div2,
     sin_mpi,
-    sin_pi,
     two_prod,
 )
 from .diophantine import AlphaClass, AlphaKind, classify
 from .params import (
     ConvergenceFailureError,
-    EvalResult,
     IllConditionedSeriesError,
-    MethodChoice,
     MethodNotApplicableError,
     OutOfRangeError,
     StableParams,
@@ -192,169 +185,3 @@ def gprime_series(params: StableParams, beta: float, tol: Tolerance | None = Non
                   aclass: AlphaClass | None = None) -> SeriesReport:
     """g'(beta) by the termwise-differentiated expansion, for 0 < beta < 1."""
     return _series(params, beta, tol, aclass, derivative=True)
-
-
-# ---------------------------------------------------------------------------
-# auxiliary alternating series
-# ---------------------------------------------------------------------------
-
-_DIRECT_TERMS = 64  # direct summation budget before switching to the tail form
-
-
-def _alt_tail(a: float, b: float, tol: float) -> tuple[float, float]:
-    """sum_{i>=0} (-b)^i / (a + i) with a > 0, 0 < b <= 1, and a rigorous bound.
-
-    Repeated integration by parts of int_0^1 t^(a-1)/(1+b t) dt gives
-        sum_r c_r / ((1+b)^(r+1) (a+r)),   c_{r+1} = c_r b (r+1)/(a+r),
-    whose remainder after R terms is below c_R / (a + R).  The coefficients
-    decay factorially once r exceeds a, so sixty rounds are plenty.
-    """
-    val = 0.0
-    coef = 1.0
-    rem = math.inf
-    for r in range(60):
-        val += coef / ((1.0 + b) ** (r + 1) * (a + r))
-        coef *= b * (r + 1) / (a + r)
-        rem = coef / (a + r + 1)
-        if rem < tol:
-            break
-    return val, rem
-
-
-def aux_int0b(p: float, b: float, tol: Tolerance | None = None) -> EvalResult:
-    """int_0^b y^p/(1+y) dy as the alternating series sum (-1)^k b^(k+1+p)/(k+1+p)."""
-    tol = tol or Tolerance()
-    if not p > 0.0:
-        raise OutOfRangeError(f"p must be positive, got {p!r}")
-    if not 0.0 < b < 1.0:
-        raise OutOfRangeError(f"b must lie in (0, 1), got {b!r}")
-    acc = CompensatedSum()
-    terms = 0
-    for k in range(_DIRECT_TERMS):
-        e = k + 1.0 + p
-        acc.add((-1.0) ** k * b ** e / e)
-        terms = k + 1
-        nxt = b ** (e + 1.0) / (e + 1.0)
-        if nxt < tol.abs_tol:
-            return EvalResult(acc.value, nxt + 4.0 * EPS * abs(acc.value),
-                              MethodChoice.SERIES, terms)
-    # remaining tail, reindexed around a = K+1+p
-    a = _DIRECT_TERMS + 1.0 + p
-    tail, rem = _alt_tail(a, b, tol.abs_tol)
-    sign = (-1.0) ** _DIRECT_TERMS
-    value = acc.value + sign * b ** a * tail
-    return EvalResult(value, rem * b ** a + 4.0 * EPS * abs(value),
-                      MethodChoice.SERIES, terms)
-
-
-def aux_intbinfty(p: float, b: float, tol: Tolerance | None = None) -> EvalResult:
-    """int_b^inf y^-p/(1+y) dy for 0 < b <= 1, p > 0.
-
-    Noninteger p: pi/sin(p pi) + sum_k (-1)^(k+1) b^(k+1-p)/(k+1-p).
-    p within 4 ulp of an integer n: the removable-singularity branch
-    (-1)^n log(b) plus the k != n-1 sum, which collapses to elementary
-    closed form.  The crossover is deterministic.
-    """
-    tol = tol or Tolerance()
-    if not p > 0.0:
-        raise OutOfRangeError(f"p must be positive, got {p!r}")
-    if not 0.0 < b <= 1.0:
-        raise OutOfRangeError(f"b must lie in (0, 1], got {b!r}")
-    n = round(p)
-    if n >= 1 and abs(p - n) <= 4.0 * EPS * max(1.0, abs(p)):
-        # integer branch: k > n-1 terms sum to (-1)^(n+1) log(1+b) exactly
-        lead = 0.0
-        for k in range(n - 1):
-            e = k + 1.0 - n
-            lead += (-1.0) ** (k + 1) * b ** e / e
-        value = (-1.0) ** n * math.log(b) + lead + (-1.0) ** (n + 1) * math.log1p(b)
-        return EvalResult(value, 8.0 * EPS * (1.0 + abs(value) + abs(lead)),
-                          MethodChoice.SERIES, n + 1)
-
-    value = math.pi / sin_pi(math.remainder(p, 2.0))
-    acc = CompensatedSum()
-    terms = 0
-    switch = max(_DIRECT_TERMS, int(math.ceil(p)) + 8)
-    for k in range(switch):
-        e = k + 1.0 - p
-        acc.add((-1.0) ** (k + 1) * b ** e / e)
-        terms = k + 1
-        if e > 0.0:
-            nxt = b ** (e + 1.0) / (e + 1.0)
-            if nxt < tol.abs_tol:
-                return EvalResult(value + acc.value,
-                                  nxt + 4.0 * EPS * (abs(value) + abs(acc.value)),
-                                  MethodChoice.SERIES, terms)
-    a = switch + 1.0 - p
-    tail, rem = _alt_tail(a, b, tol.abs_tol)
-    total = value + acc.value + (-1.0) ** (switch + 1) * b ** a * tail
-    return EvalResult(total, rem * b ** a + 4.0 * EPS * (abs(value) + abs(acc.value)),
-                      MethodChoice.SERIES, terms)
-
-
-# ---------------------------------------------------------------------------
-# classical identity kernels (self-test oracles)
-# ---------------------------------------------------------------------------
-
-def kernel_alt_sine(z: float, w: float, M: int) -> tuple[float, float]:
-    """M-term partial sum of sum_m (-1)^(m+1) m sin(m z)/(m^2 - w^2)
-    against its closed form (pi/2) sin(z w)/sin(w pi).
-
-    Valid for z in (-pi, pi) and noninteger w; convergence is slow and
-    oscillatory, which is exactly what the self-test exercises.
-    """
-    if not -math.pi < z < math.pi:
-        raise OutOfRangeError(f"z must lie in (-pi, pi), got {z!r}")
-    sw = sin_pi(math.remainder(w, 2.0))
-    if sw == 0.0:
-        raise OutOfRangeError(f"w must not be an integer, got {w!r}")
-    acc = CompensatedSum()
-    for m in range(1, M + 1):
-        acc.add((-1.0) ** (m + 1) * m * math.sin(m * z) / (m * m - w * w))
-    return acc.value, 0.5 * math.pi * math.sin(z * w) / sw
-
-
-def kernel_cosecant(z: float, K: int) -> tuple[float, float]:
-    """Partial-fraction partial sum 1/z - sum_k (-1)^k 2z/(k^2 - z^2)
-    against pi/sin(pi z), for noninteger z."""
-    sz = sin_pi(math.remainder(z, 2.0))
-    if sz == 0.0:
-        raise OutOfRangeError(f"z must not be an integer, got {z!r}")
-    acc = CompensatedSum()
-    acc.add(1.0 / z)
-    for k in range(1, K + 1):
-        acc.add(-((-1.0) ** k) * 2.0 * z / (k * k - z * z))
-    return acc.value, math.pi / sz
-
-
-def kernel_geom_sine(p: float, x: float, n: int) -> tuple[float, float]:
-    """Finite sum sum_{k=1}^{n-1} p^k sin(k x) against its rational closed form.
-
-    The identity is exact, so both sides must agree to rounding error
-    whenever |p| <= 1 and the denominator stays away from zero.
-    """
-    if n < 1:
-        raise OutOfRangeError(f"n must be at least 1, got {n!r}")
-    acc = CompensatedSum()
-    pk = 1.0
-    for k in range(1, n):
-        pk *= p
-        acc.add(pk * math.sin(k * x))
-    closed = (p * math.sin(x) - p ** n * math.sin(n * x)
-              + p ** (n + 1) * math.sin((n - 1) * x)) / (
-        1.0 - 2.0 * p * math.cos(x) + p * p)
-    return acc.value, closed
-
-
-def kernel_poisson(x: float, z: float, M: int) -> tuple[float, float]:
-    """M+1 term partial sum of sum_m (-1)^m x^m sin((m+1) z) against
-    sin(z)/(x^2 + 2x cos(z) + 1); remainder below |x|^(M+1)/(1-|x|)."""
-    if not abs(x) < 1.0:
-        raise OutOfRangeError(f"|x| must be below 1, got {x!r}")
-    acc = CompensatedSum()
-    xm = 1.0
-    for m in range(M + 1):
-        acc.add(xm * math.sin((m + 1) * z))
-        xm *= -x
-    closed = math.sin(z) / (x * x + 2.0 * x * math.cos(z) + 1.0)
-    return acc.value, closed

@@ -22,8 +22,9 @@ Two families of exact results live here:
   membership tests m/alpha in N and alpha k in N are exact integer
   arithmetic.
 
-g itself for rational alpha is not evaluated here: quadrature covers it
-without the extra error of numerical antidifferentiation.
+Only g' has a rational-alpha evaluator here.  g at rational alpha is
+evaluated by the Doney closed form when a case exists, and by quadrature
+otherwise.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .accurate import (
     EPS,
     CompensatedSum,
     cos_mpi,
-    cos_pi,
     dd_div,
     sin_mpi,
     sin_pi,
@@ -118,32 +118,6 @@ def find_doney_case(params: StableParams, k_max: int = DEFAULT_K_MAX) -> DoneyCa
         if abs(target - l / params.alpha) <= _MATCH_RTOL * target:
             return DoneyCase(k, int(l))
     return None
-
-
-def _chebyshev_u(c: float, degree: int) -> float:
-    """U_degree(c) by the forward recurrence; U_{-1} = 0, U_0 = 1."""
-    if degree < 0:
-        return 0.0
-    u_prev, u = 0.0, 1.0
-    for _ in range(degree):
-        u_prev, u = u, 2.0 * c * u - u_prev
-    return u
-
-
-def g_k_series(a: float, x: float, k: int, M: int) -> float:
-    """M-term partial sum of g_k(a, x) = sum_m x^m U_{k-1}(cos(m pi a))/m."""
-    if not abs(x) < 1.0:
-        raise OutOfRangeError(f"|x| must be below 1, got {x!r}")
-    if k < 0 or M < 1:
-        raise OutOfRangeError("need k >= 0 and M >= 1")
-    if k == 0:
-        return 0.0
-    acc = CompensatedSum()
-    xm = 1.0
-    for m in range(1, M + 1):
-        xm *= x
-        acc.add(xm * _chebyshev_u(cos_mpi(m, a), k - 1) / m)
-    return acc.value
 
 
 def _log_term(x: float, c: float) -> float:
@@ -278,29 +252,3 @@ def gprime_rational(ra: RationalAlpha, rho: float, beta: float,
     if not math.isfinite(bound):
         bound = abs(value)
     return EvalResult(value, bound, MethodChoice.RATIONAL, terms)
-
-
-def gprime_half_closed(rho: float, beta: float) -> float:
-    """g'(beta) for alpha = 1/2 in elementary closed form.
-
-    Derived by summing the alpha = 1/2 instance of the rational formula in
-    closed form, and verified against direct quadrature of g':
-
-        [ (1-beta) sin(pi rho/2) / (2 sqrt(beta))
-          + rho (beta + cos(pi rho)) / 2
-          + log(beta) sin(pi rho) / (2 pi) ]
-        / (beta^2 + 2 beta cos(pi rho) + 1)
-
-    Its beta -> 1 limit is rho/4, matching the reflection identity.
-    """
-    if not 0.0 < beta < 1.0:
-        raise OutOfRangeError(f"beta must lie in (0, 1), got {beta!r}")
-    if not 0.0 < rho < 1.0:
-        raise OutOfRangeError(f"rho must lie in (0, 1), got {rho!r}")
-    sinr = sin_pi(rho)
-    cosr = cos_pi(rho)
-    den = (beta + cosr) ** 2 + sinr ** 2
-    num = ((1.0 - beta) * sin_pi(0.5 * rho) / (2.0 * math.sqrt(beta))
-           + 0.5 * rho * (beta + cosr)
-           + math.log(beta) * sinr / (2.0 * math.pi))
-    return num / den

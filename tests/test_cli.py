@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import subprocess
@@ -7,9 +8,11 @@ from pathlib import Path
 import pytest
 
 from stablekappa import MethodChoice, g_any_beta, validate
-from stablekappa.cli import _build_parser, main
+from stablekappa.cli import _SELFTEST_GROUPS, _build_parser, main
 
 SQRT2 = repr(math.sqrt(2.0))
+# the module, which the package's kappa function shadows as an attribute
+kappa_module = importlib.import_module("stablekappa.kappa")
 
 
 def run(capsys, *argv):
@@ -190,22 +193,56 @@ def test_selftest_default_passes(capsys):
 
 
 def test_selftest_unreachable_tol_fails(capsys):
-    code, out, _ = run(capsys, "selftest", "--tol", "1e-30", "--only", "kernels")
+    code, out, _ = run(capsys, "selftest", "--tol", "1e-30", "--only", "methods")
     assert code == 2
     assert "FAIL" in out
 
 
 def test_selftest_tol_zero_is_an_override(capsys):
-    code, out, _ = run(capsys, "selftest", "--tol", "0", "--only", "kernels")
+    code, out, _ = run(capsys, "selftest", "--tol", "0", "--only", "methods")
     assert code == 2
     assert "FAIL" in out
 
 
 def test_selftest_only_subset(capsys):
-    code, out, _ = run(capsys, "selftest", "--only", "kernels")
+    code, out, _ = run(capsys, "selftest", "--only", "methods")
     assert code == 0
-    assert "integrals/" not in out
-    assert "kernels/" in out
+    assert "reflection/" not in out
+    assert "methods/" in out
+
+
+def _selftest_lines(capsys, group):
+    code, out, _ = run(capsys, "selftest", "--only", group)
+    lines = out.splitlines()
+    assert lines[-1].startswith("selftest: ")
+    return code, lines[:-1]
+
+
+@pytest.mark.parametrize("group", list(_SELFTEST_GROUPS))
+def test_selftest_every_group_runs_a_check(capsys, group):
+    code, lines = _selftest_lines(capsys, group)
+    assert code == 0
+    assert lines
+    assert all(line.startswith(f"PASS {group}/") for line in lines)
+
+
+def test_selftest_methods_lines_compare_two_methods(capsys):
+    _, lines = _selftest_lines(capsys, "methods")
+    for line in lines:
+        name = line.split(":")[0]
+        assert sum(m.value in name for m in MethodChoice) >= 2, line
+
+
+def test_selftest_methods_catches_a_perturbed_evaluator(capsys, monkeypatch):
+    g_doney = kappa_module.g_doney
+    monkeypatch.setattr(kappa_module, "g_doney",
+                        lambda *args: g_doney(*args) + 1e-6)
+    code, lines = _selftest_lines(capsys, "methods")
+    assert code == 2
+    failed = [line for line in lines if not line.startswith("PASS ")]
+    assert failed
+    assert all(line.startswith("FAIL methods/g ") and "doney" in line
+               for line in failed)
 
 
 def test_byte_determinism_repeated_runs(capsys):
@@ -262,6 +299,15 @@ def test_kappa_transform_with_beta_or_gamma_is_a_usage_error(capsys, extra):
                          "--transform", "1.0", "0.3", "2.5", *extra)
     assert (code, out) == (1, "")
     assert "usage error" in err
+
+
+def test_kappa_transform_failure_records_its_arguments(capsys):
+    code, out, err = run(capsys, "kappa", "--alpha", "0.8", "--rho", "0.25",
+                         "--transform", "-1.0", "0.3", "2.5", "--format", "json")
+    assert code == 1
+    rec = json.loads(out)
+    assert (rec["beta"], rec["gamma"], rec["status"]) == (2.5, 0.3, "invalid_params")
+    assert "eta" in err
 
 
 def test_kappa_gamma_defaults_to_one(capsys):
@@ -325,7 +371,7 @@ def test_classify_without_rho_recommends_nothing(capsys):
 
 def test_repeated_main_calls_match_fresh_processes(capsys):
     calls = [["eval", "--alpha", SQRT2, "--rho", "0.5", "--beta", "0.3"],
-             ["selftest", "--only", "kernels"],
+             ["selftest", "--only", "methods"],
              ["eval", "--alpha", "0.8", "--rho", "0.25", "--beta", "2.5",
               "--format", "json"]]
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -13,7 +13,6 @@ from stablekappa import (
     cf_expand,
     classify,
     estimate_exponent,
-    min_abs_sin,
 )
 from stablekappa.accurate import EPS, div2, sin_mpi, sin_pi
 from stablekappa.diophantine import (
@@ -119,26 +118,6 @@ def test_estimate_exponent_liouville_like_large_and_monotone():
 def test_estimate_exponent_needs_three_convergents():
     with pytest.raises(InsufficientDataError):
         estimate_exponent(_build_cf([1, 2]))
-
-
-def test_min_abs_sin_exact_zero_at_half():
-    assert min_abs_sin(0.5, 4) == 0.0
-
-
-def test_min_abs_sin_sqrt2_bound():
-    v = min_abs_sin(math.sqrt(2.0), 100)
-    assert v >= 1.0 / 200.0
-    # independent spot check of the minimum via mpmath
-    with mpmath.workdps(50):
-        s2 = mpmath.sqrt(2)
-        want = min(abs(mpmath.sinpi(m * s2)) for m in range(1, 101))
-    assert abs(v - float(want)) < 1e-12
-
-
-def test_min_abs_sin_near_half():
-    v = min_abs_sin(0.5 + 1e-9, 4)
-    # attained at m = 2: |sin(pi + 2 pi 1e-9)| = 2 pi 1e-9 to first order
-    assert abs(v - 2.0 * math.pi * 1e-9) < 1e-14
 
 
 def test_classify_rational():

@@ -73,7 +73,7 @@ def _cases() -> dict[str, list[list[str]]]:
     cases["table"].append(["table", *ar, "--beta-start", "0.3", "--beta-stop", "2.5",
                            "--beta-count", "5", "--format", "csv", *BUDGET])
     cases["compare"].append(["compare", *ar, "--beta", "0.3", *BUDGET])
-    cases["selftest"] += [["selftest"], ["selftest", "--only", "kernels"]]
+    cases["selftest"] += [["selftest"], ["selftest", "--only", "methods"]]
     return cases
 
 

@@ -3,7 +3,6 @@ import sys
 import threading
 
 import pytest
-from scipy.integrate import quad
 
 from stablekappa import series as series_module
 
@@ -11,16 +10,10 @@ from stablekappa import (
     IllConditionedSeriesError,
     MethodNotApplicableError,
     Tolerance,
-    aux_int0b,
-    aux_intbinfty,
     g_quad,
     g_series,
     gprime_quad,
     gprime_series,
-    kernel_alt_sine,
-    kernel_cosecant,
-    kernel_geom_sine,
-    kernel_poisson,
     validate,
 )
 
@@ -113,122 +106,6 @@ def test_tail_bound_is_honest():
         loose = g_series(p, beta, Tolerance(abs_tol=1e-8))
         tight = g_series(p, beta, Tolerance(abs_tol=1e-12, max_terms=100000))
         assert abs(loose.value - tight.value) <= loose.tail_bound + 1e-14
-
-
-# --- auxiliary integrals ---------------------------------------------------
-
-
-def test_aux_int0b_closed_form():
-    res = aux_int0b(1.0, 0.5)
-    want = 0.5 - math.log(1.5)  # antiderivative y - log(1+y)
-    assert abs(res.value - want) < 1e-10
-
-
-def test_aux_int0b_small_b():
-    assert aux_int0b(2.0, 1e-8).value < 1e-23
-
-
-def test_aux_int0b_vs_quadrature():
-    v, _ = quad(lambda y: y ** 0.5 / (1.0 + y), 0.0, 0.9,
-                epsabs=1e-14, epsrel=1e-14)
-    res = aux_int0b(0.5, 0.9, Tolerance(abs_tol=1e-12))
-    assert abs(res.value - v) < 1e-10
-
-
-def test_aux_intbinfty_half_at_one():
-    res = aux_intbinfty(0.5, 1.0)
-    assert abs(res.value - math.pi / 2.0) < 1e-10
-
-
-def test_aux_intbinfty_integer_branch():
-    res = aux_intbinfty(1.0, 0.5)
-    assert abs(res.value - math.log(3.0)) < 1e-10
-    res = aux_intbinfty(2.0, 0.5)
-    want = 1.0 / 0.5 + math.log(0.5) - math.log(1.5)
-    assert abs(res.value - want) < 1e-12
-
-
-def test_aux_intbinfty_vs_antiderivative():
-    # int_b^inf y^(-1/2)/(1+y) dy = 2 (pi/2 - arctan(sqrt b))
-    want = 2.0 * (math.pi / 2.0 - math.atan(0.5))
-    res = aux_intbinfty(0.5, 0.25, Tolerance(abs_tol=1e-12))
-    assert abs(res.value - want) < 1e-10
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_aux_intbinfty_branches_meet(n):
-    b = 0.5
-    base = aux_intbinfty(float(n), b).value
-    prev = math.inf
-    for eps in (1e-3, 1e-4, 1e-5):
-        d = abs(aux_intbinfty(n + eps, b).value - base)
-        assert d < prev
-        prev = d
-    assert prev < 1e-3
-
-
-# --- identity kernels ------------------------------------------------------
-
-
-def test_kernel_alt_sine():
-    partial, closed = kernel_alt_sine(0.0, 0.4, 100)
-    assert (partial, closed) == (0.0, 0.0)
-    partial, closed = kernel_alt_sine(1.0, 0.3, 100000)
-    assert abs(partial - closed) < 1e-3
-    pn, cn = kernel_alt_sine(-1.0, 0.3, 500)
-    pp, cp = kernel_alt_sine(1.0, 0.3, 500)
-    assert pn == -pp and cn == -cp
-
-
-def test_kernel_cosecant():
-    partial, closed = kernel_cosecant(0.5, 10000)
-    assert abs(closed - math.pi) < 1e-15
-    assert abs(partial - math.pi) < 1e-7
-    partial, closed = kernel_cosecant(1.0 / 3.0, 10000)
-    assert abs(closed - 2.0 * math.pi / math.sqrt(3.0)) < 1e-14
-    assert abs(partial - closed) < 1e-7
-    pn, cn = kernel_cosecant(-0.5, 100)
-    pp, cp = kernel_cosecant(0.5, 100)
-    assert pn == -pp and cn == -cp
-
-
-def test_kernel_geom_sine():
-    fs, cl = kernel_geom_sine(0.5, 1.0, 7)
-    assert abs(fs - cl) < 1e-14
-    fs, cl = kernel_geom_sine(0.3, 0.0, 9)
-    assert fs == 0.0 and abs(cl) < 1e-15
-    fs, cl = kernel_geom_sine(0.9, 2.0, 1)
-    assert fs == 0.0 and abs(cl) < 1e-15
-
-
-def test_kernel_poisson():
-    fs, cl = kernel_poisson(0.0, 1.3, 5)
-    assert fs == math.sin(1.3) == cl
-    fs, cl = kernel_poisson(0.5, 1.0, 60)
-    assert abs(fs - cl) < 1e-12
-    _, cl = kernel_poisson(0.3, math.pi / 2.0, 40)
-    assert abs(cl - 1.0 / 1.09) < 1e-12
-
-
-def test_kernel_convergence_envelopes():
-    # geometric kernels shrink within their remainder envelopes
-    for M in (10, 20, 40):
-        fs, cl = kernel_poisson(0.5, 1.0, M)
-        assert abs(fs - cl) <= 0.5 ** (M + 1) / 0.5 + 1e-15
-    prev = math.inf
-    for K in (10, 100, 1000, 10000):
-        partial, closed = kernel_cosecant(0.5, K)
-        err = abs(partial - closed)
-        assert err <= 1.0 / ((K + 1) ** 2 - 0.25) + 1e-13
-        assert err < prev
-        prev = err
-    # the oscillatory kernel converges inside a summation-by-parts O(1/M)
-    # envelope ~ 1/(2 M sin((z+pi)/2)) (generous factor for the w^2 skew)
-    z, w = 1.0, 0.3
-    for M in (1000, 10000, 100000):
-        partial, closed = kernel_alt_sine(z, w, M)
-        envelope = 4.0 / (2.0 * M * abs(math.sin(0.5 * (z + math.pi))))
-        assert abs(partial - closed) <= envelope
 
 
 # ---------------------------------------------------------------------------

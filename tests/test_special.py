@@ -10,16 +10,15 @@ from stablekappa import (
     find_doney_case,
     g_doney,
     g_k_closed,
-    g_k_series,
     g_quad,
     g_series,
-    gprime_half_closed,
     gprime_quad,
     gprime_rational,
     validate,
 )
 
 from conftest import gprime_integral_oracle
+from oracles import g_k_series, gprime_half_closed
 
 TIGHT = Tolerance(abs_tol=1e-12)
 SQRT2 = math.sqrt(2.0)

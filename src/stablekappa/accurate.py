@@ -1,10 +1,10 @@
-"""Compensated floating-point primitives and trig of pi-multiples.
+"""Compensated summation and trig of pi-multiples.
 
 Small divisors like sin(m*pi/alpha) are meaningless unless the product
-m/alpha is reduced modulo 2 without losing its low bits.  The reducers
-here combine Veltkamp splitting with IEEE ``math.remainder`` (which is
-exact) so fractional parts stay accurate for integer multipliers up to
-2**26, far beyond any index this package ever reaches.
+m/alpha is reduced modulo 2 without losing its low bits.  Every argument
+the package reduces is a ratio of integers taken exactly from doubles
+(``float.as_integer_ratio``), so ``reduced`` takes one integer ``divmod``
+and returns the exact residue, correctly rounded, for any index.
 """
 
 from __future__ import annotations
@@ -12,45 +12,6 @@ from __future__ import annotations
 import math
 
 EPS = 2.220446049250313e-16  # 2**-52
-
-_SPLITTER = 134217729.0  # 2**27 + 1
-
-
-def two_sum(a: float, b: float) -> tuple[float, float]:
-    """Error-free sum: (s, e) with s = fl(a+b) and a + b = s + e exactly."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def split(a: float) -> tuple[float, float]:
-    """Veltkamp split of a double into two non-overlapping halves."""
-    t = _SPLITTER * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def two_prod(a: float, b: float) -> tuple[float, float]:
-    """Error-free product: (p, e) with p = fl(a*b) and a * b = p + e exactly."""
-    p = a * b
-    a_hi, a_lo = split(a)
-    b_hi, b_lo = split(b)
-    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return p, e
-
-
-def div2(a: float, b: float) -> tuple[float, float]:
-    """Quotient a/b as an unevaluated two-term sum (hi, lo)."""
-    hi = a / b
-    p, e = two_prod(hi, b)
-    return hi, ((a - p) - e) / b
-
-
-def dd_div(a_hi: float, a_lo: float, b: float) -> tuple[float, float]:
-    """(a_hi + a_lo) / b as a two-term sum."""
-    hi = (a_hi + a_lo) / b
-    p, e = two_prod(hi, b)
-    return hi, (((a_hi - p) - e) + a_lo) / b
 
 
 class CompensatedSum:
@@ -80,38 +41,18 @@ class CompensatedSum:
         return self._s + self._c
 
 
-def reduced(n: int, hi: float, lo: float = 0.0) -> tuple[float, int]:
-    """n*(hi + lo) as (d, parity): distance d in [-1/2, 1/2] to the nearest
-    integer, and that integer's parity.
-
-    Requires 0 <= n <= 2**26 so the partial products below stay exactly
-    representable.  Every reduction step (``math.remainder`` and the
-    Sterbenz folds) is exact; the only rounding is the final addition of
-    the tiny correction, so d keeps full RELATIVE accuracy even when the
-    multiple sits very close to an integer.
+def reduced(n: int, num: int, den: int) -> tuple[float, int]:
+    """n*num/den (den > 0) as (d, parity): distance d in [-1/2, 1/2] to the
+    nearest integer, and that integer's parity.  A tie goes to the even
+    integer.  The residue is exact until the final division, so d is the
+    correctly rounded distance even when the multiple sits very close to an
+    integer.
     """
-    h1, h2 = split(hi)
-    r = math.remainder(n * h1, 2.0)
-    s, e = two_sum(r, math.remainder(n * h2, 2.0))
-    s = math.remainder(s, 2.0)
-    d0 = math.remainder(s, 1.0)
-    parity = int(round(s - d0)) & 1
-    d = d0 + (e + n * lo)
-    if d > 0.5:
-        d -= 1.0
-        parity ^= 1
-    elif d < -0.5:
-        d += 1.0
-        parity ^= 1
-    return d, parity
-
-
-def mod2(n: int, hi: float, lo: float = 0.0) -> float:
-    """n*(hi + lo) reduced modulo 2, in [-1, 1]."""
-    d, parity = reduced(n, hi, lo)
-    if parity == 0:
-        return d
-    return d - 1.0 if d > 0.0 else d + 1.0
+    q, r = divmod(n * num, den)
+    if 2 * r > den or (2 * r == den and q & 1):
+        q += 1
+        r -= den
+    return r / den, q & 1
 
 
 def sin_pi(r: float) -> float:
@@ -133,15 +74,15 @@ def cos_pi(r: float) -> float:
     return -math.cos(math.pi * (1.0 - r))
 
 
-def sin_mpi(n: int, hi: float, lo: float = 0.0) -> float:
-    """sin(n * pi * x) with x given as the two-term sum hi + lo."""
-    d, parity = reduced(n, hi, lo)
+def sin_mpi(n: int, num: int, den: int) -> float:
+    """sin(n * pi * num/den)."""
+    d, parity = reduced(n, num, den)
     s = math.sin(math.pi * d)
     return -s if parity else s
 
 
-def cos_mpi(n: int, hi: float, lo: float = 0.0) -> float:
-    """cos(n * pi * x) with x given as the two-term sum hi + lo."""
-    d, parity = reduced(n, hi, lo)
+def cos_mpi(n: int, num: int, den: int) -> float:
+    """cos(n * pi * num/den)."""
+    d, parity = reduced(n, num, den)
     c = cos_pi(d)
     return -c if parity else c

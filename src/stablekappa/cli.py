@@ -331,7 +331,7 @@ def cmd_compare(args) -> int:
 
 def cmd_classify(args) -> int:
     tol = _tolerance(args)
-    cf = cf_expand(args.alpha, 64)
+    cf = cf_expand(args.alpha)
     aclass = classify(args.alpha, tol, args.beta)
     try:
         nhat = estimate_exponent(cf)

@@ -28,13 +28,14 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
-from .accurate import EPS, div2, sin_mpi, sin_pi
+from .accurate import EPS, sin_mpi, sin_pi
 from .params import InsufficientDataError, OutOfRangeError, Tolerance
 
 # A terminating expansion counts as "really" rational only up to this
 # denominator; beyond it the float cannot be told apart from an irrational.
 RATIONAL_DENOMINATOR_CAP = 1_000_000
 
+_CF_TERMS = 64              # partial quotients expanded at most
 _CALIBRATION_DEPTH = 256    # indices probed when fitting the divisor floor
 _EXPONENT_Q_MIN = 8         # denominators below this carry no growth signal
 _PROFILE_CACHE = 64         # alphas whose beta-free profile is kept
@@ -63,20 +64,18 @@ class ContinuedFraction:
     exact: bool
 
 
-def cf_expand(x: float, max_terms: int = 64) -> ContinuedFraction:
+def cf_expand(x: float) -> ContinuedFraction:
     """Continued-fraction expansion of x > 0.
 
     The expansion runs on the exact dyadic value of the float (integer
     Euclid steps), so every returned pair is a true convergent and
-    |x - p/q| < 1/q**2 holds throughout.  It stops at ``max_terms``, on
-    exact termination, or at the rationality cutoff: a convergent whose
-    residual |x - p/q| falls below 4 machine epsilons of x.  The last two
-    cases set ``exact``.
+    |x - p/q| < 1/q**2 holds throughout.  It stops after ``_CF_TERMS``
+    terms, on exact termination, or at the rationality cutoff: a convergent
+    whose residual |x - p/q| falls below 4 machine epsilons of x.  The last
+    two cases set ``exact``.
     """
     if not (isinstance(x, (int, float)) and math.isfinite(x)) or not x > 0.0:
         raise OutOfRangeError(f"cf_expand requires finite x > 0, got {x!r}")
-    if max_terms < 1:
-        raise OutOfRangeError("max_terms must be at least 1")
     x = float(x)
     num0, den0 = x.as_integer_ratio()
     quotients: list[int] = []
@@ -85,7 +84,7 @@ def cf_expand(x: float, max_terms: int = 64) -> ContinuedFraction:
     p_m2, q_m2 = 0, 1
     num, den = num0, den0
     exact = False
-    for _ in range(max_terms):
+    for _ in range(_CF_TERMS):
         a, rem = divmod(num, den)
         p = a * p_m1 + p_m2
         q = a * q_m1 + q_m2
@@ -145,39 +144,47 @@ class AlphaClass:
 
 def _floor_constant(alpha: float, nu: float) -> float:
     """Empirical c with |sin(m*pi*x)| >= c / m**nu over the probed range."""
-    inv_hi, inv_lo = div2(1.0, alpha)
+    num, den = alpha.as_integer_ratio()
     c = 0.5
     for m in range(1, _CALIBRATION_DEPTH + 1):
         scale = m ** nu
-        c = min(c, abs(sin_mpi(m, inv_hi, inv_lo)) * scale,
-                abs(sin_mpi(m, alpha)) * scale)
+        c = min(c, abs(sin_mpi(m, den, num)) * scale,
+                abs(sin_mpi(m, num, den)) * scale)
     return max(c, 5e-324)
 
 
-def _projected_cost(beta: float, step: float, prefactor: float,
-                    c: float, nu: float, tol: Tolerance) -> tuple[int | None, float]:
-    """Terms needed (or None) and bound-sum for one derivative-series family.
+def _projected_cost(beta: float, step: float, prefactor: float, c: float,
+                    nu: float, tol: Tolerance, carried: float) -> float | None:
+    """Bound-sum of one derivative-series family, or None when it is over
+    budget.
 
     Term m is bounded by prefactor * beta**(step*m - 1) * m**nu / c; the
     projection stops once the geometric-dominated tail of these bounds
-    drops below half the target tolerance.
+    drops below half the target tolerance.  The family is over budget when
+    that takes more than ``tol.max_terms`` terms, or when the projected
+    rounding noise 4 eps (carried + bound-sum) exceeds half the tolerance;
+    the sum only grows, so the second test ends the loop as soon as it
+    fails.
     """
     base = beta ** step
+    noise_cap = 0.5 * tol.abs_tol
     s_abs = 0.0
     for m in range(1, tol.max_terms + 1):
         s_abs += prefactor * beta ** (step * m - 1.0) * m ** nu / c
+        if 4.0 * EPS * (carried + s_abs) > noise_cap:
+            return None
         nxt = prefactor * beta ** (step * (m + 1) - 1.0) * (m + 1) ** nu / c
         ratio = base * ((m + 2) / (m + 1)) ** nu
-        if ratio < 1.0 and nxt / (1.0 - ratio) < 0.5 * tol.abs_tol:
-            return m, s_abs
-    return None, s_abs
+        if ratio < 1.0 and nxt / (1.0 - ratio) < noise_cap:
+            return s_abs
+    return None
 
 
 @lru_cache(maxsize=_PROFILE_CACHE)
 def _profile(alpha: float) -> AlphaClass:
     """The beta-free part of ``classify``: Rational(p, q), or Irrational
     with the exponent estimate and the calibrated floor constant."""
-    cf = cf_expand(alpha, 64)
+    cf = cf_expand(alpha)
     p_last, q_last = cf.convergents[-1]
     if cf.exact and q_last <= RATIONAL_DENOMINATOR_CAP:
         floor = sin_pi(1.0 / max(p_last, q_last)) if max(p_last, q_last) > 1 else 0.0
@@ -217,9 +224,7 @@ def classify(alpha: float, tol: Tolerance | None = None, beta: float = 0.9) -> A
     nu = profile.exponent_estimate - 1.0
     c = profile.floor_constant
     beta_proj = min(max(float(beta), 1e-6), 0.95)
-    m1, s1 = _projected_cost(beta_proj, 1.0, 1.0, c, nu, tol)
-    m2, s2 = _projected_cost(beta_proj, alpha, alpha, c, nu, tol)
-    noise = 4.0 * EPS * (s1 + s2)
-    if m1 is None or m2 is None or noise > 0.5 * tol.abs_tol:
+    s1 = _projected_cost(beta_proj, 1.0, 1.0, c, nu, tol, 0.0)
+    if s1 is None or _projected_cost(beta_proj, alpha, alpha, c, nu, tol, s1) is None:
         return replace(profile, kind=AlphaKind.ILL_CONDITIONED)
     return profile

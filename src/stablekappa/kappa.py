@@ -15,7 +15,8 @@ that ``classify`` finds well conditioned at this beta), then quadrature.
 In the band 0.95 < beta < 1.05, where both series slow down, quadrature
 comes first and the Doney and series candidates are skipped; beta >= 1.05
 is planned at 1/beta and every result reflected.  A forced method runs
-alone, except in the band.  The plan is lazy: ``find_doney_case`` and
+its own step of this plan alone, except in the band, and raises when the
+plan skips or lacks that step.  The plan is lazy: ``find_doney_case`` and
 ``classify`` run only when a candidate that needs them comes up.
 """
 
@@ -107,47 +108,26 @@ def _reflected(inner: EvalResult, params: StableParams, beta: float,
     return EvalResult(value, bound, inner.method, inner.terms_or_nodes_used)
 
 
-def _quadrature(params: StableParams, beta: float, derivative: bool,
-                tol: Tolerance) -> EvalResult:
-    return (gprime_quad if derivative else g_quad)(params, beta, tol)
-
-
-def _forced(params: StableParams, beta: float, derivative: bool,
-            method: MethodChoice, tol: Tolerance, runnable) -> Candidate:
-    """The single candidate of a forced method, or MethodNotApplicableError."""
-    if method is MethodChoice.QUADRATURE:
-        return runnable(method, "forced", _quadrature, params, beta, derivative, tol)
-    if method is MethodChoice.SERIES:
-        return runnable(method, "forced", _series_result,
-                        gprime_series if derivative else g_series, params, beta, tol, None)
-    if derivative:
-        if method is MethodChoice.DONEY:
-            raise MethodNotApplicableError(
-                "the Doney closed form is implemented for g only, not g'")
-        return runnable(method, "forced", gprime_rational,
-                        RationalAlpha.from_alpha(params.alpha), params.rho, beta, tol)
-    if method is MethodChoice.RATIONAL:
-        raise MethodNotApplicableError(
-            "the rational-alpha formula defines g' only; g uses quadrature")
-    case = find_doney_case(params)
-    if case is None:
-        raise MethodNotApplicableError(
-            "no (k, l) with rho + k = l/alpha within the search range")
-    return runnable(method, "forced", _doney_result, params, beta, case)
-
-
 def plan(params: StableParams, beta: float, derivative: bool = False,
          method: MethodChoice = MethodChoice.AUTO,
          tol: Tolerance | None = None) -> Iterator[Candidate]:
     """The candidate evaluators of g(beta) (or g'(beta)) in the order they
     are tried, each with the reason it runs or is skipped.  A beta >= 1.05
-    is planned at 1/beta and every result reflected back to beta."""
+    is planned at 1/beta and every result reflected back to beta.
+
+    A forced method is the one step of that method, alone; in the band it
+    is quadrature, whatever is forced.  A forced step that the plan skips
+    raises for the reason it gives: IllConditionedSeriesError for the
+    ill-conditioned series, MethodNotApplicableError otherwise and when
+    the plan has no such step."""
     if not (math.isfinite(beta) and beta > 0.0):
         raise OutOfRangeError(f"beta must be positive, got {beta!r}")
     tol = tol or Tolerance()
     outer = None
     if beta >= _BAND_HI:
         outer, beta = beta, 1.0 / beta
+    band = beta > _BAND_LO
+    quadrature = gprime_quad if derivative else g_quad
 
     def runnable(m: MethodChoice, reason: str, fn, *args) -> Candidate:
         if outer is None:
@@ -155,48 +135,59 @@ def plan(params: StableParams, beta: float, derivative: bool = False,
         return Candidate(m, reason + "; at 1/beta, reflected",
                          lambda: _reflected(fn(*args), params, outer, derivative))
 
-    band = beta > _BAND_LO
-    if band:
-        yield runnable(MethodChoice.QUADRATURE, "0.95 < beta < 1.05, where both "
-                       "series slow down", _quadrature, params, beta, derivative, tol)
-        if method is not MethodChoice.AUTO:
-            return
-    elif method is not MethodChoice.AUTO:
-        yield _forced(params, beta, derivative, method, tol, runnable)
-        return
+    def steps() -> Iterator[Candidate]:
+        if band:
+            yield runnable(MethodChoice.QUADRATURE, "0.95 < beta < 1.05, where both "
+                           "series slow down", quadrature, params, beta, tol)
+        if derivative:
+            yield _DONEY_G_ONLY
+        else:
+            case = find_doney_case(params)
+            if case is None:
+                yield _NO_DONEY_CASE
+            elif band:
+                yield _DONEY_IN_BAND
+            else:
+                yield runnable(MethodChoice.DONEY,
+                               f"Doney case (k, l) = ({case.k}, {case.l})",
+                               _doney_result, params, beta, case)
 
-    if derivative:
-        yield _DONEY_G_ONLY
-    else:
-        case = find_doney_case(params)
-        if case is None:
-            yield _NO_DONEY_CASE
+        aclass = classify(params.alpha, tol, beta)
+        if derivative:
+            if aclass.kind is AlphaKind.RATIONAL and beta < 1.0:
+                yield runnable(MethodChoice.RATIONAL, "rational alpha", gprime_rational,
+                               RationalAlpha(aclass.p, aclass.q), params.rho, beta, tol)
+            else:
+                yield _NOT_RATIONAL
+        if aclass.kind is AlphaKind.RATIONAL:
+            yield _SERIES_RATIONAL
+        elif aclass.kind is AlphaKind.ILL_CONDITIONED:
+            yield _SERIES_ILL
         elif band:
-            yield _DONEY_IN_BAND
+            yield _SERIES_IN_BAND
         else:
-            yield runnable(MethodChoice.DONEY, f"Doney case (k, l) = ({case.k}, {case.l})",
-                           _doney_result, params, beta, case)
+            yield runnable(MethodChoice.SERIES, "irrational alpha, well conditioned here",
+                           _series_result, gprime_series if derivative else g_series,
+                           params, beta, tol, aclass)
+        if not band:
+            yield runnable(MethodChoice.QUADRATURE, "reference evaluator",
+                           quadrature, params, beta, tol)
 
-    aclass = classify(params.alpha, tol, beta)
-    if derivative:
-        if aclass.kind is AlphaKind.RATIONAL and beta < 1.0:
-            yield runnable(MethodChoice.RATIONAL, "rational alpha", gprime_rational,
-                           RationalAlpha(aclass.p, aclass.q), params.rho, beta, tol)
-        else:
-            yield _NOT_RATIONAL
-    if aclass.kind is AlphaKind.RATIONAL:
-        yield _SERIES_RATIONAL
-    elif aclass.kind is AlphaKind.ILL_CONDITIONED:
-        yield _SERIES_ILL
-    elif band:
-        yield _SERIES_IN_BAND
-    else:
-        yield runnable(MethodChoice.SERIES, "irrational alpha, well conditioned here",
-                       _series_result, gprime_series if derivative else g_series,
-                       params, beta, tol, aclass)
-    if not band:
-        yield runnable(MethodChoice.QUADRATURE, "reference evaluator",
-                       _quadrature, params, beta, derivative, tol)
+    if method is MethodChoice.AUTO:
+        yield from steps()
+        return
+    for step in steps():
+        if band or step.method is method:
+            if step.run is None:
+                error = (IllConditionedSeriesError if step is _SERIES_ILL
+                         else MethodNotApplicableError)
+                raise error(f"forced method {method.value} does not apply: "
+                            f"{step.reason.removeprefix('skipped: ')}")
+            yield step
+            return
+    # every method has a step in the plan of g'; of g, rational has none
+    raise MethodNotApplicableError(
+        f"forced method {method.value} does not apply: g has no such evaluator")
 
 
 def _any_beta(params: StableParams, beta: float, derivative: bool,

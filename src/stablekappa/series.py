@@ -21,13 +21,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .accurate import (
-    EPS,
-    CompensatedSum,
-    div2,
-    sin_mpi,
-    two_prod,
-)
+from .accurate import EPS, CompensatedSum, sin_mpi
 from .diophantine import AlphaClass, AlphaKind, classify
 from .params import (
     ConvergenceFailureError,
@@ -67,8 +61,9 @@ _SINE_TABLE_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=_SINE_TABLES)
-def _sine_table(div: tuple[float, float], num: tuple[float, float]) -> array:
-    """sin(m pi div), sin(m pi num) for m = 1, 2, ... interleaved: entry m
+def _sine_table(div: tuple[int, int], num: tuple[int, int]) -> array:
+    """sin(m pi div), sin(m pi num) for m = 1, 2, ... interleaved, with div
+    and num exact ratios (numerator, denominator) of integers: entry m
     sits at 2m - 2 and 2m - 1.  The values do not depend on beta, so every
     beta of a (divisor, numerator) pair shares them.  The table starts
     empty and grows on demand; entry m is appended, under the lock, only
@@ -77,8 +72,8 @@ def _sine_table(div: tuple[float, float], num: tuple[float, float]) -> array:
     return array("d")
 
 
-def _divisor_series(beta: float, step: float, div: tuple[float, float],
-                    num: tuple[float, float], derivative: bool, c: float,
+def _divisor_series(beta: float, step: float, div: tuple[int, int],
+                    num: tuple[int, int], derivative: bool, c: float,
                     nu: float, tol: Tolerance, abs_sum: float, carry: float,
                     name: str, divisor: str):
     """One of the two divisor series of g (or g'), summed until the model
@@ -96,7 +91,7 @@ def _divisor_series(beta: float, step: float, div: tuple[float, float],
     power = nu - deg
     base = beta ** step
     half_tol = 0.5 * tol.abs_tol
-    (div_hi, div_lo), (num_hi, num_lo) = div, num
+    (div_num, div_den), (num_num, num_den) = div, num
     sines = _sine_table(div, num)
     acc = CompensatedSum()
     tail = math.inf
@@ -108,10 +103,10 @@ def _divisor_series(beta: float, step: float, div: tuple[float, float],
         if 2 * m <= len(sines):
             den, sin_num = sines[2 * m - 2], sines[2 * m - 1]
         else:
-            den = sin_mpi(m, div_hi, div_lo)
+            den = sin_mpi(m, div_num, div_den)
             if den == 0.0:
                 raise IllConditionedSeriesError(f"divisor {divisor.format(m)} vanished")
-            sin_num = sin_mpi(m, num_hi, num_lo)
+            sin_num = sin_mpi(m, num_num, num_den)
             if m <= _SINE_TABLE_TERMS:
                 with _SINE_TABLE_LOCK:
                     if len(sines) == 2 * m - 2:
@@ -137,18 +132,20 @@ def _divisor_series(beta: float, step: float, div: tuple[float, float],
 def _series_sums(params: StableParams, beta: float, tol: Tolerance,
                  aclass: AlphaClass, derivative: bool) -> SeriesReport:
     alpha, rho = params.alpha, params.rho
+    a_num, a_den = alpha.as_integer_ratio()
+    r_num, r_den = rho.as_integer_ratio()
     c = aclass.floor_constant
     nu = (aclass.exponent_estimate or 2.0) - 1.0
     v1, terms1, tail1, abs_sum = _divisor_series(
-        beta, 1.0, div2(1.0, alpha), (rho, 0.0), derivative, c, nu, tol,
+        beta, 1.0, (a_den, a_num), (r_num, r_den), derivative, c, nu, tol,
         0.0, 0.0, "first series", "sin({} pi/alpha)")
     # at the spectrally one-sided endpoint rho*alpha = 1 the second series
     # vanishes termwise
     v2, terms2, tail2 = 0.0, 0, 0.0
     if abs(rho * alpha - 1.0) > 4.0 * EPS:
         v2, terms2, tail2, abs_sum = _divisor_series(
-            beta, alpha, (alpha, 0.0), two_prod(rho, alpha), derivative, c, nu,
-            tol, abs_sum, v1, "second series", "sin({} pi alpha)")
+            beta, alpha, (a_num, a_den), (r_num * a_num, r_den * a_den),
+            derivative, c, nu, tol, abs_sum, v1, "second series", "sin({} pi alpha)")
 
     value = v1 + v2
     noise = 4.0 * EPS * (abs_sum + abs(value))

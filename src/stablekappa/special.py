@@ -33,16 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .accurate import (
-    EPS,
-    CompensatedSum,
-    cos_mpi,
-    dd_div,
-    sin_mpi,
-    sin_pi,
-    two_prod,
-)
-from .diophantine import RATIONAL_DENOMINATOR_CAP, cf_expand
+from .accurate import EPS, CompensatedSum, cos_mpi, sin_mpi, sin_pi
 from .params import (
     ConvergenceFailureError,
     DegenerateLogError,
@@ -53,7 +44,7 @@ from .params import (
     Tolerance,
 )
 
-DEFAULT_K_MAX = 32
+_K_MAX = 32
 _MATCH_RTOL = 4.0 * EPS
 _DONEY_CACHE = 64
 
@@ -89,28 +80,17 @@ class RationalAlpha:
     def alpha(self) -> float:
         return self.p / self.q
 
-    @classmethod
-    def from_alpha(cls, alpha: float) -> "RationalAlpha":
-        cf = cf_expand(alpha, 64)
-        p, q = cf.convergents[-1]
-        if not cf.exact or q > RATIONAL_DENOMINATOR_CAP:
-            raise OutOfRangeError(
-                f"{alpha!r} is not recognizably rational at float precision")
-        return cls(p, q)
-
 
 @lru_cache(maxsize=_DONEY_CACHE)
-def find_doney_case(params: StableParams, k_max: int = DEFAULT_K_MAX) -> DoneyCase | None:
-    """Smallest k in [1, k_max] with rho + k = l/alpha for an integer l >= 0.
+def find_doney_case(params: StableParams) -> DoneyCase | None:
+    """Smallest k in [1, _K_MAX] with rho + k = l/alpha for an integer l >= 0.
 
     Matching tolerance is 4 ulp relative on rho + k; returns None when no
     such pair exists, which is the generic outcome for irrational alpha.
-    The answer depends on (params, k_max) alone and is cached for the last
+    The answer depends on params alone and is cached for the last
     ``_DONEY_CACHE`` of them.
     """
-    if k_max < 1:
-        raise OutOfRangeError("k_max must be at least 1")
-    for k in range(1, k_max + 1):
+    for k in range(1, _K_MAX + 1):
         target = params.rho + k
         l = round(params.alpha * target)
         if l < 0:
@@ -141,16 +121,17 @@ def g_k_closed(a: float, x: float, k: int) -> float:
         raise OutOfRangeError(f"k must be nonnegative, got {k!r}")
     if k == 0:
         return 0.0
+    num, den = a.as_integer_ratio()
     if k % 2 == 0:
         total = 0.0
         for n in range(k // 2):
-            total += _log_term(x, cos_mpi(2 * n + 1, a))
+            total += _log_term(x, cos_mpi(2 * n + 1, num, den))
         return -total
     if x >= 1.0:
         raise DegenerateLogError(f"log(1 - x) degenerate at x={x!r}")
     total = math.log1p(-x)
     for n in range(1, (k - 1) // 2 + 1):
-        total += _log_term(x, cos_mpi(2 * n, a))
+        total += _log_term(x, cos_mpi(2 * n, num, den))
     return -total
 
 
@@ -165,27 +146,27 @@ def g_doney(params: StableParams, beta: float, case: DoneyCase) -> float:
 
 
 def _nonresonant(beta: float, a: int, b: int, step: float,
-                 num: tuple[float, float], lead: float, tol: Tolerance,
+                 num: tuple[int, int], lead: float, tol: Tolerance,
                  target: float, abs_sum: float, name: str):
     """sum over m not divisible by a of
     (-1)^(m+1) step beta^(step m - 1) sin(m pi num) / sin(m pi b/a),
+    with num an exact ratio (numerator, denominator) of integers,
     stopped once the tail bound step beta^(step m) / (lead (1 - beta^step)
     sin(pi/a)) drops below target.  Returns (value, tail bound, abs_sum
     plus the |terms|, terms used); empty when a = 1.
     """
     if a == 1:
         return 0.0, 0.0, abs_sum, 0
-    num_hi, num_lo = num
+    num_num, num_den = num
     tail_den = lead * (1.0 - beta ** step) * sin_pi(1.0 / a)
     acc = CompensatedSum()
     terms = 0
     tail = math.inf
     for m in range(1, tol.max_terms + 1):
         if m % a != 0:
-            r = (m * b) % (2 * a) / a
-            den = sin_pi(r if r <= 1.0 else r - 2.0)
             signed = step if m % 2 == 1 else -step
-            term = signed * beta ** (step * m - 1.0) * sin_mpi(m, num_hi, num_lo) / den
+            term = (signed * beta ** (step * m - 1.0) * sin_mpi(m, num_num, num_den)
+                    / sin_mpi(m, b, a))
             acc.add(term)
             abs_sum += abs(term)
             terms += 1
@@ -200,10 +181,11 @@ def gprime_rational(ra: RationalAlpha, rho: float, beta: float,
                     tol: Tolerance | None = None) -> EvalResult:
     """g'(beta) for rational alpha = p/q by the split four-sum formula.
 
-    Nonresonant divisors are reduced with exact integer arithmetic
-    (sin(m pi q/p) through (m q) mod 2p), so they never lose accuracy; all
-    four parts converge geometrically and stop when their tails drop below
-    an eighth of the tolerance each.
+    Every sine is reduced exactly by ``accurate.reduced``: the divisors
+    sin(m pi q/p) from p and q, the numerators from the integer ratios of
+    rho and rho p/q, so none loses accuracy near a resonance.  All four
+    parts converge geometrically and stop when their tails drop below an
+    eighth of the tolerance each.
     """
     tol = tol or Tolerance()
     if beta >= 1.0:
@@ -216,14 +198,14 @@ def gprime_rational(ra: RationalAlpha, rho: float, beta: float,
     StableParams(alpha, rho)  # admissibility gate
     target = 0.125 * tol.abs_tol
     log_beta = math.log(beta)
+    r_num, r_den = rho.as_integer_ratio()
 
     # nonresonant sums over m with p not dividing m, and over k with q not
     # dividing k (the second in powers beta^alpha, with sin(k pi rho alpha))
-    v1, tail1, abs_sum, terms1 = _nonresonant(beta, p, q, 1.0, (rho, 0.0), 1.0,
+    v1, tail1, abs_sum, terms1 = _nonresonant(beta, p, q, 1.0, (r_num, r_den), 1.0,
                                               tol, target, 0.0, "first")
-    rho_alpha = dd_div(*two_prod(rho, float(p)), float(q))
-    v2, tail2, abs_sum, terms2 = _nonresonant(beta, q, p, alpha, rho_alpha, beta,
-                                              tol, target, abs_sum, "second")
+    v2, tail2, abs_sum, terms2 = _nonresonant(beta, q, p, alpha, (r_num * p, r_den * q),
+                                              beta, tol, target, abs_sum, "second")
     terms = terms1 + terms2
 
     # resonant part, reindexed by m = n p, k = n q
@@ -236,7 +218,8 @@ def gprime_rational(ra: RationalAlpha, rho: float, beta: float,
         sign = 1.0 if (n * (p + q) + 1) % 2 == 0 else -1.0
         np_ = n * p
         term = sign * beta ** (np_ - 1) * coef * (
-            rho * cos_mpi(np_, rho) + log_beta * sin_mpi(np_, rho) / math.pi)
+            rho * cos_mpi(np_, r_num, r_den)
+            + log_beta * sin_mpi(np_, r_num, r_den) / math.pi)
         s3.add(term)
         abs_sum += abs(term)
         terms += 1

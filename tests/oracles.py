@@ -30,11 +30,12 @@ def g_k_series(a: float, x: float, k: int, M: int) -> float:
         raise OutOfRangeError("need k >= 0 and M >= 1")
     if k == 0:
         return 0.0
+    num, den = a.as_integer_ratio()
     acc = CompensatedSum()
     xm = 1.0
     for m in range(1, M + 1):
         xm *= x
-        acc.add(xm * _chebyshev_u(cos_mpi(m, a), k - 1) / m)
+        acc.add(xm * _chebyshev_u(cos_mpi(m, num, den), k - 1) / m)
     return acc.value
 
 

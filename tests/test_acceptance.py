@@ -166,8 +166,9 @@ def test_criterion_08_reflection():
 
 def test_criterion_09_diophantine_bound_and_convergents():
     worst_ratio = math.inf
+    num, den = SQRT2.as_integer_ratio()
     for m in range(1, 100001):
-        v = abs(sin_mpi(m, SQRT2))
+        v = abs(sin_mpi(m, num, den))
         ratio = v * 2.0 * m
         if ratio < worst_ratio:
             worst_ratio = ratio

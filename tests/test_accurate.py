@@ -6,68 +6,61 @@ from hypothesis import strategies as st
 
 from stablekappa.accurate import (
     CompensatedSum,
+    cos_mpi,
     cos_pi,
-    div2,
-    mod2,
     reduced,
+    sin_mpi,
     sin_pi,
-    two_prod,
-    two_sum,
 )
 
-finite = st.floats(min_value=-1e15, max_value=1e15, allow_nan=False)
+
+def _exact_reduction(n: int, x: Fraction) -> tuple[Fraction, int]:
+    """n*x as (distance to the nearest integer, its parity), ties to even."""
+    k = round(n * x)  # Fraction rounds half to even
+    return n * x - k, k & 1
 
 
-@settings(max_examples=200, deadline=None)
-@given(a=finite, b=finite)
-def test_two_sum_exact(a, b):
-    s, e = two_sum(a, b)
-    assert Fraction(a) + Fraction(b) == Fraction(s) + Fraction(e)
+# doubles carry power-of-two denominators; b/a and rho p/q carry any
+_ratios = st.one_of(
+    st.floats(min_value=1e-3, max_value=4.0).map(float.as_integer_ratio),
+    st.tuples(st.integers(min_value=-2**60, max_value=2**60),
+              st.integers(min_value=1, max_value=2**60)))
 
 
-# two_prod is exact only when a*b neither under- nor overflows; keep the
-# magnitudes in the range the library actually uses
-_mag = st.floats(min_value=1e-8, max_value=1e8)
-_signed = st.builds(lambda m, s: m if s else -m, _mag, st.booleans())
+@settings(max_examples=400, deadline=None)
+@given(ratio=_ratios, n=st.integers(min_value=0, max_value=2**60))
+def test_reduced_matches_exact_rational_reduction(ratio, n):
+    # the residue is exact for any multiplier, here up to 2**60
+    num, den = ratio
+    d, parity = reduced(n, num, den)
+    exact_d, exact_parity = _exact_reduction(n, Fraction(num, den))
+    assert d == float(exact_d)
+    assert parity == exact_parity
 
 
-@settings(max_examples=200, deadline=None)
-@given(a=_signed, b=_signed)
-def test_two_prod_exact(a, b):
-    p, e = two_prod(a, b)
-    assert Fraction(a) * Fraction(b) == Fraction(p) + Fraction(e)
+def test_reduced_ties_go_to_the_even_integer():
+    # n*x = j + 1/2 sits halfway between j and j + 1
+    for j in range(-4, 5):
+        d, parity = reduced(1, 2 * j + 1, 2)
+        assert parity == 0
+        assert d == (0.5 if j % 2 == 0 else -0.5)
+    assert reduced(3, 1, 2) == (-0.5, 0)      # 1.5 -> 2
+    assert reduced(5, 1, 2) == (0.5, 0)       # 2.5 -> 2
+    assert reduced(2**60 + 1, 1, 2) == (0.5, 0)   # 2**59 + 1/2 -> 2**59
+    assert reduced(2**60 + 3, 1, 2) == (-0.5, 0)  # 2**59 + 3/2 -> 2**59 + 2
 
 
-@settings(max_examples=200, deadline=None)
-@given(a=st.floats(min_value=0.01, max_value=100.0),
-       b=st.floats(min_value=0.01, max_value=100.0))
-def test_div2_residual_tiny(a, b):
-    hi, lo = div2(a, b)
-    err = Fraction(a) / Fraction(b) - (Fraction(hi) + Fraction(lo))
-    assert abs(err) < Fraction(1, 10**28)
-
-
-@settings(max_examples=150, deadline=None)
-@given(x=st.floats(min_value=1e-3, max_value=4.0),
-       m=st.integers(min_value=1, max_value=10**6))
-def test_reduced_matches_exact_rational_reduction(x, m):
-    d, parity = reduced(m, x)
-    exact = Fraction(m) * Fraction(x)
-    nearest = round(exact)
-    exact_d = exact - nearest
-    # the fold can legitimately pick the other neighbor at an exact tie
-    cands = [(exact_d, nearest & 1), (exact_d - 1, (nearest + 1) & 1),
-             (exact_d + 1, (nearest - 1) & 1)]
-    ok = False
-    for ed, ep in cands:
-        if ep == parity and abs(Fraction(d) - ed) <= \
-                Fraction(1, 2**48) * abs(ed) + Fraction(1, 10**24):
-            ok = True
-    assert ok
-    # mod2 is consistent with (d, parity)
-    r = mod2(m, x)
-    rd, rp = reduced(m, x)
-    assert abs(abs(r) - (1.0 - abs(rd) if rp else abs(rd))) < 1e-15
+def test_sin_cos_mpi_near_a_resonance():
+    # sin(n pi x) at a multiple 1e-17 away from an integer, with n = 3**40,
+    # keeps its relative accuracy
+    x = Fraction(1, 3) + Fraction(1, 10**17 * 3**40)
+    num, den = x.numerator, x.denominator
+    n = 3**40
+    with mpmath.workdps(60):
+        want_s = float(mpmath.sinpi(mpmath.mpf(n * num) / den))
+        want_c = float(mpmath.cospi(mpmath.mpf(n * num) / den))
+    assert abs(sin_mpi(n, num, den) - want_s) <= 4e-16 * abs(want_s)
+    assert abs(cos_mpi(n, num, den) - want_c) <= 4e-16
 
 
 @settings(max_examples=200, deadline=None)

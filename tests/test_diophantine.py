@@ -14,14 +14,13 @@ from stablekappa import (
     classify,
     estimate_exponent,
 )
-from stablekappa.accurate import EPS, div2, sin_mpi, sin_pi
+from stablekappa.accurate import EPS, sin_mpi, sin_pi
 from stablekappa.diophantine import (
     RATIONAL_DENOMINATOR_CAP,
     AlphaClass,
     ContinuedFraction,
     _floor_constant,
     _profile,
-    _projected_cost,
 )
 
 
@@ -75,7 +74,7 @@ def test_cf_golden_fraction():
 @settings(max_examples=200, deadline=None)
 @given(x=st.floats(min_value=1e-3, max_value=2.0))
 def test_convergents_quality(x):
-    cf = cf_expand(x, 40)
+    cf = cf_expand(x)
     for p, q in cf.convergents:
         assert abs(Fraction(x) - Fraction(p, q)) < Fraction(1, q * q) \
             or (p, q) == cf.convergents[0]
@@ -157,8 +156,8 @@ def test_classify_profile_is_model_floor():
     alpha = math.sqrt(2.0)
     ac = classify(alpha, beta=0.5)
     nu = ac.exponent_estimate - 1.0
-    inv = div2(1.0, alpha)
-    scaled = [min(abs(sin_mpi(m, *inv)), abs(sin_mpi(m, alpha))) * m ** nu
+    num, den = alpha.as_integer_ratio()
+    scaled = [min(abs(sin_mpi(m, den, num)), abs(sin_mpi(m, num, den))) * m ** nu
               for m in range(1, 257)]
     assert min(scaled + [0.5]) == ac.floor_constant
 
@@ -173,9 +172,25 @@ CACHE_BETAS = (2e-6, 1e-4, 0.01, 0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.95, 0.99)
 CACHE_TOLS = (Tolerance(), Tolerance(abs_tol=1e-13, max_terms=2000))
 
 
+def _projected_cost_full(beta: float, step: float, prefactor: float,
+                         c: float, nu: float, tol: Tolerance) -> tuple[int | None, float]:
+    """Terms needed (or None) and bound-sum for one derivative-series
+    family, with no early exit: the loop runs to the stopping index."""
+    base = beta ** step
+    s_abs = 0.0
+    for m in range(1, tol.max_terms + 1):
+        s_abs += prefactor * beta ** (step * m - 1.0) * m ** nu / c
+        nxt = prefactor * beta ** (step * (m + 1) - 1.0) * (m + 1) ** nu / c
+        ratio = base * ((m + 2) / (m + 1)) ** nu
+        if ratio < 1.0 and nxt / (1.0 - ratio) < 0.5 * tol.abs_tol:
+            return m, s_abs
+    return None, s_abs
+
+
 def _classify_uncached(alpha: float, tol: Tolerance, beta: float) -> AlphaClass:
-    """classify recomputed from scratch, with no cache in between."""
-    cf = cf_expand(alpha, 64)
+    """classify recomputed from scratch, with no cache in between and both
+    families projected in full."""
+    cf = cf_expand(alpha)
     p_last, q_last = cf.convergents[-1]
     if cf.exact and q_last <= RATIONAL_DENOMINATOR_CAP:
         floor = sin_pi(1.0 / max(p_last, q_last)) if max(p_last, q_last) > 1 else 0.0
@@ -188,8 +203,8 @@ def _classify_uncached(alpha: float, tol: Tolerance, beta: float) -> AlphaClass:
     nu = nhat - 1.0
     c = _floor_constant(alpha, nu)
     beta_proj = min(max(beta, 1e-6), 0.95)
-    m1, s1 = _projected_cost(beta_proj, 1.0, 1.0, c, nu, tol)
-    m2, s2 = _projected_cost(beta_proj, alpha, alpha, c, nu, tol)
+    m1, s1 = _projected_cost_full(beta_proj, 1.0, 1.0, c, nu, tol)
+    m2, s2 = _projected_cost_full(beta_proj, alpha, alpha, c, nu, tol)
     ill = m1 is None or m2 is None or 4.0 * EPS * (s1 + s2) > 0.5 * tol.abs_tol
     return AlphaClass(kind=AlphaKind.ILL_CONDITIONED if ill else AlphaKind.IRRATIONAL,
                       exponent_estimate=nhat, floor_constant=c)
@@ -207,6 +222,28 @@ def test_classify_matches_uncached_recomputation():
                 assert got.floor_constant.hex() == want.floor_constant.hex()
                 kinds.add(got.kind)
     assert kinds == set(AlphaKind)
+
+
+# near-resonant alphas at several distances from 1/2, 1, 3/2 and 2, and
+# generic irrationals on both sides of 1
+GRID_ALPHAS = (0.5 + 1e-12, 0.5 + 1e-9 * math.pi, 0.5 + 1e-6 * math.pi,
+               1.0 - 1e-8 * math.pi, 1.0 + 1e-5 * math.pi, 1.5 + 1e-8 * math.pi,
+               1.5 - 1e-4 * math.pi, 2.0 - 1e-7 * math.pi, math.sqrt(2.0) / 2.0,
+               math.sqrt(3.0), math.e / 2.0, 0.5 + math.sqrt(2.0) / 40.0)
+GRID_BETAS = tuple(i / 20.0 for i in range(1, 20)) + (1e-6, 1e-3, 0.99)
+GRID_TOLS = (Tolerance(abs_tol=1e-8), Tolerance(), Tolerance(abs_tol=1e-13),
+             Tolerance(abs_tol=1e-10, max_terms=300))
+
+
+def test_classify_early_exit_keeps_every_verdict():
+    kinds = set()
+    for alpha in GRID_ALPHAS:
+        for tol in GRID_TOLS:
+            for beta in GRID_BETAS:
+                got = classify(alpha, tol, beta)
+                assert got == _classify_uncached(alpha, tol, beta), (alpha, tol, beta)
+                kinds.add(got.kind)
+    assert kinds == {AlphaKind.IRRATIONAL, AlphaKind.ILL_CONDITIONED}
 
 
 def test_profile_cache_stays_at_its_bound():

@@ -146,8 +146,9 @@ def test_sine_table_past_its_length_cap(monkeypatch):
     series_module._sine_table.cache_clear()
     assert _bits(g_series(p, 0.6)) == cold
     assert _bits(g_series(p, 0.6)) == cold
-    tables = [series_module._sine_table(series_module.div2(1.0, SQRT2), (0.5, 0.0)),
-              series_module._sine_table((SQRT2, 0.0), series_module.two_prod(0.5, SQRT2))]
+    a_num, a_den = SQRT2.as_integer_ratio()
+    tables = [series_module._sine_table((a_den, a_num), (1, 2)),
+              series_module._sine_table((a_num, a_den), (a_num, 2 * a_den))]
     assert [len(t) for t in tables] == [10, 10]
 
 

@@ -17,13 +17,14 @@ at the requested (beta, tolerance), not about the number itself.
 Only that last verdict depends on beta and the tolerance.  The expansion,
 the rational verdict, the exponent estimate and the calibrated floor
 depend on alpha alone; ``_profile`` computes them once per alpha (an LRU
-over ``_PROFILE_CACHE`` alphas), and ``classify`` adds the per-beta
-projection on top.
+over ``_PROFILE_CACHE`` alphas), and ``classify`` adds the per-beta noise
+bound on top, up to each family's bisected stopping index (``_truncation``).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -153,31 +154,33 @@ def _floor_constant(alpha: float, nu: float) -> float:
     return max(c, 5e-324)
 
 
-def _projected_cost(beta: float, step: float, prefactor: float, c: float,
-                    nu: float, tol: Tolerance, carried: float) -> float | None:
-    """Bound-sum of one derivative-series family, or None when it is over
-    budget.
-
-    Term m is bounded by prefactor * beta**(step*m - 1) * m**nu / c; the
-    projection stops once the geometric-dominated tail of these bounds
-    drops below half the target tolerance.  The family is over budget when
-    that takes more than ``tol.max_terms`` terms, or when the projected
-    rounding noise 4 eps (carried + bound-sum) exceeds half the tolerance;
-    the sum only grows, so the second test ends the loop as soon as it
-    fails.
+def _truncation(beta: float, step: float, pre: float, shift: float, power: float,
+                c: float, half_tol: float, max_terms: int) -> tuple[int | None, float]:
+    """First m <= max_terms whose tail bound is below half_tol, with that
+    bound; (None, the bound after max_terms) if none.  Term j is bounded by
+    pre * beta**(step*j - shift) * j**power / c, the tail after m by term
+    m + 1's bound over 1 - ratio, ratio = beta**step * ((m+2)/(m+1))**power
+    (inf while ratio >= 1).  Both fall with m, so m is found by doubling,
+    which probes no index past 2m, and then by bisection.
     """
     base = beta ** step
-    noise_cap = 0.5 * tol.abs_tol
-    s_abs = 0.0
-    for m in range(1, tol.max_terms + 1):
-        s_abs += prefactor * beta ** (step * m - 1.0) * m ** nu / c
-        if 4.0 * EPS * (carried + s_abs) > noise_cap:
-            return None
-        nxt = prefactor * beta ** (step * (m + 1) - 1.0) * (m + 1) ** nu / c
-        ratio = base * ((m + 2) / (m + 1)) ** nu
-        if ratio < 1.0 and nxt / (1.0 - ratio) < noise_cap:
-            return s_abs
-    return None
+
+    def tail(m: int) -> float:
+        j = m + 1
+        ratio = base * ((j + 1) / j) ** power
+        try:
+            return (pre * beta ** (step * j - shift) * j ** power / c / (1.0 - ratio)
+                    if ratio < 1.0 else math.inf)
+        except OverflowError:
+            return math.inf
+
+    lo, hi = 0, 1
+    while not tail(hi) < half_tol:
+        if hi == max_terms:
+            return None, tail(hi)
+        lo, hi = hi, min(2 * hi, max_terms)
+    stop = lo + 1 + bisect_left(range(lo + 1, hi), True, key=lambda m: tail(m) < half_tol)
+    return stop, tail(stop)
 
 
 @lru_cache(maxsize=_PROFILE_CACHE)
@@ -188,20 +191,13 @@ def _profile(alpha: float) -> AlphaClass:
     p_last, q_last = cf.convergents[-1]
     if cf.exact and q_last <= RATIONAL_DENOMINATOR_CAP:
         floor = sin_pi(1.0 / max(p_last, q_last)) if max(p_last, q_last) > 1 else 0.0
-        return AlphaClass(
-            kind=AlphaKind.RATIONAL,
-            p=p_last, q=q_last,
-            floor_constant=floor,
-        )
+        return AlphaClass(AlphaKind.RATIONAL, p=p_last, q=q_last, floor_constant=floor)
     try:
         nhat = estimate_exponent(cf)
     except InsufficientDataError:
         nhat = 2.0
-    return AlphaClass(
-        kind=AlphaKind.IRRATIONAL,
-        exponent_estimate=nhat,
-        floor_constant=_floor_constant(alpha, nhat - 1.0),
-    )
+    return AlphaClass(AlphaKind.IRRATIONAL, exponent_estimate=nhat,
+                      floor_constant=_floor_constant(alpha, nhat - 1.0))
 
 
 def classify(alpha: float, tol: Tolerance | None = None, beta: float = 0.9) -> AlphaClass:
@@ -211,8 +207,11 @@ def classify(alpha: float, tol: Tolerance | None = None, beta: float = 0.9) -> A
     IllConditioned when the projected series work or the projected rounding
     noise exceeds the budget of ``tol`` at this beta; Irrational otherwise.
     Only the IllConditioned verdict depends on beta and ``tol``: the rest
-    is the per-alpha profile, computed once, and each call reruns just the
-    projection of the two series' cost at this beta.
+    is the per-alpha profile.  Per call, the term bounds
+    step * beta**(step*m - 1) * m**nu / c of each g' family are log-concave
+    in m, so their peak p and stopping index s give p <= sum <= s p.  The
+    noise 4 eps sum must stay under half the tolerance: 4 eps p over it is
+    IllConditioned, 4 eps 2 s p under it Irrational, else the sum decides.
     """
     if not 0.0 < alpha <= 2.0:
         raise OutOfRangeError(f"alpha must lie in (0, 2], got {alpha!r}")
@@ -223,8 +222,28 @@ def classify(alpha: float, tol: Tolerance | None = None, beta: float = 0.9) -> A
     tol = tol or Tolerance()
     nu = profile.exponent_estimate - 1.0
     c = profile.floor_constant
-    beta_proj = min(max(float(beta), 1e-6), 0.95)
-    s1 = _projected_cost(beta_proj, 1.0, 1.0, c, nu, tol, 0.0)
-    if s1 is None or _projected_cost(beta_proj, alpha, alpha, c, nu, tol, s1) is None:
-        return replace(profile, kind=AlphaKind.ILL_CONDITIONED)
+    beta = min(max(float(beta), 1e-6), 0.95)
+    noise_cap = 0.5 * tol.abs_tol
+    stops, upper = [], 0.0
+    for step in (1.0, alpha):
+        stop, _ = _truncation(beta, step, step, 1.0, nu, c, noise_cap, tol.max_terms)
+        if stop is None:
+            return replace(profile, kind=AlphaKind.ILL_CONDITIONED)
+        top, peak = int(min(nu / (-step * math.log(beta)), stop)), 0.0
+        for m in (max(top, 1), min(top + 1, stop)):
+            peak = max(peak, step * beta ** (step * m - 1.0) * m ** nu / c)
+        if 4.0 * EPS * peak > noise_cap:
+            return replace(profile, kind=AlphaKind.ILL_CONDITIONED)
+        stops.append(stop)
+        upper += 2.0 * stop * peak
+    if 4.0 * EPS * upper <= noise_cap:
+        return profile
+    carried = 0.0
+    for step, stop in zip((1.0, alpha), stops):
+        s_abs = 0.0
+        for m in range(1, stop + 1):
+            s_abs += step * beta ** (step * m - 1.0) * m ** nu / c
+            if 4.0 * EPS * (carried + s_abs) > noise_cap:
+                return replace(profile, kind=AlphaKind.ILL_CONDITIONED)
+        carried = s_abs
     return profile

@@ -169,28 +169,28 @@ def _quad(params: StableParams, beta: float, tol: Tolerance | None,
     alpha = params.alpha
     sinr = sin_pi(params.rho)
     cosr = cos_pi(params.rho)
+    bc = beta * cosr
+    bs2 = (beta * sinr) ** 2
 
     if derivative:
         c = alpha * sinr / math.pi
 
         def f_fin(x: float) -> float:
             xa = x ** alpha
-            return c * xa / (1.0 + xa) / (
-                (x + beta * cosr) ** 2 + (beta * sinr) ** 2)
+            return c * xa / (1.0 + xa) / ((x + bc) ** 2 + bs2)
 
         def f_tail(y: float) -> float:
             return c / (1.0 + y ** alpha) / (
                 (1.0 + y * beta * cosr) ** 2 + (y * beta * sinr) ** 2)
     else:
-        c = sinr / math.pi
+        cb = sinr / math.pi * beta
 
         def f_fin(x: float) -> float:
-            return c * beta * math.log1p(x ** alpha) / (
-                (x + beta * cosr) ** 2 + (beta * sinr) ** 2)
+            return cb * math.log1p(x ** alpha) / ((x + bc) ** 2 + bs2)
 
         def f_tail(y: float) -> float:
             # x = 1/y; log(1 + y**-alpha) written as log1p(y**alpha) - alpha*log(y)
-            return c * beta * (math.log1p(y ** alpha) - alpha * math.log(y)) / (
+            return cb * (math.log1p(y ** alpha) - alpha * math.log(y)) / (
                 (1.0 + y * beta * cosr) ** 2 + (y * beta * sinr) ** 2)
 
     panels = _build_panels(f_fin, f_tail, beta, params.rho)

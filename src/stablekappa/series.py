@@ -8,21 +8,20 @@ For irrational, well-conditioned alpha and 0 < beta < 1:
 
 and g' is its termwise derivative.  Truncation uses the model floor
 |sin(m pi x)| >= c / m^(N-1) calibrated by the diophantine module; the
-resulting tail bound is rigorous exactly when the exponent estimate N is,
-so it is reported rather than hidden.  Both series are accumulated with
-compensated summation and combined in a fixed order.
+stopping index is bisected on the resulting tail bound, which is rigorous
+exactly when the exponent estimate N is, so it is reported.  Both series
+are accumulated with compensated summation and combined in a fixed order.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .accurate import EPS, CompensatedSum, sin_mpi
-from .diophantine import AlphaClass, AlphaKind, classify
+from .accurate import EPS, sin_mpi
+from .diophantine import AlphaClass, AlphaKind, _truncation, classify
 from .params import (
     ConvergenceFailureError,
     IllConditionedSeriesError,
@@ -76,30 +75,24 @@ def _divisor_series(beta: float, step: float, div: tuple[int, int],
                     num: tuple[int, int], derivative: bool, c: float,
                     nu: float, tol: Tolerance, abs_sum: float, carry: float,
                     name: str, divisor: str):
-    """One of the two divisor series of g (or g'), summed until the model
-    tail bound (divisors above c / m^nu) drops below half the tolerance.
+    """One of the two divisor series of g (or g'), summed up to the first index
+    whose model tail bound (divisors above c / m^nu) is below half the tolerance.
 
         g:   sum_m (-1)^(m+1) beta^(step m) sin(m pi num) / (m sin(m pi div))
         g':  sum_m (-1)^(m+1) step beta^(step m - 1) sin(m pi num) / sin(m pi div)
 
     Returns (value, terms, tail bound, abs_sum plus the |terms|); a failure
-    reports carry plus the partial sum as its value.
+    reports carry plus the sum of all ``tol.max_terms`` terms as its value.
     """
-    # prefactor, exponent shift and index power of each term: m^deg is
-    # carried as idx, which steps by deg
+    # prefactor, exponent shift and index power of each term
     pre, shift, deg = (step, 1.0, 0) if derivative else (1.0, 0.0, 1)
-    power = nu - deg
-    base = beta ** step
-    half_tol = 0.5 * tol.abs_tol
+    stop, tail = _truncation(beta, step, pre, shift, nu - deg, c,
+                             0.5 * tol.abs_tol, tol.max_terms)
     (div_num, div_den), (num_num, num_den) = div, num
     sines = _sine_table(div, num)
-    acc = CompensatedSum()
-    tail = math.inf
-    idx = 1
-    # beta^(step m - shift): the tail bound of term m is made from term
-    # m + 1's power, which the next term then reuses
-    bpow = beta ** (step - shift)
-    for m in range(1, tol.max_terms + 1):
+    # Neumaier-compensated running sum, as in CompensatedSum
+    total = comp = 0.0
+    for m in range(1, (stop or tol.max_terms) + 1):
         if 2 * m <= len(sines):
             den, sin_num = sines[2 * m - 2], sines[2 * m - 1]
         else:
@@ -112,21 +105,19 @@ def _divisor_series(beta: float, step: float, div: tuple[int, int],
                     if len(sines) == 2 * m - 2:
                         sines.extend((den, sin_num))
         signed = pre if m % 2 == 1 else -pre
-        term = signed * bpow * sin_num / (idx * den)
-        acc.add(term)
+        term = signed * beta ** (step * m - shift) * sin_num / (m ** deg * den)
+        t = total + term
+        if abs(total) >= abs(term):
+            comp += (total - t) + term
+        else:
+            comp += (term - t) + total
+        total = t
         abs_sum += abs(term)
-        idx += deg
-        j = m + 1
-        bpow = beta ** (step * j - shift)
-        nxt = pre * bpow * j ** power / c
-        ratio = base * ((j + 1) / j) ** power
-        if ratio < 1.0:
-            tail = nxt / (1.0 - ratio)
-            if tail < half_tol:
-                return acc.value, m, tail, abs_sum
-    raise ConvergenceFailureError(
-        f"{name}: tail bound {tail:.3e} above tolerance after {tol.max_terms} terms",
-        value=carry + acc.value, error_bound=tail)
+    if stop is None:
+        raise ConvergenceFailureError(
+            f"{name}: tail bound {tail:.3e} above tolerance after {tol.max_terms} terms",
+            value=carry + (total + comp), error_bound=tail)
+    return total + comp, stop, tail, abs_sum
 
 
 def _series_sums(params: StableParams, beta: float, tol: Tolerance,

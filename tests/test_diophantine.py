@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -187,9 +188,8 @@ def _projected_cost_full(beta: float, step: float, prefactor: float,
     return None, s_abs
 
 
-def _classify_uncached(alpha: float, tol: Tolerance, beta: float) -> AlphaClass:
-    """classify recomputed from scratch, with no cache in between and both
-    families projected in full."""
+def _uncached_profile(alpha: float) -> AlphaClass:
+    """The beta-free part of classify, recomputed with no cache."""
     cf = cf_expand(alpha)
     p_last, q_last = cf.convergents[-1]
     if cf.exact and q_last <= RATIONAL_DENOMINATOR_CAP:
@@ -200,14 +200,25 @@ def _classify_uncached(alpha: float, tol: Tolerance, beta: float) -> AlphaClass:
         nhat = estimate_exponent(cf)
     except InsufficientDataError:
         nhat = 2.0
-    nu = nhat - 1.0
-    c = _floor_constant(alpha, nu)
+    return AlphaClass(kind=AlphaKind.IRRATIONAL, exponent_estimate=nhat,
+                      floor_constant=_floor_constant(alpha, nhat - 1.0))
+
+
+def _classify_uncached(alpha: float, tol: Tolerance, beta: float,
+                       profile: AlphaClass | None = None) -> AlphaClass:
+    """classify recomputed with no cache in between and both families
+    projected in full; ``profile`` is alpha's ``_uncached_profile`` when
+    the caller already has it."""
+    profile = profile or _uncached_profile(alpha)
+    if profile.kind is AlphaKind.RATIONAL:
+        return profile
+    nu = profile.exponent_estimate - 1.0
+    c = profile.floor_constant
     beta_proj = min(max(beta, 1e-6), 0.95)
     m1, s1 = _projected_cost_full(beta_proj, 1.0, 1.0, c, nu, tol)
     m2, s2 = _projected_cost_full(beta_proj, alpha, alpha, c, nu, tol)
     ill = m1 is None or m2 is None or 4.0 * EPS * (s1 + s2) > 0.5 * tol.abs_tol
-    return AlphaClass(kind=AlphaKind.ILL_CONDITIONED if ill else AlphaKind.IRRATIONAL,
-                      exponent_estimate=nhat, floor_constant=c)
+    return replace(profile, kind=AlphaKind.ILL_CONDITIONED) if ill else profile
 
 
 def test_classify_matches_uncached_recomputation():
@@ -229,19 +240,26 @@ def test_classify_matches_uncached_recomputation():
 GRID_ALPHAS = (0.5 + 1e-12, 0.5 + 1e-9 * math.pi, 0.5 + 1e-6 * math.pi,
                1.0 - 1e-8 * math.pi, 1.0 + 1e-5 * math.pi, 1.5 + 1e-8 * math.pi,
                1.5 - 1e-4 * math.pi, 2.0 - 1e-7 * math.pi, math.sqrt(2.0) / 2.0,
-               math.sqrt(3.0), math.e / 2.0, 0.5 + math.sqrt(2.0) / 40.0)
-GRID_BETAS = tuple(i / 20.0 for i in range(1, 20)) + (1e-6, 1e-3, 0.99)
+               math.sqrt(3.0), math.e / 2.0, 0.5 + math.sqrt(2.0) / 40.0,
+               math.sqrt(2.0), math.pi / 2.0)
+# 0.75 to 0.95 in steps of 0.01, where the well-conditioned alphas move from
+# the upper-bound shortcut to the exact noise sum
+GRID_BETAS = tuple(sorted({i / 20.0 for i in range(1, 20)} | {1e-6, 1e-3, 0.99}
+                          | {i / 100.0 for i in range(75, 96)}))
 GRID_TOLS = (Tolerance(abs_tol=1e-8), Tolerance(), Tolerance(abs_tol=1e-13),
-             Tolerance(abs_tol=1e-10, max_terms=300))
+             Tolerance(abs_tol=1e-10, max_terms=300), Tolerance(max_terms=100),
+             Tolerance(abs_tol=1e-12, max_terms=500))
 
 
 def test_classify_early_exit_keeps_every_verdict():
     kinds = set()
     for alpha in GRID_ALPHAS:
+        profile = _uncached_profile(alpha)
         for tol in GRID_TOLS:
             for beta in GRID_BETAS:
                 got = classify(alpha, tol, beta)
-                assert got == _classify_uncached(alpha, tol, beta), (alpha, tol, beta)
+                want = _classify_uncached(alpha, tol, beta, profile)
+                assert got == want, (alpha, tol, beta)
                 kinds.add(got.kind)
     assert kinds == {AlphaKind.IRRATIONAL, AlphaKind.ILL_CONDITIONED}
 

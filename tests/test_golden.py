@@ -73,6 +73,13 @@ def _cases() -> dict[str, list[list[str]]]:
     cases["table"].append(["table", *ar, "--beta-start", "0.3", "--beta-stop", "2.5",
                            "--beta-count", "5", "--format", "csv", *BUDGET])
     cases["compare"].append(["compare", *ar, "--beta", "0.3", *BUDGET])
+    # the series at high beta, where classify projects the exact noise sum
+    for alpha, rho in ((repr(math.pi / 2.0), "0.45"),
+                       (repr(0.5 + math.sqrt(2.0) / 40.0), "0.5")):
+        for d in DERIVATIVE:
+            cases["table"].append(["table", "--alpha", alpha, "--rho", rho,
+                                   "--beta-start", "0.5", "--beta-stop", "0.95",
+                                   "--beta-count", "40", "--format", "csv", *d])
     cases["selftest"] += [["selftest"], ["selftest", "--only", "methods"]]
     return cases
 

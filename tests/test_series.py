@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -7,15 +8,19 @@ import pytest
 from stablekappa import series as series_module
 
 from stablekappa import (
+    AlphaKind,
+    ConvergenceFailureError,
     IllConditionedSeriesError,
     MethodNotApplicableError,
     Tolerance,
+    classify,
     g_quad,
     g_series,
     gprime_quad,
     gprime_series,
     validate,
 )
+from stablekappa.diophantine import _truncation
 
 TIGHT = Tolerance(abs_tol=1e-12)
 SQRT2 = math.sqrt(2.0)
@@ -186,3 +191,83 @@ def test_sine_table_cache_stays_at_its_bound():
     for i in range(bound):
         g_series(validate(1.0 + SQRT2 / (100.0 + i), 0.5), 0.3)
     assert series_module._sine_table.cache_info().currsize == bound
+
+
+# ---------------------------------------------------------------------------
+# the stopping index: bisection against the per-term scan it replaced
+# ---------------------------------------------------------------------------
+
+def _truncation_scan(beta, step, pre, shift, power, c, half_tol, max_terms):
+    """The per-term stopping loop the series ran before the bisection: the
+    first m whose model tail bound drops below half_tol, and the last tail
+    bound it computed (inf while the bounds' ratio is not below 1)."""
+    base = beta ** step
+    tail = math.inf
+    for m in range(1, max_terms + 1):
+        j = m + 1
+        nxt = pre * beta ** (step * j - shift) * j ** power / c
+        ratio = base * ((j + 1) / j) ** power
+        if ratio < 1.0:
+            tail = nxt / (1.0 - ratio)
+            if tail < half_tol:
+                return m, tail
+    return None, tail
+
+
+TRUNCATION_BETAS = (1e-6, 1e-3, 0.05, 0.2, 0.4, 0.6, 0.75, 0.85, 0.9, 0.93, 0.95)
+
+
+def test_truncation_bisection_matches_the_scan():
+    stops = set()
+    for step in (1.0, SQRT2, 0.5 + SQRT2 / 40.0):
+        for nu in (1.0, 1.355, 1.92, 25.6):
+            # g: shift 0, power nu - 1, prefactor 1; g': shift 1, power nu,
+            # prefactor step; and the power-0 shape
+            shapes = ((1.0, 0.0, nu - 1.0), (step, 1.0, nu), (1.0, 0.0, 0.0))
+            for pre, shift, power in shapes:
+                for beta in TRUNCATION_BETAS:
+                    for c, half_tol, max_terms in itertools.product(
+                            (0.5, 3e-7), (5e-11, 5e-14), (1, 50, 10000)):
+                        args = (beta, step, pre, shift, power, c, half_tol, max_terms)
+                        m, tail = _truncation(*args)
+                        want_m, want_tail = _truncation_scan(*args)
+                        assert (m, tail.hex()) == (want_m, want_tail.hex()), args
+                        stops.add(m if m is None else min(m, 2))
+    assert stops == {None, 1, 2}
+
+
+def test_truncation_with_a_budget_past_float_range():
+    # j**25.6 overflows past j = 1e12 and j**38.9 past 1e8.  Doubling probes
+    # no index past twice the stopping one, and an overflowing bound counts
+    # as not stopping; bisecting over the whole budget would raise, or find
+    # no stop and sum all 10**13 terms
+    args = (1e-3, 1.0, 1.0, 0.0, 25.6, 0.5, 5e-11, 10**13)
+    assert _truncation(*args) == _truncation_scan(*args)
+    args = (1.0 - 1e-8, 1.0, 1.0, 1.0, 38.9, 1e-11, 5e-11, 10**9)
+    assert _truncation(*args) == (None, math.inf)
+    ill = classify(0.5 + 1e-12, Tolerance(max_terms=10**8), 0.9)
+    assert ill.kind is AlphaKind.ILL_CONDITIONED
+
+
+# ---------------------------------------------------------------------------
+# the failure path: value and bound when the term budget runs out
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha,max_terms,series,value,bound", [
+    # the first series fails
+    (SQRT2, 50, g_series, "0x1.38c1a96ca9918p-3", "0x1.993d977ca9af0p-2"),
+    (SQRT2, 50, gprime_series, "-0x1.5f40536c6d216p-1", "0x1.bf103103b8c2ep+4"),
+    # the second fails and reports the first's value plus its partial sum
+    (0.5 + SQRT2 / 40.0, 500, g_series, "0x1.7d3bd6c77c50cp-2",
+     "0x1.8f17ea4ecb60cp-28"),
+    (0.5 + SQRT2 / 40.0, 500, gprime_series, "0x1.29051646e023fp-3",
+     "0x1.e1b51c436fcd6p-20"),
+])
+def test_series_failure_reports_partial_sum_and_tail(alpha, max_terms, series, value,
+                                                     bound):
+    # classify refuses this budget at beta 0.9, so the verdict is taken at
+    # the default tolerance
+    aclass = classify(alpha, Tolerance(), 0.9)
+    with pytest.raises(ConvergenceFailureError) as err:
+        series(validate(alpha, 0.5), 0.9, Tolerance(max_terms=max_terms), aclass=aclass)
+    assert (err.value.value.hex(), err.value.error_bound.hex()) == (value, bound)

@@ -18,7 +18,8 @@ Only that last verdict depends on beta and the tolerance.  The expansion,
 the rational verdict, the exponent estimate and the calibrated floor
 depend on alpha alone; ``_profile`` computes them once per alpha (an LRU
 over ``_PROFILE_CACHE`` alphas), and ``classify`` adds the per-beta noise
-bound on top, up to each family's bisected stopping index (``_truncation``).
+bound on top, up to each family's bisected stopping index (``_truncation``,
+where every series of the package stops, the rational-alpha split's too).
 """
 
 from __future__ import annotations

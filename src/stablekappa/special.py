@@ -10,9 +10,9 @@ Two families of exact results live here:
   with g_k(a, x) = sum_m x^m U_{k-1}(cos(m pi a))/m, valid for every
   alpha in (0, 2] by continuity.
 
-* Rational alpha = p/q.  g' splits into two nonresonant series (divisors
-  bounded below by sin(pi/max(p, q))) plus a resonant part supported on
-  m = n p, k = n q:
+* Rational alpha = p/q.  g' is the two divisor series of the series
+  module less their resonant indices m = n p, k = n q (divisors bounded
+  below by sin(pi/p) and sin(pi/q)), plus a resonant part on those:
 
       R = sum_n (-1)^(n(p+q)+1) beta^(n p - 1) p
               (pi rho cos(n p pi rho) + log(beta) sin(n p pi rho)) / (pi q).
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .accurate import EPS, CompensatedSum, cos_mpi, sin_mpi, sin_pi
+from .diophantine import _truncation
 from .params import (
     ConvergenceFailureError,
     DegenerateLogError,
@@ -43,6 +44,7 @@ from .params import (
     StableParams,
     Tolerance,
 )
+from .series import _divisor_series
 
 _K_MAX = 32
 _MATCH_RTOL = 4.0 * EPS
@@ -145,47 +147,16 @@ def g_doney(params: StableParams, beta: float, case: DoneyCase) -> float:
     return g_k_closed(alpha, x1, case.k) - g_k_closed(1.0 / alpha, x2, case.l)
 
 
-def _nonresonant(beta: float, a: int, b: int, step: float,
-                 num: tuple[int, int], lead: float, tol: Tolerance,
-                 target: float, abs_sum: float, name: str):
-    """sum over m not divisible by a of
-    (-1)^(m+1) step beta^(step m - 1) sin(m pi num) / sin(m pi b/a),
-    with num an exact ratio (numerator, denominator) of integers,
-    stopped once the tail bound step beta^(step m) / (lead (1 - beta^step)
-    sin(pi/a)) drops below target.  Returns (value, tail bound, abs_sum
-    plus the |terms|, terms used); empty when a = 1.
-    """
-    if a == 1:
-        return 0.0, 0.0, abs_sum, 0
-    num_num, num_den = num
-    tail_den = lead * (1.0 - beta ** step) * sin_pi(1.0 / a)
-    acc = CompensatedSum()
-    terms = 0
-    tail = math.inf
-    for m in range(1, tol.max_terms + 1):
-        if m % a != 0:
-            signed = step if m % 2 == 1 else -step
-            term = (signed * beta ** (step * m - 1.0) * sin_mpi(m, num_num, num_den)
-                    / sin_mpi(m, b, a))
-            acc.add(term)
-            abs_sum += abs(term)
-            terms += 1
-        tail = step * beta ** (step * m) / tail_den
-        if tail < target:
-            return acc.value, tail, abs_sum, terms
-    raise ConvergenceFailureError(f"{name} nonresonant sum did not converge",
-                                  value=acc.value, error_bound=tail)
-
-
 def gprime_rational(ra: RationalAlpha, rho: float, beta: float,
                     tol: Tolerance | None = None) -> EvalResult:
-    """g'(beta) for rational alpha = p/q by the split four-sum formula.
+    """g'(beta) for rational alpha = p/q by the split formula: two
+    nonresonant sums by ``series._divisor_series`` and the resonant sum.
 
     Every sine is reduced exactly by ``accurate.reduced``: the divisors
     sin(m pi q/p) from p and q, the numerators from the integer ratios of
-    rho and rho p/q, so none loses accuracy near a resonance.  All four
-    parts converge geometrically and stop when their tails drop below an
-    eighth of the tolerance each.
+    rho and rho p/q, so none loses accuracy near a resonance.  Each sum
+    stops at ``diophantine._truncation``'s index for a tail bound below an
+    eighth of the tolerance.
     """
     tol = tol or Tolerance()
     if beta >= 1.0:
@@ -202,31 +173,27 @@ def gprime_rational(ra: RationalAlpha, rho: float, beta: float,
 
     # nonresonant sums over m with p not dividing m, and over k with q not
     # dividing k (the second in powers beta^alpha, with sin(k pi rho alpha))
-    v1, tail1, abs_sum, terms1 = _nonresonant(beta, p, q, 1.0, (r_num, r_den), 1.0,
-                                              tol, target, 0.0, "first")
-    v2, tail2, abs_sum, terms2 = _nonresonant(beta, q, p, alpha, (r_num * p, r_den * q),
-                                              beta, tol, target, abs_sum, "second")
-    terms = terms1 + terms2
+    v1, terms1, tail1, abs_sum = _divisor_series(
+        beta, 1.0, (q, p), (r_num, r_den), True, sin_pi(1.0 / p), 0.0, target,
+        tol.max_terms, 0.0, 0.0, "first nonresonant sum")
+    v2, terms2, tail2, abs_sum = _divisor_series(
+        beta, alpha, (p, q), (r_num * p, r_den * q), True, sin_pi(1.0 / q), 0.0,
+        target, tol.max_terms, abs_sum, v1, "second nonresonant sum")
 
     # resonant part, reindexed by m = n p, k = n q
     s3 = CompensatedSum()
-    coef = p / q
     weight = math.pi * rho + abs(log_beta)
-    base_p = beta ** p
-    tail3 = math.inf
-    for n in range(1, tol.max_terms + 1):
+    stop, tail3 = _truncation(beta, p, alpha * weight / math.pi, 1, 0, 1, target,
+                              tol.max_terms)
+    for n in range(1, (stop or tol.max_terms) + 1):
         sign = 1.0 if (n * (p + q) + 1) % 2 == 0 else -1.0
         np_ = n * p
-        term = sign * beta ** (np_ - 1) * coef * (
+        term = sign * beta ** (np_ - 1) * alpha * (
             rho * cos_mpi(np_, r_num, r_den)
             + log_beta * sin_mpi(np_, r_num, r_den) / math.pi)
         s3.add(term)
         abs_sum += abs(term)
-        terms += 1
-        tail3 = coef * weight / math.pi * beta ** (np_ + p - 1) / (1.0 - base_p)
-        if tail3 < target:
-            break
-    else:
+    if stop is None:
         raise ConvergenceFailureError("resonant sum did not converge",
                                       value=s3.value, error_bound=tail3)
 
@@ -234,4 +201,4 @@ def gprime_rational(ra: RationalAlpha, rho: float, beta: float,
     bound = tail1 + tail2 + tail3 + 4.0 * EPS * (abs_sum + abs(value))
     if not math.isfinite(bound):
         bound = abs(value)
-    return EvalResult(value, bound, MethodChoice.RATIONAL, terms)
+    return EvalResult(value, bound, MethodChoice.RATIONAL, terms1 + terms2 + stop)

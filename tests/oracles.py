@@ -1,12 +1,17 @@
 """Reference forms that check the package's evaluators from the test suite.
 
 ``g_k_series`` sums the series that ``g_k_closed`` evaluates in closed
-form, and ``gprime_half_closed`` is g' at alpha = 1/2 in elementary closed
-form, against which ``gprime_rational`` is checked.  No evaluator of the
-package calls either, so they live here.
+form, ``gprime_half_closed`` is g' at alpha = 1/2 in elementary closed
+form, and ``gprime_mpmath`` is g' from its defining integral at 30 digits
+(the benchmark's oracle, ``bench/oracle.py``); ``gprime_rational`` is
+checked against the last two.  No evaluator of the package calls any of
+them, so they live here.
 """
 
 import math
+
+import mpmath
+from mpmath import mpf
 
 from stablekappa import OutOfRangeError
 from stablekappa.accurate import CompensatedSum, cos_mpi, cos_pi, sin_pi
@@ -63,3 +68,29 @@ def gprime_half_closed(rho: float, beta: float) -> float:
            + 0.5 * rho * (beta + cosr)
            + math.log(beta) * sinr / (2.0 * math.pi))
     return num / den
+
+
+def gprime_mpmath(alpha: float, rho: float, beta: float):
+    """(value, error estimate) of g'(beta) as mpf, by mpmath's tanh-sinh
+    quadrature at 30 digits of the defining integral
+
+        g'(beta) = alpha sin(pi rho)/pi int_0^inf x^alpha / (1 + x^alpha)
+                                     / (x^2 + 2 x beta cos(pi rho) + beta^2) dx,
+
+    split at x = 1, beta, beta (1 -+ sin(pi rho)) and, for rho above 1/2,
+    the near-zero -beta cos(pi rho) of the denominator.
+    """
+    with mpmath.workdps(30):
+        a, r, b = mpf(alpha), mpf(rho), mpf(beta)
+        s, c = mpmath.sinpi(r), mpmath.cospi(r)
+
+        def f(x):
+            xa = x ** a
+            return xa / (1 + xa) / (x * x + 2 * x * b * c + b * b)
+
+        pts = {mpf(0), mpf(1), b, b * (1 - s), b * (1 + s)}
+        if c < 0:
+            pts.add(-b * c)
+        value, err = mpmath.quad(f, sorted(pts) + [mpmath.inf], error=True)
+        pre = a * s / mpmath.pi
+        return +(pre * value), abs(pre) * err

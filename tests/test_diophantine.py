@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -22,6 +23,7 @@ from stablekappa.diophantine import (
     ContinuedFraction,
     _floor_constant,
     _profile,
+    _truncation,
 )
 
 
@@ -262,6 +264,32 @@ def test_classify_early_exit_keeps_every_verdict():
                 assert got == want, (alpha, tol, beta)
                 kinds.add(got.kind)
     assert kinds == {AlphaKind.IRRATIONAL, AlphaKind.ILL_CONDITIONED}
+
+
+def test_classify_shortcut_premise_peak_bounds_the_noise_sum():
+    # classify decides Irrational from 2 s p and IllConditioned from p alone
+    # (p a family's largest term bound, s its stopping index), without the
+    # bound-sum in between.  That rests on p <= sum <= s p for every family
+    # it builds: bounds step beta**(step m - 1) m**nu / c up to s, and p
+    # taken, as classify takes it, at floor k or floor k + 1 with
+    # k = nu / (-step log beta), where a log-concave sequence peaks
+    checked = 0
+    for alpha in (math.sqrt(2.0), 0.5 + math.sqrt(2.0) / 40.0, math.pi / 2.0):
+        for step, nu, beta, c, noise_cap in itertools.product(
+                (1.0, alpha), (0.0, 1.0, 1.355, 25.6),
+                (1e-6, 0.05, 0.3, 0.6, 0.8, 0.9, 0.95), (0.5, 1e-4, 1e-9),
+                (5e-11, 5e-14)):
+            stop, _ = _truncation(beta, step, step, 1.0, nu, c, noise_cap, 10000)
+            if stop is None:
+                continue
+            bounds = [step * beta ** (step * m - 1.0) * m ** nu / c
+                      for m in range(1, stop + 1)]
+            top = int(min(nu / (-step * math.log(beta)), stop))
+            peak = max(bounds[m - 1] for m in (max(top, 1), min(top + 1, stop)))
+            assert peak == max(bounds), (step, nu, beta, c)
+            assert peak <= math.fsum(bounds) <= stop * peak, (step, nu, beta, c)
+            checked += 1
+    assert checked > 1000
 
 
 def test_profile_cache_stays_at_its_bound():

@@ -12,15 +12,19 @@ from stablekappa import (
     ConvergenceFailureError,
     IllConditionedSeriesError,
     MethodNotApplicableError,
+    RationalAlpha,
+    StableParams,
     Tolerance,
     classify,
     g_quad,
     g_series,
     gprime_quad,
+    gprime_rational,
     gprime_series,
     validate,
 )
-from stablekappa.diophantine import _truncation
+from stablekappa.accurate import sin_pi
+from stablekappa.diophantine import AlphaClass, _truncation
 
 TIGHT = Tolerance(abs_tol=1e-12)
 SQRT2 = math.sqrt(2.0)
@@ -105,6 +109,18 @@ def test_series_endpoint_rho_one_sided_skips_second_series():
     assert abs(rep.value - math.log(1.5)) < 1e-9
 
 
+@pytest.mark.parametrize("alpha,divisor", [(0.5, "sin(1 pi/alpha)"),
+                                           (1.5, "sin(3 pi/alpha)")])
+def test_vanished_divisor_at_a_forced_irrational_verdict(alpha, divisor):
+    # sin(m pi/alpha) is exactly 0 at m = 1 for alpha = 1/2 and at m = 3 for
+    # 3/2; the series must refuse rather than skip the index as the
+    # rational split does
+    aclass = AlphaClass(AlphaKind.IRRATIONAL, exponent_estimate=2.0, floor_constant=0.5)
+    with pytest.raises(IllConditionedSeriesError) as err:
+        g_series(StableParams(alpha, 0.5), 0.3, aclass=aclass)
+    assert str(err.value) == f"divisor {divisor} vanished"
+
+
 def test_tail_bound_is_honest():
     p = validate(SQRT2, 0.5)
     for beta in (0.2, 0.5, 0.8):
@@ -157,29 +173,42 @@ def test_sine_table_past_its_length_cap(monkeypatch):
     assert [len(t) for t in tables] == [10, 10]
 
 
+def _rational_bits(beta):
+    res = gprime_rational(RationalAlpha(4, 5), 0.3, beta)
+    return res.value.hex(), res.abs_error_bound.hex(), res.terms_or_nodes_used
+
+
 def test_sine_tables_under_concurrent_growth():
+    # the irrational series, and the rational split's nonresonant sums
+    # whose tables hold only the nonresonant indices
     alpha, rho = TABLE_PARAMS[1]
     p = validate(alpha, rho)
-    serial = {(beta, s): _cold(p, beta, s)
-              for beta in TABLE_BETAS for s in (g_series, gprime_series)}
+    evals = (lambda beta: _bits(g_series(p, beta)),
+             lambda beta: _bits(gprime_series(p, beta)), _rational_bits)
+    serial = {}
+    for k, evaluate in enumerate(evals):
+        for beta in TABLE_BETAS:
+            series_module._sine_table.cache_clear()
+            serial[k, beta] = evaluate(beta)
     series_module._sine_table.cache_clear()
-    start = threading.Barrier(4)
-    results = [None] * 4
+    workers = 2 * len(evals)
+    start = threading.Barrier(workers)
+    results = [None] * workers
 
     def worker(i):
         betas = TABLE_BETAS if i % 2 == 0 else TABLE_BETAS[::-1]
-        series = g_series if i < 2 else gprime_series
         start.wait()
-        results[i] = {(beta, series): _bits(series(p, beta)) for beta in betas}
+        results[i] = {(i // 2, beta): evals[i // 2](beta) for beta in betas}
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+            assert not t.is_alive()
     finally:
         sys.setswitchinterval(interval)
     for got in results:
@@ -214,7 +243,26 @@ def _truncation_scan(beta, step, pre, shift, power, c, half_tol, max_terms):
     return None, tail
 
 
+def _resonant_scan(beta, p, coef, weight, target, max_terms):
+    """The per-term stopping test of the rational split's resonant sum
+    before it took _truncation's index."""
+    base_p = beta ** p
+    tail3 = math.inf
+    for n in range(1, max_terms + 1):
+        np_ = n * p
+        tail3 = coef * weight / math.pi * beta ** (np_ + p - 1) / (1.0 - base_p)
+        if tail3 < target:
+            return n, tail3
+    return None, tail3
+
+
+def _hex(found):
+    m, tail = found
+    return m, tail.hex()
+
+
 TRUNCATION_BETAS = (1e-6, 1e-3, 0.05, 0.2, 0.4, 0.6, 0.75, 0.85, 0.9, 0.93, 0.95)
+BUDGETS = (1, 50, 10000)
 
 
 def test_truncation_bisection_matches_the_scan():
@@ -227,12 +275,36 @@ def test_truncation_bisection_matches_the_scan():
             for pre, shift, power in shapes:
                 for beta in TRUNCATION_BETAS:
                     for c, half_tol, max_terms in itertools.product(
-                            (0.5, 3e-7), (5e-11, 5e-14), (1, 50, 10000)):
+                            (0.5, 3e-7), (5e-11, 5e-14), BUDGETS):
                         args = (beta, step, pre, shift, power, c, half_tol, max_terms)
                         m, tail = _truncation(*args)
                         want_m, want_tail = _truncation_scan(*args)
                         assert (m, tail.hex()) == (want_m, want_tail.hex()), args
                         stops.add(m if m is None else min(m, 2))
+    assert stops == {None, 1, 2}
+    # the rational split at alpha = p/q: power 0 and the constant floors.
+    # The nonresonant families take steps 1 and p/q over sin(pi/p) and
+    # sin(pi/q); the resonant sum takes step p, the prefactor
+    # (p/q) (pi rho + |log beta|)/pi and floor 1, and its index and tail
+    # are the ones of its old per-term test
+    stops = set()
+    for p, q in ((1, 2), (2, 1), (4, 5), (3, 10), (19, 10)):
+        floors = (1.0, sin_pi(1.0 / p), sin_pi(1.0 / q))
+        for beta in TRUNCATION_BETAS:
+            for target, max_terms in itertools.product((1.25e-11, 1.25e-14), BUDGETS):
+                for step, c in itertools.product((1.0, p / q, p), floors):
+                    if c > 0.0:
+                        args = (beta, step, step, 1.0, 0.0, c, target, max_terms)
+                        m, tail = _truncation(*args)
+                        assert (m, tail.hex()) == _hex(_truncation_scan(*args)), args
+                for rho in (0.1, 0.5, 0.9):
+                    coef, weight = p / q, math.pi * rho + abs(math.log(beta))
+                    args = (beta, p, coef * weight / math.pi, 1, 0, 1, target, max_terms)
+                    m, tail = _truncation(*args)
+                    assert (m, tail.hex()) == _hex(_truncation_scan(*args)), args
+                    assert (m, tail.hex()) == _hex(_resonant_scan(
+                        beta, p, coef, weight, target, max_terms)), args
+                    stops.add(m if m is None else min(m, 2))
     assert stops == {None, 1, 2}
 
 

@@ -18,7 +18,7 @@ from stablekappa import (
 )
 
 from conftest import gprime_integral_oracle
-from oracles import g_k_series, gprime_half_closed
+from oracles import g_k_series, gprime_half_closed, gprime_mpmath
 
 TIGHT = Tolerance(abs_tol=1e-12)
 SQRT2 = math.sqrt(2.0)
@@ -138,6 +138,24 @@ def test_gprime_rational_vs_scipy_oracle(p, q, rho, beta):
     res = gprime_rational(RationalAlpha(p, q), rho, beta, Tolerance(abs_tol=1e-11))
     want = gprime_integral_oracle(p / q, rho, beta)
     assert abs(res.value - want) < 1e-9
+
+
+# every alpha kind of the split: both nonresonant families (4/5, 3/10,
+# 19/10), the first one empty (1/2, 1), the second one empty (2), and the
+# spectrally one-sided endpoint (3/2, rho = 2/3)
+@pytest.mark.parametrize("p,q,rho,beta", [
+    (4, 5, 0.25, 0.3), (4, 5, 0.3, 0.9), (4, 5, 0.7, 1e-3),
+    (3, 10, 0.5, 0.5), (3, 10, 0.9, 0.97), (3, 10, 0.2, 1e-3),
+    (1, 2, 0.3, 0.4), (1, 2, 0.7, 0.97), (1, 1, 0.5, 0.5), (1, 1, 0.2, 0.9),
+    (3, 2, 2.0 / 3.0, 0.5), (3, 2, 2.0 / 3.0, 0.95), (2, 1, 0.5, 0.4),
+    (2, 1, 0.5, 0.97), (19, 10, 0.5, 0.7), (19, 10, 0.5, 0.05),
+])
+def test_gprime_rational_within_its_bound_of_mpmath(p, q, rho, beta):
+    ref, err = gprime_mpmath(p / q, rho, beta)
+    assert err < 1e-25
+    for abs_tol in (1e-6, 1e-10, 1e-13):
+        res = gprime_rational(RationalAlpha(p, q), rho, beta, Tolerance(abs_tol=abs_tol))
+        assert abs(res.value - ref) <= res.abs_error_bound, abs_tol
 
 
 def test_gprime_rational_beta_domain():

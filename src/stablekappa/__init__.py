@@ -42,6 +42,7 @@ from .special import (
     find_doney_case,
     g_doney,
     g_k_closed,
+    g_rational,
     gprime_rational,
 )
 
@@ -74,6 +75,7 @@ __all__ = [
     "g_doney",
     "g_k_closed",
     "g_quad",
+    "g_rational",
     "g_series",
     "gprime_any_beta",
     "gprime_quad",

@@ -86,3 +86,10 @@ def cos_mpi(n: int, num: int, den: int) -> float:
     d, parity = reduced(n, num, den)
     c = cos_pi(d)
     return -c if parity else c
+
+
+def sincos_mpi(n: int, num: int, den: int) -> tuple[float, float]:
+    """(sin, cos) of n * pi * num/den from one reduction."""
+    d, parity = reduced(n, num, den)
+    s, c = math.sin(math.pi * d), cos_pi(d)
+    return (-s, -c) if parity else (s, c)

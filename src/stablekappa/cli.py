@@ -369,14 +369,15 @@ def cmd_classify(args) -> int:
 
 
 # (alpha, rho, beta, derivative): points where the plan runs at least two
-# methods.  Series, Doney and the rational split each meet quadrature, and
-# the last point is planned at 1/beta and reflected.  At ill-conditioned
-# alpha only quadrature runs, so it has no point here.
+# methods.  Series, Doney and the rational split each meet quadrature, for g
+# and g', and the last point is planned at 1/beta and reflected.  At
+# ill-conditioned alpha only quadrature runs, so it has no point here.
 _METHOD_POINTS = (
     (math.sqrt(2.0), 0.5, 0.3, False),
     (math.sqrt(2.0), 0.5, 0.3, True),
     (0.8, 0.25, 0.3, False),
     (0.8, 0.25, 0.3, True),
+    (0.5, 0.3, 0.3, False),
     (0.5, 0.3, 0.3, True),
     (0.8, 0.25, 2.5, True),
 )

@@ -160,15 +160,16 @@ def _truncation(beta: float, step: float, pre: float, shift: float, power: float
     """First m <= max_terms whose tail bound is below half_tol, with that
     bound; (None, the bound after max_terms) if none.  Term j is bounded by
     pre * beta**(step*j - shift) * j**power / c, the tail after m by term
-    m + 1's bound over 1 - ratio, ratio = beta**step * ((m+2)/(m+1))**power
-    (inf while ratio >= 1).  Both fall with m, so m is found by doubling,
-    which probes no index past 2m, and then by bisection.
+    m + 1's bound over 1 - ratio, with ratio = beta**step *
+    ((m+2)/(m+1))**max(power, 0) the largest ratio of consecutive bounds
+    from there on (inf while ratio >= 1).  Both fall with m, so m is found
+    by doubling, which probes no index past 2m, and then by bisection.
     """
-    base = beta ** step
+    base, rise = beta ** step, max(power, 0)
 
     def tail(m: int) -> float:
         j = m + 1
-        ratio = base * ((j + 1) / j) ** power
+        ratio = base * ((j + 1) / j) ** rise
         try:
             return (pre * beta ** (step * j - shift) * j ** power / c / (1.0 - ratio)
                     if ratio < 1.0 else math.inf)

@@ -10,14 +10,16 @@ Which evaluator runs is decided in one place, ``plan``: it yields the
 candidate methods for one beta, for g or g', in the order they are tried,
 each with the reason it runs or is skipped.  For beta <= 0.95 the order is
 the Doney closed form (g only; exact and cheapest), the rational split
-series (g', rational alpha), the small-divisor series (irrational alpha
-that ``classify`` finds well conditioned at this beta), then quadrature.
-In the band 0.95 < beta < 1.05, where both series slow down, quadrature
-comes first and the Doney and series candidates are skipped; beta >= 1.05
-is planned at 1/beta and every result reflected.  A forced method runs
-its own step of this plan alone, except in the band, and raises when the
-plan skips or lacks that step.  The plan is lazy: ``find_doney_case`` and
-``classify`` run only when a candidate that needs them comes up.
+series (rational alpha; g and g'), the small-divisor series (irrational
+alpha that ``classify`` finds well conditioned at this beta), then
+quadrature.  In the band 0.95 < beta < 1.05, where the series slow down,
+quadrature comes first and the Doney and irrational series candidates are
+skipped; below beta = 1 the rational split stays on as its fallback.
+beta >= 1.05 is planned at 1/beta and every result reflected.  A forced
+method runs its own step of this plan alone, except in the band, and
+raises when the plan skips that step.  The plan is lazy:
+``find_doney_case`` and ``classify`` run only when a candidate that needs
+them comes up.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .params import (
 )
 from .quadrature import g_quad, gprime_quad
 from .series import g_series, gprime_series
-from .special import RationalAlpha, find_doney_case, g_doney, gprime_rational
+from .special import RationalAlpha, find_doney_case, g_doney, g_rational, gprime_rational
 
 _BAND_LO = 0.95
 _BAND_HI = 1.05
@@ -118,8 +120,7 @@ def plan(params: StableParams, beta: float, derivative: bool = False,
     A forced method is the one step of that method, alone; in the band it
     is quadrature, whatever is forced.  A forced step that the plan skips
     raises for the reason it gives: IllConditionedSeriesError for the
-    ill-conditioned series, MethodNotApplicableError otherwise and when
-    the plan has no such step."""
+    ill-conditioned series, MethodNotApplicableError otherwise."""
     if not (math.isfinite(beta) and beta > 0.0):
         raise OutOfRangeError(f"beta must be positive, got {beta!r}")
     tol = tol or Tolerance()
@@ -153,12 +154,12 @@ def plan(params: StableParams, beta: float, derivative: bool = False,
                                _doney_result, params, beta, case)
 
         aclass = classify(params.alpha, tol, beta)
-        if derivative:
-            if aclass.kind is AlphaKind.RATIONAL and beta < 1.0:
-                yield runnable(MethodChoice.RATIONAL, "rational alpha", gprime_rational,
-                               RationalAlpha(aclass.p, aclass.q), params.rho, beta, tol)
-            else:
-                yield _NOT_RATIONAL
+        if aclass.kind is AlphaKind.RATIONAL and beta < 1.0:
+            yield runnable(MethodChoice.RATIONAL, "rational alpha",
+                           gprime_rational if derivative else g_rational,
+                           RationalAlpha(aclass.p, aclass.q), params.rho, beta, tol)
+        else:
+            yield _NOT_RATIONAL
         if aclass.kind is AlphaKind.RATIONAL:
             yield _SERIES_RATIONAL
         elif aclass.kind is AlphaKind.ILL_CONDITIONED:
@@ -185,9 +186,6 @@ def plan(params: StableParams, beta: float, derivative: bool = False,
                             f"{step.reason.removeprefix('skipped: ')}")
             yield step
             return
-    # every method has a step in the plan of g'; of g, rational has none
-    raise MethodNotApplicableError(
-        f"forced method {method.value} does not apply: g has no such evaluator")
 
 
 def _any_beta(params: StableParams, beta: float, derivative: bool,

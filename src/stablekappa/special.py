@@ -14,17 +14,17 @@ Two families of exact results live here:
   module less their resonant indices m = n p, k = n q (divisors bounded
   below by sin(pi/p) and sin(pi/q)), plus a resonant part on those:
 
-      R = sum_n (-1)^(n(p+q)+1) beta^(n p - 1) p
-              (pi rho cos(n p pi rho) + log(beta) sin(n p pi rho)) / (pi q).
+      R' = sum_n t^(N-1) (A_n + B_n log t) at t = beta, N = n p, with
+      A_n = s_n alpha rho cos(N pi rho),  B_n = s_n alpha sin(N pi rho) / pi,
+      s_n = (-1)^(n(p+q)+1).
 
-  The sign of R above is the one that survives numerical verification
-  against the integral form (see the derivative checks in the test suite);
+  g is the same split integrated from 0 to beta term by term: the two
+  nonresonant sums become the g-series sums with the same divisors, and
+  each resonant term becomes beta^N/N (A_n + B_n log beta) - B_n beta^N/N^2.
+  The sign of R' is the one that survives numerical verification against
+  the integral form (see the derivative checks in the test suite);
   membership tests m/alpha in N and alpha k in N are exact integer
   arithmetic.
-
-Only g' has a rational-alpha evaluator here.  g at rational alpha is
-evaluated by the Doney closed form when a case exists, and by quadrature
-otherwise.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .accurate import EPS, CompensatedSum, cos_mpi, sin_mpi, sin_pi
+from .accurate import EPS, CompensatedSum, cos_mpi, sin_pi, sincos_mpi
 from .diophantine import _truncation
 from .params import (
     ConvergenceFailureError,
@@ -147,17 +147,8 @@ def g_doney(params: StableParams, beta: float, case: DoneyCase) -> float:
     return g_k_closed(alpha, x1, case.k) - g_k_closed(1.0 / alpha, x2, case.l)
 
 
-def gprime_rational(ra: RationalAlpha, rho: float, beta: float,
-                    tol: Tolerance | None = None) -> EvalResult:
-    """g'(beta) for rational alpha = p/q by the split formula: two
-    nonresonant sums by ``series._divisor_series`` and the resonant sum.
-
-    Every sine is reduced exactly by ``accurate.reduced``: the divisors
-    sin(m pi q/p) from p and q, the numerators from the integer ratios of
-    rho and rho p/q, so none loses accuracy near a resonance.  Each sum
-    stops at ``diophantine._truncation``'s index for a tail bound below an
-    eighth of the tolerance.
-    """
+def _rational(ra: RationalAlpha, rho: float, beta: float, tol: Tolerance | None,
+              derivative: bool) -> EvalResult:
     tol = tol or Tolerance()
     if beta >= 1.0:
         raise ConvergenceFailureError(
@@ -174,23 +165,26 @@ def gprime_rational(ra: RationalAlpha, rho: float, beta: float,
     # nonresonant sums over m with p not dividing m, and over k with q not
     # dividing k (the second in powers beta^alpha, with sin(k pi rho alpha))
     v1, terms1, tail1, abs_sum = _divisor_series(
-        beta, 1.0, (q, p), (r_num, r_den), True, sin_pi(1.0 / p), 0.0, target,
+        beta, 1.0, (q, p), (r_num, r_den), derivative, sin_pi(1.0 / p), 0.0, target,
         tol.max_terms, 0.0, 0.0, "first nonresonant sum")
     v2, terms2, tail2, abs_sum = _divisor_series(
-        beta, alpha, (p, q), (r_num * p, r_den * q), True, sin_pi(1.0 / q), 0.0,
+        beta, alpha, (p, q), (r_num * p, r_den * q), derivative, sin_pi(1.0 / q), 0.0,
         target, tol.max_terms, abs_sum, v1, "second nonresonant sum")
 
-    # resonant part, reindexed by m = n p, k = n q
+    # resonant part, reindexed by m = n p, k = n q: at N = n p the term of g'
+    # is beta^(N-1) (A + B log beta), that of g its integral from 0 to beta,
+    # beta^N/N (A + B (log beta - 1/N)); both are below pre beta^N / n^deg
+    shift, deg = (1, 0) if derivative else (0, 1)
     s3 = CompensatedSum()
     weight = math.pi * rho + abs(log_beta)
-    stop, tail3 = _truncation(beta, p, alpha * weight / math.pi, 1, 0, 1, target,
-                              tol.max_terms)
+    pre = alpha * (weight + deg / p) / (math.pi * p ** deg)
+    stop, tail3 = _truncation(beta, p, pre, shift, -deg, 1, target, tol.max_terms)
     for n in range(1, (stop or tol.max_terms) + 1):
         sign = 1.0 if (n * (p + q) + 1) % 2 == 0 else -1.0
         np_ = n * p
-        term = sign * beta ** (np_ - 1) * alpha * (
-            rho * cos_mpi(np_, r_num, r_den)
-            + log_beta * sin_mpi(np_, r_num, r_den) / math.pi)
+        sin_n, cos_n = sincos_mpi(np_, r_num, r_den)
+        term = sign * beta ** (np_ - shift) / np_ ** deg * alpha * (
+            rho * cos_n + (log_beta - deg / np_) * sin_n / math.pi)
         s3.add(term)
         abs_sum += abs(term)
     if stop is None:
@@ -202,3 +196,24 @@ def gprime_rational(ra: RationalAlpha, rho: float, beta: float,
     if not math.isfinite(bound):
         bound = abs(value)
     return EvalResult(value, bound, MethodChoice.RATIONAL, terms1 + terms2 + stop)
+
+
+def g_rational(ra: RationalAlpha, rho: float, beta: float,
+               tol: Tolerance | None = None) -> EvalResult:
+    """g(beta) for rational alpha = p/q by the split formula integrated
+    term by term from 0 to beta; see ``gprime_rational``."""
+    return _rational(ra, rho, beta, tol, derivative=False)
+
+
+def gprime_rational(ra: RationalAlpha, rho: float, beta: float,
+                    tol: Tolerance | None = None) -> EvalResult:
+    """g'(beta) for rational alpha = p/q by the split formula: two
+    nonresonant sums by ``series._divisor_series`` and the resonant sum.
+
+    Every sine is reduced exactly by ``accurate.reduced``: the divisors
+    sin(m pi q/p) from p and q, the numerators from the integer ratios of
+    rho and rho p/q, so none loses accuracy near a resonance.  Each sum
+    stops at ``diophantine._truncation``'s index for a tail bound below an
+    eighth of the tolerance.
+    """
+    return _rational(ra, rho, beta, tol, derivative=True)

@@ -2,10 +2,10 @@
 
 ``g_k_series`` sums the series that ``g_k_closed`` evaluates in closed
 form, ``gprime_half_closed`` is g' at alpha = 1/2 in elementary closed
-form, and ``gprime_mpmath`` is g' from its defining integral at 30 digits
-(the benchmark's oracle, ``bench/oracle.py``); ``gprime_rational`` is
-checked against the last two.  No evaluator of the package calls any of
-them, so they live here.
+form, and ``g_mpmath`` and ``gprime_mpmath`` are g and g' from their
+defining integrals at 30 digits (the benchmark's oracle, ``bench/oracle.py``);
+``g_rational`` and ``gprime_rational`` are checked against the last three.
+No evaluator of the package calls any of them, so they live here.
 """
 
 import math
@@ -70,10 +70,12 @@ def gprime_half_closed(rho: float, beta: float) -> float:
     return num / den
 
 
-def gprime_mpmath(alpha: float, rho: float, beta: float):
-    """(value, error estimate) of g'(beta) as mpf, by mpmath's tanh-sinh
-    quadrature at 30 digits of the defining integral
+def _mpmath_integral(alpha: float, rho: float, beta, derivative: bool):
+    """(value, error estimate) of g(beta), or g'(beta), as mpf, by mpmath's
+    tanh-sinh quadrature at 30 digits of the defining integral
 
+        g(beta)  = sin(pi rho)/pi int_0^inf beta log(1 + x^alpha)
+                                     / (x^2 + 2 x beta cos(pi rho) + beta^2) dx,
         g'(beta) = alpha sin(pi rho)/pi int_0^inf x^alpha / (1 + x^alpha)
                                      / (x^2 + 2 x beta cos(pi rho) + beta^2) dx,
 
@@ -84,13 +86,32 @@ def gprime_mpmath(alpha: float, rho: float, beta: float):
         a, r, b = mpf(alpha), mpf(rho), mpf(beta)
         s, c = mpmath.sinpi(r), mpmath.cospi(r)
 
-        def f(x):
-            xa = x ** a
-            return xa / (1 + xa) / (x * x + 2 * x * b * c + b * b)
+        if derivative:
+            pre = a * s / mpmath.pi
+
+            def f(x):
+                xa = x ** a
+                return xa / (1 + xa) / (x * x + 2 * x * b * c + b * b)
+        else:
+            pre = s / mpmath.pi
+
+            def f(x):
+                return b * mpmath.log1p(x ** a) / (x * x + 2 * x * b * c + b * b)
 
         pts = {mpf(0), mpf(1), b, b * (1 - s), b * (1 + s)}
         if c < 0:
             pts.add(-b * c)
         value, err = mpmath.quad(f, sorted(pts) + [mpmath.inf], error=True)
-        pre = a * s / mpmath.pi
         return +(pre * value), abs(pre) * err
+
+
+def g_mpmath(alpha: float, rho: float, beta):
+    """(value, error estimate) of g(beta) as mpf from its integral at 30
+    digits; beta may be an mpf."""
+    return _mpmath_integral(alpha, rho, beta, False)
+
+
+def gprime_mpmath(alpha: float, rho: float, beta: float):
+    """(value, error estimate) of g'(beta) as mpf from its integral at 30
+    digits."""
+    return _mpmath_integral(alpha, rho, beta, True)

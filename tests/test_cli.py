@@ -5,10 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from stablekappa import MethodChoice, g_any_beta, validate
 from stablekappa.cli import _SELFTEST_GROUPS, _build_parser, main
+
+from oracles import g_mpmath
 
 SQRT2 = repr(math.sqrt(2.0))
 # the module, which the package's kappa function shadows as an attribute
@@ -150,7 +153,9 @@ def test_compare_rational_derivative_has_rational_column(capsys):
     code, out, _ = run(capsys, "compare", "--alpha", "0.5", "--rho", "0.3",
                        "--beta", "0.4", "--format", "json")
     assert code == 0
-    assert "rational" not in json.loads(out)["methods"]
+    payload = json.loads(out)
+    assert list(payload["methods"]) == ["quadrature", "rational"]
+    assert payload["agree"] is True
 
 
 def test_compare_near_rational_reports_skip(capsys):
@@ -310,6 +315,22 @@ def test_kappa_transform_failure_records_its_arguments(capsys):
     assert "eta" in err
 
 
+def test_kappa_at_rational_alpha_with_a_huge_argument_of_g(capsys):
+    # g's argument beta gamma^(-1/alpha) is 4.4e9, planned at its inverse;
+    # adaptive quadrature of g failed there, the rational split does not
+    alpha, rho, gamma, beta = 0.3, 0.5, 0.01, 952.7247059096829
+    code, out, _ = run(capsys, "kappa", "--alpha", repr(alpha), "--rho", repr(rho),
+                       "--gamma", repr(gamma), "--beta", repr(beta), "--format", "json")
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["method"] == "rational"
+    with mpmath.workdps(30):
+        arg = mpmath.mpf(beta) * mpmath.mpf(gamma) ** (-1 / mpmath.mpf(alpha))
+        g, err = g_mpmath(alpha, rho, arg)
+        ref = mpmath.mpf(gamma) ** rho * mpmath.exp(g)
+        assert abs(rec["value"] - ref) <= rec["abs_error_bound"] + ref * err
+
+
 def test_kappa_gamma_defaults_to_one(capsys):
     argv = ["kappa", "--alpha", "0.8", "--rho", "0.25", "--beta", "0.5",
             "--format", "json"]
@@ -330,9 +351,12 @@ def test_compare_band_skips_quadrature_reruns(capsys):
                        "--beta", "0.97", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert list(payload["methods"]) == ["quadrature"]
+    # quadrature runs once, first; at rational alpha the split series
+    # still runs below beta = 1 as the cross-check
+    assert list(payload["methods"]) == ["quadrature", "rational"]
     assert payload["skipped"]["doney"] == (
         "skipped: 0.95 < beta < 1.05, where quadrature runs")
+    assert payload["agree"] is True
     code, out, _ = run(capsys, "compare", "--alpha", SQRT2, "--rho", "0.5",
                        "--beta", "0.97", "--format", "json")
     assert code == 0

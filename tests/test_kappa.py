@@ -8,16 +8,20 @@ from stablekappa import (
     MethodChoice,
     MethodNotApplicableError,
     OutOfRangeError,
+    RationalAlpha,
     Tolerance,
     exit_transform,
     g_any_beta,
     g_quad,
+    g_rational,
     gprime_any_beta,
     gprime_quad,
     kappa,
     validate,
 )
 from stablekappa.kappa import plan
+
+from oracles import g_mpmath
 
 # the package re-exports the function kappa under the submodule's name
 kappa_module = importlib.import_module("stablekappa.kappa")
@@ -55,10 +59,28 @@ def test_auto_dispatch_doney_for_case():
     assert res.method is MethodChoice.DONEY
 
 
-def test_auto_dispatch_quadrature_for_rational_without_case():
+def test_auto_dispatch_rational_for_rational_without_case():
     p = validate(0.75, 0.37)
     res = g_any_beta(p, 0.5, MethodChoice.AUTO, TOL)
-    assert res.method is MethodChoice.QUADRATURE
+    assert res.method is MethodChoice.RATIONAL
+    ref = g_quad(p, 0.5, Tolerance(abs_tol=1e-12))
+    assert abs(res.value - ref.value) <= res.abs_error_bound + ref.abs_error_bound
+    # the band still puts quadrature first, and beta >= 1.05 is reflected
+    assert g_any_beta(p, 0.97, MethodChoice.AUTO, TOL).method is MethodChoice.QUADRATURE
+    assert g_any_beta(p, 2.0, MethodChoice.AUTO, TOL).method is MethodChoice.RATIONAL
+
+
+# points where adaptive quadrature of g raised ConvergenceFailureError, and
+# one reflected from beta = 1e-6
+@pytest.mark.parametrize("alpha, rho, beta", [
+    (0.3, 0.99, 1e-8), (0.3, 0.99, 1e-6), (0.3, 0.999, 1e-4), (0.5, 0.999, 1e-6),
+    (0.3, 0.99, 1e6),
+])
+def test_auto_dispatch_g_at_former_quadrature_faults(alpha, rho, beta):
+    res = g_any_beta(validate(alpha, rho), beta, MethodChoice.AUTO, TOL)
+    assert res.method is MethodChoice.RATIONAL
+    ref, err = g_mpmath(alpha, rho, beta)
+    assert abs(res.value - ref) <= res.abs_error_bound + err
 
 
 def test_forced_method_threads_through_reflection():
@@ -69,10 +91,14 @@ def test_forced_method_threads_through_reflection():
     assert abs(res.value - direct.value) < 1e-9
 
 
-def test_rational_method_rejected_for_g():
+def test_rational_method_forced_for_g():
     p = validate(0.5, 0.3)
-    with pytest.raises(MethodNotApplicableError):
-        g_any_beta(p, 0.4, MethodChoice.RATIONAL, TOL)
+    res = g_any_beta(p, 0.4, MethodChoice.RATIONAL, TOL)
+    assert res.method is MethodChoice.RATIONAL
+    assert res == g_rational(RationalAlpha(1, 2), 0.3, 0.4, TOL)
+    # at irrational alpha the plan skips the step, so forcing it raises
+    with pytest.raises(MethodNotApplicableError, match="needs rational alpha"):
+        g_any_beta(validate(SQRT2, 0.5), 0.4, MethodChoice.RATIONAL, TOL)
 
 
 def test_gprime_any_beta_dispatch():
@@ -194,12 +220,20 @@ def _methods(params, beta, derivative):
 
 def test_plan_order_and_skips():
     assert _methods(validate(SQRT2, 0.5), 0.3, False) == [
-        ("doney", False), ("series", True), ("quadrature", True)]
+        ("doney", False), ("rational", False), ("series", True), ("quadrature", True)]
+    # g and g' have the same steps at rational alpha; Doney runs for g only
     assert _methods(validate(0.5, 0.3), 0.3, True) == [
         ("doney", False), ("rational", True), ("series", False), ("quadrature", True)]
-    # the band puts quadrature first; reflection keeps the inner order
+    assert _methods(validate(0.5, 0.3), 0.3, False) == [
+        ("doney", False), ("rational", True), ("series", False), ("quadrature", True)]
+    assert _methods(validate(0.8, 0.25), 0.3, False) == [
+        ("doney", True), ("rational", True), ("series", False), ("quadrature", True)]
+    # the band puts quadrature first, and keeps the rational split below 1;
+    # reflection keeps the inner order
     assert _methods(validate(0.8, 0.25), 0.97, False) == [
-        ("quadrature", True), ("doney", False), ("series", False)]
+        ("quadrature", True), ("doney", False), ("rational", True), ("series", False)]
+    assert _methods(validate(0.8, 0.25), 1.03, False) == [
+        ("quadrature", True), ("doney", False), ("rational", False), ("series", False)]
     assert _methods(validate(0.5, 0.3), 2.5, True) == _methods(validate(0.5, 0.3), 0.4, True)
 
 

@@ -343,3 +343,19 @@ def test_series_failure_reports_partial_sum_and_tail(alpha, max_terms, series, v
     with pytest.raises(ConvergenceFailureError) as err:
         series(validate(alpha, 0.5), 0.9, Tolerance(max_terms=max_terms), aclass=aclass)
     assert (err.value.value.hex(), err.value.error_bound.hex()) == (value, bound)
+
+
+def test_truncation_tail_bounds_the_rest_at_negative_power():
+    # g at rational alpha: the nonresonant bounds fall like beta^(step j) / j
+    # and the resonant ones like beta^(p j) / j, whose ratio climbs toward
+    # beta^step; the tail must still bound the sum of every later bound
+    for step in (1.0, 0.3, 3.0):
+        for beta in (1e-3, 0.2, 0.9, 0.99):
+            for target in (1e-6, 1e-13):
+                stop, tail = _truncation(beta, step, 1.0, 0.0, -1.0, 1.0, target, 10**6)
+                rest, j, bound = 0.0, stop + 1, math.inf
+                while bound > 1e-30 * tail:
+                    bound = beta ** (step * j) / j
+                    rest += bound
+                    j += 1
+                assert rest <= tail < target, (step, beta, target)

@@ -11,6 +11,7 @@ from stablekappa import (
     g_doney,
     g_k_closed,
     g_quad,
+    g_rational,
     g_series,
     gprime_quad,
     gprime_rational,
@@ -18,7 +19,7 @@ from stablekappa import (
 )
 
 from conftest import gprime_integral_oracle
-from oracles import g_k_series, gprime_half_closed, gprime_mpmath
+from oracles import g_k_series, g_mpmath, gprime_half_closed, gprime_mpmath
 
 TIGHT = Tolerance(abs_tol=1e-12)
 SQRT2 = math.sqrt(2.0)
@@ -156,6 +157,51 @@ def test_gprime_rational_within_its_bound_of_mpmath(p, q, rho, beta):
     for abs_tol in (1e-6, 1e-10, 1e-13):
         res = gprime_rational(RationalAlpha(p, q), rho, beta, Tolerance(abs_tol=abs_tol))
         assert abs(res.value - ref) <= res.abs_error_bound, abs_tol
+
+
+# the points of the g' test above, the points where the split form of g was
+# first checked against mpmath, and four points near rho = 1 at small beta
+# where adaptive quadrature of g raised ConvergenceFailureError
+G_RATIONAL_POINTS = [
+    (4, 5, 0.25, 0.3), (4, 5, 0.3, 0.5), (4, 5, 0.3, 0.9), (4, 5, 0.7, 1e-3),
+    (3, 10, 0.5, 0.5), (3, 10, 0.9, 0.97), (3, 10, 0.2, 1e-3),
+    (1, 2, 0.3, 0.4), (1, 2, 0.7, 0.97), (1, 1, 0.5, 0.5), (1, 1, 0.2, 0.9),
+    (3, 2, 2.0 / 3.0, 0.5), (3, 2, 2.0 / 3.0, 0.95), (2, 1, 0.5, 0.4),
+    (2, 1, 0.5, 0.97), (19, 10, 0.5, 0.7), (19, 10, 0.5, 0.05),
+    (3, 10, 0.99, 1e-8), (3, 10, 0.99, 1e-6), (3, 10, 0.999, 1e-4),
+    (1, 2, 0.999, 1e-6),
+]
+
+
+@pytest.mark.parametrize("p,q,rho,beta", G_RATIONAL_POINTS)
+def test_g_rational_within_its_bound_of_mpmath(p, q, rho, beta):
+    ref, err = g_mpmath(p / q, rho, beta)
+    assert err < 1e-25
+    for abs_tol in (1e-6, 1e-10, 1e-13):
+        res = g_rational(RationalAlpha(p, q), rho, beta, Tolerance(abs_tol=abs_tol))
+        assert abs(res.value - ref) <= res.abs_error_bound, abs_tol
+
+
+@pytest.mark.parametrize("p,q,rho,beta", [
+    (4, 5, 0.25, 0.3), (4, 5, 0.3, 0.7), (3, 10, 0.5, 0.5), (3, 10, 0.9, 0.3),
+    (1, 2, 0.3, 0.4), (1, 1, 0.5, 0.6), (3, 2, 2.0 / 3.0, 0.5), (2, 1, 0.5, 0.4),
+    (19, 10, 0.5, 0.7),
+])
+def test_g_rational_central_difference_matches_gprime_rational(p, q, rho, beta):
+    # g is g' integrated term by term, so the five-point central difference
+    # of g at h = 1e-3 is g' up to h^4 |g^(5)| / 30 and 18/12 of g's own
+    # errors (under 1e-14) over h, together far below 1e-9
+    ra, tol, h = RationalAlpha(p, q), Tolerance(abs_tol=1e-14), 1e-3
+    g = [g_rational(ra, rho, beta + k * h, tol).value for k in (-2, -1, 1, 2)]
+    slope = (g[0] - 8.0 * g[1] + 8.0 * g[2] - g[3]) / (12.0 * h)
+    assert abs(slope - gprime_rational(ra, rho, beta, tol).value) < 1e-9
+
+
+def test_g_rational_beta_domain():
+    with pytest.raises(ConvergenceFailureError):
+        g_rational(RationalAlpha(1, 2), 0.5, 1.0)
+    with pytest.raises(OutOfRangeError):
+        g_rational(RationalAlpha(1, 2), 0.5, 0.0)
 
 
 def test_gprime_rational_beta_domain():

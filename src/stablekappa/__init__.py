@@ -3,8 +3,9 @@
 Evaluates g(beta), g'(beta), and kappa(gamma, beta) = gamma^rho
 exp(g(beta gamma^(-1/alpha))) by four cross-validating routes: adaptive
 quadrature of the defining integral, a small-divisor power series for
-irrational stability indices, a split series for rational ones, and
-Doney-case closed forms.  Continued-fraction conditioning analysis picks
+irrational stability indices (split at a nearby rational, with each
+near-resonant pair of terms summed as one), a split series for rational
+ones, and Doney-case closed forms.  Continued-fraction conditioning analysis picks
 the method automatically.
 """
 

@@ -30,7 +30,7 @@ from .params import (
     Tolerance,
     validate,
 )
-from .quadrature import g_quad
+from .quadrature import g_quad, gprime_quad
 from .series import gprime_series
 from .special import RationalAlpha, gprime_rational
 
@@ -370,11 +370,13 @@ def cmd_classify(args) -> int:
 
 # (alpha, rho, beta, derivative): points where the plan runs at least two
 # methods.  Series, Doney and the rational split each meet quadrature, for g
-# and g', and the last point is planned at 1/beta and reflected.  At
-# ill-conditioned alpha only quadrature runs, so it has no point here.
+# and g', and so does the series with its near-resonant terms paired at
+# 3/2; the last point is planned at 1/beta and reflected.
 _METHOD_POINTS = (
     (math.sqrt(2.0), 0.5, 0.3, False),
     (math.sqrt(2.0), 0.5, 0.3, True),
+    (1.50000001, 0.5, 0.3, False),
+    (1.50000001, 0.5, 0.3, True),
     (0.8, 0.25, 0.3, False),
     (0.8, 0.25, 0.3, True),
     (0.5, 0.3, 0.3, False),
@@ -426,7 +428,13 @@ def _resonance_checks():
         rep = gprime_series(StableParams(aj, rho), beta, Tolerance(abs_tol=1e-11))
         errs.append(abs(rep.value - ref))
     yield "resonant limit err(40) < err(10)", errs[1] / errs[0], 1.0
-    yield "resonant limit err(40) sane", errs[1], 5e-2
+    # 1e-9 from the resonance the series pairs its terms near 1/2
+    params = StableParams(0.5 + 1e-9, rho)
+    paired = gprime_series(params, beta)
+    quad = gprime_quad(params, beta)
+    yield ("paired series at alpha=1/2+1e-9 vs quadrature", abs(paired.value - quad.value),
+           _agreement_threshold(paired.tail_bound + paired.noise_bound
+                                + quad.abs_error_bound))
 
 
 # group -> its checks, each (name, error, threshold), in output order

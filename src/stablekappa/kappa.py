@@ -11,13 +11,14 @@ candidate methods for one beta, for g or g', in the order they are tried,
 each with the reason it runs or is skipped.  For beta <= 0.95 the order is
 the Doney closed form (g only; exact and cheapest), the rational split
 series (rational alpha; g and g'), the small-divisor series (irrational
-alpha that ``classify`` finds well conditioned at this beta), then
-quadrature.  In the band 0.95 < beta < 1.05, where the series slow down,
-quadrature comes first and the Doney and irrational series candidates are
-skipped; below beta = 1 the rational split stays on as its fallback.
-beta >= 1.05 is planned at 1/beta and every result reflected.  A forced
-method runs its own step of this plan alone, except in the band, and
-raises when the plan skips that step.  The plan is lazy:
+alpha that ``classify`` finds well conditioned at this beta, either
+generically or with its near-resonant terms paired at a convergent p/q),
+then quadrature.  In the band 0.95 < beta < 1.05, where the series slow
+down, quadrature comes first and the Doney and irrational series
+candidates are skipped; below beta = 1 the rational split stays on as its
+fallback.  beta >= 1.05 is planned at 1/beta and every result reflected.
+A forced method runs its own step of this plan alone, except in the band,
+and raises when the plan skips that step.  The plan is lazy:
 ``find_doney_case`` and ``classify`` run only when a candidate that needs
 them comes up.
 """
@@ -80,7 +81,8 @@ _NOT_RATIONAL = Candidate(MethodChoice.RATIONAL,
                           "skipped: needs rational alpha and beta in (0, 1)")
 _SERIES_IN_BAND = Candidate(MethodChoice.SERIES, _IN_BAND)
 _SERIES_RATIONAL = Candidate(MethodChoice.SERIES, "skipped: rational alpha")
-_SERIES_ILL = Candidate(MethodChoice.SERIES, "skipped: ill-conditioned")
+_SERIES_ILL = Candidate(MethodChoice.SERIES,
+                        "skipped: ill-conditioned, also with the near-resonant terms paired")
 
 
 def _series_result(series, params: StableParams, beta: float, tol: Tolerance,
@@ -167,7 +169,9 @@ def plan(params: StableParams, beta: float, derivative: bool = False,
         elif band:
             yield _SERIES_IN_BAND
         else:
-            yield runnable(MethodChoice.SERIES, "irrational alpha, well conditioned here",
+            yield runnable(MethodChoice.SERIES, "irrational alpha, well conditioned here"
+                           + (f" with the terms near {aclass.p}/{aclass.q} paired"
+                              if aclass.p else ""),
                            _series_result, gprime_series if derivative else g_series,
                            params, beta, tol, aclass)
         if not band:

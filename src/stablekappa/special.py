@@ -21,6 +21,9 @@ Two families of exact results live here:
   g is the same split integrated from 0 to beta term by term: the two
   nonresonant sums become the g-series sums with the same divisors, and
   each resonant term becomes beta^N/N (A_n + B_n log beta) - B_n beta^N/N^2.
+  It is the case delta = 0 of the series module's split series
+  (``series._split``), which near p/q sums each near-resonant pair as one
+  term; ``g_rational`` and ``gprime_rational`` run it at alpha = p/q exactly.
   The sign of R' is the one that survives numerical verification against
   the integral form (see the derivative checks in the test suite);
   membership tests m/alpha in N and alpha k in N are exact integer
@@ -33,8 +36,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .accurate import EPS, CompensatedSum, cos_mpi, sin_pi, sincos_mpi
-from .diophantine import _truncation
+from .accurate import EPS, cos_mpi
 from .params import (
     ConvergenceFailureError,
     DegenerateLogError,
@@ -44,7 +46,7 @@ from .params import (
     StableParams,
     Tolerance,
 )
-from .series import _divisor_series
+from .series import _split
 
 _K_MAX = 32
 _MATCH_RTOL = 4.0 * EPS
@@ -155,47 +157,13 @@ def _rational(ra: RationalAlpha, rho: float, beta: float, tol: Tolerance | None,
             f"the rational-alpha series diverges for beta >= 1, got {beta!r}")
     if beta <= 0.0:
         raise OutOfRangeError(f"beta must be positive, got {beta!r}")
-    p, q = ra.p, ra.q
-    alpha = ra.alpha
-    StableParams(alpha, rho)  # admissibility gate
-    target = 0.125 * tol.abs_tol
-    log_beta = math.log(beta)
-    r_num, r_den = rho.as_integer_ratio()
-
-    # nonresonant sums over m with p not dividing m, and over k with q not
-    # dividing k (the second in powers beta^alpha, with sin(k pi rho alpha))
-    v1, terms1, tail1, abs_sum = _divisor_series(
-        beta, 1.0, (q, p), (r_num, r_den), derivative, sin_pi(1.0 / p), 0.0, target,
-        tol.max_terms, 0.0, 0.0, "first nonresonant sum")
-    v2, terms2, tail2, abs_sum = _divisor_series(
-        beta, alpha, (p, q), (r_num * p, r_den * q), derivative, sin_pi(1.0 / q), 0.0,
-        target, tol.max_terms, abs_sum, v1, "second nonresonant sum")
-
-    # resonant part, reindexed by m = n p, k = n q: at N = n p the term of g'
-    # is beta^(N-1) (A + B log beta), that of g its integral from 0 to beta,
-    # beta^N/N (A + B (log beta - 1/N)); both are below pre beta^N / n^deg
-    shift, deg = (1, 0) if derivative else (0, 1)
-    s3 = CompensatedSum()
-    weight = math.pi * rho + abs(log_beta)
-    pre = alpha * (weight + deg / p) / (math.pi * p ** deg)
-    stop, tail3 = _truncation(beta, p, pre, shift, -deg, 1, target, tol.max_terms)
-    for n in range(1, (stop or tol.max_terms) + 1):
-        sign = 1.0 if (n * (p + q) + 1) % 2 == 0 else -1.0
-        np_ = n * p
-        sin_n, cos_n = sincos_mpi(np_, r_num, r_den)
-        term = sign * beta ** (np_ - shift) / np_ ** deg * alpha * (
-            rho * cos_n + (log_beta - deg / np_) * sin_n / math.pi)
-        s3.add(term)
-        abs_sum += abs(term)
-    if stop is None:
-        raise ConvergenceFailureError("resonant sum did not converge",
-                                      value=s3.value, error_bound=tail3)
-
-    value = v1 + v2 + s3.value
-    bound = tail1 + tail2 + tail3 + 4.0 * EPS * (abs_sum + abs(value))
+    StableParams(ra.alpha, rho)  # admissibility gate
+    value, terms1, terms2, tail, noise = _split((ra.p, ra.q), ra.p, ra.q, rho, beta,
+                                                tol, derivative)
+    bound = tail + noise
     if not math.isfinite(bound):
         bound = abs(value)
-    return EvalResult(value, bound, MethodChoice.RATIONAL, terms1 + terms2 + stop)
+    return EvalResult(value, bound, MethodChoice.RATIONAL, terms1 + terms2)
 
 
 def g_rational(ra: RationalAlpha, rho: float, beta: float,
@@ -207,8 +175,9 @@ def g_rational(ra: RationalAlpha, rho: float, beta: float,
 
 def gprime_rational(ra: RationalAlpha, rho: float, beta: float,
                     tol: Tolerance | None = None) -> EvalResult:
-    """g'(beta) for rational alpha = p/q by the split formula: two
-    nonresonant sums by ``series._divisor_series`` and the resonant sum.
+    """g'(beta) for rational alpha = p/q by the split formula: the split
+    series ``series._split`` at delta_1 = 0, two nonresonant sums and the
+    resonant sum.
 
     Every sine is reduced exactly by ``accurate.reduced``: the divisors
     sin(m pi q/p) from p and q, the numerators from the integer ratios of

@@ -159,10 +159,20 @@ def test_compare_rational_derivative_has_rational_column(capsys):
 
 
 def test_compare_near_rational_reports_skip(capsys):
-    code, out, _ = run(capsys, "compare", "--alpha", "0.500000000001",
-                       "--rho", "0.3", "--beta", "0.9", "--format", "json")
+    # 1e-12 from 1/2 the series pairs its near-resonant terms and runs
+    # beside quadrature; with a budget of 50 terms the pairs do not fit
+    # either, and the skip gives that reason
+    argv = ("compare", "--alpha", "0.500000000001", "--rho", "0.3", "--beta", "0.9",
+            "--format", "json")
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert json.loads(out)["skipped"]["series"] == "skipped: ill-conditioned"
+    payload = json.loads(out)
+    assert list(payload["methods"]) == ["quadrature", "series"]
+    assert payload["agree"] is True
+    code, out, _ = run(capsys, *argv, "--max-terms", "50")
+    assert code == 0
+    assert json.loads(out)["skipped"]["series"] == (
+        "skipped: ill-conditioned, also with the near-resonant terms paired")
 
 
 def test_classify_rational(capsys):
@@ -185,10 +195,17 @@ def test_classify_sqrt2(capsys):
 
 
 def test_classify_near_rational_ill(capsys):
-    code, out, _ = run(capsys, "classify", "--alpha", "0.500000000001",
-                       "--beta", "0.9", "--format", "json")
+    # the pairing at 1/2 makes 1e-12 from it irrational; ill-conditioned
+    # is left for a budget the pairs do not fit
+    argv = ("classify", "--alpha", "0.500000000001", "--beta", "0.9", "--format", "json")
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert json.loads(out)["kind"] == "ill_conditioned"
+    payload = json.loads(out)
+    assert (payload["kind"], payload["p"], payload["q"]) == ("irrational", 1, 2)
+    code, out, _ = run(capsys, *argv, "--max-terms", "50")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["kind"], payload["p"], payload["q"]) == ("ill_conditioned", None, None)
 
 
 def test_selftest_default_passes(capsys):

@@ -22,6 +22,8 @@ from stablekappa.diophantine import (
     AlphaClass,
     ContinuedFraction,
     _floor_constant,
+    _geometric_stop,
+    _pair_prefactor,
     _profile,
     _truncation,
 )
@@ -138,8 +140,15 @@ def test_classify_sqrt2_irrational():
 
 
 def test_classify_near_rational_ill_conditioned():
+    # 1e-12 from 1/2 the generic floor model fails and the pairing at 1/2
+    # holds; ill-conditioned is left where the pairs do not fit the term
+    # budget or their noise the tolerance
     ac = classify(0.5 + 1e-12, Tolerance(), beta=0.9)
-    assert ac.kind is AlphaKind.ILL_CONDITIONED
+    assert (ac.kind, ac.p, ac.q) == (AlphaKind.IRRATIONAL, 1, 2)
+    assert ac.floor_constant == 0.5 * sin_pi(0.5)
+    for tol in (Tolerance(max_terms=50), Tolerance(abs_tol=1e-15)):
+        ac = classify(0.5 + 1e-12, tol, beta=0.9)
+        assert (ac.kind, ac.p, ac.q) == (AlphaKind.ILL_CONDITIONED, None, None)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 1.5, 2.0,
@@ -206,11 +215,47 @@ def _uncached_profile(alpha: float) -> AlphaClass:
                       floor_constant=_floor_constant(alpha, nhat - 1.0))
 
 
+def _paired_uncached(alpha: float, tol: Tolerance, beta: float,
+                     profile: AlphaClass) -> AlphaClass | None:
+    """classify's pairing recomputed: the convergent p/q (p >= 1) before the
+    largest partial quotient, first on ties; stopping indices scanned term
+    by term for a bound under tol/8; proven floors from the exact drift."""
+    cf = cf_expand(alpha)
+    ahead = [(a, pq) for pq, a in zip(cf.convergents, cf.quotients[1:]) if pq[0] >= 1]
+    if not ahead:
+        return None
+    best = max(a for a, _ in ahead)
+    p, q = next(pq for a, pq in ahead if a == best)
+    x = Fraction(alpha)
+    eighth = Tolerance(abs_tol=tol.abs_tol / 4.0, max_terms=tol.max_terms)
+    noise = 0.0
+    for skip, step, drift in ((p, 1.0, abs(1 / x - Fraction(q, p))),
+                              (q, alpha, abs(x - Fraction(p, q)))):
+        if skip > 1:
+            c = 0.5 * sin_pi(1.0 / skip)
+            stop, _ = _projected_cost_full(beta, step, step, c, 0.0, eighth)
+            margin = Fraction(1, skip) - stop * drift if stop else 0
+            if stop is None or margin <= 0 or sin_pi(float(margin)) < c:
+                return None
+            noise += step * beta ** (step - 1.0) / (c * (1.0 - beta ** step))
+    delta1 = abs(float(x * q - p))
+    reach = min(delta1 * tol.max_terms, 0.5 * min(alpha, 1.0))
+    pre = _pair_prefactor(alpha, p, reach, math.pi + abs(math.log(beta)), beta, 0)
+    stop, _ = _projected_cost_full(beta, p, pre, 1.0, 0.0, eighth)
+    if stop is None or stop * delta1 > reach:
+        return None
+    noise += pre * beta ** (p - 1.0) / (1.0 - beta ** p)
+    if 4.0 * EPS * noise > 0.5 * tol.abs_tol:
+        return None
+    return replace(profile, p=p, q=q, floor_constant=0.5 * sin_pi(1.0 / max(p, q))
+                   if max(p, q) > 1 else 0.0)
+
+
 def _classify_uncached(alpha: float, tol: Tolerance, beta: float,
                        profile: AlphaClass | None = None) -> AlphaClass:
     """classify recomputed with no cache in between and both families
-    projected in full; ``profile`` is alpha's ``_uncached_profile`` when
-    the caller already has it."""
+    projected in full, then the pairing where that fails; ``profile`` is
+    alpha's ``_uncached_profile`` when the caller already has it."""
     profile = profile or _uncached_profile(alpha)
     if profile.kind is AlphaKind.RATIONAL:
         return profile
@@ -220,7 +265,10 @@ def _classify_uncached(alpha: float, tol: Tolerance, beta: float,
     m1, s1 = _projected_cost_full(beta_proj, 1.0, 1.0, c, nu, tol)
     m2, s2 = _projected_cost_full(beta_proj, alpha, alpha, c, nu, tol)
     ill = m1 is None or m2 is None or 4.0 * EPS * (s1 + s2) > 0.5 * tol.abs_tol
-    return replace(profile, kind=AlphaKind.ILL_CONDITIONED) if ill else profile
+    if not ill:
+        return profile
+    paired = _paired_uncached(alpha, tol, beta_proj, profile)
+    return paired or replace(profile, kind=AlphaKind.ILL_CONDITIONED)
 
 
 def test_classify_matches_uncached_recomputation():
@@ -233,8 +281,9 @@ def test_classify_matches_uncached_recomputation():
                 want = _classify_uncached(alpha, tol, beta)
                 assert got == want, (alpha, tol, beta)
                 assert got.floor_constant.hex() == want.floor_constant.hex()
-                kinds.add(got.kind)
-    assert kinds == set(AlphaKind)
+                kinds.add((got.kind, got.p is not None))
+    assert kinds == {(AlphaKind.RATIONAL, True), (AlphaKind.IRRATIONAL, False),
+                     (AlphaKind.IRRATIONAL, True), (AlphaKind.ILL_CONDITIONED, False)}
 
 
 # near-resonant alphas at several distances from 1/2, 1, 3/2 and 2, and
@@ -262,8 +311,10 @@ def test_classify_early_exit_keeps_every_verdict():
                 got = classify(alpha, tol, beta)
                 want = _classify_uncached(alpha, tol, beta, profile)
                 assert got == want, (alpha, tol, beta)
-                kinds.add(got.kind)
-    assert kinds == {AlphaKind.IRRATIONAL, AlphaKind.ILL_CONDITIONED}
+                kinds.add((got.kind, got.p is not None))
+    # generic, paired near a resonance, and ill-conditioned where neither fits
+    assert kinds == {(AlphaKind.IRRATIONAL, False), (AlphaKind.IRRATIONAL, True),
+                     (AlphaKind.ILL_CONDITIONED, False)}
 
 
 def test_classify_shortcut_premise_peak_bounds_the_noise_sum():
@@ -290,6 +341,31 @@ def test_classify_shortcut_premise_peak_bounds_the_noise_sum():
             assert peak <= math.fsum(bounds) <= stop * peak, (step, nu, beta, c)
             checked += 1
     assert checked > 1000
+
+
+def test_classify_pairing_needs_the_proven_floors():
+    # 3.1e-3 above 3/2 at tol 1e-13 the generic model fails and the pairs
+    # fit their reach; from beta 0.8 on the first family
+    # stops past the index where its proven floor, 1/3 less the drift, keeps
+    # half of sin(pi/3), so the pairing is refused there
+    alpha, tol = 1.5 + 1e-3 * math.pi, Tolerance(abs_tol=1e-13)
+    ac = classify(alpha, tol, 0.75)
+    assert (ac.kind, ac.p, ac.q) == (AlphaKind.IRRATIONAL, 3, 2)
+    assert classify(alpha, tol, 0.8).kind is AlphaKind.ILL_CONDITIONED
+
+
+def test_geometric_stop_is_the_bisected_one():
+    # the pairing check finds the stopping index of a power-0 family from
+    # the logarithm of its geometric tail; it must be _truncation's index
+    found = set()
+    for beta, step, pre, c, target, max_terms in itertools.product(
+            (1e-6, 1e-3, 0.05, 0.4, 0.75, 0.9, 0.93, 0.95),
+            (1.0, math.sqrt(2.0), 0.5 + 1e-12, 1.5, 2.0, 0.3), (1.0, 0.3, 1e3),
+            (1.0, 0.5, 0.0153, 1e-6), (1.25e-11, 1.25e-14, 1e-3), (1, 50, 10000)):
+        want, _ = _truncation(beta, step, pre, 1.0, 0.0, c, target, max_terms)
+        assert _geometric_stop(beta, step, pre, c, target, max_terms) == want
+        found.add(want if want is None else min(want, 2))
+    assert found == {None, 1, 2}
 
 
 def test_profile_cache_stays_at_its_bound():

@@ -269,3 +269,19 @@ def test_failed_candidate_passes_to_the_next(monkeypatch):
     monkeypatch.setattr(kappa_module, "gprime_quad", diverges)
     with pytest.raises(kappa_module.ConvergenceFailureError, match="budget"):
         gprime_any_beta(p, 0.4, MethodChoice.AUTO, TOL)
+
+
+def test_auto_dispatch_converges_near_one_half():
+    # 1e-12 from 1/2, quadrature raised ConvergenceFailureError on 55 of
+    # these 156 calls (beta <= 1.2e-4 or >= 1.2e4); the series pairs the
+    # near-resonant terms there and runs on every one of them
+    params = [validate(0.500000000001, rho) for rho in (0.01, 0.1, 0.3, 0.5, 0.9, 0.99)]
+    betas = [1.2 * 10.0 ** e for e in range(-12, 13, 2)]
+    methods = {fn(p, beta).method for p in params for beta in betas
+               for fn in (g_any_beta, gprime_any_beta)}
+    assert methods == {MethodChoice.SERIES}
+    # a few of them against the 30-digit integral, at the smallest betas
+    for beta in (1.2e-12, 1.2e-8, 1.2e-4):
+        res = g_any_beta(params[2], beta)
+        ref, err = g_mpmath(0.500000000001, 0.3, beta)
+        assert abs(res.value - ref) <= res.abs_error_bound + err, beta

@@ -3,7 +3,9 @@ import math
 import sys
 import threading
 
+import mpmath
 import pytest
+from mpmath import mpf
 
 from stablekappa import series as series_module
 
@@ -23,8 +25,10 @@ from stablekappa import (
     gprime_series,
     validate,
 )
-from stablekappa.accurate import sin_pi
+from stablekappa.accurate import EPS, sin_pi
 from stablekappa.diophantine import AlphaClass, _truncation
+
+from oracles import g_mpmath, gprime_mpmath
 
 TIGHT = Tolerance(abs_tol=1e-12)
 SQRT2 = math.sqrt(2.0)
@@ -51,8 +55,11 @@ def test_g_series_requires_irrational():
 
 
 def test_g_series_refuses_ill_conditioned():
+    # 1e-12 from 1/2 the pairs fit the default budget but not 50 terms
+    p = validate(0.5 + 1e-12, 0.3)
+    assert g_series(p, 0.9).terms_first_series > 0
     with pytest.raises(IllConditionedSeriesError):
-        g_series(validate(0.5 + 1e-12, 0.3), 0.9)
+        g_series(p, 0.9, Tolerance(max_terms=50))
 
 
 def test_gprime_series_vs_quadrature_sqrt2():
@@ -168,8 +175,8 @@ def test_sine_table_past_its_length_cap(monkeypatch):
     assert _bits(g_series(p, 0.6)) == cold
     assert _bits(g_series(p, 0.6)) == cold
     a_num, a_den = SQRT2.as_integer_ratio()
-    tables = [series_module._sine_table((a_den, a_num), (1, 2)),
-              series_module._sine_table((a_num, a_den), (a_num, 2 * a_den))]
+    tables = [series_module._sine_table((a_den, a_num), (1, 2), a_num),
+              series_module._sine_table((a_num, a_den), (a_num, 2 * a_den), a_den)]
     assert [len(t) for t in tables] == [10, 10]
 
 
@@ -179,18 +186,23 @@ def _rational_bits(beta):
 
 
 def test_sine_tables_under_concurrent_growth():
-    # the irrational series, and the rational split's nonresonant sums
-    # whose tables hold only the nonresonant indices
+    # the irrational series, the rational split's nonresonant sums whose
+    # tables hold only the nonresonant indices, and the paired split's
+    # tables of pair factors
     alpha, rho = TABLE_PARAMS[1]
     p = validate(alpha, rho)
+    near = validate(1.50000001, 0.5)
     evals = (lambda beta: _bits(g_series(p, beta)),
-             lambda beta: _bits(gprime_series(p, beta)), _rational_bits)
+             lambda beta: _bits(gprime_series(p, beta)), _rational_bits,
+             lambda beta: _bits(g_series(near, beta)))
     serial = {}
     for k, evaluate in enumerate(evals):
         for beta in TABLE_BETAS:
             series_module._sine_table.cache_clear()
+            series_module._pair_table.cache_clear()
             serial[k, beta] = evaluate(beta)
     series_module._sine_table.cache_clear()
+    series_module._pair_table.cache_clear()
     workers = 2 * len(evals)
     start = threading.Barrier(workers)
     results = [None] * workers
@@ -317,8 +329,10 @@ def test_truncation_with_a_budget_past_float_range():
     assert _truncation(*args) == _truncation_scan(*args)
     args = (1.0 - 1e-8, 1.0, 1.0, 1.0, 38.9, 1e-11, 5e-11, 10**9)
     assert _truncation(*args) == (None, math.inf)
-    ill = classify(0.5 + 1e-12, Tolerance(max_terms=10**8), 0.9)
-    assert ill.kind is AlphaKind.ILL_CONDITIONED
+    # the generic verdict fails, and the pairing at 1/2 takes the budget,
+    # whose reach over the pairs is capped, without summing past it
+    paired = classify(0.5 + 1e-12, Tolerance(max_terms=10**8), 0.9)
+    assert (paired.kind, paired.p, paired.q) == (AlphaKind.IRRATIONAL, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -359,3 +373,90 @@ def test_truncation_tail_bounds_the_rest_at_negative_power():
                     rest += bound
                     j += 1
                 assert rest <= tail < target, (step, beta, target)
+
+
+# ---------------------------------------------------------------------------
+# near a resonance: the pairs of the split series
+# ---------------------------------------------------------------------------
+
+# alpha, its pairing convergent p/q; 1/2 + 1e-6 terminates at a denominator
+# under the rational cap, so classify calls it Rational(500001, 1000000)
+PAIRED_ALPHAS = ((1.0000001, 1, 1), (1.50000001, 3, 2), (0.500000000001, 1, 2),
+                 (0.5 + 1e-6, 1, 2))
+
+
+def _two_terms(alpha, p, q, rho, beta, n, derivative):
+    """The first family's term m = n p plus the second's k = n q, at 50
+    digits from the exact values of the floats."""
+    with mpmath.workdps(50):
+        a, r, b = mpf(alpha), mpf(rho), mpf(beta)
+        m, k = n * p, n * q
+        if derivative:
+            first = (-1) ** (m + 1) * b ** (m - 1) * mpmath.sinpi(r * m) / mpmath.sinpi(m / a)
+            second = ((-1) ** (k + 1) * a * b ** (a * k - 1) * mpmath.sinpi(r * a * k)
+                      / mpmath.sinpi(a * k))
+        else:
+            first = (-1) ** (m + 1) * b ** m * mpmath.sinpi(r * m) / (m * mpmath.sinpi(m / a))
+            second = ((-1) ** (k + 1) * b ** (a * k) * mpmath.sinpi(r * a * k)
+                      / (k * mpmath.sinpi(a * k)))
+        return first + second, abs(first)
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+def test_pair_matches_the_two_terms_it_replaces(derivative):
+    # the two terms are each about 1/delta; their sum, evaluated without a
+    # difference quotient, is good to a few ulps of the pair's own scale for
+    # every |delta| up to the reach of the pair bound, half a period
+    deg, shift = (0, 1) if derivative else (1, 0)
+    for alpha, p, q in PAIRED_ALPHAS + ((0.5 + 0.01 * math.pi, 1, 2), (1.2, 1, 1)):
+        ratio = alpha.as_integer_ratio()
+        delta1 = (ratio[0] * q - p * ratio[1]) / ratio[1]
+        rho = 0.3
+        for beta in (0.05, 0.5, 0.9):
+            ns = range(1, min(40, int(0.5 * min(alpha, 1.0) / abs(delta1))) + 1)
+            factors = iter(list(series_module._pair_factors(
+                ns, ratio, p, q, rho.as_integer_ratio(), deg)))
+            for n, x, y in zip(ns, factors, factors):
+                delta = n * delta1
+                got = beta ** (n * p - shift) * (
+                    math.expm1(delta * math.log(beta)) / delta * x + y)
+                want, single = _two_terms(alpha, p, q, rho, beta, n, derivative)
+                scale = abs(got) + beta ** (n * p - shift) * (1.0 + abs(math.log(beta)))
+                assert abs(got - want) <= 64 * EPS * scale, (alpha, beta, n, single)
+
+
+def test_paired_series_refuses_an_unproven_floor():
+    # the series checks the proven floor at its own stopping indices: at
+    # beta 0.85 the first nonresonant sum would stop past the last index
+    # where 1/3 less the drift keeps half of sin(pi/3)
+    p = validate(1.5 + 1e-3 * math.pi, 0.5)
+    paired = AlphaClass(AlphaKind.IRRATIONAL, p=3, q=2)
+    tol = Tolerance(abs_tol=1e-13)
+    assert g_series(p, 0.75, tol, paired).terms_second_series > 0
+    with pytest.raises(IllConditionedSeriesError, match="first nonresonant sum: divisor floor"):
+        g_series(p, 0.85, tol, paired)
+    # and the pairs' own stop: 9.4e-4 above 1/2 (delta_1 = 1.9e-3) the pair
+    # bound covers |delta| up to a quarter, and at beta 0.9 the pairs would
+    # run to |delta| = 0.40
+    p = validate(0.5 + 3e-4 * math.pi, 0.3)
+    paired = AlphaClass(AlphaKind.IRRATIONAL, p=1, q=2)
+    assert g_series(p, 0.8, aclass=paired).terms_first_series > 0
+    with pytest.raises(IllConditionedSeriesError, match="past the bounded reach"):
+        g_series(p, 0.9, aclass=paired)
+
+
+@pytest.mark.parametrize("alpha,p,q", PAIRED_ALPHAS)
+@pytest.mark.parametrize("series,oracle", [(g_series, g_mpmath),
+                                           (gprime_series, gprime_mpmath)])
+def test_paired_series_within_its_bound_of_mpmath(alpha, p, q, series, oracle):
+    if alpha != 0.5 + 1e-6:
+        assert (classify(alpha, beta=0.9).p, classify(alpha, beta=0.9).q) == (p, q)
+    paired = AlphaClass(AlphaKind.IRRATIONAL, p=p, q=q)
+    for rho in (0.3, 0.5, 0.9):
+        if not 1.0 - 1.0 / alpha <= rho <= 1.0 / alpha:
+            continue  # at 3/2 only 0.5 is admissible
+        for beta in (1e-8, 0.01, 0.5, 0.94):
+            rep = series(validate(alpha, rho), beta, aclass=paired)
+            ref, err = oracle(alpha, rho, beta)
+            assert err < 1e-25
+            assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound, (rho, beta)

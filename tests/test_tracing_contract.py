@@ -48,6 +48,16 @@ with contextlib.redirect_stdout(io.StringIO()):
 """
 
 
+# a 40-row g table at 1.50000001: the series pairs its terms near 3/2 at
+# every row, where quadrature ran before
+PAIRED = """
+with contextlib.redirect_stdout(io.StringIO()):
+    code = entry["main"](["table", "--alpha", "1.50000001", "--rho", "0.5",
+                          "--beta-start", "0.01", "--beta-stop", "0.9",
+                          "--beta-count", "40"])
+"""
+
+
 def _traced(body: str) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", TRACED.format(body=body), str(ROOT / "src"),
@@ -77,3 +87,11 @@ def test_sweep_work_counters():
     assert metrics["diophantine.classify.reductions"] == 512
     assert metrics["accurate.reductions"] <= 1434
     assert metrics["series.terms"] == 3799
+
+
+def test_paired_sweep_work_counters():
+    metrics = _traced(PAIRED)
+    assert metrics["diophantine.classify.calls"] == 40
+    assert metrics["quadrature.calls"] == 0
+    assert metrics["series.calls"] == 40
+    assert metrics["series.terms"] == 2480  # the pairs count as first-series terms

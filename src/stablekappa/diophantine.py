@@ -178,7 +178,10 @@ def _truncation(beta: float, step: float, pre: float, shift: float, power: float
     m + 1's bound over 1 - ratio, with ratio = beta**step *
     ((m+2)/(m+1))**max(power, 0) the largest ratio of consecutive bounds
     from there on (inf while ratio >= 1).  Both fall with m, so m is found
-    by doubling, which probes no index past 2m, and then by bisection.
+    by doubling, which probes no index past 2m, and then by bisection.  At
+    power 0 the tail is geometric, pre beta**(step (m+1) - shift) / c /
+    (1 - beta**step), and m comes from its logarithm instead, settled by
+    evaluating the same tail at that index and its neighbours.
     """
     base, rise = beta ** step, max(power, 0)
 
@@ -191,6 +194,19 @@ def _truncation(beta: float, step: float, pre: float, shift: float, power: float
         except OverflowError:
             return math.inf
 
+    # the geometric tail of power 0 falls below half_tol past log(room)
+    room = half_tol * c * (1.0 - base) / pre if power == 0 else 0.0
+    if 0.0 < base < 1.0 and 0.0 < room < math.inf:
+        m = math.floor((math.log(room) / math.log(beta) + shift) / step)
+        m = min(max(m, 1), max_terms)
+        while m > 1 and tail(m - 1) < half_tol:
+            m -= 1
+        while not tail(m) < half_tol:
+            if m == max_terms:
+                return None, tail(m)
+            m += 1
+        return m, tail(m)
+
     lo, hi = 0, 1
     while not tail(hi) < half_tol:
         if hi == max_terms:
@@ -198,29 +214,6 @@ def _truncation(beta: float, step: float, pre: float, shift: float, power: float
         lo, hi = hi, min(2 * hi, max_terms)
     stop = lo + 1 + bisect_left(range(lo + 1, hi), True, key=lambda m: tail(m) < half_tol)
     return stop, tail(stop)
-
-
-def _geometric_stop(beta: float, step: float, pre: float, c: float, target: float,
-                    max_terms: int) -> int | None:
-    """``_truncation(beta, step, pre, 1.0, 0.0, c, target, max_terms)[0]``:
-    for the g' bounds pre * beta**(step j - 1) / c of power 0 the tail after
-    m is geometric, so m comes from its logarithm and is settled by
-    evaluating that same tail at the index and its neighbour, with no
-    doubling or bisection."""
-    base = beta ** step
-
-    def tail(m: int) -> float:
-        return pre * beta ** (step * (m + 1) - 1.0) / c / (1.0 - base)
-
-    log_room = math.log(target * c * (1.0 - base) / pre) / math.log(beta)
-    m = min(max(math.floor((log_room + 1.0) / step), 1), max_terms)
-    while m > 1 and tail(m - 1) < target:
-        m -= 1
-    while not tail(m) < target:
-        if m == max_terms:
-            return None
-        m += 1
-    return m
 
 
 def _proven_floor(skip: int, drift: float, m: int) -> float:
@@ -352,14 +345,14 @@ def _paired(alpha: float, profile: AlphaClass, pair: tuple[int, int],
     for skip, step, (c, drift) in zip((p, q), (1.0, alpha), _split_floors(ratio, p, q)):
         if skip == 1:
             continue  # every index of the family is paired
-        stop = _geometric_stop(beta, step, step, c, target, tol.max_terms)
+        stop, _ = _truncation(beta, step, step, 1.0, 0.0, c, target, tol.max_terms)
         if stop is None or _proven_floor(skip, drift, stop) < c:
             return None
         noise += step * beta ** (step - 1.0) / (c * (1.0 - beta ** step))
     delta1 = abs(ratio[0] * q - p * ratio[1]) / ratio[1]
     reach = _pair_reach(delta1, alpha, tol.max_terms)
     pre = _pair_prefactor(alpha, p, reach, math.pi + abs(math.log(beta)), beta, 0)
-    stop = _geometric_stop(beta, p, pre, 1.0, target, tol.max_terms)
+    stop, _ = _truncation(beta, p, pre, 1.0, 0.0, 1.0, target, tol.max_terms)
     if stop is None or stop * delta1 > reach:
         return None
     noise += pre * beta ** (p - 1.0) / (1.0 - beta ** p)

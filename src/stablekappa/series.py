@@ -19,10 +19,11 @@ and k = n q of the second have divisors of size n eps with opposite signs.
     s alpha/(pi delta) [H(N + delta)/sinc(delta) - H(N)/sinc(delta/alpha)],
 
 N = n p, s = (-1)^(n(p+q)+1), H(x) = beta^x sin(rho pi x)/x for g and
-beta^(x-1) sin(rho pi x) for g', sinc(x) = sin(pi x)/(pi x).  The other
-indices keep the floors proven in the diophantine module, half of
-sin(pi/p) and sin(pi/q), and the pairs a mean-value bound, so this tail
-bound is rigorous up to the stopping index.  At alpha = p/q exactly
+beta^(x-1) sin(rho pi x) for g', sinc(x) = sin(pi x)/(pi x).  Every other
+index summed keeps a floor proven in the diophantine module, half of
+sin(pi/p) and sin(pi/q), and every pair summed a mean-value bound.  The
+tail bound past the stopping index assumes the same floors and pair bound
+for the later indices, where they are not checked.  At alpha = p/q exactly
 (delta = 0) the pair is the limit s alpha H'(N)/pi, and ``_split`` is the
 rational-alpha split series of the special module.
 """
@@ -62,8 +63,10 @@ class SeriesReport:
     """Outcome of a series evaluation.
 
     tail_bound is the truncation bound (heuristic if the irrationality
-    exponent behind it is an estimate; proven up to the stopping index when
-    the verdict pairs the near-resonant terms); noise_bound estimates the
+    exponent behind it is an estimate; when the verdict pairs the
+    near-resonant terms, the divisor floors and pair bound behind it are
+    proven for the terms summed and assumed past the stopping index);
+    noise_bound estimates the
     rounding floor of the compensated accumulation.  With the terms paired
     at p/q, terms_first_series counts the first series' terms that p does
     not divide plus the pairs, and terms_second_series the second series'
@@ -267,7 +270,9 @@ def _split(ratio: tuple[int, int], p: int, q: int, rho: float, beta: float,
     (``diophantine._split_floors`` and ``_proven_floor``).  The pairs are bounded by
     ``diophantine._pair_prefactor`` over |delta| <= ``_pair_reach``, which
     covers every pair up to the term budget unless that reaches half a
-    period; a stop past the reach raises IllConditionedSeriesError.  Each
+    period; a last pair past the reach (the stopping index, or the term
+    budget where the pairs do not converge) raises
+    IllConditionedSeriesError before any sum runs.  Each
     sum stops for a bound under an eighth of the tolerance.  Returns the
     fields of a ``SeriesReport``, the pairs counted in its
     ``terms_first_series``.
@@ -289,9 +294,10 @@ def _split(ratio: tuple[int, int], p: int, q: int, rho: float, beta: float,
     reach = _pair_reach(delta1, alpha, tol.max_terms) if gap else 0.0
     pre = _pair_prefactor(alpha, p, reach, math.pi * rho + abs(log_beta), beta, deg)
     stop, tail3 = _truncation(beta, p, pre, shift, -deg, 1, target, tol.max_terms)
-    if stop is not None and stop * abs(delta1) > reach:
+    pairs = stop or tol.max_terms
+    if pairs * abs(delta1) > reach:
         raise IllConditionedSeriesError(
-            f"pairs: delta {stop * abs(delta1):.3e} past the bounded reach {reach:.3e}")
+            f"pairs: delta {pairs * abs(delta1):.3e} past the bounded reach {reach:.3e}")
 
     # nonresonant sums over m with p not dividing m, and over k with q not
     # dividing k (the second in powers beta^alpha, with sin(k pi rho alpha))
@@ -303,7 +309,7 @@ def _split(ratio: tuple[int, int], p: int, q: int, rho: float, beta: float,
         0.0, target, tol.max_terms, abs_sum, v1, "second nonresonant sum", skip=q,
         drift=drift2)
 
-    ns = range(1, (stop or tol.max_terms) + 1)
+    ns = range(1, pairs + 1)
     if gap:
         kept = min(len(ns), _SINE_TABLE_TERMS)
         key = (ratio, p, q, (r_num, r_den), deg)

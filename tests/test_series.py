@@ -320,6 +320,30 @@ def test_truncation_bisection_matches_the_scan():
     assert stops == {None, 1, 2}
 
 
+def test_truncation_of_a_geometric_tail_matches_the_scan():
+    # at power 0 the index comes from the tail's logarithm: the shapes of
+    # the pairing check (pair prefactors up to 1e3 over floor 1, floors down
+    # to 1e-6), and a target of 0, below every tail, which the logarithm
+    # cannot take
+    stops = set()
+    for beta, step, pre, shift, c, target, max_terms in itertools.product(
+            (1e-6, 1e-3, 0.05, 0.4, 0.75, 0.9, 0.93, 0.95),
+            (1.0, SQRT2, 0.5 + 1e-12, 1.5, 2.0, 0.3), (1.0, 0.3, 1e3), (0.0, 1.0),
+            (1.0, 0.5, 0.0153, 1e-6), (1.25e-11, 1.25e-14, 1e-3, 0.0), BUDGETS):
+        if target == 0.0 and max_terms > 50:
+            continue
+        args = (beta, step, pre, shift, 0.0, c, target, max_terms)
+        m, tail = _truncation(*args)
+        assert (m, tail.hex()) == _hex(_truncation_scan(*args)), args
+        stops.add(m if m is None else min(m, 2))
+    assert stops == {None, 1, 2}
+    # targets on the tails themselves, beta**e: there the rounded logarithm
+    # lands on either side of the index, and the neighbours settle it
+    for beta, e in itertools.product((0.1, 0.3, 0.7, 0.9), range(1, 300)):
+        args = (beta, 1.0, 1.0 - beta, 0.0, 0.0, 1.0, beta ** e, 10000)
+        assert _truncation(*args) == _truncation_scan(*args), args
+
+
 def test_truncation_with_a_budget_past_float_range():
     # j**25.6 overflows past j = 1e12 and j**38.9 past 1e8.  Doubling probes
     # no index past twice the stopping one, and an overflowing bound counts
@@ -443,6 +467,14 @@ def test_paired_series_refuses_an_unproven_floor():
     assert g_series(p, 0.8, aclass=paired).terms_first_series > 0
     with pytest.raises(IllConditionedSeriesError, match="past the bounded reach"):
         g_series(p, 0.9, aclass=paired)
+    # where the pairs do not converge within the term budget, the budget's
+    # last pair is held to the reach before any sum runs: at 1.2 paired at
+    # 1/1 five pairs reach |delta| = 1, past half a period
+    p = validate(1.2, 0.5)
+    paired = AlphaClass(AlphaKind.IRRATIONAL, p=1, q=1)
+    for series in (g_series, gprime_series):
+        with pytest.raises(IllConditionedSeriesError, match="past the bounded reach"):
+            series(p, 0.9, Tolerance(max_terms=5), paired)
 
 
 @pytest.mark.parametrize("alpha,p,q", PAIRED_ALPHAS)

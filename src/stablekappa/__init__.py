@@ -15,7 +15,6 @@ from .diophantine import (
     ContinuedFraction,
     cf_expand,
     classify,
-    estimate_exponent,
 )
 from .kappa import KappaQuery, exit_transform, g_any_beta, gprime_any_beta, kappa, plan
 from .params import (
@@ -23,7 +22,6 @@ from .params import (
     DegenerateLogError,
     EvalResult,
     IllConditionedSeriesError,
-    InsufficientDataError,
     MethodChoice,
     MethodNotApplicableError,
     OutOfRangeError,
@@ -58,7 +56,6 @@ __all__ = [
     "DoneyCase",
     "EvalResult",
     "IllConditionedSeriesError",
-    "InsufficientDataError",
     "KappaQuery",
     "MethodChoice",
     "MethodNotApplicableError",
@@ -69,7 +66,6 @@ __all__ = [
     "Tolerance",
     "cf_expand",
     "classify",
-    "estimate_exponent",
     "exit_transform",
     "find_doney_case",
     "g_any_beta",

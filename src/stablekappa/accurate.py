@@ -1,4 +1,4 @@
-"""Compensated summation and trig of pi-multiples.
+"""Trig of pi-multiples.
 
 Small divisors like sin(m*pi/alpha) are meaningless unless the product
 m/alpha is reduced modulo 2 without losing its low bits.  Every argument
@@ -12,33 +12,6 @@ from __future__ import annotations
 import math
 
 EPS = 2.220446049250313e-16  # 2**-52
-
-
-class CompensatedSum:
-    """Running sum with Neumaier compensation.
-
-    Keeps the accumulated rounding residue in a side term so that sums of
-    wildly different magnitudes (alternating series with small divisors)
-    lose almost nothing to cancellation.
-    """
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self) -> None:
-        self._s = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self._s + x
-        if abs(self._s) >= abs(x):
-            self._c += (self._s - t) + x
-        else:
-            self._c += (x - t) + self._s
-        self._s = t
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c
 
 
 def reduced(n: int, num: int, den: int) -> tuple[float, int]:

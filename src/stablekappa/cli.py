@@ -16,13 +16,12 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .diophantine import cf_expand, classify, estimate_exponent
+from .diophantine import cf_expand, classify
 from .kappa import KappaQuery, exit_transform, g_any_beta, gprime_any_beta, kappa, plan
 from .params import (
     ConvergenceFailureError,
     EvalResult,
     IllConditionedSeriesError,
-    InsufficientDataError,
     MethodChoice,
     MethodNotApplicableError,
     OutOfRangeError,
@@ -333,10 +332,6 @@ def cmd_classify(args) -> int:
     tol = _tolerance(args)
     cf = cf_expand(args.alpha)
     aclass = classify(args.alpha, tol, args.beta)
-    try:
-        nhat = estimate_exponent(cf)
-    except InsufficientDataError:
-        nhat = None
     recommended = None
     if args.rho is not None:
         try:
@@ -354,8 +349,7 @@ def cmd_classify(args) -> int:
         "kind": aclass.kind.value,
         "p": aclass.p,
         "q": aclass.q,
-        "exponent_estimate": aclass.exponent_estimate,
-        "cf_exponent_estimate": nhat,
+        "floor_power": aclass.floor_power,
         "floor_constant": aclass.floor_constant,
         "conditioning_beta": args.beta,
         "recommended_method": recommended,

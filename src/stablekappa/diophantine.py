@@ -1,21 +1,25 @@
-"""Continued fractions, irrationality-exponent estimation, and conditioning.
+"""Continued fractions, proven divisor floors, and conditioning.
 
 The power-series evaluators divide by sin(m*pi/alpha) and sin(k*pi*alpha).
-How small those divisors get is a diophantine question: convergents p/q of
-alpha witness near-resonances, and the growth rate of their denominators
-bounds the irrationality exponent N in |alpha - p/q| > 1/q**N.  This module
-turns that machinery into computable heuristics and, near a resonance,
-into proven floors:
+How small those divisors get is a diophantine question, answered by the
+convergents of alpha.  By the best-approximation theorem (Khinchin,
+*Continued Fractions*), if d_k < d_{k+1} are consecutive convergent
+denominators of x, then ||m x|| >= ||d_k x|| for every 1 <= m < d_{k+1}.
+The denominators are the q_k of alpha's convergents p_k/q_k for x = alpha,
+and the p_k for x = 1/alpha.  So one value per convergent bounds a whole
+segment of indices, and this module reads the divisor floor c / m**nu off
+the expansion (``_floor_model``):
 
-* ``cf_expand``       partial quotients and convergents of a float,
-* ``estimate_exponent`` a denominator-growth estimate of N (clamped at 2),
-* ``classify``        the verdict used for method dispatch.
+* ``cf_expand``  partial quotients and convergents of a float,
+* ``classify``   the verdict used for method dispatch.
 
-A float can never certify membership in a number-theoretic set, so
-``IllConditioned`` is a statement about projected work and rounding noise
-at the requested (beta, tolerance), not about the number itself.
+The floor is proven for every index below the last denominator of the
+expansion; past it the model is assumed.  A float can never certify
+membership in a number-theoretic set, so ``IllConditioned`` is a statement
+about projected work and rounding noise at the requested (beta,
+tolerance), not about the number itself.
 
-Near a resonance alpha = p/q + eps the generic model floor is tiny, and
+Near a resonance alpha = p/q + eps the generic floor is tiny, and
 the series pairs instead: the first family's term m = n p and the second's
 k = n q are summed as one (see ``series``), and every other index keeps a
 proven floor.  For m <= M with p not dividing m,
@@ -27,8 +31,8 @@ and for k <= M with q not dividing k, ||k alpha|| >= 1/q - M |alpha - p/q|
 verdict is IllConditioned, at the convergent ``_profile`` picks.
 
 Only the conditioning verdict depends on beta and the tolerance.  The
-expansion, the rational verdict, the exponent estimate, the calibrated floor
-and the pairing convergent depend on alpha alone; ``_profile`` computes them
+expansion, the rational verdict, the floor model and the pairing
+convergent depend on alpha alone; ``_profile`` computes them
 once per alpha (an LRU over ``_PROFILE_CACHE`` alphas), and ``classify`` adds
 the per-beta noise bound on top, up to each family's bisected stopping
 index (``_truncation``, where every series of the package stops).
@@ -43,15 +47,13 @@ from enum import Enum
 from functools import lru_cache
 
 from .accurate import EPS, sin_mpi, sin_pi
-from .params import InsufficientDataError, OutOfRangeError, Tolerance
+from .params import OutOfRangeError, Tolerance
 
 # A terminating expansion counts as "really" rational only up to this
 # denominator; beyond it the float cannot be told apart from an irrational.
 RATIONAL_DENOMINATOR_CAP = 1_000_000
 
 _CF_TERMS = 64              # partial quotients expanded at most
-_CALIBRATION_DEPTH = 256    # indices probed when fitting the divisor floor
-_EXPONENT_Q_MIN = 8         # denominators below this carry no growth signal
 _PROFILE_CACHE = 64         # alphas whose beta-free profile is kept
 
 
@@ -118,56 +120,48 @@ def cf_expand(x: float) -> ContinuedFraction:
     return ContinuedFraction(tuple(quotients), tuple(convergents), x, exact)
 
 
-def estimate_exponent(cf: ContinuedFraction) -> float:
-    """Irrationality-exponent estimate from convergent-denominator growth.
-
-    Returns max over consecutive convergents of log(q_{k+1})/log(q_k) + 1,
-    clamped below at 2 (the generic floor).  Pairs with tiny q_k carry no
-    signal and are skipped whenever deeper pairs exist.
-    """
-    convs = cf.convergents
-    if len(convs) < 3:
-        raise InsufficientDataError(
-            f"need at least 3 convergents, got {len(convs)}")
-    ratios: list[tuple[int, float]] = []
-    for (_, qk), (_, qk1) in zip(convs, convs[1:]):
-        if qk >= 2:
-            ratios.append((qk, math.log(qk1) / math.log(qk)))
-    if not ratios:
-        return 2.0
-    deep = [r for qk, r in ratios if qk >= _EXPONENT_Q_MIN]
-    pool = deep if deep else [r for _, r in ratios]
-    return max(2.0, max(pool) + 1.0)
-
-
 @dataclass(frozen=True)
 class AlphaClass:
     """Conditioning verdict for a stability index.
 
-    The model lower bound for both divisor families |sin(m*pi/alpha)| and
-    |sin(m*pi*alpha)| is floor_constant / m**(exponent_estimate - 1); for a
-    recognized rational p/q it is the constant sin(pi/max(p, q)).  An
-    Irrational verdict with p and q set pairs the near-resonant terms at
-    the convergent p/q: its floor_constant is half of sin(pi/max(p, q)),
-    the floor proven for every other index up to the stopping index.
+    The lower bound for both divisor families |sin(m*pi/alpha)| and
+    |sin(m*pi*alpha)| is floor_constant / m**floor_power, proven below the
+    last convergent denominator of each family and assumed past it
+    (``_floor_model``); for a recognized rational p/q it is the constant
+    sin(pi/max(p, q)), and floor_power is None.  An Irrational verdict with
+    p and q set pairs the near-resonant terms at the convergent p/q: its
+    floor_constant is half of sin(pi/max(p, q)), the floor proven for every
+    other index up to the stopping index.
     """
 
     kind: AlphaKind
     p: int | None = None
     q: int | None = None
-    exponent_estimate: float | None = None
+    floor_power: float | None = None
     floor_constant: float = 0.5
 
 
-def _floor_constant(alpha: float, nu: float) -> float:
-    """Empirical c with |sin(m*pi*x)| >= c / m**nu over the probed range."""
-    num, den = alpha.as_integer_ratio()
-    c = 0.5
-    for m in range(1, _CALIBRATION_DEPTH + 1):
-        scale = m ** nu
-        c = min(c, abs(sin_mpi(m, den, num)) * scale,
-                abs(sin_mpi(m, num, den)) * scale)
-    return max(c, 5e-324)
+def _floor_model(cf: ContinuedFraction) -> tuple[float, float]:
+    """(c, nu) with |sin(pi m x)| >= c / m**nu for x = 1/alpha and x = alpha
+    and every m below the last convergent denominator of x: p_k for 1/alpha,
+    q_k for alpha.
+
+    c = min(1/2, |sin(pi/alpha)|, |sin(pi alpha)|) bounds the indices below
+    the first denominator d >= 2, and nu = max(1, log(c / |sin(pi d x)|) /
+    log d) over every denominator d >= 2 but the last makes c / d**nu a
+    floor at each of them; each log ratio is raised by 1e-9, so the float
+    c / d**nu stays below the sine it is read from.  By best approximation
+    every m from d to the next denominator has |sin(pi m x)| >= |sin(pi d
+    x)| >= c / m**nu.  The sines are exact reductions, two per convergent.
+    """
+    num, den = cf.value.as_integer_ratio()
+    c = min(0.5, abs(sin_mpi(1, den, num)), abs(sin_mpi(1, num, den)))
+    nu = 1.0
+    for p, q in cf.convergents[:-1]:
+        for d, ratio in ((p, (den, num)), (q, (num, den))):
+            if d >= 2:
+                nu = max(nu, math.log(c / abs(sin_mpi(d, *ratio))) / math.log(d) + 1e-9)
+    return c, nu
 
 
 def _truncation(beta: float, step: float, pre: float, shift: float, power: float,
@@ -279,22 +273,18 @@ def _pair_prefactor(alpha: float, p: int, reach: float, weight: float, beta: flo
 @lru_cache(maxsize=_PROFILE_CACHE)
 def _profile(alpha: float) -> tuple[AlphaClass, tuple[int, int] | None]:
     """The beta-free part of ``classify``: Rational(p, q), or Irrational
-    with the exponent estimate and the calibrated floor constant, and the
-    pairing convergent: the p/q (p >= 1) before the largest partial
-    quotient a, where |alpha q - p| < 1/(a q) comes closest for its size."""
+    with the floor of ``_floor_model``, and the pairing convergent: the p/q
+    (p >= 1) before the largest partial quotient a, where |alpha q - p| <
+    1/(a q) comes closest for its size."""
     cf = cf_expand(alpha)
     p_last, q_last = cf.convergents[-1]
     if cf.exact and q_last <= RATIONAL_DENOMINATOR_CAP:
         floor = sin_pi(1.0 / max(p_last, q_last)) if max(p_last, q_last) > 1 else 0.0
         return AlphaClass(AlphaKind.RATIONAL, p=p_last, q=q_last, floor_constant=floor), None
-    try:
-        nhat = estimate_exponent(cf)
-    except InsufficientDataError:
-        nhat = 2.0
+    c, nu = _floor_model(cf)
     ahead = [(a, pq) for pq, a in zip(cf.convergents, cf.quotients[1:]) if pq[0] >= 1]
     pair = max(ahead, key=lambda t: t[0])[1] if ahead else None
-    return AlphaClass(AlphaKind.IRRATIONAL, exponent_estimate=nhat,
-                      floor_constant=_floor_constant(alpha, nhat - 1.0)), pair
+    return AlphaClass(AlphaKind.IRRATIONAL, floor_power=nu, floor_constant=c), pair
 
 
 def _fits(alpha: float, nu: float, c: float, tol: Tolerance, beta: float) -> bool:
@@ -359,7 +349,7 @@ def _paired(alpha: float, profile: AlphaClass, pair: tuple[int, int],
     if 4.0 * EPS * noise > 0.5 * tol.abs_tol:
         return None
     floor = 0.5 * sin_pi(1.0 / max(p, q)) if max(p, q) > 1 else 0.0
-    return AlphaClass(AlphaKind.IRRATIONAL, p, q, profile.exponent_estimate, floor)
+    return AlphaClass(AlphaKind.IRRATIONAL, p, q, profile.floor_power, floor)
 
 
 def classify(alpha: float, tol: Tolerance | None = None, beta: float = 0.9) -> AlphaClass:
@@ -384,7 +374,7 @@ def classify(alpha: float, tol: Tolerance | None = None, beta: float = 0.9) -> A
         return profile
     tol = tol or Tolerance()
     beta = min(max(float(beta), 1e-6), 0.95)
-    if _fits(alpha, profile.exponent_estimate - 1.0, profile.floor_constant, tol, beta):
+    if _fits(alpha, profile.floor_power, profile.floor_constant, tol, beta):
         return profile
     paired = _paired(alpha, profile, pair, tol, beta) if pair else None
     return paired or replace(profile, kind=AlphaKind.ILL_CONDITIONED)

@@ -29,10 +29,6 @@ class IllConditionedSeriesError(RuntimeError):
     """Small divisors make the series useless at the requested tolerance."""
 
 
-class InsufficientDataError(ValueError):
-    """Not enough continued-fraction data to estimate anything."""
-
-
 class DegenerateLogError(ArithmeticError):
     """A logarithm argument collapsed to zero in a closed-form evaluation."""
 
@@ -100,9 +96,9 @@ class Tolerance:
 class EvalResult:
     """A computed value with its error bound and provenance.
 
-    abs_error_bound is an upper estimate of the absolute error; it is
-    heuristic whenever it rests on an estimated irrationality exponent
-    (series truncation) and an embedded-rule estimate for quadrature.
+    abs_error_bound is an upper estimate of the absolute error.  A series
+    bound rests on divisor floors proven for the terms summed and assumed
+    past the stopping index; a quadrature bound is an embedded-rule estimate.
     """
 
     value: float

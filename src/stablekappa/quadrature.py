@@ -8,13 +8,14 @@ machinery and serves as the oracle every other method is checked against.
     g'(beta) = alpha sin(pi rho)/pi * int_0^inf x^alpha/(1 + x^alpha)
                                 / (x^2 + 2 x beta cos(pi rho) + beta^2) dx
 
-Policy: the domain is split at x = beta and x = 1; the tail beyond 1 is
-mapped onto (0, 1] by x = 1/y (never truncated).  Interval ends touching 0
-get an extra quartic map x = s*t**4 that absorbs the log/x**alpha endpoint
-singularities into a C^2 integrand.  Panels use the embedded (G7, K15)
-pair; the worst panel is bisected until the summed |K15 - G7| estimate
-meets the tolerance: the larger of ``Tolerance.abs_tol`` and a fixed
-relative 1e-14 of the value.  Node placement is fully deterministic.
+Policy: the domain is split at x = beta, at x = 1 and at every power of
+ten between them; the tail beyond 1 is mapped onto (0, 1] by x = 1/y (never
+truncated).  Interval ends touching 0 get an extra quartic map x = s*t**4
+that absorbs the log/x**alpha endpoint singularities into a C^2 integrand.
+Panels use the embedded (G7, K15) pair; the worst panel is bisected until
+the summed |K15 - G7| estimate meets the tolerance: the larger of
+``Tolerance.abs_tol`` and a fixed relative 1e-14 of the value.  Node
+placement is fully deterministic.
 """
 
 from __future__ import annotations
@@ -152,6 +153,11 @@ def _build_panels(f_fin, f_tail, beta: float, rho: float):
             tail.append(1.0 / x)
 
     add(beta)
+    # the integrand changes scale between beta and 1: a split at every power
+    # of ten strictly between them (in the mapped tail for beta > 1)
+    lo, hi = sorted((beta, 1.0))
+    for k in range(math.floor(math.log10(lo)) + 1, math.ceil(math.log10(hi))):
+        add(10.0 ** k)
     if rho > 0.9 or rho < 0.1:
         # near-double-root of the denominator around x = beta
         for s in (0.9 * beta, 1.1 * beta):

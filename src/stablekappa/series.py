@@ -6,11 +6,12 @@ For irrational, well-conditioned alpha and 0 < beta < 1:
              + sum_k (-1)^(k+1) beta^(alpha k) sin(rho alpha k pi)
                                                / (k sin(alpha k pi))
 
-and g' is its termwise derivative.  Truncation uses the model floor
-|sin(m pi x)| >= c / m^(N-1) calibrated by the diophantine module; the
-stopping index is bisected on the resulting tail bound, which is rigorous
-exactly when the exponent estimate N is, so it is reported.  Both series
-are accumulated with compensated summation and combined in a fixed order.
+and g' is its termwise derivative.  Truncation uses the divisor floor
+|sin(m pi x)| >= c / m^nu that the diophantine module reads off alpha's
+convergents, proven for every index below the last convergent denominator of
+the float's expansion and assumed past it.  The stopping index is bisected
+on the resulting tail bound, which is reported.  Both series are
+accumulated with compensated summation and combined in a fixed order.
 
 Near a resonance, alpha = p/q + eps, the term m = n p of the first series
 and k = n q of the second have divisors of size n eps with opposite signs.
@@ -62,15 +63,13 @@ from .params import (
 class SeriesReport:
     """Outcome of a series evaluation.
 
-    tail_bound is the truncation bound (heuristic if the irrationality
-    exponent behind it is an estimate; when the verdict pairs the
-    near-resonant terms, the divisor floors and pair bound behind it are
-    proven for the terms summed and assumed past the stopping index);
-    noise_bound estimates the
-    rounding floor of the compensated accumulation.  With the terms paired
-    at p/q, terms_first_series counts the first series' terms that p does
-    not divide plus the pairs, and terms_second_series the second series'
-    terms that q does not divide.
+    tail_bound is the truncation bound: the divisor floors behind it (and,
+    when the verdict pairs the near-resonant terms, the pair bound) are
+    proven for the terms summed and assumed past the stopping index;
+    noise_bound estimates the rounding floor of the compensated
+    accumulation.  With the terms paired at p/q, terms_first_series counts
+    the first series' terms that p does not divide plus the pairs, and
+    terms_second_series the second series' terms that q does not divide.
     """
 
     value: float
@@ -177,7 +176,7 @@ def _divisor_series(beta: float, step: float, div: tuple[int, int],
     # the kept terms read the table, the rest compute their sines
     pairs = chain(sines[:2 * kept],
                   _sines(islice(_indices(n, skip), kept, None), div, num))
-    # Neumaier-compensated running sum, as in CompensatedSum
+    # Neumaier-compensated running sum
     total = comp = 0.0
     for m, den, sin_num in zip(_indices(n, skip), pairs, pairs):
         signed = pre if m % 2 == 1 else -pre
@@ -372,7 +371,7 @@ def _series(params: StableParams, beta: float, tol: Tolerance | None,
                                     derivative))
     r_num, r_den = rho.as_integer_ratio()
     c = aclass.floor_constant
-    nu = (aclass.exponent_estimate or 2.0) - 1.0
+    nu = aclass.floor_power or 1.0
     half_tol = 0.5 * tol.abs_tol
     v1, terms1, tail1, abs_sum = _divisor_series(
         beta, 1.0, (a_den, a_num), (r_num, r_den), derivative, c, nu, half_tol,

@@ -5,7 +5,8 @@ form, ``gprime_half_closed`` is g' at alpha = 1/2 in elementary closed
 form, and ``g_mpmath`` and ``gprime_mpmath`` are g and g' from their
 defining integrals at 30 digits (the benchmark's oracle, ``bench/oracle.py``);
 ``g_rational`` and ``gprime_rational`` are checked against the last three.
-No evaluator of the package calls any of them, so they live here.
+No evaluator of the package calls any of them, so they live here, with
+``CompensatedSum``, the Neumaier running sum that ``g_k_series`` uses.
 """
 
 import math
@@ -14,7 +15,34 @@ import mpmath
 from mpmath import mpf
 
 from stablekappa import OutOfRangeError
-from stablekappa.accurate import CompensatedSum, cos_mpi, cos_pi, sin_pi
+from stablekappa.accurate import cos_mpi, cos_pi, sin_pi
+
+
+class CompensatedSum:
+    """Running sum with Neumaier compensation.
+
+    Keeps the accumulated rounding residue in a side term so that sums of
+    wildly different magnitudes (alternating series with small divisors)
+    lose almost nothing to cancellation.
+    """
+
+    __slots__ = ("_s", "_c")
+
+    def __init__(self) -> None:
+        self._s = 0.0
+        self._c = 0.0
+
+    def add(self, x: float) -> None:
+        t = self._s + x
+        if abs(self._s) >= abs(x):
+            self._c += (self._s - t) + x
+        else:
+            self._c += (x - t) + self._s
+        self._s = t
+
+    @property
+    def value(self) -> float:
+        return self._s + self._c
 
 
 def _chebyshev_u(c: float, degree: int) -> float:

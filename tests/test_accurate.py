@@ -4,8 +4,8 @@ import mpmath
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import CompensatedSum
 from stablekappa.accurate import (
-    CompensatedSum,
     cos_mpi,
     cos_pi,
     reduced,

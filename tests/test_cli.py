@@ -189,7 +189,7 @@ def test_classify_sqrt2(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["kind"] == "irrational"
-    assert 2.0 <= payload["exponent_estimate"] < 2.5
+    assert (payload["floor_power"], payload["floor_constant"]) == (1.0, 0.5)
     assert payload["convergents"][:4] == [[1, 1], [3, 2], [7, 5], [17, 12]]
     assert payload["recommended_method"] == "series"
 

@@ -10,18 +10,14 @@ from hypothesis import strategies as st
 
 from stablekappa import (
     AlphaKind,
-    InsufficientDataError,
     Tolerance,
     cf_expand,
     classify,
-    estimate_exponent,
 )
 from stablekappa.accurate import EPS, sin_mpi, sin_pi
 from stablekappa.diophantine import (
     RATIONAL_DENOMINATOR_CAP,
     AlphaClass,
-    ContinuedFraction,
-    _floor_constant,
     _pair_prefactor,
     _profile,
     _truncation,
@@ -41,17 +37,6 @@ def _cf_oracle(x_str: str, n: int) -> list[int]:
                 break
             y = 1 / frac
         return out
-
-
-def _build_cf(quotients: list[int]) -> ContinuedFraction:
-    """ContinuedFraction from given quotients (for synthetic expansions)."""
-    p1, q1, p2, q2 = 1, 0, 0, 1
-    convs = []
-    for a in quotients:
-        p, q = a * p1 + p2, a * q1 + q2
-        convs.append((p, q))
-        p2, q2, p1, q1 = p1, q1, p, q
-    return ContinuedFraction(tuple(quotients), tuple(convs), 0.0, False)
 
 
 def test_cf_three_halves():
@@ -97,32 +82,6 @@ def test_rational_recovery(p, q):
     assert cf.convergents[-1] == (p, q)
 
 
-def test_estimate_exponent_sqrt2_close_to_two():
-    nhat = estimate_exponent(cf_expand(math.sqrt(2.0)))
-    assert 2.0 <= nhat < 2.5
-
-
-def test_estimate_exponent_sqrt3_golden():
-    assert 2.0 <= estimate_exponent(cf_expand(math.sqrt(3.0))) < 2.6
-    x = (1.0 + math.sqrt(5.0)) / 2.0 - 1.0
-    assert 2.0 <= estimate_exponent(cf_expand(x)) < 2.3
-
-
-def test_estimate_exponent_liouville_like_large_and_monotone():
-    quotients = [1, 10, 10**2, 10**4, 10**8]
-    prev = 0.0
-    for depth in (3, 4, 5):
-        nhat = estimate_exponent(_build_cf(quotients[:depth]))
-        assert nhat >= prev
-        prev = nhat
-    assert prev >= 3.0
-
-
-def test_estimate_exponent_needs_three_convergents():
-    with pytest.raises(InsufficientDataError):
-        estimate_exponent(_build_cf([1, 2]))
-
-
 def test_classify_rational():
     ac = classify(0.5)
     assert ac.kind is AlphaKind.RATIONAL
@@ -134,8 +93,8 @@ def test_classify_rational():
 def test_classify_sqrt2_irrational():
     ac = classify(math.sqrt(2.0), beta=0.3)
     assert ac.kind is AlphaKind.IRRATIONAL
-    assert 2.0 <= ac.exponent_estimate < 2.5
-    assert ac.floor_constant > 0.0
+    # bounded partial quotients: the floor 1/2 / m holds at every convergent
+    assert (ac.floor_power, ac.floor_constant) == (1.0, 0.5)
 
 
 def test_classify_near_rational_ill_conditioned():
@@ -169,18 +128,6 @@ def test_classify_reciprocal_agreement(alpha):
     assert a.kind is b.kind
 
 
-def test_classify_profile_is_model_floor():
-    # c / m**(N - 1) bounds both divisor families over the 256 probed
-    # indices and touches one of them (or is the 0.5 cap)
-    alpha = math.sqrt(2.0)
-    ac = classify(alpha, beta=0.5)
-    nu = ac.exponent_estimate - 1.0
-    num, den = alpha.as_integer_ratio()
-    scaled = [min(abs(sin_mpi(m, den, num)), abs(sin_mpi(m, num, den))) * m ** nu
-              for m in range(1, 257)]
-    assert min(scaled + [0.5]) == ac.floor_constant
-
-
 # ---------------------------------------------------------------------------
 # the per-alpha profile cache behind classify
 # ---------------------------------------------------------------------------
@@ -206,6 +153,13 @@ def _projected_cost_full(beta: float, step: float, prefactor: float,
     return None, s_abs
 
 
+def _exact_sin(m: int, x: Fraction) -> float:
+    """sin(pi m x) from the exact distance of m x to its nearest integer."""
+    k = round(m * x)
+    s = math.sin(math.pi * float(m * x - k))
+    return -s if k % 2 else s
+
+
 def _uncached_profile(alpha: float) -> AlphaClass:
     """The beta-free part of classify, recomputed with no cache."""
     cf = cf_expand(alpha)
@@ -214,12 +168,17 @@ def _uncached_profile(alpha: float) -> AlphaClass:
         floor = sin_pi(1.0 / max(p_last, q_last)) if max(p_last, q_last) > 1 else 0.0
         return AlphaClass(kind=AlphaKind.RATIONAL, p=p_last, q=q_last,
                           floor_constant=floor)
-    try:
-        nhat = estimate_exponent(cf)
-    except InsufficientDataError:
-        nhat = 2.0
-    return AlphaClass(kind=AlphaKind.IRRATIONAL, exponent_estimate=nhat,
-                      floor_constant=_floor_constant(alpha, nhat - 1.0))
+    # the floor model from exact distances: c from the indices 1, nu from
+    # every convergent denominator d >= 2 but the last, of 1/alpha (the p)
+    # and of alpha (the q)
+    x = Fraction(alpha)
+    c = min(0.5, abs(_exact_sin(1, 1 / x)), abs(_exact_sin(1, x)))
+    nu = 1.0
+    for p, q in cf.convergents[:-1]:
+        for d, y in ((p, 1 / x), (q, x)):
+            if d >= 2:
+                nu = max(nu, math.log(c / abs(_exact_sin(d, y))) / math.log(d) + 1e-9)
+    return AlphaClass(kind=AlphaKind.IRRATIONAL, floor_power=nu, floor_constant=c)
 
 
 def _paired_uncached(alpha: float, tol: Tolerance, beta: float,
@@ -266,7 +225,7 @@ def _classify_uncached(alpha: float, tol: Tolerance, beta: float,
     profile = profile or _uncached_profile(alpha)
     if profile.kind is AlphaKind.RATIONAL:
         return profile
-    nu = profile.exponent_estimate - 1.0
+    nu = profile.floor_power
     c = profile.floor_constant
     beta_proj = min(max(beta, 1e-6), 0.95)
     m1, s1 = _projected_cost_full(beta_proj, 1.0, 1.0, c, nu, tol)
@@ -322,6 +281,26 @@ def test_classify_early_exit_keeps_every_verdict():
     # generic, paired near a resonance, and ill-conditioned where neither fits
     assert kinds == {(AlphaKind.IRRATIONAL, False), (AlphaKind.IRRATIONAL, True),
                      (AlphaKind.ILL_CONDITIONED, False)}
+
+
+def test_floor_model_holds_below_the_last_denominator():
+    # best approximation makes c / m**nu a floor on each family's divisors
+    # |sin(pi m x)|, x = 1/alpha and x = alpha, for every m below the last
+    # convergent denominator of x (p_last and q_last), checked by exact
+    # reduction up to 20000
+    checked = 0
+    for alpha in dict.fromkeys(GRID_ALPHAS + CACHE_ALPHAS):
+        profile, _ = _profile(alpha)
+        if profile.kind is AlphaKind.RATIONAL:
+            continue
+        c, nu = profile.floor_constant, profile.floor_power
+        num, den = alpha.as_integer_ratio()
+        p_last, q_last = cf_expand(alpha).convergents[-1]
+        for last, ratio in ((p_last, (den, num)), (q_last, (num, den))):
+            for m in range(1, min(20000, last)):
+                assert abs(sin_mpi(m, *ratio)) >= c / m ** nu, (alpha, ratio, m)
+                checked += 1
+    assert checked > 500000
 
 
 def test_classify_shortcut_premise_peak_bounds_the_noise_sum():

@@ -1,4 +1,5 @@
-"""The production package imports nothing outside the standard library."""
+"""The production package imports nothing outside the standard library and
+holds no code that only tests use."""
 
 import ast
 import sys
@@ -20,3 +21,37 @@ def test_package_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def _references(node: ast.AST) -> set[str]:
+    """The names and attributes a node reads."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def test_every_top_level_definition_is_used_or_exported():
+    # code that only tests use belongs under tests/, not in the package:
+    # every top-level function and class must be referenced by another
+    # top-level statement of the package, or be listed in __all__
+    exported: set[str] = set()
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[top.name] = path.name
+                # a definition's own body does not count as a use of it
+                used.update(_references(top) - {top.name})
+                continue
+            if isinstance(top, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in top.targets):
+                exported.update(ast.literal_eval(top.value))
+            used.update(_references(top))
+    unused = {name: module for name, module in defined.items()
+              if name not in used and name not in exported}
+    assert not unused, unused

@@ -13,6 +13,7 @@ from stablekappa import (
 )
 
 from conftest import admissible_rho_grid, g_integral_oracle, gprime_integral_oracle
+from oracles import g_mpmath
 
 TIGHT = Tolerance(abs_tol=1e-12)
 
@@ -110,6 +111,20 @@ def test_tolerance_monotonicity():
         loose = g_quad(p, beta, Tolerance(abs_tol=1e-6))
         tight = g_quad(p, beta, Tolerance(abs_tol=1e-11))
         assert tight.abs_error_bound <= loose.abs_error_bound
+
+
+@pytest.mark.parametrize("alpha,beta,abs_tol", [
+    (0.5, 1e-8, 1e-6),
+    (0.3, 1e-8, 1e-6),
+    (math.sqrt(2.0), 1e-6, 1e-10),
+])
+def test_bound_holds_decades_below_one(alpha, beta, abs_tol):
+    # with only beta and 1 as splits, the error here exceeded the bound
+    # (4e-5 against 9e-8 at alpha 0.5); the decade splits between beta and 1
+    # keep it within
+    res = g_quad(validate(alpha, 0.3), beta, Tolerance(abs_tol=abs_tol))
+    want, _ = g_mpmath(alpha, 0.3, beta)
+    assert abs(res.value - float(want)) <= res.abs_error_bound
 
 
 def test_near_singular_rho_band():

@@ -122,7 +122,7 @@ def test_vanished_divisor_at_a_forced_irrational_verdict(alpha, divisor):
     # sin(m pi/alpha) is exactly 0 at m = 1 for alpha = 1/2 and at m = 3 for
     # 3/2; the series must refuse rather than skip the index as the
     # rational split does
-    aclass = AlphaClass(AlphaKind.IRRATIONAL, exponent_estimate=2.0, floor_constant=0.5)
+    aclass = AlphaClass(AlphaKind.IRRATIONAL, floor_power=1.0, floor_constant=0.5)
     with pytest.raises(IllConditionedSeriesError) as err:
         g_series(StableParams(alpha, 0.5), 0.3, aclass=aclass)
     assert str(err.value) == f"divisor {divisor} vanished"
@@ -365,13 +365,13 @@ def test_truncation_with_a_budget_past_float_range():
 
 @pytest.mark.parametrize("alpha,max_terms,series,value,bound", [
     # the first series fails
-    (SQRT2, 50, g_series, "0x1.38c1a96ca9918p-3", "0x1.993d977ca9af0p-2"),
-    (SQRT2, 50, gprime_series, "-0x1.5f40536c6d216p-1", "0x1.bf103103b8c2ep+4"),
+    (SQRT2, 50, g_series, "0x1.38c1a96ca9918p-3", "0x1.7bfa3ff650ef9p-4"),
+    (SQRT2, 50, gprime_series, "-0x1.5f40536c6d216p-1", "0x1.98884b3ebb350p+2"),
     # the second fails and reports the first's value plus its partial sum
-    (0.5 + SQRT2 / 40.0, 500, g_series, "0x1.7d3bd6c77c50cp-2",
-     "0x1.8f17ea4ecb60cp-28"),
-    (0.5 + SQRT2 / 40.0, 500, gprime_series, "0x1.29051646e023fp-3",
-     "0x1.e1b51c436fcd6p-20"),
+    (0.5 + SQRT2 / 40.0, 500, g_series, "0x1.7d3bd6c77c504p-2",
+     "0x1.2cce3e161113bp-31"),
+    (0.5 + SQRT2 / 40.0, 500, gprime_series, "0x1.29051646e0200p-3",
+     "0x1.6ae30c0c2bdddp-23"),
 ])
 def test_series_failure_reports_partial_sum_and_tail(alpha, max_terms, series, value,
                                                      bound):
@@ -492,3 +492,25 @@ def test_paired_series_within_its_bound_of_mpmath(alpha, p, q, series, oracle):
             ref, err = oracle(alpha, rho, beta)
             assert err < 1e-25
             assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound, (rho, beta)
+
+
+@pytest.mark.parametrize("series,oracle", [(g_series, g_mpmath),
+                                           (gprime_series, gprime_mpmath)])
+def test_dispatched_series_within_its_bound_of_mpmath(series, oracle):
+    # the verdict classify gives, generic or paired, at generic alphas and
+    # near 1/2 and 3/2: every value the series returns lies within its
+    # tail and noise bounds of the 30-digit integral
+    kinds = set()
+    for alpha in (SQRT2, math.pi / 2.0, math.sqrt(3.0), math.e / 2.0,
+                  0.5 + SQRT2 / 40.0, 1.5 - 1e-4 * math.pi, 1.50000001):
+        for beta in (1e-4, 0.3, 0.8, 0.94):
+            ref, _ = oracle(alpha, 0.5, beta)
+            for tol in (Tolerance(), Tolerance(abs_tol=1e-13)):
+                aclass = classify(alpha, tol, beta)
+                if aclass.kind is AlphaKind.ILL_CONDITIONED:
+                    continue
+                kinds.add(aclass.p is not None)
+                rep = series(validate(alpha, 0.5), beta, tol, aclass)
+                assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound, (
+                    alpha, beta, tol)
+    assert kinds == {False, True}

@@ -80,13 +80,14 @@ def test_tracer_counts_every_wrapped_layer():
 
 
 def test_sweep_work_counters():
-    # one calibration of the divisor floor (256 indices, two families) for
-    # the whole table, and each series sine computed once across the betas
+    # one divisor floor for the whole table, read off sqrt 2's 21
+    # convergents (two exact reductions each, less the two at the last),
+    # and each series sine computed once across the betas
     metrics = _traced(SWEEP)
     assert metrics["diophantine.classify.calls"] == 40
-    assert metrics["diophantine.classify.reductions"] == 512
-    assert metrics["accurate.reductions"] <= 1434
-    assert metrics["series.terms"] == 3799
+    assert metrics["diophantine.classify.reductions"] == 40
+    assert metrics["accurate.reductions"] <= 900
+    assert metrics["series.terms"] == 3584
 
 
 def test_paired_sweep_work_counters():

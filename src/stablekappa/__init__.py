@@ -1,12 +1,12 @@
 """stablekappa: the ladder-process Laplace exponent of stable processes.
 
 Evaluates g(beta), g'(beta), and kappa(gamma, beta) = gamma^rho
-exp(g(beta gamma^(-1/alpha))) by four cross-validating routes: adaptive
-quadrature of the defining integral, a small-divisor power series for
-irrational stability indices (split at a nearby rational, with each
-near-resonant pair of terms summed as one), a split series for rational
-ones, and Doney-case closed forms.  Continued-fraction conditioning analysis picks
-the method automatically.
+exp(g(beta gamma^(-1/alpha))) by three cross-validating routes: adaptive
+quadrature of the defining integral, the small-divisor power series (split
+at a nearby rational p/q with each near-resonant pair of terms summed as
+one, and at alpha = p/q itself split at its resonant terms), and Doney-case
+closed forms.  Continued-fraction conditioning analysis picks the method
+automatically.
 """
 
 from .diophantine import (
@@ -37,12 +37,9 @@ from .series import (
 )
 from .special import (
     DoneyCase,
-    RationalAlpha,
     find_doney_case,
     g_doney,
     g_k_closed,
-    g_rational,
-    gprime_rational,
 )
 
 __version__ = "0.1.0"
@@ -60,7 +57,6 @@ __all__ = [
     "MethodChoice",
     "MethodNotApplicableError",
     "OutOfRangeError",
-    "RationalAlpha",
     "SeriesReport",
     "StableParams",
     "Tolerance",
@@ -72,11 +68,9 @@ __all__ = [
     "g_doney",
     "g_k_closed",
     "g_quad",
-    "g_rational",
     "g_series",
     "gprime_any_beta",
     "gprime_quad",
-    "gprime_rational",
     "gprime_series",
     "kappa",
     "plan",

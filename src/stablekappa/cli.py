@@ -31,7 +31,6 @@ from .params import (
 )
 from .quadrature import g_quad, gprime_quad
 from .series import gprime_series
-from .special import RationalAlpha, gprime_rational
 
 _FIELDS = ("alpha", "rho", "beta", "gamma", "method", "value",
            "abs_error_bound", "terms_or_nodes_used", "status")
@@ -243,7 +242,7 @@ def cmd_table(args) -> int:
     return 0
 
 
-_COLUMNS = ("quadrature", "series", "rational", "doney")  # compare's row order
+_COLUMNS = ("quadrature", "series", "doney")  # compare's row order
 
 
 def _run_plan(params: StableParams, beta: float, derivative: bool,
@@ -363,9 +362,10 @@ def cmd_classify(args) -> int:
 
 
 # (alpha, rho, beta, derivative): points where the plan runs at least two
-# methods.  Series, Doney and the rational split each meet quadrature, for g
-# and g', and so does the series with its near-resonant terms paired at
-# 3/2; the last point is planned at 1/beta and reflected.
+# methods.  The series meets quadrature for g and g': generic at sqrt 2,
+# with its near-resonant terms paired at 3/2, split at the rationals 4/5 and
+# 1/2.  Doney meets both for g at 4/5.  The last point is planned at 1/beta
+# and reflected.
 _METHOD_POINTS = (
     (math.sqrt(2.0), 0.5, 0.3, False),
     (math.sqrt(2.0), 0.5, 0.3, True),
@@ -415,7 +415,7 @@ def _reflection_checks():
 
 def _resonance_checks():
     rho, beta = 0.5, 0.4
-    ref = gprime_rational(RationalAlpha(1, 2), rho, beta).value
+    ref = gprime_series(StableParams(0.5, rho), beta).value
     errs = []
     for j in (10, 40):
         aj = 0.5 + math.sqrt(2.0) / j

@@ -9,14 +9,14 @@ reflection identity g(beta) = g(1/beta) + alpha rho log(beta).
 Which evaluator runs is decided in one place, ``plan``: it yields the
 candidate methods for one beta, for g or g', in the order they are tried,
 each with the reason it runs or is skipped.  For beta <= 0.95 the order is
-the Doney closed form (g only; exact and cheapest), the rational split
-series (rational alpha; g and g'), the small-divisor series (irrational
-alpha that ``classify`` finds well conditioned at this beta, either
-generically or with its near-resonant terms paired at a convergent p/q),
-then quadrature.  In the band 0.95 < beta < 1.05, where the series slow
-down, quadrature comes first and the Doney and irrational series
-candidates are skipped; below beta = 1 the rational split stays on as its
-fallback.  beta >= 1.05 is planned at 1/beta and every result reflected.
+the Doney closed form (g only; exact and cheapest), the small-divisor
+series (unless ``classify`` finds it ill-conditioned at this beta: generic,
+with its near-resonant terms paired at a convergent p/q, or split at a
+rational alpha = p/q), then quadrature.  In the band 0.95 < beta < 1.05,
+where the series slow down, quadrature comes first and the Doney and
+series candidates are skipped, except that below beta = 1 the series at
+rational alpha stays on as its fallback: its floors do not depend on beta.
+beta >= 1.05 is planned at 1/beta and every result reflected.
 A forced method runs its own step of this plan alone, except in the band,
 and raises when the plan skips that step.  The plan is lazy:
 ``find_doney_case`` and ``classify`` run only when a candidate that needs
@@ -43,7 +43,7 @@ from .params import (
 )
 from .quadrature import g_quad, gprime_quad
 from .series import g_series, gprime_series
-from .special import RationalAlpha, find_doney_case, g_doney, g_rational, gprime_rational
+from .special import find_doney_case, g_doney
 
 _BAND_LO = 0.95
 _BAND_HI = 1.05
@@ -77,10 +77,7 @@ _IN_BAND = "skipped: 0.95 < beta < 1.05, where quadrature runs"
 _DONEY_IN_BAND = Candidate(MethodChoice.DONEY, _IN_BAND)
 _DONEY_G_ONLY = Candidate(MethodChoice.DONEY, "skipped: closed form covers g only")
 _NO_DONEY_CASE = Candidate(MethodChoice.DONEY, "skipped: no (k, l) with rho + k = l/alpha")
-_NOT_RATIONAL = Candidate(MethodChoice.RATIONAL,
-                          "skipped: needs rational alpha and beta in (0, 1)")
 _SERIES_IN_BAND = Candidate(MethodChoice.SERIES, _IN_BAND)
-_SERIES_RATIONAL = Candidate(MethodChoice.SERIES, "skipped: rational alpha")
 _SERIES_ILL = Candidate(MethodChoice.SERIES,
                         "skipped: ill-conditioned, also with the near-resonant terms paired")
 
@@ -156,23 +153,19 @@ def plan(params: StableParams, beta: float, derivative: bool = False,
                                _doney_result, params, beta, case)
 
         aclass = classify(params.alpha, tol, beta)
-        if aclass.kind is AlphaKind.RATIONAL and beta < 1.0:
-            yield runnable(MethodChoice.RATIONAL, "rational alpha",
-                           gprime_rational if derivative else g_rational,
-                           RationalAlpha(aclass.p, aclass.q), params.rho, beta, tol)
-        else:
-            yield _NOT_RATIONAL
-        if aclass.kind is AlphaKind.RATIONAL:
-            yield _SERIES_RATIONAL
-        elif aclass.kind is AlphaKind.ILL_CONDITIONED:
+        rational = aclass.kind is AlphaKind.RATIONAL
+        if aclass.kind is AlphaKind.ILL_CONDITIONED:
             yield _SERIES_ILL
-        elif band:
+        elif band and not (rational and beta < 1.0):
             yield _SERIES_IN_BAND
         else:
-            yield runnable(MethodChoice.SERIES, "irrational alpha, well conditioned here"
-                           + (f" with the terms near {aclass.p}/{aclass.q} paired"
-                              if aclass.p else ""),
-                           _series_result, gprime_series if derivative else g_series,
+            if rational:
+                reason = f"rational alpha {aclass.p}/{aclass.q}, split at its resonant terms"
+            else:
+                reason = "irrational alpha, well conditioned here" + (
+                    f" with the terms near {aclass.p}/{aclass.q} paired" if aclass.p else "")
+            yield runnable(MethodChoice.SERIES, reason, _series_result,
+                           gprime_series if derivative else g_series,
                            params, beta, tol, aclass)
         if not band:
             yield runnable(MethodChoice.QUADRATURE, "reference evaluator",

@@ -39,7 +39,6 @@ class MethodChoice(Enum):
     AUTO = "auto"
     SERIES = "series"
     QUADRATURE = "quadrature"
-    RATIONAL = "rational"
     DONEY = "doney"
 
 

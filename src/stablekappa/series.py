@@ -1,6 +1,6 @@
 """Power-series evaluation of g and g' with small-divisor-aware truncation.
 
-For irrational, well-conditioned alpha and 0 < beta < 1:
+For irrational alpha and 0 < beta < 1:
 
     g(beta)  = sum_m (-1)^(m+1) beta^m  sin(rho m pi) / (m sin(m pi/alpha))
              + sum_k (-1)^(k+1) beta^(alpha k) sin(rho alpha k pi)
@@ -24,9 +24,17 @@ beta^(x-1) sin(rho pi x) for g', sinc(x) = sin(pi x)/(pi x).  Every other
 index summed keeps a floor proven in the diophantine module, half of
 sin(pi/p) and sin(pi/q), and every pair summed a mean-value bound.  The
 tail bound past the stopping index assumes the same floors and pair bound
-for the later indices, where they are not checked.  At alpha = p/q exactly
-(delta = 0) the pair is the limit s alpha H'(N)/pi, and ``_split`` is the
-rational-alpha split series of the special module.
+for the later indices, where they are not checked.
+
+At rational alpha = p/q (``classify``'s Rational verdict) the divisors of
+the terms m = n p and k = n q vanish, and ``_split`` runs at delta = 0 on
+the exact ratio (p, q): the pair is its limit s alpha H'(N)/pi, for g'
+
+    beta^(N-1) (A_n + B_n log beta),  A_n = s alpha rho cos(N pi rho),
+                                      B_n = s alpha sin(N pi rho)/pi,
+
+and for g its integral from 0 to beta, and every other index keeps the
+floor sin(pi/p) or sin(pi/q) with no drift.
 """
 
 from __future__ import annotations
@@ -52,7 +60,6 @@ from .diophantine import (
 from .params import (
     ConvergenceFailureError,
     IllConditionedSeriesError,
-    MethodNotApplicableError,
     OutOfRangeError,
     StableParams,
     Tolerance,
@@ -67,9 +74,10 @@ class SeriesReport:
     when the verdict pairs the near-resonant terms, the pair bound) are
     proven for the terms summed and assumed past the stopping index;
     noise_bound estimates the rounding floor of the compensated
-    accumulation.  With the terms paired at p/q, terms_first_series counts
-    the first series' terms that p does not divide plus the pairs, and
-    terms_second_series the second series' terms that q does not divide.
+    accumulation.  Split at p/q (paired near it, or at a rational alpha =
+    p/q), terms_first_series counts the first series' terms that p does not
+    divide plus the pairs, and terms_second_series the second series' terms
+    that q does not divide.
     """
 
     value: float
@@ -262,7 +270,7 @@ def _split(ratio: tuple[int, int], p: int, q: int, rho: float, beta: float,
     g', and sinc(x) = sin(pi x)/(pi x) (``_pair_factors``).  At delta_1 = 0, alpha =
     p/q exactly, that is its limit s alpha H'(N)/pi, summed as
     beta^(N - shift)/N^deg alpha (rho cos(N pi rho) + (log beta - deg/N)
-    sin(N pi rho)/pi), the exact resonant term of the rational split.
+    sin(N pi rho)/pi), the exact resonant term at rational alpha.
 
     The nonresonant sums take the floors sin(pi/p) and sin(pi/q) at
     delta_1 = 0, else half of them, proven up to each stopping index
@@ -357,9 +365,9 @@ def _series(params: StableParams, beta: float, tol: Tolerance | None,
     if aclass is None:
         aclass = classify(params.alpha, tol, beta)
     if aclass.kind is AlphaKind.RATIONAL:
-        raise MethodNotApplicableError(
-            "series evaluation needs irrational alpha; "
-            "use the rational-alpha or quadrature evaluators")
+        # the split at p/q itself, on the exact ratio: the float 0.8 is not 4/5
+        ratio = (aclass.p, aclass.q)
+        return SeriesReport(*_split(ratio, *ratio, params.rho, beta, tol, derivative))
     if aclass.kind is AlphaKind.ILL_CONDITIONED:
         raise IllConditionedSeriesError(
             "small divisors exceed the work/noise budget at this beta and tolerance, "
@@ -391,11 +399,13 @@ def _series(params: StableParams, beta: float, tol: Tolerance | None,
 
 def g_series(params: StableParams, beta: float, tol: Tolerance | None = None,
              aclass: AlphaClass | None = None) -> SeriesReport:
-    """g(beta) by the two-series expansion, for 0 <= beta < 1."""
+    """g(beta) by the two-series expansion, for 0 <= beta < 1: generic,
+    paired near a resonance p/q, or split at a rational alpha = p/q."""
     return _series(params, beta, tol, aclass, derivative=False)
 
 
 def gprime_series(params: StableParams, beta: float, tol: Tolerance | None = None,
                   aclass: AlphaClass | None = None) -> SeriesReport:
-    """g'(beta) by the termwise-differentiated expansion, for 0 < beta < 1."""
+    """g'(beta) by the termwise-differentiated expansion, for 0 < beta < 1;
+    see ``g_series``."""
     return _series(params, beta, tol, aclass, derivative=True)

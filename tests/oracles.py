@@ -4,7 +4,8 @@
 form, ``gprime_half_closed`` is g' at alpha = 1/2 in elementary closed
 form, and ``g_mpmath`` and ``gprime_mpmath`` are g and g' from their
 defining integrals at 30 digits (the benchmark's oracle, ``bench/oracle.py``);
-``g_rational`` and ``gprime_rational`` are checked against the last three.
+``g_series`` and ``gprime_series`` at rational alpha, where they split at
+p/q, are checked against the last three.
 No evaluator of the package calls any of them, so they live here, with
 ``CompensatedSum``, the Neumaier running sum that ``g_k_series`` uses.
 """
@@ -75,7 +76,7 @@ def g_k_series(a: float, x: float, k: int, M: int) -> float:
 def gprime_half_closed(rho: float, beta: float) -> float:
     """g'(beta) for alpha = 1/2 in elementary closed form.
 
-    Derived by summing the alpha = 1/2 instance of the rational formula in
+    Derived by summing the alpha = 1/2 instance of the split series in
     closed form, and verified against direct quadrature of g':
 
         [ (1-beta) sin(pi rho/2) / (2 sqrt(beta))

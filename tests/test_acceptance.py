@@ -16,7 +16,6 @@ import pytest
 from stablekappa import (
     KappaQuery,
     MethodChoice,
-    RationalAlpha,
     StableParams,
     Tolerance,
     cf_expand,
@@ -26,7 +25,6 @@ from stablekappa import (
     g_quad,
     g_series,
     gprime_quad,
-    gprime_rational,
     gprime_series,
     kappa,
     find_doney_case,
@@ -103,21 +101,20 @@ def test_criterion_03_spectrally_one_sided():
 
 
 def test_criterion_04_half_alpha_closed_form():
-    ra = RationalAlpha(1, 2)
     worst = 0.0
     for rho in (0.2, 0.5, 0.8):
+        p = validate(0.5, rho)
         for beta in BETAS:
-            got = gprime_rational(ra, rho, beta, Tolerance(abs_tol=1e-11)).value
+            got = gprime_series(p, beta, Tolerance(abs_tol=1e-11)).value
             worst = max(worst, abs(got - gprime_half_closed(rho, beta)))
     ok = worst <= 1e-9
-    _report(4, ok, f"rational formula vs alpha=1/2 closed form, worst {worst:.2e}")
+    _report(4, ok, f"series split at alpha=1/2 vs its closed form, worst {worst:.2e}")
     assert ok
 
 
 def _resonant_limit_errors() -> tuple[float, float]:
     rho, beta = 0.5, 0.4
-    ref = gprime_rational(RationalAlpha(1, 2), rho, beta,
-                          Tolerance(abs_tol=1e-12)).value
+    ref = gprime_series(validate(0.5, rho), beta, Tolerance(abs_tol=1e-12)).value
     out = []
     for j in (10, 40):
         alpha_j = 0.5 + SQRT2 / j

@@ -149,12 +149,14 @@ def test_compare_rational_derivative_has_rational_column(capsys):
                        "--beta", "0.4", "--derivative", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert "rational" in payload["methods"]
+    # at rational alpha the series column holds the split at p/q
+    assert list(payload["methods"]) == ["quadrature", "series"]
+    assert list(payload["skipped"]) == ["doney"]
     code, out, _ = run(capsys, "compare", "--alpha", "0.5", "--rho", "0.3",
                        "--beta", "0.4", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert list(payload["methods"]) == ["quadrature", "rational"]
+    assert list(payload["methods"]) == ["quadrature", "series"]
     assert payload["agree"] is True
 
 
@@ -334,13 +336,13 @@ def test_kappa_transform_failure_records_its_arguments(capsys):
 
 def test_kappa_at_rational_alpha_with_a_huge_argument_of_g(capsys):
     # g's argument beta gamma^(-1/alpha) is 4.4e9, planned at its inverse;
-    # adaptive quadrature of g failed there, the rational split does not
+    # adaptive quadrature of g failed there, the series split at 3/10 does not
     alpha, rho, gamma, beta = 0.3, 0.5, 0.01, 952.7247059096829
     code, out, _ = run(capsys, "kappa", "--alpha", repr(alpha), "--rho", repr(rho),
                        "--gamma", repr(gamma), "--beta", repr(beta), "--format", "json")
     assert code == 0
     rec = json.loads(out)
-    assert rec["method"] == "rational"
+    assert rec["method"] == "series"
     with mpmath.workdps(30):
         arg = mpmath.mpf(beta) * mpmath.mpf(gamma) ** (-1 / mpmath.mpf(alpha))
         g, err = g_mpmath(alpha, rho, arg)
@@ -357,10 +359,15 @@ def test_kappa_gamma_defaults_to_one(capsys):
     assert run(capsys, *argv, "--gamma", "1.0") == (0, out, "")
 
 
-def test_unknown_method_exit_1(capsys):
-    code, _, _ = run(capsys, "eval", "--alpha", "0.8", "--rho", "0.25",
-                     "--beta", "0.5", "--method", "magic")
+# "rational" named the series split at rational alpha, now part of "series"
+@pytest.mark.parametrize("method", ["magic", "rational"])
+def test_unknown_method_exit_1(capsys, method):
+    code, _, err = run(capsys, "eval", "--alpha", "0.8", "--rho", "0.25",
+                       "--beta", "0.5", "--method", method)
     assert code == 1
+    assert err.startswith("usage error: argument --method: invalid choice")
+    with pytest.raises(ValueError):
+        MethodChoice(method)
 
 
 def test_compare_band_skips_quadrature_reruns(capsys):
@@ -368,9 +375,9 @@ def test_compare_band_skips_quadrature_reruns(capsys):
                        "--beta", "0.97", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    # quadrature runs once, first; at rational alpha the split series
-    # still runs below beta = 1 as the cross-check
-    assert list(payload["methods"]) == ["quadrature", "rational"]
+    # quadrature runs once, first; at rational alpha the series, split at
+    # p/q, still runs below beta = 1 as the cross-check
+    assert list(payload["methods"]) == ["quadrature", "series"]
     assert payload["skipped"]["doney"] == (
         "skipped: 0.95 < beta < 1.05, where quadrature runs")
     assert payload["agree"] is True
@@ -387,7 +394,7 @@ def test_compare_skips_rational_that_does_not_converge(capsys):
                        "--rho", "0.3", "--beta", "0.998", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["skipped"]["rational"] == "skipped: did not converge"
+    assert payload["skipped"]["series"] == "skipped: did not converge"
     assert list(payload["methods"]) == ["quadrature"]
     assert payload["agree"] is True
 

@@ -18,6 +18,7 @@ from stablekappa.accurate import EPS, sin_mpi, sin_pi
 from stablekappa.diophantine import (
     RATIONAL_DENOMINATOR_CAP,
     AlphaClass,
+    _fits,
     _pair_prefactor,
     _profile,
     _truncation,
@@ -301,6 +302,26 @@ def test_floor_model_holds_below_the_last_denominator():
                 assert abs(sin_mpi(m, *ratio)) >= c / m ** nu, (alpha, ratio, m)
                 checked += 1
     assert checked > 500000
+
+
+def test_fits_refuses_a_noise_sum_just_over_the_cap():
+    # term bounds nearly flat up to the stopping index (nu = 16 at beta 1/2)
+    # bring the exact bound-sum within 20x of classify's shortcut upper bound
+    # 2 s p per family: each peak fits, the sum's noise does not, so _fits
+    # must refuse, where a shortcut loosened to 20x the cap would accept
+    alpha, nu, c, tol, beta = math.sqrt(2.0), 16.0, 3.3e11, Tolerance(), 0.5
+    noise_cap = 0.5 * tol.abs_tol
+    total, upper = [], 0.0
+    for step in (1.0, alpha):
+        stop, _ = _truncation(beta, step, step, 1.0, nu, c, noise_cap, tol.max_terms)
+        bounds = [step * beta ** (step * m - 1.0) * m ** nu / c
+                  for m in range(1, stop + 1)]
+        assert 4.0 * EPS * max(bounds) <= noise_cap
+        total += bounds
+        upper += 2.0 * stop * max(bounds)
+    assert noise_cap < 4.0 * EPS * math.fsum(total)
+    assert 4.0 * EPS * upper <= 20.0 * noise_cap
+    assert not _fits(alpha, nu, c, tol, beta)
 
 
 def test_classify_shortcut_premise_peak_bounds_the_noise_sum():

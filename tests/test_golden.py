@@ -30,7 +30,7 @@ ALPHAS = (
 )
 BETAS = ("0.3", "0.97", "2.5")
 DERIVATIVE = ((), ("--derivative",))
-FORCED = ("quadrature", "series", "rational", "doney")
+FORCED = ("quadrature", "series", "doney")
 # a tolerance and term budget other than the defaults
 BUDGET = ("--tol", "1e-12", "--max-terms", "20000")
 

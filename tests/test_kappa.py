@@ -4,16 +4,16 @@ import math
 import pytest
 
 from stablekappa import (
+    EvalResult,
     KappaQuery,
     MethodChoice,
     MethodNotApplicableError,
     OutOfRangeError,
-    RationalAlpha,
     Tolerance,
     exit_transform,
     g_any_beta,
     g_quad,
-    g_rational,
+    g_series,
     gprime_any_beta,
     gprime_quad,
     kappa,
@@ -62,12 +62,12 @@ def test_auto_dispatch_doney_for_case():
 def test_auto_dispatch_rational_for_rational_without_case():
     p = validate(0.75, 0.37)
     res = g_any_beta(p, 0.5, MethodChoice.AUTO, TOL)
-    assert res.method is MethodChoice.RATIONAL
+    assert res.method is MethodChoice.SERIES
     ref = g_quad(p, 0.5, Tolerance(abs_tol=1e-12))
     assert abs(res.value - ref.value) <= res.abs_error_bound + ref.abs_error_bound
     # the band still puts quadrature first, and beta >= 1.05 is reflected
     assert g_any_beta(p, 0.97, MethodChoice.AUTO, TOL).method is MethodChoice.QUADRATURE
-    assert g_any_beta(p, 2.0, MethodChoice.AUTO, TOL).method is MethodChoice.RATIONAL
+    assert g_any_beta(p, 2.0, MethodChoice.AUTO, TOL).method is MethodChoice.SERIES
 
 
 # points where adaptive quadrature of g raised ConvergenceFailureError, and
@@ -78,7 +78,7 @@ def test_auto_dispatch_rational_for_rational_without_case():
 ])
 def test_auto_dispatch_g_at_former_quadrature_faults(alpha, rho, beta):
     res = g_any_beta(validate(alpha, rho), beta, MethodChoice.AUTO, TOL)
-    assert res.method is MethodChoice.RATIONAL
+    assert res.method is MethodChoice.SERIES
     ref, err = g_mpmath(alpha, rho, beta)
     assert abs(res.value - ref) <= res.abs_error_bound + err
 
@@ -92,18 +92,21 @@ def test_forced_method_threads_through_reflection():
 
 
 def test_rational_method_forced_for_g():
+    # the forced series at rational alpha is its split at p/q
     p = validate(0.5, 0.3)
-    res = g_any_beta(p, 0.4, MethodChoice.RATIONAL, TOL)
-    assert res.method is MethodChoice.RATIONAL
-    assert res == g_rational(RationalAlpha(1, 2), 0.3, 0.4, TOL)
-    # at irrational alpha the plan skips the step, so forcing it raises
-    with pytest.raises(MethodNotApplicableError, match="needs rational alpha"):
-        g_any_beta(validate(SQRT2, 0.5), 0.4, MethodChoice.RATIONAL, TOL)
+    res = g_any_beta(p, 0.4, MethodChoice.SERIES, TOL)
+    rep = g_series(p, 0.4, TOL)
+    assert res == EvalResult(rep.value, rep.tail_bound + rep.noise_bound,
+                             MethodChoice.SERIES,
+                             rep.terms_first_series + rep.terms_second_series)
+    # at rational alpha with no Doney case the plan skips only Doney
+    with pytest.raises(MethodNotApplicableError, match="no \\(k, l\\)"):
+        g_any_beta(p, 0.4, MethodChoice.DONEY, TOL)
 
 
 def test_gprime_any_beta_dispatch():
     res = gprime_any_beta(validate(0.5, 0.3), 0.4, MethodChoice.AUTO, TOL)
-    assert res.method is MethodChoice.RATIONAL
+    assert res.method is MethodChoice.SERIES
     res = gprime_any_beta(validate(SQRT2, 0.5), 0.4, MethodChoice.AUTO, TOL)
     assert res.method is MethodChoice.SERIES
     with pytest.raises(MethodNotApplicableError):
@@ -220,20 +223,22 @@ def _methods(params, beta, derivative):
 
 def test_plan_order_and_skips():
     assert _methods(validate(SQRT2, 0.5), 0.3, False) == [
-        ("doney", False), ("rational", False), ("series", True), ("quadrature", True)]
+        ("doney", False), ("series", True), ("quadrature", True)]
     # g and g' have the same steps at rational alpha; Doney runs for g only
     assert _methods(validate(0.5, 0.3), 0.3, True) == [
-        ("doney", False), ("rational", True), ("series", False), ("quadrature", True)]
+        ("doney", False), ("series", True), ("quadrature", True)]
     assert _methods(validate(0.5, 0.3), 0.3, False) == [
-        ("doney", False), ("rational", True), ("series", False), ("quadrature", True)]
+        ("doney", False), ("series", True), ("quadrature", True)]
     assert _methods(validate(0.8, 0.25), 0.3, False) == [
-        ("doney", True), ("rational", True), ("series", False), ("quadrature", True)]
-    # the band puts quadrature first, and keeps the rational split below 1;
-    # reflection keeps the inner order
+        ("doney", True), ("series", True), ("quadrature", True)]
+    # the band puts quadrature first and skips the series, except at
+    # rational alpha below 1; reflection keeps the inner order
+    assert _methods(validate(SQRT2, 0.5), 0.97, False) == [
+        ("quadrature", True), ("doney", False), ("series", False)]
     assert _methods(validate(0.8, 0.25), 0.97, False) == [
-        ("quadrature", True), ("doney", False), ("rational", True), ("series", False)]
+        ("quadrature", True), ("doney", False), ("series", True)]
     assert _methods(validate(0.8, 0.25), 1.03, False) == [
-        ("quadrature", True), ("doney", False), ("rational", False), ("series", False)]
+        ("quadrature", True), ("doney", False), ("series", False)]
     assert _methods(validate(0.5, 0.3), 2.5, True) == _methods(validate(0.5, 0.3), 0.4, True)
 
 
@@ -263,7 +268,7 @@ def test_failed_candidate_passes_to_the_next(monkeypatch):
         raise kappa_module.ConvergenceFailureError("budget exhausted")
 
     p = validate(0.5, 0.3)
-    monkeypatch.setattr(kappa_module, "gprime_rational", diverges)
+    monkeypatch.setattr(kappa_module, "gprime_series", diverges)
     res = gprime_any_beta(p, 0.4, MethodChoice.AUTO, TOL)
     assert res == gprime_quad(p, 0.4, TOL)
     monkeypatch.setattr(kappa_module, "gprime_quad", diverges)

@@ -13,15 +13,12 @@ from stablekappa import (
     AlphaKind,
     ConvergenceFailureError,
     IllConditionedSeriesError,
-    MethodNotApplicableError,
-    RationalAlpha,
     StableParams,
     Tolerance,
     classify,
     g_quad,
     g_series,
     gprime_quad,
-    gprime_rational,
     gprime_series,
     validate,
 )
@@ -49,9 +46,13 @@ def test_g_series_vs_quadrature_sqrt2():
     assert rep.tail_bound >= 0.0
 
 
-def test_g_series_requires_irrational():
-    with pytest.raises(MethodNotApplicableError):
-        g_series(validate(0.5, 0.3), 0.4)
+def test_g_series_splits_at_rational_alpha():
+    # at alpha = 1/2 the series runs split at its resonant terms, the value
+    # pinned in test_special.RATIONAL_VALUES
+    rep = g_series(validate(0.5, 0.3), 0.4)
+    assert (rep.value.hex(), (rep.tail_bound + rep.noise_bound).hex(),
+            rep.terms_first_series + rep.terms_second_series) == (
+        "0x1.5ed631783c6b6p-3", "0x1.4a5c76cfe0e48p-36", 47)
 
 
 def test_g_series_refuses_ill_conditioned():
@@ -180,20 +181,16 @@ def test_sine_table_past_its_length_cap(monkeypatch):
     assert [len(t) for t in tables] == [10, 10]
 
 
-def _rational_bits(beta):
-    res = gprime_rational(RationalAlpha(4, 5), 0.3, beta)
-    return res.value.hex(), res.abs_error_bound.hex(), res.terms_or_nodes_used
-
-
 def test_sine_tables_under_concurrent_growth():
-    # the irrational series, the rational split's nonresonant sums whose
-    # tables hold only the nonresonant indices, and the paired split's
-    # tables of pair factors
+    # the irrational series, the split at the rational 4/5, whose
+    # nonresonant sums' tables hold only the nonresonant indices, and the
+    # paired split's tables of pair factors
     alpha, rho = TABLE_PARAMS[1]
     p = validate(alpha, rho)
-    near = validate(1.50000001, 0.5)
+    near, rational = validate(1.50000001, 0.5), validate(0.8, 0.3)
     evals = (lambda beta: _bits(g_series(p, beta)),
-             lambda beta: _bits(gprime_series(p, beta)), _rational_bits,
+             lambda beta: _bits(gprime_series(p, beta)),
+             lambda beta: _bits(gprime_series(rational, beta)),
              lambda beta: _bits(g_series(near, beta)))
     serial = {}
     for k, evaluate in enumerate(evals):

@@ -3,18 +3,15 @@ import math
 import pytest
 
 from stablekappa import (
-    ConvergenceFailureError,
     OutOfRangeError,
-    RationalAlpha,
     Tolerance,
     find_doney_case,
     g_doney,
     g_k_closed,
     g_quad,
-    g_rational,
     g_series,
     gprime_quad,
-    gprime_rational,
+    gprime_series,
     validate,
 )
 
@@ -24,6 +21,14 @@ from oracles import g_k_series, g_mpmath, gprime_half_closed, gprime_mpmath
 TIGHT = Tolerance(abs_tol=1e-12)
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
+
+
+def _split(p, q, rho, beta, tol=None, derivative=False):
+    """g (or g') at alpha = p/q by the series, which splits at p/q:
+    (value, abs_error_bound, terms) as the kappa layer reports them."""
+    rep = (gprime_series if derivative else g_series)(validate(p / q, rho), beta, tol)
+    return (rep.value, rep.tail_bound + rep.noise_bound,
+            rep.terms_first_series + rep.terms_second_series)
 
 
 def test_find_doney_case_examples():
@@ -115,20 +120,20 @@ def test_g_doney_irrational_alpha_vs_series():
 
 
 def test_gprime_rational_half_matches_closed():
-    res = gprime_rational(RationalAlpha(1, 2), 0.3, 0.4)
+    value, _, _ = _split(1, 2, 0.3, 0.4, derivative=True)
     want = gprime_half_closed(0.3, 0.4)
-    assert abs(res.value - want) < 1e-9
+    assert abs(value - want) < 1e-9
 
 
 def test_gprime_rational_cauchy_vs_quadrature():
-    res = gprime_rational(RationalAlpha(1, 1), 0.5, 0.5)
+    value, _, _ = _split(1, 1, 0.5, 0.5, derivative=True)
     ref = gprime_quad(validate(1.0, 0.5), 0.5, TIGHT)
-    assert abs(res.value - ref.value) < 1e-9
+    assert abs(value - ref.value) < 1e-9
 
 
 def test_gprime_rational_one_sided_simplification():
-    res = gprime_rational(RationalAlpha(3, 2), 2.0 / 3.0, 0.5)
-    assert abs(res.value - 2.0 / 3.0) < 1e-10
+    value, _, _ = _split(3, 2, 2.0 / 3.0, 0.5, derivative=True)
+    assert abs(value - 2.0 / 3.0) < 1e-10
 
 
 @pytest.mark.parametrize("p,q,rho,beta", [
@@ -136,9 +141,9 @@ def test_gprime_rational_one_sided_simplification():
     (4, 5, 0.25, 0.7), (19, 10, 1.0 / 1.9, 0.5),
 ])
 def test_gprime_rational_vs_scipy_oracle(p, q, rho, beta):
-    res = gprime_rational(RationalAlpha(p, q), rho, beta, Tolerance(abs_tol=1e-11))
+    value, _, _ = _split(p, q, rho, beta, Tolerance(abs_tol=1e-11), derivative=True)
     want = gprime_integral_oracle(p / q, rho, beta)
-    assert abs(res.value - want) < 1e-9
+    assert abs(value - want) < 1e-9
 
 
 # every alpha kind of the split: both nonresonant families (4/5, 3/10,
@@ -155,8 +160,9 @@ def test_gprime_rational_within_its_bound_of_mpmath(p, q, rho, beta):
     ref, err = gprime_mpmath(p / q, rho, beta)
     assert err < 1e-25
     for abs_tol in (1e-6, 1e-10, 1e-13):
-        res = gprime_rational(RationalAlpha(p, q), rho, beta, Tolerance(abs_tol=abs_tol))
-        assert abs(res.value - ref) <= res.abs_error_bound, abs_tol
+        value, bound, _ = _split(p, q, rho, beta, Tolerance(abs_tol=abs_tol),
+                                 derivative=True)
+        assert abs(value - ref) <= bound, abs_tol
 
 
 # the points of the g' test above, the points where the split form of g was
@@ -178,8 +184,8 @@ def test_g_rational_within_its_bound_of_mpmath(p, q, rho, beta):
     ref, err = g_mpmath(p / q, rho, beta)
     assert err < 1e-25
     for abs_tol in (1e-6, 1e-10, 1e-13):
-        res = g_rational(RationalAlpha(p, q), rho, beta, Tolerance(abs_tol=abs_tol))
-        assert abs(res.value - ref) <= res.abs_error_bound, abs_tol
+        value, bound, _ = _split(p, q, rho, beta, Tolerance(abs_tol=abs_tol))
+        assert abs(value - ref) <= bound, abs_tol
 
 
 @pytest.mark.parametrize("p,q,rho,beta", [
@@ -191,14 +197,15 @@ def test_g_rational_central_difference_matches_gprime_rational(p, q, rho, beta):
     # g is g' integrated term by term, so the five-point central difference
     # of g at h = 1e-3 is g' up to h^4 |g^(5)| / 30 and 18/12 of g's own
     # errors (under 1e-14) over h, together far below 1e-9
-    ra, tol, h = RationalAlpha(p, q), Tolerance(abs_tol=1e-14), 1e-3
-    g = [g_rational(ra, rho, beta + k * h, tol).value for k in (-2, -1, 1, 2)]
+    tol, h = Tolerance(abs_tol=1e-14), 1e-3
+    g = [_split(p, q, rho, beta + k * h, tol)[0] for k in (-2, -1, 1, 2)]
     slope = (g[0] - 8.0 * g[1] + 8.0 * g[2] - g[3]) / (12.0 * h)
-    assert abs(slope - gprime_rational(ra, rho, beta, tol).value) < 1e-9
+    assert abs(slope - _split(p, q, rho, beta, tol, derivative=True)[0]) < 1e-9
 
 
 # (p, q, rho, beta, derivative, value, bound, terms) of the rational split
-# before it became the delta_1 = 0 case of the paired split series
+# before it became the delta_1 = 0 case of the paired split series, and
+# before the series method took over the rational-alpha evaluators
 RATIONAL_VALUES = [
     (1, 2, 0.3, 0.4, False, "0x1.5ed631783c6b6p-3", "0x1.4a5c76cfe0e48p-36", 47),
     (1, 2, 0.3, 0.4, True, "0x1.34749f197d250p-3", "0x1.48b877180ebf5p-36", 56),
@@ -217,38 +224,28 @@ RATIONAL_VALUES = [
 
 @pytest.mark.parametrize("p,q,rho,beta,derivative,value,bound,terms", RATIONAL_VALUES)
 def test_rational_split_values_unchanged(p, q, rho, beta, derivative, value, bound, terms):
-    fn = gprime_rational if derivative else g_rational
-    res = fn(RationalAlpha(p, q), rho, beta)
-    assert (res.value.hex(), res.abs_error_bound.hex(), res.terms_or_nodes_used) == (
-        value, bound, terms)
+    got, got_bound, got_terms = _split(p, q, rho, beta, derivative=derivative)
+    assert (got.hex(), got_bound.hex(), got_terms) == (value, bound, terms)
 
 
 def test_g_rational_beta_domain():
-    with pytest.raises(ConvergenceFailureError):
-        g_rational(RationalAlpha(1, 2), 0.5, 1.0)
+    # the series needs beta < 1; g(0) = 0
     with pytest.raises(OutOfRangeError):
-        g_rational(RationalAlpha(1, 2), 0.5, 0.0)
+        g_series(validate(0.5, 0.5), 1.0)
+    assert g_series(validate(0.5, 0.5), 0.0).value == 0.0
 
 
 def test_gprime_rational_beta_domain():
-    with pytest.raises(ConvergenceFailureError):
-        gprime_rational(RationalAlpha(1, 2), 0.5, 1.0)
-    with pytest.raises(OutOfRangeError):
-        gprime_rational(RationalAlpha(1, 2), 0.5, 0.0)
-
-
-def test_rational_alpha_validation():
-    with pytest.raises(OutOfRangeError):
-        RationalAlpha(2, 4)
-    with pytest.raises(OutOfRangeError):
-        RationalAlpha(5, 2)
+    for beta in (1.0, 0.0):
+        with pytest.raises(OutOfRangeError):
+            gprime_series(validate(0.5, 0.5), beta)
 
 
 def test_gprime_half_closed_cross_checks():
     # same value through the rational series, and through direct quadrature
     got = gprime_half_closed(0.5, 0.25)
-    res = gprime_rational(RationalAlpha(1, 2), 0.5, 0.25, Tolerance(abs_tol=1e-13))
-    assert abs(got - res.value) < 1e-12
+    value, _, _ = _split(1, 2, 0.5, 0.25, Tolerance(abs_tol=1e-13), derivative=True)
+    assert abs(got - value) < 1e-12
     ref = gprime_quad(validate(0.5, 0.5), 0.25, TIGHT)
     assert abs(got - ref.value) < 1e-9
 

@@ -71,10 +71,11 @@ def _traced(body: str) -> dict:
 
 def test_tracer_counts_every_wrapped_layer():
     metrics = _traced(LAYERS)
-    # rational g' reduces every sine through the tracer's wrapper of
+    # g' at rational alpha runs the series, split at p/q, and counts in
+    # series.terms; it reduces every sine through the tracer's wrapper of
     # accurate.reduced, so a call that does not pass all three of its
     # arguments fails here
-    for name in ("series.terms", "quadrature.nodes", "special.rational.terms",
+    for name in ("series.terms", "quadrature.nodes",
                  "diophantine.classify.calls", "accurate.reductions"):
         assert metrics[name] > 0, name
 

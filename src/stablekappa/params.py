@@ -82,13 +82,13 @@ class Tolerance:
 
     abs_tol: float = 1e-10
     max_terms: int = 10000
-    max_quad_refinements: int = 30
 
     def __post_init__(self) -> None:
         if not self.abs_tol > 0.0:
             raise OutOfRangeError("abs_tol must be positive")
-        if self.max_terms <= 0 or self.max_quad_refinements <= 0:
-            raise OutOfRangeError("iteration budgets must be positive")
+        if not isinstance(self.max_terms, int) or self.max_terms <= 0:
+            raise OutOfRangeError(
+                f"max_terms must be a positive integer, got {self.max_terms!r}")
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,7 @@ _WG = (
 )
 
 _REL_TOL = 1e-14  # relative error target; the absolute one is Tolerance.abs_tol
+_MAX_REFINEMENTS = 30  # panel bisections before ConvergenceFailureError
 
 
 def _gk15(f, a: float, b: float) -> tuple[float, float]:
@@ -82,13 +83,12 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
     return resk * half, abs((resk - resg) * half)
 
 
-def _integrate(panels, abs_tol: float,
-               max_refinements: int) -> tuple[float, float, int]:
+def _integrate(panels, abs_tol: float) -> tuple[float, float, int]:
     """Adaptive bisection over an initial panel list.
 
     Returns (value, error estimate, function evaluations).  Raises
-    ConvergenceFailureError when the refinement budget is exhausted with
-    the estimate still above tolerance.
+    ConvergenceFailureError after ``_MAX_REFINEMENTS`` bisections with the
+    estimate still above tolerance.
     """
     work = []
     nodes = 0
@@ -102,7 +102,7 @@ def _integrate(panels, abs_tol: float,
         toterr = math.fsum(item[4] for item in work)
         if toterr <= max(abs_tol, _REL_TOL * abs(total)):
             return total, toterr, nodes
-        if refinements >= max_refinements:
+        if refinements >= _MAX_REFINEMENTS:
             raise ConvergenceFailureError(
                 f"quadrature error estimate {toterr:.3e} above tolerance after "
                 f"{refinements} refinements", value=total, error_bound=toterr)
@@ -200,7 +200,7 @@ def _quad(params: StableParams, beta: float, tol: Tolerance | None,
                 (1.0 + y * beta * cosr) ** 2 + (y * beta * sinr) ** 2)
 
     panels = _build_panels(f_fin, f_tail, beta, params.rho)
-    value, err, nodes = _integrate(panels, tol.abs_tol, tol.max_quad_refinements)
+    value, err, nodes = _integrate(panels, tol.abs_tol)
     bound = max(err, 4.0 * EPS * (1.0 + abs(value)))
     return EvalResult(value, bound, MethodChoice.QUADRATURE, nodes)
 

@@ -28,13 +28,10 @@ for the later indices, where they are not checked.
 
 At rational alpha = p/q (``classify``'s Rational verdict) the divisors of
 the terms m = n p and k = n q vanish, and ``_split`` runs at delta = 0 on
-the exact ratio (p, q): the pair is its limit s alpha H'(N)/pi, for g'
-
-    beta^(N-1) (A_n + B_n log beta),  A_n = s alpha rho cos(N pi rho),
-                                      B_n = s alpha sin(N pi rho)/pi,
-
-and for g its integral from 0 to beta, and every other index keeps the
-floor sin(pi/p) or sin(pi/q) with no drift.
+the exact ratio (p, q): each pair is its limit s alpha H'(N)/pi, the
+resonant term, taken like every pair from beta-free factors cached across
+beta, and every other index keeps the floor sin(pi/p) or sin(pi/q) with no
+drift.
 """
 
 from __future__ import annotations
@@ -93,40 +90,36 @@ class SeriesReport:
             raise OutOfRangeError("term counts must be nonnegative")
 
 
-_SINE_TABLES = 16         # sine (and pair factor) tables kept, each
-_SINE_TABLE_TERMS = 4096  # terms kept per table; later ones are recomputed
-_SINE_TABLE_LOCK = threading.Lock()
+_TABLES = 32         # sine and pair factor tables kept, each
+_TABLE_TERMS = 4096  # terms kept per table; later ones are recomputed
+_TABLE_LOCK = threading.Lock()
 
 
-@lru_cache(maxsize=_SINE_TABLES)
-def _sine_table(div: tuple[int, int], num: tuple[int, int], skip: int) -> array:
-    """sin(m pi div), sin(m pi num) interleaved for the indices m = 1, 2, ...
-    that skip does not divide, the ones a divisor series sums, with div and
-    num exact ratios (numerator, denominator) of integers: the k-th such
-    index (from 0) sits at 2k and 2k + 1.  The values do not depend on beta,
-    so every beta of a (divisor, numerator, skip) triple shares them.  A
-    series fills the table to its stopping index, or to
-    ``_SINE_TABLE_TERMS`` terms, by ``_fill``, and then only reads it.
+@lru_cache(maxsize=_TABLES)
+def _table(key: tuple) -> array:
+    """The beta-free factors of one sum of a series, two floats per term,
+    keyed on the arguments of the generator that yields them: (div, num,
+    skip) for the sines ``_sines`` of a divisor series, (ratio, p, q, rho,
+    deg) for the pair factors ``_pair_factors`` of a split series.  Every
+    beta of a key shares them.  A series fills its table to its stopping
+    index, or to ``_TABLE_TERMS`` terms, by ``_cached``, and then only
+    reads it.
     """
     return array("d")
 
 
-@lru_cache(maxsize=_SINE_TABLES)
-def _pair_table(ratio: tuple[int, int], p: int, q: int, rho: tuple[int, int],
-                deg: int) -> array:
-    """The beta-free factors X_n, Y_n of the pairs n = 1, 2, ... of the split
-    series at alpha = ratio near p/q (``_pair_factors``), interleaved as in
-    ``_sine_table`` and filled the same way."""
-    return array("d")
-
-
-def _fill(table: array, kept: int, entries) -> None:
-    """Fill a table to ``kept`` entries (two floats each) with one extend of
-    ``entries(start, kept)`` under the lock, start being its length then.
-    A table only grows, by whole entries, so no reader ever sees the pairs
-    misaligned."""
-    with _SINE_TABLE_LOCK:
-        table.extend(array("d", entries(len(table) // 2, kept)))
+def _cached(key: tuple, terms: int, entries):
+    """An iterator over the floats of ``entries(0, terms)``, two per term,
+    the first ``_TABLE_TERMS`` terms read from ``_table(key)``: a short
+    table is extended with ``entries(start, kept)`` under the lock, start
+    being its length then.  A table only grows, by whole terms, so no reader
+    ever sees the two floats of a term misaligned."""
+    kept = min(terms, _TABLE_TERMS)
+    table = _table(key)
+    if len(table) < 2 * kept:
+        with _TABLE_LOCK:
+            table.extend(array("d", entries(len(table) // 2, kept)))
+    return chain(table[:2 * kept], entries(kept, terms))
 
 
 def _indices(n: int, d: int):
@@ -176,14 +169,8 @@ def _divisor_series(beta: float, step: float, div: tuple[int, int],
             f"{name}: divisor floor {c:.3e} not proven up to index {n}")
     skip = skip or d
     terms = n - n // skip
-    kept = min(terms, _SINE_TABLE_TERMS)
-    sines = _sine_table(div, num, skip)
-    if len(sines) < 2 * kept:
-        _fill(sines, kept, lambda start, end: _sines(
-            islice(_indices(n, skip), start, end), div, num))
-    # the kept terms read the table, the rest compute their sines
-    pairs = chain(sines[:2 * kept],
-                  _sines(islice(_indices(n, skip), kept, None), div, num))
+    pairs = _cached((div, num, skip), terms, lambda start, end: _sines(
+        islice(_indices(n, skip), start, end), div, num))
     # Neumaier-compensated running sum
     total = comp = 0.0
     for m, den, sin_num in zip(_indices(n, skip), pairs, pairs):
@@ -223,8 +210,8 @@ def _excess(y: float) -> float:
 def _pair_factors(ns, ratio: tuple[int, int], p: int, q: int,
                   rho: tuple[int, int], deg: int):
     """X_n, Y_n for each n of ns, interleaved: pair n of the split series is
-    beta^(N - shift) (X_n e_n + Y_n) with e_n = expm1(delta log beta)/delta,
-    N = n p and delta = n delta_1 != 0.
+    beta^(N - shift) (e_n X_n + Y_n) with N = n p, delta = n delta_1 and
+    e_n = expm1(delta log beta)/delta, or log beta at delta_1 = 0.
 
     The pair is s alpha/(pi delta) [H(N + delta)/sinc(delta) -
     H(N)/sinc(delta/alpha)] with H(x) = beta^(x - shift) sin(rho pi x)/x^deg.
@@ -233,8 +220,10 @@ def _pair_factors(ns, ratio: tuple[int, int], p: int, q: int,
     neither is taken as a difference quotient: beta^delta - 1 is
     expm1(delta log beta), sin(a + h) - sin(a) at a = rho pi N is cos(a)
     sin(h) - 2 sin(a) sin(h/2)^2 with h = rho pi delta, and E is the
-    difference of two ``_excess`` values over delta.  Only e_n and the
-    power of beta depend on beta.
+    difference of two ``_excess`` values over delta.  At delta = 0 the pair
+    is its limit s alpha H'(N)/pi, the resonant term at rational alpha = p/q:
+    X_n = s alpha sin(a)/(pi N^deg), Y_n = s alpha (rho pi cos(a) - deg
+    sin(a)/N)/(pi N^deg).  Only e_n and the power of beta depend on beta.
     """
     a_num, a_den = ratio
     alpha = a_num / a_den
@@ -243,13 +232,18 @@ def _pair_factors(ns, ratio: tuple[int, int], p: int, q: int,
     for n in ns:
         big_n, delta = n * p, n * delta1
         sin_a, cos_a = sincos_mpi(big_n, *rho)
+        s = alpha / math.pi if (n * (p + q) + 1) % 2 == 0 else -alpha / math.pi
+        if not delta:
+            lead = s / big_n ** deg
+            yield lead * sin_a
+            yield lead * (rho_pi * cos_a - deg * sin_a / big_n)
+            continue
         h = rho_pi * delta
         half = math.sin(0.5 * h)
         dsin = cos_a * math.sin(h) - 2.0 * sin_a * half * half
         y = math.pi * delta
         excess = _excess(y)
         gain = (excess - _excess(y / alpha)) / delta
-        s = alpha / math.pi if (n * (p + q) + 1) % 2 == 0 else -alpha / math.pi
         lead = s * (1.0 + excess) / (big_n + delta) ** deg
         yield lead * (sin_a + dsin)
         yield lead * (dsin / delta - deg * sin_a / big_n) + s * sin_a * gain / big_n ** deg
@@ -267,10 +261,10 @@ def _split(ratio: tuple[int, int], p: int, q: int, rho: float, beta: float,
         s alpha/(pi delta) [H(N + delta)/sinc(delta) - H(N)/sinc(delta/alpha)]
 
     with H(x) = beta^x sin(rho pi x)/x for g, beta^(x-1) sin(rho pi x) for
-    g', and sinc(x) = sin(pi x)/(pi x) (``_pair_factors``).  At delta_1 = 0, alpha =
-    p/q exactly, that is its limit s alpha H'(N)/pi, summed as
-    beta^(N - shift)/N^deg alpha (rho cos(N pi rho) + (log beta - deg/N)
-    sin(N pi rho)/pi), the exact resonant term at rational alpha.
+    g', and sinc(x) = sin(pi x)/(pi x); at delta_1 = 0, alpha = p/q exactly,
+    they are its limit s alpha H'(N)/pi, the exact resonant term.  Either
+    way pair n is beta^(N - shift) (e_n X_n + Y_n), its beta-free factors
+    X_n, Y_n (``_pair_factors``) read from a table shared across beta.
 
     The nonresonant sums take the floors sin(pi/p) and sin(pi/q) at
     delta_1 = 0, else half of them, proven up to each stopping index
@@ -286,19 +280,16 @@ def _split(ratio: tuple[int, int], p: int, q: int, rho: float, beta: float,
     """
     a_num, a_den = ratio
     alpha = a_num / a_den
-    gap = a_num * q - p * a_den         # delta_1 a_den, exact
+    delta1 = (a_num * q - p * a_den) / a_den
     target = 0.125 * tol.abs_tol
     log_beta = math.log(beta)
     r_num, r_den = rho.as_integer_ratio()
     (c1, drift1), (c2, drift2) = _split_floors(ratio, p, q)
 
-    # the pairs, reindexed by m = n p, k = n q: at delta = 0 the term of g'
-    # is beta^(N-1) (A + B log beta), that of g its integral from 0 to beta,
-    # beta^N/N (A + B (log beta - 1/N)); every pair is below
+    # the pairs, reindexed by m = n p, k = n q: every pair is below
     # pre beta^(N - shift) / n^deg
     shift, deg = (1, 0) if derivative else (0, 1)
-    delta1 = gap / a_den
-    reach = _pair_reach(delta1, alpha, tol.max_terms) if gap else 0.0
+    reach = _pair_reach(delta1, alpha, tol.max_terms)
     pre = _pair_prefactor(alpha, p, reach, math.pi * rho + abs(log_beta), beta, deg)
     stop, tail3 = _truncation(beta, p, pre, shift, -deg, 1, target, tol.max_terms)
     pairs = stop or tol.max_terms
@@ -317,26 +308,13 @@ def _split(ratio: tuple[int, int], p: int, q: int, rho: float, beta: float,
         drift=drift2)
 
     ns = range(1, pairs + 1)
-    if gap:
-        kept = min(len(ns), _SINE_TABLE_TERMS)
-        key = (ratio, p, q, (r_num, r_den), deg)
-        table = _pair_table(*key)
-        if len(table) < 2 * kept:
-            _fill(table, kept, lambda start, end: _pair_factors(ns[start:end], *key))
-        factors = chain(table[:2 * kept], _pair_factors(ns[kept:], *key))
-        factors = zip(factors, factors)
+    key = (ratio, p, q, (r_num, r_den), deg)
+    factors = _cached(key, pairs, lambda start, end: _pair_factors(ns[start:end], *key))
     total = comp = 0.0
-    for n in ns:
-        np_ = n * p
-        if gap:
-            x, y = next(factors)
-            delta = n * delta1
-            term = beta ** (np_ - shift) * (math.expm1(delta * log_beta) / delta * x + y)
-        else:
-            sign = 1.0 if (n * (p + q) + 1) % 2 == 0 else -1.0
-            sin_n, cos_n = sincos_mpi(np_, r_num, r_den)
-            term = sign * beta ** (np_ - shift) / np_ ** deg * alpha * (
-                rho * cos_n + (log_beta - deg / np_) * sin_n / math.pi)
+    for n, x, y in zip(ns, factors, factors):
+        delta = n * delta1
+        growth = math.expm1(delta * log_beta) / delta if delta else log_beta
+        term = beta ** (n * p - shift) * (growth * x + y)
         t = total + term
         size = abs(term)
         if abs(total) >= size:
@@ -364,19 +342,18 @@ def _series(params: StableParams, beta: float, tol: Tolerance | None,
         raise OutOfRangeError(f"series form needs {lower} beta < 1, got {beta!r}")
     if aclass is None:
         aclass = classify(params.alpha, tol, beta)
-    if aclass.kind is AlphaKind.RATIONAL:
-        # the split at p/q itself, on the exact ratio: the float 0.8 is not 4/5
-        ratio = (aclass.p, aclass.q)
-        return SeriesReport(*_split(ratio, *ratio, params.rho, beta, tol, derivative))
     if aclass.kind is AlphaKind.ILL_CONDITIONED:
         raise IllConditionedSeriesError(
             "small divisors exceed the work/noise budget at this beta and tolerance, "
             "paired or not")
     alpha, rho = params.alpha, params.rho
-    a_num, a_den = alpha.as_integer_ratio()
     if aclass.p is not None:
-        return SeriesReport(*_split((a_num, a_den), aclass.p, aclass.q, rho, beta, tol,
-                                    derivative))
+        # split at p/q, at rational alpha on the exact ratio p/q itself (the
+        # float 0.8 is not 4/5), so that its pairs sit at delta = 0
+        ratio = ((aclass.p, aclass.q) if aclass.kind is AlphaKind.RATIONAL
+                 else alpha.as_integer_ratio())
+        return SeriesReport(*_split(ratio, aclass.p, aclass.q, rho, beta, tol, derivative))
+    a_num, a_den = alpha.as_integer_ratio()
     r_num, r_den = rho.as_integer_ratio()
     c = aclass.floor_constant
     nu = aclass.floor_power or 1.0

@@ -9,6 +9,7 @@ from stablekappa import (
     MethodChoice,
     OutOfRangeError,
     Tolerance,
+    g_any_beta,
     validate,
 )
 
@@ -81,11 +82,20 @@ def test_tolerance_validation():
     t = Tolerance()
     assert t.abs_tol == 1e-10
     assert t.max_terms == 10000
-    assert t.max_quad_refinements == 30
     with pytest.raises(OutOfRangeError):
         Tolerance(abs_tol=0.0)
     with pytest.raises(OutOfRangeError):
         Tolerance(max_terms=0)
+
+
+@pytest.mark.parametrize("max_terms", [2.5, math.inf, 1e4])
+@pytest.mark.parametrize("alpha", [0.5, math.sqrt(2.0)])
+def test_tolerance_refuses_a_non_integer_term_budget(alpha, max_terms):
+    # the series index their terms with range(max_terms), so a budget that
+    # is not an int is refused where the Tolerance is made, whatever the
+    # alpha, and never reaches a series or a fallback to quadrature
+    with pytest.raises(OutOfRangeError, match="max_terms"):
+        g_any_beta(validate(alpha, 0.3), 0.3, tol=Tolerance(max_terms=max_terms))
 
 
 def test_eval_result_bound_must_be_finite():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from stablekappa import quadrature as quadrature_module
 from stablekappa import (
     ConvergenceFailureError,
     MethodChoice,
@@ -134,10 +135,11 @@ def test_near_singular_rho_band():
     assert abs(res.value - g_integral_oracle(1.05, 0.93, 0.6)) < 1e-9
 
 
-def test_convergence_failure_raises():
+def test_convergence_failure_raises(monkeypatch):
+    monkeypatch.setattr(quadrature_module, "_MAX_REFINEMENTS", 3)
     p = validate(0.8, 0.25)
-    with pytest.raises(ConvergenceFailureError):
-        g_quad(p, 0.5, Tolerance(abs_tol=1e-300, max_quad_refinements=3))
+    with pytest.raises(ConvergenceFailureError, match="after 3 refinements"):
+        g_quad(p, 0.5, Tolerance(abs_tol=1e-300))
 
 
 def test_beta_must_be_positive():

@@ -138,10 +138,11 @@ def test_tail_bound_is_honest():
 
 
 # ---------------------------------------------------------------------------
-# the per-(divisor, numerator) sine tables shared across betas
+# the beta-free tables shared across betas: the divisor series' sines and
+# the split series' pair factors (at delta = 0 for the rational 3/10)
 # ---------------------------------------------------------------------------
 
-TABLE_PARAMS = ((SQRT2, 0.5), (0.5 + SQRT2 / 40.0, 0.5))
+TABLE_PARAMS = ((SQRT2, 0.5), (0.5 + SQRT2 / 40.0, 0.5), (0.3, 0.5))
 TABLE_BETAS = (0.02, 0.07, 0.15, 0.3, 0.42, 0.5, 0.61, 0.75, 0.83, 0.88, 0.9)
 
 
@@ -151,7 +152,7 @@ def _bits(rep):
 
 
 def _cold(params, beta, series):
-    series_module._sine_table.cache_clear()
+    series_module._table.cache_clear()
     return _bits(series(params, beta))
 
 
@@ -163,22 +164,23 @@ def test_sine_tables_leave_values_bit_identical(alpha, rho, series):
     # ascending, each sum runs past the table and grows it midway;
     # descending, the first sum builds it and the others only read
     for order in (TABLE_BETAS, TABLE_BETAS[::-1]):
-        series_module._sine_table.cache_clear()
+        series_module._table.cache_clear()
         for beta in order:
             assert _bits(series(p, beta)) == cold[beta], (order[0], beta)
 
 
 def test_sine_table_past_its_length_cap(monkeypatch):
-    p = validate(SQRT2, 0.5)
-    cold = _cold(p, 0.6, g_series)
-    monkeypatch.setattr(series_module, "_SINE_TABLE_TERMS", 5)
-    series_module._sine_table.cache_clear()
-    assert _bits(g_series(p, 0.6)) == cold
-    assert _bits(g_series(p, 0.6)) == cold
+    p, rational = validate(SQRT2, 0.5), validate(0.3, 0.5)
+    cold = _cold(p, 0.6, g_series), _cold(rational, 0.6, g_series)
+    monkeypatch.setattr(series_module, "_TABLE_TERMS", 5)
+    series_module._table.cache_clear()
+    for _ in range(2):
+        assert (_bits(g_series(p, 0.6)), _bits(g_series(rational, 0.6))) == cold
     a_num, a_den = SQRT2.as_integer_ratio()
-    tables = [series_module._sine_table((a_den, a_num), (1, 2), a_num),
-              series_module._sine_table((a_num, a_den), (a_num, 2 * a_den), a_den)]
-    assert [len(t) for t in tables] == [10, 10]
+    tables = [series_module._table(((a_den, a_num), (1, 2), a_num)),
+              series_module._table(((a_num, a_den), (a_num, 2 * a_den), a_den)),
+              series_module._table(((3, 10), 3, 10, (1, 2), 1))]
+    assert [len(t) for t in tables] == [10, 10, 10]
 
 
 def test_sine_tables_under_concurrent_growth():
@@ -195,11 +197,9 @@ def test_sine_tables_under_concurrent_growth():
     serial = {}
     for k, evaluate in enumerate(evals):
         for beta in TABLE_BETAS:
-            series_module._sine_table.cache_clear()
-            series_module._pair_table.cache_clear()
+            series_module._table.cache_clear()
             serial[k, beta] = evaluate(beta)
-    series_module._sine_table.cache_clear()
-    series_module._pair_table.cache_clear()
+    series_module._table.cache_clear()
     workers = 2 * len(evals)
     start = threading.Barrier(workers)
     results = [None] * workers
@@ -225,10 +225,10 @@ def test_sine_tables_under_concurrent_growth():
 
 
 def test_sine_table_cache_stays_at_its_bound():
-    bound = series_module._sine_table.cache_info().maxsize
+    bound = series_module._table.cache_info().maxsize
     for i in range(bound):
         g_series(validate(1.0 + SQRT2 / (100.0 + i), 0.5), 0.3)
-    assert series_module._sine_table.cache_info().currsize == bound
+    assert series_module._table.cache_info().currsize == bound
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +444,36 @@ def test_pair_matches_the_two_terms_it_replaces(derivative):
                 want, single = _two_terms(alpha, p, q, rho, beta, n, derivative)
                 scale = abs(got) + beta ** (n * p - shift) * (1.0 + abs(math.log(beta)))
                 assert abs(got - want) <= 64 * EPS * scale, (alpha, beta, n, single)
+
+
+def _resonant_term(p, q, rho, beta, n, derivative):
+    """The limit s alpha H'(N)/pi of pair n at alpha = p/q, N = n p, over
+    beta^(N - shift), at 50 digits, H' by numerical differentiation."""
+    deg = 0 if derivative else 1
+    with mpmath.workdps(50):
+        r, b = mpf(rho), mpf(beta)
+        h = lambda x: b ** (x - n * p) * mpmath.sinpi(r * x) / x ** deg  # noqa: E731
+        sign = (-1) ** (n * (p + q) + 1)
+        return sign * mpf(p) / q * mpmath.diff(h, n * p) / mpmath.pi
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+def test_pair_at_delta_zero_is_the_resonant_term(derivative):
+    # at rational alpha = p/q the pair factors are the delta -> 0 limit:
+    # pair n is beta^(N - shift) (X_n log beta + Y_n), compared here without
+    # its power of beta, which underflows at large N
+    deg = 0 if derivative else 1
+    for p, q, rho in ((1, 2, 0.3), (3, 10, 0.5), (19, 10, 0.5), (1, 1, 0.5)):
+        ns = range(1, 41)
+        factors = list(series_module._pair_factors(
+            ns, (p, q), p, q, rho.as_integer_ratio(), deg))
+        for beta in (0.05, 0.5, 0.9):
+            log_beta = math.log(beta)
+            for n, x, y in zip(ns, factors[::2], factors[1::2]):
+                got = x * log_beta + y
+                want = _resonant_term(p, q, rho, beta, n, derivative)
+                scale = (1.0 + abs(log_beta)) / (n * p) ** deg
+                assert abs(got - want) <= 2 * EPS * scale, (p, q, beta, n)
 
 
 def test_paired_series_refuses_an_unproven_floor():

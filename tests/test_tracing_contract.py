@@ -57,6 +57,15 @@ with contextlib.redirect_stdout(io.StringIO()):
                           "--beta-count", "40"])
 """
 
+# a 40-row g' table at the rational 3/10: the split series runs at every
+# row, its resonant terms the pairs at delta = 0
+RATIONAL = """
+with contextlib.redirect_stdout(io.StringIO()):
+    code = entry["main"](["table", "--alpha", "0.3", "--rho", "0.5", "--derivative",
+                          "--beta-start", "0.01", "--beta-stop", "0.9",
+                          "--beta-count", "40"])
+"""
+
 
 def _traced(body: str) -> dict:
     proc = subprocess.run(
@@ -97,3 +106,12 @@ def test_paired_sweep_work_counters():
     assert metrics["quadrature.calls"] == 0
     assert metrics["series.calls"] == 40
     assert metrics["series.terms"] == 2480  # the pairs count as first-series terms
+
+
+def test_rational_sweep_work_counters():
+    # the pair factors at delta = 0 are reduced once for the table, like the
+    # nonresonant sums' sines, not once per beta
+    metrics = _traced(RATIONAL)
+    assert metrics["series.calls"] == 40
+    assert metrics["series.terms"] == 9092
+    assert metrics["accurate.reductions"] <= 2060

@@ -34,8 +34,8 @@ Only the conditioning verdict depends on beta and the tolerance.  The
 expansion, the rational verdict, the floor model and the pairing
 convergent depend on alpha alone; ``_profile`` computes them
 once per alpha (an LRU over ``_PROFILE_CACHE`` alphas), and ``classify`` adds
-the per-beta noise bound on top, up to each family's bisected stopping
-index (``_truncation``, where every series of the package stops).
+the per-beta noise bound on top, up to each family's stopping index
+(``_truncation``, where every series of the package stops).
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ RATIONAL_DENOMINATOR_CAP = 1_000_000
 
 _CF_TERMS = 64              # partial quotients expanded at most
 _PROFILE_CACHE = 64         # alphas whose beta-free profile is kept
+_DOUBLED = 256              # at power < 0, stops up to this index are doubled and bisected
+_NEWTON_STEPS = 16          # iterations for a stopping index's root
 
 
 class AlphaKind(Enum):
@@ -171,11 +173,13 @@ def _truncation(beta: float, step: float, pre: float, shift: float, power: float
     pre * beta**(step*j - shift) * j**power / c, the tail after m by term
     m + 1's bound over 1 - ratio, with ratio = beta**step *
     ((m+2)/(m+1))**max(power, 0) the largest ratio of consecutive bounds
-    from there on (inf while ratio >= 1).  Both fall with m, so m is found
-    by doubling, which probes no index past 2m, and then by bisection.  At
-    power 0 the tail is geometric, pre beta**(step (m+1) - shift) / c /
-    (1 - beta**step), and m comes from its logarithm instead, settled by
-    evaluating the same tail at that index and its neighbours.
+    from there on (inf while ratio >= 1).  Both fall with m, and m + 1 is
+    the root of log(tail / half_tol) (closed-form at power 0, else Newton's
+    method right of the pole at ratio = 1), settled by the tail at that index
+    and its neighbours.  At power < 0 (g at rational alpha, short sums) a
+    stop up to ``_DOUBLED``, where the root costs more, or one whose root is
+    out of reach is found by doubling, which probes no index past 2m, and
+    bisecting.
     """
     base, rise = beta ** step, max(power, 0)
 
@@ -188,26 +192,42 @@ def _truncation(beta: float, step: float, pre: float, shift: float, power: float
         except OverflowError:
             return math.inf
 
-    # the geometric tail of power 0 falls below half_tol past log(room)
-    room = half_tol * c * (1.0 - base) / pre if power == 0 else 0.0
-    if 0.0 < base < 1.0 and 0.0 < room < math.inf:
-        m = math.floor((math.log(room) / math.log(beta) + shift) / step)
-        m = min(max(m, 1), max_terms)
-        while m > 1 and tail(m - 1) < half_tol:
-            m -= 1
-        while not tail(m) < half_tol:
-            if m == max_terms:
-                return None, tail(m)
-            m += 1
-        return m, tail(m)
+    def root() -> float | None:
+        room = half_tol * c / pre
+        if not (0.0 < base < 1.0 and 0.0 < room < math.inf):
+            return None
+        log_beta, goal = math.log(beta), math.log(room)
+        y = step * log_beta / rise if rise else -math.inf
+        pole = math.exp(y) / -math.expm1(y)  # 1/expm1(-y), which cannot overflow
+        j = max(((goal + math.log1p(-base)) / log_beta + shift) / step, 1.0, 2.0 * pole)
+        for _ in range(_NEWTON_STEPS if power else 0):
+            r = base * (1.0 + 1.0 / j) ** rise
+            excess = (step * j - shift) * log_beta + power * math.log(j) - math.log1p(-r) - goal
+            slope = step * log_beta + power / j - r * rise / (j * (j + 1.0) * (1.0 - r))
+            j, last = max(j - excess / slope, 0.5 * (j + pole)), j
+            if abs(j - last) < 0.5:
+                return j
+        return None if power else j
 
     lo, hi = 0, 1
-    while not tail(hi) < half_tol:
+    guess = None if power < 0 else root()
+    while guess is None and not tail(hi) < half_tol:
         if hi == max_terms:
             return None, tail(hi)
         lo, hi = hi, min(2 * hi, max_terms)
-    stop = lo + 1 + bisect_left(range(lo + 1, hi), True, key=lambda m: tail(m) < half_tol)
-    return stop, tail(stop)
+        if lo == _DOUBLED:
+            guess = root()
+    if guess is None:
+        stop = lo + 1 + bisect_left(range(lo + 1, hi), True, key=lambda m: tail(m) < half_tol)
+        return stop, tail(stop)
+    m = min(max(math.ceil(guess) - 1, lo + 1), max_terms)
+    while m > lo + 1 and tail(m - 1) < half_tol:
+        m -= 1
+    while not (bound := tail(m)) < half_tol:
+        if m == max_terms:
+            return None, bound
+        m += 1
+    return m, bound
 
 
 def _proven_floor(skip: int, drift: float, m: int) -> float:
@@ -289,7 +309,9 @@ def _profile(alpha: float) -> tuple[AlphaClass, tuple[int, int] | None]:
 
 def _fits(alpha: float, nu: float, c: float, tol: Tolerance, beta: float) -> bool:
     """Whether both generic families stop within the term budget with their
-    noise under half the tolerance (see ``classify``)."""
+    noise under half the tolerance (see ``classify``); where the peak and
+    index count do not decide, the noise is 4 eps times the exactly rounded
+    sum (``math.fsum``) of every term bound of both families."""
     noise_cap = 0.5 * tol.abs_tol
     stops, upper = [], 0.0
     for step in (1.0, alpha):
@@ -305,15 +327,9 @@ def _fits(alpha: float, nu: float, c: float, tol: Tolerance, beta: float) -> boo
         upper += 2.0 * stop * peak
     if 4.0 * EPS * upper <= noise_cap:
         return True
-    carried = 0.0
-    for step, stop in zip((1.0, alpha), stops):
-        s_abs = 0.0
-        for m in range(1, stop + 1):
-            s_abs += step * beta ** (step * m - 1.0) * m ** nu / c
-            if 4.0 * EPS * (carried + s_abs) > noise_cap:
-                return False
-        carried = s_abs
-    return True
+    noise = math.fsum(step * beta ** (step * m - 1.0) * m ** nu / c
+                      for step, stop in zip((1.0, alpha), stops) for m in range(1, stop + 1))
+    return 4.0 * EPS * noise <= noise_cap
 
 
 def _paired(alpha: float, profile: AlphaClass, pair: tuple[int, int],
@@ -364,7 +380,8 @@ def classify(alpha: float, tol: Tolerance | None = None, beta: float = 0.9) -> A
     step * beta**(step*m - 1) * m**nu / c of each g' family are log-concave
     in m, so their peak p and stopping index s give p <= sum <= s p.  The
     noise 4 eps sum must stay under half the tolerance: 4 eps p over it
-    fails, 4 eps 2 s p under it fits, else the sum decides.
+    fails, 4 eps 2 s p under it fits, else the exactly rounded sum of the
+    bounds of both families decides.
     """
     if not 0.0 < alpha <= 2.0:
         raise OutOfRangeError(f"alpha must lie in (0, 2], got {alpha!r}")

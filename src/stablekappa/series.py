@@ -9,9 +9,9 @@ For irrational alpha and 0 < beta < 1:
 and g' is its termwise derivative.  Truncation uses the divisor floor
 |sin(m pi x)| >= c / m^nu that the diophantine module reads off alpha's
 convergents, proven for every index below the last convergent denominator of
-the float's expansion and assumed past it.  The stopping index is bisected
-on the resulting tail bound, which is reported.  Both series are
-accumulated with compensated summation and combined in a fixed order.
+the float's expansion and assumed past it.  The stopping index follows from
+the resulting tail bound, which is reported.  Each term is beta^(step m -
+shift) times a coefficient cached across beta, and each sum is ``math.fsum``.
 
 Near a resonance, alpha = p/q + eps, the term m = n p of the first series
 and k = n q of the second have divisors of size n eps with opposite signs.
@@ -40,8 +40,9 @@ import math
 import threading
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, compress, cycle, islice
+from functools import lru_cache, reduce
+from itertools import chain, compress, cycle, islice, repeat
+from operator import add
 
 from .accurate import EPS, sin_mpi, sincos_mpi
 from .diophantine import (
@@ -70,11 +71,12 @@ class SeriesReport:
     tail_bound is the truncation bound: the divisor floors behind it (and,
     when the verdict pairs the near-resonant terms, the pair bound) are
     proven for the terms summed and assumed past the stopping index;
-    noise_bound estimates the rounding floor of the compensated
-    accumulation.  Split at p/q (paired near it, or at a rational alpha =
-    p/q), terms_first_series counts the first series' terms that p does not
-    divide plus the pairs, and terms_second_series the second series' terms
-    that q does not divide.
+    noise_bound, 4 eps times the left-to-right sum of |terms| and |value|,
+    bounds the rounding of the terms, whose every sum is exactly rounded.
+    Split at p/q (paired near it, or at a rational alpha = p/q),
+    terms_first_series counts the first series' terms that p does not divide
+    plus the pairs, and terms_second_series those of the second that q does
+    not divide.
     """
 
     value: float
@@ -90,47 +92,43 @@ class SeriesReport:
             raise OutOfRangeError("term counts must be nonnegative")
 
 
-_TABLES = 32         # sine and pair factor tables kept, each
+_TABLES = 32         # coefficient and pair factor tables kept, each
 _TABLE_TERMS = 4096  # terms kept per table; later ones are recomputed
 _TABLE_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=_TABLES)
 def _table(key: tuple) -> array:
-    """The beta-free factors of one sum of a series, two floats per term,
-    keyed on the arguments of the generator that yields them: (div, num,
-    skip) for the sines ``_sines`` of a divisor series, (ratio, p, q, rho,
-    deg) for the pair factors ``_pair_factors`` of a split series.  Every
-    beta of a key shares them.  A series fills its table to its stopping
-    index, or to ``_TABLE_TERMS`` terms, by ``_cached``, and then only
-    reads it.
+    """The beta-free factors of one sum of a series: keyed on (div, num,
+    skip, pre, deg), the coefficients (-1)^(m+1) pre sin(m pi num) / (m^deg
+    sin(m pi div)) of a divisor series, one float per term; keyed on the
+    arguments (ratio, p, q, rho, deg) of ``_pair_factors``, the pair factors
+    of a split series, two per term.  Every beta of a key shares them.  A
+    series fills its table to its stopping index, or to ``_TABLE_TERMS``
+    terms, by ``_cached``, and then only reads it.
     """
     return array("d")
 
 
-def _cached(key: tuple, terms: int, entries):
-    """An iterator over the floats of ``entries(0, terms)``, two per term,
-    the first ``_TABLE_TERMS`` terms read from ``_table(key)``: a short
-    table is extended with ``entries(start, kept)`` under the lock, start
-    being its length then.  A table only grows, by whole terms, so no reader
-    ever sees the two floats of a term misaligned."""
+def _cached(key: tuple, terms: int, width: int, entries):
+    """An iterator over the floats of ``entries(0, terms)``, ``width`` per
+    term, the first ``_TABLE_TERMS`` terms read from ``_table(key)``: a
+    short table is extended with ``entries(start, kept)`` under the lock,
+    start being its length in terms then.  A table only grows, by whole
+    terms, so no reader ever sees the floats of a term misaligned."""
     kept = min(terms, _TABLE_TERMS)
     table = _table(key)
-    if len(table) < 2 * kept:
+    if len(table) < width * kept:
         with _TABLE_LOCK:
-            table.extend(array("d", entries(len(table) // 2, kept)))
-    return chain(table[:2 * kept], entries(kept, terms))
+            table.extend(array("d", entries(len(table) // width, kept)))
+    head = table[:width * kept]
+    return chain(head, entries(kept, terms)) if terms > kept else iter(head)
 
 
 def _indices(n: int, d: int):
     """The indices 1..n that d does not divide, in increasing order."""
     every = range(1, n + 1)
     return every if d > n else compress(every, cycle((1,) * (d - 1) + (0,)))
-
-
-def _sines(ms, div: tuple[int, int], num: tuple[int, int]):
-    """sin(m pi div), sin(m pi num) for each m of ms, interleaved."""
-    return chain.from_iterable((sin_mpi(m, *div), sin_mpi(m, *num)) for m in ms)
 
 
 def _divisor_series(beta: float, step: float, div: tuple[int, int],
@@ -147,9 +145,9 @@ def _divisor_series(beta: float, step: float, div: tuple[int, int],
     sin(m pi div) is exactly 0 where div's denominator d divides m: with
     ``skip`` None such an index raises IllConditionedSeriesError naming
     ``divisor.format(d)``.  Otherwise the multiples of ``skip`` are left
-    out, sines and all (the split series sums them as resonant terms), and
-    skip = 1 leaves the family empty.  A ``drift`` makes the floor c one
-    that holds only up to an index: the stopping index must keep
+    out, coefficients and all (the split series sums them as resonant
+    terms), and skip = 1 leaves the family empty.  A ``drift`` makes the
+    floor c one that holds only up to an index: the stopping index must keep
     ``diophantine._proven_floor(skip, drift, m)`` at or above c, or
     IllConditionedSeriesError is raised before the sum starts.  Returns
     (value, terms summed, tail bound, abs_sum plus the |terms|); a failure
@@ -168,27 +166,16 @@ def _divisor_series(beta: float, step: float, div: tuple[int, int],
         raise IllConditionedSeriesError(
             f"{name}: divisor floor {c:.3e} not proven up to index {n}")
     skip = skip or d
-    terms = n - n // skip
-    pairs = _cached((div, num, skip), terms, lambda start, end: _sines(
-        islice(_indices(n, skip), start, end), div, num))
-    # Neumaier-compensated running sum
-    total = comp = 0.0
-    for m, den, sin_num in zip(_indices(n, skip), pairs, pairs):
-        signed = pre if m % 2 == 1 else -pre
-        term = signed * beta ** (step * m - shift) * sin_num / (m ** deg * den)
-        t = total + term
-        size = abs(term)
-        if abs(total) >= size:
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        abs_sum += size
+    count = n - n // skip
+    coefs = _cached((div, num, skip, pre, deg), count, 1, lambda start, end: (
+        (pre if m % 2 else -pre) * sin_mpi(m, *num) / (m ** deg * sin_mpi(m, *div))
+        for m in islice(_indices(n, skip), start, end)))
+    terms = [beta ** (step * m - shift) * coef for m, coef in zip(_indices(n, skip), coefs)]
     if stop is None:
         raise ConvergenceFailureError(
             f"{name}: tail bound {tail:.3e} above tolerance after {max_terms} terms",
-            value=carry + (total + comp), error_bound=tail)
-    return total + comp, terms, tail, abs_sum
+            value=carry + math.fsum(terms), error_bound=tail)
+    return math.fsum(terms), count, tail, reduce(add, map(abs, terms), abs_sum)
 
 
 def _excess(y: float) -> float:
@@ -274,9 +261,10 @@ def _split(ratio: tuple[int, int], p: int, q: int, rho: float, beta: float,
     period; a last pair past the reach (the stopping index, or the term
     budget where the pairs do not converge) raises
     IllConditionedSeriesError before any sum runs.  Each
-    sum stops for a bound under an eighth of the tolerance.  Returns the
-    fields of a ``SeriesReport``, the pairs counted in its
-    ``terms_first_series``.
+    sum stops for a bound under an eighth of the tolerance.  At delta_1 = 0,
+    whose noise no verdict budgets, a bound above the tolerance raises
+    IllConditionedSeriesError.  Returns the fields of a ``SeriesReport``,
+    the pairs counted in its ``terms_first_series``.
     """
     a_num, a_den = ratio
     alpha = a_num / a_den
@@ -309,27 +297,22 @@ def _split(ratio: tuple[int, int], p: int, q: int, rho: float, beta: float,
 
     ns = range(1, pairs + 1)
     key = (ratio, p, q, (r_num, r_den), deg)
-    factors = _cached(key, pairs, lambda start, end: _pair_factors(ns[start:end], *key))
-    total = comp = 0.0
-    for n, x, y in zip(ns, factors, factors):
-        delta = n * delta1
-        growth = math.expm1(delta * log_beta) / delta if delta else log_beta
-        term = beta ** (n * p - shift) * (growth * x + y)
-        t = total + term
-        size = abs(term)
-        if abs(total) >= size:
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-        abs_sum += size
+    factors = _cached(key, pairs, 2, lambda start, end: _pair_factors(ns[start:end], *key))
+    growth = (repeat(log_beta) if not delta1 else
+              (math.expm1(n * delta1 * log_beta) / (n * delta1) for n in ns))
+    terms = [beta ** (n * p - shift) * (e * x + y)
+             for n, e, x, y in zip(ns, growth, factors, factors)]
     if stop is None:
         raise ConvergenceFailureError("resonant sum did not converge",
-                                      value=total + comp, error_bound=tail3)
+                                      value=math.fsum(terms), error_bound=tail3)
 
-    value = v1 + v2 + (total + comp)
-    return (value, terms1 + stop, terms2, tail1 + tail2 + tail3,
-            4.0 * EPS * (abs_sum + abs(value)))
+    value = v1 + v2 + math.fsum(terms)
+    noise = 4.0 * EPS * (reduce(add, map(abs, terms), abs_sum) + abs(value))
+    tail = tail1 + tail2 + tail3
+    if not delta1 and tail + noise > tol.abs_tol:
+        raise IllConditionedSeriesError(
+            f"error bound {tail + noise:.3e} above the tolerance {tol.abs_tol:.3e}")
+    return value, terms1 + stop, terms2, tail, noise
 
 
 def _series(params: StableParams, beta: float, tol: Tolerance | None,

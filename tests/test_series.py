@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -16,14 +17,15 @@ from stablekappa import (
     StableParams,
     Tolerance,
     classify,
+    g_any_beta,
     g_quad,
     g_series,
     gprime_quad,
     gprime_series,
     validate,
 )
-from stablekappa.accurate import EPS, sin_pi
-from stablekappa.diophantine import AlphaClass, _truncation
+from stablekappa.accurate import EPS, sin_mpi, sin_pi
+from stablekappa.diophantine import _DOUBLED, AlphaClass, _truncation
 
 from oracles import g_mpmath, gprime_mpmath
 
@@ -176,11 +178,13 @@ def test_sine_table_past_its_length_cap(monkeypatch):
     series_module._table.cache_clear()
     for _ in range(2):
         assert (_bits(g_series(p, 0.6)), _bits(g_series(rational, 0.6))) == cold
+    # each table holds _TABLE_TERMS terms: one coefficient per term of a
+    # divisor series, two pair factors per pair
     a_num, a_den = SQRT2.as_integer_ratio()
-    tables = [series_module._table(((a_den, a_num), (1, 2), a_num)),
-              series_module._table(((a_num, a_den), (a_num, 2 * a_den), a_den)),
+    tables = [series_module._table(((a_den, a_num), (1, 2), a_num, 1.0, 1)),
+              series_module._table(((a_num, a_den), (a_num, 2 * a_den), a_den, 1.0, 1)),
               series_module._table(((3, 10), 3, 10, (1, 2), 1))]
-    assert [len(t) for t in tables] == [10, 10, 10]
+    assert [len(t) for t in tables] == [5, 5, 10]
 
 
 def test_sine_tables_under_concurrent_growth():
@@ -232,19 +236,22 @@ def test_sine_table_cache_stays_at_its_bound():
 
 
 # ---------------------------------------------------------------------------
-# the stopping index: bisection against the per-term scan it replaced
+# the stopping index: the tail's root, doubling and bisection against the
+# per-term scan they replaced
 # ---------------------------------------------------------------------------
 
 def _truncation_scan(beta, step, pre, shift, power, c, half_tol, max_terms):
     """The per-term stopping loop the series ran before the bisection: the
     first m whose model tail bound drops below half_tol, and the last tail
-    bound it computed (inf while the bounds' ratio is not below 1)."""
+    bound it computed (inf while the bounds' ratio is not below 1).  The
+    ratio of consecutive bounds takes the index power only where it is
+    positive: a negative one makes the ratios climb toward beta**step."""
     base = beta ** step
     tail = math.inf
     for m in range(1, max_terms + 1):
         j = m + 1
         nxt = pre * beta ** (step * j - shift) * j ** power / c
-        ratio = base * ((j + 1) / j) ** power
+        ratio = base * ((j + 1) / j) ** max(power, 0)
         if ratio < 1.0:
             tail = nxt / (1.0 - ratio)
             if tail < half_tol:
@@ -341,11 +348,34 @@ def test_truncation_of_a_geometric_tail_matches_the_scan():
         assert _truncation(*args) == _truncation_scan(*args), args
 
 
+def test_truncation_from_the_tail_root_matches_the_scan():
+    # at power >= 0 at once, and at power < 0 once doubling has passed
+    # _DOUBLED, the index is read off the root of the tail's logarithm and
+    # settled by the tail itself: every power of the series' bounds (nu - 1
+    # and nu of the convergent floors, -1 of g at rational alpha, and 0.0027,
+    # whose pole would overflow a plain expm1) at every beta band
+    stops, rooted = set(), set()
+    for power, beta in itertools.product(
+            (-1.0, 0.0, 0.0027, 0.5, 1.0, 1.499, 1.841, 7.98, 22.92),
+            (1e-6, 1e-4, 0.1, 0.5, 0.9, 0.95)):
+        for step, pre, shift in ((1.0, 1.0, 0.0), (SQRT2, SQRT2, 1.0), (0.3, 1e3, 1.0)):
+            for c, half_tol, max_terms in itertools.product(
+                    (0.5, 3e-7), (5e-11, 5e-14), BUDGETS):
+                args = (beta, step, pre, shift, power, c, half_tol, max_terms)
+                assert _hex(_truncation(*args)) == _hex(_truncation_scan(*args)), args
+                m = _truncation(*args)[0]
+                stops.add(m if m is None else min(m, 2))
+                if m is not None and m > (_DOUBLED if power < 0 else 1):
+                    rooted.add(math.copysign(1.0, power))
+    assert stops == {None, 1, 2}
+    assert rooted == {-1.0, 1.0}
+
+
 def test_truncation_with_a_budget_past_float_range():
-    # j**25.6 overflows past j = 1e12 and j**38.9 past 1e8.  Doubling probes
-    # no index past twice the stopping one, and an overflowing bound counts
-    # as not stopping; bisecting over the whole budget would raise, or find
-    # no stop and sum all 10**13 terms
+    # j**25.6 overflows past j = 1e12 and j**38.9 past 1e8.  The tail's root
+    # lies at the stopping index, doubling probes no index past twice it, and
+    # an overflowing bound counts as not stopping; bisecting over the whole
+    # budget would raise, or find no stop and sum all 10**13 terms
     args = (1e-3, 1.0, 1.0, 0.0, 25.6, 0.5, 5e-11, 10**13)
     assert _truncation(*args) == _truncation_scan(*args)
     args = (1.0 - 1e-8, 1.0, 1.0, 1.0, 38.9, 1e-11, 5e-11, 10**9)
@@ -362,22 +392,98 @@ def test_truncation_with_a_budget_past_float_range():
 
 @pytest.mark.parametrize("alpha,max_terms,series,value,bound", [
     # the first series fails
-    (SQRT2, 50, g_series, "0x1.38c1a96ca9918p-3", "0x1.7bfa3ff650ef9p-4"),
-    (SQRT2, 50, gprime_series, "-0x1.5f40536c6d216p-1", "0x1.98884b3ebb350p+2"),
+    (SQRT2, 50, g_series, "0x1.38c1a96ca9910p-3", "0x1.7bfa3ff650ef9p-4"),
+    (SQRT2, 50, gprime_series, "-0x1.5f40536c6d218p-1", "0x1.98884b3ebb350p+2"),
     # the second fails and reports the first's value plus its partial sum
     (0.5 + SQRT2 / 40.0, 500, g_series, "0x1.7d3bd6c77c504p-2",
      "0x1.2cce3e161113bp-31"),
-    (0.5 + SQRT2 / 40.0, 500, gprime_series, "0x1.29051646e0200p-3",
+    (0.5 + SQRT2 / 40.0, 500, gprime_series, "0x1.29051646e021bp-3",
      "0x1.6ae30c0c2bdddp-23"),
 ])
 def test_series_failure_reports_partial_sum_and_tail(alpha, max_terms, series, value,
                                                      bound):
     # classify refuses this budget at beta 0.9, so the verdict is taken at
-    # the default tolerance
+    # the default tolerance.  The values are exactly rounded sums of the
+    # terms; three moved, each by less than the noise bound 4 eps sum |terms|
+    # of its partial sums, from the compensated sums pinned before
     aclass = classify(alpha, Tolerance(), 0.9)
     with pytest.raises(ConvergenceFailureError) as err:
         series(validate(alpha, 0.5), 0.9, Tolerance(max_terms=max_terms), aclass=aclass)
     assert (err.value.value.hex(), err.value.error_bound.hex()) == (value, bound)
+
+
+def _divisor_terms(beta, step, div, num, derivative, count, skip):
+    """The first count float terms of a divisor series over the indices skip
+    (if any) does not divide: beta**(step m - shift) times the coefficient
+    (-1)**(m+1) pre sin(m pi num) / (m**deg sin(m pi div))."""
+    pre, shift, deg = (step, 1.0, 0) if derivative else (1.0, 0.0, 1)
+    ms = itertools.islice((m for m in itertools.count(1) if skip is None or m % skip), count)
+    return [beta ** (step * m - shift)
+            * ((pre if m % 2 else -pre) * sin_mpi(m, *num) / (m ** deg * sin_mpi(m, *div)))
+            for m in ms]
+
+
+def _exactly_rounded(terms):
+    return float(sum(map(Fraction, terms), Fraction(0)))
+
+
+@pytest.mark.parametrize("alpha", [0.5 + SQRT2 / 40.0, math.pi / 2.0, 0.3])
+@pytest.mark.parametrize("series", [g_series, gprime_series])
+def test_each_family_is_the_exactly_rounded_sum_of_its_terms(alpha, series, monkeypatch):
+    # at beta 0.95 the families run to hundreds or thousands of terms; each
+    # sum the series takes is recorded, checked term for term against the
+    # family rebuilt here, and its value against the exact rational sum
+    beta, rho = 0.95, 0.5
+    derivative = series is gprime_series
+    aclass = classify(alpha, Tolerance(), beta)
+    sums, fsum = [], math.fsum
+
+    def recorded(terms):
+        terms = list(terms)
+        sums.append((terms, fsum(terms)))
+        return sums[-1][1]
+
+    monkeypatch.setattr(math, "fsum", recorded)
+    rep = series(validate(alpha, rho), beta, aclass=aclass)
+    monkeypatch.undo()
+    a_num, a_den = (aclass.p, aclass.q) if aclass.p else alpha.as_integer_ratio()
+    r_num, r_den = rho.as_integer_ratio()
+    skips = (aclass.p, aclass.q) if aclass.p else (None, None)
+    families = ((1.0, (a_den, a_num), (r_num, r_den)),
+                (alpha, (a_num, a_den), (r_num * a_num, r_den * a_den)))
+    want = [_divisor_terms(beta, step, div, num, derivative, len(terms), skip)
+            for (step, div, num), skip, (terms, _) in zip(families, skips, sums)]
+    if aclass.p:
+        # the pairs at rational alpha: beta**(N - shift) (X log beta + Y)
+        shift, deg = (1, 0) if derivative else (0, 1)
+        ns = range(1, len(sums[2][0]) + 1)
+        factors = iter(list(series_module._pair_factors(
+            ns, (a_num, a_den), a_num, a_den, (r_num, r_den), deg)))
+        want.append([beta ** (n * a_num - shift) * (math.log(beta) * x + y)
+                     for n, x, y in zip(ns, factors, factors)])
+    assert [terms for terms, _ in sums] == want
+    assert min(map(len, want)) > 100
+    assert all(value == _exactly_rounded(terms) for terms, value in sums)
+    first, second, *pairs = (value for _, value in sums)
+    assert rep.value == (first + second + pairs[0] if pairs else first + second)
+
+
+def test_rational_split_refuses_a_missed_tolerance():
+    # 1e-6 above 1/2 the float's expansion terminates under the rational
+    # cap, at 500001/1000000: the split's floors sin(pi/1e6) and
+    # sin(pi/500001) bring its noise, which no verdict budgets, above the
+    # tolerance, so it refuses and the plan runs quadrature
+    alpha, rho, beta, tol = 0.5 + 1e-6, 0.3, 0.9, Tolerance()
+    params = validate(alpha, rho)
+    aclass = classify(alpha, tol, beta)
+    assert (aclass.kind, aclass.p, aclass.q) == (AlphaKind.RATIONAL, 500001, 1000000)
+    with pytest.raises(IllConditionedSeriesError, match="above the tolerance"):
+        g_series(params, beta, tol, aclass)
+    res = g_any_beta(params, beta, tol=tol)
+    ref, err = g_mpmath(alpha, rho, beta)
+    assert err < 1e-25
+    assert res.abs_error_bound <= tol.abs_tol
+    assert abs(res.value - ref) <= res.abs_error_bound
 
 
 def test_truncation_tail_bounds_the_rest_at_negative_power():

@@ -205,18 +205,20 @@ def test_g_rational_central_difference_matches_gprime_rational(p, q, rho, beta):
 
 # (p, q, rho, beta, derivative, value, bound, terms) of the rational split
 # before it became the delta_1 = 0 case of the paired split series, and
-# before the series method took over the rational-alpha evaluators
+# before the series method took over the rational-alpha evaluators; the
+# values of (3, 10, g), (19, 10, g) and (3, 2, g and g') moved by 1-6 ulps,
+# each less than its noise bound, when every sum became exactly rounded
 RATIONAL_VALUES = [
     (1, 2, 0.3, 0.4, False, "0x1.5ed631783c6b6p-3", "0x1.4a5c76cfe0e48p-36", 47),
     (1, 2, 0.3, 0.4, True, "0x1.34749f197d250p-3", "0x1.48b877180ebf5p-36", 56),
     (4, 5, 0.3, 0.85, False, "0x1.fa1de4d888afbp-3", "0x1.318b2e9f2a39cp-35", 272),
     (4, 5, 0.3, 0.85, True, "0x1.12f0aeea2ce3cp-3", "0x1.09eb0c3d0c5e4p-35", 335),
-    (3, 10, 0.5, 0.6, False, "0x1.4abbf266d876dp-2", "0x1.ccf7498e758e6p-36", 178),
+    (3, 10, 0.5, 0.6, False, "0x1.4abbf266d8767p-2", "0x1.ccf7498e758e6p-36", 178),
     (3, 10, 0.5, 0.6, True, "0x1.dab4fd0c49c98p-4", "0x1.064f555e6d182p-35", 212),
-    (19, 10, 0.5, 0.3, False, "0x1.06ba728b9a0fap-2", "0x1.200e55310bbacp-37", 29),
+    (19, 10, 0.5, 0.3, False, "0x1.06ba728b9a0f8p-2", "0x1.200e55310bbacp-37", 29),
     (19, 10, 0.5, 0.3, True, "0x1.7bf5f72e2320ep-1", "0x1.812557f0207f1p-37", 34),
-    (3, 2, 0.5, 0.9, False, "0x1.1160ffb7147e4p-1", "0x1.36b3401997a3dp-35", 276),
-    (3, 2, 0.5, 0.9, True, "0x1.968f1629e6a0dp-2", "0x1.1f1492e9ac97fp-35", 345),
+    (3, 2, 0.5, 0.9, False, "0x1.1160ffb7147e5p-1", "0x1.36b3401997a3dp-35", 276),
+    (3, 2, 0.5, 0.9, True, "0x1.968f1629e6a0bp-2", "0x1.1f1492e9ac97fp-35", 345),
     (1, 1, 0.5, 0.7, False, "0x1.8698d27c6c7abp-2", "0x1.b6d1b02ba3abcp-37", 61),
     (1, 1, 0.5, 0.7, True, "0x1.3e8ff89897875p-2", "0x1.6237bb2217f7dp-37", 73),
 ]

@@ -55,7 +55,6 @@ RATIONAL_DENOMINATOR_CAP = 1_000_000
 
 _CF_TERMS = 64              # partial quotients expanded at most
 _PROFILE_CACHE = 64         # alphas whose beta-free profile is kept
-_DOUBLED = 256              # at power < 0, stops up to this index are doubled and bisected
 _NEWTON_STEPS = 16          # iterations for a stopping index's root
 
 
@@ -175,11 +174,10 @@ def _truncation(beta: float, step: float, pre: float, shift: float, power: float
     ((m+2)/(m+1))**max(power, 0) the largest ratio of consecutive bounds
     from there on (inf while ratio >= 1).  Both fall with m, and m + 1 is
     the root of log(tail / half_tol) (closed-form at power 0, else Newton's
-    method right of the pole at ratio = 1), settled by the tail at that index
-    and its neighbours.  At power < 0 (g at rational alpha, short sums) a
-    stop up to ``_DOUBLED``, where the root costs more, or one whose root is
-    out of reach is found by doubling, which probes no index past 2m, and
-    bisecting.
+    method right of the pole at ratio = 1), settled by walking the tail from
+    that index to the first one below half_tol.  At power < 0 (the resonant
+    terms of g at rational alpha), and where the root is out of reach, m is
+    found by doubling, which probes no index past 2m, and bisecting.
     """
     base, rise = beta ** step, max(power, 0)
 
@@ -209,19 +207,17 @@ def _truncation(beta: float, step: float, pre: float, shift: float, power: float
                 return j
         return None if power else j
 
-    lo, hi = 0, 1
     guess = None if power < 0 else root()
-    while guess is None and not tail(hi) < half_tol:
-        if hi == max_terms:
-            return None, tail(hi)
-        lo, hi = hi, min(2 * hi, max_terms)
-        if lo == _DOUBLED:
-            guess = root()
     if guess is None:
+        lo, hi = 0, 1
+        while not tail(hi) < half_tol:
+            if hi == max_terms:
+                return None, tail(hi)
+            lo, hi = hi, min(2 * hi, max_terms)
         stop = lo + 1 + bisect_left(range(lo + 1, hi), True, key=lambda m: tail(m) < half_tol)
         return stop, tail(stop)
-    m = min(max(math.ceil(guess) - 1, lo + 1), max_terms)
-    while m > lo + 1 and tail(m - 1) < half_tol:
+    m = min(max(math.ceil(guess) - 1, 1), max_terms)
+    while m > 1 and tail(m - 1) < half_tol:
         m -= 1
     while not (bound := tail(m)) < half_tol:
         if m == max_terms:

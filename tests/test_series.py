@@ -25,7 +25,7 @@ from stablekappa import (
     validate,
 )
 from stablekappa.accurate import EPS, sin_mpi, sin_pi
-from stablekappa.diophantine import _DOUBLED, AlphaClass, _truncation
+from stablekappa.diophantine import AlphaClass, _truncation
 
 from oracles import g_mpmath, gprime_mpmath
 
@@ -349,11 +349,11 @@ def test_truncation_of_a_geometric_tail_matches_the_scan():
 
 
 def test_truncation_from_the_tail_root_matches_the_scan():
-    # at power >= 0 at once, and at power < 0 once doubling has passed
-    # _DOUBLED, the index is read off the root of the tail's logarithm and
-    # settled by the tail itself: every power of the series' bounds (nu - 1
-    # and nu of the convergent floors, -1 of g at rational alpha, and 0.0027,
-    # whose pole would overflow a plain expm1) at every beta band
+    # at power >= 0 the index is read off the root of the tail's logarithm
+    # and settled by the tail itself, at power < 0 it is doubled and
+    # bisected: every power of the series' bounds (nu - 1 and nu of the
+    # convergent floors, -1 of g at rational alpha, and 0.0027, whose pole
+    # would overflow a plain expm1) at every beta band
     stops, rooted = set(), set()
     for power, beta in itertools.product(
             (-1.0, 0.0, 0.0027, 0.5, 1.0, 1.499, 1.841, 7.98, 22.92),
@@ -365,10 +365,10 @@ def test_truncation_from_the_tail_root_matches_the_scan():
                 assert _hex(_truncation(*args)) == _hex(_truncation_scan(*args)), args
                 m = _truncation(*args)[0]
                 stops.add(m if m is None else min(m, 2))
-                if m is not None and m > (_DOUBLED if power < 0 else 1):
-                    rooted.add(math.copysign(1.0, power))
+                if m is not None and m > 1 and power >= 0:
+                    rooted.add(power)
     assert stops == {None, 1, 2}
-    assert rooted == {-1.0, 1.0}
+    assert rooted == {0.0, 0.0027, 0.5, 1.0, 1.499, 1.841, 7.98, 22.92}
 
 
 def test_truncation_with_a_budget_past_float_range():

@@ -248,8 +248,8 @@ _COLUMNS = ("quadrature", "series", "doney")  # compare's row order
 def _run_plan(params: StableParams, beta: float, derivative: bool,
               tol: Tolerance):
     """Every candidate of the plan: (name -> EvalResult) plus (name -> skip
-    reason).  A candidate that does not converge is skipped; the last
-    failure is raised when none converges."""
+    reason).  A candidate that refuses or does not converge is skipped; the
+    last failure is raised when none converges."""
     results: dict[str, EvalResult] = {}
     skipped: dict[str, str] = {}
     failure = None
@@ -261,7 +261,9 @@ def _run_plan(params: StableParams, beta: float, derivative: bool,
         try:
             results[name] = step.run()
         except _NOCONV as exc:
-            skipped[name] = "skipped: did not converge"
+            skipped[name] = ("skipped: ill-conditioned, also with the near-resonant terms "
+                             "paired" if isinstance(exc, IllConditionedSeriesError)
+                             else "skipped: did not converge")
             failure = exc
     if not results:
         raise failure
@@ -334,11 +336,10 @@ def cmd_classify(args) -> int:
     recommended = None
     if args.rho is not None:
         try:
-            steps = plan(StableParams(args.alpha, args.rho), args.beta, False,
-                         MethodChoice.AUTO, tol)
-            recommended = next(step.method.value for step in steps if step.run)
-        except _INVALID:
-            pass  # no recommendation for an inadmissible rho or beta
+            recommended = g_any_beta(StableParams(args.alpha, args.rho), args.beta,
+                                     MethodChoice.AUTO, tol).method.value
+        except _INVALID + _NOCONV:
+            pass  # no recommendation for an inadmissible rho or beta, or where none converges
 
     payload = {
         "alpha": args.alpha,

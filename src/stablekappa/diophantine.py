@@ -11,7 +11,7 @@ segment of indices, and this module reads the divisor floor c / m**nu off
 the expansion (``_floor_model``):
 
 * ``cf_expand``  partial quotients and convergents of a float,
-* ``classify``   the verdict used for method dispatch.
+* ``classify``   the verdict used for method dispatch, or at one beta.
 
 The floor is proven for every index below the last denominator of the
 expansion; past it the model is assumed.  A float can never certify
@@ -27,27 +27,27 @@ proven floor.  For m <= M with p not dividing m,
     ||m/alpha|| >= 1/p - M |1/alpha - q/p|,
 
 and for k <= M with q not dividing k, ||k alpha|| >= 1/q - M |alpha - p/q|
-(``_proven_floor``).  ``classify`` tries that pairing only where its generic
-verdict is IllConditioned, at the convergent ``_profile`` picks.
+(``_proven_floor``).  The series pairs only where its generic sum
+refuses, at the convergent ``_profile`` picks.
 
-Only the conditioning verdict depends on beta and the tolerance.  The
-expansion, the rational verdict, the floor model and the pairing
-convergent depend on alpha alone; ``_profile`` computes them
-once per alpha (an LRU over ``_PROFILE_CACHE`` alphas), and ``classify`` adds
-the per-beta noise bound on top, up to each family's stopping index
-(``_truncation``, where every series of the package stops).
+The expansion, the rational verdict, the floor model and the pairing
+convergent depend on alpha alone; ``_profile`` computes them once per alpha
+(an LRU over ``_PROFILE_CACHE`` alphas), and dispatch reads nothing else.
+The series decides its conditioning at each beta from the stopping indices
+it sums to (``_stop``, ``_split_stops``); ``classify`` reports it for g'.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
 from .accurate import EPS, sin_mpi, sin_pi
-from .params import OutOfRangeError, Tolerance
+from .params import IllConditionedSeriesError, OutOfRangeError, Tolerance
 
 # A terminating expansion counts as "really" rational only up to this
 # denominator; beyond it the float cannot be told apart from an irrational.
@@ -237,27 +237,6 @@ def _proven_floor(skip: int, drift: float, m: int) -> float:
     return sin_pi(r) if r > 0.0 else 0.0
 
 
-def _split_floors(ratio: tuple[int, int], p: int,
-                  q: int) -> tuple[tuple[float, float], tuple[float, float]]:
-    """(floor, drift) of the split series' two nonresonant families at p/q,
-    alpha given as its exact ratio of integers: sin(pi/p) and sin(pi/q) with
-    no drift at alpha = p/q; else half of them, with the drifts
-    |1/alpha - q/p| and |alpha - p/q| of ``_proven_floor``."""
-    a_num, a_den = ratio
-    gap = abs(a_num * q - p * a_den)
-    c1, c2 = sin_pi(1.0 / p), sin_pi(1.0 / q)
-    if not gap:
-        return (c1, 0.0), (c2, 0.0)
-    return (0.5 * c1, gap / (p * a_num)), (0.5 * c2, gap / (q * a_den))
-
-
-def _pair_reach(delta1: float, alpha: float, max_terms: int) -> float:
-    """The largest |delta_n| = n |delta_1| a pair bound must cover: that of
-    every n up to the term budget, capped where delta or delta/alpha would
-    reach half a period."""
-    return min(abs(delta1) * max_terms, 0.5 * min(alpha, 1.0))
-
-
 def _pair_prefactor(alpha: float, p: int, reach: float, weight: float, beta: float,
                     deg: int) -> float:
     """pre with |pair n| <= pre beta**(p n - shift) / n**deg for every pair n
@@ -303,91 +282,112 @@ def _profile(alpha: float) -> tuple[AlphaClass, tuple[int, int] | None]:
     return AlphaClass(AlphaKind.IRRATIONAL, floor_power=nu, floor_constant=c), pair
 
 
-def _fits(alpha: float, nu: float, c: float, tol: Tolerance, beta: float) -> bool:
-    """Whether both generic families stop within the term budget with their
-    noise under half the tolerance (see ``classify``); where the peak and
-    index count do not decide, the noise is 4 eps times the exactly rounded
-    sum (``math.fsum``) of every term bound of both families."""
-    noise_cap = 0.5 * tol.abs_tol
-    stops, upper = [], 0.0
-    for step in (1.0, alpha):
-        stop, _ = _truncation(beta, step, step, 1.0, nu, c, noise_cap, tol.max_terms)
-        if stop is None:
-            return False
-        top, peak = int(min(nu / (-step * math.log(beta)), stop)), 0.0
-        for m in (max(top, 1), min(top + 1, stop)):
-            peak = max(peak, step * beta ** (step * m - 1.0) * m ** nu / c)
-        if 4.0 * EPS * peak > noise_cap:
-            return False
-        stops.append(stop)
-        upper += 2.0 * stop * peak
-    if 4.0 * EPS * upper <= noise_cap:
-        return True
-    noise = math.fsum(step * beta ** (step * m - 1.0) * m ** nu / c
-                      for step, stop in zip((1.0, alpha), stops) for m in range(1, stop + 1))
-    return 4.0 * EPS * noise <= noise_cap
+def _stop(beta: float, step: float, derivative: bool, c: float, nu: float, target: float,
+          max_terms: int, noise_cap: float | None = None) -> tuple[int | None, float]:
+    """``_truncation`` for a divisor series of g (or g') with divisors above
+    c / m^nu: term m is below pre beta^(step m - shift) m^(nu - deg) / c,
+    (pre, shift, deg) = (step, 1, 0) for g' and (1, 0, 1) for g.  Given a
+    noise_cap, also None where 4 eps times the first bound (checked first)
+    or the largest, at floor k or k + 1 for k = (nu - deg)/(-step log beta)
+    capped at the stop (the bounds are log-concave in m), exceeds it."""
+    pre, shift, deg = (step, 1.0, 0) if derivative else (1.0, 0.0, 1)
+    power = nu - deg
+    if noise_cap is None:
+        return _truncation(beta, step, pre, shift, power, c, target, max_terms)
+
+    def noisy(m: int) -> bool:
+        return 4.0 * EPS * (pre * beta ** (step * m - shift) * m ** power / c) > noise_cap
+
+    if noisy(1):
+        return None, math.inf
+    stop, tail = _truncation(beta, step, pre, shift, power, c, target, max_terms)
+    if stop is not None:
+        top = int(min(power / (-step * math.log(beta)), stop))
+        if noisy(max(top, 1)) or noisy(min(top + 1, stop)):
+            return None, tail
+    return stop, tail
 
 
-def _paired(alpha: float, profile: AlphaClass, pair: tuple[int, int],
-            tol: Tolerance, beta: float) -> AlphaClass | None:
-    """The paired verdict at the convergent p/q, or None where it fails.
-
-    Like the split series, every sum stops where its bound falls below an
-    eighth of the tolerance: the two nonresonant families with floors half
-    of sin(pi/p) and sin(pi/q), the pairs by ``_pair_prefactor``.  The
-    pairing holds when both proven floors stay at or above those halves up
-    to the families' stopping indices and the pairs stop within their
-    reach; the noise, 4 eps times the sum of every g' term bound (geometric
-    sums in closed form), must stay under half the tolerance.
-    """
-    p, q = pair
-    ratio = alpha.as_integer_ratio()
+def _split_stops(ratio: tuple[int, int], p: int, q: int, weight: float, beta: float,
+                 tol: Tolerance, derivative: bool, strict: bool) -> list:
+    """(stop, tail bound) of the pairs and the two nonresonant sums of the
+    split series at p/q (``series._split``), each for a bound under an eighth
+    of the tolerance (the pairs' by ``_pair_prefactor``, weight >= pi rho +
+    |log beta|); an empty sum stops at 0.  IllConditionedSeriesError is
+    raised where the last pair summed passes the reach or a floor is not
+    proven up to its sum's last index; with ``strict`` also where a sum does
+    not stop within the budget, or 4 eps times the g' term bounds summed in
+    closed form at beta clamped into [1e-6, 0.95] exceeds tol/2."""
+    a_num, a_den = ratio
+    alpha, gap = a_num / a_den, a_num * q - p * a_den
+    delta1, half = gap / a_den, 0.5 if gap else 1.0
     target = 0.125 * tol.abs_tol
-    noise = 0.0
-    for skip, step, (c, drift) in zip((p, q), (1.0, alpha), _split_floors(ratio, p, q)):
-        if skip == 1:
-            continue  # every index of the family is paired
-        stop, _ = _truncation(beta, step, step, 1.0, 0.0, c, target, tol.max_terms)
-        if stop is None or _proven_floor(skip, drift, stop) < c:
-            return None
-        noise += step * beta ** (step - 1.0) / (c * (1.0 - beta ** step))
-    delta1 = abs(ratio[0] * q - p * ratio[1]) / ratio[1]
-    reach = _pair_reach(delta1, alpha, tol.max_terms)
-    pre = _pair_prefactor(alpha, p, reach, math.pi + abs(math.log(beta)), beta, 0)
-    stop, _ = _truncation(beta, p, pre, 1.0, 0.0, 1.0, target, tol.max_terms)
-    if stop is None or stop * delta1 > reach:
-        return None
-    noise += pre * beta ** (p - 1.0) / (1.0 - beta ** p)
-    if 4.0 * EPS * noise > 0.5 * tol.abs_tol:
-        return None
-    floor = 0.5 * sin_pi(1.0 / max(p, q)) if max(p, q) > 1 else 0.0
-    return AlphaClass(AlphaKind.IRRATIONAL, p, q, profile.floor_power, floor)
+    shift, deg = (1, 0) if derivative else (0, 1)
+    reach = min(abs(delta1) * tol.max_terms, 0.5 * min(alpha, 1.0))  # < half a period
+    # floors sin(pi/p), sin(pi/q) at alpha = p/q, else half of them, proven up
+    # to an index by the drifts |1/alpha - q/p|, |alpha - p/q| (``_proven_floor``)
+    floors = ((half * sin_pi(1.0 / p), abs(gap) / (p * a_num)),
+              (half * sin_pi(1.0 / q), abs(gap) / (q * a_den)))
+    if strict:
+        b = min(max(beta, 1e-6), 0.95)
+        noise = 0.0
+        for skip, step, (c, _) in zip((p, q), (1.0, alpha), floors):
+            if skip > 1:
+                noise += step * b ** (step - 1.0) / (c * (1.0 - b ** step))
+        pre = _pair_prefactor(alpha, p, reach, math.pi + abs(math.log(b)), b, 0)
+        noise += pre * b ** (p - 1.0) / (1.0 - b ** p)
+        if 4.0 * EPS * noise > 0.5 * tol.abs_tol:
+            raise IllConditionedSeriesError(f"split at {p}/{q}: projected noise "
+                                            f"{4.0 * EPS * noise:.3e} above half the tolerance")
+    pre = _pair_prefactor(alpha, p, reach, weight, beta, deg)
+    stops = [_truncation(beta, p, pre, shift, -deg, 1, target, tol.max_terms)]
+    last = stops[0][0] or tol.max_terms
+    if last * abs(delta1) > reach:
+        raise IllConditionedSeriesError(
+            f"pairs: delta {last * abs(delta1):.3e} past the bounded reach {reach:.3e}")
+    for name, skip, step, (c, drift) in zip(("first", "second"), (p, q), (1.0, alpha), floors):
+        stop, tail = 0, 0.0
+        if skip > 1:
+            stop, tail = _truncation(beta, step, *((step, 1.0, 0.0) if derivative else
+                                                   (1.0, 0.0, -1.0)), c, target, tol.max_terms)
+            last = stop or tol.max_terms
+            if drift and _proven_floor(skip, drift, last) < c:
+                raise IllConditionedSeriesError(f"{name} nonresonant sum: divisor floor "
+                                                f"{c:.3e} not proven up to index {last}")
+        stops.append((stop, tail))
+    if strict and None in (stop for stop, _ in stops):
+        raise IllConditionedSeriesError(
+            f"split at {p}/{q}: a sum does not stop within {tol.max_terms} terms")
+    return stops
 
 
-def classify(alpha: float, tol: Tolerance | None = None, beta: float = 0.9) -> AlphaClass:
-    """Classify alpha for series use at the given (beta, tolerance).
-
-    Rational(p, q) when the expansion terminates at a modest denominator;
-    Irrational when the generic series fits the budget of ``tol`` at this
-    beta, or else when the near-resonant pairs at the pairing convergent
-    p/q do (``_paired``; the verdict then carries p and q);
-    IllConditioned when neither does.  Only the Rational verdict is the
-    per-alpha profile alone.  Per call, the generic term bounds
-    step * beta**(step*m - 1) * m**nu / c of each g' family are log-concave
-    in m, so their peak p and stopping index s give p <= sum <= s p.  The
-    noise 4 eps sum must stay under half the tolerance: 4 eps p over it
-    fails, 4 eps 2 s p under it fits, else the exactly rounded sum of the
-    bounds of both families decides.
+def classify(alpha: float, tol: Tolerance | None = None,
+             beta: float | None = 0.9) -> AlphaClass:
+    """Rational(p, q) when alpha's expansion terminates at a modest
+    denominator, else Irrational with the floor model: with beta None, the
+    per-alpha profile that dispatch reads.  Given beta (clamped into
+    [1e-6, 0.95]) and the tolerance, an irrational alpha gets the decision
+    the series of g' makes before it sums, at rho = 1 in its pair bound:
+    Irrational where both generic families pass ``_stop``'s noise checks,
+    else paired (p and q set) where the split at the pairing convergent
+    passes ``_split_stops``, else IllConditioned.  After it sums, the
+    series can still refuse a generic sum's noise, and then pairs.
     """
     if not 0.0 < alpha <= 2.0:
         raise OutOfRangeError(f"alpha must lie in (0, 2], got {alpha!r}")
     alpha = float(alpha)
     profile, pair = _profile(alpha)
-    if profile.kind is AlphaKind.RATIONAL:
+    if beta is None or profile.kind is AlphaKind.RATIONAL:
         return profile
     tol = tol or Tolerance()
     beta = min(max(float(beta), 1e-6), 0.95)
-    if _fits(alpha, profile.floor_power, profile.floor_constant, tol, beta):
+    c, nu, cap = profile.floor_constant, profile.floor_power, 0.5 * tol.abs_tol
+    if all(_stop(beta, step, True, c, nu, cap, tol.max_terms, cap)[0] for step in (1.0, alpha)):
         return profile
-    paired = _paired(alpha, profile, pair, tol, beta) if pair else None
-    return paired or replace(profile, kind=AlphaKind.ILL_CONDITIONED)
+    if pair:
+        with suppress(IllConditionedSeriesError):
+            _split_stops(alpha.as_integer_ratio(), *pair, math.pi + abs(math.log(beta)),
+                         beta, tol, True, True)
+            floor = 0.5 * sin_pi(1.0 / max(pair)) if max(pair) > 1 else 0.0
+            return AlphaClass(AlphaKind.IRRATIONAL, *pair, nu, floor)
+    return replace(profile, kind=AlphaKind.ILL_CONDITIONED)

@@ -10,17 +10,16 @@ Which evaluator runs is decided in one place, ``plan``: it yields the
 candidate methods for one beta, for g or g', in the order they are tried,
 each with the reason it runs or is skipped.  For beta <= 0.95 the order is
 the Doney closed form (g only; exact and cheapest), the small-divisor
-series (unless ``classify`` finds it ill-conditioned at this beta: generic,
-with its near-resonant terms paired at a convergent p/q, or split at a
-rational alpha = p/q), then quadrature.  In the band 0.95 < beta < 1.05,
-where the series slow down, quadrature comes first and the Doney and
-series candidates are skipped, except that below beta = 1 the series at
-rational alpha stays on as its fallback: its floors do not depend on beta.
-beta >= 1.05 is planned at 1/beta and every result reflected.
-A forced method runs its own step of this plan alone, except in the band,
-and raises when the plan skips that step.  The plan is lazy:
+series (which decides its own conditioning at this beta, and raises
+IllConditionedSeriesError where it does not fit), then quadrature.  In the
+band 0.95 < beta < 1.05, where the series slow down, quadrature comes
+first and the Doney and series candidates are skipped, except that below
+beta = 1 the series at rational alpha stays on as its fallback: its floors
+do not depend on beta.  beta >= 1.05 is planned at 1/beta and every result
+reflected.  A forced method runs its own step of this plan alone, except
+in the band, and raises when the plan skips that step.  The plan is lazy:
 ``find_doney_case`` and ``classify`` run only when a candidate that needs
-them comes up.
+them comes up, and ``classify`` reads only alpha's cached profile.
 """
 
 from __future__ import annotations
@@ -78,13 +77,10 @@ _DONEY_IN_BAND = Candidate(MethodChoice.DONEY, _IN_BAND)
 _DONEY_G_ONLY = Candidate(MethodChoice.DONEY, "skipped: closed form covers g only")
 _NO_DONEY_CASE = Candidate(MethodChoice.DONEY, "skipped: no (k, l) with rho + k = l/alpha")
 _SERIES_IN_BAND = Candidate(MethodChoice.SERIES, _IN_BAND)
-_SERIES_ILL = Candidate(MethodChoice.SERIES,
-                        "skipped: ill-conditioned, also with the near-resonant terms paired")
 
 
-def _series_result(series, params: StableParams, beta: float, tol: Tolerance,
-                   aclass) -> EvalResult:
-    report = series(params, beta, tol, aclass)
+def _series_result(series, params: StableParams, beta: float, tol: Tolerance) -> EvalResult:
+    report = series(params, beta, tol)
     return EvalResult(report.value, report.tail_bound + report.noise_bound,
                       MethodChoice.SERIES,
                       report.terms_first_series + report.terms_second_series)
@@ -118,8 +114,7 @@ def plan(params: StableParams, beta: float, derivative: bool = False,
 
     A forced method is the one step of that method, alone; in the band it
     is quadrature, whatever is forced.  A forced step that the plan skips
-    raises for the reason it gives: IllConditionedSeriesError for the
-    ill-conditioned series, MethodNotApplicableError otherwise."""
+    raises MethodNotApplicableError for the reason it gives."""
     if not (math.isfinite(beta) and beta > 0.0):
         raise OutOfRangeError(f"beta must be positive, got {beta!r}")
     tol = tol or Tolerance()
@@ -152,21 +147,15 @@ def plan(params: StableParams, beta: float, derivative: bool = False,
                                f"Doney case (k, l) = ({case.k}, {case.l})",
                                _doney_result, params, beta, case)
 
-        aclass = classify(params.alpha, tol, beta)
+        aclass = classify(params.alpha, beta=None)
         rational = aclass.kind is AlphaKind.RATIONAL
-        if aclass.kind is AlphaKind.ILL_CONDITIONED:
-            yield _SERIES_ILL
-        elif band and not (rational and beta < 1.0):
+        if band and not (rational and beta < 1.0):
             yield _SERIES_IN_BAND
         else:
-            if rational:
-                reason = f"rational alpha {aclass.p}/{aclass.q}, split at its resonant terms"
-            else:
-                reason = "irrational alpha, well conditioned here" + (
-                    f" with the terms near {aclass.p}/{aclass.q} paired" if aclass.p else "")
+            reason = (f"rational alpha {aclass.p}/{aclass.q}, split at its resonant terms"
+                      if rational else "irrational alpha, paired where the generic sum refuses")
             yield runnable(MethodChoice.SERIES, reason, _series_result,
-                           gprime_series if derivative else g_series,
-                           params, beta, tol, aclass)
+                           gprime_series if derivative else g_series, params, beta, tol)
         if not band:
             yield runnable(MethodChoice.QUADRATURE, "reference evaluator",
                            quadrature, params, beta, tol)
@@ -177,10 +166,8 @@ def plan(params: StableParams, beta: float, derivative: bool = False,
     for step in steps():
         if band or step.method is method:
             if step.run is None:
-                error = (IllConditionedSeriesError if step is _SERIES_ILL
-                         else MethodNotApplicableError)
-                raise error(f"forced method {method.value} does not apply: "
-                            f"{step.reason.removeprefix('skipped: ')}")
+                raise MethodNotApplicableError(f"forced method {method.value} does not apply: "
+                                               f"{step.reason.removeprefix('skipped: ')}")
             yield step
             return
 
@@ -189,15 +176,18 @@ def _any_beta(params: StableParams, beta: float, derivative: bool,
               method: MethodChoice, tol: Tolerance | None) -> EvalResult:
     """The first candidate of the plan that converges.  One that raises
     ConvergenceFailureError or IllConditionedSeriesError passes to the
-    next; the last failure is raised."""
-    failure = None
+    next; the last failure is raised, each earlier one chained on as the
+    ``__cause__`` of the one after it."""
+    failures = []
     for step in plan(params, beta, derivative, method, tol):
         if step.run is not None:
             try:
                 return step.run()
             except _FALLBACK as exc:
-                failure = exc
-    raise failure
+                failures.append(exc)
+    for earlier, later in zip(failures, failures[1:]):
+        later.__cause__ = later.__cause__ or earlier
+    raise failures[-1]
 
 
 def g_any_beta(params: StableParams, beta: float,

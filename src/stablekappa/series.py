@@ -32,6 +32,16 @@ the exact ratio (p, q): each pair is its limit s alpha H'(N)/pi, the
 resonant term, taken like every pair from beta-free factors cached across
 beta, and every other index keeps the floor sin(pi/p) or sin(pi/q) with no
 drift.
+
+Called without a verdict, the series decides its conditioning at each beta
+itself, from alpha's cached ``diophantine._profile`` and the stopping
+indices it sums to, each computed once: the split at a rational alpha;
+else the generic sum, unless a family does not stop within the budget,
+the noise of a term bound (``diophantine._stop``, before the sum) or of
+the summed |terms| exceeds half the tolerance, or its bound the
+tolerance; else the split at the pairing convergent, unless it fails the
+checks of ``diophantine._split_stops``, all made before it sums.  A
+verdict the caller passes stands as given, with no conditioning test.
 """
 
 from __future__ import annotations
@@ -45,16 +55,7 @@ from itertools import chain, compress, cycle, islice, repeat
 from operator import add
 
 from .accurate import EPS, sin_mpi, sincos_mpi
-from .diophantine import (
-    AlphaClass,
-    AlphaKind,
-    _pair_prefactor,
-    _pair_reach,
-    _proven_floor,
-    _split_floors,
-    _truncation,
-    classify,
-)
+from .diophantine import AlphaClass, AlphaKind, _profile, _split_stops, _stop
 from .params import (
     ConvergenceFailureError,
     IllConditionedSeriesError,
@@ -92,20 +93,20 @@ class SeriesReport:
             raise OutOfRangeError("term counts must be nonnegative")
 
 
-_TABLES = 32         # coefficient and pair factor tables kept, each
+_TABLES = 64         # sine, coefficient and pair factor tables kept, each
 _TABLE_TERMS = 4096  # terms kept per table; later ones are recomputed
-_TABLE_LOCK = threading.Lock()
+_TABLE_LOCK = threading.RLock()
 
 
 @lru_cache(maxsize=_TABLES)
 def _table(key: tuple) -> array:
     """The beta-free factors of one sum of a series: keyed on (div, num,
-    skip, pre, deg), the coefficients (-1)^(m+1) pre sin(m pi num) / (m^deg
-    sin(m pi div)) of a divisor series, one float per term; keyed on the
-    arguments (ratio, p, q, rho, deg) of ``_pair_factors``, the pair factors
-    of a split series, two per term.  Every beta of a key shares them.  A
-    series fills its table to its stopping index, or to ``_TABLE_TERMS``
-    terms, by ``_cached``, and then only reads it.
+    skip), sin(m pi num) and sin(m pi div) of a divisor series, shared by g
+    and g'; on (div, num, skip, pre, deg), its coefficients (-1)^(m+1) pre
+    sin(m pi num) / (m^deg sin(m pi div)); on the arguments of
+    ``_pair_factors``, a split series' pair factors, two per term.  Every
+    beta of a key shares them.  A series fills its table to its stopping
+    index, or to ``_TABLE_TERMS`` terms, by ``_cached``, then only reads it.
     """
     return array("d")
 
@@ -113,9 +114,9 @@ def _table(key: tuple) -> array:
 def _cached(key: tuple, terms: int, width: int, entries):
     """An iterator over the floats of ``entries(0, terms)``, ``width`` per
     term, the first ``_TABLE_TERMS`` terms read from ``_table(key)``: a
-    short table is extended with ``entries(start, kept)`` under the lock,
-    start being its length in terms then.  A table only grows, by whole
-    terms, so no reader ever sees the floats of a term misaligned."""
+    short table is extended with ``entries(start, kept)`` under the
+    (reentrant) lock, start being its length in terms then.  A table only
+    grows, by whole terms, so no reader sees a term's floats misaligned."""
     kept = min(terms, _TABLE_TERMS)
     table = _table(key)
     if len(table) < width * kept:
@@ -132,50 +133,42 @@ def _indices(n: int, d: int):
 
 
 def _divisor_series(beta: float, step: float, div: tuple[int, int],
-                    num: tuple[int, int], derivative: bool, c: float, nu: float,
-                    target: float, max_terms: int, abs_sum: float, carry: float,
-                    name: str, divisor: str = "", skip: int | None = None,
-                    drift: float = 0.0):
-    """One divisor series of g (or g'), summed up to the first index whose
-    model tail bound (divisors above c / m^nu) is below target.
+                    num: tuple[int, int], derivative: bool, stop: int | None,
+                    tail: float, max_terms: int, skip: int, abs_sum: float,
+                    carry: float, name: str) -> tuple[float, int, float]:
+    """One divisor series of g (or g') summed up to its stopping index
+    (``diophantine._stop``), over the indices m that skip does not divide:
 
         g:   sum_m (-1)^(m+1) beta^(step m) sin(m pi num) / (m sin(m pi div))
         g':  sum_m (-1)^(m+1) step beta^(step m - 1) sin(m pi num) / sin(m pi div)
 
-    sin(m pi div) is exactly 0 where div's denominator d divides m: with
-    ``skip`` None such an index raises IllConditionedSeriesError naming
-    ``divisor.format(d)``.  Otherwise the multiples of ``skip`` are left
-    out, coefficients and all (the split series sums them as resonant
-    terms), and skip = 1 leaves the family empty.  A ``drift`` makes the
-    floor c one that holds only up to an index: the stopping index must keep
-    ``diophantine._proven_floor(skip, drift, m)`` at or above c, or
-    IllConditionedSeriesError is raised before the sum starts.  Returns
-    (value, terms summed, tail bound, abs_sum plus the |terms|); a failure
-    reports carry plus the sum up to index ``max_terms`` as its value.
+    The split series leaves out the multiples of ``skip`` (it sums them as
+    resonant terms), and skip = 1 leaves the family empty.  Returns (value,
+    terms summed, abs_sum plus the |terms|); where stop is None,
+    ConvergenceFailureError reports carry plus the sum to ``max_terms``.
     """
     if skip == 1:
-        return 0.0, 0, 0.0, abs_sum
-    d = div[1]
+        return 0.0, 0, abs_sum
     # prefactor, exponent shift and index power of each term
     pre, shift, deg = (step, 1.0, 0) if derivative else (1.0, 0.0, 1)
-    stop, tail = _truncation(beta, step, pre, shift, nu - deg, c, target, max_terms)
     n = stop or max_terms
-    if skip is None and d <= n:
-        raise IllConditionedSeriesError(f"divisor {divisor.format(d)} vanished")
-    if drift and _proven_floor(skip, drift, n) < c:
-        raise IllConditionedSeriesError(
-            f"{name}: divisor floor {c:.3e} not proven up to index {n}")
-    skip = skip or d
+    sines = (div, num, skip)
+
+    def coefs(start: int, end: int):
+        both = islice(_cached(sines, end, 2, lambda first, last: chain.from_iterable(
+            (sin_mpi(m, *num), sin_mpi(m, *div))
+            for m in islice(_indices(n, skip), first, last))), 2 * start, None)
+        return ((pre if m % 2 else -pre) * s_num / (m ** deg * s_div)
+                for m, s_num, s_div in zip(islice(_indices(n, skip), start, end), both, both))
+
     count = n - n // skip
-    coefs = _cached((div, num, skip, pre, deg), count, 1, lambda start, end: (
-        (pre if m % 2 else -pre) * sin_mpi(m, *num) / (m ** deg * sin_mpi(m, *div))
-        for m in islice(_indices(n, skip), start, end)))
-    terms = [beta ** (step * m - shift) * coef for m, coef in zip(_indices(n, skip), coefs)]
+    terms = [beta ** (step * m - shift) * coef for m, coef in
+             zip(_indices(n, skip), _cached(sines + (pre, deg), count, 1, coefs))]
     if stop is None:
         raise ConvergenceFailureError(
             f"{name}: tail bound {tail:.3e} above tolerance after {max_terms} terms",
             value=carry + math.fsum(terms), error_bound=tail)
-    return math.fsum(terms), count, tail, reduce(add, map(abs, terms), abs_sum)
+    return math.fsum(terms), count, reduce(add, map(abs, terms), abs_sum)
 
 
 def _excess(y: float) -> float:
@@ -237,67 +230,40 @@ def _pair_factors(ns, ratio: tuple[int, int], p: int, q: int,
 
 
 def _split(ratio: tuple[int, int], p: int, q: int, rho: float, beta: float,
-           tol: Tolerance, derivative: bool) -> tuple[float, int, int, float, float]:
-    """g(beta) (or g') for 0 < beta < 1 by the series split at p/q, alpha
-    given as its exact ratio of integers: the two divisor series less the
-    indices m = n p and k = n q, plus one sum over n of those pairs.
-
-    With delta_1 = alpha q - p (exact from the ratio), N = n p, delta =
-    n delta_1 and s = (-1)^(n(p+q)+1), the terms m = N and k = n q sum to
-
-        s alpha/(pi delta) [H(N + delta)/sinc(delta) - H(N)/sinc(delta/alpha)]
-
-    with H(x) = beta^x sin(rho pi x)/x for g, beta^(x-1) sin(rho pi x) for
-    g', and sinc(x) = sin(pi x)/(pi x); at delta_1 = 0, alpha = p/q exactly,
-    they are its limit s alpha H'(N)/pi, the exact resonant term.  Either
-    way pair n is beta^(N - shift) (e_n X_n + Y_n), its beta-free factors
-    X_n, Y_n (``_pair_factors``) read from a table shared across beta.
-
-    The nonresonant sums take the floors sin(pi/p) and sin(pi/q) at
-    delta_1 = 0, else half of them, proven up to each stopping index
-    (``diophantine._split_floors`` and ``_proven_floor``).  The pairs are bounded by
-    ``diophantine._pair_prefactor`` over |delta| <= ``_pair_reach``, which
-    covers every pair up to the term budget unless that reaches half a
-    period; a last pair past the reach (the stopping index, or the term
-    budget where the pairs do not converge) raises
-    IllConditionedSeriesError before any sum runs.  Each
-    sum stops for a bound under an eighth of the tolerance.  At delta_1 = 0,
-    whose noise no verdict budgets, a bound above the tolerance raises
-    IllConditionedSeriesError.  Returns the fields of a ``SeriesReport``,
-    the pairs counted in its ``terms_first_series``.
-    """
+           tol: Tolerance, derivative: bool,
+           strict: bool) -> tuple[float, int, int, float, float]:
+    """g(beta) (or g') for 0 < beta < 1 by the series split at p/q (see the
+    module docstring), alpha given as its exact ratio of integers: the two
+    divisor series less the indices m = n p and k = n q, plus one sum over
+    the pairs n, each beta^(N - shift) (e_n X_n + Y_n) with beta-free
+    factors X_n, Y_n (``_pair_factors``) read from a table shared across
+    beta.  The stops, and the checks made before any sum, are those of
+    ``diophantine._split_stops``; at delta_1 = 0, whose noise no projection
+    budgets, a bound above the tolerance raises IllConditionedSeriesError.
+    Returns the fields of a ``SeriesReport``, the pairs counted in its
+    ``terms_first_series``."""
     a_num, a_den = ratio
     alpha = a_num / a_den
     delta1 = (a_num * q - p * a_den) / a_den
-    target = 0.125 * tol.abs_tol
     log_beta = math.log(beta)
     r_num, r_den = rho.as_integer_ratio()
-    (c1, drift1), (c2, drift2) = _split_floors(ratio, p, q)
-
-    # the pairs, reindexed by m = n p, k = n q: every pair is below
-    # pre beta^(N - shift) / n^deg
-    shift, deg = (1, 0) if derivative else (0, 1)
-    reach = _pair_reach(delta1, alpha, tol.max_terms)
-    pre = _pair_prefactor(alpha, p, reach, math.pi * rho + abs(log_beta), beta, deg)
-    stop, tail3 = _truncation(beta, p, pre, shift, -deg, 1, target, tol.max_terms)
-    pairs = stop or tol.max_terms
-    if pairs * abs(delta1) > reach:
-        raise IllConditionedSeriesError(
-            f"pairs: delta {pairs * abs(delta1):.3e} past the bounded reach {reach:.3e}")
+    (stop, tail3), (stop1, tail1), (stop2, tail2) = _split_stops(
+        ratio, p, q, math.pi * rho + abs(log_beta), beta, tol, derivative, strict)
 
     # nonresonant sums over m with p not dividing m, and over k with q not
     # dividing k (the second in powers beta^alpha, with sin(k pi rho alpha))
-    v1, terms1, tail1, abs_sum = _divisor_series(
-        beta, 1.0, (a_den, a_num), (r_num, r_den), derivative, c1, 0.0, target,
-        tol.max_terms, 0.0, 0.0, "first nonresonant sum", skip=p, drift=drift1)
-    v2, terms2, tail2, abs_sum = _divisor_series(
-        beta, alpha, (a_num, a_den), (r_num * a_num, r_den * a_den), derivative, c2,
-        0.0, target, tol.max_terms, abs_sum, v1, "second nonresonant sum", skip=q,
-        drift=drift2)
+    v1, terms1, abs_sum = _divisor_series(
+        beta, 1.0, (a_den, a_num), (r_num, r_den), derivative, stop1, tail1,
+        tol.max_terms, p, 0.0, 0.0, "first nonresonant sum")
+    v2, terms2, abs_sum = _divisor_series(
+        beta, alpha, (a_num, a_den), (r_num * a_num, r_den * a_den), derivative, stop2,
+        tail2, tol.max_terms, q, abs_sum, v1, "second nonresonant sum")
 
-    ns = range(1, pairs + 1)
+    # the pairs, reindexed by m = n p, k = n q
+    shift, deg = (1, 0) if derivative else (0, 1)
+    ns = range(1, (stop or tol.max_terms) + 1)
     key = (ratio, p, q, (r_num, r_den), deg)
-    factors = _cached(key, pairs, 2, lambda start, end: _pair_factors(ns[start:end], *key))
+    factors = _cached(key, len(ns), 2, lambda start, end: _pair_factors(ns[start:end], *key))
     growth = (repeat(log_beta) if not delta1 else
               (math.expm1(n * delta1 * log_beta) / (n * delta1) for n in ns))
     terms = [beta ** (n * p - shift) * (e * x + y)
@@ -315,6 +281,61 @@ def _split(ratio: tuple[int, int], p: int, q: int, rho: float, beta: float,
     return value, terms1 + stop, terms2, tail, noise
 
 
+def _one_sided(beta: float, alpha: float, derivative: bool, c: float, nu: float,
+               skew: float, target: float, max_terms: int) -> float:
+    """A bound on the second divisor series skew = |rho alpha - 1| from the
+    one-sided endpoint: |sin(k pi rho alpha)| <= pi k skew, so term k lies
+    below pi skew k times its bound; those summed to their stop plus its
+    tail, or inf where they do not stop within the budget."""
+    pre, shift, deg = (alpha, 1.0, 0) if derivative else (1.0, 0.0, 1)
+    stop, tail = _stop(beta, alpha, derivative, c, nu + 1.0, target, max_terms)
+    return math.inf if stop is None else math.pi * skew * (tail + math.fsum(
+        pre * beta ** (alpha * k - shift) * k ** (nu + 1.0 - deg) / c
+        for k in range(1, stop + 1)))
+
+
+def _generic(alpha: float, rho: float, beta: float, tol: Tolerance, aclass: AlphaClass,
+             derivative: bool, decide: bool) -> SeriesReport | None:
+    """The two divisor series at the floor model of ``aclass``, each summed
+    to its stop for a tail bound under half the tolerance; with ``decide``,
+    None where the series refuses them (see the module docstring)."""
+    a_num, a_den = alpha.as_integer_ratio()
+    r_num, r_den = rho.as_integer_ratio()
+    c, nu, cap = aclass.floor_constant, aclass.floor_power or 1.0, 0.5 * tol.abs_tol
+    families = [(1.0, (a_den, a_num), (r_num, r_den), "first series", "sin({} pi/alpha)")]
+    # at the spectrally one-sided endpoint rho*alpha = 1 the second series
+    # vanishes termwise; within 4 eps of it, it is left out and bounded
+    tail = math.inf
+    if abs(rho * alpha - 1.0) <= 4.0 * EPS:
+        tail = _one_sided(beta, alpha, derivative, c, nu, abs(r_num * a_num - r_den * a_den)
+                          / (r_den * a_den), cap, tol.max_terms)
+    if tail == math.inf:
+        tail = 0.0
+        families.append((alpha, (a_num, a_den), (r_num * a_num, r_den * a_den),
+                         "second series", "sin({} pi alpha)"))
+    stops = []
+    for step, div, _, _, divisor in families:
+        stop, bound = _stop(beta, step, derivative, c, nu, cap, tol.max_terms,
+                            cap if decide else None)
+        if decide and stop is None:
+            return None
+        # sin(m pi div) is exactly 0 where div's denominator divides m
+        if div[1] <= (stop or tol.max_terms):
+            raise IllConditionedSeriesError(f"divisor {divisor.format(div[1])} vanished")
+        stops.append((stop, bound))
+    value = abs_sum = 0.0
+    counts = [0, 0]
+    for i, ((stop, bound), (step, div, num, name, _)) in enumerate(zip(stops, families)):
+        v, counts[i], abs_sum = _divisor_series(beta, step, div, num, derivative, stop, bound,
+                                                tol.max_terms, div[1], abs_sum, value, name)
+        value += v
+        tail += bound
+    noise = 4.0 * EPS * (abs_sum + abs(value))
+    if decide and (4.0 * EPS * abs_sum > cap or tail + noise > tol.abs_tol):
+        return None
+    return SeriesReport(value, *counts, tail, noise)
+
+
 def _series(params: StableParams, beta: float, tol: Tolerance | None,
             aclass: AlphaClass | None, derivative: bool) -> SeriesReport:
     tol = tol or Tolerance()
@@ -323,38 +344,26 @@ def _series(params: StableParams, beta: float, tol: Tolerance | None,
     if not 0.0 < beta < 1.0:
         lower = "0 <" if derivative else "0 <="
         raise OutOfRangeError(f"series form needs {lower} beta < 1, got {beta!r}")
-    if aclass is None:
-        aclass = classify(params.alpha, tol, beta)
-    if aclass.kind is AlphaKind.ILL_CONDITIONED:
-        raise IllConditionedSeriesError(
-            "small divisors exceed the work/noise budget at this beta and tolerance, "
-            "paired or not")
     alpha, rho = params.alpha, params.rho
-    if aclass.p is not None:
-        # split at p/q, at rational alpha on the exact ratio p/q itself (the
-        # float 0.8 is not 4/5), so that its pairs sit at delta = 0
-        ratio = ((aclass.p, aclass.q) if aclass.kind is AlphaKind.RATIONAL
-                 else alpha.as_integer_ratio())
-        return SeriesReport(*_split(ratio, aclass.p, aclass.q, rho, beta, tol, derivative))
-    a_num, a_den = alpha.as_integer_ratio()
-    r_num, r_den = rho.as_integer_ratio()
-    c = aclass.floor_constant
-    nu = aclass.floor_power or 1.0
-    half_tol = 0.5 * tol.abs_tol
-    v1, terms1, tail1, abs_sum = _divisor_series(
-        beta, 1.0, (a_den, a_num), (r_num, r_den), derivative, c, nu, half_tol,
-        tol.max_terms, 0.0, 0.0, "first series", "sin({} pi/alpha)")
-    # at the spectrally one-sided endpoint rho*alpha = 1 the second series
-    # vanishes termwise
-    v2, terms2, tail2 = 0.0, 0, 0.0
-    if abs(rho * alpha - 1.0) > 4.0 * EPS:
-        v2, terms2, tail2, abs_sum = _divisor_series(
-            beta, alpha, (a_num, a_den), (r_num * a_num, r_den * a_den),
-            derivative, c, nu, half_tol, tol.max_terms, abs_sum, v1, "second series",
-            "sin({} pi alpha)")
-    value = v1 + v2
-    noise = 4.0 * EPS * (abs_sum + abs(value))
-    return SeriesReport(value, terms1, terms2, tail1 + tail2, noise)
+    decide, pair = aclass is None, None
+    if decide:
+        aclass, pair = _profile(alpha)
+    if aclass.kind is AlphaKind.RATIONAL:
+        # split at the exact ratio p/q itself (the float 0.8 is not 4/5), so
+        # that its pairs sit at delta = 0
+        return SeriesReport(*_split((aclass.p, aclass.q), aclass.p, aclass.q, rho, beta,
+                                    tol, derivative, False))
+    ill = aclass.kind is AlphaKind.ILL_CONDITIONED
+    if aclass.p is None and not ill:
+        report = _generic(alpha, rho, beta, tol, aclass, derivative, decide)
+        if report is not None:
+            return report
+    if ill or not (pair or aclass.p):
+        raise IllConditionedSeriesError("small divisors exceed the work/noise budget at this "
+                                        "beta and tolerance, paired or not")
+    p, q = pair or (aclass.p, aclass.q)
+    return SeriesReport(*_split(alpha.as_integer_ratio(), p, q, rho, beta, tol, derivative,
+                                decide))
 
 
 def g_series(params: StableParams, beta: float, tol: Tolerance | None = None,

@@ -18,7 +18,6 @@ from stablekappa.accurate import EPS, sin_mpi, sin_pi
 from stablekappa.diophantine import (
     RATIONAL_DENOMINATOR_CAP,
     AlphaClass,
-    _fits,
     _pair_prefactor,
     _profile,
     _truncation,
@@ -141,17 +140,18 @@ CACHE_TOLS = (Tolerance(), Tolerance(abs_tol=1e-13, max_terms=2000))
 
 def _projected_cost_full(beta: float, step: float, prefactor: float,
                          c: float, nu: float, tol: Tolerance) -> tuple[int | None, float]:
-    """Terms needed (or None) and bound-sum for one derivative-series
-    family, with no early exit: the loop runs to the stopping index."""
+    """Terms needed (or None) and the largest term bound for one
+    derivative-series family, with no early exit: the loop runs to the
+    stopping index and looks at every bound up to it."""
     base = beta ** step
-    s_abs = 0.0
+    peak = 0.0
     for m in range(1, tol.max_terms + 1):
-        s_abs += prefactor * beta ** (step * m - 1.0) * m ** nu / c
+        peak = max(peak, prefactor * beta ** (step * m - 1.0) * m ** nu / c)
         nxt = prefactor * beta ** (step * (m + 1) - 1.0) * (m + 1) ** nu / c
         ratio = base * ((m + 2) / (m + 1)) ** nu
         if ratio < 1.0 and nxt / (1.0 - ratio) < 0.5 * tol.abs_tol:
-            return m, s_abs
-    return None, s_abs
+            return m, peak
+    return None, peak
 
 
 def _exact_sin(m: int, x: Fraction) -> float:
@@ -221,17 +221,18 @@ def _paired_uncached(alpha: float, tol: Tolerance, beta: float,
 def _classify_uncached(alpha: float, tol: Tolerance, beta: float,
                        profile: AlphaClass | None = None) -> AlphaClass:
     """classify recomputed with no cache in between and both families
-    projected in full, then the pairing where that fails; ``profile`` is
-    alpha's ``_uncached_profile`` when the caller already has it."""
+    projected in full, every term bound's noise under half the tolerance,
+    then the pairing where that fails; ``profile`` is alpha's
+    ``_uncached_profile`` when the caller already has it."""
     profile = profile or _uncached_profile(alpha)
     if profile.kind is AlphaKind.RATIONAL:
         return profile
     nu = profile.floor_power
     c = profile.floor_constant
     beta_proj = min(max(beta, 1e-6), 0.95)
-    m1, s1 = _projected_cost_full(beta_proj, 1.0, 1.0, c, nu, tol)
-    m2, s2 = _projected_cost_full(beta_proj, alpha, alpha, c, nu, tol)
-    ill = m1 is None or m2 is None or 4.0 * EPS * (s1 + s2) > 0.5 * tol.abs_tol
+    m1, peak1 = _projected_cost_full(beta_proj, 1.0, 1.0, c, nu, tol)
+    m2, peak2 = _projected_cost_full(beta_proj, alpha, alpha, c, nu, tol)
+    ill = m1 is None or m2 is None or 4.0 * EPS * max(peak1, peak2) > 0.5 * tol.abs_tol
     if not ill:
         return profile
     paired = _paired_uncached(alpha, tol, beta_proj, profile)
@@ -260,8 +261,8 @@ GRID_ALPHAS = (0.5 + 1e-12, 0.5 + 1e-9 * math.pi, 0.5 + 1e-6 * math.pi,
                1.5 - 1e-4 * math.pi, 2.0 - 1e-7 * math.pi, math.sqrt(2.0) / 2.0,
                math.sqrt(3.0), math.e / 2.0, 0.5 + math.sqrt(2.0) / 40.0,
                math.sqrt(2.0), math.pi / 2.0)
-# 0.75 to 0.95 in steps of 0.01, where the well-conditioned alphas move from
-# the upper-bound shortcut to the exact noise sum
+# 0.75 to 0.95 in steps of 0.01, where the well-conditioned alphas' term
+# bounds come closest to the noise cap
 GRID_BETAS = tuple(sorted({i / 20.0 for i in range(1, 20)} | {1e-6, 1e-3, 0.99}
                           | {i / 100.0 for i in range(75, 96)}))
 GRID_TOLS = (Tolerance(abs_tol=1e-8), Tolerance(), Tolerance(abs_tol=1e-13),
@@ -304,32 +305,12 @@ def test_floor_model_holds_below_the_last_denominator():
     assert checked > 500000
 
 
-def test_fits_refuses_a_noise_sum_just_over_the_cap():
-    # term bounds nearly flat up to the stopping index (nu = 16 at beta 1/2)
-    # bring the exact bound-sum within 20x of classify's shortcut upper bound
-    # 2 s p per family: each peak fits, the sum's noise does not, so _fits
-    # must refuse, where a shortcut loosened to 20x the cap would accept
-    alpha, nu, c, tol, beta = math.sqrt(2.0), 16.0, 3.3e11, Tolerance(), 0.5
-    noise_cap = 0.5 * tol.abs_tol
-    total, upper = [], 0.0
-    for step in (1.0, alpha):
-        stop, _ = _truncation(beta, step, step, 1.0, nu, c, noise_cap, tol.max_terms)
-        bounds = [step * beta ** (step * m - 1.0) * m ** nu / c
-                  for m in range(1, stop + 1)]
-        assert 4.0 * EPS * max(bounds) <= noise_cap
-        total += bounds
-        upper += 2.0 * stop * max(bounds)
-    assert noise_cap < 4.0 * EPS * math.fsum(total)
-    assert 4.0 * EPS * upper <= 20.0 * noise_cap
-    assert not _fits(alpha, nu, c, tol, beta)
-
-
 def test_classify_shortcut_premise_peak_bounds_the_noise_sum():
-    # classify decides Irrational from 2 s p and IllConditioned from p alone
-    # (p a family's largest term bound, s its stopping index), without the
-    # bound-sum in between.  That rests on p <= sum <= s p for every family
-    # it builds: bounds step beta**(step m - 1) m**nu / c up to s, and p
-    # taken, as classify takes it, at floor k or floor k + 1 with
+    # the series' noise check before it sums (``_stop``, behind classify's
+    # verdict) reads a family's largest term bound p from two bounds, and
+    # p <= sum <= s p places the family's bound-sum, s its stopping index:
+    # bounds step beta**(step m - 1) m**nu / c up to s, and p taken, as
+    # ``_stop`` takes it, at floor k or floor k + 1 with
     # k = nu / (-step log beta), where a log-concave sequence peaks
     checked = 0
     for alpha in (math.sqrt(2.0), 0.5 + math.sqrt(2.0) / 40.0, math.pi / 2.0):

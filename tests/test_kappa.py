@@ -4,7 +4,9 @@ import math
 import pytest
 
 from stablekappa import (
+    ConvergenceFailureError,
     EvalResult,
+    IllConditionedSeriesError,
     KappaQuery,
     MethodChoice,
     MethodNotApplicableError,
@@ -71,14 +73,19 @@ def test_auto_dispatch_rational_for_rational_without_case():
 
 
 # points where adaptive quadrature of g raised ConvergenceFailureError, and
-# one reflected from beta = 1e-6
+# one reflected from beta = 1e-6; then, at the default tolerance, 1e-7
+# above 1 at rho = 1 - 1/alpha, where the series now sums generic and
+# split its terms near 1/1 before, the last point reflected
 @pytest.mark.parametrize("alpha, rho, beta", [
     (0.3, 0.99, 1e-8), (0.3, 0.99, 1e-6), (0.3, 0.999, 1e-4), (0.5, 0.999, 1e-6),
-    (0.3, 0.99, 1e6),
+    (0.3, 0.99, 1e6), (1.0000001, 1.0 - 1.0 / 1.0000001, 1.2e-6),
+    (1.0000001, 1.0 - 1.0 / 1.0000001, 0.012), (1.0000001, 1.0 - 1.0 / 1.0000001, 120.0),
 ])
 def test_auto_dispatch_g_at_former_quadrature_faults(alpha, rho, beta):
-    res = g_any_beta(validate(alpha, rho), beta, MethodChoice.AUTO, TOL)
+    tol = Tolerance() if alpha == 1.0000001 else TOL
+    res = g_any_beta(validate(alpha, rho), beta, MethodChoice.AUTO, tol)
     assert res.method is MethodChoice.SERIES
+    assert res.abs_error_bound <= tol.abs_tol
     ref, err = g_mpmath(alpha, rho, beta)
     assert abs(res.value - ref) <= res.abs_error_bound + err
 
@@ -274,6 +281,17 @@ def test_failed_candidate_passes_to_the_next(monkeypatch):
     monkeypatch.setattr(kappa_module, "gprime_quad", diverges)
     with pytest.raises(kappa_module.ConvergenceFailureError, match="budget"):
         gprime_any_beta(p, 0.4, MethodChoice.AUTO, TOL)
+
+
+def test_last_failure_carries_every_earlier_one():
+    # at 1/10 and beta 1e8, planned at 1e-8, the split series refuses its
+    # bound and then quadrature fails; the quadrature failure is raised, with
+    # the series' refusal chained on as its cause
+    with pytest.raises(ConvergenceFailureError, match="quadrature error estimate") as err:
+        gprime_any_beta(validate(0.1, 0.5), 1e8)
+    cause = err.value.__cause__
+    assert isinstance(cause, IllConditionedSeriesError)
+    assert "above the tolerance" in str(cause)
 
 
 def test_auto_dispatch_converges_near_one_half():

@@ -8,24 +8,27 @@ import mpmath
 import pytest
 from mpmath import mpf
 
+from stablekappa import diophantine as diophantine_module
 from stablekappa import series as series_module
 
 from stablekappa import (
     AlphaKind,
     ConvergenceFailureError,
     IllConditionedSeriesError,
+    MethodChoice,
     StableParams,
     Tolerance,
     classify,
     g_any_beta,
     g_quad,
     g_series,
+    gprime_any_beta,
     gprime_quad,
     gprime_series,
     validate,
 )
 from stablekappa.accurate import EPS, sin_mpi, sin_pi
-from stablekappa.diophantine import AlphaClass, _truncation
+from stablekappa.diophantine import AlphaClass, _stop, _truncation
 
 from oracles import g_mpmath, gprime_mpmath
 
@@ -117,6 +120,21 @@ def test_series_endpoint_rho_one_sided_skips_second_series():
     assert rep.terms_second_series == 0
     # the first series then sums (-1)^(m+1) beta^m / m = log(1 + beta)
     assert abs(rep.value - math.log(1.5)) < 1e-9
+
+
+def test_one_sided_endpoint_bounds_the_second_series_it_leaves_out():
+    # 1e-7 above 1 at rho = 1/alpha, rho alpha is 1 within 4 eps but not
+    # exactly, and the divisors sin(k pi alpha) are as small as 3e-7: the
+    # second series, left out, still adds up to 8e-11 to g', and its bound
+    # joins the tail bound
+    alpha = 1.0000001
+    params, profile = validate(alpha, 1.0 / alpha), classify(alpha, beta=None)
+    for beta in (1.2e-6, 0.012, 0.5):
+        for series, oracle in ((g_series, g_mpmath), (gprime_series, gprime_mpmath)):
+            rep = series(params, beta, aclass=profile)
+            assert rep.terms_second_series == 0
+            ref, err = oracle(alpha, 1.0 / alpha, beta)
+            assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound + err, (beta, series)
 
 
 @pytest.mark.parametrize("alpha,divisor", [(0.5, "sin(1 pi/alpha)"),
@@ -647,3 +665,50 @@ def test_dispatched_series_within_its_bound_of_mpmath(series, oracle):
                 assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound, (
                     alpha, beta, tol)
     assert kinds == {False, True}
+
+
+# ---------------------------------------------------------------------------
+# the conditioning the series decides itself, from the stops it sums to
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha, counts", [(SQRT2, {2}), (0.5 + SQRT2 / 40.0, {2}),
+                                           (1.50000001, {3, 4}), (1.0000001, {1})])
+def test_dispatch_computes_each_stopping_index_once(alpha, counts, monkeypatch):
+    # the generic families' two stops; near 3/2 the generic sum refuses at
+    # its first family's stop, or before it, and the split takes three; 1e-7
+    # above 1 the first term bound's noise refuses it before any stop, and
+    # the split at 1/1 sums only its pairs: nothing else asks for a stop
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _truncation(*args)
+
+    for module in (diophantine_module, series_module):
+        monkeypatch.setattr(module, "_truncation", counted, raising=False)
+    params = validate(alpha, 0.5)
+    for beta in (0.3, 0.9):
+        for any_beta in (g_any_beta, gprime_any_beta):
+            calls.clear()
+            assert any_beta(params, beta).method is MethodChoice.SERIES
+            assert len(calls) in counts, (beta, any_beta)
+
+
+def test_generic_series_refuses_its_summed_noise_over_the_cap():
+    # 1e-5 pi above 1, at tol 1e-12 and beta 0.05, each generic family of g
+    # stops within the budget with every term bound's noise under half the
+    # tolerance, and the generic bound meets the tolerance, but 4 eps times
+    # the summed |terms| exceeds half of it: the series refuses that sum and
+    # pairs its terms near 1/1
+    alpha, rho, beta, tol = 1.0 + 1e-5 * math.pi, 0.3, 0.05, Tolerance(abs_tol=1e-12)
+    params, profile, cap = validate(alpha, rho), classify(alpha, beta=None), 0.5e-12
+    for step in (1.0, alpha):
+        assert _stop(beta, step, False, profile.floor_constant, profile.floor_power, cap,
+                     tol.max_terms, cap)[0]
+    generic = g_series(params, beta, tol, profile)
+    assert generic.tail_bound + generic.noise_bound <= tol.abs_tol
+    assert generic.noise_bound - 4.0 * EPS * abs(generic.value) > cap
+    decided = g_series(params, beta, tol)
+    assert decided == g_series(params, beta, tol, AlphaClass(AlphaKind.IRRATIONAL, p=1, q=1))
+    ref, err = g_mpmath(alpha, rho, beta)
+    assert abs(decided.value - ref) <= decided.tail_bound + decided.noise_bound + err

@@ -175,9 +175,11 @@ def _truncation(beta: float, step: float, pre: float, shift: float, power: float
     from there on (inf while ratio >= 1).  Both fall with m, and m + 1 is
     the root of log(tail / half_tol) (closed-form at power 0, else Newton's
     method right of the pole at ratio = 1), settled by walking the tail from
-    that index to the first one below half_tol.  At power < 0 (the resonant
-    terms of g at rational alpha), and where the root is out of reach, m is
-    found by doubling, which probes no index past 2m, and bisecting.
+    that index to the first one below half_tol.  At power < 0 (g's sums in
+    the split series) the ratio is beta**step and the log-tail convex, so
+    Newton's method from the power-0 root converges to it as well.  Only
+    where the root is out of reach is m found by doubling, which probes no
+    index past 2m, and bisecting.
     """
     base, rise = beta ** step, max(power, 0)
 
@@ -207,7 +209,7 @@ def _truncation(beta: float, step: float, pre: float, shift: float, power: float
                 return j
         return None if power else j
 
-    guess = None if power < 0 else root()
+    guess = root()
     if guess is None:
         lo, hi = 0, 1
         while not tail(hi) < half_tol:
@@ -237,11 +239,10 @@ def _proven_floor(skip: int, drift: float, m: int) -> float:
     return sin_pi(r) if r > 0.0 else 0.0
 
 
-def _pair_prefactor(alpha: float, p: int, reach: float, weight: float, beta: float,
-                    deg: int) -> float:
-    """pre with |pair n| <= pre beta**(p n - shift) / n**deg for every pair n
-    of the split series (``series._split``) with |delta_n| <= reach, where
-    weight >= pi rho + |log beta| and deg is 1 for g, 0 for g'.
+def _pair_bound(alpha: float, p: int, reach: float, deg: int) -> tuple:
+    """The beta-free factors of ``_pair_prefactor`` for the pairs n of the
+    split series (``series._split``) with |delta_n| <= reach, deg 1 for g
+    and 0 for g'.
 
     The pair is s alpha/pi [D/sinc(delta) + H(N) E] with D the difference
     quotient of H between N and N + delta and E that of 1/sinc between
@@ -250,19 +251,31 @@ def _pair_prefactor(alpha: float, p: int, reach: float, weight: float, beta: flo
     reach) (weight + deg/(N - reach)) / (N - reach)**deg; 1/sinc is even,
     convex and increasing in |x| below 1, so 1/sinc(delta) <= 1/sinc(reach)
     and |E| <= |1 - 1/alpha| times the slope of 1/sinc at reach/min(alpha,
-    1).  With N - reach >= n (p - reach) that is the prefactor; at reach 0
-    it is the resonant term's alpha (weight + deg/p) / (pi p**deg).
+    1).  With N - reach >= n (p - reach) = n lead that is the prefactor
+    alpha (beta**-reach x/sin(x) (weight + deg/lead) + slope (lead/p)**deg)
+    / (pi lead**deg), x = pi reach; at reach 0 it is the resonant term's
+    alpha (weight + deg/p) / (pi p**deg).  Returns (alpha, reach, x, sin x,
+    slope (lead/p)**deg, deg/lead, pi lead**deg).
     """
     if reach == 0.0:
-        return alpha * (weight + deg / p) / (math.pi * p ** deg)
+        return alpha, reach, 0.0, 0.0, 0.0, deg / p, math.pi * p ** deg
     x = math.pi * reach
-    grow = beta ** -reach * x / math.sin(x)
     y = x / min(alpha, 1.0)
     sin_y = math.sin(y)
     slope = abs(1.0 - 1.0 / alpha) * math.pi * (sin_y - y * math.cos(y)) / (sin_y * sin_y)
     lead = p - reach
-    return alpha * (grow * (weight + deg / lead) + slope * (lead / p) ** deg) / (
-        math.pi * lead ** deg)
+    return (alpha, reach, x, math.sin(x), slope * (lead / p) ** deg, deg / lead,
+            math.pi * lead ** deg)
+
+
+def _pair_prefactor(bound: tuple, weight: float, beta: float) -> float:
+    """pre with |pair n| <= pre beta**(p n - shift) / n**deg for every pair n
+    within the reach of ``bound`` (``_pair_bound``), where weight >= pi rho +
+    |log beta|."""
+    alpha, reach, x, sin_x, lean, bend, scale = bound
+    if reach == 0.0:
+        return alpha * (weight + bend) / scale
+    return alpha * (beta ** -reach * x / sin_x * (weight + bend) + lean) / scale
 
 
 @lru_cache(maxsize=_PROFILE_CACHE)
@@ -308,56 +321,89 @@ def _stop(beta: float, step: float, derivative: bool, c: float, nu: float, targe
     return stop, tail
 
 
-def _split_stops(ratio: tuple[int, int], p: int, q: int, weight: float, beta: float,
-                 tol: Tolerance, derivative: bool, strict: bool) -> list:
+@dataclass(frozen=True)
+class SplitFrame:
+    """The beta-free part of the stops of the split series at p/q
+    (``_split_stops``) for one exact ratio alpha = a_num/a_den, g or g' and
+    tolerance: delta_1 = (a_num q - p a_den)/a_den, the reach of the pair
+    bound, an eighth of the tolerance as each sum's target, the pairs'
+    exponent shift and index power -deg, their prefactor's factors
+    (``_pair_bound``; at deg 0 for the projected noise of ``strict``), and
+    per nonresonant sum (name, skip, step, (prefactor, shift, index power)
+    of its term bounds, floor, drift): floors sin(pi/p), sin(pi/q) at
+    alpha = p/q, else half of them, proven up to an index by the drifts
+    |1/alpha - q/p|, |alpha - p/q| (``_proven_floor``)."""
+
+    p: int
+    q: int
+    delta1: float
+    reach: float
+    target: float
+    abs_tol: float
+    max_terms: int
+    shift: int
+    deg: int
+    pair_bound: tuple
+    noise_bound: tuple
+    families: tuple
+
+
+def _split_frame(ratio: tuple[int, int], p: int, q: int, derivative: bool, abs_tol: float,
+                 max_terms: int) -> SplitFrame:
+    a_num, a_den = ratio
+    alpha, gap = a_num / a_den, a_num * q - p * a_den
+    half = 0.5 if gap else 1.0
+    shift, deg = (1, 0) if derivative else (0, 1)
+    reach = min(abs(gap / a_den) * max_terms, 0.5 * min(alpha, 1.0))  # < half a period
+    families = tuple(
+        (name, skip, step, (step, 1.0, 0.0) if derivative else (1.0, 0.0, -1.0),
+         half * sin_pi(1.0 / skip), drift)
+        for name, skip, step, drift in (("first", p, 1.0, abs(gap) / (p * a_num)),
+                                        ("second", q, alpha, abs(gap) / (q * a_den))))
+    return SplitFrame(p, q, gap / a_den, reach, 0.125 * abs_tol, abs_tol, max_terms,
+                      shift, deg, _pair_bound(alpha, p, reach, deg),
+                      _pair_bound(alpha, p, reach, 0), families)
+
+
+def _split_stops(frame: SplitFrame, weight: float, beta: float, strict: bool) -> list:
     """(stop, tail bound) of the pairs and the two nonresonant sums of the
-    split series at p/q (``series._split``), each for a bound under an eighth
-    of the tolerance (the pairs' by ``_pair_prefactor``, weight >= pi rho +
+    split series at p/q (``series._split``), each for a bound under the
+    frame's target (the pairs' by ``_pair_prefactor``, weight >= pi rho +
     |log beta|); an empty sum stops at 0.  IllConditionedSeriesError is
     raised where the last pair summed passes the reach or a floor is not
     proven up to its sum's last index; with ``strict`` also where a sum does
     not stop within the budget, or 4 eps times the g' term bounds summed in
     closed form at beta clamped into [1e-6, 0.95] exceeds tol/2."""
-    a_num, a_den = ratio
-    alpha, gap = a_num / a_den, a_num * q - p * a_den
-    delta1, half = gap / a_den, 0.5 if gap else 1.0
-    target = 0.125 * tol.abs_tol
-    shift, deg = (1, 0) if derivative else (0, 1)
-    reach = min(abs(delta1) * tol.max_terms, 0.5 * min(alpha, 1.0))  # < half a period
-    # floors sin(pi/p), sin(pi/q) at alpha = p/q, else half of them, proven up
-    # to an index by the drifts |1/alpha - q/p|, |alpha - p/q| (``_proven_floor``)
-    floors = ((half * sin_pi(1.0 / p), abs(gap) / (p * a_num)),
-              (half * sin_pi(1.0 / q), abs(gap) / (q * a_den)))
+    p, target, max_terms = frame.p, frame.target, frame.max_terms
     if strict:
         b = min(max(beta, 1e-6), 0.95)
         noise = 0.0
-        for skip, step, (c, _) in zip((p, q), (1.0, alpha), floors):
+        for _, skip, step, _, c, _ in frame.families:
             if skip > 1:
                 noise += step * b ** (step - 1.0) / (c * (1.0 - b ** step))
-        pre = _pair_prefactor(alpha, p, reach, math.pi + abs(math.log(b)), b, 0)
+        pre = _pair_prefactor(frame.noise_bound, math.pi + abs(math.log(b)), b)
         noise += pre * b ** (p - 1.0) / (1.0 - b ** p)
-        if 4.0 * EPS * noise > 0.5 * tol.abs_tol:
-            raise IllConditionedSeriesError(f"split at {p}/{q}: projected noise "
+        if 4.0 * EPS * noise > 0.5 * frame.abs_tol:
+            raise IllConditionedSeriesError(f"split at {p}/{frame.q}: projected noise "
                                             f"{4.0 * EPS * noise:.3e} above half the tolerance")
-    pre = _pair_prefactor(alpha, p, reach, weight, beta, deg)
-    stops = [_truncation(beta, p, pre, shift, -deg, 1, target, tol.max_terms)]
-    last = stops[0][0] or tol.max_terms
-    if last * abs(delta1) > reach:
-        raise IllConditionedSeriesError(
-            f"pairs: delta {last * abs(delta1):.3e} past the bounded reach {reach:.3e}")
-    for name, skip, step, (c, drift) in zip(("first", "second"), (p, q), (1.0, alpha), floors):
+    pre = _pair_prefactor(frame.pair_bound, weight, beta)
+    stops = [_truncation(beta, p, pre, frame.shift, -frame.deg, 1, target, max_terms)]
+    last = stops[0][0] or max_terms
+    if last * abs(frame.delta1) > frame.reach:
+        raise IllConditionedSeriesError(f"pairs: delta {last * abs(frame.delta1):.3e} past "
+                                        f"the bounded reach {frame.reach:.3e}")
+    for name, skip, step, shape, c, drift in frame.families:
         stop, tail = 0, 0.0
         if skip > 1:
-            stop, tail = _truncation(beta, step, *((step, 1.0, 0.0) if derivative else
-                                                   (1.0, 0.0, -1.0)), c, target, tol.max_terms)
-            last = stop or tol.max_terms
+            stop, tail = _truncation(beta, step, *shape, c, target, max_terms)
+            last = stop or max_terms
             if drift and _proven_floor(skip, drift, last) < c:
                 raise IllConditionedSeriesError(f"{name} nonresonant sum: divisor floor "
                                                 f"{c:.3e} not proven up to index {last}")
         stops.append((stop, tail))
     if strict and None in (stop for stop, _ in stops):
         raise IllConditionedSeriesError(
-            f"split at {p}/{q}: a sum does not stop within {tol.max_terms} terms")
+            f"split at {p}/{frame.q}: a sum does not stop within {max_terms} terms")
     return stops
 
 
@@ -386,8 +432,8 @@ def classify(alpha: float, tol: Tolerance | None = None,
         return profile
     if pair:
         with suppress(IllConditionedSeriesError):
-            _split_stops(alpha.as_integer_ratio(), *pair, math.pi + abs(math.log(beta)),
-                         beta, tol, True, True)
+            _split_stops(_split_frame(alpha.as_integer_ratio(), *pair, True, tol.abs_tol,
+                                      tol.max_terms), math.pi + abs(math.log(beta)), beta, True)
             floor = 0.5 * sin_pi(1.0 / max(pair)) if max(pair) > 1 else 0.0
             return AlphaClass(AlphaKind.IRRATIONAL, *pair, nu, floor)
     return replace(profile, kind=AlphaKind.ILL_CONDITIONED)

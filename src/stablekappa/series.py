@@ -33,6 +33,12 @@ resonant term, taken like every pair from beta-free factors cached across
 beta, and every other index keeps the floor sin(pi/p) or sin(pi/q) with no
 drift.
 
+The split reads all that does not depend on beta off one cached plan per
+(alpha, p/q, rho, g or g', tolerance) (``_plan``): the frame of its stops
+(``diophantine.SplitFrame``), the exponents and coefficients of its two
+nonresonant families, and the exponents and factors of its pairs.  At each
+beta it computes only log beta, the three stops, and one pass over each sum.
+
 Called without a verdict, the series decides its conditioning at each beta
 itself, from alpha's cached ``diophantine._profile`` and the stopping
 indices it sums to, each computed once: the split at a rational alpha;
@@ -51,11 +57,12 @@ import threading
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import chain, compress, cycle, islice, repeat
-from operator import add
+from itertools import chain, islice, repeat
+from operator import add, mul
 
 from .accurate import EPS, sin_mpi, sincos_mpi
-from .diophantine import AlphaClass, AlphaKind, _profile, _split_stops, _stop
+from .diophantine import (AlphaClass, AlphaKind, _profile, _split_frame, _split_stops,
+                          _stop)
 from .params import (
     ConvergenceFailureError,
     IllConditionedSeriesError,
@@ -93,77 +100,93 @@ class SeriesReport:
             raise OutOfRangeError("term counts must be nonnegative")
 
 
-_TABLES = 64         # sine, coefficient and pair factor tables kept, each
+_TABLES = 32         # divisor families and split plans kept, each
 _TABLE_TERMS = 4096  # terms kept per table; later ones are recomputed
 _TABLE_LOCK = threading.RLock()
 
 
-@lru_cache(maxsize=_TABLES)
-def _table(key: tuple) -> array:
-    """The beta-free factors of one sum of a series: keyed on (div, num,
-    skip), sin(m pi num) and sin(m pi div) of a divisor series, shared by g
-    and g'; on (div, num, skip, pre, deg), its coefficients (-1)^(m+1) pre
-    sin(m pi num) / (m^deg sin(m pi div)); on the arguments of
-    ``_pair_factors``, a split series' pair factors, two per term.  Every
-    beta of a key shares them.  A series fills its table to its stopping
-    index, or to ``_TABLE_TERMS`` terms, by ``_cached``, then only reads it.
-    """
-    return array("d")
-
-
-def _cached(key: tuple, terms: int, width: int, entries):
-    """An iterator over the floats of ``entries(0, terms)``, ``width`` per
-    term, the first ``_TABLE_TERMS`` terms read from ``_table(key)``: a
-    short table is extended with ``entries(start, kept)`` under the
-    (reentrant) lock, start being its length in terms then.  A table only
-    grows, by whole terms, so no reader sees a term's floats misaligned."""
-    kept = min(terms, _TABLE_TERMS)
-    table = _table(key)
-    if len(table) < width * kept:
+def _rows(columns: tuple, count: int, entries, *args) -> tuple:
+    """The first ``count`` rows of a beta-free table, parallel float columns:
+    the first ``_TABLE_TERMS`` rows read from the arrays ``columns``, a short
+    table extended with ``entries(start, kept, *args)``, one list per column,
+    under the (reentrant) lock, start being its length then; rows past the
+    cap chained on from ``entries(kept, count, *args)``.  A table only grows,
+    by whole rows and its last column last, so a reader that finds that
+    column long enough reads no row half-written; the reader bounds its own
+    read at ``count`` rows."""
+    kept = min(count, _TABLE_TERMS)
+    if len(columns[-1]) < kept:
         with _TABLE_LOCK:
-            table.extend(array("d", entries(len(table) // width, kept)))
-    head = table[:width * kept]
-    return chain(head, entries(kept, terms)) if terms > kept else iter(head)
+            for column, values in zip(columns, entries(len(columns[-1]), kept, *args)):
+                column.extend(values)
+    if count > kept:
+        return tuple(chain(column, values)
+                     for column, values in zip(columns, entries(kept, count, *args)))
+    return columns
 
 
-def _indices(n: int, d: int):
-    """The indices 1..n that d does not divide, in increasing order."""
-    every = range(1, n + 1)
-    return every if d > n else compress(every, cycle((1,) * (d - 1) + (0,)))
-
-
-def _divisor_series(beta: float, step: float, div: tuple[int, int],
-                    num: tuple[int, int], derivative: bool, stop: int | None,
-                    tail: float, max_terms: int, skip: int, abs_sum: float,
-                    carry: float, name: str) -> tuple[float, int, float]:
-    """One divisor series of g (or g') summed up to its stopping index
-    (``diophantine._stop``), over the indices m that skip does not divide:
+class _Family:
+    """One divisor series of g and g' over the indices m that ``skip`` does
+    not divide, and its beta-free tables:
 
         g:   sum_m (-1)^(m+1) beta^(step m) sin(m pi num) / (m sin(m pi div))
         g':  sum_m (-1)^(m+1) step beta^(step m - 1) sin(m pi num) / sin(m pi div)
 
-    The split series leaves out the multiples of ``skip`` (it sums them as
-    resonant terms), and skip = 1 leaves the family empty.  Returns (value,
-    terms summed, abs_sum plus the |terms|); where stop is None,
+    ``sines`` holds sin(m pi num) and sin(m pi div), shared by g and g', and
+    ``tables[derivative]`` each term's exponent step m - shift and
+    coefficient.  The split series leaves out the multiples of skip (it sums
+    them as pairs); the generic one passes a skip above its stop."""
+
+    __slots__ = ("step", "div", "num", "skip", "sines", "tables")
+
+    def __init__(self, step: float, d_num: int, d_den: int, n_num: int, n_den: int, skip: int):
+        self.step, self.div, self.num, self.skip = step, (d_num, d_den), (n_num, n_den), skip
+        self.sines = (array("d"), array("d"))
+        self.tables = ((array("d"), array("d")), (array("d"), array("d")))
+
+    def _indices(self, start: int, end: int) -> list[int]:
+        """The indices m of the terms numbered start..end-1 from 0: the
+        m that skip does not divide, in increasing order."""
+        k = self.skip - 1
+        return [i + i // k + 1 for i in range(start, end)]
+
+    def _sines(self, start: int, end: int) -> tuple[list, list]:
+        ms = self._indices(start, end)
+        return [sin_mpi(m, *self.num) for m in ms], [sin_mpi(m, *self.div) for m in ms]
+
+    def _terms(self, start: int, end: int, derivative: bool) -> tuple[list, list]:
+        pre, shift, deg = (self.step, 1.0, 0) if derivative else (1.0, 0.0, 1)
+        nums, divs = _rows(self.sines, end, self._sines)
+        ms = self._indices(start, end)
+        return ([self.step * m - shift for m in ms],
+                [(pre if m % 2 else -pre) * s_num / (m ** deg * s_div) for m, s_num, s_div
+                 in zip(ms, islice(nums, start, end), islice(divs, start, end))])
+
+    def terms(self, beta: float, count: int, derivative: bool) -> list[float]:
+        """The first ``count`` terms at beta: beta^(step m - shift) times
+        the coefficient."""
+        exps, coefs = _rows(self.tables[derivative], count, self._terms, derivative)
+        return list(map(mul, map(pow, repeat(beta, count), exps), coefs))
+
+
+# the family of divisor sin(m pi d_num/d_den) and numerator sin(m pi
+# n_num/n_den), shared by every beta, g and g', the generic sum and the plans
+_family = lru_cache(maxsize=_TABLES)(_Family)
+
+
+def _divisor_series(family: _Family, beta: float, derivative: bool, stop: int | None,
+                    tail: float, max_terms: int, abs_sum: float, carry: float,
+                    name: str) -> tuple[float, int, float]:
+    """The terms of ``family`` summed up to its stopping index
+    (``diophantine._stop``); skip = 1 leaves the family empty.  Returns
+    (value, terms summed, abs_sum plus the |terms|); where stop is None,
     ConvergenceFailureError reports carry plus the sum to ``max_terms``.
     """
-    if skip == 1:
+    if family.skip == 1:
         return 0.0, 0, abs_sum
-    # prefactor, exponent shift and index power of each term
-    pre, shift, deg = (step, 1.0, 0) if derivative else (1.0, 0.0, 1)
     n = stop or max_terms
-    sines = (div, num, skip)
-
-    def coefs(start: int, end: int):
-        both = islice(_cached(sines, end, 2, lambda first, last: chain.from_iterable(
-            (sin_mpi(m, *num), sin_mpi(m, *div))
-            for m in islice(_indices(n, skip), first, last))), 2 * start, None)
-        return ((pre if m % 2 else -pre) * s_num / (m ** deg * s_div)
-                for m, s_num, s_div in zip(islice(_indices(n, skip), start, end), both, both))
-
-    count = n - n // skip
-    terms = [beta ** (step * m - shift) * coef for m, coef in
-             zip(_indices(n, skip), _cached(sines + (pre, deg), count, 1, coefs))]
+    count = n - n // family.skip
+    terms = family.terms(beta, count, derivative)
     if stop is None:
         raise ConvergenceFailureError(
             f"{name}: tail bound {tail:.3e} above tolerance after {max_terms} terms",
@@ -229,45 +252,63 @@ def _pair_factors(ns, ratio: tuple[int, int], p: int, q: int,
         yield lead * (dsin / delta - deg * sin_a / big_n) + s * sin_a * gain / big_n ** deg
 
 
-def _split(ratio: tuple[int, int], p: int, q: int, rho: float, beta: float,
-           tol: Tolerance, derivative: bool,
-           strict: bool) -> tuple[float, int, int, float, float]:
-    """g(beta) (or g') for 0 < beta < 1 by the series split at p/q (see the
-    module docstring), alpha given as its exact ratio of integers: the two
-    divisor series less the indices m = n p and k = n q, plus one sum over
-    the pairs n, each beta^(N - shift) (e_n X_n + Y_n) with beta-free
-    factors X_n, Y_n (``_pair_factors``) read from a table shared across
-    beta.  The stops, and the checks made before any sum, are those of
-    ``diophantine._split_stops``; at delta_1 = 0, whose noise no projection
-    budgets, a bound above the tolerance raises IllConditionedSeriesError.
-    Returns the fields of a ``SeriesReport``, the pairs counted in its
-    ``terms_first_series``."""
-    a_num, a_den = ratio
-    alpha = a_num / a_den
-    delta1 = (a_num * q - p * a_den) / a_den
-    log_beta = math.log(beta)
-    r_num, r_den = rho.as_integer_ratio()
-    (stop, tail3), (stop1, tail1), (stop2, tail2) = _split_stops(
-        ratio, p, q, math.pi * rho + abs(log_beta), beta, tol, derivative, strict)
+class _Plan:
+    """The beta-free part of the split series at p/q for one exact ratio
+    alpha = a_num/a_den, rho, g or g' and tolerance: the frame of its stops
+    (``diophantine.SplitFrame``), pi rho, its two nonresonant families, and
+    the table of its pairs n: exponent N - shift and factors X_n, Y_n
+    (``_pair_factors``)."""
 
-    # nonresonant sums over m with p not dividing m, and over k with q not
-    # dividing k (the second in powers beta^alpha, with sin(k pi rho alpha))
-    v1, terms1, abs_sum = _divisor_series(
-        beta, 1.0, (a_den, a_num), (r_num, r_den), derivative, stop1, tail1,
-        tol.max_terms, p, 0.0, 0.0, "first nonresonant sum")
-    v2, terms2, abs_sum = _divisor_series(
-        beta, alpha, (a_num, a_den), (r_num * a_num, r_den * a_den), derivative, stop2,
-        tail2, tol.max_terms, q, abs_sum, v1, "second nonresonant sum")
+    __slots__ = ("frame", "rho_pi", "families", "derivative", "ratio", "rho", "pairs")
+
+    def __init__(self, a_num: int, a_den: int, p: int, q: int, rho: float, derivative: bool,
+                 abs_tol: float, max_terms: int):
+        r_num, r_den = rho.as_integer_ratio()
+        self.frame = _split_frame((a_num, a_den), p, q, derivative, abs_tol, max_terms)
+        self.rho_pi = math.pi * rho
+        # the first family over m with p not dividing m, the second over k
+        # with q not dividing k, in powers beta^alpha, with sin(k pi rho alpha)
+        self.families = (_family(1.0, a_den, a_num, r_num, r_den, p),
+                         _family(a_num / a_den, a_num, a_den, r_num * a_num, r_den * a_den, q))
+        self.derivative, self.ratio, self.rho = derivative, (a_num, a_den), (r_num, r_den)
+        self.pairs = (array("d"), array("d"), array("d"))
+
+    def _pairs(self, start: int, end: int) -> tuple[list, list, list]:
+        frame, ns = self.frame, range(start + 1, end + 1)
+        factors = list(_pair_factors(ns, self.ratio, frame.p, frame.q, self.rho, frame.deg))
+        return [n * frame.p - frame.shift for n in ns], factors[::2], factors[1::2]
+
+
+# the plan of one (a_num, a_den, p, q, rho, derivative, abs_tol, max_terms)
+_plan = lru_cache(maxsize=_TABLES)(_Plan)
+
+
+def _split(plan: _Plan, beta: float, strict: bool) -> tuple[float, int, int, float, float]:
+    """g(beta) (or g') for 0 < beta < 1 by the series split at p/q (see the
+    module docstring), read off its plan: the two divisor series less the
+    indices m = n p and k = n q, plus one sum over the pairs n, each
+    beta^(N - shift) (e_n X_n + Y_n).  Only the stops, log beta, e_n and
+    the powers of beta are computed per beta.  The stops, and the checks
+    made before any sum, are those of ``diophantine._split_stops``; at
+    delta_1 = 0, whose noise no projection budgets, a bound above the
+    tolerance raises IllConditionedSeriesError.  Returns the fields of a
+    ``SeriesReport``, the pairs counted in its ``terms_first_series``."""
+    frame, derivative = plan.frame, plan.derivative
+    log_beta = math.log(beta)
+    (stop, tail3), (stop1, tail1), (stop2, tail2) = _split_stops(
+        frame, plan.rho_pi + abs(log_beta), beta, strict)
+    first, second = plan.families
+    v1, terms1, abs_sum = _divisor_series(first, beta, derivative, stop1, tail1,
+                                          frame.max_terms, 0.0, 0.0, "first nonresonant sum")
+    v2, terms2, abs_sum = _divisor_series(second, beta, derivative, stop2, tail2,
+                                          frame.max_terms, abs_sum, v1, "second nonresonant sum")
 
     # the pairs, reindexed by m = n p, k = n q
-    shift, deg = (1, 0) if derivative else (0, 1)
-    ns = range(1, (stop or tol.max_terms) + 1)
-    key = (ratio, p, q, (r_num, r_den), deg)
-    factors = _cached(key, len(ns), 2, lambda start, end: _pair_factors(ns[start:end], *key))
-    growth = (repeat(log_beta) if not delta1 else
-              (math.expm1(n * delta1 * log_beta) / (n * delta1) for n in ns))
-    terms = [beta ** (n * p - shift) * (e * x + y)
-             for n, e, x, y in zip(ns, growth, factors, factors)]
+    n, delta1 = stop or frame.max_terms, frame.delta1
+    growth = (repeat(log_beta, n) if not delta1 else
+              (math.expm1(k * delta1 * log_beta) / (k * delta1) for k in range(1, n + 1)))
+    terms = [beta ** e * (g * x + y)
+             for g, e, x, y in zip(growth, *_rows(plan.pairs, n, plan._pairs))]
     if stop is None:
         raise ConvergenceFailureError("resonant sum did not converge",
                                       value=math.fsum(terms), error_bound=tail3)
@@ -275,9 +316,9 @@ def _split(ratio: tuple[int, int], p: int, q: int, rho: float, beta: float,
     value = v1 + v2 + math.fsum(terms)
     noise = 4.0 * EPS * (reduce(add, map(abs, terms), abs_sum) + abs(value))
     tail = tail1 + tail2 + tail3
-    if not delta1 and tail + noise > tol.abs_tol:
+    if not delta1 and tail + noise > frame.abs_tol:
         raise IllConditionedSeriesError(
-            f"error bound {tail + noise:.3e} above the tolerance {tol.abs_tol:.3e}")
+            f"error bound {tail + noise:.3e} above the tolerance {frame.abs_tol:.3e}")
     return value, terms1 + stop, terms2, tail, noise
 
 
@@ -326,8 +367,9 @@ def _generic(alpha: float, rho: float, beta: float, tol: Tolerance, aclass: Alph
     value = abs_sum = 0.0
     counts = [0, 0]
     for i, ((stop, bound), (step, div, num, name, _)) in enumerate(zip(stops, families)):
-        v, counts[i], abs_sum = _divisor_series(beta, step, div, num, derivative, stop, bound,
-                                                tol.max_terms, div[1], abs_sum, value, name)
+        v, counts[i], abs_sum = _divisor_series(_family(step, *div, *num, div[1]), beta,
+                                                derivative, stop, bound, tol.max_terms,
+                                                abs_sum, value, name)
         value += v
         tail += bound
     noise = 4.0 * EPS * (abs_sum + abs(value))
@@ -351,8 +393,8 @@ def _series(params: StableParams, beta: float, tol: Tolerance | None,
     if aclass.kind is AlphaKind.RATIONAL:
         # split at the exact ratio p/q itself (the float 0.8 is not 4/5), so
         # that its pairs sit at delta = 0
-        return SeriesReport(*_split((aclass.p, aclass.q), aclass.p, aclass.q, rho, beta,
-                                    tol, derivative, False))
+        return SeriesReport(*_split(_plan(aclass.p, aclass.q, aclass.p, aclass.q, rho,
+                                          derivative, tol.abs_tol, tol.max_terms), beta, False))
     ill = aclass.kind is AlphaKind.ILL_CONDITIONED
     if aclass.p is None and not ill:
         report = _generic(alpha, rho, beta, tol, aclass, derivative, decide)
@@ -362,8 +404,8 @@ def _series(params: StableParams, beta: float, tol: Tolerance | None,
         raise IllConditionedSeriesError("small divisors exceed the work/noise budget at this "
                                         "beta and tolerance, paired or not")
     p, q = pair or (aclass.p, aclass.q)
-    return SeriesReport(*_split(alpha.as_integer_ratio(), p, q, rho, beta, tol, derivative,
-                                decide))
+    plan = _plan(*alpha.as_integer_ratio(), p, q, rho, derivative, tol.abs_tol, tol.max_terms)
+    return SeriesReport(*_split(plan, beta, decide))
 
 
 def g_series(params: StableParams, beta: float, tol: Tolerance | None = None,

@@ -18,6 +18,7 @@ from stablekappa.accurate import EPS, sin_mpi, sin_pi
 from stablekappa.diophantine import (
     RATIONAL_DENOMINATOR_CAP,
     AlphaClass,
+    _pair_bound,
     _pair_prefactor,
     _profile,
     _truncation,
@@ -207,7 +208,7 @@ def _paired_uncached(alpha: float, tol: Tolerance, beta: float,
             noise += step * beta ** (step - 1.0) / (c * (1.0 - beta ** step))
     delta1 = abs(float(x * q - p))
     reach = min(delta1 * tol.max_terms, 0.5 * min(alpha, 1.0))
-    pre = _pair_prefactor(alpha, p, reach, math.pi + abs(math.log(beta)), beta, 0)
+    pre = _pair_prefactor(_pair_bound(alpha, p, reach, 0), math.pi + abs(math.log(beta)), beta)
     stop, _ = _projected_cost_full(beta, p, pre, 1.0, 0.0, eighth)
     if stop is None or stop * delta1 > reach:
         return None

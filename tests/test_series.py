@@ -158,8 +158,8 @@ def test_tail_bound_is_honest():
 
 
 # ---------------------------------------------------------------------------
-# the beta-free tables shared across betas: the divisor series' sines and
-# the split series' pair factors (at delta = 0 for the rational 3/10)
+# the beta-free tables shared across betas: the divisor families' sines and
+# terms, and the split plans' pair tables (at delta = 0 for the rational 3/10)
 # ---------------------------------------------------------------------------
 
 TABLE_PARAMS = ((SQRT2, 0.5), (0.5 + SQRT2 / 40.0, 0.5), (0.3, 0.5))
@@ -171,9 +171,22 @@ def _bits(rep):
             rep.terms_first_series, rep.terms_second_series)
 
 
+def _clear_tables():
+    series_module._plan.cache_clear()
+    series_module._family.cache_clear()
+
+
 def _cold(params, beta, series):
-    series_module._table.cache_clear()
+    _clear_tables()
     return _bits(series(params, beta))
+
+
+def _tables(family_or_plan):
+    """Every table of a family or a split plan, each a tuple of columns."""
+    if isinstance(family_or_plan, series_module._Plan):
+        return (family_or_plan.pairs,) + tuple(
+            table for family in family_or_plan.families for table in _tables(family))
+    return (family_or_plan.sines,) + family_or_plan.tables
 
 
 @pytest.mark.parametrize("alpha,rho", TABLE_PARAMS)
@@ -184,7 +197,7 @@ def test_sine_tables_leave_values_bit_identical(alpha, rho, series):
     # ascending, each sum runs past the table and grows it midway;
     # descending, the first sum builds it and the others only read
     for order in (TABLE_BETAS, TABLE_BETAS[::-1]):
-        series_module._table.cache_clear()
+        _clear_tables()
         for beta in order:
             assert _bits(series(p, beta)) == cold[beta], (order[0], beta)
 
@@ -193,22 +206,28 @@ def test_sine_table_past_its_length_cap(monkeypatch):
     p, rational = validate(SQRT2, 0.5), validate(0.3, 0.5)
     cold = _cold(p, 0.6, g_series), _cold(rational, 0.6, g_series)
     monkeypatch.setattr(series_module, "_TABLE_TERMS", 5)
-    series_module._table.cache_clear()
+    _clear_tables()
     for _ in range(2):
         assert (_bits(g_series(p, 0.6)), _bits(g_series(rational, 0.6))) == cold
-    # each table holds _TABLE_TERMS terms: one coefficient per term of a
-    # divisor series, two pair factors per pair
+    # every column of a table that was filled holds _TABLE_TERMS rows: a
+    # generic family's two sines and g's exponents and coefficients; the
+    # rational plan's pairs (exponent, X_n, Y_n) and the same two tables for
+    # each of its nonresonant families; g' left its tables empty
     a_num, a_den = SQRT2.as_integer_ratio()
-    tables = [series_module._table(((a_den, a_num), (1, 2), a_num, 1.0, 1)),
-              series_module._table(((a_num, a_den), (a_num, 2 * a_den), a_den, 1.0, 1)),
-              series_module._table(((3, 10), 3, 10, (1, 2), 1))]
-    assert [len(t) for t in tables] == [5, 5, 10]
+    generic = (series_module._family(1.0, a_den, a_num, 1, 2, a_num),
+               series_module._family(SQRT2, a_num, a_den, a_num, 2 * a_den, a_den))
+    plan = series_module._plan(3, 10, 3, 10, 0.5, False, 1e-10, 10000)
+    for owner in generic + (plan,):
+        filled = [table for table in _tables(owner) if len(table[-1])]
+        assert [len(column) for table in filled for column in table] == [5] * (
+            sum(map(len, filled)))
+        assert len(filled) == (5 if owner is plan else 2)
 
 
 def test_sine_tables_under_concurrent_growth():
     # the irrational series, the split at the rational 4/5, whose
-    # nonresonant sums' tables hold only the nonresonant indices, and the
-    # paired split's tables of pair factors
+    # nonresonant families' tables hold only the nonresonant indices, and the
+    # paired split's pair tables
     alpha, rho = TABLE_PARAMS[1]
     p = validate(alpha, rho)
     near, rational = validate(1.50000001, 0.5), validate(0.8, 0.3)
@@ -219,9 +238,9 @@ def test_sine_tables_under_concurrent_growth():
     serial = {}
     for k, evaluate in enumerate(evals):
         for beta in TABLE_BETAS:
-            series_module._table.cache_clear()
+            _clear_tables()
             serial[k, beta] = evaluate(beta)
-    series_module._table.cache_clear()
+    _clear_tables()
     workers = 2 * len(evals)
     start = threading.Barrier(workers)
     results = [None] * workers
@@ -244,18 +263,32 @@ def test_sine_tables_under_concurrent_growth():
         sys.setswitchinterval(interval)
     for got in results:
         assert got and all(serial[key] == bits for key, bits in got.items())
+    # every table grew by whole rows: its columns are of one length
+    plans = [series_module._plan(*ratio, p_, q_, rho_, derivative, 1e-10, 10000)
+             for ratio, p_, q_, rho_, derivative in (
+                 ((4, 5), 4, 5, 0.3, True), (1.50000001.as_integer_ratio(), 3, 2, 0.5, False))]
+    assert all(len(plan.pairs[-1]) for plan in plans)
+    for owner in plans:
+        for table in _tables(owner):
+            assert len({len(column) for column in table}) == 1
 
 
 def test_sine_table_cache_stays_at_its_bound():
-    bound = series_module._table.cache_info().maxsize
-    for i in range(bound):
+    # generic families at new alphas, and split plans at new rationals
+    # 1 + 1/(60 + i), each with its own two families
+    for cache in (series_module._family, series_module._plan):
+        assert cache.cache_info().maxsize == series_module._TABLES
+    bound = series_module._TABLES
+    for i in range(bound + 8):
         g_series(validate(1.0 + SQRT2 / (100.0 + i), 0.5), 0.3)
-    assert series_module._table.cache_info().currsize == bound
+        gprime_series(validate(1.0 + 1.0 / (60.0 + i), 0.5), 0.3)
+    for cache in (series_module._family, series_module._plan):
+        assert cache.cache_info().currsize == bound
 
 
 # ---------------------------------------------------------------------------
-# the stopping index: the tail's root, doubling and bisection against the
-# per-term scan they replaced
+# the stopping index: the tail's root, and doubling and bisection where it
+# is out of reach, against the per-term scan they replaced
 # ---------------------------------------------------------------------------
 
 def _truncation_scan(beta, step, pre, shift, power, c, half_tol, max_terms):
@@ -366,13 +399,33 @@ def test_truncation_of_a_geometric_tail_matches_the_scan():
         assert _truncation(*args) == _truncation_scan(*args), args
 
 
+def _tail_evaluations(args):
+    """_truncation(*args) and the number of tail bounds it evaluated,
+    counted as calls of its ``tail``."""
+    calls, outer = 0, sys.getprofile()
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "tail":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        found = _truncation(*args)
+    finally:
+        sys.setprofile(outer)
+    return found, calls
+
+
 def test_truncation_from_the_tail_root_matches_the_scan():
-    # at power >= 0 the index is read off the root of the tail's logarithm
-    # and settled by the tail itself, at power < 0 it is doubled and
-    # bisected: every power of the series' bounds (nu - 1 and nu of the
+    # the index is read off the root of the tail's logarithm, by Newton's
+    # method from the power-0 root at power < 0, and settled by the tail
+    # itself: every power of the series' bounds (nu - 1 and nu of the
     # convergent floors, -1 of g at rational alpha, and 0.0027, whose pole
-    # would overflow a plain expm1) at every beta band
-    stops, rooted = set(), set()
+    # would overflow a plain expm1) at every beta band.  The settling walk
+    # evaluates at most two tails per stop, where doubling and bisection
+    # took up to 25 at power -1
+    stops, rooted, most = set(), set(), 0
     for power, beta in itertools.product(
             (-1.0, 0.0, 0.0027, 0.5, 1.0, 1.499, 1.841, 7.98, 22.92),
             (1e-6, 1e-4, 0.1, 0.5, 0.9, 0.95)):
@@ -380,13 +433,16 @@ def test_truncation_from_the_tail_root_matches_the_scan():
             for c, half_tol, max_terms in itertools.product(
                     (0.5, 3e-7), (5e-11, 5e-14), BUDGETS):
                 args = (beta, step, pre, shift, power, c, half_tol, max_terms)
-                assert _hex(_truncation(*args)) == _hex(_truncation_scan(*args)), args
-                m = _truncation(*args)[0]
+                found, calls = _tail_evaluations(args)
+                assert _hex(found) == _hex(_truncation_scan(*args)), args
+                m = found[0]
                 stops.add(m if m is None else min(m, 2))
-                if m is not None and m > 1 and power >= 0:
+                most = max(most, calls)
+                if m is not None and m > 1:
                     rooted.add(power)
     assert stops == {None, 1, 2}
-    assert rooted == {0.0, 0.0027, 0.5, 1.0, 1.499, 1.841, 7.98, 22.92}
+    assert rooted == {-1.0, 0.0, 0.0027, 0.5, 1.0, 1.499, 1.841, 7.98, 22.92}
+    assert most == 2
 
 
 def test_truncation_with_a_budget_past_float_range():

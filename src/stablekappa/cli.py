@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .diophantine import cf_expand, classify
+from .diophantine import cf_expand
 from .kappa import KappaQuery, exit_transform, g_any_beta, gprime_any_beta, kappa, plan
 from .params import (
     ConvergenceFailureError,
@@ -30,7 +30,7 @@ from .params import (
     validate,
 )
 from .quadrature import g_quad, gprime_quad
-from .series import gprime_series
+from .series import classify, gprime_series
 
 _FIELDS = ("alpha", "rho", "beta", "gamma", "method", "value",
            "abs_error_bound", "terms_or_nodes_used", "status")

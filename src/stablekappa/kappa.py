@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 from .accurate import EPS
-from .diophantine import AlphaKind, classify
+from .diophantine import AlphaKind
 from .params import (
     ConvergenceFailureError,
     EvalResult,
@@ -41,7 +41,7 @@ from .params import (
     Tolerance,
 )
 from .quadrature import g_quad, gprime_quad
-from .series import g_series, gprime_series
+from .series import classify, g_series, gprime_series
 from .special import find_doney_case, g_doney
 
 _BAND_LO = 0.95

@@ -20,11 +20,17 @@ and k = n q of the second have divisors of size n eps with opposite signs.
     s alpha/(pi delta) [H(N + delta)/sinc(delta) - H(N)/sinc(delta/alpha)],
 
 N = n p, s = (-1)^(n(p+q)+1), H(x) = beta^x sin(rho pi x)/x for g and
-beta^(x-1) sin(rho pi x) for g', sinc(x) = sin(pi x)/(pi x).  Every other
-index summed keeps a floor proven in the diophantine module, half of
-sin(pi/p) and sin(pi/q), and every pair summed a mean-value bound.  The
-tail bound past the stopping index assumes the same floors and pair bound
-for the later indices, where they are not checked.
+beta^(x-1) sin(rho pi x) for g', sinc(x) = sin(pi x)/(pi x).  Every pair
+summed keeps a mean-value bound (``_pair_bound``), and every other index a
+proven floor, half of sin(pi/p) and sin(pi/q): for m <= M with p not
+dividing m,
+
+    ||m/alpha|| >= 1/p - M |1/alpha - q/p|,
+
+and for k <= M with q not dividing k, ||k alpha|| >= 1/q - M |alpha - p/q|
+(``_proven_floor``).  The tail bound past the stopping index assumes the
+same floors and pair bound for the later indices, where they are not
+checked.
 
 At rational alpha = p/q (``classify``'s Rational verdict) the divisors of
 the terms m = n p and k = n q vanish, and ``_split`` runs at delta = 0 on
@@ -34,20 +40,21 @@ beta, and every other index keeps the floor sin(pi/p) or sin(pi/q) with no
 drift.
 
 The split reads all that does not depend on beta off one cached plan per
-(alpha, p/q, rho, g or g', tolerance) (``_plan``): the frame of its stops
-(``diophantine.SplitFrame``), the exponents and coefficients of its two
-nonresonant families, and the exponents and factors of its pairs.  At each
-beta it computes only log beta, the three stops, and one pass over each sum.
+(alpha, p/q, rho, g or g', tolerance) (``_plan``): the reach, floors and
+drifts of its stops, the exponents and coefficients of its two nonresonant
+families, and the exponents and factors of its pairs.  At each beta it
+computes only log beta, the three stops (``_split_stops``), and one pass
+over each sum.
 
-Called without a verdict, the series decides its conditioning at each beta
-itself, from alpha's cached ``diophantine._profile`` and the stopping
-indices it sums to, each computed once: the split at a rational alpha;
-else the generic sum, unless a family does not stop within the budget,
-the noise of a term bound (``diophantine._stop``, before the sum) or of
-the summed |terms| exceeds half the tolerance, or its bound the
-tolerance; else the split at the pairing convergent, unless it fails the
-checks of ``diophantine._split_stops``, all made before it sums.  A
-verdict the caller passes stands as given, with no conditioning test.
+The series decides its conditioning at each beta itself, from alpha's
+cached ``diophantine._profile`` and the stopping indices it sums to, each
+computed once: the split at a rational alpha; else the generic sum, unless
+a family does not stop within the budget, the noise of a term bound
+(``_stop``, before the sum) or of the summed |terms| exceeds half the
+tolerance, or its bound the tolerance; else the split at the pairing
+convergent, the p/q before alpha's largest partial quotient, unless it
+fails the checks of ``_split_stops``, all made before it sums.
+``classify`` reports that decision.
 """
 
 from __future__ import annotations
@@ -55,14 +62,14 @@ from __future__ import annotations
 import math
 import threading
 from array import array
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from itertools import chain, islice, repeat
 from operator import add, mul
 
-from .accurate import EPS, sin_mpi, sincos_mpi
-from .diophantine import (AlphaClass, AlphaKind, _profile, _split_frame, _split_stops,
-                          _stop)
+from .accurate import EPS, sin_mpi, sin_pi, sincos_mpi
+from .diophantine import AlphaClass, AlphaKind, _profile, _truncation
 from .params import (
     ConvergenceFailureError,
     IllConditionedSeriesError,
@@ -77,7 +84,7 @@ class SeriesReport:
     """Outcome of a series evaluation.
 
     tail_bound is the truncation bound: the divisor floors behind it (and,
-    when the verdict pairs the near-resonant terms, the pair bound) are
+    when the series pairs the near-resonant terms, the pair bound) are
     proven for the terms summed and assumed past the stopping index;
     noise_bound, 4 eps times the left-to-right sum of |terms| and |value|,
     bounds the rounding of the terms, whose every sum is exactly rounded.
@@ -178,7 +185,7 @@ def _divisor_series(family: _Family, beta: float, derivative: bool, stop: int | 
                     tail: float, max_terms: int, abs_sum: float, carry: float,
                     name: str) -> tuple[float, int, float]:
     """The terms of ``family`` summed up to its stopping index
-    (``diophantine._stop``); skip = 1 leaves the family empty.  Returns
+    (``_stop``, ``_split_stops``); skip = 1 leaves the family empty.  Returns
     (value, terms summed, abs_sum plus the |terms|); where stop is None,
     ConvergenceFailureError reports carry plus the sum to ``max_terms``.
     """
@@ -252,59 +259,172 @@ def _pair_factors(ns, ratio: tuple[int, int], p: int, q: int,
         yield lead * (dsin / delta - deg * sin_a / big_n) + s * sin_a * gain / big_n ** deg
 
 
+def _proven_floor(skip: int, drift: float, m: int) -> float:
+    """A floor on |sin(pi j x)| for every j <= m that skip does not divide,
+    where x lies within drift of a fraction with denominator skip (x = 1/alpha
+    near q/p with skip = p, or x = alpha near p/q with skip = q): there
+    ||j x|| >= 1/skip - m drift, and |sin(pi t)| grows with ||t|| up to 1/2.
+    0 once the drift has eaten the distance 1/skip.
+    """
+    r = 1.0 / skip - m * drift
+    return sin_pi(r) if r > 0.0 else 0.0
+
+
+def _pair_bound(alpha: float, p: int, reach: float, deg: int) -> tuple:
+    """The beta-free factors of ``_pair_prefactor`` for the pairs n of the
+    split series (``_split``) with |delta_n| <= reach, deg 1 for g and 0
+    for g'.
+
+    The pair is s alpha/pi [D/sinc(delta) + H(N) E] with D the difference
+    quotient of H between N and N + delta and E that of 1/sinc between
+    delta/alpha and delta, divided by delta.  By the mean-value theorem
+    D = H'(xi) for some xi within reach of N, so |D| <= beta**(N - shift -
+    reach) (weight + deg/(N - reach)) / (N - reach)**deg; 1/sinc is even,
+    convex and increasing in |x| below 1, so 1/sinc(delta) <= 1/sinc(reach)
+    and |E| <= |1 - 1/alpha| times the slope of 1/sinc at reach/min(alpha,
+    1).  With N - reach >= n (p - reach) = n lead that is the prefactor
+    alpha (beta**-reach x/sin(x) (weight + deg/lead) + slope (lead/p)**deg)
+    / (pi lead**deg), x = pi reach; at reach 0 it is the resonant term's
+    alpha (weight + deg/p) / (pi p**deg).  Returns (alpha, reach, x, sin x,
+    slope (lead/p)**deg, deg/lead, pi lead**deg).
+    """
+    if reach == 0.0:
+        return alpha, reach, 0.0, 0.0, 0.0, deg / p, math.pi * p ** deg
+    x = math.pi * reach
+    y = x / min(alpha, 1.0)
+    sin_y = math.sin(y)
+    slope = abs(1.0 - 1.0 / alpha) * math.pi * (sin_y - y * math.cos(y)) / (sin_y * sin_y)
+    lead = p - reach
+    return (alpha, reach, x, math.sin(x), slope * (lead / p) ** deg, deg / lead,
+            math.pi * lead ** deg)
+
+
+def _pair_prefactor(bound: tuple, weight: float, beta: float) -> float:
+    """pre with |pair n| <= pre beta**(p n - shift) / n**deg for every pair n
+    within the reach of ``bound`` (``_pair_bound``), where weight >= pi rho +
+    |log beta|."""
+    alpha, reach, x, sin_x, lean, bend, scale = bound
+    if reach == 0.0:
+        return alpha * (weight + bend) / scale
+    return alpha * (beta ** -reach * x / sin_x * (weight + bend) + lean) / scale
+
+
 class _Plan:
     """The beta-free part of the split series at p/q for one exact ratio
-    alpha = a_num/a_den, rho, g or g' and tolerance: the frame of its stops
-    (``diophantine.SplitFrame``), pi rho, its two nonresonant families, and
-    the table of its pairs n: exponent N - shift and factors X_n, Y_n
-    (``_pair_factors``)."""
+    alpha = a_num/a_den, rho, g or g' and tolerance.  For its stops
+    (``_split_stops``): delta_1 = (a_num q - p a_den)/a_den, the reach of
+    the pair bound, an eighth of the tolerance as each sum's target, the
+    pairs' exponent shift and index power -deg, their prefactor's factors
+    (``_pair_bound``; at deg 0 for the projected noise of a paired split),
+    and per nonresonant family (name, family, (prefactor, shift, index
+    power) of its term bounds, floor, drift): floors sin(pi/p), sin(pi/q)
+    at alpha = p/q, else half of them, proven up to an index by the drifts
+    |1/alpha - q/p|, |alpha - p/q| (``_proven_floor``).  For its sums: pi
+    rho, the two nonresonant families, and the table of its pairs n:
+    exponent N - shift and factors X_n, Y_n (``_pair_factors``)."""
 
-    __slots__ = ("frame", "rho_pi", "families", "derivative", "ratio", "rho", "pairs")
+    __slots__ = ("p", "q", "delta1", "reach", "target", "abs_tol", "max_terms", "shift", "deg",
+                 "pair_bound", "noise_bound", "bounds", "rho_pi", "families", "derivative",
+                 "ratio", "rho", "pairs")
 
     def __init__(self, a_num: int, a_den: int, p: int, q: int, rho: float, derivative: bool,
                  abs_tol: float, max_terms: int):
         r_num, r_den = rho.as_integer_ratio()
-        self.frame = _split_frame((a_num, a_den), p, q, derivative, abs_tol, max_terms)
+        alpha, gap = a_num / a_den, a_num * q - p * a_den
+        self.p, self.q, self.delta1 = p, q, gap / a_den
+        self.reach = min(abs(self.delta1) * max_terms, 0.5 * min(alpha, 1.0))  # < half a period
+        self.target, self.abs_tol, self.max_terms = 0.125 * abs_tol, abs_tol, max_terms
+        self.shift, self.deg = (1, 0) if derivative else (0, 1)
+        self.pair_bound = _pair_bound(alpha, p, self.reach, self.deg)
+        self.noise_bound = _pair_bound(alpha, p, self.reach, 0)
         self.rho_pi = math.pi * rho
         # the first family over m with p not dividing m, the second over k
         # with q not dividing k, in powers beta^alpha, with sin(k pi rho alpha)
         self.families = (_family(1.0, a_den, a_num, r_num, r_den, p),
-                         _family(a_num / a_den, a_num, a_den, r_num * a_num, r_den * a_den, q))
+                         _family(alpha, a_num, a_den, r_num * a_num, r_den * a_den, q))
+        half = 0.5 if gap else 1.0
+        self.bounds = tuple(
+            (name, family, (family.step, 1.0, 0.0) if derivative else (1.0, 0.0, -1.0),
+             half * sin_pi(1.0 / family.skip), drift)
+            for name, family, drift in zip(("first", "second"), self.families,
+                                           (abs(gap) / (p * a_num), abs(gap) / (q * a_den))))
         self.derivative, self.ratio, self.rho = derivative, (a_num, a_den), (r_num, r_den)
         self.pairs = (array("d"), array("d"), array("d"))
 
     def _pairs(self, start: int, end: int) -> tuple[list, list, list]:
-        frame, ns = self.frame, range(start + 1, end + 1)
-        factors = list(_pair_factors(ns, self.ratio, frame.p, frame.q, self.rho, frame.deg))
-        return [n * frame.p - frame.shift for n in ns], factors[::2], factors[1::2]
+        ns = range(start + 1, end + 1)
+        factors = list(_pair_factors(ns, self.ratio, self.p, self.q, self.rho, self.deg))
+        return [n * self.p - self.shift for n in ns], factors[::2], factors[1::2]
 
 
 # the plan of one (a_num, a_den, p, q, rho, derivative, abs_tol, max_terms)
 _plan = lru_cache(maxsize=_TABLES)(_Plan)
 
 
-def _split(plan: _Plan, beta: float, strict: bool) -> tuple[float, int, int, float, float]:
+def _split_stops(plan: _Plan, weight: float, beta: float) -> list:
+    """(stop, tail bound) of the pairs and the two nonresonant sums of the
+    split series at p/q (``_split``), each for a bound under the plan's
+    target (the pairs' by ``_pair_prefactor``, weight >= pi rho + |log
+    beta|); an empty sum stops at 0.  IllConditionedSeriesError is raised
+    where the last pair summed passes the reach or a floor is not proven up
+    to its sum's last index; paired (delta_1 != 0) also where a sum does
+    not stop within the budget, or 4 eps times the g' term bounds summed in
+    closed form at beta clamped into [1e-6, 0.95] exceeds tol/2."""
+    p, target, max_terms = plan.p, plan.target, plan.max_terms
+    if plan.delta1:
+        b = min(max(beta, 1e-6), 0.95)
+        noise = 0.0
+        for _, family, _, c, _ in plan.bounds:
+            if family.skip > 1:
+                noise += family.step * b ** (family.step - 1.0) / (c * (1.0 - b ** family.step))
+        pre = _pair_prefactor(plan.noise_bound, math.pi + abs(math.log(b)), b)
+        noise += pre * b ** (p - 1.0) / (1.0 - b ** p)
+        if 4.0 * EPS * noise > 0.5 * plan.abs_tol:
+            raise IllConditionedSeriesError(f"split at {p}/{plan.q}: projected noise "
+                                            f"{4.0 * EPS * noise:.3e} above half the tolerance")
+    pre = _pair_prefactor(plan.pair_bound, weight, beta)
+    stops = [_truncation(beta, p, pre, plan.shift, -plan.deg, 1, target, max_terms)]
+    last = stops[0][0] or max_terms
+    if last * abs(plan.delta1) > plan.reach:
+        raise IllConditionedSeriesError(f"pairs: delta {last * abs(plan.delta1):.3e} past "
+                                        f"the bounded reach {plan.reach:.3e}")
+    for name, family, shape, c, drift in plan.bounds:
+        stop, tail = 0, 0.0
+        if family.skip > 1:
+            stop, tail = _truncation(beta, family.step, *shape, c, target, max_terms)
+            last = stop or max_terms
+            if drift and _proven_floor(family.skip, drift, last) < c:
+                raise IllConditionedSeriesError(f"{name} nonresonant sum: divisor floor "
+                                                f"{c:.3e} not proven up to index {last}")
+        stops.append((stop, tail))
+    if plan.delta1 and None in (stop for stop, _ in stops):
+        raise IllConditionedSeriesError(
+            f"split at {p}/{plan.q}: a sum does not stop within {max_terms} terms")
+    return stops
+
+
+def _split(plan: _Plan, beta: float) -> tuple[float, int, int, float, float]:
     """g(beta) (or g') for 0 < beta < 1 by the series split at p/q (see the
     module docstring), read off its plan: the two divisor series less the
     indices m = n p and k = n q, plus one sum over the pairs n, each
     beta^(N - shift) (e_n X_n + Y_n).  Only the stops, log beta, e_n and
     the powers of beta are computed per beta.  The stops, and the checks
-    made before any sum, are those of ``diophantine._split_stops``; at
-    delta_1 = 0, whose noise no projection budgets, a bound above the
-    tolerance raises IllConditionedSeriesError.  Returns the fields of a
-    ``SeriesReport``, the pairs counted in its ``terms_first_series``."""
-    frame, derivative = plan.frame, plan.derivative
+    made before any sum, are those of ``_split_stops``; at delta_1 = 0,
+    whose noise no projection budgets, a bound above the tolerance raises
+    IllConditionedSeriesError.  Returns the fields of a ``SeriesReport``,
+    the pairs counted in its ``terms_first_series``."""
+    derivative, max_terms = plan.derivative, plan.max_terms
     log_beta = math.log(beta)
     (stop, tail3), (stop1, tail1), (stop2, tail2) = _split_stops(
-        frame, plan.rho_pi + abs(log_beta), beta, strict)
+        plan, plan.rho_pi + abs(log_beta), beta)
     first, second = plan.families
     v1, terms1, abs_sum = _divisor_series(first, beta, derivative, stop1, tail1,
-                                          frame.max_terms, 0.0, 0.0, "first nonresonant sum")
+                                          max_terms, 0.0, 0.0, "first nonresonant sum")
     v2, terms2, abs_sum = _divisor_series(second, beta, derivative, stop2, tail2,
-                                          frame.max_terms, abs_sum, v1, "second nonresonant sum")
+                                          max_terms, abs_sum, v1, "second nonresonant sum")
 
     # the pairs, reindexed by m = n p, k = n q
-    n, delta1 = stop or frame.max_terms, frame.delta1
+    n, delta1 = stop or max_terms, plan.delta1
     growth = (repeat(log_beta, n) if not delta1 else
               (math.expm1(k * delta1 * log_beta) / (k * delta1) for k in range(1, n + 1)))
     terms = [beta ** e * (g * x + y)
@@ -316,10 +436,34 @@ def _split(plan: _Plan, beta: float, strict: bool) -> tuple[float, int, int, flo
     value = v1 + v2 + math.fsum(terms)
     noise = 4.0 * EPS * (reduce(add, map(abs, terms), abs_sum) + abs(value))
     tail = tail1 + tail2 + tail3
-    if not delta1 and tail + noise > frame.abs_tol:
+    if not delta1 and tail + noise > plan.abs_tol:
         raise IllConditionedSeriesError(
-            f"error bound {tail + noise:.3e} above the tolerance {frame.abs_tol:.3e}")
+            f"error bound {tail + noise:.3e} above the tolerance {plan.abs_tol:.3e}")
     return value, terms1 + stop, terms2, tail, noise
+
+
+def _stop(beta: float, step: float, derivative: bool, c: float, nu: float, cap: float,
+          max_terms: int) -> tuple[int | None, float]:
+    """``_truncation`` for a divisor series of g (or g') with divisors above
+    c / m^nu and a tail bound under cap: term m is below pre beta^(step m -
+    shift) m^(nu - deg) / c, (pre, shift, deg) = (step, 1, 0) for g' and
+    (1, 0, 1) for g.  None also where 4 eps times the first bound (checked
+    first) or the largest, at floor k or k + 1 for k = (nu - deg)/(-step log
+    beta) capped at the stop (the bounds are log-concave in m), exceeds cap."""
+    pre, shift, deg = (step, 1.0, 0) if derivative else (1.0, 0.0, 1)
+    power = nu - deg
+
+    def noisy(m: int) -> bool:
+        return 4.0 * EPS * (pre * beta ** (step * m - shift) * m ** power / c) > cap
+
+    if noisy(1):
+        return None, math.inf
+    stop, tail = _truncation(beta, step, pre, shift, power, c, cap, max_terms)
+    if stop is not None:
+        top = int(min(power / (-step * math.log(beta)), stop))
+        if noisy(max(top, 1)) or noisy(min(top + 1, stop)):
+            return None, tail
+    return stop, tail
 
 
 def _one_sided(beta: float, alpha: float, derivative: bool, c: float, nu: float,
@@ -329,20 +473,20 @@ def _one_sided(beta: float, alpha: float, derivative: bool, c: float, nu: float,
     below pi skew k times its bound; those summed to their stop plus its
     tail, or inf where they do not stop within the budget."""
     pre, shift, deg = (alpha, 1.0, 0) if derivative else (1.0, 0.0, 1)
-    stop, tail = _stop(beta, alpha, derivative, c, nu + 1.0, target, max_terms)
+    power = nu + 1.0 - deg
+    stop, tail = _truncation(beta, alpha, pre, shift, power, c, target, max_terms)
     return math.inf if stop is None else math.pi * skew * (tail + math.fsum(
-        pre * beta ** (alpha * k - shift) * k ** (nu + 1.0 - deg) / c
-        for k in range(1, stop + 1)))
+        pre * beta ** (alpha * k - shift) * k ** power / c for k in range(1, stop + 1)))
 
 
-def _generic(alpha: float, rho: float, beta: float, tol: Tolerance, aclass: AlphaClass,
-             derivative: bool, decide: bool) -> SeriesReport | None:
-    """The two divisor series at the floor model of ``aclass``, each summed
-    to its stop for a tail bound under half the tolerance; with ``decide``,
-    None where the series refuses them (see the module docstring)."""
+def _generic(alpha: float, rho: float, beta: float, tol: Tolerance, profile: AlphaClass,
+             derivative: bool) -> SeriesReport | None:
+    """The two divisor series at the floor model of ``profile``, each summed
+    to its stop for a tail bound under half the tolerance, or None where the
+    series refuses them (see the module docstring)."""
     a_num, a_den = alpha.as_integer_ratio()
     r_num, r_den = rho.as_integer_ratio()
-    c, nu, cap = aclass.floor_constant, aclass.floor_power or 1.0, 0.5 * tol.abs_tol
+    c, nu, cap = profile.floor_constant, profile.floor_power, 0.5 * tol.abs_tol
     families = [(1.0, (a_den, a_num), (r_num, r_den), "first series", "sin({} pi/alpha)")]
     # at the spectrally one-sided endpoint rho*alpha = 1 the second series
     # vanishes termwise; within 4 eps of it, it is left out and bounded
@@ -356,12 +500,11 @@ def _generic(alpha: float, rho: float, beta: float, tol: Tolerance, aclass: Alph
                          "second series", "sin({} pi alpha)"))
     stops = []
     for step, div, _, _, divisor in families:
-        stop, bound = _stop(beta, step, derivative, c, nu, cap, tol.max_terms,
-                            cap if decide else None)
-        if decide and stop is None:
+        stop, bound = _stop(beta, step, derivative, c, nu, cap, tol.max_terms)
+        if stop is None:
             return None
         # sin(m pi div) is exactly 0 where div's denominator divides m
-        if div[1] <= (stop or tol.max_terms):
+        if div[1] <= stop:
             raise IllConditionedSeriesError(f"divisor {divisor.format(div[1])} vanished")
         stops.append((stop, bound))
     value = abs_sum = 0.0
@@ -373,13 +516,13 @@ def _generic(alpha: float, rho: float, beta: float, tol: Tolerance, aclass: Alph
         value += v
         tail += bound
     noise = 4.0 * EPS * (abs_sum + abs(value))
-    if decide and (4.0 * EPS * abs_sum > cap or tail + noise > tol.abs_tol):
+    if 4.0 * EPS * abs_sum > cap or tail + noise > tol.abs_tol:
         return None
     return SeriesReport(value, *counts, tail, noise)
 
 
 def _series(params: StableParams, beta: float, tol: Tolerance | None,
-            aclass: AlphaClass | None, derivative: bool) -> SeriesReport:
+            derivative: bool) -> SeriesReport:
     tol = tol or Tolerance()
     if beta == 0.0 and not derivative:
         return SeriesReport(0.0, 0, 0, 0.0)
@@ -387,36 +530,66 @@ def _series(params: StableParams, beta: float, tol: Tolerance | None,
         lower = "0 <" if derivative else "0 <="
         raise OutOfRangeError(f"series form needs {lower} beta < 1, got {beta!r}")
     alpha, rho = params.alpha, params.rho
-    decide, pair = aclass is None, None
-    if decide:
-        aclass, pair = _profile(alpha)
-    if aclass.kind is AlphaKind.RATIONAL:
+    profile, pair = _profile(alpha)
+    if profile.kind is AlphaKind.RATIONAL:
         # split at the exact ratio p/q itself (the float 0.8 is not 4/5), so
         # that its pairs sit at delta = 0
-        return SeriesReport(*_split(_plan(aclass.p, aclass.q, aclass.p, aclass.q, rho,
-                                          derivative, tol.abs_tol, tol.max_terms), beta, False))
-    ill = aclass.kind is AlphaKind.ILL_CONDITIONED
-    if aclass.p is None and not ill:
-        report = _generic(alpha, rho, beta, tol, aclass, derivative, decide)
-        if report is not None:
-            return report
-    if ill or not (pair or aclass.p):
+        return SeriesReport(*_split(_plan(profile.p, profile.q, profile.p, profile.q, rho,
+                                          derivative, tol.abs_tol, tol.max_terms), beta))
+    report = _generic(alpha, rho, beta, tol, profile, derivative)
+    if report is not None:
+        return report
+    if pair is None:
         raise IllConditionedSeriesError("small divisors exceed the work/noise budget at this "
                                         "beta and tolerance, paired or not")
-    p, q = pair or (aclass.p, aclass.q)
-    plan = _plan(*alpha.as_integer_ratio(), p, q, rho, derivative, tol.abs_tol, tol.max_terms)
-    return SeriesReport(*_split(plan, beta, decide))
+    plan = _plan(*alpha.as_integer_ratio(), *pair, rho, derivative, tol.abs_tol, tol.max_terms)
+    return SeriesReport(*_split(plan, beta))
 
 
-def g_series(params: StableParams, beta: float, tol: Tolerance | None = None,
-             aclass: AlphaClass | None = None) -> SeriesReport:
+def g_series(params: StableParams, beta: float, tol: Tolerance | None = None) -> SeriesReport:
     """g(beta) by the two-series expansion, for 0 <= beta < 1: generic,
     paired near a resonance p/q, or split at a rational alpha = p/q."""
-    return _series(params, beta, tol, aclass, derivative=False)
+    return _series(params, beta, tol, derivative=False)
 
 
-def gprime_series(params: StableParams, beta: float, tol: Tolerance | None = None,
-                  aclass: AlphaClass | None = None) -> SeriesReport:
+def gprime_series(params: StableParams, beta: float,
+                  tol: Tolerance | None = None) -> SeriesReport:
     """g'(beta) by the termwise-differentiated expansion, for 0 < beta < 1;
     see ``g_series``."""
-    return _series(params, beta, tol, aclass, derivative=True)
+    return _series(params, beta, tol, derivative=True)
+
+
+def classify(alpha: float, tol: Tolerance | None = None,
+             beta: float | None = 0.9) -> AlphaClass:
+    """Rational(p, q) when alpha's expansion terminates at a modest
+    denominator, else Irrational with the floor model: with beta None, the
+    per-alpha profile that dispatch reads.  Given a finite beta > 0 (clamped
+    into [1e-6, 0.95]) and the tolerance, an irrational alpha gets the
+    decision the series of g' makes before it sums, at rho = 1 in its pair
+    bound: Irrational where both generic families pass ``_stop``'s noise
+    checks, else paired (p and q set) where the split at the pairing
+    convergent passes ``_split_stops``, else IllConditioned.  After it sums,
+    the series can still refuse a generic sum's noise, and then pairs.
+    """
+    if not 0.0 < alpha <= 2.0:
+        raise OutOfRangeError(f"alpha must lie in (0, 2], got {alpha!r}")
+    if beta is not None and not (math.isfinite(beta) and beta > 0.0):
+        raise OutOfRangeError(f"beta must be positive, got {beta!r}")
+    alpha = float(alpha)
+    profile, pair = _profile(alpha)
+    if beta is None or profile.kind is AlphaKind.RATIONAL:
+        return profile
+    tol = tol or Tolerance()
+    beta = min(max(float(beta), 1e-6), 0.95)
+    c, nu, cap = profile.floor_constant, profile.floor_power, 0.5 * tol.abs_tol
+    if all(_stop(beta, step, True, c, nu, cap, tol.max_terms)[0] for step in (1.0, alpha)):
+        return profile
+    if pair:
+        with suppress(IllConditionedSeriesError):
+            # at rho = 1, which no sum reads: kept out of the plan cache
+            plan = _Plan(*alpha.as_integer_ratio(), *pair, 1.0, True, tol.abs_tol,
+                         tol.max_terms)
+            _split_stops(plan, math.pi + abs(math.log(beta)), beta)
+            floor = 0.5 * sin_pi(1.0 / max(pair)) if max(pair) > 1 else 0.0
+            return AlphaClass(AlphaKind.IRRATIONAL, *pair, nu, floor)
+    return replace(profile, kind=AlphaKind.ILL_CONDITIONED)

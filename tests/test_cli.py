@@ -210,6 +210,15 @@ def test_classify_near_rational_ill(capsys):
     assert (payload["kind"], payload["p"], payload["q"]) == ("ill_conditioned", None, None)
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf", "-1", "0"])
+def test_classify_refuses_a_beta_that_is_not_finite_and_positive(capsys, beta):
+    # a verdict at such a beta would be the one at the clamp into
+    # [1e-6, 0.95], or at nan none at all
+    code, out, err = run(capsys, "classify", "--alpha", "0.500000000001", "--beta", beta)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: beta must be positive")
+
+
 def test_selftest_default_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0

@@ -10,19 +10,14 @@ from hypothesis import strategies as st
 
 from stablekappa import (
     AlphaKind,
+    OutOfRangeError,
     Tolerance,
     cf_expand,
     classify,
 )
 from stablekappa.accurate import EPS, sin_mpi, sin_pi
-from stablekappa.diophantine import (
-    RATIONAL_DENOMINATOR_CAP,
-    AlphaClass,
-    _pair_bound,
-    _pair_prefactor,
-    _profile,
-    _truncation,
-)
+from stablekappa.diophantine import RATIONAL_DENOMINATOR_CAP, AlphaClass, _profile, _truncation
+from stablekappa.series import _pair_bound, _pair_prefactor
 
 
 def _cf_oracle(x_str: str, n: int) -> list[int]:
@@ -108,6 +103,15 @@ def test_classify_near_rational_ill_conditioned():
     for tol in (Tolerance(max_terms=50), Tolerance(abs_tol=1e-15)):
         ac = classify(0.5 + 1e-12, tol, beta=0.9)
         assert (ac.kind, ac.p, ac.q) == (AlphaKind.ILL_CONDITIONED, None, None)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0, 0.0])
+def test_classify_refuses_a_beta_that_is_not_finite_and_positive(beta):
+    # irrational and rational alpha alike; with beta None it reads no beta
+    for alpha in (0.5 + 1e-12, 0.5):
+        with pytest.raises(OutOfRangeError, match="beta must be positive"):
+            classify(alpha, beta=beta)
+    assert classify(0.5 + 1e-12, beta=None) == _profile(0.5 + 1e-12)[0]
 
 
 def test_classify_tolerance_below_float_range_is_ill_conditioned():

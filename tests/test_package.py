@@ -23,6 +23,29 @@ def test_package_imports_only_the_standard_library():
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
 
 
+def test_every_imported_name_is_used():
+    # no linter checks the package, so import debris left by moving code
+    # between modules is caught here; a name listed in __all__ (the
+    # re-exports of __init__.py) counts as used
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for top in tree.body:
+            if isinstance(top, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in top.targets):
+                used.update(ast.literal_eval(top.value))
+        unused = {name: line for name, line in imported.items() if name not in used}
+        assert not unused, (path.name, unused)
+
+
 def _references(node: ast.AST) -> set[str]:
     """The names and attributes a node reads."""
     names = set()

@@ -16,7 +16,6 @@ from stablekappa import (
     ConvergenceFailureError,
     IllConditionedSeriesError,
     MethodChoice,
-    StableParams,
     Tolerance,
     classify,
     g_any_beta,
@@ -28,7 +27,8 @@ from stablekappa import (
     validate,
 )
 from stablekappa.accurate import EPS, sin_mpi, sin_pi
-from stablekappa.diophantine import AlphaClass, _stop, _truncation
+from stablekappa.diophantine import AlphaClass, _truncation
+from stablekappa.series import SeriesReport, _generic, _split, _stop
 
 from oracles import g_mpmath, gprime_mpmath
 
@@ -126,12 +126,15 @@ def test_one_sided_endpoint_bounds_the_second_series_it_leaves_out():
     # 1e-7 above 1 at rho = 1/alpha, rho alpha is 1 within 4 eps but not
     # exactly, and the divisors sin(k pi alpha) are as small as 3e-7: the
     # second series, left out, still adds up to 8e-11 to g', and its bound
-    # joins the tail bound
-    alpha = 1.0000001
+    # joins the tail bound.  At tol 1e-8 the series decides on the generic
+    # sum for g and g' (at the default tolerance g' pairs at 1/1 instead)
+    alpha, tol = 1.0000001, Tolerance(abs_tol=1e-8)
     params, profile = validate(alpha, 1.0 / alpha), classify(alpha, beta=None)
     for beta in (1.2e-6, 0.012, 0.5):
         for series, oracle in ((g_series, g_mpmath), (gprime_series, gprime_mpmath)):
-            rep = series(params, beta, aclass=profile)
+            rep = series(params, beta, tol)
+            assert rep == _generic(alpha, 1.0 / alpha, beta, tol, profile,
+                                   series is gprime_series)
             assert rep.terms_second_series == 0
             ref, err = oracle(alpha, 1.0 / alpha, beta)
             assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound + err, (beta, series)
@@ -141,11 +144,11 @@ def test_one_sided_endpoint_bounds_the_second_series_it_leaves_out():
                                            (1.5, "sin(3 pi/alpha)")])
 def test_vanished_divisor_at_a_forced_irrational_verdict(alpha, divisor):
     # sin(m pi/alpha) is exactly 0 at m = 1 for alpha = 1/2 and at m = 3 for
-    # 3/2; the series must refuse rather than skip the index as the
-    # rational split does
+    # 3/2; the generic sum, given an irrational floor model there, must
+    # refuse rather than skip the index as the rational split does
     aclass = AlphaClass(AlphaKind.IRRATIONAL, floor_power=1.0, floor_constant=0.5)
     with pytest.raises(IllConditionedSeriesError) as err:
-        g_series(StableParams(alpha, 0.5), 0.3, aclass=aclass)
+        _generic(alpha, 0.5, 0.3, Tolerance(), aclass, False)
     assert str(err.value) == f"divisor {divisor} vanished"
 
 
@@ -464,25 +467,22 @@ def test_truncation_with_a_budget_past_float_range():
 # the failure path: value and bound when the term budget runs out
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("alpha,max_terms,series,value,bound", [
-    # the first series fails
-    (SQRT2, 50, g_series, "0x1.38c1a96ca9910p-3", "0x1.7bfa3ff650ef9p-4"),
-    (SQRT2, 50, gprime_series, "-0x1.5f40536c6d218p-1", "0x1.98884b3ebb350p+2"),
+@pytest.mark.parametrize("max_terms,series,message,value,bound", [
+    # the first nonresonant sum fails
+    (50, g_series, "first", "-0x1.bb252f1022bedp-1", "0x1.134cf1880d47dp-10"),
+    (50, gprime_series, "first", "-0x1.0f5b385c98c05p-2", "0x1.e782ebb6422f1p-5"),
     # the second fails and reports the first's value plus its partial sum
-    (0.5 + SQRT2 / 40.0, 500, g_series, "0x1.7d3bd6c77c504p-2",
-     "0x1.2cce3e161113bp-31"),
-    (0.5 + SQRT2 / 40.0, 500, gprime_series, "0x1.29051646e021bp-3",
-     "0x1.6ae30c0c2bdddp-23"),
+    (500, g_series, "second", "0x1.53e81adb99f86p-2", "0x1.d90988b338525p-26"),
+    (500, gprime_series, "second", "0x1.36012dfd467a0p-6", "0x1.3495382ce9bdcp-18"),
 ])
-def test_series_failure_reports_partial_sum_and_tail(alpha, max_terms, series, value,
+def test_series_failure_reports_partial_sum_and_tail(max_terms, series, message, value,
                                                      bound):
-    # classify refuses this budget at beta 0.9, so the verdict is taken at
-    # the default tolerance.  The values are exactly rounded sums of the
-    # terms; three moved, each by less than the noise bound 4 eps sum |terms|
-    # of its partial sums, from the compensated sums pinned before
-    aclass = classify(alpha, Tolerance(), 0.9)
-    with pytest.raises(ConvergenceFailureError) as err:
-        series(validate(alpha, 0.5), 0.9, Tolerance(max_terms=max_terms), aclass=aclass)
+    # the split at the rational 3/10 refuses a budget only after it sums: at
+    # beta 0.9 its first family needs about 200 terms and its second about
+    # 660.  A generic or paired sum refuses a short budget before it sums
+    with pytest.raises(ConvergenceFailureError,
+                       match=f"^{message} nonresonant sum: tail bound") as err:
+        series(validate(0.3, 0.5), 0.9, Tolerance(max_terms=max_terms))
     assert (err.value.value.hex(), err.value.error_bound.hex()) == (value, bound)
 
 
@@ -506,7 +506,9 @@ def _exactly_rounded(terms):
 def test_each_family_is_the_exactly_rounded_sum_of_its_terms(alpha, series, monkeypatch):
     # at beta 0.95 the families run to hundreds or thousands of terms; each
     # sum the series takes is recorded, checked term for term against the
-    # family rebuilt here, and its value against the exact rational sum
+    # family rebuilt here, and its value against the exact rational sum.
+    # classify's verdict names the form the series decides on: generic, or
+    # split at the rational 3/10
     beta, rho = 0.95, 0.5
     derivative = series is gprime_series
     aclass = classify(alpha, Tolerance(), beta)
@@ -518,7 +520,7 @@ def test_each_family_is_the_exactly_rounded_sum_of_its_terms(alpha, series, monk
         return sums[-1][1]
 
     monkeypatch.setattr(math, "fsum", recorded)
-    rep = series(validate(alpha, rho), beta, aclass=aclass)
+    rep = series(validate(alpha, rho), beta)
     monkeypatch.undo()
     a_num, a_den = (aclass.p, aclass.q) if aclass.p else alpha.as_integer_ratio()
     r_num, r_den = rho.as_integer_ratio()
@@ -545,14 +547,14 @@ def test_each_family_is_the_exactly_rounded_sum_of_its_terms(alpha, series, monk
 def test_rational_split_refuses_a_missed_tolerance():
     # 1e-6 above 1/2 the float's expansion terminates under the rational
     # cap, at 500001/1000000: the split's floors sin(pi/1e6) and
-    # sin(pi/500001) bring its noise, which no verdict budgets, above the
-    # tolerance, so it refuses and the plan runs quadrature
+    # sin(pi/500001) bring its noise, which no projection budgets, above the
+    # tolerance, so it refuses after it sums and the plan runs quadrature
     alpha, rho, beta, tol = 0.5 + 1e-6, 0.3, 0.9, Tolerance()
     params = validate(alpha, rho)
     aclass = classify(alpha, tol, beta)
     assert (aclass.kind, aclass.p, aclass.q) == (AlphaKind.RATIONAL, 500001, 1000000)
     with pytest.raises(IllConditionedSeriesError, match="above the tolerance"):
-        g_series(params, beta, tol, aclass)
+        g_series(params, beta, tol)
     res = g_any_beta(params, beta, tol=tol)
     ref, err = g_mpmath(alpha, rho, beta)
     assert err < 1e-25
@@ -656,46 +658,56 @@ def test_pair_at_delta_zero_is_the_resonant_term(derivative):
                 assert abs(got - want) <= 2 * EPS * scale, (p, q, beta, n)
 
 
+def _paired(params, p, q, beta, tol=None, derivative=False):
+    """The series split at p/q, called directly: the pairing whether or
+    not the series would decide on it."""
+    tol = tol or Tolerance()
+    plan = series_module._plan(*params.alpha.as_integer_ratio(), p, q, params.rho, derivative,
+                               tol.abs_tol, tol.max_terms)
+    return SeriesReport(*_split(plan, beta))
+
+
 def test_paired_series_refuses_an_unproven_floor():
-    # the series checks the proven floor at its own stopping indices: at
-    # beta 0.85 the first nonresonant sum would stop past the last index
-    # where 1/3 less the drift keeps half of sin(pi/3)
+    # the series checks the proven floor at its own stopping indices: 3.1e-3
+    # above 3/2 it pairs at 3/2, and at beta 0.85 the first nonresonant sum
+    # would stop past the last index where 1/3 less the drift keeps half of
+    # sin(pi/3)
     p = validate(1.5 + 1e-3 * math.pi, 0.5)
-    paired = AlphaClass(AlphaKind.IRRATIONAL, p=3, q=2)
     tol = Tolerance(abs_tol=1e-13)
-    assert g_series(p, 0.75, tol, paired).terms_second_series > 0
+    assert g_series(p, 0.75, tol) == _paired(p, 3, 2, 0.75, tol)
+    assert g_series(p, 0.75, tol).terms_second_series > 0
     with pytest.raises(IllConditionedSeriesError, match="first nonresonant sum: divisor floor"):
-        g_series(p, 0.85, tol, paired)
-    # and the pairs' own stop: 9.4e-4 above 1/2 (delta_1 = 1.9e-3) the pair
+        g_series(p, 0.85, tol)
+    # and the pairs' own stop, where the series sums generically and the
+    # split is called directly: 9.4e-4 above 1/2 (delta_1 = 1.9e-3) the pair
     # bound covers |delta| up to a quarter, and at beta 0.9 the pairs would
     # run to |delta| = 0.40
     p = validate(0.5 + 3e-4 * math.pi, 0.3)
-    paired = AlphaClass(AlphaKind.IRRATIONAL, p=1, q=2)
-    assert g_series(p, 0.8, aclass=paired).terms_first_series > 0
+    assert _paired(p, 1, 2, 0.8).terms_first_series > 0
     with pytest.raises(IllConditionedSeriesError, match="past the bounded reach"):
-        g_series(p, 0.9, aclass=paired)
+        _paired(p, 1, 2, 0.9)
     # where the pairs do not converge within the term budget, the budget's
     # last pair is held to the reach before any sum runs: at 1.2 paired at
     # 1/1 five pairs reach |delta| = 1, past half a period
     p = validate(1.2, 0.5)
-    paired = AlphaClass(AlphaKind.IRRATIONAL, p=1, q=1)
-    for series in (g_series, gprime_series):
+    for derivative in (False, True):
         with pytest.raises(IllConditionedSeriesError, match="past the bounded reach"):
-            series(p, 0.9, Tolerance(max_terms=5), paired)
+            _paired(p, 1, 1, 0.9, Tolerance(max_terms=5), derivative)
 
 
 @pytest.mark.parametrize("alpha,p,q", PAIRED_ALPHAS)
 @pytest.mark.parametrize("series,oracle", [(g_series, g_mpmath),
                                            (gprime_series, gprime_mpmath)])
 def test_paired_series_within_its_bound_of_mpmath(alpha, p, q, series, oracle):
+    # the split at the pairing convergent, called directly at every beta,
+    # and 1e-6 above 1/2 at 1/2 where the series splits at 500001/1000000
     if alpha != 0.5 + 1e-6:
         assert (classify(alpha, beta=0.9).p, classify(alpha, beta=0.9).q) == (p, q)
-    paired = AlphaClass(AlphaKind.IRRATIONAL, p=p, q=q)
     for rho in (0.3, 0.5, 0.9):
         if not 1.0 - 1.0 / alpha <= rho <= 1.0 / alpha:
             continue  # at 3/2 only 0.5 is admissible
         for beta in (1e-8, 0.01, 0.5, 0.94):
-            rep = series(validate(alpha, rho), beta, aclass=paired)
+            rep = _paired(validate(alpha, rho), p, q, beta, derivative=series is gprime_series)
             ref, err = oracle(alpha, rho, beta)
             assert err < 1e-25
             assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound, (rho, beta)
@@ -704,20 +716,22 @@ def test_paired_series_within_its_bound_of_mpmath(alpha, p, q, series, oracle):
 @pytest.mark.parametrize("series,oracle", [(g_series, g_mpmath),
                                            (gprime_series, gprime_mpmath)])
 def test_dispatched_series_within_its_bound_of_mpmath(series, oracle):
-    # the verdict classify gives, generic or paired, at generic alphas and
-    # near 1/2 and 3/2: every value the series returns lies within its
+    # the form the series decides on, generic or paired, at generic alphas
+    # and near 1/2 and 3/2: every value the series returns lies within its
     # tail and noise bounds of the 30-digit integral
     kinds = set()
+    derivative = series is gprime_series
     for alpha in (SQRT2, math.pi / 2.0, math.sqrt(3.0), math.e / 2.0,
                   0.5 + SQRT2 / 40.0, 1.5 - 1e-4 * math.pi, 1.50000001):
+        profile = classify(alpha, beta=None)
         for beta in (1e-4, 0.3, 0.8, 0.94):
             ref, _ = oracle(alpha, 0.5, beta)
             for tol in (Tolerance(), Tolerance(abs_tol=1e-13)):
-                aclass = classify(alpha, tol, beta)
-                if aclass.kind is AlphaKind.ILL_CONDITIONED:
+                try:
+                    rep = series(validate(alpha, 0.5), beta, tol)
+                except IllConditionedSeriesError:
                     continue
-                kinds.add(aclass.p is not None)
-                rep = series(validate(alpha, 0.5), beta, tol, aclass)
+                kinds.add(rep == _generic(alpha, 0.5, beta, tol, profile, derivative))
                 assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound, (
                     alpha, beta, tol)
     assert kinds == {False, True}
@@ -758,13 +772,20 @@ def test_generic_series_refuses_its_summed_noise_over_the_cap():
     # pairs its terms near 1/1
     alpha, rho, beta, tol = 1.0 + 1e-5 * math.pi, 0.3, 0.05, Tolerance(abs_tol=1e-12)
     params, profile, cap = validate(alpha, rho), classify(alpha, beta=None), 0.5e-12
-    for step in (1.0, alpha):
-        assert _stop(beta, step, False, profile.floor_constant, profile.floor_power, cap,
-                     tol.max_terms, cap)[0]
-    generic = g_series(params, beta, tol, profile)
-    assert generic.tail_bound + generic.noise_bound <= tol.abs_tol
-    assert generic.noise_bound - 4.0 * EPS * abs(generic.value) > cap
+    (a_num, a_den), (r_num, r_den) = alpha.as_integer_ratio(), rho.as_integer_ratio()
+    value = tail = abs_sum = 0.0
+    for step, div, num in ((1.0, (a_den, a_num), (r_num, r_den)),
+                           (alpha, (a_num, a_den), (r_num * a_num, r_den * a_den))):
+        stop, bound = _stop(beta, step, False, profile.floor_constant, profile.floor_power,
+                            cap, tol.max_terms)
+        assert stop
+        terms = series_module._family(step, *div, *num, div[1]).terms(beta, stop, False)
+        value, tail = value + math.fsum(terms), tail + bound
+        abs_sum += math.fsum(map(abs, terms))
+    assert tail + 4.0 * EPS * (abs_sum + abs(value)) <= tol.abs_tol
+    assert 4.0 * EPS * abs_sum > cap
+    assert _generic(alpha, rho, beta, tol, profile, False) is None
     decided = g_series(params, beta, tol)
-    assert decided == g_series(params, beta, tol, AlphaClass(AlphaKind.IRRATIONAL, p=1, q=1))
+    assert decided == _paired(params, 1, 1, beta, tol)
     ref, err = g_mpmath(alpha, rho, beta)
     assert abs(decided.value - ref) <= decided.tail_bound + decided.noise_bound + err

@@ -1,22 +1,22 @@
 """The split series' values pinned bit for bit.
 
 (value, first-series terms, second-series terms, tail bound, noise bound)
-of ``g_series`` and ``gprime_series`` as float hex, recorded before the
-split read its beta-free part off a cached plan: at the rational alphas of
-the benchmark's grid with its rho, split at delta = 0, and near 3/2 and at
-0.5 + sqrt2/40 at rho 0.5, paired at their pairing convergents (3/2 and
-53/99), both as the series decides at each beta (``strict``) and with the
-paired verdict passed in.  Each is checked cold, every table and plan
-cleared before the call, and warm, after every case has filled them.
+as float hex, recorded before the split read its beta-free part off a
+cached plan: of ``g_series`` and ``gprime_series`` at the rational alphas
+of the benchmark's grid with its rho, split at delta = 0, and near 3/2 and
+at 0.5 + sqrt2/40 at rho 0.5 as the series decides at each beta; and of
+the split at their pairing convergents (3/2 and 53/99), called directly
+as ``_split(_plan(...), beta)`` with the checks of a paired split.  Each
+is checked cold, every table and plan cleared before the call, and warm,
+after every case has filled them.
 """
 
 import math
 
 import pytest
 
-from stablekappa import g_series, gprime_series, validate
+from stablekappa import SeriesReport, Tolerance, g_series, gprime_series, validate
 from stablekappa import series as series_module
-from stablekappa.diophantine import AlphaClass, AlphaKind
 
 SQRT2 = math.sqrt(2.0)
 BETAS = (0.01, 0.1, 0.5, 0.9, 0.94)
@@ -24,8 +24,8 @@ SERIES = {"g": g_series, "gprime": gprime_series}
 RHO = {0.3: 0.5, 0.8: 0.25, 1.0: 0.5, 1.5: 2.0 / 3.0, 1.9: 0.5, 2.0: 0.5,
        1.50000001: 0.5, 0.5 + SQRT2 / 40.0: 0.5}
 
-# (alpha, pairing convergent passed as the verdict or None, series): one
-# pin per beta of BETAS
+# (alpha, pairing convergent split at directly or None, series): one pin
+# per beta of BETAS
 PINS = {
     (0.3, None, "g"): (
         ("0x1.ef66a2b7330c6p-4", 5, 16, "0x1.20bbcc007e03dp-38", "0x1.469bfa08b9cd8p-52"),
@@ -171,8 +171,13 @@ PINS = {
 
 
 def _outcome(alpha, pair, name, beta):
-    aclass = AlphaClass(AlphaKind.IRRATIONAL, *pair) if pair else None
-    rep = SERIES[name](validate(alpha, RHO[alpha]), beta, None, aclass)
+    if pair:
+        tol = Tolerance()
+        plan = series_module._plan(*alpha.as_integer_ratio(), *pair, RHO[alpha],
+                                   name == "gprime", tol.abs_tol, tol.max_terms)
+        rep = SeriesReport(*series_module._split(plan, beta))
+    else:
+        rep = SERIES[name](validate(alpha, RHO[alpha]), beta)
     return (rep.value.hex(), rep.terms_first_series, rep.terms_second_series,
             rep.tail_bound.hex(), rep.noise_bound.hex())
 

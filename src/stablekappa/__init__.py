@@ -14,6 +14,7 @@ from .diophantine import (
     AlphaKind,
     ContinuedFraction,
     cf_expand,
+    classify,
 )
 from .kappa import KappaQuery, exit_transform, g_any_beta, gprime_any_beta, kappa, plan
 from .params import (
@@ -31,7 +32,6 @@ from .params import (
 from .quadrature import g_quad, gprime_quad
 from .series import (
     SeriesReport,
-    classify,
     g_series,
     gprime_series,
 )

@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .diophantine import cf_expand
+from .diophantine import cf_expand, classify
 from .kappa import KappaQuery, exit_transform, g_any_beta, gprime_any_beta, kappa, plan
 from .params import (
     ConvergenceFailureError,
@@ -30,7 +30,7 @@ from .params import (
     validate,
 )
 from .quadrature import g_quad, gprime_quad
-from .series import classify, gprime_series
+from .series import gprime_series
 
 _FIELDS = ("alpha", "rho", "beta", "gamma", "method", "value",
            "abs_error_bound", "terms_or_nodes_used", "status")
@@ -332,7 +332,9 @@ def cmd_compare(args) -> int:
 def cmd_classify(args) -> int:
     tol = _tolerance(args)
     cf = cf_expand(args.alpha)
-    aclass = classify(args.alpha, tol, args.beta)
+    aclass = classify(args.alpha)
+    if not (math.isfinite(args.beta) and args.beta > 0.0):
+        raise OutOfRangeError(f"beta must be positive, got {args.beta!r}")
     recommended = None
     if args.rho is not None:
         try:
@@ -500,7 +502,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--rho", type=float, default=None,
                    help="optional, enables the method recommendation")
     p.add_argument("--beta", type=float, default=0.9,
-                   help="beta at which conditioning is projected")
+                   help="beta of the method recommendation")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-terms", type=int, default=10000, dest="max_terms")
     p.add_argument("--format", choices=["json", "text"], default="text")

@@ -11,20 +11,20 @@ segment of indices, and this module reads the divisor floor c / m**nu off
 the expansion (``_floor_model``):
 
 * ``cf_expand``   partial quotients and convergents of a float,
-* ``_profile``    the per-alpha verdict that dispatch reads,
+* ``classify``    alpha's profile, all that dispatch reads (``_profile``),
 * ``_truncation`` the stopping index of a sum of term bounds.
 
 The floor is proven for every index below the last denominator of the
 expansion; past it the model is assumed.  A float can never certify
-membership in a number-theoretic set, so ``IllConditioned`` is a statement
-about projected work and rounding noise at the requested (beta,
-tolerance), not about the number itself.
+membership in a number-theoretic set, so the series' refusal
+(``IllConditionedSeriesError``) is a statement about projected work and
+rounding noise at the requested (beta, tolerance), not about the number
+itself.
 
 The expansion, the rational verdict, the floor model and the pairing
 convergent depend on alpha alone; ``_profile`` computes them once per alpha
 (an LRU over ``_PROFILE_CACHE`` alphas).  The series decides its
-conditioning at each beta from them and the stopping indices it sums to,
-and ``series.classify`` reports that decision.
+conditioning at each beta from them and the stopping indices it sums to.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ _NEWTON_STEPS = 16          # iterations for a stopping index's root
 class AlphaKind(Enum):
     RATIONAL = "rational"
     IRRATIONAL = "irrational"
-    ILL_CONDITIONED = "ill_conditioned"
 
 
 @dataclass(frozen=True)
@@ -112,16 +111,13 @@ def cf_expand(x: float) -> ContinuedFraction:
 
 @dataclass(frozen=True)
 class AlphaClass:
-    """Conditioning verdict for a stability index.
+    """Profile of a stability index: Rational(p, q), or Irrational.
 
     The lower bound for both divisor families |sin(m*pi/alpha)| and
     |sin(m*pi*alpha)| is floor_constant / m**floor_power, proven below the
     last convergent denominator of each family and assumed past it
     (``_floor_model``); for a recognized rational p/q it is the constant
-    sin(pi/max(p, q)), and floor_power is None.  An Irrational verdict with
-    p and q set pairs the near-resonant terms at the convergent p/q: its
-    floor_constant is half of sin(pi/max(p, q)), the floor proven for every
-    other index up to the stopping index.
+    sin(pi/max(p, q)), and floor_power is None.
     """
 
     kind: AlphaKind
@@ -219,10 +215,10 @@ def _truncation(beta: float, step: float, pre: float, shift: float, power: float
 
 @lru_cache(maxsize=_PROFILE_CACHE)
 def _profile(alpha: float) -> tuple[AlphaClass, tuple[int, int] | None]:
-    """The beta-free part of ``series.classify``: Rational(p, q), or Irrational
-    with the floor of ``_floor_model``, and the pairing convergent: the p/q
-    (p >= 1) before the largest partial quotient a, where |alpha q - p| <
-    1/(a q) comes closest for its size."""
+    """``classify``'s profile: Rational(p, q), or Irrational with the floor
+    of ``_floor_model``; and the pairing convergent: the p/q (p >= 1)
+    before the largest partial quotient a, where |alpha q - p| < 1/(a q)
+    comes closest for its size."""
     cf = cf_expand(alpha)
     p_last, q_last = cf.convergents[-1]
     if cf.exact and q_last <= RATIONAL_DENOMINATOR_CAP:
@@ -232,3 +228,12 @@ def _profile(alpha: float) -> tuple[AlphaClass, tuple[int, int] | None]:
     ahead = [(a, pq) for pq, a in zip(cf.convergents, cf.quotients[1:]) if pq[0] >= 1]
     pair = max(ahead, key=lambda t: t[0])[1] if ahead else None
     return AlphaClass(AlphaKind.IRRATIONAL, floor_power=nu, floor_constant=c), pair
+
+
+def classify(alpha: float) -> AlphaClass:
+    """alpha's profile, cached per alpha: Rational(p, q) when its expansion
+    terminates at a modest denominator, else Irrational with the floor
+    model.  The series decides its conditioning at each beta from it."""
+    if not 0.0 < alpha <= 2.0:
+        raise OutOfRangeError(f"alpha must lie in (0, 2], got {alpha!r}")
+    return _profile(float(alpha))[0]

@@ -19,7 +19,7 @@ do not depend on beta.  beta >= 1.05 is planned at 1/beta and every result
 reflected.  A forced method runs its own step of this plan alone, except
 in the band, and raises when the plan skips that step.  The plan is lazy:
 ``find_doney_case`` and ``classify`` run only when a candidate that needs
-them comes up, and ``classify`` reads only alpha's cached profile.
+them comes up, and ``classify`` returns alpha's cached profile.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 from .accurate import EPS
-from .diophantine import AlphaKind
+from .diophantine import AlphaKind, classify
 from .params import (
     ConvergenceFailureError,
     EvalResult,
@@ -41,7 +41,7 @@ from .params import (
     Tolerance,
 )
 from .quadrature import g_quad, gprime_quad
-from .series import classify, g_series, gprime_series
+from .series import g_series, gprime_series
 from .special import find_doney_case, g_doney
 
 _BAND_LO = 0.95
@@ -147,7 +147,7 @@ def plan(params: StableParams, beta: float, derivative: bool = False,
                                f"Doney case (k, l) = ({case.k}, {case.l})",
                                _doney_result, params, beta, case)
 
-        aclass = classify(params.alpha, beta=None)
+        aclass = classify(params.alpha)
         rational = aclass.kind is AlphaKind.RATIONAL
         if band and not (rational and beta < 1.0):
             yield _SERIES_IN_BAND

@@ -84,8 +84,8 @@ class Tolerance:
     max_terms: int = 10000
 
     def __post_init__(self) -> None:
-        if not self.abs_tol > 0.0:
-            raise OutOfRangeError("abs_tol must be positive")
+        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
+            raise OutOfRangeError("abs_tol must be finite and positive")
         if not isinstance(self.max_terms, int) or self.max_terms <= 0:
             raise OutOfRangeError(
                 f"max_terms must be a positive integer, got {self.max_terms!r}")

@@ -32,7 +32,7 @@ and for k <= M with q not dividing k, ||k alpha|| >= 1/q - M |alpha - p/q|
 same floors and pair bound for the later indices, where they are not
 checked.
 
-At rational alpha = p/q (``classify``'s Rational verdict) the divisors of
+At rational alpha = p/q (a Rational ``diophantine._profile``) the divisors of
 the terms m = n p and k = n q vanish, and ``_split`` runs at delta = 0 on
 the exact ratio (p, q): each pair is its limit s alpha H'(N)/pi, the
 resonant term, taken like every pair from beta-free factors cached across
@@ -54,7 +54,6 @@ a family does not stop within the budget, the noise of a term bound
 tolerance, or its bound the tolerance; else the split at the pairing
 convergent, the p/q before alpha's largest partial quotient, unless it
 fails the checks of ``_split_stops``, all made before it sums.
-``classify`` reports that decision.
 """
 
 from __future__ import annotations
@@ -62,8 +61,7 @@ from __future__ import annotations
 import math
 import threading
 from array import array
-from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, islice, repeat
 from operator import add, mul
@@ -361,10 +359,10 @@ class _Plan:
 _plan = lru_cache(maxsize=_TABLES)(_Plan)
 
 
-def _split_stops(plan: _Plan, weight: float, beta: float) -> list:
+def _split_stops(plan: _Plan, log_beta: float, beta: float) -> list:
     """(stop, tail bound) of the pairs and the two nonresonant sums of the
     split series at p/q (``_split``), each for a bound under the plan's
-    target (the pairs' by ``_pair_prefactor``, weight >= pi rho + |log
+    target (the pairs' by ``_pair_prefactor`` at weight pi rho + |log
     beta|); an empty sum stops at 0.  IllConditionedSeriesError is raised
     where the last pair summed passes the reach or a floor is not proven up
     to its sum's last index; paired (delta_1 != 0) also where a sum does
@@ -382,7 +380,7 @@ def _split_stops(plan: _Plan, weight: float, beta: float) -> list:
         if 4.0 * EPS * noise > 0.5 * plan.abs_tol:
             raise IllConditionedSeriesError(f"split at {p}/{plan.q}: projected noise "
                                             f"{4.0 * EPS * noise:.3e} above half the tolerance")
-    pre = _pair_prefactor(plan.pair_bound, weight, beta)
+    pre = _pair_prefactor(plan.pair_bound, plan.rho_pi + abs(log_beta), beta)
     stops = [_truncation(beta, p, pre, plan.shift, -plan.deg, 1, target, max_terms)]
     last = stops[0][0] or max_terms
     if last * abs(plan.delta1) > plan.reach:
@@ -415,8 +413,7 @@ def _split(plan: _Plan, beta: float) -> tuple[float, int, int, float, float]:
     the pairs counted in its ``terms_first_series``."""
     derivative, max_terms = plan.derivative, plan.max_terms
     log_beta = math.log(beta)
-    (stop, tail3), (stop1, tail1), (stop2, tail2) = _split_stops(
-        plan, plan.rho_pi + abs(log_beta), beta)
+    (stop, tail3), (stop1, tail1), (stop2, tail2) = _split_stops(plan, log_beta, beta)
     first, second = plan.families
     v1, terms1, abs_sum = _divisor_series(first, beta, derivative, stop1, tail1,
                                           max_terms, 0.0, 0.0, "first nonresonant sum")
@@ -557,39 +554,3 @@ def gprime_series(params: StableParams, beta: float,
     """g'(beta) by the termwise-differentiated expansion, for 0 < beta < 1;
     see ``g_series``."""
     return _series(params, beta, tol, derivative=True)
-
-
-def classify(alpha: float, tol: Tolerance | None = None,
-             beta: float | None = 0.9) -> AlphaClass:
-    """Rational(p, q) when alpha's expansion terminates at a modest
-    denominator, else Irrational with the floor model: with beta None, the
-    per-alpha profile that dispatch reads.  Given a finite beta > 0 (clamped
-    into [1e-6, 0.95]) and the tolerance, an irrational alpha gets the
-    decision the series of g' makes before it sums, at rho = 1 in its pair
-    bound: Irrational where both generic families pass ``_stop``'s noise
-    checks, else paired (p and q set) where the split at the pairing
-    convergent passes ``_split_stops``, else IllConditioned.  After it sums,
-    the series can still refuse a generic sum's noise, and then pairs.
-    """
-    if not 0.0 < alpha <= 2.0:
-        raise OutOfRangeError(f"alpha must lie in (0, 2], got {alpha!r}")
-    if beta is not None and not (math.isfinite(beta) and beta > 0.0):
-        raise OutOfRangeError(f"beta must be positive, got {beta!r}")
-    alpha = float(alpha)
-    profile, pair = _profile(alpha)
-    if beta is None or profile.kind is AlphaKind.RATIONAL:
-        return profile
-    tol = tol or Tolerance()
-    beta = min(max(float(beta), 1e-6), 0.95)
-    c, nu, cap = profile.floor_constant, profile.floor_power, 0.5 * tol.abs_tol
-    if all(_stop(beta, step, True, c, nu, cap, tol.max_terms)[0] for step in (1.0, alpha)):
-        return profile
-    if pair:
-        with suppress(IllConditionedSeriesError):
-            # at rho = 1, which no sum reads: kept out of the plan cache
-            plan = _Plan(*alpha.as_integer_ratio(), *pair, 1.0, True, tol.abs_tol,
-                         tol.max_terms)
-            _split_stops(plan, math.pi + abs(math.log(beta)), beta)
-            floor = 0.5 * sin_pi(1.0 / max(pair)) if max(pair) > 1 else 0.0
-            return AlphaClass(AlphaKind.IRRATIONAL, *pair, nu, floor)
-    return replace(profile, kind=AlphaKind.ILL_CONDITIONED)

@@ -44,6 +44,22 @@ def test_eval_invalid_rho_exit_1(capsys):
     assert "rho" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "--rho", "0.5", "--beta", "0.3"),
+    ("table", "--rho", "0.5", "--beta-start", "0.3", "--beta-stop", "0.5",
+     "--beta-count", "2"),
+    ("kappa", "--rho", "0.5", "--beta", "0.3", "--gamma", "2.0"),
+    ("compare", "--rho", "0.5", "--beta", "0.3"),
+    ("classify", "--rho", "0.5"),
+], ids=lambda argv: argv[0])
+def test_commands_refuse_an_infinite_tolerance(capsys, argv):
+    # at tol inf every sum would stop after its first terms and say ok
+    code, out, err = run(capsys, *argv, "--alpha", SQRT2, "--tol", "inf")
+    assert code == 1
+    assert "status=ok" not in out
+    assert err.startswith("error: abs_tol must be finite and positive")
+
+
 def test_eval_series_vs_quadrature(capsys):
     code, out, _ = run(capsys, "eval", "--alpha", SQRT2, "--rho", "0.5",
                        "--beta", "0.3", "--method", "series", "--format", "json")
@@ -197,23 +213,22 @@ def test_classify_sqrt2(capsys):
 
 
 def test_classify_near_rational_ill(capsys):
-    # the pairing at 1/2 makes 1e-12 from it irrational; ill-conditioned
-    # is left for a budget the pairs do not fit
+    # 1e-12 from 1/2 classify prints alpha's profile, irrational with a
+    # floor of 1.3e-11, whatever the term budget: the budget, with beta and
+    # the tolerance, only sets the point of the method recommendation
     argv = ("classify", "--alpha", "0.500000000001", "--beta", "0.9", "--format", "json")
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    payload = json.loads(out)
-    assert (payload["kind"], payload["p"], payload["q"]) == ("irrational", 1, 2)
-    code, out, _ = run(capsys, *argv, "--max-terms", "50")
-    assert code == 0
-    payload = json.loads(out)
-    assert (payload["kind"], payload["p"], payload["q"]) == ("ill_conditioned", None, None)
+    for budget in ((), ("--max-terms", "50")):
+        code, out, _ = run(capsys, *argv, *budget)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["kind"], payload["p"], payload["q"]) == ("irrational", None, None)
+        assert payload["floor_constant"] == 1.2566092624600367e-11
 
 
 @pytest.mark.parametrize("beta", ["nan", "inf", "-1", "0"])
 def test_classify_refuses_a_beta_that_is_not_finite_and_positive(capsys, beta):
-    # a verdict at such a beta would be the one at the clamp into
-    # [1e-6, 0.95], or at nan none at all
+    # library classify reads no beta, so the CLI refuses one at which it
+    # could recommend no method
     code, out, err = run(capsys, "classify", "--alpha", "0.500000000001", "--beta", beta)
     assert (code, out) == (1, "")
     assert err.startswith("error: beta must be positive")

@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -10,14 +9,17 @@ from hypothesis import strategies as st
 
 from stablekappa import (
     AlphaKind,
-    OutOfRangeError,
+    IllConditionedSeriesError,
     Tolerance,
     cf_expand,
     classify,
+    gprime_series,
+    validate,
 )
+from stablekappa import series as series_module
 from stablekappa.accurate import EPS, sin_mpi, sin_pi
 from stablekappa.diophantine import RATIONAL_DENOMINATOR_CAP, AlphaClass, _profile, _truncation
-from stablekappa.series import _pair_bound, _pair_prefactor
+from stablekappa.series import _pair_bound, _pair_prefactor, _plan, _split_stops, _stop
 
 
 def _cf_oracle(x_str: str, n: int) -> list[int]:
@@ -87,39 +89,37 @@ def test_classify_rational():
 
 
 def test_classify_sqrt2_irrational():
-    ac = classify(math.sqrt(2.0), beta=0.3)
+    ac = classify(math.sqrt(2.0))
     assert ac.kind is AlphaKind.IRRATIONAL
     # bounded partial quotients: the floor 1/2 / m holds at every convergent
     assert (ac.floor_power, ac.floor_constant) == (1.0, 0.5)
 
 
 def test_classify_near_rational_ill_conditioned():
-    # 1e-12 from 1/2 the generic floor model fails and the pairing at 1/2
-    # holds; ill-conditioned is left where the pairs do not fit the term
-    # budget or their noise the tolerance
-    ac = classify(0.5 + 1e-12, Tolerance(), beta=0.9)
-    assert (ac.kind, ac.p, ac.q) == (AlphaKind.IRRATIONAL, 1, 2)
-    assert ac.floor_constant == 0.5 * sin_pi(0.5)
-    for tol in (Tolerance(max_terms=50), Tolerance(abs_tol=1e-15)):
-        ac = classify(0.5 + 1e-12, tol, beta=0.9)
-        assert (ac.kind, ac.p, ac.q) == (AlphaKind.ILL_CONDITIONED, None, None)
+    # 1e-12 from 1/2 the profile is Irrational with the floor |sin(pi/alpha)|
+    # of 1.3e-11, under which the generic sum fails; the series, not
+    # classify, pairs at 1/2 where the pairs fit the term budget and their
+    # noise the tolerance, and refuses elsewhere
+    ac = classify(0.5 + 1e-12)
+    assert ac == _profile(0.5 + 1e-12)[0]
+    assert (ac.kind, ac.p, ac.q) == (AlphaKind.IRRATIONAL, None, None)
+    assert ac.floor_constant == 1.2566092624600367e-11
+    params = validate(0.5 + 1e-12, 0.5)
+    rep = gprime_series(params, 0.9)
+    assert (rep.terms_first_series, rep.terms_second_series) == (248, 267)
+    with pytest.raises(IllConditionedSeriesError, match="does not stop within 50 terms"):
+        gprime_series(params, 0.9, Tolerance(max_terms=50))
+    with pytest.raises(IllConditionedSeriesError, match="projected noise"):
+        gprime_series(params, 0.9, Tolerance(abs_tol=1e-15))
 
 
-@pytest.mark.parametrize("beta", [math.nan, math.inf, -1.0, 0.0])
-def test_classify_refuses_a_beta_that_is_not_finite_and_positive(beta):
-    # irrational and rational alpha alike; with beta None it reads no beta
-    for alpha in (0.5 + 1e-12, 0.5):
-        with pytest.raises(OutOfRangeError, match="beta must be positive"):
-            classify(alpha, beta=beta)
-    assert classify(0.5 + 1e-12, beta=None) == _profile(0.5 + 1e-12)[0]
-
-
-def test_classify_tolerance_below_float_range_is_ill_conditioned():
+def test_series_refuses_a_tolerance_below_float_range():
     # an eighth of the smallest subnormal rounds to 0: no stopping index
     # reaches a zero target, paired or not
     tol = Tolerance(abs_tol=5e-324)
     for alpha in (math.sqrt(2.0), 1.50000001, 0.5 + 1e-12):
-        assert classify(alpha, tol).kind is AlphaKind.ILL_CONDITIONED
+        with pytest.raises(IllConditionedSeriesError):
+            gprime_series(validate(alpha, 0.5), 0.9, tol)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 1.5, 2.0,
@@ -128,8 +128,8 @@ def test_classify_tolerance_below_float_range_is_ill_conditioned():
 def test_classify_reciprocal_agreement(alpha):
     if not 0.5 <= alpha <= 2.0:
         pytest.skip("reciprocal outside (0, 2]")
-    a = classify(alpha, beta=0.5)
-    b = classify(1.0 / alpha, beta=0.5)
+    a = classify(alpha)
+    b = classify(1.0 / alpha)
     assert a.kind is b.kind
 
 
@@ -187,11 +187,14 @@ def _uncached_profile(alpha: float) -> AlphaClass:
     return AlphaClass(kind=AlphaKind.IRRATIONAL, floor_power=nu, floor_constant=c)
 
 
-def _paired_uncached(alpha: float, tol: Tolerance, beta: float,
-                     profile: AlphaClass) -> AlphaClass | None:
-    """classify's pairing recomputed: the convergent p/q (p >= 1) before the
-    largest partial quotient, first on ties; stopping indices scanned term
-    by term for a bound under tol/8; proven floors from the exact drift."""
+def _paired_uncached(alpha: float, rho: float, tol: Tolerance,
+                     beta: float) -> list[int] | None:
+    """The stops of the split of g' at the pairing convergent recomputed, or
+    None where it refuses: the convergent p/q (p >= 1) before the largest
+    partial quotient, first on ties; stopping indices scanned term by term
+    for a bound under tol/8, the pairs' at weight pi rho + |log beta|;
+    proven floors from the exact drift; the noise projected at beta clamped
+    into [1e-6, 0.95]."""
     cf = cf_expand(alpha)
     ahead = [(a, pq) for pq, a in zip(cf.convergents, cf.quotients[1:]) if pq[0] >= 1]
     if not ahead:
@@ -200,63 +203,29 @@ def _paired_uncached(alpha: float, tol: Tolerance, beta: float,
     p, q = next(pq for a, pq in ahead if a == best)
     x = Fraction(alpha)
     eighth = Tolerance(abs_tol=tol.abs_tol / 4.0, max_terms=tol.max_terms)
-    noise = 0.0
-    for skip, step, drift in ((p, 1.0, abs(1 / x - Fraction(q, p))),
-                              (q, alpha, abs(x - Fraction(p, q)))):
+    b = min(max(beta, 1e-6), 0.95)
+    stops, noise = [0, 0], 0.0
+    for i, (skip, step, drift) in enumerate(((p, 1.0, abs(1 / x - Fraction(q, p))),
+                                             (q, alpha, abs(x - Fraction(p, q))))):
         if skip > 1:
             c = 0.5 * sin_pi(1.0 / skip)
-            stop, _ = _projected_cost_full(beta, step, step, c, 0.0, eighth)
-            margin = Fraction(1, skip) - stop * drift if stop else 0
-            if stop is None or margin <= 0 or sin_pi(float(margin)) < c:
+            stops[i], _ = _projected_cost_full(beta, step, step, c, 0.0, eighth)
+            margin = Fraction(1, skip) - stops[i] * drift if stops[i] else 0
+            if stops[i] is None or margin <= 0 or sin_pi(float(margin)) < c:
                 return None
-            noise += step * beta ** (step - 1.0) / (c * (1.0 - beta ** step))
+            noise += step * b ** (step - 1.0) / (c * (1.0 - b ** step))
     delta1 = abs(float(x * q - p))
     reach = min(delta1 * tol.max_terms, 0.5 * min(alpha, 1.0))
-    pre = _pair_prefactor(_pair_bound(alpha, p, reach, 0), math.pi + abs(math.log(beta)), beta)
+    bound = _pair_bound(alpha, p, reach, 0)
+    pre = _pair_prefactor(bound, math.pi * rho + abs(math.log(beta)), beta)
     stop, _ = _projected_cost_full(beta, p, pre, 1.0, 0.0, eighth)
     if stop is None or stop * delta1 > reach:
         return None
-    noise += pre * beta ** (p - 1.0) / (1.0 - beta ** p)
+    pre = _pair_prefactor(bound, math.pi + abs(math.log(b)), b)
+    noise += pre * b ** (p - 1.0) / (1.0 - b ** p)
     if 4.0 * EPS * noise > 0.5 * tol.abs_tol:
         return None
-    return replace(profile, p=p, q=q, floor_constant=0.5 * sin_pi(1.0 / max(p, q))
-                   if max(p, q) > 1 else 0.0)
-
-
-def _classify_uncached(alpha: float, tol: Tolerance, beta: float,
-                       profile: AlphaClass | None = None) -> AlphaClass:
-    """classify recomputed with no cache in between and both families
-    projected in full, every term bound's noise under half the tolerance,
-    then the pairing where that fails; ``profile`` is alpha's
-    ``_uncached_profile`` when the caller already has it."""
-    profile = profile or _uncached_profile(alpha)
-    if profile.kind is AlphaKind.RATIONAL:
-        return profile
-    nu = profile.floor_power
-    c = profile.floor_constant
-    beta_proj = min(max(beta, 1e-6), 0.95)
-    m1, peak1 = _projected_cost_full(beta_proj, 1.0, 1.0, c, nu, tol)
-    m2, peak2 = _projected_cost_full(beta_proj, alpha, alpha, c, nu, tol)
-    ill = m1 is None or m2 is None or 4.0 * EPS * max(peak1, peak2) > 0.5 * tol.abs_tol
-    if not ill:
-        return profile
-    paired = _paired_uncached(alpha, tol, beta_proj, profile)
-    return paired or replace(profile, kind=AlphaKind.ILL_CONDITIONED)
-
-
-def test_classify_matches_uncached_recomputation():
-    _profile.cache_clear()
-    kinds = set()
-    for alpha in CACHE_ALPHAS:
-        for tol in CACHE_TOLS:
-            for beta in CACHE_BETAS:
-                got = classify(alpha, tol, beta)
-                want = _classify_uncached(alpha, tol, beta)
-                assert got == want, (alpha, tol, beta)
-                assert got.floor_constant.hex() == want.floor_constant.hex()
-                kinds.add((got.kind, got.p is not None))
-    assert kinds == {(AlphaKind.RATIONAL, True), (AlphaKind.IRRATIONAL, False),
-                     (AlphaKind.IRRATIONAL, True), (AlphaKind.ILL_CONDITIONED, False)}
+    return [stop, *stops]
 
 
 # near-resonant alphas at several distances from 1/2, 1, 3/2 and 2, and
@@ -275,19 +244,58 @@ GRID_TOLS = (Tolerance(abs_tol=1e-8), Tolerance(), Tolerance(abs_tol=1e-13),
              Tolerance(abs_tol=1e-12, max_terms=500))
 
 
-def test_classify_early_exit_keeps_every_verdict():
-    kinds = set()
-    for alpha in GRID_ALPHAS:
-        profile = _uncached_profile(alpha)
-        for tol in GRID_TOLS:
-            for beta in GRID_BETAS:
-                got = classify(alpha, tol, beta)
-                want = _classify_uncached(alpha, tol, beta, profile)
-                assert got == want, (alpha, tol, beta)
-                kinds.add((got.kind, got.p is not None))
-    # generic, paired near a resonance, and ill-conditioned where neither fits
-    assert kinds == {(AlphaKind.IRRATIONAL, False), (AlphaKind.IRRATIONAL, True),
-                     (AlphaKind.ILL_CONDITIONED, False)}
+def test_classify_matches_uncached_recomputation():
+    _profile.cache_clear()
+    for alpha in CACHE_ALPHAS + GRID_ALPHAS:
+        got, want = classify(alpha), _uncached_profile(alpha)
+        assert got == want, alpha
+        assert got.floor_constant.hex() == want.floor_constant.hex()
+
+
+def _generic_uncached(alpha: float, tol: Tolerance, beta: float,
+                      profile: AlphaClass) -> list[int | None]:
+    """The stops of the two generic families of g' recomputed, each None
+    where it does not stop within the budget or 4 eps times its largest
+    term bound exceeds half the tolerance."""
+    stops = []
+    for step in (1.0, alpha):
+        stop, peak = _projected_cost_full(beta, step, step, profile.floor_constant,
+                                          profile.floor_power, tol)
+        stops.append(stop if 4.0 * EPS * peak <= 0.5 * tol.abs_tol else None)
+    return stops
+
+
+def test_series_stops_match_uncached_recomputation():
+    # the decision the series of g' makes before it sums, at rho 0.5: the
+    # generic families' stops (``_stop``), else the split's at the pairing
+    # convergent (``_split_stops``), else a refusal
+    rho, kinds = 0.5, set()
+    for alphas, tols, betas in ((CACHE_ALPHAS, CACHE_TOLS, CACHE_BETAS),
+                                (GRID_ALPHAS, GRID_TOLS, GRID_BETAS)):
+        for alpha in alphas:
+            profile, pair = _profile(alpha)
+            if profile.kind is AlphaKind.RATIONAL:
+                continue
+            c, nu = profile.floor_constant, profile.floor_power
+            reference = _uncached_profile(alpha)
+            for tol in tols:
+                plan = _plan(*alpha.as_integer_ratio(), *pair, rho, True, tol.abs_tol,
+                             tol.max_terms)
+                for beta in betas:
+                    got = [_stop(beta, step, True, c, nu, 0.5 * tol.abs_tol,
+                                 tol.max_terms)[0] for step in (1.0, alpha)]
+                    assert got == _generic_uncached(alpha, tol, beta, reference), (
+                        alpha, tol, beta)
+                    if None not in got:
+                        kinds.add("generic")
+                        continue
+                    try:
+                        got = [stop for stop, _ in _split_stops(plan, math.log(beta), beta)]
+                    except IllConditionedSeriesError:
+                        got = None
+                    assert got == _paired_uncached(alpha, rho, tol, beta), (alpha, tol, beta)
+                    kinds.add("refused" if got is None else "paired")
+    assert kinds == {"generic", "paired", "refused"}
 
 
 def test_floor_model_holds_below_the_last_denominator():
@@ -311,8 +319,7 @@ def test_floor_model_holds_below_the_last_denominator():
 
 
 def test_classify_shortcut_premise_peak_bounds_the_noise_sum():
-    # the series' noise check before it sums (``_stop``, behind classify's
-    # verdict) reads a family's largest term bound p from two bounds, and
+    # the series' noise check before it sums (``_stop``) reads a family's largest term bound p from two bounds, and
     # p <= sum <= s p places the family's bound-sum, s its stopping index:
     # bounds step beta**(step m - 1) m**nu / c up to s, and p taken, as
     # ``_stop`` takes it, at floor k or floor k + 1 with
@@ -336,19 +343,19 @@ def test_classify_shortcut_premise_peak_bounds_the_noise_sum():
     assert checked > 1000
 
 
-def test_classify_pairing_needs_the_proven_floors():
-    # 3.1e-3 above 3/2 at tol 1e-13 the generic model fails and the pairs
-    # fit their reach; from beta 0.8 on the first family
-    # stops past the index where its proven floor, 1/3 less the drift, keeps
-    # half of sin(pi/3), so the pairing is refused there
-    alpha, tol = 1.5 + 1e-3 * math.pi, Tolerance(abs_tol=1e-13)
-    ac = classify(alpha, tol, 0.75)
-    assert (ac.kind, ac.p, ac.q) == (AlphaKind.IRRATIONAL, 3, 2)
-    assert classify(alpha, tol, 0.8).kind is AlphaKind.ILL_CONDITIONED
-
-
 def test_profile_cache_stays_at_its_bound():
     bound = _profile.cache_info().maxsize
     for i in range(bound + 8):
-        classify(1.0 + math.sqrt(2.0) / (100.0 + i), beta=0.5)
+        classify(1.0 + math.sqrt(2.0) / (100.0 + i))
     assert _profile.cache_info().currsize == bound
+
+
+def test_classify_leaves_the_series_caches_alone():
+    # classify reads alpha's profile and builds no plan, so classifying
+    # many alphas evicts none of the series' sine tables
+    caches = (series_module._family, series_module._plan)
+    for cache in caches:
+        cache.cache_clear()
+    for k in range(40):
+        classify(0.5 + k * 1e-12)
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]

@@ -57,24 +57,36 @@ def _references(node: ast.AST) -> set[str]:
     return names
 
 
+def _private_targets(top: ast.stmt) -> set[str]:
+    """The private names (``_name``, not dunders) a top-level assignment binds."""
+    if not isinstance(top, (ast.Assign, ast.AnnAssign)):
+        return set()
+    targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+    return {node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name) and node.id.startswith("_")
+            and not node.id.startswith("__")}
+
+
 def test_every_top_level_definition_is_used_or_exported():
     # code that only tests use belongs under tests/, not in the package:
-    # every top-level function and class must be referenced by another
-    # top-level statement of the package, or be listed in __all__
+    # every top-level function and class, and every private name a
+    # top-level assignment binds, must be referenced by another top-level
+    # statement of the package, or be listed in __all__
     exported: set[str] = set()
     defined: dict[str, str] = {}
     used: set[str] = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text(), filename=str(path)).body:
             if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined[top.name] = path.name
-                # a definition's own body does not count as a use of it
-                used.update(_references(top) - {top.name})
-                continue
+                own = {top.name}
+            else:
+                own = _private_targets(top)
             if isinstance(top, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == "__all__" for t in top.targets):
                 exported.update(ast.literal_eval(top.value))
-            used.update(_references(top))
+            defined.update(dict.fromkeys(own, path.name))
+            # a definition does not count as a use of itself
+            used.update(_references(top) - own)
     unused = {name: module for name, module in defined.items()
               if name not in used and name not in exported}
     assert not unused, unused

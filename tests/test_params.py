@@ -85,6 +85,8 @@ def test_tolerance_validation():
     with pytest.raises(OutOfRangeError):
         Tolerance(abs_tol=0.0)
     with pytest.raises(OutOfRangeError):
+        Tolerance(abs_tol=math.inf)
+    with pytest.raises(OutOfRangeError):
         Tolerance(max_terms=0)
 
 

@@ -27,7 +27,7 @@ from stablekappa import (
     validate,
 )
 from stablekappa.accurate import EPS, sin_mpi, sin_pi
-from stablekappa.diophantine import AlphaClass, _truncation
+from stablekappa.diophantine import AlphaClass, _profile, _truncation
 from stablekappa.series import SeriesReport, _generic, _split, _stop
 
 from oracles import g_mpmath, gprime_mpmath
@@ -129,7 +129,7 @@ def test_one_sided_endpoint_bounds_the_second_series_it_leaves_out():
     # joins the tail bound.  At tol 1e-8 the series decides on the generic
     # sum for g and g' (at the default tolerance g' pairs at 1/1 instead)
     alpha, tol = 1.0000001, Tolerance(abs_tol=1e-8)
-    params, profile = validate(alpha, 1.0 / alpha), classify(alpha, beta=None)
+    params, profile = validate(alpha, 1.0 / alpha), classify(alpha)
     for beta in (1.2e-6, 0.012, 0.5):
         for series, oracle in ((g_series, g_mpmath), (gprime_series, gprime_mpmath)):
             rep = series(params, beta, tol)
@@ -457,10 +457,12 @@ def test_truncation_with_a_budget_past_float_range():
     assert _truncation(*args) == _truncation_scan(*args)
     args = (1.0 - 1e-8, 1.0, 1.0, 1.0, 38.9, 1e-11, 5e-11, 10**9)
     assert _truncation(*args) == (None, math.inf)
-    # the generic verdict fails, and the pairing at 1/2 takes the budget,
-    # whose reach over the pairs is capped, without summing past it
-    paired = classify(0.5 + 1e-12, Tolerance(max_terms=10**8), 0.9)
-    assert (paired.kind, paired.p, paired.q) == (AlphaKind.IRRATIONAL, 1, 2)
+    # the generic sum fails, and the pairing at 1/2 takes the budget, whose
+    # reach over the pairs is capped, without summing past it
+    params = validate(0.5 + 1e-12, 0.5)
+    paired = gprime_series(params, 0.9, Tolerance(max_terms=10**8))
+    assert paired == _paired(params, 1, 2, 0.9, Tolerance(max_terms=10**8), True)
+    assert (paired.terms_first_series, paired.terms_second_series) == (248, 267)
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +509,11 @@ def test_each_family_is_the_exactly_rounded_sum_of_its_terms(alpha, series, monk
     # at beta 0.95 the families run to hundreds or thousands of terms; each
     # sum the series takes is recorded, checked term for term against the
     # family rebuilt here, and its value against the exact rational sum.
-    # classify's verdict names the form the series decides on: generic, or
-    # split at the rational 3/10
+    # the series decides on the generic sum at the irrational alphas, and
+    # splits at the rational 3/10, whose profile names p and q
     beta, rho = 0.95, 0.5
     derivative = series is gprime_series
-    aclass = classify(alpha, Tolerance(), beta)
+    aclass = classify(alpha)
     sums, fsum = [], math.fsum
 
     def recorded(terms):
@@ -551,7 +553,7 @@ def test_rational_split_refuses_a_missed_tolerance():
     # tolerance, so it refuses after it sums and the plan runs quadrature
     alpha, rho, beta, tol = 0.5 + 1e-6, 0.3, 0.9, Tolerance()
     params = validate(alpha, rho)
-    aclass = classify(alpha, tol, beta)
+    aclass = classify(alpha)
     assert (aclass.kind, aclass.p, aclass.q) == (AlphaKind.RATIONAL, 500001, 1000000)
     with pytest.raises(IllConditionedSeriesError, match="above the tolerance"):
         g_series(params, beta, tol)
@@ -702,7 +704,7 @@ def test_paired_series_within_its_bound_of_mpmath(alpha, p, q, series, oracle):
     # the split at the pairing convergent, called directly at every beta,
     # and 1e-6 above 1/2 at 1/2 where the series splits at 500001/1000000
     if alpha != 0.5 + 1e-6:
-        assert (classify(alpha, beta=0.9).p, classify(alpha, beta=0.9).q) == (p, q)
+        assert _profile(alpha)[1] == (p, q)
     for rho in (0.3, 0.5, 0.9):
         if not 1.0 - 1.0 / alpha <= rho <= 1.0 / alpha:
             continue  # at 3/2 only 0.5 is admissible
@@ -723,7 +725,7 @@ def test_dispatched_series_within_its_bound_of_mpmath(series, oracle):
     derivative = series is gprime_series
     for alpha in (SQRT2, math.pi / 2.0, math.sqrt(3.0), math.e / 2.0,
                   0.5 + SQRT2 / 40.0, 1.5 - 1e-4 * math.pi, 1.50000001):
-        profile = classify(alpha, beta=None)
+        profile = classify(alpha)
         for beta in (1e-4, 0.3, 0.8, 0.94):
             ref, _ = oracle(alpha, 0.5, beta)
             for tol in (Tolerance(), Tolerance(abs_tol=1e-13)):
@@ -771,7 +773,7 @@ def test_generic_series_refuses_its_summed_noise_over_the_cap():
     # the summed |terms| exceeds half of it: the series refuses that sum and
     # pairs its terms near 1/1
     alpha, rho, beta, tol = 1.0 + 1e-5 * math.pi, 0.3, 0.05, Tolerance(abs_tol=1e-12)
-    params, profile, cap = validate(alpha, rho), classify(alpha, beta=None), 0.5e-12
+    params, profile, cap = validate(alpha, rho), classify(alpha), 0.5e-12
     (a_num, a_den), (r_num, r_den) = alpha.as_integer_ratio(), rho.as_integer_ratio()
     value = tail = abs_sum = 0.0
     for step, div, num in ((1.0, (a_den, a_num), (r_num, r_den)),

@@ -331,8 +331,8 @@ def cmd_compare(args) -> int:
 
 def cmd_classify(args) -> int:
     tol = _tolerance(args)
+    aclass = classify(args.alpha)  # checks alpha's range before it is expanded
     cf = cf_expand(args.alpha)
-    aclass = classify(args.alpha)
     if not (math.isfinite(args.beta) and args.beta > 0.0):
         raise OutOfRangeError(f"beta must be positive, got {args.beta!r}")
     recommended = None

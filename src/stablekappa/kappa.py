@@ -8,29 +8,35 @@ reflection identity g(beta) = g(1/beta) + alpha rho log(beta).
 
 Which evaluator runs is decided in one place, ``plan``: it yields the
 candidate methods for one beta, for g or g', in the order they are tried,
-each with the reason it runs or is skipped.  For beta <= 0.95 the order is
-the Doney closed form (g only; exact and cheapest), the small-divisor
-series (which decides its own conditioning at this beta, and raises
-IllConditionedSeriesError where it does not fit), then quadrature.  In the
-band 0.95 < beta < 1.05, where the series slow down, quadrature comes
-first and the Doney and series candidates are skipped, except that below
-beta = 1 the series at rational alpha stays on as its fallback: its floors
-do not depend on beta.  beta >= 1.05 is planned at 1/beta and every result
-reflected.  A forced method runs its own step of this plan alone, except
-in the band, and raises when the plan skips that step.  The plan is lazy:
-``find_doney_case`` and ``classify`` run only when a candidate that needs
-them comes up, and ``classify`` returns alpha's cached profile.
+each with the reason it runs or is skipped.  A beta >= 1.05 is planned at
+1/beta and every result reflected; what follows is said of the beta
+planned.  For beta <= 0.95 the order is the Doney closed form (g only;
+exact and cheapest), the small-divisor series (which decides its own
+conditioning at this beta, and raises IllConditionedSeriesError where it
+does not fit), then quadrature.  In the band 0.95 < beta < 1.05, where the
+series slow down, quadrature comes first and the Doney and series
+candidates are skipped, except that below beta = 1 the series at rational
+alpha stays on as its fallback: its floors do not depend on beta.  So a
+beta in [1.05, 1/0.95) is planned in the band at 1/beta.  A forced method
+runs its own step of this plan alone, except in the band, and raises when
+the plan skips that step.  The steps are cached per (params, g or g',
+method, tolerance, region), the region being whether beta is reflected,
+whether the beta planned lies in the band and whether it lies below 1:
+``find_doney_case`` and ``classify`` are read only when an entry is
+filled, and each step looks up its evaluator when it runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 from .accurate import EPS
 from .diophantine import AlphaKind, classify
 from .params import (
+    DEFAULT_TOLERANCE,
     ConvergenceFailureError,
     EvalResult,
     IllConditionedSeriesError,
@@ -46,6 +52,7 @@ from .special import find_doney_case, g_doney
 
 _BAND_LO = 0.95
 _BAND_HI = 1.05
+_STEPS_CACHE = 256   # (params, g or g', method, tolerance, region) plans kept
 _FALLBACK = (ConvergenceFailureError, IllConditionedSeriesError)
 
 
@@ -71,38 +78,88 @@ class Candidate(NamedTuple):
     run: Callable[[], EvalResult] | None = None
 
 
-# the skipped steps, shared by every plan
 _IN_BAND = "skipped: 0.95 < beta < 1.05, where quadrature runs"
-_DONEY_IN_BAND = Candidate(MethodChoice.DONEY, _IN_BAND)
-_DONEY_G_ONLY = Candidate(MethodChoice.DONEY, "skipped: closed form covers g only")
-_NO_DONEY_CASE = Candidate(MethodChoice.DONEY, "skipped: no (k, l) with rho + k = l/alpha")
-_SERIES_IN_BAND = Candidate(MethodChoice.SERIES, _IN_BAND)
 
 
-def _series_result(series, params: StableParams, beta: float, tol: Tolerance) -> EvalResult:
-    report = series(params, beta, tol)
-    return EvalResult(report.value, report.tail_bound + report.noise_bound,
-                      MethodChoice.SERIES,
-                      report.terms_first_series + report.terms_second_series)
+def _region(beta: float) -> tuple[bool, bool, bool]:
+    """(reflected, in the band, below 1): beta >= 1.05 is planned at 1/beta,
+    and the other two are read at the beta planned."""
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise OutOfRangeError(f"beta must be positive, got {beta!r}")
+    inner = 1.0 / beta if beta >= _BAND_HI else beta
+    return beta >= _BAND_HI, inner > _BAND_LO, inner < 1.0
 
 
-def _doney_result(params: StableParams, beta: float, case) -> EvalResult:
-    value = g_doney(params, beta, case)
-    bound = 4.0 * EPS * (case.k + case.l + 2) * (1.0 + abs(value))
-    return EvalResult(value, bound, MethodChoice.DONEY, case.k + case.l)
+@lru_cache(maxsize=_STEPS_CACHE)
+def _steps(params: StableParams, derivative: bool, method: MethodChoice,
+           tol: Tolerance | None, region: tuple[bool, bool, bool]) -> tuple:
+    """The steps of ``plan`` in one region, each (method, reason, evaluator
+    of the planned beta or None when skipped).  An evaluator returns
+    (value, bound, method, terms or nodes) and looks up its method's
+    function when it runs."""
+    reflected, band, below_one = region
+    tol = tol or DEFAULT_TOLERANCE
+    case = None if derivative else find_doney_case(params)
 
+    def quadrature(beta):
+        res = (gprime_quad if derivative else g_quad)(params, beta, tol)
+        return res.value, res.abs_error_bound, res.method, res.terms_or_nodes_used
 
-def _reflected(inner: EvalResult, params: StableParams, beta: float,
-               derivative: bool) -> EvalResult:
-    """g(beta) = g(1/beta) + alpha rho log(beta), or its derivative
-    g'(beta) = alpha rho / beta - g'(1/beta) / beta^2, from the inner result."""
+    def series(beta):
+        rep = (gprime_series if derivative else g_series)(params, beta, tol)
+        return (rep.value, rep.tail_bound + rep.noise_bound, MethodChoice.SERIES,
+                rep.terms_first_series + rep.terms_second_series)
+
+    def doney(beta):
+        value = g_doney(params, beta, case)
+        return (value, 4.0 * EPS * (case.k + case.l + 2) * (1.0 + abs(value)),
+                MethodChoice.DONEY, case.k + case.l)
+
+    steps = [(MethodChoice.QUADRATURE, "0.95 < beta < 1.05, where both series slow down",
+              quadrature)] if band else []
     if derivative:
-        value = params.alpha * params.rho / beta - inner.value / (beta * beta)
-        bound = inner.abs_error_bound / (beta * beta) + 4.0 * EPS * (1.0 + abs(value))
+        steps.append((MethodChoice.DONEY, "skipped: closed form covers g only", None))
+    elif case is None:
+        steps.append((MethodChoice.DONEY, "skipped: no (k, l) with rho + k = l/alpha", None))
     else:
-        value = inner.value + params.alpha * params.rho * math.log(beta)
-        bound = inner.abs_error_bound + 4.0 * EPS * (1.0 + abs(value))
-    return EvalResult(value, bound, inner.method, inner.terms_or_nodes_used)
+        steps.append((MethodChoice.DONEY, _IN_BAND, None) if band else
+                     (MethodChoice.DONEY, f"Doney case (k, l) = ({case.k}, {case.l})", doney))
+    aclass = classify(params.alpha)
+    rational = aclass.kind is AlphaKind.RATIONAL
+    if band and not (rational and below_one):
+        steps.append((MethodChoice.SERIES, _IN_BAND, None))
+    else:
+        reason = (f"rational alpha {aclass.p}/{aclass.q}, split at its resonant terms"
+                  if rational else "irrational alpha, paired where the generic sum refuses")
+        steps.append((MethodChoice.SERIES, reason, series))
+    if not band:
+        steps.append((MethodChoice.QUADRATURE, "reference evaluator", quadrature))
+    if reflected:
+        steps = [(m, reason + "; at 1/beta, reflected" if run else reason, run)
+                 for m, reason, run in steps]
+    if method is MethodChoice.AUTO:
+        return tuple(steps)
+    step = steps[0] if band else next(s for s in steps if s[0] is method)
+    if step[2] is None:
+        raise MethodNotApplicableError(f"forced method {method.value} does not apply: "
+                                       f"{step[1].removeprefix('skipped: ')}")
+    return (step,)
+
+
+def _outcome(run, params: StableParams, beta: float, derivative: bool) -> tuple:
+    """One step's result at beta.  For beta >= 1.05 the step runs at 1/beta
+    and g(beta) = g(1/beta) + alpha rho log(beta), or its derivative
+    g'(beta) = alpha rho / beta - g'(1/beta) / beta^2, reflects it back."""
+    if beta < _BAND_HI:
+        return run(beta)
+    value, bound, method, used = run(1.0 / beta)
+    if derivative:
+        value = params.alpha * params.rho / beta - value / (beta * beta)
+        bound = bound / (beta * beta) + 4.0 * EPS * (1.0 + abs(value))
+    else:
+        value += params.alpha * params.rho * math.log(beta)
+        bound += 4.0 * EPS * (1.0 + abs(value))
+    return value, bound, method, used
 
 
 def plan(params: StableParams, beta: float, derivative: bool = False,
@@ -115,74 +172,23 @@ def plan(params: StableParams, beta: float, derivative: bool = False,
     A forced method is the one step of that method, alone; in the band it
     is quadrature, whatever is forced.  A forced step that the plan skips
     raises MethodNotApplicableError for the reason it gives."""
-    if not (math.isfinite(beta) and beta > 0.0):
-        raise OutOfRangeError(f"beta must be positive, got {beta!r}")
-    tol = tol or Tolerance()
-    outer = None
-    if beta >= _BAND_HI:
-        outer, beta = beta, 1.0 / beta
-    band = beta > _BAND_LO
-    quadrature = gprime_quad if derivative else g_quad
-
-    def runnable(m: MethodChoice, reason: str, fn, *args) -> Candidate:
-        if outer is None:
-            return Candidate(m, reason, lambda: fn(*args))
-        return Candidate(m, reason + "; at 1/beta, reflected",
-                         lambda: _reflected(fn(*args), params, outer, derivative))
-
-    def steps() -> Iterator[Candidate]:
-        if band:
-            yield runnable(MethodChoice.QUADRATURE, "0.95 < beta < 1.05, where both "
-                           "series slow down", quadrature, params, beta, tol)
-        if derivative:
-            yield _DONEY_G_ONLY
-        else:
-            case = find_doney_case(params)
-            if case is None:
-                yield _NO_DONEY_CASE
-            elif band:
-                yield _DONEY_IN_BAND
-            else:
-                yield runnable(MethodChoice.DONEY,
-                               f"Doney case (k, l) = ({case.k}, {case.l})",
-                               _doney_result, params, beta, case)
-
-        aclass = classify(params.alpha)
-        rational = aclass.kind is AlphaKind.RATIONAL
-        if band and not (rational and beta < 1.0):
-            yield _SERIES_IN_BAND
-        else:
-            reason = (f"rational alpha {aclass.p}/{aclass.q}, split at its resonant terms"
-                      if rational else "irrational alpha, paired where the generic sum refuses")
-            yield runnable(MethodChoice.SERIES, reason, _series_result,
-                           gprime_series if derivative else g_series, params, beta, tol)
-        if not band:
-            yield runnable(MethodChoice.QUADRATURE, "reference evaluator",
-                           quadrature, params, beta, tol)
-
-    if method is MethodChoice.AUTO:
-        yield from steps()
-        return
-    for step in steps():
-        if band or step.method is method:
-            if step.run is None:
-                raise MethodNotApplicableError(f"forced method {method.value} does not apply: "
-                                               f"{step.reason.removeprefix('skipped: ')}")
-            yield step
-            return
+    for m, reason, run in _steps(params, derivative, method, tol, _region(beta)):
+        yield Candidate(m, reason, run and (
+            lambda run=run: EvalResult(*_outcome(run, params, beta, derivative))))
 
 
 def _any_beta(params: StableParams, beta: float, derivative: bool,
-              method: MethodChoice, tol: Tolerance | None) -> EvalResult:
-    """The first candidate of the plan that converges.  One that raises
-    ConvergenceFailureError or IllConditionedSeriesError passes to the
-    next; the last failure is raised, each earlier one chained on as the
-    ``__cause__`` of the one after it."""
+              method: MethodChoice, tol: Tolerance | None) -> tuple:
+    """(value, bound, method, terms or nodes) of the first step of the plan
+    that converges.  One that raises ConvergenceFailureError or
+    IllConditionedSeriesError passes to the next; the last failure is
+    raised, each earlier one chained on as the ``__cause__`` of the one
+    after it."""
     failures = []
-    for step in plan(params, beta, derivative, method, tol):
-        if step.run is not None:
+    for _, _, run in _steps(params, derivative, method, tol, _region(beta)):
+        if run is not None:
             try:
-                return step.run()
+                return _outcome(run, params, beta, derivative)
             except _FALLBACK as exc:
                 failures.append(exc)
     for earlier, later in zip(failures, failures[1:]):
@@ -194,14 +200,26 @@ def g_any_beta(params: StableParams, beta: float,
                method: MethodChoice = MethodChoice.AUTO,
                tol: Tolerance | None = None) -> EvalResult:
     """g(beta) for any beta > 0 by the first candidate of ``plan`` that converges."""
-    return _any_beta(params, beta, False, method, tol)
+    return EvalResult(*_any_beta(params, beta, False, method, tol))
 
 
 def gprime_any_beta(params: StableParams, beta: float,
                     method: MethodChoice = MethodChoice.AUTO,
                     tol: Tolerance | None = None) -> EvalResult:
     """g'(beta) for any beta > 0 by the first candidate of ``plan`` that converges."""
-    return _any_beta(params, beta, True, method, tol)
+    return EvalResult(*_any_beta(params, beta, True, method, tol))
+
+
+def _kappa(params: StableParams, q: KappaQuery, method: MethodChoice,
+           tol: Tolerance | None) -> tuple:
+    """(value, bound, method, terms or nodes) of ``kappa``."""
+    scale = q.gamma ** params.rho
+    if q.beta == 0.0:
+        return scale, 4.0 * EPS * abs(scale), method, 0
+    arg = q.beta * q.gamma ** (-1.0 / params.alpha)
+    value, bound, used, count = _any_beta(params, arg, False, method, tol)
+    value = scale * math.exp(value)
+    return value, abs(value) * math.expm1(bound) + 4.0 * EPS * abs(value), used, count
 
 
 def kappa(params: StableParams, q: KappaQuery,
@@ -209,15 +227,7 @@ def kappa(params: StableParams, q: KappaQuery,
           tol: Tolerance | None = None) -> EvalResult:
     """kappa(gamma, beta) = gamma^rho exp(g(beta gamma^(-1/alpha)));
     kappa(gamma, 0) = gamma^rho exactly."""
-    tol = tol or Tolerance()
-    scale = q.gamma ** params.rho
-    if q.beta == 0.0:
-        return EvalResult(scale, 4.0 * EPS * abs(scale), method, 0)
-    arg = q.beta * q.gamma ** (-1.0 / params.alpha)
-    inner = g_any_beta(params, arg, method, tol)
-    value = scale * math.exp(inner.value)
-    bound = abs(value) * math.expm1(inner.abs_error_bound) + 4.0 * EPS * abs(value)
-    return EvalResult(value, bound, inner.method, inner.terms_or_nodes_used)
+    return EvalResult(*_kappa(params, q, method, tol))
 
 
 def exit_transform(params: StableParams, eta: float, gamma: float, theta: float,
@@ -228,7 +238,6 @@ def exit_transform(params: StableParams, eta: float, gamma: float, theta: float,
     The expression is symmetric in (gamma, theta) exactly; swapping them
     produces the same floating-point value.
     """
-    tol = tol or Tolerance()
     for name, arg in (("eta", eta), ("gamma", gamma), ("theta", theta)):
         if not math.isfinite(arg):
             raise OutOfRangeError(f"{name} must be finite, got {arg!r}")
@@ -238,12 +247,9 @@ def exit_transform(params: StableParams, eta: float, gamma: float, theta: float,
         raise OutOfRangeError("gamma and theta must be nonnegative")
     if theta + gamma == 0.0:
         raise ZeroDivisionError("theta + gamma must be positive")
-    k1 = kappa(params, KappaQuery(eta, gamma), method, tol)
-    k2 = kappa(params, KappaQuery(eta, theta), method, tol)
+    v1, b1, used, n1 = _kappa(params, KappaQuery(eta, gamma), method, tol)
+    v2, b2, _, n2 = _kappa(params, KappaQuery(eta, theta), method, tol)
     # grouping keeps the value exactly symmetric under gamma <-> theta
-    value = 1.0 / ((theta + gamma) * (k1.value * k2.value))
-    rel = (k1.abs_error_bound / abs(k1.value)
-           + k2.abs_error_bound / abs(k2.value))
-    bound = abs(value) * rel + 4.0 * EPS * abs(value)
-    return EvalResult(value, bound, k1.method,
-                      k1.terms_or_nodes_used + k2.terms_or_nodes_used)
+    value = 1.0 / ((theta + gamma) * (v1 * v2))
+    bound = abs(value) * (b1 / abs(v1) + b2 / abs(v2)) + 4.0 * EPS * abs(value)
+    return EvalResult(value, bound, used, n1 + n2)

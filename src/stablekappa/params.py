@@ -91,6 +91,9 @@ class Tolerance:
                 f"max_terms must be a positive integer, got {self.max_terms!r}")
 
 
+DEFAULT_TOLERANCE = Tolerance()  # what every evaluator uses when given no tolerance
+
+
 @dataclass(frozen=True)
 class EvalResult:
     """A computed value with its error bound and provenance.

@@ -24,6 +24,7 @@ import math
 
 from .accurate import EPS, cos_pi, sin_pi
 from .params import (
+    DEFAULT_TOLERANCE,
     ConvergenceFailureError,
     EvalResult,
     MethodChoice,
@@ -171,7 +172,7 @@ def _quad(params: StableParams, beta: float, tol: Tolerance | None,
     their pair of integrands over (0, 1] and over the mapped tail."""
     if not beta > 0.0:
         raise OutOfRangeError(f"beta must be positive, got {beta!r}")
-    tol = tol or Tolerance()
+    tol = tol or DEFAULT_TOLERANCE
     alpha = params.alpha
     sinr = sin_pi(params.rho)
     cosr = cos_pi(params.rho)

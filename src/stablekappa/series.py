@@ -69,6 +69,7 @@ from operator import add, mul
 from .accurate import EPS, sin_mpi, sin_pi, sincos_mpi
 from .diophantine import AlphaClass, AlphaKind, _profile, _truncation
 from .params import (
+    DEFAULT_TOLERANCE,
     ConvergenceFailureError,
     IllConditionedSeriesError,
     OutOfRangeError,
@@ -520,7 +521,7 @@ def _generic(alpha: float, rho: float, beta: float, tol: Tolerance, profile: Alp
 
 def _series(params: StableParams, beta: float, tol: Tolerance | None,
             derivative: bool) -> SeriesReport:
-    tol = tol or Tolerance()
+    tol = tol or DEFAULT_TOLERANCE
     if beta == 0.0 and not derivative:
         return SeriesReport(0.0, 0, 0, 0.0)
     if not 0.0 < beta < 1.0:

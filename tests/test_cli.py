@@ -234,6 +234,15 @@ def test_classify_refuses_a_beta_that_is_not_finite_and_positive(capsys, beta):
     assert err.startswith("error: beta must be positive")
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "0", "-1", "3"])
+def test_classify_refuses_an_alpha_out_of_range(capsys, alpha):
+    # the range is checked before the continued fraction is expanded, so the
+    # message names alpha's range, not the expansion's domain
+    code, out, err = run(capsys, "classify", f"--alpha={alpha}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: alpha must lie in (0, 2]")
+
+
 def test_selftest_default_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0

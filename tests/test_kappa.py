@@ -1,5 +1,6 @@
 import importlib
 import math
+from collections import Counter
 
 import pytest
 
@@ -21,6 +22,7 @@ from stablekappa import (
     kappa,
     validate,
 )
+from stablekappa import series as series_module
 from stablekappa.kappa import plan
 
 from oracles import g_mpmath
@@ -257,17 +259,53 @@ def test_plan_reflected_candidate_matches_dispatch():
             break
 
 
-def test_dispatch_looks_up_only_what_it_runs(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("not needed here")
+def test_dispatch_reads_its_lookups_at_most_once_per_key(monkeypatch):
+    # the steps are cached per (params, g or g', method, tolerance, region):
+    # the first call at a key reads find_doney_case and classify at most
+    # once each, and a later call in the same region reads neither
+    calls = Counter()
 
-    # a Doney case needs no conditioning verdict
-    monkeypatch.setattr(kappa_module, "classify", forbidden)
-    assert g_any_beta(validate(0.8, 0.25), 0.5, tol=TOL).method is MethodChoice.DONEY
-    # inside the band quadrature runs before any search
-    monkeypatch.setattr(kappa_module, "find_doney_case", forbidden)
-    assert g_any_beta(validate(SQRT2, 0.5), 0.97, tol=TOL).method is MethodChoice.QUADRATURE
-    assert gprime_any_beta(validate(0.5, 0.3), 1.03, tol=TOL).method is MethodChoice.QUADRATURE
+    def counted(name):
+        fn = getattr(kappa_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("classify", "find_doney_case"):
+        monkeypatch.setattr(kappa_module, name, counted(name))
+    kappa_module._steps.cache_clear()
+    cases = ((g_any_beta, validate(0.8, 0.25), 0.5, 0.4),      # Doney
+             (g_any_beta, validate(SQRT2, 0.5), 0.97, 0.99),   # band
+             (gprime_any_beta, validate(0.5, 0.3), 1.03, 1.01),  # band, above 1
+             (g_any_beta, validate(0.5, 0.3), 1.051, 1.052),   # band, reflected
+             (gprime_any_beta, validate(SQRT2, 0.5), 2.5, 3.0))  # reflected
+    for fn, params, beta, again in cases:
+        before = calls.copy()
+        fn(params, beta, tol=TOL)
+        assert all(calls[name] - before[name] <= 1 for name in calls), (params, beta)
+        filled = calls.copy()
+        fn(params, again, tol=TOL)
+        assert calls == filled, (params, again)
+
+
+def test_doney_call_builds_no_series_plan():
+    # the one-shot kappa at a Doney point fills its plan, which reads
+    # alpha's profile, but builds no split plan and no sine table
+    caches = (series_module._plan, series_module._family)
+    kappa_module._steps.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
+    assert kappa(validate(0.8, 0.25), KappaQuery(1.0, 0.5)).method is MethodChoice.DONEY
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+
+
+def test_steps_cache_stays_at_its_bound():
+    bound = kappa_module._steps.cache_info().maxsize
+    for i in range(300):
+        list(plan(validate(1.0 + SQRT2 / (100.0 + i), 0.5), 0.3))
+    assert kappa_module._steps.cache_info().currsize == bound
 
 
 def test_failed_candidate_passes_to_the_next(monkeypatch):

@@ -92,9 +92,10 @@ def test_tracer_counts_every_wrapped_layer():
 def test_sweep_work_counters():
     # one divisor floor for the whole table, read off sqrt 2's 21
     # convergents (two exact reductions each, less the two at the last),
-    # and each series sine computed once across the betas
+    # and each series sine computed once across the betas; classify is read
+    # once per plan region the table touches, and every row lies below the band
     metrics = _traced(SWEEP)
-    assert metrics["diophantine.classify.calls"] == 40
+    assert metrics["diophantine.classify.calls"] == 1
     assert metrics["diophantine.classify.reductions"] == 40
     assert metrics["accurate.reductions"] <= 900
     assert metrics["series.terms"] == 3584
@@ -102,7 +103,7 @@ def test_sweep_work_counters():
 
 def test_paired_sweep_work_counters():
     metrics = _traced(PAIRED)
-    assert metrics["diophantine.classify.calls"] == 40
+    assert metrics["diophantine.classify.calls"] == 1  # one plan region
     assert metrics["quadrature.calls"] == 0
     assert metrics["series.calls"] == 40
     assert metrics["series.terms"] == 2480  # the pairs count as first-series terms

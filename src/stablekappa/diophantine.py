@@ -1,4 +1,4 @@
-"""Continued fractions, divisor floors, and stopping indices.
+"""Continued fractions and divisor floors.
 
 The power-series evaluators divide by sin(m*pi/alpha) and sin(k*pi*alpha).
 How small those divisors get is a diophantine question, answered by the
@@ -11,12 +11,13 @@ segment of indices, and this module reads the divisor floor c / m**nu off
 the expansion (``_floor_model``):
 
 * ``cf_expand``   partial quotients and convergents of a float,
-* ``classify``    alpha's profile, all that dispatch reads (``_profile``),
-* ``_truncation`` the stopping index of a sum of term bounds.
+* ``classify``    alpha's profile, all that dispatch reads (``_profile``).
 
 The floor is proven for every index below the last denominator of the
-expansion; past it the model is assumed.  A float can never certify
-membership in a number-theoretic set, so the series' refusal
+expansion; past it the model is assumed.  The series stops at a contour
+cut whose tail bound needs no floor; it reads the floor model only to
+project the rounding noise of its terms before it sums.  A float can never
+certify membership in a number-theoretic set, so the series' refusal
 (``IllConditionedSeriesError``) is a statement about projected work and
 rounding noise at the requested (beta, tolerance), not about the number
 itself.
@@ -24,13 +25,12 @@ itself.
 The expansion, the rational verdict, the floor model and the pairing
 convergent depend on alpha alone; ``_profile`` computes them once per alpha
 (an LRU over ``_PROFILE_CACHE`` alphas).  The series decides its
-conditioning at each beta from them and the stopping indices it sums to.
+conditioning at each beta from them and its cut.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -44,7 +44,6 @@ RATIONAL_DENOMINATOR_CAP = 1_000_000
 
 _CF_TERMS = 64              # partial quotients expanded at most
 _PROFILE_CACHE = 64         # alphas whose beta-free profile is kept
-_NEWTON_STEPS = 16          # iterations for a stopping index's root
 
 
 class AlphaKind(Enum):
@@ -148,69 +147,6 @@ def _floor_model(cf: ContinuedFraction) -> tuple[float, float]:
             if d >= 2:
                 nu = max(nu, math.log(c / abs(sin_mpi(d, *ratio))) / math.log(d) + 1e-9)
     return c, nu
-
-
-def _truncation(beta: float, step: float, pre: float, shift: float, power: float,
-                c: float, half_tol: float, max_terms: int) -> tuple[int | None, float]:
-    """First m <= max_terms whose tail bound is below half_tol, with that
-    bound; (None, the bound after max_terms) if none.  Term j is bounded by
-    pre * beta**(step*j - shift) * j**power / c, the tail after m by term
-    m + 1's bound over 1 - ratio, with ratio = beta**step *
-    ((m+2)/(m+1))**max(power, 0) the largest ratio of consecutive bounds
-    from there on (inf while ratio >= 1).  Both fall with m, and m + 1 is
-    the root of log(tail / half_tol) (closed-form at power 0, else Newton's
-    method right of the pole at ratio = 1), settled by walking the tail from
-    that index to the first one below half_tol.  At power < 0 (g's sums in
-    the split series) the ratio is beta**step and the log-tail convex, so
-    Newton's method from the power-0 root converges to it as well.  Only
-    where the root is out of reach is m found by doubling, which probes no
-    index past 2m, and bisecting.
-    """
-    base, rise = beta ** step, max(power, 0)
-
-    def tail(m: int) -> float:
-        j = m + 1
-        ratio = base * ((j + 1) / j) ** rise
-        try:
-            return (pre * beta ** (step * j - shift) * j ** power / c / (1.0 - ratio)
-                    if ratio < 1.0 else math.inf)
-        except OverflowError:
-            return math.inf
-
-    def root() -> float | None:
-        room = half_tol * c / pre
-        if not (0.0 < base < 1.0 and 0.0 < room < math.inf):
-            return None
-        log_beta, goal = math.log(beta), math.log(room)
-        y = step * log_beta / rise if rise else -math.inf
-        pole = math.exp(y) / -math.expm1(y)  # 1/expm1(-y), which cannot overflow
-        j = max(((goal + math.log1p(-base)) / log_beta + shift) / step, 1.0, 2.0 * pole)
-        for _ in range(_NEWTON_STEPS if power else 0):
-            r = base * (1.0 + 1.0 / j) ** rise
-            excess = (step * j - shift) * log_beta + power * math.log(j) - math.log1p(-r) - goal
-            slope = step * log_beta + power / j - r * rise / (j * (j + 1.0) * (1.0 - r))
-            j, last = max(j - excess / slope, 0.5 * (j + pole)), j
-            if abs(j - last) < 0.5:
-                return j
-        return None if power else j
-
-    guess = root()
-    if guess is None:
-        lo, hi = 0, 1
-        while not tail(hi) < half_tol:
-            if hi == max_terms:
-                return None, tail(hi)
-            lo, hi = hi, min(2 * hi, max_terms)
-        stop = lo + 1 + bisect_left(range(lo + 1, hi), True, key=lambda m: tail(m) < half_tol)
-        return stop, tail(stop)
-    m = min(max(math.ceil(guess) - 1, 1), max_terms)
-    while m > 1 and tail(m - 1) < half_tol:
-        m -= 1
-    while not (bound := tail(m)) < half_tol:
-        if m == max_terms:
-            return None, bound
-        m += 1
-    return m, bound
 
 
 @lru_cache(maxsize=_PROFILE_CACHE)

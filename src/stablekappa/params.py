@@ -99,8 +99,8 @@ class EvalResult:
     """A computed value with its error bound and provenance.
 
     abs_error_bound is an upper estimate of the absolute error.  A series
-    bound rests on divisor floors proven for the terms summed and assumed
-    past the stopping index; a quadrature bound is an embedded-rule estimate.
+    bound is proven: the contour-cut tail bound R(c') of the series plus
+    its rounding noise; a quadrature bound is an embedded-rule estimate.
     """
 
     value: float

@@ -1,4 +1,4 @@
-"""Power-series evaluation of g and g' with small-divisor-aware truncation.
+"""Power-series evaluation of g and g', stopped at one contour cut.
 
 For irrational alpha and 0 < beta < 1:
 
@@ -6,12 +6,26 @@ For irrational alpha and 0 < beta < 1:
              + sum_k (-1)^(k+1) beta^(alpha k) sin(rho alpha k pi)
                                                / (k sin(alpha k pi))
 
-and g' is its termwise derivative.  Truncation uses the divisor floor
-|sin(m pi x)| >= c / m^nu that the diophantine module reads off alpha's
-convergents, proven for every index below the last convergent denominator of
-the float's expansion and assumed past it.  The stopping index follows from
-the resulting tail bound, which is reported.  Each term is beta^(step m -
-shift) times a coefficient cached across beta, and each sum is ``math.fsum``.
+and g' is its termwise derivative.  Both sums are the residue sums of one
+Mellin-Barnes integral, taken along Re s = c for any 0 < c < min(1, alpha):
+
+    g(beta) = 1/(2 pi i) int F(s) beta^s ds,
+    F(s) = pi sin(pi rho s) / (s sin(pi s) sin(pi s/alpha)),
+
+with poles at s = m and s = alpha k; g' drops the 1/s and takes beta^(s-1).
+Shifting the line right to a cut c' picks up exactly the terms m < c' and
+alpha k < c', and |sin pi(x + iy)| >= |sin pi x| cosh(pi y) with
+|sin pi rho(x + iy)| <= cosh(pi rho y) bound what is left, the integral
+along c', by
+
+    R(c') = 4 beta^c' / (lambda c' |sin pi c'| |sin(pi c'/alpha)|)     (g),
+    R(c') = 4 beta^(c'-1) / (lambda |sin pi c'| |sin(pi c'/alpha)|)    (g'),
+
+lambda = pi (1 + 1/alpha - rho).  The bound is proven for every alpha and
+rho: it assumes nothing about the divisors.  ``_cut`` picks one c' per call
+that stops every sum of it, and R(c') is the tail bound reported.  Each
+term is beta^(step m - shift) times a coefficient cached across beta, and
+each sum is ``math.fsum``.
 
 Near a resonance, alpha = p/q + eps, the term m = n p of the first series
 and k = n q of the second have divisors of size n eps with opposite signs.
@@ -20,40 +34,34 @@ and k = n q of the second have divisors of size n eps with opposite signs.
     s alpha/(pi delta) [H(N + delta)/sinc(delta) - H(N)/sinc(delta/alpha)],
 
 N = n p, s = (-1)^(n(p+q)+1), H(x) = beta^x sin(rho pi x)/x for g and
-beta^(x-1) sin(rho pi x) for g', sinc(x) = sin(pi x)/(pi x).  Every pair
-summed keeps a mean-value bound (``_pair_bound``), and every other index a
-proven floor, half of sin(pi/p) and sin(pi/q): for m <= M with p not
-dividing m,
-
-    ||m/alpha|| >= 1/p - M |1/alpha - q/p|,
-
-and for k <= M with q not dividing k, ||k alpha|| >= 1/q - M |alpha - p/q|
-(``_proven_floor``).  The tail bound past the stopping index assumes the
-same floors and pair bound for the later indices, where they are not
-checked.
+beta^(x-1) sin(rho pi x) for g', sinc(x) = sin(pi x)/(pi x).  A pair's two
+poles are N and N + delta, and the cut keeps each pair whole, both below
+it or both above, as long as |delta| stays within half a period,
+min(alpha, 1)/2, where the pair formula holds too; the split cuts only
+below the first pair past it.
 
 At rational alpha = p/q (a Rational ``diophantine._profile``) the divisors of
 the terms m = n p and k = n q vanish, and ``_split`` runs at delta = 0 on
 the exact ratio (p, q): each pair is its limit s alpha H'(N)/pi, the
-resonant term, taken like every pair from beta-free factors cached across
-beta, and every other index keeps the floor sin(pi/p) or sin(pi/q) with no
-drift.
+resonant term at the double pole N, taken like every pair from beta-free
+factors cached across beta.
 
 The split reads all that does not depend on beta off one cached plan per
-(alpha, p/q, rho, g or g', tolerance) (``_plan``): the reach, floors and
-drifts of its stops, the exponents and coefficients of its two nonresonant
-families, and the exponents and factors of its pairs.  At each beta it
-computes only log beta, the three stops (``_split_stops``), and one pass
-over each sum.
+(alpha, p/q, rho, g or g', tolerance) (``_plan``): lambda, the budget of its
+cut, the exponents and coefficients of its two nonresonant families, and
+the exponents and factors of its pairs.  At each beta it computes only log
+beta, the cut, and one pass over each sum.
 
 The series decides its conditioning at each beta itself, from alpha's
-cached ``diophantine._profile`` and the stopping indices it sums to, each
-computed once: the split at a rational alpha; else the generic sum, unless
-a family does not stop within the budget, the noise of a term bound
-(``_stop``, before the sum) or of the summed |terms| exceeds half the
-tolerance, or its bound the tolerance; else the split at the pairing
-convergent, the p/q before alpha's largest partial quotient, unless it
-fails the checks of ``_split_stops``, all made before it sums.
+cached ``diophantine._profile`` and its cut, each computed once per form
+tried: the split at a rational alpha; else the generic sum, unless a family
+needs more terms than the budget, the noise of a term bound under the
+divisor floor model (``_noisy``, before the sum) or of the summed |terms|
+exceeds half the tolerance, or its bound the tolerance; else the split at
+the pairing convergent, the p/q before alpha's largest partial quotient,
+unless its projected noise exceeds half the tolerance, or no cut meets the
+tolerance within the budget and before the pairs pass half a period, all
+checked before it sums.
 """
 
 from __future__ import annotations
@@ -67,7 +75,7 @@ from itertools import chain, islice, repeat
 from operator import add, mul
 
 from .accurate import EPS, sin_mpi, sin_pi, sincos_mpi
-from .diophantine import AlphaClass, AlphaKind, _profile, _truncation
+from .diophantine import AlphaClass, AlphaKind, _profile
 from .params import (
     DEFAULT_TOLERANCE,
     ConvergenceFailureError,
@@ -82,9 +90,8 @@ from .params import (
 class SeriesReport:
     """Outcome of a series evaluation.
 
-    tail_bound is the truncation bound: the divisor floors behind it (and,
-    when the series pairs the near-resonant terms, the pair bound) are
-    proven for the terms summed and assumed past the stopping index;
+    tail_bound is R(c'), the proven bound on the contour integral left at
+    the cut c' that stops every sum (see the module docstring);
     noise_bound, 4 eps times the left-to-right sum of |terms| and |value|,
     bounds the rounding of the terms, whose every sum is exactly rounded.
     Split at p/q (paired near it, or at a rational alpha = p/q),
@@ -180,24 +187,60 @@ class _Family:
 _family = lru_cache(maxsize=_TABLES)(_Family)
 
 
-def _divisor_series(family: _Family, beta: float, derivative: bool, stop: int | None,
-                    tail: float, max_terms: int, abs_sum: float, carry: float,
-                    name: str) -> tuple[float, int, float]:
-    """The terms of ``family`` summed up to its stopping index
-    (``_stop``, ``_split_stops``); skip = 1 leaves the family empty.  Returns
-    (value, terms summed, abs_sum plus the |terms|); where stop is None,
-    ConvergenceFailureError reports carry plus the sum to ``max_terms``.
-    """
-    if family.skip == 1:
-        return 0.0, 0, abs_sum
-    n = stop or max_terms
-    count = n - n // family.skip
+def _divisor_series(family: _Family, beta: float, derivative: bool, count: int,
+                    abs_sum: float) -> tuple[float, float]:
+    """The first ``count`` terms of ``family`` summed; (value, abs_sum plus
+    the |terms|).  A count of 0 is the empty sum."""
     terms = family.terms(beta, count, derivative)
-    if stop is None:
-        raise ConvergenceFailureError(
-            f"{name}: tail bound {tail:.3e} above tolerance after {max_terms} terms",
-            value=carry + math.fsum(terms), error_bound=tail)
-    return math.fsum(terms), count, reduce(add, map(abs, terms), abs_sum)
+    return math.fsum(terms), reduce(add, map(abs, terms), abs_sum)
+
+
+def _cut(beta: float, log_beta: float, ratio: tuple[int, int], lam: float, derivative: bool,
+         budget: float, limit: int) -> tuple[int, int, float] | None:
+    """(M, K, R(c')) for the cut c' that stops the series at alpha =
+    a_num/a_den: the first family sums m <= M (m < c'), the second k <= K
+    (alpha k < c'), and R(c') <= budget bounds the rest (see the module
+    docstring); None where no cut with M <= limit meets the budget.
+
+    A first guess solves beta^c' = budget lambda c'/4 (beta^(c'-1) =
+    budget lambda/4 for g'), one logarithm refined once for g, which
+    undershoots: the sines only raise R.  In each unit interval (M, M + 1)
+    from there (g' from M = 1 on: below 1, beta^(c'-1) > 1) the candidates
+    are M + 1/2 and the two midpoints alpha (j + 1/2) of the second family's
+    poles that bracket it, and the cut is the first of them, in increasing
+    order, whose R meets the budget: it sums the fewest terms.  M + 1/2 lies
+    1/2 from every pole m, and alpha (j + 1/2) alpha/2 from every pole alpha
+    k, so no candidate falls between two poles closer than min(alpha, 1)/2:
+    a pair of the split within half a period stays whole.  R is first
+    estimated with float sines; for the cut taken, a dyadic float, the sines
+    are exact reductions, and R is raised by 16 ulps for the rounding of its
+    few operations, so it stays a bound."""
+    if not budget > 0.0:
+        return None
+    a_num, a_den = ratio
+    goal = math.log(budget) + math.log(0.25 * lam)
+    guess = goal / log_beta
+    if derivative:
+        guess += 1.0
+    elif guess > 1.0:
+        guess = (goal + math.log(guess)) / log_beta
+    m, alpha = max(int(guess), int(derivative)), a_num / a_den
+    while m <= limit:
+        j = int((m + 0.5) / alpha - 0.5)
+        for x in sorted((m + 0.5, alpha * (j + 0.5), alpha * (j + 1.5))):
+            if not m < x < m + 1:
+                continue
+            power = beta ** (x - 1.0) if derivative else beta ** x / x
+            if 4.0 * power > budget * lam * abs(math.sin(math.pi * (x - m))
+                                                * math.sin(math.pi * x / alpha)):
+                continue
+            x_num, x_den = x.as_integer_ratio()
+            stop = (x_num * a_den - 1) // (x_den * a_num)  # the k with alpha k < x
+            sines = abs(sin_mpi(x_num, 1, x_den) * sin_mpi(x_num, a_den, x_den * a_num))
+            if sines and (tail := 4.0 * (1.0 + 16.0 * EPS) * power / (lam * sines)) <= budget:
+                return m, stop, tail
+        m += 1
+    return None
 
 
 def _excess(y: float) -> float:
@@ -258,95 +301,48 @@ def _pair_factors(ns, ratio: tuple[int, int], p: int, q: int,
         yield lead * (dsin / delta - deg * sin_a / big_n) + s * sin_a * gain / big_n ** deg
 
 
-def _proven_floor(skip: int, drift: float, m: int) -> float:
-    """A floor on |sin(pi j x)| for every j <= m that skip does not divide,
-    where x lies within drift of a fraction with denominator skip (x = 1/alpha
-    near q/p with skip = p, or x = alpha near p/q with skip = q): there
-    ||j x|| >= 1/skip - m drift, and |sin(pi t)| grows with ||t|| up to 1/2.
-    0 once the drift has eaten the distance 1/skip.
-    """
-    r = 1.0 / skip - m * drift
-    return sin_pi(r) if r > 0.0 else 0.0
-
-
-def _pair_bound(alpha: float, p: int, reach: float, deg: int) -> tuple:
-    """The beta-free factors of ``_pair_prefactor`` for the pairs n of the
-    split series (``_split``) with |delta_n| <= reach, deg 1 for g and 0
-    for g'.
-
-    The pair is s alpha/pi [D/sinc(delta) + H(N) E] with D the difference
-    quotient of H between N and N + delta and E that of 1/sinc between
-    delta/alpha and delta, divided by delta.  By the mean-value theorem
-    D = H'(xi) for some xi within reach of N, so |D| <= beta**(N - shift -
-    reach) (weight + deg/(N - reach)) / (N - reach)**deg; 1/sinc is even,
-    convex and increasing in |x| below 1, so 1/sinc(delta) <= 1/sinc(reach)
-    and |E| <= |1 - 1/alpha| times the slope of 1/sinc at reach/min(alpha,
-    1).  With N - reach >= n (p - reach) = n lead that is the prefactor
-    alpha (beta**-reach x/sin(x) (weight + deg/lead) + slope (lead/p)**deg)
-    / (pi lead**deg), x = pi reach; at reach 0 it is the resonant term's
-    alpha (weight + deg/p) / (pi p**deg).  Returns (alpha, reach, x, sin x,
-    slope (lead/p)**deg, deg/lead, pi lead**deg).
-    """
-    if reach == 0.0:
-        return alpha, reach, 0.0, 0.0, 0.0, deg / p, math.pi * p ** deg
-    x = math.pi * reach
-    y = x / min(alpha, 1.0)
-    sin_y = math.sin(y)
-    slope = abs(1.0 - 1.0 / alpha) * math.pi * (sin_y - y * math.cos(y)) / (sin_y * sin_y)
-    lead = p - reach
-    return (alpha, reach, x, math.sin(x), slope * (lead / p) ** deg, deg / lead,
-            math.pi * lead ** deg)
-
-
-def _pair_prefactor(bound: tuple, weight: float, beta: float) -> float:
-    """pre with |pair n| <= pre beta**(p n - shift) / n**deg for every pair n
-    within the reach of ``bound`` (``_pair_bound``), where weight >= pi rho +
-    |log beta|."""
-    alpha, reach, x, sin_x, lean, bend, scale = bound
-    if reach == 0.0:
-        return alpha * (weight + bend) / scale
-    return alpha * (beta ** -reach * x / sin_x * (weight + bend) + lean) / scale
-
-
 class _Plan:
     """The beta-free part of the split series at p/q for one exact ratio
-    alpha = a_num/a_den, rho, g or g' and tolerance.  For its stops
-    (``_split_stops``): delta_1 = (a_num q - p a_den)/a_den, the reach of
-    the pair bound, an eighth of the tolerance as each sum's target, the
-    pairs' exponent shift and index power -deg, their prefactor's factors
-    (``_pair_bound``; at deg 0 for the projected noise of a paired split),
-    and per nonresonant family (name, family, (prefactor, shift, index
-    power) of its term bounds, floor, drift): floors sin(pi/p), sin(pi/q)
-    at alpha = p/q, else half of them, proven up to an index by the drifts
-    |1/alpha - q/p|, |alpha - p/q| (``_proven_floor``).  For its sums: pi
-    rho, the two nonresonant families, and the table of its pairs n:
-    exponent N - shift and factors X_n, Y_n (``_pair_factors``)."""
+    alpha = a_num/a_den, rho, g or g' and tolerance: delta_1 = (a_num q -
+    p a_den)/a_den, lambda, the budget of its cut (3/8 of the tolerance)
+    and the index it stays below, the pairs' exponent shift and index power
+    -deg, the two nonresonant families, and the table of its pairs n:
+    exponent N - shift and factors X_n, Y_n (``_pair_factors``).  Paired
+    (delta_1 != 0), also what its projected noise reads
+    (``_projected_noise``): the reach min(|delta_1| max_terms, min(alpha,
+    1)/2) of the pairs, the factors x = pi reach, sin x and the slope of
+    1/sinc of the pairs' bound there, and half of sin(pi/p) and sin(pi/q)
+    as the nonresonant families' floors."""
 
-    __slots__ = ("p", "q", "delta1", "reach", "target", "abs_tol", "max_terms", "shift", "deg",
-                 "pair_bound", "noise_bound", "bounds", "rho_pi", "families", "derivative",
-                 "ratio", "rho", "pairs")
+    __slots__ = ("p", "q", "delta1", "lam", "budget", "abs_tol", "max_terms", "limit", "shift",
+                 "deg", "reach", "pair_noise", "floors", "families", "derivative", "ratio", "rho",
+                 "pairs")
 
     def __init__(self, a_num: int, a_den: int, p: int, q: int, rho: float, derivative: bool,
                  abs_tol: float, max_terms: int):
         r_num, r_den = rho.as_integer_ratio()
         alpha, gap = a_num / a_den, a_num * q - p * a_den
         self.p, self.q, self.delta1 = p, q, gap / a_den
-        self.reach = min(abs(self.delta1) * max_terms, 0.5 * min(alpha, 1.0))  # < half a period
-        self.target, self.abs_tol, self.max_terms = 0.125 * abs_tol, abs_tol, max_terms
+        self.lam = math.pi * (1.0 + a_den / a_num - rho)
+        self.budget, self.abs_tol, self.max_terms = 0.375 * abs_tol, abs_tol, max_terms
         self.shift, self.deg = (1, 0) if derivative else (0, 1)
-        self.pair_bound = _pair_bound(alpha, p, self.reach, self.deg)
-        self.noise_bound = _pair_bound(alpha, p, self.reach, 0)
-        self.rho_pi = math.pi * rho
         # the first family over m with p not dividing m, the second over k
         # with q not dividing k, in powers beta^alpha, with sin(k pi rho alpha)
         self.families = (_family(1.0, a_den, a_num, r_num, r_den, p),
                          _family(alpha, a_num, a_den, r_num * a_num, r_den * a_den, q))
-        half = 0.5 if gap else 1.0
-        self.bounds = tuple(
-            (name, family, (family.step, 1.0, 0.0) if derivative else (1.0, 0.0, -1.0),
-             half * sin_pi(1.0 / family.skip), drift)
-            for name, family, drift in zip(("first", "second"), self.families,
-                                           (abs(gap) / (p * a_num), abs(gap) / (q * a_den))))
+        # the cut stays below 2 max_terms, and paired, where the pairs stay
+        # within half a period: |delta_n| <= min(alpha, 1)/2 for n <= m // p + 1,
+        # the pairs summed (``_pair_factors`` holds there) and the next
+        self.limit = 2 * max_terms
+        if gap:
+            self.limit = min(self.limit, int(0.5 * min(alpha, 1.0) / abs(self.delta1)) * p - 1)
+            self.reach = min(abs(self.delta1) * max_terms, 0.5 * min(alpha, 1.0))
+            x = math.pi * self.reach
+            y = x / min(alpha, 1.0)
+            sin_y = math.sin(y)
+            slope = abs(1.0 - 1.0 / alpha) * math.pi * (sin_y - y * math.cos(y)) / (sin_y * sin_y)
+            self.pair_noise = (x, math.sin(x), slope)
+            self.floors = tuple(0.5 * sin_pi(1.0 / family.skip) for family in self.families)
         self.derivative, self.ratio, self.rho = derivative, (a_num, a_den), (r_num, r_den)
         self.pairs = (array("d"), array("d"), array("d"))
 
@@ -360,163 +356,123 @@ class _Plan:
 _plan = lru_cache(maxsize=_TABLES)(_Plan)
 
 
-def _split_stops(plan: _Plan, log_beta: float, beta: float) -> list:
-    """(stop, tail bound) of the pairs and the two nonresonant sums of the
-    split series at p/q (``_split``), each for a bound under the plan's
-    target (the pairs' by ``_pair_prefactor`` at weight pi rho + |log
-    beta|); an empty sum stops at 0.  IllConditionedSeriesError is raised
-    where the last pair summed passes the reach or a floor is not proven up
-    to its sum's last index; paired (delta_1 != 0) also where a sum does
-    not stop within the budget, or 4 eps times the g' term bounds summed in
-    closed form at beta clamped into [1e-6, 0.95] exceeds tol/2."""
-    p, target, max_terms = plan.p, plan.target, plan.max_terms
-    if plan.delta1:
-        b = min(max(beta, 1e-6), 0.95)
-        noise = 0.0
-        for _, family, _, c, _ in plan.bounds:
-            if family.skip > 1:
-                noise += family.step * b ** (family.step - 1.0) / (c * (1.0 - b ** family.step))
-        pre = _pair_prefactor(plan.noise_bound, math.pi + abs(math.log(b)), b)
-        noise += pre * b ** (p - 1.0) / (1.0 - b ** p)
-        if 4.0 * EPS * noise > 0.5 * plan.abs_tol:
-            raise IllConditionedSeriesError(f"split at {p}/{plan.q}: projected noise "
-                                            f"{4.0 * EPS * noise:.3e} above half the tolerance")
-    pre = _pair_prefactor(plan.pair_bound, plan.rho_pi + abs(log_beta), beta)
-    stops = [_truncation(beta, p, pre, plan.shift, -plan.deg, 1, target, max_terms)]
-    last = stops[0][0] or max_terms
-    if last * abs(plan.delta1) > plan.reach:
-        raise IllConditionedSeriesError(f"pairs: delta {last * abs(plan.delta1):.3e} past "
-                                        f"the bounded reach {plan.reach:.3e}")
-    for name, family, shape, c, drift in plan.bounds:
-        stop, tail = 0, 0.0
+def _projected_noise(plan: _Plan, beta: float) -> float:
+    """4 eps times the paired split's g' term bounds summed in closed form
+    at beta clamped into [1e-6, 0.95]: each nonresonant family's under its
+    floor, and the pairs' under the mean-value bound alpha (b^-reach x/sin x
+    (pi + |log b|) + slope)/pi of a pair within the reach."""
+    b = min(max(beta, 1e-6), 0.95)
+    noise = 0.0
+    for family, c in zip(plan.families, plan.floors):
         if family.skip > 1:
-            stop, tail = _truncation(beta, family.step, *shape, c, target, max_terms)
-            last = stop or max_terms
-            if drift and _proven_floor(family.skip, drift, last) < c:
-                raise IllConditionedSeriesError(f"{name} nonresonant sum: divisor floor "
-                                                f"{c:.3e} not proven up to index {last}")
-        stops.append((stop, tail))
-    if plan.delta1 and None in (stop for stop, _ in stops):
-        raise IllConditionedSeriesError(
-            f"split at {p}/{plan.q}: a sum does not stop within {max_terms} terms")
-    return stops
+            noise += family.step * b ** (family.step - 1.0) / (c * (1.0 - b ** family.step))
+    x, sin_x, slope = plan.pair_noise
+    alpha = plan.ratio[0] / plan.ratio[1]
+    pre = alpha * (b ** -plan.reach * x / sin_x * (math.pi + abs(math.log(b))) + slope) / math.pi
+    noise += pre * b ** (plan.p - 1.0) / (1.0 - b ** plan.p)
+    return 4.0 * EPS * noise
 
 
 def _split(plan: _Plan, beta: float) -> tuple[float, int, int, float, float]:
     """g(beta) (or g') for 0 < beta < 1 by the series split at p/q (see the
     module docstring), read off its plan: the two divisor series less the
     indices m = n p and k = n q, plus one sum over the pairs n, each
-    beta^(N - shift) (e_n X_n + Y_n).  Only the stops, log beta, e_n and
-    the powers of beta are computed per beta.  The stops, and the checks
-    made before any sum, are those of ``_split_stops``; at delta_1 = 0,
-    whose noise no projection budgets, a bound above the tolerance raises
-    IllConditionedSeriesError.  Returns the fields of a ``SeriesReport``,
-    the pairs counted in its ``terms_first_series``."""
-    derivative, max_terms = plan.derivative, plan.max_terms
+    beta^(N - shift) (e_n X_n + Y_n), all stopped at one cut (``_cut``).
+    Only log beta, the cut, e_n and the powers of beta are computed per
+    beta.  Paired, IllConditionedSeriesError is raised before any sum where
+    the projected noise exceeds half the tolerance, the cut would pass the
+    pairs' half period, or a sum needs more terms than the budget; at
+    delta_1 = 0 the budget raises
+    ConvergenceFailureError, and a bound above the tolerance after the sum,
+    whose noise no projection budgets, IllConditionedSeriesError.  Returns
+    the fields of a ``SeriesReport``, the pairs counted in its
+    ``terms_first_series``."""
+    p, q, delta1, max_terms = plan.p, plan.q, plan.delta1, plan.max_terms
+    if delta1 and (noise := _projected_noise(plan, beta)) > 0.5 * plan.abs_tol:
+        raise IllConditionedSeriesError(f"split at {p}/{q}: projected noise "
+                                        f"{noise:.3e} above half the tolerance")
     log_beta = math.log(beta)
-    (stop, tail3), (stop1, tail1), (stop2, tail2) = _split_stops(plan, log_beta, beta)
+    cut = _cut(beta, log_beta, plan.ratio, plan.lam, plan.derivative, plan.budget, plan.limit)
+    if cut is None and plan.limit < 2 * max_terms:
+        raise IllConditionedSeriesError(f"split at {p}/{q}: no cut below {plan.limit + 1}, "
+                                        f"where the pairs pass half a period")
+    if cut is not None:
+        stop1, stop2, tail = cut
+        n = stop1 // p
+        count1, count2 = stop1 - n, stop2 - stop2 // q
+    if cut is None or max(count1, count2, n) > max_terms:
+        error = IllConditionedSeriesError if delta1 else ConvergenceFailureError
+        raise error(f"split at {p}/{q}: a sum does not stop within {max_terms} terms")
     first, second = plan.families
-    v1, terms1, abs_sum = _divisor_series(first, beta, derivative, stop1, tail1,
-                                          max_terms, 0.0, 0.0, "first nonresonant sum")
-    v2, terms2, abs_sum = _divisor_series(second, beta, derivative, stop2, tail2,
-                                          max_terms, abs_sum, v1, "second nonresonant sum")
+    v1, abs_sum = _divisor_series(first, beta, plan.derivative, count1, 0.0)
+    v2, abs_sum = _divisor_series(second, beta, plan.derivative, count2, abs_sum)
 
     # the pairs, reindexed by m = n p, k = n q
-    n, delta1 = stop or max_terms, plan.delta1
     growth = (repeat(log_beta, n) if not delta1 else
               (math.expm1(k * delta1 * log_beta) / (k * delta1) for k in range(1, n + 1)))
     terms = [beta ** e * (g * x + y)
              for g, e, x, y in zip(growth, *_rows(plan.pairs, n, plan._pairs))]
-    if stop is None:
-        raise ConvergenceFailureError("resonant sum did not converge",
-                                      value=math.fsum(terms), error_bound=tail3)
-
     value = v1 + v2 + math.fsum(terms)
     noise = 4.0 * EPS * (reduce(add, map(abs, terms), abs_sum) + abs(value))
-    tail = tail1 + tail2 + tail3
     if not delta1 and tail + noise > plan.abs_tol:
         raise IllConditionedSeriesError(
             f"error bound {tail + noise:.3e} above the tolerance {plan.abs_tol:.3e}")
-    return value, terms1 + stop, terms2, tail, noise
+    return value, count1 + n, count2, tail, noise
 
 
-def _stop(beta: float, step: float, derivative: bool, c: float, nu: float, cap: float,
-          max_terms: int) -> tuple[int | None, float]:
-    """``_truncation`` for a divisor series of g (or g') with divisors above
-    c / m^nu and a tail bound under cap: term m is below pre beta^(step m -
-    shift) m^(nu - deg) / c, (pre, shift, deg) = (step, 1, 0) for g' and
-    (1, 0, 1) for g.  None also where 4 eps times the first bound (checked
-    first) or the largest, at floor k or k + 1 for k = (nu - deg)/(-step log
-    beta) capped at the stop (the bounds are log-concave in m), exceeds cap."""
+def _noisy(beta: float, log_beta: float, step: float, derivative: bool, c: float, nu: float,
+           cap: float, stop: int) -> bool:
+    """Whether 4 eps times a term bound of a divisor series of g (or g')
+    with divisors above c / m^nu exceeds cap at an index up to ``stop``:
+    term m is below pre beta^(step m - shift) m^(nu - deg) / c, (pre,
+    shift, deg) = (step, 1, 0) for g' and (1, 0, 1) for g.  The bounds are
+    log-concave in m, so the first and the largest, at floor k or k + 1 for
+    k = (nu - deg)/(-step log beta) capped at the stop, are checked."""
+    if not stop:
+        return False
     pre, shift, deg = (step, 1.0, 0) if derivative else (1.0, 0.0, 1)
     power = nu - deg
 
     def noisy(m: int) -> bool:
         return 4.0 * EPS * (pre * beta ** (step * m - shift) * m ** power / c) > cap
 
-    if noisy(1):
-        return None, math.inf
-    stop, tail = _truncation(beta, step, pre, shift, power, c, cap, max_terms)
-    if stop is not None:
-        top = int(min(power / (-step * math.log(beta)), stop))
-        if noisy(max(top, 1)) or noisy(min(top + 1, stop)):
-            return None, tail
-    return stop, tail
-
-
-def _one_sided(beta: float, alpha: float, derivative: bool, c: float, nu: float,
-               skew: float, target: float, max_terms: int) -> float:
-    """A bound on the second divisor series skew = |rho alpha - 1| from the
-    one-sided endpoint: |sin(k pi rho alpha)| <= pi k skew, so term k lies
-    below pi skew k times its bound; those summed to their stop plus its
-    tail, or inf where they do not stop within the budget."""
-    pre, shift, deg = (alpha, 1.0, 0) if derivative else (1.0, 0.0, 1)
-    power = nu + 1.0 - deg
-    stop, tail = _truncation(beta, alpha, pre, shift, power, c, target, max_terms)
-    return math.inf if stop is None else math.pi * skew * (tail + math.fsum(
-        pre * beta ** (alpha * k - shift) * k ** power / c for k in range(1, stop + 1)))
+    top = int(min(power / (-step * log_beta), stop))
+    return noisy(1) or noisy(max(top, 1)) or noisy(min(top + 1, stop))
 
 
 def _generic(alpha: float, rho: float, beta: float, tol: Tolerance, profile: AlphaClass,
              derivative: bool) -> SeriesReport | None:
-    """The two divisor series at the floor model of ``profile``, each summed
-    to its stop for a tail bound under half the tolerance, or None where the
-    series refuses them (see the module docstring)."""
+    """The two divisor series stopped at one cut for a tail bound under a
+    quarter of the tolerance, or None where the series refuses them (see
+    the module docstring).  A divisor vanishes only at a multiple of
+    alpha's exact numerator or denominator; one reached raises
+    IllConditionedSeriesError."""
     a_num, a_den = alpha.as_integer_ratio()
     r_num, r_den = rho.as_integer_ratio()
-    c, nu, cap = profile.floor_constant, profile.floor_power, 0.5 * tol.abs_tol
-    families = [(1.0, (a_den, a_num), (r_num, r_den), "first series", "sin({} pi/alpha)")]
-    # at the spectrally one-sided endpoint rho*alpha = 1 the second series
-    # vanishes termwise; within 4 eps of it, it is left out and bounded
-    tail = math.inf
-    if abs(rho * alpha - 1.0) <= 4.0 * EPS:
-        tail = _one_sided(beta, alpha, derivative, c, nu, abs(r_num * a_num - r_den * a_den)
-                          / (r_den * a_den), cap, tol.max_terms)
-    if tail == math.inf:
-        tail = 0.0
-        families.append((alpha, (a_num, a_den), (r_num * a_num, r_den * a_den),
-                         "second series", "sin({} pi alpha)"))
-    stops = []
-    for step, div, _, _, divisor in families:
-        stop, bound = _stop(beta, step, derivative, c, nu, cap, tol.max_terms)
-        if stop is None:
+    cap, log_beta = 0.5 * tol.abs_tol, math.log(beta)
+    cut = _cut(beta, log_beta, (a_num, a_den), math.pi * (1.0 + a_den / a_num - rho),
+               derivative, 0.25 * tol.abs_tol, tol.max_terms)
+    if cut is None:
+        return None
+    *stops, tail = cut
+    families = ((1.0, (a_den, a_num), (r_num, r_den), "sin({} pi/alpha)"),
+                (alpha, (a_num, a_den), (r_num * a_num, r_den * a_den), "sin({} pi alpha)"))
+    for stop, (step, div, _, divisor) in zip(stops, families):
+        if stop > tol.max_terms or _noisy(beta, log_beta, step, derivative,
+                                          profile.floor_constant, profile.floor_power, cap, stop):
             return None
         # sin(m pi div) is exactly 0 where div's denominator divides m
         if div[1] <= stop:
             raise IllConditionedSeriesError(f"divisor {divisor.format(div[1])} vanished")
-        stops.append((stop, bound))
     value = abs_sum = 0.0
-    counts = [0, 0]
-    for i, ((stop, bound), (step, div, num, name, _)) in enumerate(zip(stops, families)):
-        v, counts[i], abs_sum = _divisor_series(_family(step, *div, *num, div[1]), beta,
-                                                derivative, stop, bound, tol.max_terms,
-                                                abs_sum, value, name)
+    for stop, (step, div, num, _) in zip(stops, families):
+        v, abs_sum = _divisor_series(_family(step, *div, *num, div[1]), beta, derivative, stop,
+                                     abs_sum)
         value += v
-        tail += bound
     noise = 4.0 * EPS * (abs_sum + abs(value))
     if 4.0 * EPS * abs_sum > cap or tail + noise > tol.abs_tol:
         return None
-    return SeriesReport(value, *counts, tail, noise)
+    return SeriesReport(value, *stops, tail, noise)
 
 
 def _series(params: StableParams, beta: float, tol: Tolerance | None,

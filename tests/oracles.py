@@ -5,18 +5,21 @@ form, ``gprime_half_closed`` is g' at alpha = 1/2 in elementary closed
 form, and ``g_mpmath`` and ``gprime_mpmath`` are g and g' from their
 defining integrals at 30 digits (the benchmark's oracle, ``bench/oracle.py``);
 ``g_series`` and ``gprime_series`` at rational alpha, where they split at
-p/q, are checked against the last three.
+p/q, are checked against the last three.  ``cut_scan`` finds the series'
+contour cut by scanning unit intervals from the first that could hold it,
+and ``residue_sum`` sums the first few residues at 50 digits.
 No evaluator of the package calls any of them, so they live here, with
 ``CompensatedSum``, the Neumaier running sum that ``g_k_series`` uses.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 from mpmath import mpf
 
 from stablekappa import OutOfRangeError
-from stablekappa.accurate import cos_mpi, cos_pi, sin_pi
+from stablekappa.accurate import EPS, cos_mpi, cos_pi, sin_pi
 
 
 class CompensatedSum:
@@ -144,3 +147,59 @@ def gprime_mpmath(alpha: float, rho: float, beta: float):
     """(value, error estimate) of g'(beta) as mpf from its integral at 30
     digits."""
     return _mpmath_integral(alpha, rho, beta, True)
+
+
+def exact_sin(m: int, x: Fraction) -> float:
+    """sin(pi m x) from the exact distance of m x to its nearest integer."""
+    k = round(m * x)
+    s = math.sin(math.pi * float(m * x - k))
+    return -s if k % 2 else s
+
+
+def cut_scan(beta: float, ratio: tuple[int, int], rho: float, derivative: bool,
+             budget: float, limit: int) -> tuple[int, int] | None:
+    """The cut's stops (M, K) recomputed, or None: every unit interval
+    (m, m + 1) from the first where 4 beta^(m+1)/(lambda (m + 1)) (for g';
+    4 beta^m / lambda) meets the budget, which no earlier one can; in each,
+    its candidates in increasing order, and the first whose bound from the
+    exact ratio and exact sines meets the budget, and from float sines too,
+    as the series first estimates it."""
+    a_num, a_den = ratio
+    x_alpha, alpha = Fraction(a_num, a_den), a_num / a_den
+    lam = math.pi * (1.0 + a_den / a_num - rho)
+    m = int(derivative)
+    while m <= limit and 4.0 * (beta ** m if derivative else beta ** (m + 1) / (m + 1)) > (
+            budget * lam):
+        m += 1
+    for m in range(m, limit + 1):
+        j = int((m + 0.5) / alpha - 0.5)
+        for x in sorted((m + 0.5, alpha * (j + 0.5), alpha * (j + 1.5))):
+            cut = Fraction(x)
+            if not m < cut < m + 1:
+                continue
+            power = beta ** (x - 1.0) if derivative else beta ** x / x
+            estimate = abs(math.sin(math.pi * (x - m)) * math.sin(math.pi * x / alpha))
+            sines = abs(exact_sin(1, cut) * exact_sin(1, cut / x_alpha))
+            if 4.0 * power <= budget * lam * estimate and sines and (
+                    4.0 * (1.0 + 16.0 * EPS) * power / (lam * sines) <= budget):
+                return m, math.ceil(cut / x_alpha) - 1
+    return None
+
+
+def residue_sum(alpha: float, rho: float, beta: float, derivative: bool, cut: float):
+    """g(beta), or g'(beta), as the residues below the cut at 50 digits:
+    the terms m < cut and alpha k < cut of the two series of the float
+    alpha's exact value.  At beta 1e-30 and below, where the integral
+    oracles lose digits, a cut of 3.5 leaves out less than beta^3 times the
+    largest inverse divisor."""
+    with mpmath.workdps(50):
+        a, r, b = mpf(alpha), mpf(rho), mpf(beta)
+        total = mpf(0)
+        for step, div in ((mpf(1), 1 / a), (a, a)):
+            k = 1
+            while step * k < cut:
+                coef = step * b ** (step * k - 1) if derivative else b ** (step * k) / k
+                total += ((-1) ** (k + 1) * coef * mpmath.sinpi(r * step * k)
+                          / mpmath.sinpi(div * k))
+                k += 1
+        return total

@@ -1,0 +1,162 @@
+"""The cut's tail bound against the 30-digit integral.
+
+Every value the series returns, generic, paired near a resonance or split
+at a rational alpha, for g and g', lies within its tail bound R(c') plus
+its noise bound of ``tests/oracles.g_mpmath`` (or ``gprime_mpmath``), and
+every split stops with its pairs whole.  Near a resonance the split at the
+pairing convergent is also called directly.  The oracle takes about 55 ms a
+point, so its values are stored as float hex with its error estimate in
+``tests/cut_oracle.txt``; after a change of the grid, rebuild the file with
+
+    PYTHONPATH=src:tests python tests/test_cut_bound.py
+
+The grid leaves out alpha = 1 + 2^-40 at rho = 1/alpha, where the oracle
+itself is off by up to 4.3e-8.
+"""
+
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from stablekappa import (
+    IllConditionedSeriesError,
+    SeriesReport,
+    Tolerance,
+    g_series,
+    gprime_series,
+    validate,
+)
+from stablekappa import series as series_module
+
+ORACLE = Path(__file__).resolve().parent / "cut_oracle.txt"
+SQRT2 = math.sqrt(2.0)
+# rational; near 3/2 and near 53/99, where the series pairs; irrational
+ALPHAS = (1.0, 0.3, 1.9, 0.5, 1.50000001, 0.5 + SQRT2 / 40.0, SQRT2, math.pi / 2.0,
+          math.e / 2.0)
+BETAS = (1e-8, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
+
+
+def _rhos(alpha):
+    """rho 1/2, and 0.9 below alpha 1 or the one-sided endpoint 1/alpha above."""
+    return (0.5, 0.9 if alpha <= 1.0 else 1.0 / alpha)
+
+
+def _points():
+    return [(alpha, rho, beta, derivative) for alpha in ALPHAS for rho in _rhos(alpha)
+            for beta in BETAS for derivative in (False, True)]
+
+
+def _read_oracle() -> dict:
+    table = {}
+    for line in ORACLE.read_text().splitlines():
+        alpha, rho, beta, derivative, value, err = line.split()
+        table[float.fromhex(alpha), float.fromhex(rho), float.fromhex(beta),
+              derivative == "1"] = (float.fromhex(value), float.fromhex(err))
+    return table
+
+
+def test_oracle_file_covers_the_grid():
+    assert set(_read_oracle()) == set(_points())
+
+
+# the pairing convergents of the near-resonant alphas, where the split is
+# also called directly whether or not the series decides on it
+PAIRINGS = {1.50000001: (3, 2), 0.5 + SQRT2 / 40.0: (53, 99)}
+
+
+def _paired(alpha, rho, beta, derivative):
+    tol = Tolerance()
+    plan = series_module._plan(*alpha.as_integer_ratio(), *PAIRINGS[alpha], rho, derivative,
+                               tol.abs_tol, tol.max_terms)
+    return SeriesReport(*series_module._split(plan, beta))
+
+
+@pytest.fixture(scope="module")
+def outcomes():
+    """Each grid point's (series report or None where it refuses, oracle
+    value, oracle error), by form: the series' own decision, and the split
+    at the pairing convergent; and the (skips, cut) of every cut taken."""
+    oracle, cuts, results = _read_oracle(), [], {}
+    cut = series_module._cut
+
+    def recorded(*args):
+        found = cut(*args)
+        cuts.append((args[2], args[5], found))
+        return found
+
+    series_module._cut = recorded
+    try:
+        for point in _points():
+            alpha, rho, beta, derivative = point
+            series = gprime_series if derivative else g_series
+            forms = {"series": lambda: series(validate(alpha, rho), beta)}
+            if alpha in PAIRINGS:
+                forms["paired"] = lambda: _paired(alpha, rho, beta, derivative)
+            for form, evaluate in forms.items():
+                try:
+                    rep = evaluate()
+                except IllConditionedSeriesError:
+                    rep = None
+                results[point, form] = (rep, *oracle[point])
+    finally:
+        series_module._cut = cut
+    return results, cuts
+
+
+def test_every_value_lies_within_its_bound_of_the_oracle(outcomes):
+    results, _ = outcomes
+    for key, (rep, ref, err) in results.items():
+        if rep is None:
+            continue
+        # the integral lies within its error estimate and half an ulp of the
+        # float value of the oracle
+        slack = err + 0.5 * math.ulp(ref)
+        assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound - slack, key
+
+
+def test_the_grid_reaches_every_form_of_the_series(outcomes):
+    # each cut by (alpha's exact ratio, its budget): the rational splits cut
+    # at p/q and 3/8 of the tolerance, the paired at alpha's own ratio and
+    # 3/8, the generic sums at alpha's own ratio and a quarter
+    results, cuts = outcomes
+    forms = {(ratio, budget) for ratio, budget, _ in cuts}
+    split, generic = 3.75e-11, 2.5e-11
+    assert {((1, 1), split), ((3, 10), split), ((19, 10), split), ((1, 2), split)} <= forms
+    assert {(alpha.as_integer_ratio(), split) for alpha in PAIRINGS} <= forms
+    assert {(alpha.as_integer_ratio(), generic) for alpha in ALPHAS[4:]} <= forms
+    # every paired split returns; the series refuses only g' at 3/10 and
+    # beta 1e-8, where |g'| is about beta^(alpha - 1) = 4e5 and its rounding
+    # alone exceeds the tolerance
+    refused = {key for key, (rep, _, _) in results.items() if rep is None}
+    assert refused == {((0.3, rho, 1e-8, True), "series") for rho in (0.5, 0.9)}
+
+
+def test_no_split_stops_inside_a_pair(outcomes):
+    # pair n has poles n p and alpha n q, and the cut leaves m <= M and
+    # k <= K below it: at p/q the cut holds the same pairs of both families,
+    # M // p == K // q, at the rational splits, and near 3/2 and 53/99 with
+    # alpha's own ratio, paired or generic
+    _, cuts = outcomes
+    skips = {alpha.as_integer_ratio(): pq for alpha, pq in PAIRINGS.items()}
+    skips.update((pq, pq) for pq in ((1, 1), (3, 10), (19, 10), (1, 2)))
+    checked = 0
+    for ratio, _, found in cuts:
+        if found is not None and ratio in skips:
+            (p, q), (stop1, stop2, _) = skips[ratio], found
+            assert stop1 // p == stop2 // q, (ratio, found)
+            checked += stop1 >= p
+    assert checked > 100
+
+
+if __name__ == "__main__":
+    from oracles import g_mpmath, gprime_mpmath
+
+    lines = []
+    for alpha, rho, beta, derivative in _points():
+        value, err = (gprime_mpmath if derivative else g_mpmath)(alpha, rho, beta)
+        lines.append(" ".join((alpha.hex(), rho.hex(), beta.hex(), str(int(derivative)),
+                               float(value).hex(), float(err).hex())))
+    ORACLE.write_text("\n".join(lines) + "\n")
+    sys.exit(0)

@@ -18,8 +18,10 @@ from stablekappa import (
 )
 from stablekappa import series as series_module
 from stablekappa.accurate import EPS, sin_mpi, sin_pi
-from stablekappa.diophantine import RATIONAL_DENOMINATOR_CAP, AlphaClass, _profile, _truncation
-from stablekappa.series import _pair_bound, _pair_prefactor, _plan, _split_stops, _stop
+from stablekappa.diophantine import RATIONAL_DENOMINATOR_CAP, AlphaClass, _profile
+from stablekappa.series import _cut, _noisy, _plan, _projected_noise
+
+from oracles import cut_scan, exact_sin
 
 
 def _cf_oracle(x_str: str, n: int) -> list[int]:
@@ -106,7 +108,7 @@ def test_classify_near_rational_ill_conditioned():
     assert ac.floor_constant == 1.2566092624600367e-11
     params = validate(0.5 + 1e-12, 0.5)
     rep = gprime_series(params, 0.9)
-    assert (rep.terms_first_series, rep.terms_second_series) == (248, 267)
+    assert (rep.terms_first_series, rep.terms_second_series) == (225, 226)
     with pytest.raises(IllConditionedSeriesError, match="does not stop within 50 terms"):
         gprime_series(params, 0.9, Tolerance(max_terms=50))
     with pytest.raises(IllConditionedSeriesError, match="projected noise"):
@@ -114,8 +116,8 @@ def test_classify_near_rational_ill_conditioned():
 
 
 def test_series_refuses_a_tolerance_below_float_range():
-    # an eighth of the smallest subnormal rounds to 0: no stopping index
-    # reaches a zero target, paired or not
+    # a quarter (or 3/8) of the smallest subnormal rounds to 0: no cut
+    # meets a zero budget, paired or not
     tol = Tolerance(abs_tol=5e-324)
     for alpha in (math.sqrt(2.0), 1.50000001, 0.5 + 1e-12):
         with pytest.raises(IllConditionedSeriesError):
@@ -143,29 +145,6 @@ CACHE_BETAS = (2e-6, 1e-4, 0.01, 0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.95, 0.99)
 CACHE_TOLS = (Tolerance(), Tolerance(abs_tol=1e-13, max_terms=2000))
 
 
-def _projected_cost_full(beta: float, step: float, prefactor: float,
-                         c: float, nu: float, tol: Tolerance) -> tuple[int | None, float]:
-    """Terms needed (or None) and the largest term bound for one
-    derivative-series family, with no early exit: the loop runs to the
-    stopping index and looks at every bound up to it."""
-    base = beta ** step
-    peak = 0.0
-    for m in range(1, tol.max_terms + 1):
-        peak = max(peak, prefactor * beta ** (step * m - 1.0) * m ** nu / c)
-        nxt = prefactor * beta ** (step * (m + 1) - 1.0) * (m + 1) ** nu / c
-        ratio = base * ((m + 2) / (m + 1)) ** nu
-        if ratio < 1.0 and nxt / (1.0 - ratio) < 0.5 * tol.abs_tol:
-            return m, peak
-    return None, peak
-
-
-def _exact_sin(m: int, x: Fraction) -> float:
-    """sin(pi m x) from the exact distance of m x to its nearest integer."""
-    k = round(m * x)
-    s = math.sin(math.pi * float(m * x - k))
-    return -s if k % 2 else s
-
-
 def _uncached_profile(alpha: float) -> AlphaClass:
     """The beta-free part of classify, recomputed with no cache."""
     cf = cf_expand(alpha)
@@ -178,54 +157,51 @@ def _uncached_profile(alpha: float) -> AlphaClass:
     # every convergent denominator d >= 2 but the last, of 1/alpha (the p)
     # and of alpha (the q)
     x = Fraction(alpha)
-    c = min(0.5, abs(_exact_sin(1, 1 / x)), abs(_exact_sin(1, x)))
+    c = min(0.5, abs(exact_sin(1, 1 / x)), abs(exact_sin(1, x)))
     nu = 1.0
     for p, q in cf.convergents[:-1]:
         for d, y in ((p, 1 / x), (q, x)):
             if d >= 2:
-                nu = max(nu, math.log(c / abs(_exact_sin(d, y))) / math.log(d) + 1e-9)
+                nu = max(nu, math.log(c / abs(exact_sin(d, y))) / math.log(d) + 1e-9)
     return AlphaClass(kind=AlphaKind.IRRATIONAL, floor_power=nu, floor_constant=c)
 
 
 def _paired_uncached(alpha: float, rho: float, tol: Tolerance,
-                     beta: float) -> list[int] | None:
+                     beta: float) -> tuple[int, int] | None:
     """The stops of the split of g' at the pairing convergent recomputed, or
     None where it refuses: the convergent p/q (p >= 1) before the largest
-    partial quotient, first on ties; stopping indices scanned term by term
-    for a bound under tol/8, the pairs' at weight pi rho + |log beta|;
-    proven floors from the exact drift; the noise projected at beta clamped
-    into [1e-6, 0.95]."""
+    partial quotient, first on ties; the noise projected at beta clamped
+    into [1e-6, 0.95]; the cut scanned for a bound under 3/8 of the
+    tolerance below the index where the pairs pass half a period, and each
+    sum within the budget."""
     cf = cf_expand(alpha)
     ahead = [(a, pq) for pq, a in zip(cf.convergents, cf.quotients[1:]) if pq[0] >= 1]
     if not ahead:
         return None
     best = max(a for a, _ in ahead)
     p, q = next(pq for a, pq in ahead if a == best)
-    x = Fraction(alpha)
-    eighth = Tolerance(abs_tol=tol.abs_tol / 4.0, max_terms=tol.max_terms)
     b = min(max(beta, 1e-6), 0.95)
-    stops, noise = [0, 0], 0.0
-    for i, (skip, step, drift) in enumerate(((p, 1.0, abs(1 / x - Fraction(q, p))),
-                                             (q, alpha, abs(x - Fraction(p, q))))):
+    noise = 0.0
+    for skip, step in ((p, 1.0), (q, alpha)):
         if skip > 1:
-            c = 0.5 * sin_pi(1.0 / skip)
-            stops[i], _ = _projected_cost_full(beta, step, step, c, 0.0, eighth)
-            margin = Fraction(1, skip) - stops[i] * drift if stops[i] else 0
-            if stops[i] is None or margin <= 0 or sin_pi(float(margin)) < c:
-                return None
-            noise += step * b ** (step - 1.0) / (c * (1.0 - b ** step))
-    delta1 = abs(float(x * q - p))
-    reach = min(delta1 * tol.max_terms, 0.5 * min(alpha, 1.0))
-    bound = _pair_bound(alpha, p, reach, 0)
-    pre = _pair_prefactor(bound, math.pi * rho + abs(math.log(beta)), beta)
-    stop, _ = _projected_cost_full(beta, p, pre, 1.0, 0.0, eighth)
-    if stop is None or stop * delta1 > reach:
-        return None
-    pre = _pair_prefactor(bound, math.pi + abs(math.log(b)), b)
+            noise += step * b ** (step - 1.0) / (0.5 * sin_pi(1.0 / skip) * (1.0 - b ** step))
+    delta1 = abs(float(Fraction(alpha) * q - p))
+    half = 0.5 * min(alpha, 1.0)
+    reach = min(delta1 * tol.max_terms, half)
+    x, y = math.pi * reach, math.pi * reach / min(alpha, 1.0)
+    slope = abs(1.0 - 1.0 / alpha) * math.pi * (math.sin(y) - y * math.cos(y)) / math.sin(y) ** 2
+    pre = alpha * (b ** -reach * x / math.sin(x) * (math.pi + abs(math.log(b))) + slope) / math.pi
     noise += pre * b ** (p - 1.0) / (1.0 - b ** p)
     if 4.0 * EPS * noise > 0.5 * tol.abs_tol:
         return None
-    return [stop, *stops]
+    limit = min(2 * tol.max_terms, int(half / delta1) * p - 1)
+    found = cut_scan(beta, alpha.as_integer_ratio(), rho, True, 0.375 * tol.abs_tol, limit)
+    if found is None:
+        return None
+    stop1, stop2 = found
+    if max(stop1 - stop1 // p, stop2 - stop2 // q, stop1 // p) > tol.max_terms:
+        return None
+    return found
 
 
 # near-resonant alphas at several distances from 1/2, 1, 3/2 and 2, and
@@ -252,23 +228,31 @@ def test_classify_matches_uncached_recomputation():
         assert got.floor_constant.hex() == want.floor_constant.hex()
 
 
-def _generic_uncached(alpha: float, tol: Tolerance, beta: float,
-                      profile: AlphaClass) -> list[int | None]:
-    """The stops of the two generic families of g' recomputed, each None
-    where it does not stop within the budget or 4 eps times its largest
-    term bound exceeds half the tolerance."""
-    stops = []
-    for step in (1.0, alpha):
-        stop, peak = _projected_cost_full(beta, step, step, profile.floor_constant,
-                                          profile.floor_power, tol)
-        stops.append(stop if 4.0 * EPS * peak <= 0.5 * tol.abs_tol else None)
-    return stops
+def _generic_uncached(alpha: float, rho: float, tol: Tolerance, beta: float,
+                      profile: AlphaClass) -> tuple[int, int] | None:
+    """The stops of the two generic families of g' recomputed, or None
+    where the cut does not meet a quarter of the tolerance within the
+    budget, or 4 eps times a family's largest term bound up to its stop
+    exceeds half the tolerance."""
+    ratio = alpha.as_integer_ratio()
+    found = cut_scan(beta, ratio, rho, True, 0.25 * tol.abs_tol, tol.max_terms)
+    if found is None:
+        return None
+    c, nu = profile.floor_constant, profile.floor_power
+    for stop, step in zip(found, (1.0, alpha)):
+        peak = max((step * beta ** (step * m - 1.0) * m ** nu / c for m in range(1, stop + 1)),
+                   default=0.0)
+        if stop > tol.max_terms or 4.0 * EPS * peak > 0.5 * tol.abs_tol:
+            return None
+    return found
 
 
 def test_series_stops_match_uncached_recomputation():
     # the decision the series of g' makes before it sums, at rho 0.5: the
-    # generic families' stops (``_stop``), else the split's at the pairing
-    # convergent (``_split_stops``), else a refusal
+    # generic families' stops at their cut (``_cut`` from its first guess,
+    # and ``_noisy``), else the split's at the pairing convergent (its
+    # projected noise, and the cut read off its plan), else a refusal; each
+    # against a scan from the first unit interval that could hold the cut
     rho, kinds = 0.5, set()
     for alphas, tols, betas in ((CACHE_ALPHAS, CACHE_TOLS, CACHE_BETAS),
                                 (GRID_ALPHAS, GRID_TOLS, GRID_BETAS)):
@@ -277,22 +261,35 @@ def test_series_stops_match_uncached_recomputation():
             if profile.kind is AlphaKind.RATIONAL:
                 continue
             c, nu = profile.floor_constant, profile.floor_power
+            ratio = alpha.as_integer_ratio()
+            lam = math.pi * (1.0 + ratio[1] / ratio[0] - rho)
             reference = _uncached_profile(alpha)
             for tol in tols:
-                plan = _plan(*alpha.as_integer_ratio(), *pair, rho, True, tol.abs_tol,
-                             tol.max_terms)
+                plan = _plan(*ratio, *pair, rho, True, tol.abs_tol, tol.max_terms)
                 for beta in betas:
-                    got = [_stop(beta, step, True, c, nu, 0.5 * tol.abs_tol,
-                                 tol.max_terms)[0] for step in (1.0, alpha)]
-                    assert got == _generic_uncached(alpha, tol, beta, reference), (
+                    log_beta = math.log(beta)
+                    got = _cut(beta, log_beta, ratio, lam, True, 0.25 * tol.abs_tol,
+                               tol.max_terms)
+                    if got is not None:
+                        got = got[:2]
+                        if any(stop > tol.max_terms or _noisy(
+                                beta, log_beta, step, True, c, nu, 0.5 * tol.abs_tol, stop)
+                               for stop, step in zip(got, (1.0, alpha))):
+                            got = None
+                    assert got == _generic_uncached(alpha, rho, tol, beta, reference), (
                         alpha, tol, beta)
-                    if None not in got:
+                    if got is not None:
                         kinds.add("generic")
                         continue
-                    try:
-                        got = [stop for stop, _ in _split_stops(plan, math.log(beta), beta)]
-                    except IllConditionedSeriesError:
-                        got = None
+                    got = None
+                    if _projected_noise(plan, beta) <= 0.5 * tol.abs_tol:
+                        got = _cut(beta, log_beta, plan.ratio, plan.lam, True, plan.budget,
+                                   plan.limit)
+                    if got is not None:
+                        p, q = pair
+                        stop1, stop2, _ = got
+                        got = None if max(stop1 - stop1 // p, stop2 - stop2 // q,
+                                          stop1 // p) > tol.max_terms else (stop1, stop2)
                     assert got == _paired_uncached(alpha, rho, tol, beta), (alpha, tol, beta)
                     kinds.add("refused" if got is None else "paired")
     assert kinds == {"generic", "paired", "refused"}
@@ -319,27 +316,28 @@ def test_floor_model_holds_below_the_last_denominator():
 
 
 def test_classify_shortcut_premise_peak_bounds_the_noise_sum():
-    # the series' noise check before it sums (``_stop``) reads a family's largest term bound p from two bounds, and
-    # p <= sum <= s p places the family's bound-sum, s its stopping index:
-    # bounds step beta**(step m - 1) m**nu / c up to s, and p taken, as
-    # ``_stop`` takes it, at floor k or floor k + 1 with
-    # k = nu / (-step log beta), where a log-concave sequence peaks
+    # the series' noise check before it sums (``_noisy``) reads a family's
+    # largest term bound p from two bounds, and p <= sum <= s p places the
+    # family's bound-sum, s its stop at the cut: bounds step beta**(step m -
+    # 1) m**nu / c up to s, and p taken, as ``_noisy`` takes it, at floor k
+    # or floor k + 1 with k = nu / (-step log beta), where a log-concave
+    # sequence peaks
     checked = 0
     for alpha in (math.sqrt(2.0), 0.5 + math.sqrt(2.0) / 40.0, math.pi / 2.0):
-        for step, nu, beta, c, noise_cap in itertools.product(
-                (1.0, alpha), (0.0, 1.0, 1.355, 25.6),
-                (1e-6, 0.05, 0.3, 0.6, 0.8, 0.9, 0.95), (0.5, 1e-4, 1e-9),
-                (5e-11, 5e-14)):
-            stop, _ = _truncation(beta, step, step, 1.0, nu, c, noise_cap, 10000)
-            if stop is None:
-                continue
-            bounds = [step * beta ** (step * m - 1.0) * m ** nu / c
-                      for m in range(1, stop + 1)]
-            top = int(min(nu / (-step * math.log(beta)), stop))
-            peak = max(bounds[m - 1] for m in (max(top, 1), min(top + 1, stop)))
-            assert peak == max(bounds), (step, nu, beta, c)
-            assert peak <= math.fsum(bounds) <= stop * peak, (step, nu, beta, c)
-            checked += 1
+        ratio = alpha.as_integer_ratio()
+        lam = math.pi * (1.0 + ratio[1] / ratio[0] - 0.5)
+        for beta, budget in itertools.product((1e-6, 0.05, 0.3, 0.6, 0.8, 0.9, 0.95),
+                                              (2.5e-11, 2.5e-14)):
+            cut = _cut(beta, math.log(beta), ratio, lam, True, budget, 10000)
+            for (step, stop), nu, c in itertools.product(
+                    zip((1.0, alpha), cut[:2]), (0.0, 1.0, 1.355, 25.6), (0.5, 1e-4, 1e-9)):
+                bounds = [step * beta ** (step * m - 1.0) * m ** nu / c
+                          for m in range(1, stop + 1)]
+                top = int(min(nu / (-step * math.log(beta)), stop))
+                peak = max(bounds[m - 1] for m in (max(top, 1), min(top + 1, stop)))
+                assert peak == max(bounds), (step, nu, beta, c)
+                assert peak <= math.fsum(bounds) <= stop * peak, (step, nu, beta, c)
+                checked += 1
     assert checked > 1000
 
 

@@ -8,7 +8,6 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from stablekappa import diophantine as diophantine_module
 from stablekappa import series as series_module
 
 from stablekappa import (
@@ -26,11 +25,11 @@ from stablekappa import (
     gprime_series,
     validate,
 )
-from stablekappa.accurate import EPS, sin_mpi, sin_pi
-from stablekappa.diophantine import AlphaClass, _profile, _truncation
-from stablekappa.series import SeriesReport, _generic, _split, _stop
+from stablekappa.accurate import EPS, sin_mpi
+from stablekappa.diophantine import AlphaClass, _profile
+from stablekappa.series import SeriesReport, _cut, _generic, _noisy, _split
 
-from oracles import g_mpmath, gprime_mpmath
+from oracles import cut_scan, g_mpmath, gprime_mpmath, residue_sum
 
 TIGHT = Tolerance(abs_tol=1e-12)
 SQRT2 = math.sqrt(2.0)
@@ -53,11 +52,12 @@ def test_g_series_vs_quadrature_sqrt2():
 
 def test_g_series_splits_at_rational_alpha():
     # at alpha = 1/2 the series runs split at its resonant terms, the value
-    # pinned in test_special.RATIONAL_VALUES
+    # pinned in test_special.RATIONAL_VALUES, 5.7e-12 from the 30-digit
+    # integral
     rep = g_series(validate(0.5, 0.3), 0.4)
     assert (rep.value.hex(), (rep.tail_bound + rep.noise_bound).hex(),
             rep.terms_first_series + rep.terms_second_series) == (
-        "0x1.5ed631783c6b6p-3", "0x1.4a5c76cfe0e48p-36", 47)
+        "0x1.5ed63178627c1p-3", "0x1.c8532f54a1c50p-36", 45)
 
 
 def test_g_series_refuses_ill_conditioned():
@@ -113,21 +113,24 @@ def test_one_sided_termwise_simplification_coefficients():
         assert abs(ratio - 1.0) < 1e-13 * m
 
 
-def test_series_endpoint_rho_one_sided_skips_second_series():
+def test_series_endpoint_rho_one_sided_sums_to_log():
+    # at rho = 1/alpha the first series sums (-1)^(m+1) beta^m / m =
+    # log(1 + beta), and the second vanishes termwise but for the float
+    # rho alpha, 1 within an ulp: its numerators |sin(k pi rho alpha)| stay
+    # under pi k 2^-52
     alpha = SQRT2
     p = validate(alpha, 1.0 / alpha)
     rep = g_series(p, 0.5)
-    assert rep.terms_second_series == 0
-    # the first series then sums (-1)^(m+1) beta^m / m = log(1 + beta)
-    assert abs(rep.value - math.log(1.5)) < 1e-9
+    assert rep.terms_second_series > 0
+    assert abs(rep.value - math.log(1.5)) <= rep.tail_bound + rep.noise_bound
 
 
-def test_one_sided_endpoint_bounds_the_second_series_it_leaves_out():
+def test_one_sided_endpoint_within_its_bound_of_mpmath():
     # 1e-7 above 1 at rho = 1/alpha, rho alpha is 1 within 4 eps but not
     # exactly, and the divisors sin(k pi alpha) are as small as 3e-7: the
-    # second series, left out, still adds up to 8e-11 to g', and its bound
-    # joins the tail bound.  At tol 1e-8 the series decides on the generic
-    # sum for g and g' (at the default tolerance g' pairs at 1/1 instead)
+    # second series, summed to the cut like any other, still adds up to
+    # 8e-11 to g'.  At tol 1e-8 the series decides on the generic sum for g
+    # and g' (at the default tolerance g' pairs at 1/1 instead)
     alpha, tol = 1.0000001, Tolerance(abs_tol=1e-8)
     params, profile = validate(alpha, 1.0 / alpha), classify(alpha)
     for beta in (1.2e-6, 0.012, 0.5):
@@ -135,7 +138,6 @@ def test_one_sided_endpoint_bounds_the_second_series_it_leaves_out():
             rep = series(params, beta, tol)
             assert rep == _generic(alpha, 1.0 / alpha, beta, tol, profile,
                                    series is gprime_series)
-            assert rep.terms_second_series == 0
             ref, err = oracle(alpha, 1.0 / alpha, beta)
             assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound + err, (beta, series)
 
@@ -290,202 +292,139 @@ def test_sine_table_cache_stays_at_its_bound():
 
 
 # ---------------------------------------------------------------------------
-# the stopping index: the tail's root, and doubling and bisection where it
-# is out of reach, against the per-term scan they replaced
+# the cut: one per call, from the root of its bound's logarithm
 # ---------------------------------------------------------------------------
 
-def _truncation_scan(beta, step, pre, shift, power, c, half_tol, max_terms):
-    """The per-term stopping loop the series ran before the bisection: the
-    first m whose model tail bound drops below half_tol, and the last tail
-    bound it computed (inf while the bounds' ratio is not below 1).  The
-    ratio of consecutive bounds takes the index power only where it is
-    positive: a negative one makes the ratios climb toward beta**step."""
-    base = beta ** step
-    tail = math.inf
-    for m in range(1, max_terms + 1):
-        j = m + 1
-        nxt = pre * beta ** (step * j - shift) * j ** power / c
-        ratio = base * ((j + 1) / j) ** max(power, 0)
-        if ratio < 1.0:
-            tail = nxt / (1.0 - ratio)
-            if tail < half_tol:
-                return m, tail
-    return None, tail
+# the exact ratio of alpha: generic floats, and the rational splits at
+# delta = 0; near 3/2 and 1/2 the paired splits cut at alpha's own ratio
+CUT_RATIOS = tuple(alpha.as_integer_ratio() for alpha in (
+    SQRT2, 0.5 + SQRT2 / 40.0, math.pi / 2.0, 0.3, 1.50000001, 0.5 + 1e-12)) + (
+    (1, 1), (3, 10), (19, 10), (1, 2), (3, 2))
+CUT_BETAS = (1e-300, 1e-30, 1e-6, 1e-3, 0.05, 0.2, 0.4, 0.6, 0.75, 0.85, 0.9, 0.95, 0.99)
 
 
-def _resonant_scan(beta, p, coef, weight, target, max_terms):
-    """The per-term stopping test of the rational split's resonant sum
-    before it took _truncation's index."""
-    base_p = beta ** p
-    tail3 = math.inf
-    for n in range(1, max_terms + 1):
-        np_ = n * p
-        tail3 = coef * weight / math.pi * beta ** (np_ + p - 1) / (1.0 - base_p)
-        if tail3 < target:
-            return n, tail3
-    return None, tail3
-
-
-def _hex(found):
-    m, tail = found
-    return m, tail.hex()
-
-
-TRUNCATION_BETAS = (1e-6, 1e-3, 0.05, 0.2, 0.4, 0.6, 0.75, 0.85, 0.9, 0.93, 0.95)
-BUDGETS = (1, 50, 10000)
-
-
-def test_truncation_bisection_matches_the_scan():
-    stops = set()
-    for step in (1.0, SQRT2, 0.5 + SQRT2 / 40.0):
-        for nu in (1.0, 1.355, 1.92, 25.6):
-            # g: shift 0, power nu - 1, prefactor 1; g': shift 1, power nu,
-            # prefactor step; and the power-0 shape
-            shapes = ((1.0, 0.0, nu - 1.0), (step, 1.0, nu), (1.0, 0.0, 0.0))
-            for pre, shift, power in shapes:
-                for beta in TRUNCATION_BETAS:
-                    for c, half_tol, max_terms in itertools.product(
-                            (0.5, 3e-7), (5e-11, 5e-14), BUDGETS):
-                        args = (beta, step, pre, shift, power, c, half_tol, max_terms)
-                        m, tail = _truncation(*args)
-                        want_m, want_tail = _truncation_scan(*args)
-                        assert (m, tail.hex()) == (want_m, want_tail.hex()), args
-                        stops.add(m if m is None else min(m, 2))
-    assert stops == {None, 1, 2}
-    # the rational split at alpha = p/q: power 0 and the constant floors.
-    # The nonresonant families take steps 1 and p/q over sin(pi/p) and
-    # sin(pi/q); the resonant sum takes step p, the prefactor
-    # (p/q) (pi rho + |log beta|)/pi and floor 1, and its index and tail
-    # are the ones of its old per-term test
-    stops = set()
-    for p, q in ((1, 2), (2, 1), (4, 5), (3, 10), (19, 10)):
-        floors = (1.0, sin_pi(1.0 / p), sin_pi(1.0 / q))
-        for beta in TRUNCATION_BETAS:
-            for target, max_terms in itertools.product((1.25e-11, 1.25e-14), BUDGETS):
-                for step, c in itertools.product((1.0, p / q, p), floors):
-                    if c > 0.0:
-                        args = (beta, step, step, 1.0, 0.0, c, target, max_terms)
-                        m, tail = _truncation(*args)
-                        assert (m, tail.hex()) == _hex(_truncation_scan(*args)), args
-                for rho in (0.1, 0.5, 0.9):
-                    coef, weight = p / q, math.pi * rho + abs(math.log(beta))
-                    args = (beta, p, coef * weight / math.pi, 1, 0, 1, target, max_terms)
-                    m, tail = _truncation(*args)
-                    assert (m, tail.hex()) == _hex(_truncation_scan(*args)), args
-                    assert (m, tail.hex()) == _hex(_resonant_scan(
-                        beta, p, coef, weight, target, max_terms)), args
-                    stops.add(m if m is None else min(m, 2))
-    assert stops == {None, 1, 2}
-
-
-def test_truncation_of_a_geometric_tail_matches_the_scan():
-    # at power 0 the index comes from the tail's logarithm: the shapes of
-    # the pairing check (pair prefactors up to 1e3 over floor 1, floors down
-    # to 1e-6), and a target of 0, below every tail, which the logarithm
-    # cannot take
-    stops = set()
-    for beta, step, pre, shift, c, target, max_terms in itertools.product(
-            (1e-6, 1e-3, 0.05, 0.4, 0.75, 0.9, 0.93, 0.95),
-            (1.0, SQRT2, 0.5 + 1e-12, 1.5, 2.0, 0.3), (1.0, 0.3, 1e3), (0.0, 1.0),
-            (1.0, 0.5, 0.0153, 1e-6), (1.25e-11, 1.25e-14, 1e-3, 0.0), BUDGETS):
-        if target == 0.0 and max_terms > 50:
-            continue
-        args = (beta, step, pre, shift, 0.0, c, target, max_terms)
-        m, tail = _truncation(*args)
-        assert (m, tail.hex()) == _hex(_truncation_scan(*args)), args
-        stops.add(m if m is None else min(m, 2))
-    assert stops == {None, 1, 2}
-    # targets on the tails themselves, beta**e: there the rounded logarithm
-    # lands on either side of the index, and the neighbours settle it
-    for beta, e in itertools.product((0.1, 0.3, 0.7, 0.9), range(1, 300)):
-        args = (beta, 1.0, 1.0 - beta, 0.0, 0.0, 1.0, beta ** e, 10000)
-        assert _truncation(*args) == _truncation_scan(*args), args
-
-
-def _tail_evaluations(args):
-    """_truncation(*args) and the number of tail bounds it evaluated,
-    counted as calls of its ``tail``."""
-    calls, outer = 0, sys.getprofile()
-
-    def profile(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_name == "tail":
-            calls += 1
-
-    sys.setprofile(profile)
-    try:
-        found = _truncation(*args)
-    finally:
-        sys.setprofile(outer)
-    return found, calls
-
-
-def test_truncation_from_the_tail_root_matches_the_scan():
-    # the index is read off the root of the tail's logarithm, by Newton's
-    # method from the power-0 root at power < 0, and settled by the tail
-    # itself: every power of the series' bounds (nu - 1 and nu of the
-    # convergent floors, -1 of g at rational alpha, and 0.0027, whose pole
-    # would overflow a plain expm1) at every beta band.  The settling walk
-    # evaluates at most two tails per stop, where doubling and bisection
-    # took up to 25 at power -1
-    stops, rooted, most = set(), set(), 0
-    for power, beta in itertools.product(
-            (-1.0, 0.0, 0.0027, 0.5, 1.0, 1.499, 1.841, 7.98, 22.92),
-            (1e-6, 1e-4, 0.1, 0.5, 0.9, 0.95)):
-        for step, pre, shift in ((1.0, 1.0, 0.0), (SQRT2, SQRT2, 1.0), (0.3, 1e3, 1.0)):
-            for c, half_tol, max_terms in itertools.product(
-                    (0.5, 3e-7), (5e-11, 5e-14), BUDGETS):
-                args = (beta, step, pre, shift, power, c, half_tol, max_terms)
-                found, calls = _tail_evaluations(args)
-                assert _hex(found) == _hex(_truncation_scan(*args)), args
-                m = found[0]
-                stops.add(m if m is None else min(m, 2))
-                most = max(most, calls)
-                if m is not None and m > 1:
-                    rooted.add(power)
-    assert stops == {None, 1, 2}
-    assert rooted == {-1.0, 0.0, 0.0027, 0.5, 1.0, 1.499, 1.841, 7.98, 22.92}
+def test_truncation_from_the_tail_root_matches_the_scan(monkeypatch):
+    # the cut starts at the root of its bound's logarithm with the sines
+    # left out, below which no cut meets the budget, and steps up a unit
+    # interval at a time: it equals the scan of every interval from the
+    # first the sine-free bound allows (``oracles.cut_scan``), for g and g'
+    # at rho 0.3 and 0.5 and every form the series takes.  Candidates are
+    # passed over on float sines, and only one whose float bound meets the
+    # budget takes two exact ones: the cut, or rarely one the 16 ulps of
+    # the exact bound push past it
+    sines = []
+    monkeypatch.setattr(series_module, "sin_mpi", lambda *args: sines.append(args) or
+                        sin_mpi(*args))
+    most, stops = 0, set()
+    for ratio, beta, rho, budget, derivative in itertools.product(
+            CUT_RATIOS, CUT_BETAS, (0.3, 0.5), (2.5e-11, 3.75e-14, 1e-3), (False, True)):
+        lam = math.pi * (1.0 + ratio[1] / ratio[0] - rho)
+        sines.clear()
+        found = _cut(beta, math.log(beta), ratio, lam, derivative, budget, 20000)
+        want = cut_scan(beta, ratio, rho, derivative, budget, 20000)
+        assert (found and found[:2]) == want, (ratio, beta, rho, budget, derivative)
+        most = max(most, len(sines) // 2)
+        stops.add(min(found[0], 2))
+    assert stops == {0, 1, 2}
     assert most == 2
 
 
 def test_truncation_with_a_budget_past_float_range():
-    # j**25.6 overflows past j = 1e12 and j**38.9 past 1e8.  The tail's root
-    # lies at the stopping index, doubling probes no index past twice it, and
-    # an overflowing bound counts as not stopping; bisecting over the whole
-    # budget would raise, or find no stop and sum all 10**13 terms
-    args = (1e-3, 1.0, 1.0, 0.0, 25.6, 0.5, 5e-11, 10**13)
-    assert _truncation(*args) == _truncation_scan(*args)
-    args = (1.0 - 1e-8, 1.0, 1.0, 1.0, 38.9, 1e-11, 5e-11, 10**9)
-    assert _truncation(*args) == (None, math.inf)
-    # the generic sum fails, and the pairing at 1/2 takes the budget, whose
-    # reach over the pairs is capped, without summing past it
+    # a term budget of 10^8 or 10^13 bounds the search, not the sums: the
+    # cut lies where its bound meets the tolerance, and no sum runs past it
     params = validate(0.5 + 1e-12, 0.5)
-    paired = gprime_series(params, 0.9, Tolerance(max_terms=10**8))
-    assert paired == _paired(params, 1, 2, 0.9, Tolerance(max_terms=10**8), True)
-    assert (paired.terms_first_series, paired.terms_second_series) == (248, 267)
+    for max_terms in (10**8, 10**13):
+        tol = Tolerance(max_terms=max_terms)
+        paired = gprime_series(params, 0.9, tol)
+        assert paired == _paired(params, 1, 2, 0.9, tol, True)
+        assert (paired.terms_first_series, paired.terms_second_series) == (225, 226)
+        rep = g_series(validate(SQRT2, 0.5), 1e-3, tol)
+        assert (rep.terms_first_series, rep.terms_second_series) == (3, 2)
+
+
+@pytest.mark.parametrize("alpha", [SQRT2, 0.3, 1.9, 1.50000001, 0.5 + SQRT2 / 40.0])
+@pytest.mark.parametrize("beta", [1e-300, 1e-30])
+def test_series_below_the_first_pole_sums_no_term(alpha, beta, monkeypatch):
+    # at beta 1e-300 and 1e-30 the cut of g lies below 1, and above alpha
+    # 1/2 below alpha too: a stop of 0 is the empty sum, not a missing
+    # stop, and no sum takes more than the few terms below the cut.  g'
+    # sums those terms, or refuses where beta^(alpha - 1) puts its rounding
+    # above the tolerance.  Every value lies within its bound of the
+    # residues below 3.5 at 50 digits (the integral oracles lose digits
+    # here: at alpha 0.3 and beta 1e-300 they give 2.97e-91 for g, where the
+    # leading residue is 5.61e-91)
+    params, summed, fsum = validate(alpha, 0.5), [], math.fsum
+
+    def recorded(terms):
+        terms = list(terms)
+        summed.append(len(terms))
+        return fsum(terms)
+
+    for series in (g_series, gprime_series):
+        derivative = series is gprime_series
+        monkeypatch.setattr(math, "fsum", recorded)
+        try:
+            rep = series(params, beta)
+        except IllConditionedSeriesError:
+            assert derivative and alpha < 1.0
+            continue
+        finally:
+            monkeypatch.undo()
+        assert rep.terms_first_series + rep.terms_second_series <= 6
+        ref = residue_sum(alpha, 0.5, beta, derivative, 3.5)
+        assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound, series
+    assert summed and max(summed) <= 6
+    if alpha > 0.5:
+        assert g_series(params, beta).terms_first_series == 0
+        assert g_series(params, beta).terms_second_series == 0
+
+
+def _split_partial(plan, beta, stop1, stop2):
+    """The split's two nonresonant families summed over m <= stop1 and
+    k <= stop2, and its pairs over n p <= stop1."""
+    p, q, derivative = plan.p, plan.q, plan.derivative
+    n = stop1 // p
+    first, second = plan.families
+    terms = (first.terms(beta, stop1 - n, derivative)
+             + second.terms(beta, stop2 - stop2 // q, derivative))
+    exps, xs, ys = (list(column)[:n] for column in series_module._rows(
+        plan.pairs, n, plan._pairs))
+    terms += [beta ** e * (math.log(beta) * x + y) for e, x, y in zip(exps, xs, ys)]
+    return math.fsum(terms)
+
+
+def test_truncation_tail_bounds_the_rest_at_negative_power():
+    # g at rational alpha: the nonresonant terms fall like beta^(step j) / j
+    # and the resonant ones like beta^(p j) / j; R(c') bounds all of them
+    # past the cut, summed here until beta^j is a millionth of R(c')
+    for p, q in ((1, 1), (3, 10), (19, 10), (1, 2)):
+        for beta in (1e-3, 0.2, 0.9, 0.99):
+            for abs_tol in (1e-6, 1e-13):
+                plan = series_module._plan(p, q, p, q, 0.5, False, abs_tol, 10**6)
+                log_beta = math.log(beta)
+                stop1, stop2, tail = _cut(beta, log_beta, (p, q), plan.lam, False, plan.budget,
+                                          plan.limit)
+                far = stop1 + int(math.log(1e-6 * tail) / log_beta) + 2
+                rest = _split_partial(plan, beta, far, far * q // p) - _split_partial(
+                    plan, beta, stop1, stop2)
+                assert abs(rest) <= tail < plan.budget, (p, q, beta, abs_tol)
 
 
 # ---------------------------------------------------------------------------
-# the failure path: value and bound when the term budget runs out
+# the failure path: a budget the cut passes
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("max_terms,series,message,value,bound", [
-    # the first nonresonant sum fails
-    (50, g_series, "first", "-0x1.bb252f1022bedp-1", "0x1.134cf1880d47dp-10"),
-    (50, gprime_series, "first", "-0x1.0f5b385c98c05p-2", "0x1.e782ebb6422f1p-5"),
-    # the second fails and reports the first's value plus its partial sum
-    (500, g_series, "second", "0x1.53e81adb99f86p-2", "0x1.d90988b338525p-26"),
-    (500, gprime_series, "second", "0x1.36012dfd467a0p-6", "0x1.3495382ce9bdcp-18"),
-])
-def test_series_failure_reports_partial_sum_and_tail(max_terms, series, message, value,
-                                                     bound):
-    # the split at the rational 3/10 refuses a budget only after it sums: at
-    # beta 0.9 its first family needs about 200 terms and its second about
-    # 660.  A generic or paired sum refuses a short budget before it sums
-    with pytest.raises(ConvergenceFailureError,
-                       match=f"^{message} nonresonant sum: tail bound") as err:
+@pytest.mark.parametrize("max_terms", [50, 500])
+@pytest.mark.parametrize("series", [g_series, gprime_series])
+def test_series_refuses_a_budget_its_cut_passes(max_terms, series):
+    # the split at the rational 3/10 refuses a budget before it sums: at
+    # beta 0.9 its cut needs about 170 terms of its first family and 510 of
+    # its second.  A generic or paired sum refuses a short budget as
+    # IllConditionedSeriesError
+    with pytest.raises(ConvergenceFailureError, match=(
+            f"^split at 3/10: a sum does not stop within {max_terms} terms$")) as err:
         series(validate(0.3, 0.5), 0.9, Tolerance(max_terms=max_terms))
-    assert (err.value.value.hex(), err.value.error_bound.hex()) == (value, bound)
+    assert (err.value.value, err.value.error_bound) == (None, None)
 
 
 def _divisor_terms(beta, step, div, num, derivative, count, skip):
@@ -562,22 +501,6 @@ def test_rational_split_refuses_a_missed_tolerance():
     assert err < 1e-25
     assert res.abs_error_bound <= tol.abs_tol
     assert abs(res.value - ref) <= res.abs_error_bound
-
-
-def test_truncation_tail_bounds_the_rest_at_negative_power():
-    # g at rational alpha: the nonresonant bounds fall like beta^(step j) / j
-    # and the resonant ones like beta^(p j) / j, whose ratio climbs toward
-    # beta^step; the tail must still bound the sum of every later bound
-    for step in (1.0, 0.3, 3.0):
-        for beta in (1e-3, 0.2, 0.9, 0.99):
-            for target in (1e-6, 1e-13):
-                stop, tail = _truncation(beta, step, 1.0, 0.0, -1.0, 1.0, target, 10**6)
-                rest, j, bound = 0.0, stop + 1, math.inf
-                while bound > 1e-30 * tail:
-                    bound = beta ** (step * j) / j
-                    rest += bound
-                    j += 1
-                assert rest <= tail < target, (step, beta, target)
 
 
 # ---------------------------------------------------------------------------
@@ -669,31 +592,34 @@ def _paired(params, p, q, beta, tol=None, derivative=False):
     return SeriesReport(*_split(plan, beta))
 
 
-def test_paired_series_refuses_an_unproven_floor():
-    # the series checks the proven floor at its own stopping indices: 3.1e-3
-    # above 3/2 it pairs at 3/2, and at beta 0.85 the first nonresonant sum
-    # would stop past the last index where 1/3 less the drift keeps half of
-    # sin(pi/3)
+def test_paired_series_keeps_its_pairs_within_half_a_period():
+    # 3.1e-3 above 3/2 the series pairs at 3/2 at tol 1e-13, and the two
+    # poles of pair n drift 6.3e-3 n apart.  The cut needs no divisor floor
+    # past it: at beta 0.85 it keeps 53 pairs, |delta| up to 0.33, and the
+    # value lies within its bound of the integral.  At 0.9 it would pass the
+    # pair at |delta| 1/2, where no candidate cut is sure to keep a pair
+    # whole, and the series refuses
     p = validate(1.5 + 1e-3 * math.pi, 0.5)
     tol = Tolerance(abs_tol=1e-13)
-    assert g_series(p, 0.75, tol) == _paired(p, 3, 2, 0.75, tol)
-    assert g_series(p, 0.75, tol).terms_second_series > 0
-    with pytest.raises(IllConditionedSeriesError, match="first nonresonant sum: divisor floor"):
-        g_series(p, 0.85, tol)
-    # and the pairs' own stop, where the series sums generically and the
-    # split is called directly: 9.4e-4 above 1/2 (delta_1 = 1.9e-3) the pair
-    # bound covers |delta| up to a quarter, and at beta 0.9 the pairs would
-    # run to |delta| = 0.40
+    for beta in (0.75, 0.85):
+        rep = g_series(p, beta, tol)
+        assert rep == _paired(p, 3, 2, beta, tol)
+        assert rep.terms_second_series > 0
+        ref, err = g_mpmath(p.alpha, 0.5, beta)
+        assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound + err, beta
+    with pytest.raises(IllConditionedSeriesError, match="where the pairs pass half a period"):
+        g_series(p, 0.9, tol)
+    # and where the series sums generically and the split is called
+    # directly: 9.4e-4 above 1/2 (delta_1 = 1.9e-3) half a period is
+    # |delta| 1/4, and at beta 0.9 the pairs would run to |delta| = 0.32
     p = validate(0.5 + 3e-4 * math.pi, 0.3)
     assert _paired(p, 1, 2, 0.8).terms_first_series > 0
-    with pytest.raises(IllConditionedSeriesError, match="past the bounded reach"):
+    with pytest.raises(IllConditionedSeriesError, match="where the pairs pass half a period"):
         _paired(p, 1, 2, 0.9)
-    # where the pairs do not converge within the term budget, the budget's
-    # last pair is held to the reach before any sum runs: at 1.2 paired at
-    # 1/1 five pairs reach |delta| = 1, past half a period
+    # at 1.2 paired at 1/1 the second pair is past half a period already
     p = validate(1.2, 0.5)
     for derivative in (False, True):
-        with pytest.raises(IllConditionedSeriesError, match="past the bounded reach"):
+        with pytest.raises(IllConditionedSeriesError, match="where the pairs pass half a period"):
             _paired(p, 1, 1, 0.9, Tolerance(max_terms=5), derivative)
 
 
@@ -743,21 +669,20 @@ def test_dispatched_series_within_its_bound_of_mpmath(series, oracle):
 # the conditioning the series decides itself, from the stops it sums to
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("alpha, counts", [(SQRT2, {2}), (0.5 + SQRT2 / 40.0, {2}),
-                                           (1.50000001, {3, 4}), (1.0000001, {1})])
+@pytest.mark.parametrize("alpha, counts", [(SQRT2, {1}), (0.5 + SQRT2 / 40.0, {1}),
+                                           (1.50000001, {2}), (1.0000001, {2})])
 def test_dispatch_computes_each_stopping_index_once(alpha, counts, monkeypatch):
-    # the generic families' two stops; near 3/2 the generic sum refuses at
-    # its first family's stop, or before it, and the split takes three; 1e-7
-    # above 1 the first term bound's noise refuses it before any stop, and
-    # the split at 1/1 sums only its pairs: nothing else asks for a stop
+    # one cut per form the series tries: the generic sum's, which stops
+    # both its families; near 3/2 and 1e-7 above 1 the generic sum refuses
+    # its noise at that cut, and the split at 3/2 or 1/1 takes one more, for
+    # its two families and its pairs: nothing else asks for a stop
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return _truncation(*args)
+        return _cut(*args)
 
-    for module in (diophantine_module, series_module):
-        monkeypatch.setattr(module, "_truncation", counted, raising=False)
+    monkeypatch.setattr(series_module, "_cut", counted)
     params = validate(alpha, 0.5)
     for beta in (0.3, 0.9):
         for any_beta in (g_any_beta, gprime_any_beta):
@@ -767,22 +692,26 @@ def test_dispatch_computes_each_stopping_index_once(alpha, counts, monkeypatch):
 
 
 def test_generic_series_refuses_its_summed_noise_over_the_cap():
-    # 1e-5 pi above 1, at tol 1e-12 and beta 0.05, each generic family of g
-    # stops within the budget with every term bound's noise under half the
-    # tolerance, and the generic bound meets the tolerance, but 4 eps times
-    # the summed |terms| exceeds half of it: the series refuses that sum and
-    # pairs its terms near 1/1
+    # 1e-5 pi above 1, at tol 1e-12 and beta 0.05, the cut stops each
+    # generic family of g within the budget with every term bound's noise
+    # under half the tolerance, and the generic bound meets the tolerance,
+    # but 4 eps times the summed |terms| exceeds half of it: the series
+    # refuses that sum and pairs its terms near 1/1
     alpha, rho, beta, tol = 1.0 + 1e-5 * math.pi, 0.3, 0.05, Tolerance(abs_tol=1e-12)
     params, profile, cap = validate(alpha, rho), classify(alpha), 0.5e-12
     (a_num, a_den), (r_num, r_den) = alpha.as_integer_ratio(), rho.as_integer_ratio()
-    value = tail = abs_sum = 0.0
-    for step, div, num in ((1.0, (a_den, a_num), (r_num, r_den)),
-                           (alpha, (a_num, a_den), (r_num * a_num, r_den * a_den))):
-        stop, bound = _stop(beta, step, False, profile.floor_constant, profile.floor_power,
-                            cap, tol.max_terms)
+    log_beta = math.log(beta)
+    *stops, tail = _cut(beta, log_beta, (a_num, a_den), math.pi * (1.0 + a_den / a_num - rho),
+                        False, 0.25 * tol.abs_tol, tol.max_terms)
+    value = abs_sum = 0.0
+    for stop, (step, div, num) in zip(stops, (
+            (1.0, (a_den, a_num), (r_num, r_den)),
+            (alpha, (a_num, a_den), (r_num * a_num, r_den * a_den)))):
         assert stop
+        assert not _noisy(beta, log_beta, step, False, profile.floor_constant,
+                          profile.floor_power, cap, stop)
         terms = series_module._family(step, *div, *num, div[1]).terms(beta, stop, False)
-        value, tail = value + math.fsum(terms), tail + bound
+        value += math.fsum(terms)
         abs_sum += math.fsum(map(abs, terms))
     assert tail + 4.0 * EPS * (abs_sum + abs(value)) <= tol.abs_tol
     assert 4.0 * EPS * abs_sum > cap

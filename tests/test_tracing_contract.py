@@ -67,6 +67,16 @@ with contextlib.redirect_stdout(io.StringIO()):
 """
 
 
+# a 40-row g table at the rational 19/10: the split series runs at every
+# row, as on the benchmark's grid
+RATIONAL_G = """
+with contextlib.redirect_stdout(io.StringIO()):
+    code = entry["main"](["table", "--alpha", "1.9", "--rho", "0.5",
+                          "--beta-start", "0.01", "--beta-stop", "0.9",
+                          "--beta-count", "40"])
+"""
+
+
 def _traced(body: str) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", TRACED.format(body=body), str(ROOT / "src"),
@@ -98,7 +108,7 @@ def test_sweep_work_counters():
     assert metrics["diophantine.classify.calls"] == 1
     assert metrics["diophantine.classify.reductions"] == 40
     assert metrics["accurate.reductions"] <= 900
-    assert metrics["series.terms"] == 3584
+    assert metrics["series.terms"] == 2910
 
 
 def test_paired_sweep_work_counters():
@@ -106,7 +116,7 @@ def test_paired_sweep_work_counters():
     assert metrics["diophantine.classify.calls"] == 1  # one plan region
     assert metrics["quadrature.calls"] == 0
     assert metrics["series.calls"] == 40
-    assert metrics["series.terms"] == 2480  # the pairs count as first-series terms
+    assert metrics["series.terms"] == 2241  # the pairs count as first-series terms
 
 
 def test_rational_sweep_work_counters():
@@ -114,5 +124,14 @@ def test_rational_sweep_work_counters():
     # nonresonant sums' sines, not once per beta
     metrics = _traced(RATIONAL)
     assert metrics["series.calls"] == 40
-    assert metrics["series.terms"] == 9092
+    assert metrics["series.terms"] == 7802
     assert metrics["accurate.reductions"] <= 2060
+
+
+def test_rational_g_sweep_work_counters():
+    # g at 19/10, the split of the benchmark's grid: its cut may pass an
+    # interval whose midpoint is a pole alpha k, yet sums fewer terms than
+    # the stops it replaced (2887)
+    metrics = _traced(RATIONAL_G)
+    assert metrics["series.calls"] == 40
+    assert metrics["series.terms"] == 2484

@@ -16,8 +16,8 @@ conditioning at this beta, and raises IllConditionedSeriesError where it
 does not fit), then quadrature.  In the band 0.95 < beta < 1.05, where the
 series slow down, quadrature comes first and the Doney and series
 candidates are skipped, except that below beta = 1 the series at rational
-alpha stays on as its fallback: its floors do not depend on beta.  So a
-beta in [1.05, 1/0.95) is planned in the band at 1/beta.  A forced method
+alpha stays on as its fallback: a rational alpha has no small divisors.
+So a beta in [1.05, 1/0.95) is planned in the band at 1/beta.  A forced method
 runs its own step of this plan alone, except in the band, and raises when
 the plan skips that step.  The steps are cached per (params, g or g',
 method, tolerance, region), the region being whether beta is reflected,

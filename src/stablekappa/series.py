@@ -44,19 +44,22 @@ At rational alpha = p/q (a Rational ``diophantine._profile``) the divisors of
 the terms m = n p and k = n q vanish, and ``_split`` runs at delta = 0 on
 the exact ratio (p, q): each pair is its limit s alpha H'(N)/pi, the
 resonant term at the double pole N, taken like every pair from beta-free
-factors cached across beta.
+factors cached across beta.  The generic sum, at an irrational alpha, is
+the same split at the float's own exact ratio a_num/a_den: its first pair,
+at m = a_num, lies far past any term budget, so it sums the two divisor
+series alone, and a pair that the cut does reach is a resonant term.
 
 The split reads all that does not depend on beta off one cached plan per
-(alpha, p/q, rho, g or g', tolerance) (``_plan``): lambda, the budget of its
-cut, the exponents and coefficients of its two nonresonant families, and
-the exponents and factors of its pairs.  At each beta it computes only log
-beta, the cut, and one pass over each sum.
+(alpha, p/q, rho, g or g', tolerance, floor) (``_plan``): lambda, the budget
+of its cut, the exponents and coefficients of its two nonresonant
+families, and the exponents and factors of its pairs.  At each beta it
+computes only log beta, the cut, and one pass over each sum.
 
 The series decides its conditioning at each beta itself, from alpha's
 cached ``diophantine._profile`` and its cut, each computed once per form
 tried: the split at a rational alpha; else the generic sum, unless a family
-needs more terms than the budget, the noise of a term bound under the
-divisor floor model (``_noisy``, before the sum) or of the summed |terms|
+needs more terms than the budget, the noise of a term bound under alpha's
+divisor floor (``_noisy``, before the sum) or of the summed |terms|
 exceeds half the tolerance, or its bound the tolerance; else the split at
 the pairing convergent, the p/q before alpha's largest partial quotient,
 unless its projected noise exceeds half the tolerance, or no cut meets the
@@ -75,7 +78,7 @@ from itertools import chain, islice, repeat
 from operator import add, mul
 
 from .accurate import EPS, sin_mpi, sin_pi, sincos_mpi
-from .diophantine import AlphaClass, AlphaKind, _profile
+from .diophantine import AlphaKind, _profile
 from .params import (
     DEFAULT_TOLERANCE,
     ConvergenceFailureError,
@@ -94,10 +97,10 @@ class SeriesReport:
     the cut c' that stops every sum (see the module docstring);
     noise_bound, 4 eps times the left-to-right sum of |terms| and |value|,
     bounds the rounding of the terms, whose every sum is exactly rounded.
-    Split at p/q (paired near it, or at a rational alpha = p/q),
-    terms_first_series counts the first series' terms that p does not divide
-    plus the pairs, and terms_second_series those of the second that q does
-    not divide.
+    Split at p/q (paired near it, at a rational alpha = p/q, or for the
+    generic sum at alpha's own ratio), terms_first_series counts the first
+    series' terms that p does not divide plus the pairs, and
+    terms_second_series those of the second that q does not divide.
     """
 
     value: float
@@ -147,8 +150,8 @@ class _Family:
 
     ``sines`` holds sin(m pi num) and sin(m pi div), shared by g and g', and
     ``tables[derivative]`` each term's exponent step m - shift and
-    coefficient.  The split series leaves out the multiples of skip (it sums
-    them as pairs); the generic one passes a skip above its stop."""
+    coefficient.  The split series sums the multiples of skip, p or q, as
+    pairs; at alpha's own ratio they are the indices whose divisor vanishes."""
 
     __slots__ = ("step", "div", "num", "skip", "sines", "tables")
 
@@ -183,7 +186,7 @@ class _Family:
 
 
 # the family of divisor sin(m pi d_num/d_den) and numerator sin(m pi
-# n_num/n_den), shared by every beta, g and g', the generic sum and the plans
+# n_num/n_den), shared by every beta, g and g' and the plans
 _family = lru_cache(maxsize=_TABLES)(_Family)
 
 
@@ -304,27 +307,29 @@ def _pair_factors(ns, ratio: tuple[int, int], p: int, q: int,
 class _Plan:
     """The beta-free part of the split series at p/q for one exact ratio
     alpha = a_num/a_den, rho, g or g' and tolerance: delta_1 = (a_num q -
-    p a_den)/a_den, lambda, the budget of its cut (3/8 of the tolerance)
-    and the index it stays below, the pairs' exponent shift and index power
-    -deg, the two nonresonant families, and the table of its pairs n:
-    exponent N - shift and factors X_n, Y_n (``_pair_factors``).  Paired
-    (delta_1 != 0), also what its projected noise reads
-    (``_projected_noise``): the reach min(|delta_1| max_terms, min(alpha,
-    1)/2) of the pairs, the factors x = pi reach, sin x and the slope of
-    1/sinc of the pairs' bound there, and half of sin(pi/p) and sin(pi/q)
-    as the nonresonant families' floors."""
+    p a_den)/a_den, lambda, the budget of its cut (3/8 of the tolerance; a
+    quarter for the generic sum, given alpha's ``floor`` c, nu) and the
+    index it stays below, the pairs' exponent shift and index power -deg,
+    the two nonresonant families, and the table of its pairs n: exponent
+    N - shift and factors X_n, Y_n (``_pair_factors``).  Paired (delta_1 !=
+    0), also what its projected noise reads (``_projected_noise``): the
+    reach min(|delta_1| max_terms, min(alpha, 1)/2) of the pairs, the
+    factors x = pi reach, sin x and the slope of 1/sinc of the pairs' bound
+    there, and half of sin(pi/p) and sin(pi/q) as the nonresonant families'
+    floors."""
 
     __slots__ = ("p", "q", "delta1", "lam", "budget", "abs_tol", "max_terms", "limit", "shift",
-                 "deg", "reach", "pair_noise", "floors", "families", "derivative", "ratio", "rho",
-                 "pairs")
+                 "deg", "reach", "pair_noise", "floors", "floor", "families", "derivative",
+                 "ratio", "rho", "pairs")
 
     def __init__(self, a_num: int, a_den: int, p: int, q: int, rho: float, derivative: bool,
-                 abs_tol: float, max_terms: int):
+                 abs_tol: float, max_terms: int, *floor: float):
         r_num, r_den = rho.as_integer_ratio()
         alpha, gap = a_num / a_den, a_num * q - p * a_den
-        self.p, self.q, self.delta1 = p, q, gap / a_den
+        self.p, self.q, self.delta1, self.floor = p, q, gap / a_den, floor
         self.lam = math.pi * (1.0 + a_den / a_num - rho)
-        self.budget, self.abs_tol, self.max_terms = 0.375 * abs_tol, abs_tol, max_terms
+        self.budget, self.abs_tol = (0.25 if floor else 0.375) * abs_tol, abs_tol
+        self.max_terms = max_terms
         self.shift, self.deg = (1, 0) if derivative else (0, 1)
         # the first family over m with p not dividing m, the second over k
         # with q not dividing k, in powers beta^alpha, with sin(k pi rho alpha)
@@ -352,7 +357,7 @@ class _Plan:
         return [n * self.p - self.shift for n in ns], factors[::2], factors[1::2]
 
 
-# the plan of one (a_num, a_den, p, q, rho, derivative, abs_tol, max_terms)
+# the plan of one (a_num, a_den, p, q, rho, derivative, abs_tol, max_terms, floor)
 _plan = lru_cache(maxsize=_TABLES)(_Plan)
 
 
@@ -381,13 +386,15 @@ def _split(plan: _Plan, beta: float) -> tuple[float, int, int, float, float]:
     Only log beta, the cut, e_n and the powers of beta are computed per
     beta.  Paired, IllConditionedSeriesError is raised before any sum where
     the projected noise exceeds half the tolerance, the cut would pass the
-    pairs' half period, or a sum needs more terms than the budget; at
-    delta_1 = 0 the budget raises
-    ConvergenceFailureError, and a bound above the tolerance after the sum,
-    whose noise no projection budgets, IllConditionedSeriesError.  Returns
+    pairs' half period, or a sum needs more terms than the budget, and
+    given alpha's floor, where the budget or ``_noisy`` refuses before the
+    sum, or the noise of the summed |terms| exceeds half the tolerance; at
+    rational alpha the budget raises ConvergenceFailureError, and at delta_1
+    = 0 a bound above the tolerance after the sum, whose noise no projection
+    budgets, or a term that overflows, IllConditionedSeriesError.  Returns
     the fields of a ``SeriesReport``, the pairs counted in its
     ``terms_first_series``."""
-    p, q, delta1, max_terms = plan.p, plan.q, plan.delta1, plan.max_terms
+    p, q, delta1, max_terms, floor = plan.p, plan.q, plan.delta1, plan.max_terms, plan.floor
     if delta1 and (noise := _projected_noise(plan, beta)) > 0.5 * plan.abs_tol:
         raise IllConditionedSeriesError(f"split at {p}/{q}: projected noise "
                                         f"{noise:.3e} above half the tolerance")
@@ -401,19 +408,31 @@ def _split(plan: _Plan, beta: float) -> tuple[float, int, int, float, float]:
         n = stop1 // p
         count1, count2 = stop1 - n, stop2 - stop2 // q
     if cut is None or max(count1, count2, n) > max_terms:
-        error = IllConditionedSeriesError if delta1 else ConvergenceFailureError
+        error = IllConditionedSeriesError if delta1 or floor else ConvergenceFailureError
         raise error(f"split at {p}/{q}: a sum does not stop within {max_terms} terms")
     first, second = plan.families
-    v1, abs_sum = _divisor_series(first, beta, plan.derivative, count1, 0.0)
-    v2, abs_sum = _divisor_series(second, beta, plan.derivative, count2, abs_sum)
-
-    # the pairs, reindexed by m = n p, k = n q
-    growth = (repeat(log_beta, n) if not delta1 else
-              (math.expm1(k * delta1 * log_beta) / (k * delta1) for k in range(1, n + 1)))
-    terms = [beta ** e * (g * x + y)
-             for g, e, x, y in zip(growth, *_rows(plan.pairs, n, plan._pairs))]
-    value = v1 + v2 + math.fsum(terms)
-    noise = 4.0 * EPS * (reduce(add, map(abs, terms), abs_sum) + abs(value))
+    cap = 0.5 * plan.abs_tol
+    try:
+        if floor and (_noisy(beta, log_beta, first.step, plan.derivative, *floor, cap, stop1)
+                      or _noisy(beta, log_beta, second.step, plan.derivative, *floor, cap, stop2)):
+            raise IllConditionedSeriesError(f"split at {p}/{q}: noise above half the tolerance")
+        v1, abs_sum = _divisor_series(first, beta, plan.derivative, count1, 0.0)
+        v2, abs_sum = _divisor_series(second, beta, plan.derivative, count2, abs_sum)
+        pairs = 0.0
+        if n:
+            # the pairs, reindexed by m = n p, k = n q
+            growth = (repeat(log_beta, n) if not delta1 else
+                      (math.expm1(k * delta1 * log_beta) / (k * delta1) for k in range(1, n + 1)))
+            terms = [beta ** e * (g * x + y)
+                     for g, e, x, y in zip(growth, *_rows(plan.pairs, n, plan._pairs))]
+            pairs = math.fsum(terms)
+            abs_sum = reduce(add, map(abs, terms), abs_sum)
+    except OverflowError:
+        raise IllConditionedSeriesError(f"split at {p}/{q}: a term overflows") from None
+    value = v1 + v2 + pairs
+    noise = 4.0 * EPS * (abs_sum + abs(value))
+    if floor and 4.0 * EPS * abs_sum > cap:
+        raise IllConditionedSeriesError(f"split at {p}/{q}: summed noise above half the tolerance")
     if not delta1 and tail + noise > plan.abs_tol:
         raise IllConditionedSeriesError(
             f"error bound {tail + noise:.3e} above the tolerance {plan.abs_tol:.3e}")
@@ -427,9 +446,12 @@ def _noisy(beta: float, log_beta: float, step: float, derivative: bool, c: float
     term m is below pre beta^(step m - shift) m^(nu - deg) / c, (pre,
     shift, deg) = (step, 1, 0) for g' and (1, 0, 1) for g.  The bounds are
     log-concave in m, so the first and the largest, at floor k or k + 1 for
-    k = (nu - deg)/(-step log beta) capped at the stop, are checked."""
+    k = (nu - deg)/(-step log beta) capped at the stop, are checked.  A
+    floor c of 0 bounds no divisor: every term is taken as noisy."""
     if not stop:
         return False
+    if not c:
+        return True
     pre, shift, deg = (step, 1.0, 0) if derivative else (1.0, 0.0, 1)
     power = nu - deg
 
@@ -438,41 +460,6 @@ def _noisy(beta: float, log_beta: float, step: float, derivative: bool, c: float
 
     top = int(min(power / (-step * log_beta), stop))
     return noisy(1) or noisy(max(top, 1)) or noisy(min(top + 1, stop))
-
-
-def _generic(alpha: float, rho: float, beta: float, tol: Tolerance, profile: AlphaClass,
-             derivative: bool) -> SeriesReport | None:
-    """The two divisor series stopped at one cut for a tail bound under a
-    quarter of the tolerance, or None where the series refuses them (see
-    the module docstring).  A divisor vanishes only at a multiple of
-    alpha's exact numerator or denominator; one reached raises
-    IllConditionedSeriesError."""
-    a_num, a_den = alpha.as_integer_ratio()
-    r_num, r_den = rho.as_integer_ratio()
-    cap, log_beta = 0.5 * tol.abs_tol, math.log(beta)
-    cut = _cut(beta, log_beta, (a_num, a_den), math.pi * (1.0 + a_den / a_num - rho),
-               derivative, 0.25 * tol.abs_tol, tol.max_terms)
-    if cut is None:
-        return None
-    *stops, tail = cut
-    families = ((1.0, (a_den, a_num), (r_num, r_den), "sin({} pi/alpha)"),
-                (alpha, (a_num, a_den), (r_num * a_num, r_den * a_den), "sin({} pi alpha)"))
-    for stop, (step, div, _, divisor) in zip(stops, families):
-        if stop > tol.max_terms or _noisy(beta, log_beta, step, derivative,
-                                          profile.floor_constant, profile.floor_power, cap, stop):
-            return None
-        # sin(m pi div) is exactly 0 where div's denominator divides m
-        if div[1] <= stop:
-            raise IllConditionedSeriesError(f"divisor {divisor.format(div[1])} vanished")
-    value = abs_sum = 0.0
-    for stop, (step, div, num, _) in zip(stops, families):
-        v, abs_sum = _divisor_series(_family(step, *div, *num, div[1]), beta, derivative, stop,
-                                     abs_sum)
-        value += v
-    noise = 4.0 * EPS * (abs_sum + abs(value))
-    if 4.0 * EPS * abs_sum > cap or tail + noise > tol.abs_tol:
-        return None
-    return SeriesReport(value, *stops, tail, noise)
 
 
 def _series(params: StableParams, beta: float, tol: Tolerance | None,
@@ -488,15 +475,20 @@ def _series(params: StableParams, beta: float, tol: Tolerance | None,
     if profile.kind is AlphaKind.RATIONAL:
         # split at the exact ratio p/q itself (the float 0.8 is not 4/5), so
         # that its pairs sit at delta = 0
-        return SeriesReport(*_split(_plan(profile.p, profile.q, profile.p, profile.q, rho,
-                                          derivative, tol.abs_tol, tol.max_terms), beta))
-    report = _generic(alpha, rho, beta, tol, profile, derivative)
-    if report is not None:
-        return report
-    if pair is None:
-        raise IllConditionedSeriesError("small divisors exceed the work/noise budget at this "
-                                        "beta and tolerance, paired or not")
-    plan = _plan(*alpha.as_integer_ratio(), *pair, rho, derivative, tol.abs_tol, tol.max_terms)
+        ratio, floor = (profile.p, profile.q), ()
+    else:
+        # the generic sum: the split at the float's own ratio, under its floor
+        ratio, floor = alpha.as_integer_ratio(), (profile.floor_constant, profile.floor_power)
+    try:
+        return SeriesReport(*_split(_plan(*ratio, *ratio, rho, derivative, tol.abs_tol,
+                                          tol.max_terms, *floor), beta))
+    except IllConditionedSeriesError:
+        if not floor:
+            raise
+        if pair is None:
+            raise IllConditionedSeriesError("small divisors exceed the work/noise budget at "
+                                            "this beta and tolerance, paired or not") from None
+    plan = _plan(*ratio, *pair, rho, derivative, tol.abs_tol, tol.max_terms)
     return SeriesReport(*_split(plan, beta))
 
 

@@ -475,3 +475,26 @@ def test_help_from_the_reused_parser_is_unchanged(capsys):
     assert _build_parser() is _build_parser()
     code, out, _ = run(capsys, "--help")
     assert out == _build_parser.__wrapped__().format_help()
+
+
+def test_eval_at_a_dyadic_alpha_with_a_zero_divisor_floor(capsys):
+    # 2^-30 has a divisor floor of 0: the series refuses it, and
+    # quadrature evaluates g there
+    code, out, err = run(capsys, "eval", "--alpha", "9.313225746154785e-10",
+                         "--rho", "0.5", "--beta", "0.3", "--format", "json")
+    assert (code, err) == (0, "")
+    rec = json.loads(out)
+    assert (rec["method"], rec["status"]) == ("quadrature", "ok")
+    ref, ref_err = g_mpmath(2.0 ** -30, 0.5, 0.3)
+    assert abs(rec["value"] - ref) <= rec["abs_error_bound"] + ref_err
+
+
+def test_eval_where_a_series_term_overflows(capsys):
+    # beta^(0.01 k - 1) at beta 1e-320 overflows a float: the series
+    # refuses, quadrature does not converge, as at beta 1e-310
+    for beta in ("1e-310", "1e-320"):
+        code, out, err = run(capsys, "eval", "--alpha", "0.01", "--rho", "0.5",
+                             "--beta", beta, "--derivative", "--format", "json")
+        assert code == 2, beta
+        assert json.loads(out)["status"] == "convergence_failure"
+        assert err.startswith("error: quadrature error estimate")

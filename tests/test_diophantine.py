@@ -228,12 +228,12 @@ def test_classify_matches_uncached_recomputation():
         assert got.floor_constant.hex() == want.floor_constant.hex()
 
 
-def _generic_uncached(alpha: float, rho: float, tol: Tolerance, beta: float,
-                      profile: AlphaClass) -> tuple[int, int] | None:
-    """The stops of the two generic families of g' recomputed, or None
-    where the cut does not meet a quarter of the tolerance within the
-    budget, or 4 eps times a family's largest term bound up to its stop
-    exceeds half the tolerance."""
+def _own_ratio_uncached(alpha: float, rho: float, tol: Tolerance, beta: float,
+                        profile: AlphaClass) -> tuple[int, int] | None:
+    """The stops of the generic sum of g', the split at alpha's own ratio,
+    recomputed, or None where the cut does not meet a quarter of the
+    tolerance within the budget, or 4 eps times a family's largest term
+    bound up to its stop exceeds half the tolerance."""
     ratio = alpha.as_integer_ratio()
     found = cut_scan(beta, ratio, rho, True, 0.25 * tol.abs_tol, tol.max_terms)
     if found is None:
@@ -249,10 +249,11 @@ def _generic_uncached(alpha: float, rho: float, tol: Tolerance, beta: float,
 
 def test_series_stops_match_uncached_recomputation():
     # the decision the series of g' makes before it sums, at rho 0.5: the
-    # generic families' stops at their cut (``_cut`` from its first guess,
-    # and ``_noisy``), else the split's at the pairing convergent (its
-    # projected noise, and the cut read off its plan), else a refusal; each
-    # against a scan from the first unit interval that could hold the cut
+    # stops of the split at alpha's own ratio, the generic sum (the cut read
+    # off its plan from its first guess, and ``_noisy`` under alpha's
+    # floor), else the split's at the pairing convergent (its projected
+    # noise, and the cut read off its plan), else a refusal; each against a
+    # scan from the first unit interval that could hold the cut
     rho, kinds = 0.5, set()
     for alphas, tols, betas in ((CACHE_ALPHAS, CACHE_TOLS, CACHE_BETAS),
                                 (GRID_ALPHAS, GRID_TOLS, GRID_BETAS)):
@@ -262,21 +263,20 @@ def test_series_stops_match_uncached_recomputation():
                 continue
             c, nu = profile.floor_constant, profile.floor_power
             ratio = alpha.as_integer_ratio()
-            lam = math.pi * (1.0 + ratio[1] / ratio[0] - rho)
             reference = _uncached_profile(alpha)
             for tol in tols:
+                own = _plan(*ratio, *ratio, rho, True, tol.abs_tol, tol.max_terms, c, nu)
                 plan = _plan(*ratio, *pair, rho, True, tol.abs_tol, tol.max_terms)
                 for beta in betas:
                     log_beta = math.log(beta)
-                    got = _cut(beta, log_beta, ratio, lam, True, 0.25 * tol.abs_tol,
-                               tol.max_terms)
+                    got = _cut(beta, log_beta, own.ratio, own.lam, True, own.budget, own.limit)
                     if got is not None:
                         got = got[:2]
                         if any(stop > tol.max_terms or _noisy(
-                                beta, log_beta, step, True, c, nu, 0.5 * tol.abs_tol, stop)
-                               for stop, step in zip(got, (1.0, alpha))):
+                                beta, log_beta, family.step, True, c, nu, 0.5 * tol.abs_tol,
+                                stop) for stop, family in zip(got, own.families)):
                             got = None
-                    assert got == _generic_uncached(alpha, rho, tol, beta, reference), (
+                    assert got == _own_ratio_uncached(alpha, rho, tol, beta, reference), (
                         alpha, tol, beta)
                     if got is not None:
                         kinds.add("generic")

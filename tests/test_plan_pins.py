@@ -13,11 +13,18 @@ the series began to stop at one contour cut: each of those values lies
 within its bound of the 30-digit integral (``tests/oracles.g_mpmath`` or
 ``gprime_mpmath``), stored as float hex with its error estimate in
 ``ORACLE``.  Each case is checked cold, the plan cache cleared before the
-call, and warm, after every case has filled it.
+call, and warm, after every case has filled it.  After an intended
+change, print both tables from the current tree with
+
+    PYTHONPATH=src python tests/test_plan_pins.py
+
+and name every changed pin in CHANGES.md.
 """
 
 import importlib
+import itertools
 import math
+import sys
 
 import pytest
 
@@ -27,6 +34,7 @@ from stablekappa import MethodChoice, g_any_beta, gprime_any_beta, validate
 kappa_module = importlib.import_module("stablekappa.kappa")
 
 SQRT2 = math.sqrt(2.0)
+ALPHAS = ((SQRT2, 0.5), (0.8, 0.25), (0.5, 0.3))
 BETAS = (0.3, 0.95, 0.97, 1.0, 1.03, 1.05, 1.051, 1 / 0.95, 1.06, 2.5)
 
 # short name -> (method, reason, runnable) of one plan step
@@ -683,3 +691,31 @@ def test_series_rows_lie_within_their_bounds_of_the_oracle():
             assert abs(value - ref) <= bound - err - 0.5 * math.ulp(ref), (alpha, beta)
             rows += 1
     assert rows == 44
+
+
+if __name__ == "__main__":
+    from oracles import g_mpmath, gprime_mpmath
+
+    names = {step: name for name, step in STEPS.items()}
+    rows = {}
+    print("PINS = {")
+    for (alpha, rho), derivative, method in itertools.product(
+            ALPHAS, (False, True), ("auto", "doney", "series", "quadrature")):
+        print(f"    ({'SQRT2' if alpha == SQRT2 else repr(alpha)}, {rho!r}, {derivative!r}, "
+              f"{method!r}): (")
+        for beta in BETAS:
+            planned, result = _outcome(alpha, rho, derivative, method, beta)
+            if not isinstance(planned, str):
+                planned = tuple(names[step] for step in planned)
+            print(f"        ({planned!r},\n         {result!r}),")
+            if not isinstance(result, str) and result[2] == "series":
+                rows[alpha, rho, derivative, beta] = None
+        print("    ),")
+    print("}")
+    print("ORACLE = {")
+    for alpha, rho, derivative, beta in sorted(rows):
+        ref, err = (gprime_mpmath if derivative else g_mpmath)(alpha, rho, beta)
+        print(f'    {(alpha, rho, derivative, beta)!r}: ("{float(ref).hex()}", '
+              f'"{float(err).hex()}"),')
+    print("}")
+    sys.exit(0)

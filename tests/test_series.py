@@ -26,13 +26,27 @@ from stablekappa import (
     validate,
 )
 from stablekappa.accurate import EPS, sin_mpi
-from stablekappa.diophantine import AlphaClass, _profile
-from stablekappa.series import SeriesReport, _cut, _generic, _noisy, _split
+from stablekappa.diophantine import _profile
+from stablekappa.series import SeriesReport, _cut, _noisy, _plan, _split
 
 from oracles import cut_scan, g_mpmath, gprime_mpmath, residue_sum
 
 TIGHT = Tolerance(abs_tol=1e-12)
 SQRT2 = math.sqrt(2.0)
+
+
+def _own_ratio(alpha, rho, beta, tol=None, derivative=False, floor=None):
+    """The generic sum, the split at alpha's own exact ratio under its
+    divisor floor (or ``floor``), called directly: the report, or None where
+    it refuses."""
+    tol, ratio = tol or Tolerance(), alpha.as_integer_ratio()
+    profile = classify(alpha)
+    plan = _plan(*ratio, *ratio, rho, derivative, tol.abs_tol, tol.max_terms,
+                 *(floor or (profile.floor_constant, profile.floor_power)))
+    try:
+        return SeriesReport(*_split(plan, beta))
+    except IllConditionedSeriesError:
+        return None
 
 
 def test_g_series_zero_at_zero():
@@ -132,26 +146,26 @@ def test_one_sided_endpoint_within_its_bound_of_mpmath():
     # 8e-11 to g'.  At tol 1e-8 the series decides on the generic sum for g
     # and g' (at the default tolerance g' pairs at 1/1 instead)
     alpha, tol = 1.0000001, Tolerance(abs_tol=1e-8)
-    params, profile = validate(alpha, 1.0 / alpha), classify(alpha)
+    params = validate(alpha, 1.0 / alpha)
     for beta in (1.2e-6, 0.012, 0.5):
         for series, oracle in ((g_series, g_mpmath), (gprime_series, gprime_mpmath)):
             rep = series(params, beta, tol)
-            assert rep == _generic(alpha, 1.0 / alpha, beta, tol, profile,
-                                   series is gprime_series)
+            assert rep == _own_ratio(alpha, 1.0 / alpha, beta, tol, series is gprime_series)
             ref, err = oracle(alpha, 1.0 / alpha, beta)
             assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound + err, (beta, series)
 
 
-@pytest.mark.parametrize("alpha,divisor", [(0.5, "sin(1 pi/alpha)"),
-                                           (1.5, "sin(3 pi/alpha)")])
-def test_vanished_divisor_at_a_forced_irrational_verdict(alpha, divisor):
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_own_ratio_sums_a_vanished_divisor_as_its_resonant_term(alpha):
     # sin(m pi/alpha) is exactly 0 at m = 1 for alpha = 1/2 and at m = 3 for
-    # 3/2; the generic sum, given an irrational floor model there, must
-    # refuse rather than skip the index as the rational split does
-    aclass = AlphaClass(AlphaKind.IRRATIONAL, floor_power=1.0, floor_constant=0.5)
-    with pytest.raises(IllConditionedSeriesError) as err:
-        _generic(alpha, 0.5, 0.3, Tolerance(), aclass, False)
-    assert str(err.value) == f"divisor {divisor} vanished"
+    # 3/2, the float's own numerator: the split at its own ratio, given an
+    # irrational floor model there, takes those indices as its pairs at
+    # delta = 0, the resonant terms, and lies within its bound of the integral
+    for derivative, oracle in ((False, g_mpmath), (True, gprime_mpmath)):
+        rep = _own_ratio(alpha, 0.5, 0.3, derivative=derivative, floor=(0.5, 1.0))
+        assert rep.terms_first_series > 0
+        ref, err = oracle(alpha, 0.5, 0.3)
+        assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound + err, derivative
 
 
 def test_tail_bound_is_honest():
@@ -651,7 +665,6 @@ def test_dispatched_series_within_its_bound_of_mpmath(series, oracle):
     derivative = series is gprime_series
     for alpha in (SQRT2, math.pi / 2.0, math.sqrt(3.0), math.e / 2.0,
                   0.5 + SQRT2 / 40.0, 1.5 - 1e-4 * math.pi, 1.50000001):
-        profile = classify(alpha)
         for beta in (1e-4, 0.3, 0.8, 0.94):
             ref, _ = oracle(alpha, 0.5, beta)
             for tol in (Tolerance(), Tolerance(abs_tol=1e-13)):
@@ -659,7 +672,7 @@ def test_dispatched_series_within_its_bound_of_mpmath(series, oracle):
                     rep = series(validate(alpha, 0.5), beta, tol)
                 except IllConditionedSeriesError:
                     continue
-                kinds.add(rep == _generic(alpha, 0.5, beta, tol, profile, derivative))
+                kinds.add(rep == _own_ratio(alpha, 0.5, beta, tol, derivative))
                 assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound, (
                     alpha, beta, tol)
     assert kinds == {False, True}
@@ -715,8 +728,60 @@ def test_generic_series_refuses_its_summed_noise_over_the_cap():
         abs_sum += math.fsum(map(abs, terms))
     assert tail + 4.0 * EPS * (abs_sum + abs(value)) <= tol.abs_tol
     assert 4.0 * EPS * abs_sum > cap
-    assert _generic(alpha, rho, beta, tol, profile, False) is None
+    plan = _plan(a_num, a_den, a_num, a_den, rho, False, tol.abs_tol, tol.max_terms,
+                 profile.floor_constant, profile.floor_power)
+    with pytest.raises(IllConditionedSeriesError, match="summed noise"):
+        _split(plan, beta)
     decided = g_series(params, beta, tol)
     assert decided == _paired(params, 1, 1, beta, tol)
     ref, err = g_mpmath(alpha, rho, beta)
     assert abs(decided.value - ref) <= decided.tail_bound + decided.noise_bound + err
+
+
+# ---------------------------------------------------------------------------
+# refusals the series raises typed, so that dispatch moves on to quadrature
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [2.0 ** -30, 2.0 ** -21, 2.0 ** -20])
+@pytest.mark.parametrize("any_beta,oracle", [(g_any_beta, g_mpmath),
+                                             (gprime_any_beta, gprime_mpmath)])
+def test_dyadic_alpha_with_a_zero_divisor_floor_reaches_quadrature(alpha, any_beta, oracle):
+    # 2^-k with 2^k above the rational cap is irrational by its profile,
+    # with sin(pi/alpha) = 0 its floor constant: the series refuses it
+    # typed, and quadrature evaluates it
+    params = validate(alpha, 0.5)
+    assert classify(alpha).floor_constant == 0.0
+    for beta in (1e-3, 0.3, 2.5):
+        with pytest.raises(IllConditionedSeriesError):
+            (gprime_series if any_beta is gprime_any_beta else g_series)(
+                params, min(beta, 1.0 / beta))
+        res = any_beta(params, beta)
+        assert res.method is MethodChoice.QUADRATURE
+        ref, err = oracle(alpha, 0.5, beta)
+        assert abs(res.value - ref) <= res.abs_error_bound + err, beta
+
+
+def test_a_zero_divisor_floor_refuses_the_own_ratio_split():
+    # a floor of 0 bounds no divisor: every term is noisy, whatever the
+    # stop and whichever check runs first, and the split at alpha's own
+    # ratio refuses at sqrt 2 and beta 0.3, where every sum fits the budget
+    beta = 0.3
+    for derivative in (False, True):
+        assert _noisy(beta, math.log(beta), 1.0, derivative, 0.0, 1.0, 5e-11, 1)
+        assert not _noisy(beta, math.log(beta), 1.0, derivative, 0.0, 1.0, 5e-11, 0)
+        assert _own_ratio(SQRT2, 0.5, beta, derivative=derivative) is not None
+        assert _own_ratio(SQRT2, 0.5, beta, derivative=derivative, floor=(0.0, 1.0)) is None
+
+
+def test_a_term_that_overflows_is_a_typed_refusal():
+    # beta^(0.01 k - 1) overflows a float at beta 1e-320: the split at the
+    # rational 1/100 refuses typed, and dispatch ends in quadrature's
+    # failure, as at 1e-310, where the terms stay finite but their bound
+    # exceeds the tolerance
+    params = validate(0.01, 0.5)
+    with pytest.raises(IllConditionedSeriesError, match="overflows"):
+        gprime_series(params, 1e-320)
+    for beta in (1e-310, 1e-320):
+        with pytest.raises(ConvergenceFailureError) as err:
+            gprime_any_beta(params, beta)
+        assert isinstance(err.value.__cause__, IllConditionedSeriesError), beta

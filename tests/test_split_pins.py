@@ -6,12 +6,21 @@ of ``g_series`` and ``gprime_series`` at the rational alphas of the
 benchmark's grid with its rho, split at delta = 0, and near 3/2 and at
 0.5 + sqrt2/40 at rho 0.5 as the series decides at each beta; and of the
 split at their pairing convergents (3/2 and 53/99), called directly as
-``_split(_plan(...), beta)`` with the checks of a paired split.  Each is
+``_split(_plan(...), beta)`` with the checks of a paired split.  The pins
+at sqrt 2 (rho 0.5) and pi/2 (rho 0.45), where the series sums
+generically at every beta, were recorded while the generic sum was a
+separate body, before it became the split at alpha's own ratio.  Each is
 checked cold, every table and plan cleared before the call, and warm,
 after every case has filled them, and each value lies within its tail and
 noise bounds of the 30-digit integral (``tests/oracles.g_mpmath`` or
 ``gprime_mpmath``), stored as float hex with its error estimate in
-``ORACLE``; running this file prints that table.
+``ORACLE``.  After an intended change, or to pin a new case (an alpha
+added to ``RHO``, its pairing convergent to ``PAIRED``), print both tables
+from the current tree with
+
+    PYTHONPATH=src python tests/test_split_pins.py
+
+and name every changed pin in CHANGES.md.
 """
 
 import math
@@ -26,7 +35,9 @@ SQRT2 = math.sqrt(2.0)
 BETAS = (0.01, 0.1, 0.5, 0.9, 0.94)
 SERIES = {"g": g_series, "gprime": gprime_series}
 RHO = {0.3: 0.5, 0.8: 0.25, 1.0: 0.5, 1.5: 2.0 / 3.0, 1.9: 0.5, 2.0: 0.5,
-       1.50000001: 0.5, 0.5 + SQRT2 / 40.0: 0.5}
+       1.50000001: 0.5, 0.5 + SQRT2 / 40.0: 0.5, SQRT2: 0.5, math.pi / 2.0: 0.45}
+# the pairing convergents split at directly, besides the series' own form
+PAIRED = {1.50000001: (3, 2), 0.5 + SQRT2 / 40.0: (53, 99)}
 
 # (alpha, pairing convergent split at directly or None, series): one pin
 # per beta of BETAS
@@ -171,6 +182,34 @@ PINS = {
         ("0x1.2905164746137p-3", 223, 413, "0x1.385f6c235d358p-35", "0x1.016c7d726855fp-45"),
         ("0x1.1f5bdf26b7d88p-3", 380, 703, "0x1.49562a5941bbdp-35", "0x1.b4e5797166072p-45"),
     ),
+    (1.4142135623730951, None, "g"): (
+        ("0x1.73b36c2980e48p-7", 5, 3, "0x1.8b40920757e42p-38", "0x1.9be284a5d0546p-56"),
+        ("0x1.82921a90f6283p-4", 10, 7, "0x1.cbea4e0ffd643p-39", "0x1.044317630082cp-52"),
+        ("0x1.609c57aac84e1p-2", 30, 21, "0x1.99a12ba917be8p-36", "0x1.8f56d570609f4p-50"),
+        ("0x1.087526f003455p-1", 184, 130, "0x1.6dfc8c69eb551p-36", "0x1.67ced59c58615p-48"),
+        ("0x1.100ade66dc980p-1", 307, 217, "0x1.501b809faa537p-36", "0x1.cba330a966c03p-48"),
+    ),
+    (1.4142135623730951, None, "gprime"): (
+        ("0x1.1572b7ceebb12p+0", 6, 4, "0x1.7d7ff942c6e10p-36", "0x1.41e1c612f2e84p-49"),
+        ("0x1.a3c5411b3fbd4p-1", 12, 8, "0x1.e3fe6a3f68234p-38", "0x1.4bf12f6f76452p-49"),
+        ("0x1.ff77dc83fdd20p-2", 37, 26, "0x1.8525c0e5e3ad2p-37", "0x1.1c00ddb26fb20p-48"),
+        ("0x1.7fcd0aa3dcda6p-2", 235, 166, "0x1.5c90b7e0a2cf7p-36", "0x1.d1d0f63a82ed4p-46"),
+        ("0x1.76c2c3c3359f8p-2", 399, 282, "0x1.6b3bc2a01c515p-36", "0x1.aa665315836dbp-45"),
+    ),
+    (1.5707963267948966, None, "g"): (
+        ("0x1.514ee59f13af3p-7", 5, 3, "0x1.157ef55b095d6p-39", "0x1.64a220130da70p-56"),
+        ("0x1.6c8e5ef1762b7p-4", 10, 6, "0x1.7390a12158f5ep-37", "0x1.c9b3cbbe55332p-53"),
+        ("0x1.56321ec657469p-2", 30, 19, "0x1.a5dd755d75705p-36", "0x1.7f938c42bdde1p-50"),
+        ("0x1.02dc32d7ac049p-1", 184, 117, "0x1.750b9b0c1bd35p-36", "0x1.a41dd8cb0d851p-48"),
+        ("0x1.0a6fbed6c4badp-1", 305, 194, "0x1.7dc6f57403d04p-36", "0x1.1958688aa4107p-47"),
+    ),
+    (1.5707963267948966, None, "gprime"): (
+        ("0x1.feea81fa12c7ap-1", 7, 4, "0x1.018499646d3cep-38", "0x1.17326bd6e2fddp-49"),
+        ("0x1.9451a7605b0a3p-1", 13, 8, "0x1.2cbe8d40c8052p-41", "0x1.28e1071a1fdf3p-49"),
+        ("0x1.fb39dbd461128p-2", 38, 24, "0x1.89200d3c5d32dp-38", "0x1.28b46a53872e2p-48"),
+        ("0x1.7f4acc69ce8e8p-2", 236, 150, "0x1.4e426791cab43p-36", "0x1.4b1c991206422p-45"),
+        ("0x1.766b295d3e500p-2", 399, 254, "0x1.ad5b802c0965ap-36", "0x1.2ebd272c4235fp-44"),
+    ),
 }
 # (value, error estimate) of the 30-digit integral per (alpha, series) and
 # beta of BETAS
@@ -287,6 +326,34 @@ ORACLE = {
         ("0x1.29051646ea26fp-3", "0x1.76d4323ddf1a6p-126"),
         ("0x1.1f5bdf2708867p-3", "0x1.76d43275e88c9p-126"),
     ),
+    (1.4142135623730951, "g"): (
+        ("0x1.73b36c29e4119p-7", "0x1.0ec9c15ca425dp-118"),
+        ("0x1.82921a9103ff4p-4", "0x1.527c317b035bep-115"),
+        ("0x1.609c57aae741dp-2", "0x1.0ec9c15c2fd86p-118"),
+        ("0x1.087526f010fe6p-1", "0x1.5284dbc0a2ef5p-115"),
+        ("0x1.100ade66d1874p-1", "0x1.527d0f49b7324p-115"),
+    ),
+    (1.4142135623730951, "gprime"): (
+        ("0x1.1572b7cee9ba9p+0", "0x1.deb1eeb8d74abp-115"),
+        ("0x1.a3c5411b42fc8p-1", "0x1.deb1eeb0cf553p-115"),
+        ("0x1.ff77dc83f219ep-2", "0x1.deb1eeb0cf553p-115"),
+        ("0x1.7fcd0aa3f5b25p-2", "0x1.deb0d4510cca5p-115"),
+        ("0x1.76c2c3c34f20ep-2", "0x1.deb0d451c5d3ap-115"),
+    ),
+    (1.5707963267948966, "g"): (
+        ("0x1.514ee59f309f5p-7", "0x1.819deff4e57d0p-135"),
+        ("0x1.6c8e5ef183603p-4", "0x1.56b7d0545c21bp-125"),
+        ("0x1.56321ec66fa80p-2", "0x1.149d581301a2bp-128"),
+        ("0x1.02dc32d7ae815p-1", "0x1.b034c17349917p-122"),
+        ("0x1.0a6fbed6d81cbp-1", "0x1.b034c17349917p-122"),
+    ),
+    (1.5707963267948966, "gprime"): (
+        ("0x1.feea81fa12dbep-1", "0x1.b28059c2d36a8p-128"),
+        ("0x1.9451a7605aea2p-1", "0x1.53ca3a491ffe9p-121"),
+        ("0x1.fb39dbd4585b8p-2", "0x1.0cdfdda035332p-123"),
+        ("0x1.7f4acc69ee001p-2", "0x1.a8513bd9777eap-118"),
+        ("0x1.766b295d53b04p-2", "0x1.a41dbc867cc3cp-117"),
+    ),
 }
 
 
@@ -336,6 +403,16 @@ def test_split_values_bit_identical_to_their_pins(warm):
 if __name__ == "__main__":
     from oracles import g_mpmath, gprime_mpmath
 
+    print("PINS = {")
+    for alpha in RHO:
+        for pair in (None, PAIRED[alpha]) if alpha in PAIRED else (None,):
+            for name in SERIES:
+                print(f'    ({alpha!r}, {pair!r}, "{name}"): (')
+                for beta in BETAS:
+                    value, first, second, tail, noise = _outcome(alpha, pair, name, beta)
+                    print(f'        ("{value}", {first}, {second}, "{tail}", "{noise}"),')
+                print("    ),")
+    print("}")
     print("ORACLE = {")
     for alpha in RHO:
         for name, oracle in (("g", g_mpmath), ("gprime", gprime_mpmath)):

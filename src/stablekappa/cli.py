@@ -367,8 +367,8 @@ def cmd_classify(args) -> int:
 # (alpha, rho, beta, derivative): points where the plan runs at least two
 # methods.  The series meets quadrature for g and g': generic at sqrt 2,
 # with its near-resonant terms paired at 3/2, split at the rationals 4/5 and
-# 1/2.  Doney meets both for g at 4/5.  The last point is planned at 1/beta
-# and reflected.
+# 1/2.  Doney meets both for g and g' at 4/5.  The last point is planned at
+# 1/beta and reflected.
 _METHOD_POINTS = (
     (math.sqrt(2.0), 0.5, 0.3, False),
     (math.sqrt(2.0), 0.5, 0.3, True),

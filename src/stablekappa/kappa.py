@@ -10,8 +10,8 @@ Which evaluator runs is decided in one place, ``plan``: it yields the
 candidate methods for one beta, for g or g', in the order they are tried,
 each with the reason it runs or is skipped.  A beta >= 1.05 is planned at
 1/beta and every result reflected; what follows is said of the beta
-planned.  For beta <= 0.95 the order is the Doney closed form (g only;
-exact and cheapest), the small-divisor series (which decides its own
+planned.  For beta <= 0.95 the order is the Doney closed form (exact
+and cheapest), the small-divisor series (which decides its own
 conditioning at this beta, and raises IllConditionedSeriesError where it
 does not fit), then quadrature.  In the band 0.95 < beta < 1.05, where the
 series slow down, quadrature comes first and the Doney and series
@@ -99,7 +99,7 @@ def _steps(params: StableParams, derivative: bool, method: MethodChoice,
     function when it runs."""
     reflected, band, below_one = region
     tol = tol or DEFAULT_TOLERANCE
-    case = None if derivative else find_doney_case(params)
+    case = find_doney_case(params)
 
     def quadrature(beta):
         res = (gprime_quad if derivative else g_quad)(params, beta, tol)
@@ -111,15 +111,19 @@ def _steps(params: StableParams, derivative: bool, method: MethodChoice,
                 rep.terms_first_series + rep.terms_second_series)
 
     def doney(beta):
-        value = g_doney(params, beta, case)
-        return (value, 4.0 * EPS * (case.k + case.l + 2) * (1.0 + abs(value)),
+        # a few ulps per term, relative to the scale of the terms: 1 for the
+        # logs of g, and for g' the bound k |x|/(1 - |x|) of each x d/dx g_k
+        # over beta, x1 = beta^alpha and x2 = beta
+        value, scale = g_doney(params, beta, case, derivative), 1.0
+        if derivative:
+            x1 = beta ** params.alpha
+            scale = (params.alpha * case.k * x1 / (1.0 - x1) + case.l * beta / (1.0 - beta)) / beta
+        return (value, 4.0 * EPS * (case.k + case.l + 2) * (scale + abs(value)),
                 MethodChoice.DONEY, case.k + case.l)
 
     steps = [(MethodChoice.QUADRATURE, "0.95 < beta < 1.05, where both series slow down",
               quadrature)] if band else []
-    if derivative:
-        steps.append((MethodChoice.DONEY, "skipped: closed form covers g only", None))
-    elif case is None:
+    if case is None:
         steps.append((MethodChoice.DONEY, "skipped: no (k, l) with rho + k = l/alpha", None))
     else:
         steps.append((MethodChoice.DONEY, _IN_BAND, None) if band else

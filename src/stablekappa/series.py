@@ -198,6 +198,41 @@ def _divisor_series(family: _Family, beta: float, derivative: bool, count: int,
     return math.fsum(terms), reduce(add, map(abs, terms), abs_sum)
 
 
+class _Cuts:
+    """The beta-free part of ``_cut`` at one exact ratio alpha = a_num/a_den,
+    per unit interval (M, M + 1), M = 0, 1, ...: in flat columns, each
+    candidate c' with its float sine product |sin(pi c') sin(pi c'/alpha)|,
+    and its K (the last k with alpha k < c') and exact sine product, both -1
+    until the cut first takes the candidate; K's column is a list, since K
+    passes any fixed width at small alpha.  The last column, ``ends``, holds
+    where each interval's candidates end (``_rows``)."""
+
+    __slots__ = ("alpha", "columns")
+
+    def __init__(self, a_num: int, a_den: int):
+        self.alpha = a_num / a_den
+        self.columns = (array("d"), array("d"), [], array("d"), array("q"))
+
+    def _intervals(self, start: int, end: int) -> tuple[list, ...]:
+        """The columns of the intervals start..end-1, each interval's
+        candidates in increasing order (see ``_cut``)."""
+        alpha, cuts, floats, ends = self.alpha, [], [], []
+        total = len(self.columns[0])
+        for m in range(start, end):
+            j = int((m + 0.5) / alpha - 0.5)
+            for x in sorted((m + 0.5, alpha * (j + 0.5), alpha * (j + 1.5))):
+                if m < x < m + 1:
+                    cuts.append(x)
+                    floats.append(abs(math.sin(math.pi * (x - m)) * math.sin(math.pi * x / alpha)))
+            ends.append(total + len(cuts))
+        return cuts, floats, [-1] * len(cuts), [-1.0] * len(cuts), ends
+
+
+# the cut table of one (a_num, a_den), shared by every beta, rho, g and g'
+# and tolerance
+_cuts = lru_cache(maxsize=_TABLES)(_Cuts)
+
+
 def _cut(beta: float, log_beta: float, ratio: tuple[int, int], lam: float, derivative: bool,
          budget: float, limit: int) -> tuple[int, int, float] | None:
     """(M, K, R(c')) for the cut c' that stops the series at alpha =
@@ -214,10 +249,14 @@ def _cut(beta: float, log_beta: float, ratio: tuple[int, int], lam: float, deriv
     order, whose R meets the budget: it sums the fewest terms.  M + 1/2 lies
     1/2 from every pole m, and alpha (j + 1/2) alpha/2 from every pole alpha
     k, so no candidate falls between two poles closer than min(alpha, 1)/2:
-    a pair of the split within half a period stays whole.  R is first
-    estimated with float sines; for the cut taken, a dyadic float, the sines
-    are exact reductions, and R is raised by 16 ulps for the rounding of its
-    few operations, so it stays a bound."""
+    a pair of the split within half a period stays whole.
+
+    None of this but beta^c' depends on beta: the candidates and their
+    sines are read off alpha's cut table (``_Cuts``), and past its
+    ``_TABLE_TERMS`` intervals recomputed.  R is first estimated with the
+    float sines; for the cut taken, a dyadic float, the sines are exact
+    reductions, kept in the table once taken, and R is raised by 16 ulps
+    for the rounding of its few operations, so it stays a bound."""
     if not budget > 0.0:
         return None
     a_num, a_den = ratio
@@ -227,21 +266,31 @@ def _cut(beta: float, log_beta: float, ratio: tuple[int, int], lam: float, deriv
         guess += 1.0
     elif guess > 1.0:
         guess = (goal + math.log(guess)) / log_beta
-    m, alpha = max(int(guess), int(derivative)), a_num / a_den
+    table = _cuts(a_num, a_den)
+    columns = table.columns
+    m, scale = max(int(guess), int(derivative)), budget * lam
     while m <= limit:
-        j = int((m + 0.5) / alpha - 0.5)
-        for x in sorted((m + 0.5, alpha * (j + 0.5), alpha * (j + 1.5))):
-            if not m < x < m + 1:
-                continue
+        if m < _TABLE_TERMS:
+            if len(columns[-1]) <= m:
+                _rows(columns, m + 1, table._intervals)
+            cuts, floats, stops, exacts, ends = columns
+            row = range(ends[m - 1] if m else 0, ends[m])
+        else:
+            cuts, floats, stops, exacts, _ = table._intervals(m, m + 1)
+            row = range(len(cuts))
+        for i in row:
+            x = cuts[i]
             power = beta ** (x - 1.0) if derivative else beta ** x / x
-            if 4.0 * power > budget * lam * abs(math.sin(math.pi * (x - m))
-                                                * math.sin(math.pi * x / alpha)):
+            if 4.0 * power > scale * floats[i]:
                 continue
-            x_num, x_den = x.as_integer_ratio()
-            stop = (x_num * a_den - 1) // (x_den * a_num)  # the k with alpha k < x
-            sines = abs(sin_mpi(x_num, 1, x_den) * sin_mpi(x_num, a_den, x_den * a_num))
-            if sines and (tail := 4.0 * (1.0 + 16.0 * EPS) * power / (lam * sines)) <= budget:
-                return m, stop, tail
+            if exacts[i] < 0.0:
+                x_num, x_den = x.as_integer_ratio()
+                # K first: a reader takes K once the exact product is set
+                stops[i], exacts[i] = ((x_num * a_den - 1) // (x_den * a_num), abs(
+                    sin_mpi(x_num, 1, x_den) * sin_mpi(x_num, a_den, x_den * a_num)))
+            if (sines := exacts[i]) and (
+                    tail := 4.0 * (1.0 + 16.0 * EPS) * power / (lam * sines)) <= budget:
+                return m, stops[i], tail
         m += 1
     return None
 

@@ -25,7 +25,7 @@ from stablekappa import (
 from stablekappa import series as series_module
 from stablekappa.kappa import plan
 
-from oracles import g_mpmath
+from oracles import g_mpmath, gprime_mpmath
 
 # the package re-exports the function kappa under the submodule's name
 kappa_module = importlib.import_module("stablekappa.kappa")
@@ -90,6 +90,25 @@ def test_auto_dispatch_g_at_former_quadrature_faults(alpha, rho, beta):
     assert res.abs_error_bound <= tol.abs_tol
     ref, err = g_mpmath(alpha, rho, beta)
     assert abs(res.value - ref) <= res.abs_error_bound + err
+
+
+# Doney cases (k, l) = (1, 1), (2, 4) and (1, 3), and betas below the band
+# and reflected
+DONEY_PARAMS = ((0.8, 0.25), (1.5, 2.0 / 3.0), (2.0, 0.5))
+DONEY_BETAS = (1e-6, 1e-3, 0.01, 0.3, 0.9, 0.95, 2.5, 1e3)
+
+
+@pytest.mark.parametrize("alpha, rho", DONEY_PARAMS)
+def test_doney_gprime_within_its_bound_of_the_oracle(alpha, rho):
+    # the closed form covers g' too: forced, it returns, and auto dispatch
+    # runs it first outside the band
+    params = validate(alpha, rho)
+    for beta in DONEY_BETAS:
+        res = gprime_any_beta(params, beta, MethodChoice.DONEY)
+        assert res.method is MethodChoice.DONEY
+        assert gprime_any_beta(params, beta) == res
+        ref, err = gprime_mpmath(alpha, rho, beta)
+        assert abs(res.value - ref) <= res.abs_error_bound + err, beta
 
 
 def test_forced_method_threads_through_reflection():
@@ -233,13 +252,13 @@ def _methods(params, beta, derivative):
 def test_plan_order_and_skips():
     assert _methods(validate(SQRT2, 0.5), 0.3, False) == [
         ("doney", False), ("series", True), ("quadrature", True)]
-    # g and g' have the same steps at rational alpha; Doney runs for g only
-    assert _methods(validate(0.5, 0.3), 0.3, True) == [
-        ("doney", False), ("series", True), ("quadrature", True)]
-    assert _methods(validate(0.5, 0.3), 0.3, False) == [
-        ("doney", False), ("series", True), ("quadrature", True)]
-    assert _methods(validate(0.8, 0.25), 0.3, False) == [
-        ("doney", True), ("series", True), ("quadrature", True)]
+    # g and g' have the same steps: at rational alpha, and at the Doney
+    # case 4/5, where the closed form runs for both
+    for derivative in (False, True):
+        assert _methods(validate(0.5, 0.3), 0.3, derivative) == [
+            ("doney", False), ("series", True), ("quadrature", True)]
+        assert _methods(validate(0.8, 0.25), 0.3, derivative) == [
+            ("doney", True), ("series", True), ("quadrature", True)]
     # the band puts quadrature first and skips the series, except at
     # rational alpha below 1; reflection keeps the inner order
     assert _methods(validate(SQRT2, 0.5), 0.97, False) == [
@@ -292,13 +311,13 @@ def test_dispatch_reads_its_lookups_at_most_once_per_key(monkeypatch):
 
 def test_doney_call_builds_no_series_plan():
     # the one-shot kappa at a Doney point fills its plan, which reads
-    # alpha's profile, but builds no split plan and no sine table
-    caches = (series_module._plan, series_module._family)
+    # alpha's profile, but builds no split plan, no sine table and no cut table
+    caches = (series_module._plan, series_module._family, series_module._cuts)
     kappa_module._steps.cache_clear()
     for cache in caches:
         cache.cache_clear()
     assert kappa(validate(0.8, 0.25), KappaQuery(1.0, 0.5)).method is MethodChoice.DONEY
-    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
 
 
 def test_steps_cache_stays_at_its_bound():

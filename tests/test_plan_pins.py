@@ -8,8 +8,9 @@ and reflected beyond it.  Each pin is the plan's steps as (method, reason,
 runnable), or the type of the error the plan raises, and the result as
 (value, bound) in float hex with its method and count, or the type of the
 error raised.  They were recorded while the plan was still a generator
-that looked up what it needed as it went, and the series rows again when
-the series began to stop at one contour cut: each of those values lies
+that looked up what it needed as it went, the series rows again when
+the series began to stop at one contour cut, and the g' rows at 4/5 when
+the Doney closed form began to cover g': each series and Doney value lies
 within its bound of the 30-digit integral (``tests/oracles.g_mpmath`` or
 ``gprime_mpmath``), stored as float hex with its error estimate in
 ``ORACLE``.  Each case is checked cold, the plan cache cleared before the
@@ -57,8 +58,6 @@ STEPS = {
          '; at 1/beta, reflected', True),
     'quadrature reference reflected':
         ('quadrature', 'reference evaluator; at 1/beta, reflected', True),
-    'doney g_only':
-        ('doney', 'skipped: closed form covers g only', False),
     'doney case (1, 1)':
         ('doney', 'Doney case (k, l) = (1, 1)', True),
     'series 4/5':
@@ -164,25 +163,25 @@ PINS = {
          ('0x1.e1459950195c2p-1', '0x1.99745170b30e7p-34', 'quadrature', 195)),
     ),
     (SQRT2, 0.5, True, 'auto'): (
-        (('doney g_only', 'series irrational', 'quadrature reference'),
+        (('doney no_case', 'series irrational', 'quadrature reference'),
          ('0x1.380bb5d40c586p-1', '0x1.7cb6f8e87f40bp-36', 'series', 37)),
-        (('doney g_only', 'series irrational', 'quadrature reference'),
+        (('doney no_case', 'series irrational', 'quadrature reference'),
          ('0x1.7492afebaddd0p-2', '0x1.71796af6f10bfp-36', 'series', 821)),
-        (('quadrature band', 'doney g_only', 'series skip_band'),
+        (('quadrature band', 'doney no_case', 'series skip_band'),
          ('0x1.7047abcdababap-2', '0x1.1cc59e35c28f6p-37', 'quadrature', 165)),
-        (('quadrature band', 'doney g_only', 'series skip_band'),
+        (('quadrature band', 'doney no_case', 'series skip_band'),
          ('0x1.6a09e667f3bcep-2', '0x1.4bdcd23000000p-37', 'quadrature', 150)),
-        (('quadrature band', 'doney g_only', 'series skip_band'),
+        (('quadrature band', 'doney no_case', 'series skip_band'),
          ('0x1.6405e35476186p-2', '0x1.4055f4fe9a18ep-37', 'quadrature', 165)),
-        (('quadrature band reflected', 'doney g_only', 'series skip_band'),
+        (('quadrature band reflected', 'doney no_case', 'series skip_band'),
          ('0x1.6021ac13bcdb9p-2', '0x1.d4c5e117d03c6p-38', 'quadrature', 165)),
-        (('quadrature band reflected', 'doney g_only', 'series skip_band'),
+        (('quadrature band reflected', 'doney no_case', 'series skip_band'),
          ('0x1.5ff07afabbe34p-2', '0x1.d269e39cfbe63p-38', 'quadrature', 165)),
-        (('quadrature band reflected', 'doney g_only', 'series skip_band'),
+        (('quadrature band reflected', 'doney no_case', 'series skip_band'),
          ('0x1.5fa05848940d6p-2', '0x1.cf0ab9ad9e930p-38', 'quadrature', 165)),
-        (('doney g_only', 'series irrational reflected', 'quadrature reference reflected'),
+        (('doney no_case', 'series irrational reflected', 'quadrature reference reflected'),
          ('0x1.5e385b734e07cp-2', '0x1.535ef7a35206ep-36', 'series', 722)),
-        (('doney g_only', 'series irrational reflected', 'quadrature reference reflected'),
+        (('doney no_case', 'series irrational reflected', 'quadrature reference reflected'),
          ('0x1.8fbe30cd5c174p-3', '0x1.fbb631e82097bp-40', 'series', 49)),
     ),
     (SQRT2, 0.5, True, 'doney'): (
@@ -340,32 +339,32 @@ PINS = {
          ('0x1.4f13e3f4091e7p-2', '0x1.11fa3b7ebec6dp-35', 'quadrature', 195)),
     ),
     (0.8, 0.25, True, 'auto'): (
-        (('doney g_only', 'series 4/5', 'quadrature reference'),
-         ('0x1.bd752d8faad49p-3', '0x1.051f21a3d4d67p-35', 'series', 42)),
-        (('doney g_only', 'series 4/5', 'quadrature reference'),
-         ('0x1.a88612761ac48p-4', '0x1.2e0eec1035955p-35', 'series', 927)),
-        (('quadrature band', 'doney g_only', 'series 4/5'),
+        (('doney case (1, 1)', 'series 4/5', 'quadrature reference'),
+         ('0x1.bd752d8fe813bp-3', '0x1.a565811fb3ddfp-47', 'doney', 2)),
+        (('doney case (1, 1)', 'series 4/5', 'quadrature reference'),
+         ('0x1.a8861275c457ap-4', '0x1.41a8861275c41p-43', 'doney', 2)),
+        (('quadrature band', 'doney skip_band', 'series 4/5'),
          ('0x1.a268d889eb677p-4', '0x1.676ec7f000000p-35', 'quadrature', 135)),
-        (('quadrature band', 'doney g_only', 'series skip_band'),
+        (('quadrature band', 'doney skip_band', 'series skip_band'),
          ('0x1.999999999999ap-4', '0x1.f7cd75e000000p-35', 'quadrature', 120)),
-        (('quadrature band', 'doney g_only', 'series skip_band'),
+        (('quadrature band', 'doney skip_band', 'series skip_band'),
          ('0x1.91323afb8e18dp-4', '0x1.e087409ee9a19p-35', 'quadrature', 135)),
-        (('quadrature band reflected', 'doney g_only', 'series 4/5 reflected'),
+        (('quadrature band reflected', 'doney skip_band', 'series 4/5 reflected'),
          ('0x1.8bce017661570p-4', '0x1.ffb1057c9c177p-36', 'quadrature', 135)),
-        (('quadrature band reflected', 'doney g_only', 'series 4/5 reflected'),
+        (('quadrature band reflected', 'doney skip_band', 'series 4/5 reflected'),
          ('0x1.8b8a1536f03bep-4', '0x1.f7cbe7cbe7a27p-36', 'quadrature', 135)),
-        (('quadrature band reflected', 'doney g_only', 'series 4/5 reflected'),
+        (('quadrature band reflected', 'doney skip_band', 'series 4/5 reflected'),
          ('0x1.8b1b7adc1dc48p-4', '0x1.eb10e39cce54cp-36', 'quadrature', 135)),
-        (('doney g_only', 'series 4/5 reflected', 'quadrature reference reflected'),
-         ('0x1.892b54d54bc0dp-4', '0x1.16e47fba49bdap-35', 'series', 815)),
-        (('doney g_only', 'series 4/5 reflected', 'quadrature reference reflected'),
-         ('0x1.9fbd0684786d2p-5', '0x1.ba2a23a58a7f0p-39', 'series', 55)),
+        (('doney case (1, 1) reflected', 'series 4/5 reflected', 'quadrature reference reflected'),
+         ('0x1.892b54d59be45p-4', '0x1.fe7ea546e92ccp-44', 'doney', 2)),
+        (('doney case (1, 1) reflected', 'series 4/5 reflected', 'quadrature reference reflected'),
+         ('0x1.9fbd0684854a3p-5', '0x1.b583e9794aceep-49', 'doney', 2)),
     ),
     (0.8, 0.25, True, 'doney'): (
-        ('MethodNotApplicableError',
-         'MethodNotApplicableError'),
-        ('MethodNotApplicableError',
-         'MethodNotApplicableError'),
+        (('doney case (1, 1)',),
+         ('0x1.bd752d8fe813bp-3', '0x1.a565811fb3ddfp-47', 'doney', 2)),
+        (('doney case (1, 1)',),
+         ('0x1.a8861275c457ap-4', '0x1.41a8861275c41p-43', 'doney', 2)),
         (('quadrature band',),
          ('0x1.a268d889eb677p-4', '0x1.676ec7f000000p-35', 'quadrature', 135)),
         (('quadrature band',),
@@ -378,10 +377,10 @@ PINS = {
          ('0x1.8b8a1536f03bep-4', '0x1.f7cbe7cbe7a27p-36', 'quadrature', 135)),
         (('quadrature band reflected',),
          ('0x1.8b1b7adc1dc48p-4', '0x1.eb10e39cce54cp-36', 'quadrature', 135)),
-        ('MethodNotApplicableError',
-         'MethodNotApplicableError'),
-        ('MethodNotApplicableError',
-         'MethodNotApplicableError'),
+        (('doney case (1, 1) reflected',),
+         ('0x1.892b54d59be45p-4', '0x1.fe7ea546e92ccp-44', 'doney', 2)),
+        (('doney case (1, 1) reflected',),
+         ('0x1.9fbd0684854a3p-5', '0x1.b583e9794aceep-49', 'doney', 2)),
     ),
     (0.8, 0.25, True, 'series'): (
         (('series 4/5',),
@@ -516,25 +515,25 @@ PINS = {
          ('0x1.3c291d404f69fp-2', '0x1.c372c7bab6d9fp-36', 'quadrature', 195)),
     ),
     (0.5, 0.3, True, 'auto'): (
-        (('doney g_only', 'series 1/2', 'quadrature reference'),
+        (('doney no_case', 'series 1/2', 'quadrature reference'),
          ('0x1.7ccde6e64c1b4p-3', '0x1.1461bce756d2ap-35', 'series', 41)),
-        (('doney g_only', 'series 1/2', 'quadrature reference'),
+        (('doney no_case', 'series 1/2', 'quadrature reference'),
          ('0x1.3fc37acdc1399p-4', '0x1.47e3ef6ec64a1p-35', 'series', 922)),
-        (('quadrature band', 'doney g_only', 'series 1/2'),
+        (('quadrature band', 'doney no_case', 'series 1/2'),
          ('0x1.3a9abf3a84955p-4', '0x1.efa3922f5c28fp-35', 'quadrature', 135)),
-        (('quadrature band', 'doney g_only', 'series skip_band'),
+        (('quadrature band', 'doney no_case', 'series skip_band'),
          ('0x1.3333333333334p-4', '0x1.bd68f40000000p-35', 'quadrature', 120)),
-        (('quadrature band', 'doney g_only', 'series skip_band'),
+        (('quadrature band', 'doney no_case', 'series skip_band'),
          ('0x1.2c2b21c6f2343p-4', '0x1.b686cd8000000p-35', 'quadrature', 135)),
-        (('quadrature band reflected', 'doney g_only', 'series 1/2 reflected'),
+        (('quadrature band reflected', 'doney no_case', 'series 1/2 reflected'),
          ('0x1.27ac7d690fd0ap-4', '0x1.d1f1cc50c13d6p-35', 'quadrature', 135)),
-        (('quadrature band reflected', 'doney g_only', 'series 1/2 reflected'),
+        (('quadrature band reflected', 'doney no_case', 'series 1/2 reflected'),
          ('0x1.2773f3315042cp-4', '0x1.d1b36753e825fp-35', 'quadrature', 135)),
-        (('quadrature band reflected', 'doney g_only', 'series 1/2 reflected'),
+        (('quadrature band reflected', 'doney no_case', 'series 1/2 reflected'),
          ('0x1.2717e64af9e74p-4', '0x1.d142994244778p-35', 'quadrature', 135)),
-        (('doney g_only', 'series 1/2 reflected', 'quadrature reference reflected'),
+        (('doney no_case', 'series 1/2 reflected', 'quadrature reference reflected'),
          ('0x1.257b3c1ad5bd3p-4', '0x1.2227723ecb6cap-35', 'series', 812)),
-        (('doney g_only', 'series 1/2 reflected', 'quadrature reference reflected'),
+        (('doney no_case', 'series 1/2 reflected', 'quadrature reference reflected'),
          ('0x1.261bc322ca174p-5', '0x1.0d00e9b8f0036p-38', 'series', 54)),
     ),
     (0.5, 0.3, True, 'doney'): (
@@ -681,16 +680,17 @@ def test_plan_and_values_match_their_pins(warm):
 
 
 def test_series_rows_lie_within_their_bounds_of_the_oracle():
+    # the Doney rows too: every row of a method with its own bound, g and g'
     rows = 0
     for (alpha, rho, derivative, _), pins in PINS.items():
         for beta, (_, result) in zip(BETAS, pins):
-            if isinstance(result, str) or result[2] != "series":
+            if isinstance(result, str) or result[2] not in ("series", "doney"):
                 continue
             value, bound = float.fromhex(result[0]), float.fromhex(result[1])
             ref, err = (float.fromhex(x) for x in ORACLE[alpha, rho, derivative, beta])
             assert abs(value - ref) <= bound - err - 0.5 * math.ulp(ref), (alpha, beta)
             rows += 1
-    assert rows == 44
+    assert rows == 56
 
 
 if __name__ == "__main__":
@@ -708,7 +708,7 @@ if __name__ == "__main__":
             if not isinstance(planned, str):
                 planned = tuple(names[step] for step in planned)
             print(f"        ({planned!r},\n         {result!r}),")
-            if not isinstance(result, str) and result[2] == "series":
+            if not isinstance(result, str) and result[2] in ("series", "doney"):
                 rows[alpha, rho, derivative, beta] = None
         print("    ),")
     print("}")

@@ -193,6 +193,7 @@ def _bits(rep):
 def _clear_tables():
     series_module._plan.cache_clear()
     series_module._family.cache_clear()
+    series_module._cuts.cache_clear()
 
 
 def _cold(params, beta, series):
@@ -294,14 +295,15 @@ def test_sine_tables_under_concurrent_growth():
 
 def test_sine_table_cache_stays_at_its_bound():
     # generic families at new alphas, and split plans at new rationals
-    # 1 + 1/(60 + i), each with its own two families
-    for cache in (series_module._family, series_module._plan):
+    # 1 + 1/(60 + i), each with its own two families; each ratio's cut table
+    caches = (series_module._family, series_module._plan, series_module._cuts)
+    for cache in caches:
         assert cache.cache_info().maxsize == series_module._TABLES
     bound = series_module._TABLES
     for i in range(bound + 8):
         g_series(validate(1.0 + SQRT2 / (100.0 + i), 0.5), 0.3)
         gprime_series(validate(1.0 + 1.0 / (60.0 + i), 0.5), 0.3)
-    for cache in (series_module._family, series_module._plan):
+    for cache in caches:
         assert cache.cache_info().currsize == bound
 
 
@@ -341,6 +343,77 @@ def test_truncation_from_the_tail_root_matches_the_scan(monkeypatch):
         stops.add(min(found[0], 2))
     assert stops == {0, 1, 2}
     assert most == 2
+
+
+def test_cut_past_its_table_matches_the_scan(monkeypatch):
+    # past _TABLE_TERMS intervals the candidates are recomputed, not kept:
+    # at beta 0.997 every cut lies past the cap, and under a cap of 3 the
+    # walk crosses it; the cuts are the scan's either way
+    beta = 0.997
+    for ratio, budget, derivative in itertools.product(CUT_RATIOS[:6], (2.5e-11, 3.75e-14),
+                                                       (False, True)):
+        lam = math.pi * (1.0 + ratio[1] / ratio[0] - 0.5)
+        found = _cut(beta, math.log(beta), ratio, lam, derivative, budget, 20000)
+        assert found[0] > series_module._TABLE_TERMS
+        assert found[:2] == cut_scan(beta, ratio, 0.5, derivative, budget, 20000), ratio
+    monkeypatch.setattr(series_module, "_TABLE_TERMS", 3)
+    for ratio, beta, derivative in itertools.product(CUT_RATIOS, (0.05, 0.6, 0.9), (False, True)):
+        lam = math.pi * (1.0 + ratio[1] / ratio[0] - 0.3)
+        found = _cut(beta, math.log(beta), ratio, lam, derivative, 2.5e-11, 20000)
+        assert found[:2] == cut_scan(beta, ratio, 0.3, derivative, 2.5e-11, 20000), ratio
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1e-20])
+def test_cut_with_a_stop_past_any_fixed_width(alpha):
+    # at alpha 1e-20 the cut below 1 stops the second family near 5e19, past
+    # 2^63: the table keeps it exact, and dispatch ends in quadrature
+    ratio = alpha.as_integer_ratio()
+    lam = math.pi * (1.0 + ratio[1] / ratio[0] - 0.5)
+    for beta in (1e-3, 0.3, 0.9):
+        for _ in range(2):
+            found = _cut(beta, math.log(beta), ratio, lam, False, 1e-10, 20000)
+            assert (found and found[:2]) == cut_scan(beta, ratio, 0.5, False, 1e-10, 20000)
+        assert g_any_beta(validate(alpha, 0.5), beta).method is MethodChoice.QUADRATURE
+
+
+def test_cut_table_under_concurrent_growth():
+    # threads fill one ratio's cut table, interval rows and each taken
+    # candidate's exact sines, from opposite ends of a beta sweep: every
+    # cut is the scan's, and the table's columns stay whole
+    ratio, rho, budget = (0.5 + SQRT2 / 40.0).as_integer_ratio(), 0.5, 2.5e-11
+    lam = math.pi * (1.0 + ratio[1] / ratio[0] - rho)
+    betas = TABLE_BETAS + (0.95, 0.97, 0.99)
+    want = {(beta, derivative): cut_scan(beta, ratio, rho, derivative, budget, 20000)
+            for beta in betas for derivative in (False, True)}
+    series_module._cuts.cache_clear()
+    workers = 8
+    start = threading.Barrier(workers)
+    results = [None] * workers
+
+    def worker(i):
+        order = betas if i % 2 == 0 else betas[::-1]
+        start.wait()
+        results[i] = {(beta, derivative): _cut(beta, math.log(beta), ratio, lam, derivative,
+                                               budget, 20000)[:2]
+                      for beta in order for derivative in (i % 4 < 2, i % 4 >= 2)}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert got and all(want[key] == stops for key, stops in got.items())
+    cuts, floats, stops, exacts, ends = series_module._cuts(*ratio).columns
+    assert len(cuts) == len(floats) == len(stops) == len(exacts) == ends[-1]
+    taken = [i for i, e in enumerate(exacts) if e >= 0.0]
+    assert taken and all(stops[i] >= 0 for i in taken)
 
 
 def test_truncation_with_a_budget_past_float_range():

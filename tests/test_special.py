@@ -14,9 +14,10 @@ from stablekappa import (
     gprime_series,
     validate,
 )
+from stablekappa.accurate import cos_mpi
 
 from conftest import gprime_integral_oracle
-from oracles import g_k_series, g_mpmath, gprime_half_closed, gprime_mpmath
+from oracles import _chebyshev_u, g_k_series, g_mpmath, gprime_half_closed, gprime_mpmath
 
 TIGHT = Tolerance(abs_tol=1e-12)
 SQRT2 = math.sqrt(2.0)
@@ -85,6 +86,17 @@ def test_g_k_series_error_envelope():
                 assert abs(got - want) <= bound + 1e-12
 
 
+def test_g_k_closed_derivative_matches_its_series():
+    # x d/dx g_k(a, x) = sum_m x^m U_{k-1}(cos(m pi a)), whose tail past M
+    # is below |x|^(M+1) k / (1 - |x|)
+    num, den = (0.37).as_integer_ratio()
+    for k in (1, 2, 3, 4, 5, 8):
+        for x in (-0.9, -0.3, 0.5, 0.9):
+            want = math.fsum(x ** m * _chebyshev_u(cos_mpi(m, num, den), k - 1)
+                             for m in range(1, 400))
+            assert abs(g_k_closed(0.37, x, k, True) - want) <= 1e-13 * k / (1.0 - abs(x)), (k, x)
+
+
 def test_g_k_closed_rejects_unit_x():
     with pytest.raises(OutOfRangeError):
         g_k_closed(0.5, 1.0, 1)
@@ -98,6 +110,15 @@ def test_g_doney_example():
     got = g_doney(p, 0.5, case)
     want = -math.log(1.0 - 0.5 ** 0.8) + math.log(0.5)
     assert abs(got - want) < 1e-14
+
+
+def test_g_doney_derivative_example():
+    # g' at 4/5, rho 1/4: the derivative of -log(1 - beta^0.8) + log(beta)
+    p = validate(0.8, 0.25)
+    for beta in (1e-6, 0.5, 0.95):
+        want = 0.8 * beta ** -0.2 / (1.0 - beta ** 0.8) - 1.0 / (1.0 - beta)
+        got = g_doney(p, beta, find_doney_case(p), True)
+        assert abs(got - want) <= 1e-14 * (1.0 + abs(want) + 1.0 / (1.0 - beta)), beta
 
 
 def test_g_doney_alpha2_vs_quadrature():

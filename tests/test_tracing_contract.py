@@ -8,6 +8,8 @@ depend on the hardware, so they gate work regressions exactly.  The
 tracer patches modules in place, hence the separate interpreter.
 """
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -24,8 +26,9 @@ from tracing import Tracer
 
 tracer = Tracer()
 entry = tracer.install()
+extra = {{}}
 {body}
-print(json.dumps({{"code": code, "metrics": {{
+print(json.dumps({{"code": code, "extra": extra, "metrics": {{
     name: m["value"] for name, m in tracer.metrics().items()}}}}))
 """
 
@@ -77,6 +80,28 @@ with contextlib.redirect_stdout(io.StringIO()):
 """
 
 
+# the 40-row table of SWEEP run twice, then a kappa sweep at the Doney case
+# (k, l) = (2, 4) of alpha 3/2: the exact reductions each makes after its
+# first run or beta
+REPEATED = """
+argv = ["table", "--alpha", repr(2 ** 0.5), "--rho", "0.5",
+        "--beta-start", "0.01", "--beta-stop", "0.9", "--beta-count", "40"]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = entry["main"](argv)
+    first = tracer.counts["accurate.reductions"]
+    code = code or entry["main"](argv)
+extra["table_again"] = tracer.counts["accurate.reductions"] - first
+params = stablekappa.validate(1.5, 2.0 / 3.0)
+first = tracer.counts["accurate.reductions"]
+entry["kappa"](params, stablekappa.KappaQuery(1.0, 0.01))
+extra["doney_first"] = tracer.counts["accurate.reductions"] - first
+first = tracer.counts["accurate.reductions"]
+for i in range(1, 40):
+    entry["kappa"](params, stablekappa.KappaQuery(1.0, 0.01 + 0.02 * i))
+extra["doney_rest"] = tracer.counts["accurate.reductions"] - first
+"""
+
+
 def _traced(body: str) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", TRACED.format(body=body), str(ROOT / "src"),
@@ -85,7 +110,7 @@ def _traced(body: str) -> dict:
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["code"] == 0
-    return result["metrics"]
+    return {**result["metrics"], **result["extra"]}
 
 
 def test_tracer_counts_every_wrapped_layer():
@@ -135,3 +160,33 @@ def test_rational_g_sweep_work_counters():
     metrics = _traced(RATIONAL_G)
     assert metrics["series.calls"] == 40
     assert metrics["series.terms"] == 2484
+
+
+def test_beta_free_work_is_done_once():
+    # the series' sines and cut candidates, and the Doney cosines, depend
+    # on alpha (and rho) alone: once a table has run, the same table again
+    # makes no exact reduction, nor a Doney kappa sweep after its first beta
+    metrics = _traced(REPEATED)
+    assert metrics["table_again"] == 0
+    assert metrics["doney_first"] > 0
+    assert metrics["doney_rest"] == 0
+    assert metrics["special.doney.calls"] >= 40
+
+
+def test_every_evaluator_the_plan_looks_up_is_traced():
+    # the tracer wraps evaluators by the names kappa._steps looks them up
+    # by: a name missing from LAYER_OF would drop out of its counters
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    kappa_module = importlib.import_module("stablekappa.kappa")
+    code = kappa_module._steps.__wrapped__.__code__
+    names = set(code.co_names).union(*(
+        const.co_names for const in code.co_consts if hasattr(const, "co_names")))
+    looked_up = {name for name in names
+                 if callable(fn := getattr(kappa_module, name, None))
+                 and not isinstance(fn, type)
+                 and fn.__module__.startswith("stablekappa.")
+                 and fn.__module__ != kappa_module.__name__}
+    assert {"g_doney", "g_series", "gprime_series", "g_quad", "gprime_quad"} <= looked_up
+    assert looked_up <= set(tracing.LAYER_OF)

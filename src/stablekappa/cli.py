@@ -351,8 +351,6 @@ def cmd_classify(args) -> int:
         "kind": aclass.kind.value,
         "p": aclass.p,
         "q": aclass.q,
-        "floor_power": aclass.floor_power,
-        "floor_constant": aclass.floor_constant,
         "conditioning_beta": args.beta,
         "recommended_method": recommended,
     }

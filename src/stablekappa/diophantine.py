@@ -1,31 +1,25 @@
-"""Continued fractions and divisor floors.
+"""Continued fractions and alpha's profile.
 
 The power-series evaluators divide by sin(m*pi/alpha) and sin(k*pi*alpha).
 How small those divisors get is a diophantine question, answered by the
-convergents of alpha.  By the best-approximation theorem (Khinchin,
-*Continued Fractions*), if d_k < d_{k+1} are consecutive convergent
-denominators of x, then ||m x|| >= ||d_k x|| for every 1 <= m < d_{k+1}.
-The denominators are the q_k of alpha's convergents p_k/q_k for x = alpha,
-and the p_k for x = 1/alpha.  So one value per convergent bounds a whole
-segment of indices, and this module reads the divisor floor c / m**nu off
-the expansion (``_floor_model``):
+convergents of alpha: by the best-approximation theorem (Khinchin,
+*Continued Fractions*), the divisors are smallest at the convergent
+denominators, the q_k of alpha's convergents p_k/q_k for the second series
+and the p_k for the first.
 
 * ``cf_expand``   partial quotients and convergents of a float,
 * ``classify``    alpha's profile, all that dispatch reads (``_profile``).
 
-The floor is proven for every index below the last denominator of the
-expansion; past it the model is assumed.  The series stops at a contour
-cut whose tail bound needs no floor; it reads the floor model only to
-project the rounding noise of its terms before it sums.  A float can never
+The series stops at a contour cut whose tail bound needs no divisor bound,
+and measures the rounding noise of the terms it sums.  A float can never
 certify membership in a number-theoretic set, so the series' refusal
-(``IllConditionedSeriesError``) is a statement about projected work and
-rounding noise at the requested (beta, tolerance), not about the number
-itself.
+(``IllConditionedSeriesError``) is a statement about work and rounding noise
+at the requested (beta, tolerance), not about the number itself.
 
-The expansion, the rational verdict, the floor model and the pairing
-convergent depend on alpha alone; ``_profile`` computes them once per alpha
-(an LRU over ``_PROFILE_CACHE`` alphas).  The series decides its
-conditioning at each beta from them and its cut.
+The expansion, the rational verdict and the pairing convergent depend on
+alpha alone; ``_profile`` computes them once per alpha (an LRU over
+``_PROFILE_CACHE`` alphas).  The series decides its conditioning at each
+beta from them, its cut and its terms.
 """
 
 from __future__ import annotations
@@ -35,7 +29,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .accurate import sin_mpi, sin_pi
 from .params import OutOfRangeError
 
 # A terminating expansion counts as "really" rational only up to this
@@ -110,66 +103,32 @@ def cf_expand(x: float) -> ContinuedFraction:
 
 @dataclass(frozen=True)
 class AlphaClass:
-    """Profile of a stability index: Rational(p, q), or Irrational.
-
-    The lower bound for both divisor families |sin(m*pi/alpha)| and
-    |sin(m*pi*alpha)| is floor_constant / m**floor_power, proven below the
-    last convergent denominator of each family and assumed past it
-    (``_floor_model``); for a recognized rational p/q it is the constant
-    sin(pi/max(p, q)), and floor_power is None.
-    """
+    """Profile of a stability index: Rational(p, q), or Irrational."""
 
     kind: AlphaKind
     p: int | None = None
     q: int | None = None
-    floor_power: float | None = None
-    floor_constant: float = 0.5
-
-
-def _floor_model(cf: ContinuedFraction) -> tuple[float, float]:
-    """(c, nu) with |sin(pi m x)| >= c / m**nu for x = 1/alpha and x = alpha
-    and every m below the last convergent denominator of x: p_k for 1/alpha,
-    q_k for alpha.
-
-    c = min(1/2, |sin(pi/alpha)|, |sin(pi alpha)|) bounds the indices below
-    the first denominator d >= 2, and nu = max(1, log(c / |sin(pi d x)|) /
-    log d) over every denominator d >= 2 but the last makes c / d**nu a
-    floor at each of them; each log ratio is raised by 1e-9, so the float
-    c / d**nu stays below the sine it is read from.  By best approximation
-    every m from d to the next denominator has |sin(pi m x)| >= |sin(pi d
-    x)| >= c / m**nu.  The sines are exact reductions, two per convergent.
-    """
-    num, den = cf.value.as_integer_ratio()
-    c = min(0.5, abs(sin_mpi(1, den, num)), abs(sin_mpi(1, num, den)))
-    nu = 1.0
-    for p, q in cf.convergents[:-1]:
-        for d, ratio in ((p, (den, num)), (q, (num, den))):
-            if d >= 2:
-                nu = max(nu, math.log(c / abs(sin_mpi(d, *ratio))) / math.log(d) + 1e-9)
-    return c, nu
 
 
 @lru_cache(maxsize=_PROFILE_CACHE)
 def _profile(alpha: float) -> tuple[AlphaClass, tuple[int, int] | None]:
-    """``classify``'s profile: Rational(p, q), or Irrational with the floor
-    of ``_floor_model``; and the pairing convergent: the p/q (p >= 1)
-    before the largest partial quotient a, where |alpha q - p| < 1/(a q)
-    comes closest for its size."""
+    """``classify``'s profile: Rational(p, q), or Irrational; and the
+    pairing convergent: the p/q (p >= 1) before the largest partial quotient
+    a, where |alpha q - p| < 1/(a q) comes closest for its size, and where
+    the divisors of the terms m = p and k = q are smallest."""
     cf = cf_expand(alpha)
     p_last, q_last = cf.convergents[-1]
     if cf.exact and q_last <= RATIONAL_DENOMINATOR_CAP:
-        floor = sin_pi(1.0 / max(p_last, q_last)) if max(p_last, q_last) > 1 else 0.0
-        return AlphaClass(AlphaKind.RATIONAL, p=p_last, q=q_last, floor_constant=floor), None
-    c, nu = _floor_model(cf)
+        return AlphaClass(AlphaKind.RATIONAL, p=p_last, q=q_last), None
     ahead = [(a, pq) for pq, a in zip(cf.convergents, cf.quotients[1:]) if pq[0] >= 1]
     pair = max(ahead, key=lambda t: t[0])[1] if ahead else None
-    return AlphaClass(AlphaKind.IRRATIONAL, floor_power=nu, floor_constant=c), pair
+    return AlphaClass(AlphaKind.IRRATIONAL), pair
 
 
 def classify(alpha: float) -> AlphaClass:
     """alpha's profile, cached per alpha: Rational(p, q) when its expansion
-    terminates at a modest denominator, else Irrational with the floor
-    model.  The series decides its conditioning at each beta from it."""
+    terminates at a modest denominator, else Irrational.  The series
+    decides its conditioning at each beta from it."""
     if not 0.0 < alpha <= 2.0:
         raise OutOfRangeError(f"alpha must lie in (0, 2], got {alpha!r}")
     return _profile(float(alpha))[0]

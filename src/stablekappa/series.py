@@ -50,21 +50,22 @@ at m = a_num, lies far past any term budget, so it sums the two divisor
 series alone, and a pair that the cut does reach is a resonant term.
 
 The split reads all that does not depend on beta off one cached plan per
-(alpha, p/q, rho, g or g', tolerance, floor) (``_plan``): lambda, the budget
-of its cut, the exponents and coefficients of its two nonresonant
-families, and the exponents and factors of its pairs.  At each beta it
-computes only log beta, the cut, and one pass over each sum.
+(alpha, p/q, rho, g or g', tolerance, own ratio or not) (``_plan``):
+lambda, the budget of its cut, the exponents and coefficients of its two
+nonresonant families, and the exponents and factors of its pairs.  At each
+beta it computes only log beta, the cut, and one pass over each sum.
 
 The series decides its conditioning at each beta itself, from alpha's
-cached ``diophantine._profile`` and its cut, each computed once per form
-tried: the split at a rational alpha; else the generic sum, unless a family
-needs more terms than the budget, the noise of a term bound under alpha's
-divisor floor (``_noisy``, before the sum) or of the summed |terms|
-exceeds half the tolerance, or its bound the tolerance; else the split at
-the pairing convergent, the p/q before alpha's largest partial quotient,
-unless its projected noise exceeds half the tolerance, or no cut meets the
-tolerance within the budget and before the pairs pass half a period, all
-checked before it sums.
+cached ``diophantine._profile``, its cut and its terms, the cut computed
+once per form tried: the split at a rational alpha; else the generic sum,
+unless a family needs more terms than the budget, the noise of the summed
+|terms| exceeds half the tolerance, or its bound the tolerance; else the
+split at the pairing convergent p/q, the one before alpha's largest partial
+quotient, unless its projected noise exceeds half the tolerance, or no cut
+meets the tolerance within the budget and before the pairs pass half a
+period, all checked before it sums.  The generic sum reads its terms m = p
+and k = q, where alpha's divisors are smallest, before it sums the rest:
+4 eps times either above half the tolerance makes the summed noise so too.
 """
 
 from __future__ import annotations
@@ -177,6 +178,11 @@ class _Family:
         return ([self.step * m - shift for m in ms],
                 [(pre if m % 2 else -pre) * s_num / (m ** deg * s_div) for m, s_num, s_div
                  in zip(ms, islice(nums, start, end), islice(divs, start, end))])
+
+    def term(self, beta: float, m: int, derivative: bool) -> float:
+        """The term at index m <= ``_TABLE_TERMS``, m < skip, at beta."""
+        exps, coefs = _rows(self.tables[derivative], m, self._terms, derivative)
+        return beta ** exps[m - 1] * coefs[m - 1]
 
     def terms(self, beta: float, count: int, derivative: bool) -> list[float]:
         """The first ``count`` terms at beta: beta^(step m - shift) times
@@ -357,27 +363,27 @@ class _Plan:
     """The beta-free part of the split series at p/q for one exact ratio
     alpha = a_num/a_den, rho, g or g' and tolerance: delta_1 = (a_num q -
     p a_den)/a_den, lambda, the budget of its cut (3/8 of the tolerance; a
-    quarter for the generic sum, given alpha's ``floor`` c, nu) and the
-    index it stays below, the pairs' exponent shift and index power -deg,
-    the two nonresonant families, and the table of its pairs n: exponent
-    N - shift and factors X_n, Y_n (``_pair_factors``).  Paired (delta_1 !=
-    0), also what its projected noise reads (``_projected_noise``): the
-    reach min(|delta_1| max_terms, min(alpha, 1)/2) of the pairs, the
-    factors x = pi reach, sin x and the slope of 1/sinc of the pairs' bound
-    there, and half of sin(pi/p) and sin(pi/q) as the nonresonant families'
-    floors."""
+    quarter for the generic sum at alpha's own ratio, marked ``own``) and
+    the index it stays below, the pairs' exponent shift and index power
+    -deg, the two nonresonant families, and the table of its pairs n:
+    exponent N - shift and factors X_n, Y_n (``_pair_factors``).  Paired
+    (delta_1 != 0), also what its projected noise reads
+    (``_projected_noise``): the reach min(|delta_1| max_terms, min(alpha,
+    1)/2) of the pairs, the factors x = pi reach, sin x and the slope of
+    1/sinc of the pairs' bound there, and half of sin(pi/p) and sin(pi/q)
+    as the nonresonant families' floors."""
 
     __slots__ = ("p", "q", "delta1", "lam", "budget", "abs_tol", "max_terms", "limit", "shift",
-                 "deg", "reach", "pair_noise", "floors", "floor", "families", "derivative",
+                 "deg", "reach", "pair_noise", "floors", "own", "families", "derivative",
                  "ratio", "rho", "pairs")
 
     def __init__(self, a_num: int, a_den: int, p: int, q: int, rho: float, derivative: bool,
-                 abs_tol: float, max_terms: int, *floor: float):
+                 abs_tol: float, max_terms: int, own: bool = False):
         r_num, r_den = rho.as_integer_ratio()
         alpha, gap = a_num / a_den, a_num * q - p * a_den
-        self.p, self.q, self.delta1, self.floor = p, q, gap / a_den, floor
+        self.p, self.q, self.delta1, self.own = p, q, gap / a_den, own
         self.lam = math.pi * (1.0 + a_den / a_num - rho)
-        self.budget, self.abs_tol = (0.25 if floor else 0.375) * abs_tol, abs_tol
+        self.budget, self.abs_tol = (0.25 if own else 0.375) * abs_tol, abs_tol
         self.max_terms = max_terms
         self.shift, self.deg = (1, 0) if derivative else (0, 1)
         # the first family over m with p not dividing m, the second over k
@@ -406,7 +412,7 @@ class _Plan:
         return [n * self.p - self.shift for n in ns], factors[::2], factors[1::2]
 
 
-# the plan of one (a_num, a_den, p, q, rho, derivative, abs_tol, max_terms, floor)
+# the plan of one (a_num, a_den, p, q, rho, derivative, abs_tol, max_terms, own)
 _plan = lru_cache(maxsize=_TABLES)(_Plan)
 
 
@@ -427,7 +433,8 @@ def _projected_noise(plan: _Plan, beta: float) -> float:
     return 4.0 * EPS * noise
 
 
-def _split(plan: _Plan, beta: float) -> tuple[float, int, int, float, float]:
+def _split(plan: _Plan, beta: float,
+           probe: tuple[int, int] | None = None) -> tuple[float, int, int, float, float]:
     """g(beta) (or g') for 0 < beta < 1 by the series split at p/q (see the
     module docstring), read off its plan: the two divisor series less the
     indices m = n p and k = n q, plus one sum over the pairs n, each
@@ -435,15 +442,17 @@ def _split(plan: _Plan, beta: float) -> tuple[float, int, int, float, float]:
     Only log beta, the cut, e_n and the powers of beta are computed per
     beta.  Paired, IllConditionedSeriesError is raised before any sum where
     the projected noise exceeds half the tolerance, the cut would pass the
-    pairs' half period, or a sum needs more terms than the budget, and
-    given alpha's floor, where the budget or ``_noisy`` refuses before the
-    sum, or the noise of the summed |terms| exceeds half the tolerance; at
-    rational alpha the budget raises ConvergenceFailureError, and at delta_1
-    = 0 a bound above the tolerance after the sum, whose noise no projection
-    budgets, or a term that overflows, IllConditionedSeriesError.  Returns
-    the fields of a ``SeriesReport``, the pairs counted in its
-    ``terms_first_series``."""
-    p, q, delta1, max_terms, floor = plan.p, plan.q, plan.delta1, plan.max_terms, plan.floor
+    pairs' half period, or a sum needs more terms than the budget.  The
+    generic sum (``own``) raises it where the budget refuses, where 4 eps
+    times its term m or k of ``probe`` (alpha's pairing convergent), read
+    before the sum if the cut reaches it, exceeds half the tolerance, or
+    where the noise of the summed |terms| does: each probed term is one of
+    them, so the probe changes no outcome.  At rational alpha the budget
+    raises ConvergenceFailureError, and at delta_1 = 0 a bound above the
+    tolerance after the sum, whose noise no projection budgets, or a term
+    that overflows, IllConditionedSeriesError.  Returns the fields of a
+    ``SeriesReport``, the pairs counted in its ``terms_first_series``."""
+    p, q, delta1, max_terms, own = plan.p, plan.q, plan.delta1, plan.max_terms, plan.own
     if delta1 and (noise := _projected_noise(plan, beta)) > 0.5 * plan.abs_tol:
         raise IllConditionedSeriesError(f"split at {p}/{q}: projected noise "
                                         f"{noise:.3e} above half the tolerance")
@@ -457,14 +466,18 @@ def _split(plan: _Plan, beta: float) -> tuple[float, int, int, float, float]:
         n = stop1 // p
         count1, count2 = stop1 - n, stop2 - stop2 // q
     if cut is None or max(count1, count2, n) > max_terms:
-        error = IllConditionedSeriesError if delta1 or floor else ConvergenceFailureError
+        error = IllConditionedSeriesError if delta1 or own else ConvergenceFailureError
         raise error(f"split at {p}/{q}: a sum does not stop within {max_terms} terms")
     first, second = plan.families
     cap = 0.5 * plan.abs_tol
     try:
-        if floor and (_noisy(beta, log_beta, first.step, plan.derivative, *floor, cap, stop1)
-                      or _noisy(beta, log_beta, second.step, plan.derivative, *floor, cap, stop2)):
-            raise IllConditionedSeriesError(f"split at {p}/{q}: noise above half the tolerance")
+        # the pairing convergent lies below alpha's own ratio: m = p and
+        # k = q are terms of the families, not multiples they skip
+        if probe and any(4.0 * EPS * abs(family.term(beta, m, plan.derivative)) > cap
+                         for family, m, stop in zip(plan.families, probe, (stop1, stop2))
+                         if m <= min(stop, _TABLE_TERMS)):
+            raise IllConditionedSeriesError(f"split at {p}/{q}: a term's noise above half "
+                                            f"the tolerance")
         v1, abs_sum = _divisor_series(first, beta, plan.derivative, count1, 0.0)
         v2, abs_sum = _divisor_series(second, beta, plan.derivative, count2, abs_sum)
         pairs = 0.0
@@ -480,35 +493,12 @@ def _split(plan: _Plan, beta: float) -> tuple[float, int, int, float, float]:
         raise IllConditionedSeriesError(f"split at {p}/{q}: a term overflows") from None
     value = v1 + v2 + pairs
     noise = 4.0 * EPS * (abs_sum + abs(value))
-    if floor and 4.0 * EPS * abs_sum > cap:
+    if own and 4.0 * EPS * abs_sum > cap:
         raise IllConditionedSeriesError(f"split at {p}/{q}: summed noise above half the tolerance")
     if not delta1 and tail + noise > plan.abs_tol:
         raise IllConditionedSeriesError(
             f"error bound {tail + noise:.3e} above the tolerance {plan.abs_tol:.3e}")
     return value, count1 + n, count2, tail, noise
-
-
-def _noisy(beta: float, log_beta: float, step: float, derivative: bool, c: float, nu: float,
-           cap: float, stop: int) -> bool:
-    """Whether 4 eps times a term bound of a divisor series of g (or g')
-    with divisors above c / m^nu exceeds cap at an index up to ``stop``:
-    term m is below pre beta^(step m - shift) m^(nu - deg) / c, (pre,
-    shift, deg) = (step, 1, 0) for g' and (1, 0, 1) for g.  The bounds are
-    log-concave in m, so the first and the largest, at floor k or k + 1 for
-    k = (nu - deg)/(-step log beta) capped at the stop, are checked.  A
-    floor c of 0 bounds no divisor: every term is taken as noisy."""
-    if not stop:
-        return False
-    if not c:
-        return True
-    pre, shift, deg = (step, 1.0, 0) if derivative else (1.0, 0.0, 1)
-    power = nu - deg
-
-    def noisy(m: int) -> bool:
-        return 4.0 * EPS * (pre * beta ** (step * m - shift) * m ** power / c) > cap
-
-    top = int(min(power / (-step * log_beta), stop))
-    return noisy(1) or noisy(max(top, 1)) or noisy(min(top + 1, stop))
 
 
 def _series(params: StableParams, beta: float, tol: Tolerance | None,
@@ -519,26 +509,23 @@ def _series(params: StableParams, beta: float, tol: Tolerance | None,
     if not 0.0 < beta < 1.0:
         lower = "0 <" if derivative else "0 <="
         raise OutOfRangeError(f"series form needs {lower} beta < 1, got {beta!r}")
-    alpha, rho = params.alpha, params.rho
+    alpha, rho, bounds = params.alpha, params.rho, (tol.abs_tol, tol.max_terms)
     profile, pair = _profile(alpha)
     if profile.kind is AlphaKind.RATIONAL:
         # split at the exact ratio p/q itself (the float 0.8 is not 4/5), so
         # that its pairs sit at delta = 0
-        ratio, floor = (profile.p, profile.q), ()
-    else:
-        # the generic sum: the split at the float's own ratio, under its floor
-        ratio, floor = alpha.as_integer_ratio(), (profile.floor_constant, profile.floor_power)
+        ratio = profile.p, profile.q
+        return SeriesReport(*_split(_plan(*ratio, *ratio, rho, derivative, *bounds), beta))
+    # the generic sum: the split at the float's own ratio
+    ratio = alpha.as_integer_ratio()
     try:
-        return SeriesReport(*_split(_plan(*ratio, *ratio, rho, derivative, tol.abs_tol,
-                                          tol.max_terms, *floor), beta))
+        return SeriesReport(*_split(_plan(*ratio, *ratio, rho, derivative, *bounds, True),
+                                    beta, pair))
     except IllConditionedSeriesError:
-        if not floor:
-            raise
         if pair is None:
             raise IllConditionedSeriesError("small divisors exceed the work/noise budget at "
                                             "this beta and tolerance, paired or not") from None
-    plan = _plan(*ratio, *pair, rho, derivative, tol.abs_tol, tol.max_terms)
-    return SeriesReport(*_split(plan, beta))
+    return SeriesReport(*_split(_plan(*ratio, *pair, rho, derivative, *bounds), beta))
 
 
 def g_series(params: StableParams, beta: float, tol: Tolerance | None = None) -> SeriesReport:

@@ -5,9 +5,10 @@ form, ``gprime_half_closed`` is g' at alpha = 1/2 in elementary closed
 form, and ``g_mpmath`` and ``gprime_mpmath`` are g and g' from their
 defining integrals at 30 digits (the benchmark's oracle, ``bench/oracle.py``);
 ``g_series`` and ``gprime_series`` at rational alpha, where they split at
-p/q, are checked against the last three.  ``cut_scan`` finds the series'
-contour cut by scanning unit intervals from the first that could hold it,
-and ``residue_sum`` sums the first few residues at 50 digits.
+p/q, are checked against the last three.  ``cut_tail_scan`` finds the
+series' contour cut, and its bound, by scanning unit intervals from the
+first that could hold it (``cut_scan`` the cut alone), and
+``residue_sum`` sums the first few residues at 50 digits.
 No evaluator of the package calls any of them, so they live here, with
 ``CompensatedSum``, the Neumaier running sum that ``g_k_series`` uses.
 """
@@ -158,7 +159,14 @@ def exact_sin(m: int, x: Fraction) -> float:
 
 def cut_scan(beta: float, ratio: tuple[int, int], rho: float, derivative: bool,
              budget: float, limit: int) -> tuple[int, int] | None:
-    """The cut's stops (M, K) recomputed, or None: every unit interval
+    """The cut's stops (M, K) recomputed, or None (``cut_tail_scan``)."""
+    found = cut_tail_scan(beta, ratio, rho, derivative, budget, limit)
+    return found and found[:2]
+
+
+def cut_tail_scan(beta: float, ratio: tuple[int, int], rho: float, derivative: bool,
+                  budget: float, limit: int) -> tuple[int, int, float] | None:
+    """The cut's stops (M, K) and bound R recomputed, or None: every unit interval
     (m, m + 1) from the first where 4 beta^(m+1)/(lambda (m + 1)) (for g';
     4 beta^m / lambda) meets the budget, which no earlier one can; in each,
     its candidates in increasing order, and the first whose bound from the
@@ -181,8 +189,8 @@ def cut_scan(beta: float, ratio: tuple[int, int], rho: float, derivative: bool,
             estimate = abs(math.sin(math.pi * (x - m)) * math.sin(math.pi * x / alpha))
             sines = abs(exact_sin(1, cut) * exact_sin(1, cut / x_alpha))
             if 4.0 * power <= budget * lam * estimate and sines and (
-                    4.0 * (1.0 + 16.0 * EPS) * power / (lam * sines) <= budget):
-                return m, math.ceil(cut / x_alpha) - 1
+                    tail := 4.0 * (1.0 + 16.0 * EPS) * power / (lam * sines)) <= budget:
+                return m, math.ceil(cut / x_alpha) - 1, tail
     return None
 
 

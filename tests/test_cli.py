@@ -207,22 +207,21 @@ def test_classify_sqrt2(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["kind"] == "irrational"
-    assert (payload["floor_power"], payload["floor_constant"]) == (1.0, 0.5)
     assert payload["convergents"][:4] == [[1, 1], [3, 2], [7, 5], [17, 12]]
     assert payload["recommended_method"] == "series"
 
 
 def test_classify_near_rational_ill(capsys):
-    # 1e-12 from 1/2 classify prints alpha's profile, irrational with a
-    # floor of 1.3e-11, whatever the term budget: the budget, with beta and
-    # the tolerance, only sets the point of the method recommendation
+    # 1e-12 from 1/2 classify prints alpha's profile, irrational with its
+    # expansion, whatever the term budget: the budget, with beta and the
+    # tolerance, only sets the point of the method recommendation
     argv = ("classify", "--alpha", "0.500000000001", "--beta", "0.9", "--format", "json")
     for budget in ((), ("--max-terms", "50")):
         code, out, _ = run(capsys, *argv, *budget)
         assert code == 0
         payload = json.loads(out)
         assert (payload["kind"], payload["p"], payload["q"]) == ("irrational", None, None)
-        assert payload["floor_constant"] == 1.2566092624600367e-11
+        assert payload["convergents"] == [[0, 1], [1, 1], [1, 2], [250005530552, 500011061103]]
 
 
 @pytest.mark.parametrize("beta", ["nan", "inf", "-1", "0"])
@@ -478,8 +477,8 @@ def test_help_from_the_reused_parser_is_unchanged(capsys):
 
 
 def test_eval_at_a_dyadic_alpha_with_a_zero_divisor_floor(capsys):
-    # 2^-30 has a divisor floor of 0: the series refuses it, and
-    # quadrature evaluates g there
+    # 2^-30 has the divisors sin(m pi/alpha) = 0: the series needs more
+    # terms than its budget and refuses, and quadrature evaluates g there
     code, out, err = run(capsys, "eval", "--alpha", "9.313225746154785e-10",
                          "--rho", "0.5", "--beta", "0.3", "--format", "json")
     assert (code, err) == (0, "")

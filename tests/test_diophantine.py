@@ -19,9 +19,9 @@ from stablekappa import (
 from stablekappa import series as series_module
 from stablekappa.accurate import EPS, sin_mpi, sin_pi
 from stablekappa.diophantine import RATIONAL_DENOMINATOR_CAP, AlphaClass, _profile
-from stablekappa.series import _cut, _noisy, _plan, _projected_noise
+from stablekappa.series import _cut, _plan, _projected_noise, _split
 
-from oracles import cut_scan, exact_sin
+from oracles import cut_scan, cut_tail_scan
 
 
 def _cf_oracle(x_str: str, n: int) -> list[int]:
@@ -93,19 +93,19 @@ def test_classify_rational():
 def test_classify_sqrt2_irrational():
     ac = classify(math.sqrt(2.0))
     assert ac.kind is AlphaKind.IRRATIONAL
-    # bounded partial quotients: the floor 1/2 / m holds at every convergent
-    assert (ac.floor_power, ac.floor_constant) == (1.0, 0.5)
+    # every partial quotient past the first is 2: the series probes the
+    # terms of the first convergent that precedes one
+    assert _profile(math.sqrt(2.0))[1] == (1, 1)
 
 
 def test_classify_near_rational_ill_conditioned():
-    # 1e-12 from 1/2 the profile is Irrational with the floor |sin(pi/alpha)|
-    # of 1.3e-11, under which the generic sum fails; the series, not
-    # classify, pairs at 1/2 where the pairs fit the term budget and their
-    # noise the tolerance, and refuses elsewhere
+    # 1e-12 from 1/2 the profile is Irrational with the pairing convergent
+    # 1/2, where |sin(pi/alpha)| is 1.3e-11 and the generic sum fails; the
+    # series, not classify, pairs at 1/2 where the pairs fit the term budget
+    # and their noise the tolerance, and refuses elsewhere
     ac = classify(0.5 + 1e-12)
-    assert ac == _profile(0.5 + 1e-12)[0]
+    assert (ac, (1, 2)) == _profile(0.5 + 1e-12)
     assert (ac.kind, ac.p, ac.q) == (AlphaKind.IRRATIONAL, None, None)
-    assert ac.floor_constant == 1.2566092624600367e-11
     params = validate(0.5 + 1e-12, 0.5)
     rep = gprime_series(params, 0.9)
     assert (rep.terms_first_series, rep.terms_second_series) == (225, 226)
@@ -145,41 +145,32 @@ CACHE_BETAS = (2e-6, 1e-4, 0.01, 0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.95, 0.99)
 CACHE_TOLS = (Tolerance(), Tolerance(abs_tol=1e-13, max_terms=2000))
 
 
-def _uncached_profile(alpha: float) -> AlphaClass:
-    """The beta-free part of classify, recomputed with no cache."""
+def _uncached_profile(alpha: float) -> tuple[AlphaClass, tuple[int, int] | None]:
+    """The beta-free part of classify, recomputed with no cache: the
+    profile, and the pairing convergent p/q (p >= 1) before the largest
+    partial quotient, first on ties."""
     cf = cf_expand(alpha)
     p_last, q_last = cf.convergents[-1]
     if cf.exact and q_last <= RATIONAL_DENOMINATOR_CAP:
-        floor = sin_pi(1.0 / max(p_last, q_last)) if max(p_last, q_last) > 1 else 0.0
-        return AlphaClass(kind=AlphaKind.RATIONAL, p=p_last, q=q_last,
-                          floor_constant=floor)
-    # the floor model from exact distances: c from the indices 1, nu from
-    # every convergent denominator d >= 2 but the last, of 1/alpha (the p)
-    # and of alpha (the q)
-    x = Fraction(alpha)
-    c = min(0.5, abs(exact_sin(1, 1 / x)), abs(exact_sin(1, x)))
-    nu = 1.0
-    for p, q in cf.convergents[:-1]:
-        for d, y in ((p, 1 / x), (q, x)):
-            if d >= 2:
-                nu = max(nu, math.log(c / abs(exact_sin(d, y))) / math.log(d) + 1e-9)
-    return AlphaClass(kind=AlphaKind.IRRATIONAL, floor_power=nu, floor_constant=c)
+        return AlphaClass(kind=AlphaKind.RATIONAL, p=p_last, q=q_last), None
+    ahead = [(a, pq) for pq, a in zip(cf.convergents, cf.quotients[1:]) if pq[0] >= 1]
+    best = max((a for a, _ in ahead), default=None)
+    pair = next((pq for a, pq in ahead if a == best), None)
+    return AlphaClass(kind=AlphaKind.IRRATIONAL), pair
 
 
 def _paired_uncached(alpha: float, rho: float, tol: Tolerance,
                      beta: float) -> tuple[int, int] | None:
     """The stops of the split of g' at the pairing convergent recomputed, or
     None where it refuses: the convergent p/q (p >= 1) before the largest
-    partial quotient, first on ties; the noise projected at beta clamped
-    into [1e-6, 0.95]; the cut scanned for a bound under 3/8 of the
+    partial quotient (``_uncached_profile``); the noise projected at beta
+    clamped into [1e-6, 0.95]; the cut scanned for a bound under 3/8 of the
     tolerance below the index where the pairs pass half a period, and each
     sum within the budget."""
-    cf = cf_expand(alpha)
-    ahead = [(a, pq) for pq, a in zip(cf.convergents, cf.quotients[1:]) if pq[0] >= 1]
-    if not ahead:
+    _, pair = _uncached_profile(alpha)
+    if pair is None:
         return None
-    best = max(a for a, _ in ahead)
-    p, q = next(pq for a, pq in ahead if a == best)
+    p, q = pair
     b = min(max(beta, 1e-6), 0.95)
     noise = 0.0
     for skip, step in ((p, 1.0), (q, alpha)):
@@ -223,37 +214,48 @@ GRID_TOLS = (Tolerance(abs_tol=1e-8), Tolerance(), Tolerance(abs_tol=1e-13),
 def test_classify_matches_uncached_recomputation():
     _profile.cache_clear()
     for alpha in CACHE_ALPHAS + GRID_ALPHAS:
-        got, want = classify(alpha), _uncached_profile(alpha)
-        assert got == want, alpha
-        assert got.floor_constant.hex() == want.floor_constant.hex()
+        want = _uncached_profile(alpha)
+        assert (classify(alpha), _profile(alpha)[1]) == want, alpha
 
 
-def _own_ratio_uncached(alpha: float, rho: float, tol: Tolerance, beta: float,
-                        profile: AlphaClass) -> tuple[int, int] | None:
+def _own_ratio_uncached(alpha: float, rho: float, tol: Tolerance,
+                        beta: float) -> tuple[int, int] | None:
     """The stops of the generic sum of g', the split at alpha's own ratio,
-    recomputed, or None where the cut does not meet a quarter of the
-    tolerance within the budget, or 4 eps times a family's largest term
-    bound up to its stop exceeds half the tolerance."""
-    ratio = alpha.as_integer_ratio()
-    found = cut_scan(beta, ratio, rho, True, 0.25 * tol.abs_tol, tol.max_terms)
-    if found is None:
+    recomputed with no table, or None where it refuses: the cut does not
+    meet a quarter of the tolerance within the budget, 4 eps times the
+    |terms| of both families summed to it exceeds half the tolerance, or
+    the bound, the tail and 4 eps times the |terms| and |value|, exceeds
+    the tolerance.  Each term is beta^(step m - 1) times step sin(m pi num)
+    / sin(m pi div), signed (-1)^(m+1), as the families compute it."""
+    (a_num, a_den), (r_num, r_den) = alpha.as_integer_ratio(), rho.as_integer_ratio()
+    found = cut_tail_scan(beta, (a_num, a_den), rho, True, 0.25 * tol.abs_tol, tol.max_terms)
+    if found is None or found[1] > tol.max_terms:
         return None
-    c, nu = profile.floor_constant, profile.floor_power
-    for stop, step in zip(found, (1.0, alpha)):
-        peak = max((step * beta ** (step * m - 1.0) * m ** nu / c for m in range(1, stop + 1)),
-                   default=0.0)
-        if stop > tol.max_terms or 4.0 * EPS * peak > 0.5 * tol.abs_tol:
-            return None
-    return found
+    *stops, tail = found
+    value = abs_sum = 0.0
+    for stop, step, div, num in zip(stops, (1.0, alpha), ((a_den, a_num), (a_num, a_den)),
+                                    ((r_num, r_den), (r_num * a_num, r_den * a_den))):
+        terms = []
+        for m in range(1, stop + 1):
+            terms.append(beta ** (step * m - 1.0) * (
+                (step if m % 2 else -step) * sin_mpi(m, *num) / sin_mpi(m, *div)))
+            abs_sum += abs(terms[-1])
+            if 4.0 * EPS * abs_sum > 0.5 * tol.abs_tol:
+                return None  # the |terms| only add up
+        value += math.fsum(terms)
+    if tail + 4.0 * EPS * (abs_sum + abs(value)) > tol.abs_tol:
+        return None
+    return tuple(stops)
 
 
 def test_series_stops_match_uncached_recomputation():
-    # the decision the series of g' makes before it sums, at rho 0.5: the
-    # stops of the split at alpha's own ratio, the generic sum (the cut read
-    # off its plan from its first guess, and ``_noisy`` under alpha's
-    # floor), else the split's at the pairing convergent (its projected
-    # noise, and the cut read off its plan), else a refusal; each against a
-    # scan from the first unit interval that could hold the cut
+    # the decision the series of g' makes, at rho 0.5: the stops of the
+    # split at alpha's own ratio, the generic sum (the cut read off its
+    # plan from its first guess, and its refusals), else the split's at the
+    # pairing convergent (its projected noise, and the cut read off its
+    # plan), else a refusal; each against a scan from the first unit
+    # interval that could hold the cut and, for the generic sum, its terms
+    # recomputed and summed
     rho, kinds = 0.5, set()
     for alphas, tols, betas in ((CACHE_ALPHAS, CACHE_TOLS, CACHE_BETAS),
                                 (GRID_ALPHAS, GRID_TOLS, GRID_BETAS)):
@@ -261,27 +263,23 @@ def test_series_stops_match_uncached_recomputation():
             profile, pair = _profile(alpha)
             if profile.kind is AlphaKind.RATIONAL:
                 continue
-            c, nu = profile.floor_constant, profile.floor_power
             ratio = alpha.as_integer_ratio()
-            reference = _uncached_profile(alpha)
             for tol in tols:
-                own = _plan(*ratio, *ratio, rho, True, tol.abs_tol, tol.max_terms, c, nu)
+                own = _plan(*ratio, *ratio, rho, True, tol.abs_tol, tol.max_terms, True)
                 plan = _plan(*ratio, *pair, rho, True, tol.abs_tol, tol.max_terms)
                 for beta in betas:
                     log_beta = math.log(beta)
                     got = _cut(beta, log_beta, own.ratio, own.lam, True, own.budget, own.limit)
                     if got is not None:
-                        got = got[:2]
-                        if any(stop > tol.max_terms or _noisy(
-                                beta, log_beta, family.step, True, c, nu, 0.5 * tol.abs_tol,
-                                stop) for stop, family in zip(got, own.families)):
+                        try:
+                            _split(own, beta, pair)
+                            got = got[:2]
+                        except IllConditionedSeriesError:
                             got = None
-                    assert got == _own_ratio_uncached(alpha, rho, tol, beta, reference), (
-                        alpha, tol, beta)
+                    assert got == _own_ratio_uncached(alpha, rho, tol, beta), (alpha, tol, beta)
                     if got is not None:
                         kinds.add("generic")
                         continue
-                    got = None
                     if _projected_noise(plan, beta) <= 0.5 * tol.abs_tol:
                         got = _cut(beta, log_beta, plan.ratio, plan.lam, True, plan.budget,
                                    plan.limit)
@@ -295,50 +293,39 @@ def test_series_stops_match_uncached_recomputation():
     assert kinds == {"generic", "paired", "refused"}
 
 
-def test_floor_model_holds_below_the_last_denominator():
-    # best approximation makes c / m**nu a floor on each family's divisors
-    # |sin(pi m x)|, x = 1/alpha and x = alpha, for every m below the last
-    # convergent denominator of x (p_last and q_last), checked by exact
-    # reduction up to 20000
-    checked = 0
-    for alpha in dict.fromkeys(GRID_ALPHAS + CACHE_ALPHAS):
-        profile, _ = _profile(alpha)
-        if profile.kind is AlphaKind.RATIONAL:
-            continue
-        c, nu = profile.floor_constant, profile.floor_power
-        num, den = alpha.as_integer_ratio()
-        p_last, q_last = cf_expand(alpha).convergents[-1]
-        for last, ratio in ((p_last, (den, num)), (q_last, (num, den))):
-            for m in range(1, min(20000, last)):
-                assert abs(sin_mpi(m, *ratio)) >= c / m ** nu, (alpha, ratio, m)
-                checked += 1
-    assert checked > 500000
-
-
-def test_classify_shortcut_premise_peak_bounds_the_noise_sum():
-    # the series' noise check before it sums (``_noisy``) reads a family's
-    # largest term bound p from two bounds, and p <= sum <= s p places the
-    # family's bound-sum, s its stop at the cut: bounds step beta**(step m -
-    # 1) m**nu / c up to s, and p taken, as ``_noisy`` takes it, at floor k
-    # or floor k + 1 with k = nu / (-step log beta), where a log-concave
-    # sequence peaks
-    checked = 0
-    for alpha in (math.sqrt(2.0), 0.5 + math.sqrt(2.0) / 40.0, math.pi / 2.0):
+def test_generic_sum_probe_changes_no_outcome():
+    # before it sums, the generic sum reads its terms m = p and k = q at
+    # alpha's pairing convergent p/q, where the divisors are smallest, and
+    # refuses if 4 eps times either exceeds half the tolerance.  Wherever
+    # it does, 4 eps times the |terms| of both families summed to the cut
+    # exceeds half the tolerance too, and the sum without the probe refuses
+    # on it; everywhere the outcome is the same with or without the probe
+    probed = 0
+    for alpha, derivative in itertools.product(GRID_ALPHAS, (False, True)):
+        _, pair = _profile(alpha)
         ratio = alpha.as_integer_ratio()
-        lam = math.pi * (1.0 + ratio[1] / ratio[0] - 0.5)
-        for beta, budget in itertools.product((1e-6, 0.05, 0.3, 0.6, 0.8, 0.9, 0.95),
-                                              (2.5e-11, 2.5e-14)):
-            cut = _cut(beta, math.log(beta), ratio, lam, True, budget, 10000)
-            for (step, stop), nu, c in itertools.product(
-                    zip((1.0, alpha), cut[:2]), (0.0, 1.0, 1.355, 25.6), (0.5, 1e-4, 1e-9)):
-                bounds = [step * beta ** (step * m - 1.0) * m ** nu / c
-                          for m in range(1, stop + 1)]
-                top = int(min(nu / (-step * math.log(beta)), stop))
-                peak = max(bounds[m - 1] for m in (max(top, 1), min(top + 1, stop)))
-                assert peak == max(bounds), (step, nu, beta, c)
-                assert peak <= math.fsum(bounds) <= stop * peak, (step, nu, beta, c)
-                checked += 1
-    assert checked > 1000
+        for tol in GRID_TOLS:
+            own = _plan(*ratio, *ratio, 0.5, derivative, tol.abs_tol, tol.max_terms, True)
+            for beta in GRID_BETAS:
+                outcomes = []
+                for probe in (pair, None):
+                    try:
+                        outcomes.append(_split(own, beta, probe))
+                    except IllConditionedSeriesError as err:
+                        outcomes.append(str(err))
+                with_probe, without = outcomes
+                if "a term's noise" not in str(with_probe):
+                    assert with_probe == without, (alpha, derivative, tol, beta)
+                    continue
+                assert "summed noise" in without, (alpha, derivative, tol, beta)
+                stop1, stop2, _ = _cut(beta, math.log(beta), own.ratio, own.lam, derivative,
+                                       own.budget, own.limit)
+                first, second = own.families
+                terms = (first.terms(beta, stop1, derivative)
+                         + second.terms(beta, stop2, derivative))
+                assert 4.0 * EPS * math.fsum(map(abs, terms)) > 0.5 * tol.abs_tol
+                probed += 1
+    assert probed > 1000
 
 
 def test_profile_cache_stays_at_its_bound():

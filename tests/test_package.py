@@ -118,3 +118,40 @@ def test_package_calls_no_builtin_sum():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             assert not (isinstance(node, ast.Name) and node.id == "sum"), (
                 path.name, node.lineno)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def test_every_slot_and_field_is_read():
+    # state that nothing reads is dead: every name a class lists in
+    # __slots__, and every field of a dataclass, must be read as an
+    # attribute somewhere in the package (by name, whatever the object, but
+    # not off an imported module: math.floor reads no field "floor")
+    declared: dict[str, str] = {}
+    read: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and not (
+                    isinstance(node.value, ast.Name) and node.value.id in modules):
+                read.add(node.attr)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets):
+                    names = ast.literal_eval(stmt.value)
+                elif isinstance(stmt, ast.AnnAssign) and _is_dataclass(node):
+                    names = [stmt.target.id]
+                else:
+                    continue
+                declared.update((name, f"{path.name}:{node.name}") for name in names)
+    assert declared
+    unread = {name: owner for name, owner in declared.items() if name not in read}
+    assert not unread, unread

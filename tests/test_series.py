@@ -27,7 +27,7 @@ from stablekappa import (
 )
 from stablekappa.accurate import EPS, sin_mpi
 from stablekappa.diophantine import _profile
-from stablekappa.series import SeriesReport, _cut, _noisy, _plan, _split
+from stablekappa.series import SeriesReport, _cut, _plan, _split
 
 from oracles import cut_scan, g_mpmath, gprime_mpmath, residue_sum
 
@@ -35,16 +35,14 @@ TIGHT = Tolerance(abs_tol=1e-12)
 SQRT2 = math.sqrt(2.0)
 
 
-def _own_ratio(alpha, rho, beta, tol=None, derivative=False, floor=None):
-    """The generic sum, the split at alpha's own exact ratio under its
-    divisor floor (or ``floor``), called directly: the report, or None where
-    it refuses."""
+def _own_ratio(alpha, rho, beta, tol=None, derivative=False):
+    """The generic sum, the split at alpha's own exact ratio probed at its
+    pairing convergent, called directly at any alpha: the report, or None
+    where it refuses."""
     tol, ratio = tol or Tolerance(), alpha.as_integer_ratio()
-    profile = classify(alpha)
-    plan = _plan(*ratio, *ratio, rho, derivative, tol.abs_tol, tol.max_terms,
-                 *(floor or (profile.floor_constant, profile.floor_power)))
+    plan = _plan(*ratio, *ratio, rho, derivative, tol.abs_tol, tol.max_terms, True)
     try:
-        return SeriesReport(*_split(plan, beta))
+        return SeriesReport(*_split(plan, beta, _profile(alpha)[1]))
     except IllConditionedSeriesError:
         return None
 
@@ -158,11 +156,11 @@ def test_one_sided_endpoint_within_its_bound_of_mpmath():
 @pytest.mark.parametrize("alpha", [0.5, 1.5])
 def test_own_ratio_sums_a_vanished_divisor_as_its_resonant_term(alpha):
     # sin(m pi/alpha) is exactly 0 at m = 1 for alpha = 1/2 and at m = 3 for
-    # 3/2, the float's own numerator: the split at its own ratio, given an
-    # irrational floor model there, takes those indices as its pairs at
-    # delta = 0, the resonant terms, and lies within its bound of the integral
+    # 3/2, the float's own numerator: the split at its own ratio, called as
+    # the generic sum there, takes those indices as its pairs at delta = 0,
+    # the resonant terms, and lies within its bound of the integral
     for derivative, oracle in ((False, g_mpmath), (True, gprime_mpmath)):
-        rep = _own_ratio(alpha, 0.5, 0.3, derivative=derivative, floor=(0.5, 1.0))
+        rep = _own_ratio(alpha, 0.5, 0.3, derivative=derivative)
         assert rep.terms_first_series > 0
         ref, err = oracle(alpha, 0.5, 0.3)
         assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound + err, derivative
@@ -680,22 +678,23 @@ def _paired(params, p, q, beta, tol=None, derivative=False):
 
 
 def test_paired_series_keeps_its_pairs_within_half_a_period():
-    # 3.1e-3 above 3/2 the series pairs at 3/2 at tol 1e-13, and the two
-    # poles of pair n drift 6.3e-3 n apart.  The cut needs no divisor floor
-    # past it: at beta 0.85 it keeps 53 pairs, |delta| up to 0.33, and the
-    # value lies within its bound of the integral.  At 0.9 it would pass the
-    # pair at |delta| 1/2, where no candidate cut is sure to keep a pair
-    # whole, and the series refuses
+    # 3.1e-3 above 3/2, at tol 1e-13, the two poles of pair n of the split
+    # at 3/2 drift 6.3e-3 n apart.  The cut needs no divisor bound past it:
+    # at beta 0.85 it keeps 53 pairs, |delta| up to 0.33, and the value
+    # lies within its bound of the integral.  At 0.9 it would pass the pair
+    # at |delta| 1/2, where no candidate cut is sure to keep a pair whole,
+    # and the split refuses; the series sums generically at all three
     p = validate(1.5 + 1e-3 * math.pi, 0.5)
     tol = Tolerance(abs_tol=1e-13)
     for beta in (0.75, 0.85):
-        rep = g_series(p, beta, tol)
-        assert rep == _paired(p, 3, 2, beta, tol)
+        rep = _paired(p, 3, 2, beta, tol)
         assert rep.terms_second_series > 0
         ref, err = g_mpmath(p.alpha, 0.5, beta)
         assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound + err, beta
     with pytest.raises(IllConditionedSeriesError, match="where the pairs pass half a period"):
-        g_series(p, 0.9, tol)
+        _paired(p, 3, 2, 0.9, tol)
+    for beta in (0.75, 0.85, 0.9):
+        assert g_series(p, beta, tol) == _own_ratio(p.alpha, 0.5, beta, tol)
     # and where the series sums generically and the split is called
     # directly: 9.4e-4 above 1/2 (delta_1 = 1.9e-3) half a period is
     # |delta| 1/4, and at beta 0.9 the pairs would run to |delta| = 0.32
@@ -728,6 +727,15 @@ def test_paired_series_within_its_bound_of_mpmath(alpha, p, q, series, oracle):
             assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound, (rho, beta)
 
 
+# (alpha, beta, tolerance) at rho 0.5 per g or g' where the generic sum
+# returns, its summed noise under half the tolerance, and neither the
+# paired split (its projected noise refuses) nor quadrature (it does not
+# converge) would
+GENERIC_ROWS = {False: ((0.01 + math.pi * 1e-12, 1e-6, Tolerance(abs_tol=1e-13)),),
+                True: ((0.14142135623730953, 1e-6, Tolerance()),
+                       (SQRT2 / 2.0, 1e-6, Tolerance(abs_tol=1e-13)))}
+
+
 @pytest.mark.parametrize("series,oracle", [(g_series, g_mpmath),
                                            (gprime_series, gprime_mpmath)])
 def test_dispatched_series_within_its_bound_of_mpmath(series, oracle):
@@ -749,6 +757,11 @@ def test_dispatched_series_within_its_bound_of_mpmath(series, oracle):
                 assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound, (
                     alpha, beta, tol)
     assert kinds == {False, True}
+    for alpha, beta, tol in GENERIC_ROWS[derivative]:
+        rep = series(validate(alpha, 0.5), beta, tol)
+        assert rep == _own_ratio(alpha, 0.5, beta, tol, derivative)
+        ref, _ = oracle(alpha, 0.5, beta)
+        assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound, (alpha, beta, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -779,32 +792,32 @@ def test_dispatch_computes_each_stopping_index_once(alpha, counts, monkeypatch):
 
 def test_generic_series_refuses_its_summed_noise_over_the_cap():
     # 1e-5 pi above 1, at tol 1e-12 and beta 0.05, the cut stops each
-    # generic family of g within the budget with every term bound's noise
-    # under half the tolerance, and the generic bound meets the tolerance,
-    # but 4 eps times the summed |terms| exceeds half of it: the series
-    # refuses that sum and pairs its terms near 1/1
+    # generic family of g within the budget, 4 eps times each of its terms
+    # at the pairing convergent 1/1 stays under half the tolerance, and the
+    # generic bound meets the tolerance, but 4 eps times the summed |terms|
+    # exceeds half of it: the series refuses that sum and pairs its terms
+    # near 1/1
     alpha, rho, beta, tol = 1.0 + 1e-5 * math.pi, 0.3, 0.05, Tolerance(abs_tol=1e-12)
-    params, profile, cap = validate(alpha, rho), classify(alpha), 0.5e-12
+    params, pair, cap = validate(alpha, rho), _profile(alpha)[1], 0.5e-12
     (a_num, a_den), (r_num, r_den) = alpha.as_integer_ratio(), rho.as_integer_ratio()
-    log_beta = math.log(beta)
-    *stops, tail = _cut(beta, log_beta, (a_num, a_den), math.pi * (1.0 + a_den / a_num - rho),
-                        False, 0.25 * tol.abs_tol, tol.max_terms)
+    assert pair == (1, 1)
+    *stops, tail = _cut(beta, math.log(beta), (a_num, a_den),
+                        math.pi * (1.0 + a_den / a_num - rho), False, 0.25 * tol.abs_tol,
+                        tol.max_terms)
     value = abs_sum = 0.0
     for stop, (step, div, num) in zip(stops, (
             (1.0, (a_den, a_num), (r_num, r_den)),
             (alpha, (a_num, a_den), (r_num * a_num, r_den * a_den)))):
         assert stop
-        assert not _noisy(beta, log_beta, step, False, profile.floor_constant,
-                          profile.floor_power, cap, stop)
         terms = series_module._family(step, *div, *num, div[1]).terms(beta, stop, False)
+        assert 4.0 * EPS * abs(terms[0]) <= cap
         value += math.fsum(terms)
         abs_sum += math.fsum(map(abs, terms))
     assert tail + 4.0 * EPS * (abs_sum + abs(value)) <= tol.abs_tol
     assert 4.0 * EPS * abs_sum > cap
-    plan = _plan(a_num, a_den, a_num, a_den, rho, False, tol.abs_tol, tol.max_terms,
-                 profile.floor_constant, profile.floor_power)
+    plan = _plan(a_num, a_den, a_num, a_den, rho, False, tol.abs_tol, tol.max_terms, True)
     with pytest.raises(IllConditionedSeriesError, match="summed noise"):
-        _split(plan, beta)
+        _split(plan, beta, pair)
     decided = g_series(params, beta, tol)
     assert decided == _paired(params, 1, 1, beta, tol)
     ref, err = g_mpmath(alpha, rho, beta)
@@ -818,12 +831,14 @@ def test_generic_series_refuses_its_summed_noise_over_the_cap():
 @pytest.mark.parametrize("alpha", [2.0 ** -30, 2.0 ** -21, 2.0 ** -20])
 @pytest.mark.parametrize("any_beta,oracle", [(g_any_beta, g_mpmath),
                                              (gprime_any_beta, gprime_mpmath)])
-def test_dyadic_alpha_with_a_zero_divisor_floor_reaches_quadrature(alpha, any_beta, oracle):
+def test_dyadic_alpha_quadrature(alpha, any_beta, oracle):
     # 2^-k with 2^k above the rational cap is irrational by its profile,
-    # with sin(pi/alpha) = 0 its floor constant: the series refuses it
-    # typed, and quadrature evaluates it
+    # and every sin(m pi/alpha) vanishes: the split at its own ratio 1/2^k
+    # pairs each m with k = m 2^k, and its second family, summed to near
+    # 2^k times the cut, needs more terms than the budget.  The series
+    # refuses it typed, and quadrature evaluates it
     params = validate(alpha, 0.5)
-    assert classify(alpha).floor_constant == 0.0
+    assert classify(alpha).kind is AlphaKind.IRRATIONAL
     for beta in (1e-3, 0.3, 2.5):
         with pytest.raises(IllConditionedSeriesError):
             (gprime_series if any_beta is gprime_any_beta else g_series)(
@@ -832,18 +847,6 @@ def test_dyadic_alpha_with_a_zero_divisor_floor_reaches_quadrature(alpha, any_be
         assert res.method is MethodChoice.QUADRATURE
         ref, err = oracle(alpha, 0.5, beta)
         assert abs(res.value - ref) <= res.abs_error_bound + err, beta
-
-
-def test_a_zero_divisor_floor_refuses_the_own_ratio_split():
-    # a floor of 0 bounds no divisor: every term is noisy, whatever the
-    # stop and whichever check runs first, and the split at alpha's own
-    # ratio refuses at sqrt 2 and beta 0.3, where every sum fits the budget
-    beta = 0.3
-    for derivative in (False, True):
-        assert _noisy(beta, math.log(beta), 1.0, derivative, 0.0, 1.0, 5e-11, 1)
-        assert not _noisy(beta, math.log(beta), 1.0, derivative, 0.0, 1.0, 5e-11, 0)
-        assert _own_ratio(SQRT2, 0.5, beta, derivative=derivative) is not None
-        assert _own_ratio(SQRT2, 0.5, beta, derivative=derivative, floor=(0.0, 1.0)) is None
 
 
 def test_a_term_that_overflows_is_a_typed_refusal():

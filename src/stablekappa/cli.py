@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diophantine import cf_expand, classify
 from .kappa import KappaQuery, exit_transform, g_any_beta, gprime_any_beta, kappa, plan
@@ -32,12 +32,8 @@ from .params import (
 from .quadrature import g_quad, gprime_quad
 from .series import gprime_series
 
-_FIELDS = ("alpha", "rho", "beta", "gamma", "method", "value",
-           "abs_error_bound", "terms_or_nodes_used", "status")
 
-
-@dataclass(frozen=True)
-class OutputRecord:
+class OutputRecord(NamedTuple):
     """One evaluation as a flat record with a fixed field order."""
 
     alpha: float
@@ -50,35 +46,19 @@ class OutputRecord:
     terms_or_nodes_used: int | None
     status: str
 
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _FIELDS}
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict())
+        return json.dumps(self._asdict())
 
     def to_csv_row(self) -> str:
-        cells = []
-        for name in _FIELDS:
-            v = getattr(self, name)
-            if v is None:
-                cells.append("")
-            elif isinstance(v, float):
-                cells.append(repr(v))
-            else:
-                cells.append(str(v))
-        return ",".join(cells)
+        return ",".join("" if v is None else repr(v) if isinstance(v, float) else str(v)
+                        for v in self)
 
     def to_text(self) -> str:
-        parts = []
-        for name in _FIELDS:
-            v = getattr(self, name)
-            if v is None:
-                continue
-            parts.append(f"{name}={v!r}" if isinstance(v, float) else f"{name}={v}")
-        return " ".join(parts)
+        return " ".join(f"{name}={v!r}" if isinstance(v, float) else f"{name}={v}"
+                        for name, v in zip(self._fields, self) if v is not None)
 
 
-CSV_HEADER = ",".join(_FIELDS)
+CSV_HEADER = ",".join(OutputRecord._fields)
 
 
 def _emit(records: list[OutputRecord], fmt: str) -> None:

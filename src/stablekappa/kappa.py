@@ -29,7 +29,6 @@ filled, and each step looks up its evaluator when it runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
@@ -45,6 +44,7 @@ from .params import (
     OutOfRangeError,
     StableParams,
     Tolerance,
+    _Record,
 )
 from .quadrature import g_quad, gprime_quad
 from .series import g_series, gprime_series
@@ -56,18 +56,22 @@ _STEPS_CACHE = 256   # (params, g or g', method, tolerance, region) plans kept
 _FALLBACK = (ConvergenceFailureError, IllConditionedSeriesError)
 
 
-@dataclass(frozen=True)
-class KappaQuery:
-    """Arguments (gamma, beta) of the bivariate Laplace exponent."""
-
+class _QueryFields(NamedTuple):
     gamma: float
     beta: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise OutOfRangeError(f"gamma must be positive, got {self.gamma!r}")
-        if not (math.isfinite(self.beta) and self.beta >= 0.0):
-            raise OutOfRangeError(f"beta must be nonnegative, got {self.beta!r}")
+
+class KappaQuery(_Record, _QueryFields):
+    """Arguments (gamma, beta) of the bivariate Laplace exponent."""
+
+    __slots__ = ()
+
+    def __new__(cls, gamma: float, beta: float) -> KappaQuery:
+        if not (math.isfinite(gamma) and gamma > 0.0):
+            raise OutOfRangeError(f"gamma must be positive, got {gamma!r}")
+        if not (math.isfinite(beta) and beta >= 0.0):
+            raise OutOfRangeError(f"beta must be nonnegative, got {beta!r}")
+        return tuple.__new__(cls, (gamma, beta))
 
 
 class Candidate(NamedTuple):
@@ -102,8 +106,7 @@ def _steps(params: StableParams, derivative: bool, method: MethodChoice,
     case = find_doney_case(params)
 
     def quadrature(beta):
-        res = (gprime_quad if derivative else g_quad)(params, beta, tol)
-        return res.value, res.abs_error_bound, res.method, res.terms_or_nodes_used
+        return (gprime_quad if derivative else g_quad)(params, beta, tol)
 
     def series(beta):
         rep = (gprime_series if derivative else g_series)(params, beta, tol)
@@ -214,13 +217,14 @@ def gprime_any_beta(params: StableParams, beta: float,
     return EvalResult(*_any_beta(params, beta, True, method, tol))
 
 
-def _kappa(params: StableParams, q: KappaQuery, method: MethodChoice,
+def _kappa(params: StableParams, gamma: float, beta: float, method: MethodChoice,
            tol: Tolerance | None) -> tuple:
-    """(value, bound, method, terms or nodes) of ``kappa``."""
-    scale = q.gamma ** params.rho
-    if q.beta == 0.0:
+    """(value, bound, method, terms or nodes) of ``kappa`` at a valid
+    gamma > 0 and beta >= 0."""
+    scale = gamma ** params.rho
+    if beta == 0.0:
         return scale, 4.0 * EPS * abs(scale), method, 0
-    arg = q.beta * q.gamma ** (-1.0 / params.alpha)
+    arg = beta * gamma ** (-1.0 / params.alpha)
     value, bound, used, count = _any_beta(params, arg, False, method, tol)
     value = scale * math.exp(value)
     return value, abs(value) * math.expm1(bound) + 4.0 * EPS * abs(value), used, count
@@ -231,7 +235,7 @@ def kappa(params: StableParams, q: KappaQuery,
           tol: Tolerance | None = None) -> EvalResult:
     """kappa(gamma, beta) = gamma^rho exp(g(beta gamma^(-1/alpha)));
     kappa(gamma, 0) = gamma^rho exactly."""
-    return EvalResult(*_kappa(params, q, method, tol))
+    return EvalResult(*_kappa(params, q.gamma, q.beta, method, tol))
 
 
 def exit_transform(params: StableParams, eta: float, gamma: float, theta: float,
@@ -251,8 +255,8 @@ def exit_transform(params: StableParams, eta: float, gamma: float, theta: float,
         raise OutOfRangeError("gamma and theta must be nonnegative")
     if theta + gamma == 0.0:
         raise ZeroDivisionError("theta + gamma must be positive")
-    v1, b1, used, n1 = _kappa(params, KappaQuery(eta, gamma), method, tol)
-    v2, b2, _, n2 = _kappa(params, KappaQuery(eta, theta), method, tol)
+    v1, b1, used, n1 = _kappa(params, eta, gamma, method, tol)
+    v2, b2, _, n2 = _kappa(params, eta, theta, method, tol)
     # grouping keeps the value exactly symmetric under gamma <-> theta
     value = 1.0 / ((theta + gamma) * (v1 * v2))
     bound = abs(value) * (b1 / abs(v1) + b2 / abs(v2)) + 4.0 * EPS * abs(value)

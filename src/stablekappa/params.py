@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class OutOfRangeError(ValueError):
@@ -94,8 +95,27 @@ class Tolerance:
 DEFAULT_TOLERANCE = Tolerance()  # what every evaluator uses when given no tolerance
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class _Record:
+    """The validating half of an immutable tuple record: a subclass of it
+    and of a ``NamedTuple`` of the fields, with ``__slots__ = ()`` and a
+    ``__new__`` that validates its arguments.  ``_make``, and with it
+    ``_replace``, builds through that ``__new__`` too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _EvalFields(NamedTuple):
+    value: float
+    abs_error_bound: float
+    method: MethodChoice
+    terms_or_nodes_used: int
+
+
+class EvalResult(_Record, _EvalFields):
     """A computed value with its error bound and provenance.
 
     abs_error_bound is an upper estimate of the absolute error.  A series
@@ -103,13 +123,12 @@ class EvalResult:
     its rounding noise; a quadrature bound is an embedded-rule estimate.
     """
 
-    value: float
-    abs_error_bound: float
-    method: MethodChoice
-    terms_or_nodes_used: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.abs_error_bound) or self.abs_error_bound < 0.0:
+    def __new__(cls, value: float, abs_error_bound: float, method: MethodChoice,
+                terms_or_nodes_used: int) -> EvalResult:
+        if not math.isfinite(abs_error_bound) or abs_error_bound < 0.0:
             raise OutOfRangeError("abs_error_bound must be finite and nonnegative")
-        if self.terms_or_nodes_used < 0:
+        if terms_or_nodes_used < 0:
             raise OutOfRangeError("terms_or_nodes_used must be nonnegative")
+        return tuple.__new__(cls, (value, abs_error_bound, method, terms_or_nodes_used))

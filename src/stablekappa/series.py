@@ -51,9 +51,10 @@ series alone, and a pair that the cut does reach is a resonant term.
 
 The split reads all that does not depend on beta off one cached plan per
 (alpha, p/q, rho, g or g', tolerance, own ratio or not) (``_plan``):
-lambda, the budget of its cut, the exponents and coefficients of its two
-nonresonant families, and the exponents and factors of its pairs.  At each
-beta it computes only log beta, the cut, and one pass over each sum.
+lambda, the budget of its cut and the last interval the cut walks to,
+the exponents and coefficients of its two nonresonant families, and the
+exponents and factors of its pairs.  At each beta it computes only log
+beta, the cut, and one pass over each sum.
 
 The series decides its conditioning at each beta itself, from alpha's
 cached ``diophantine._profile``, its cut and its terms, the cut computed
@@ -73,10 +74,10 @@ from __future__ import annotations
 import math
 import threading
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, islice, repeat
 from operator import add, mul
+from typing import NamedTuple
 
 from .accurate import EPS, sin_mpi, sin_pi, sincos_mpi
 from .diophantine import AlphaKind, _profile
@@ -87,11 +88,19 @@ from .params import (
     OutOfRangeError,
     StableParams,
     Tolerance,
+    _Record,
 )
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class _ReportFields(NamedTuple):
+    value: float
+    terms_first_series: int
+    terms_second_series: int
+    tail_bound: float
+    noise_bound: float = 0.0
+
+
+class SeriesReport(_Record, _ReportFields):
     """Outcome of a series evaluation.
 
     tail_bound is R(c'), the proven bound on the contour integral left at
@@ -104,17 +113,16 @@ class SeriesReport:
     terms_second_series those of the second that q does not divide.
     """
 
-    value: float
-    terms_first_series: int
-    terms_second_series: int
-    tail_bound: float
-    noise_bound: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.tail_bound < 0.0 or self.noise_bound < 0.0:
+    def __new__(cls, value: float, terms_first_series: int, terms_second_series: int,
+                tail_bound: float, noise_bound: float = 0.0) -> SeriesReport:
+        if tail_bound < 0.0 or noise_bound < 0.0:
             raise OutOfRangeError("series bounds must be nonnegative")
-        if self.terms_first_series < 0 or self.terms_second_series < 0:
+        if terms_first_series < 0 or terms_second_series < 0:
             raise OutOfRangeError("term counts must be nonnegative")
+        return tuple.__new__(cls, (value, terms_first_series, terms_second_series,
+                                   tail_bound, noise_bound))
 
 
 _TABLES = 32         # divisor families and split plans kept, each
@@ -194,14 +202,6 @@ class _Family:
 # the family of divisor sin(m pi d_num/d_den) and numerator sin(m pi
 # n_num/n_den), shared by every beta, g and g' and the plans
 _family = lru_cache(maxsize=_TABLES)(_Family)
-
-
-def _divisor_series(family: _Family, beta: float, derivative: bool, count: int,
-                    abs_sum: float) -> tuple[float, float]:
-    """The first ``count`` terms of ``family`` summed; (value, abs_sum plus
-    the |terms|).  A count of 0 is the empty sum."""
-    terms = family.terms(beta, count, derivative)
-    return math.fsum(terms), reduce(add, map(abs, terms), abs_sum)
 
 
 class _Cuts:
@@ -359,22 +359,41 @@ def _pair_factors(ns, ratio: tuple[int, int], p: int, q: int,
         yield lead * (dsin / delta - deg * sin_a / big_n) + s * sin_a * gain / big_n ** deg
 
 
+def _last(a_num: int, a_den: int, p: int, q: int, max_terms: int) -> int:
+    """The last M at which a cut c' in (M, M + 1) can meet the term budget
+    of the split at p/q, alpha = a_num/a_den.  Such a cut sums M - M // p
+    terms of the first family and n = M // p pairs, and at least the K =
+    floor(M/alpha) terms alpha k <= M < c' of the second less their
+    multiples of q.  All three only grow with M, so no cut past the last M
+    where each fits in max_terms meets the budget; by bisection, since M =
+    2 max_terms + 1 sums more than max_terms of the first family or pairs."""
+    def fits(m: int) -> bool:
+        k = m * a_den // a_num
+        return max(m - m // p, m // p, k - k // q) <= max_terms
+
+    lo, hi = 0, 2 * max_terms + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
+
+
 class _Plan:
     """The beta-free part of the split series at p/q for one exact ratio
     alpha = a_num/a_den, rho, g or g' and tolerance: delta_1 = (a_num q -
     p a_den)/a_den, lambda, the budget of its cut (3/8 of the tolerance; a
     quarter for the generic sum at alpha's own ratio, marked ``own``) and
-    the index it stays below, the pairs' exponent shift and index power
-    -deg, the two nonresonant families, and the table of its pairs n:
-    exponent N - shift and factors X_n, Y_n (``_pair_factors``).  Paired
-    (delta_1 != 0), also what its projected noise reads
-    (``_projected_noise``): the reach min(|delta_1| max_terms, min(alpha,
-    1)/2) of the pairs, the factors x = pi reach, sin x and the slope of
-    1/sinc of the pairs' bound there, and half of sin(pi/p) and sin(pi/q)
-    as the nonresonant families' floors."""
+    the index it stays below, the last M its cut walks to (``_last``), the
+    pairs' exponent shift and index power -deg, the two nonresonant
+    families, and the table of its pairs n: exponent N - shift and factors
+    X_n, Y_n (``_pair_factors``).  Paired (delta_1 != 0), also what its
+    projected noise reads (``_projected_noise``): the reach min(|delta_1|
+    max_terms, min(alpha, 1)/2) of the pairs, the factors x = pi reach,
+    sin x and the slope of 1/sinc of the pairs' bound there, and half of
+    sin(pi/p) and sin(pi/q) as the nonresonant families' floors."""
 
-    __slots__ = ("p", "q", "delta1", "lam", "budget", "abs_tol", "max_terms", "limit", "shift",
-                 "deg", "reach", "pair_noise", "floors", "own", "families", "derivative",
+    __slots__ = ("p", "q", "delta1", "lam", "budget", "abs_tol", "max_terms", "limit", "last",
+                 "shift", "deg", "reach", "pair_noise", "floors", "own", "families", "derivative",
                  "ratio", "rho", "pairs")
 
     def __init__(self, a_num: int, a_den: int, p: int, q: int, rho: float, derivative: bool,
@@ -403,6 +422,8 @@ class _Plan:
             slope = abs(1.0 - 1.0 / alpha) * math.pi * (sin_y - y * math.cos(y)) / (sin_y * sin_y)
             self.pair_noise = (x, math.sin(x), slope)
             self.floors = tuple(0.5 * sin_pi(1.0 / family.skip) for family in self.families)
+        # it walks no further than a cut can meet the term budget
+        self.last = min(self.limit, _last(a_num, a_den, p, q, max_terms))
         self.derivative, self.ratio, self.rho = derivative, (a_num, a_den), (r_num, r_den)
         self.pairs = (array("d"), array("d"), array("d"))
 
@@ -457,8 +478,8 @@ def _split(plan: _Plan, beta: float,
         raise IllConditionedSeriesError(f"split at {p}/{q}: projected noise "
                                         f"{noise:.3e} above half the tolerance")
     log_beta = math.log(beta)
-    cut = _cut(beta, log_beta, plan.ratio, plan.lam, plan.derivative, plan.budget, plan.limit)
-    if cut is None and plan.limit < 2 * max_terms:
+    cut = _cut(beta, log_beta, plan.ratio, plan.lam, plan.derivative, plan.budget, plan.last)
+    if cut is None and plan.last == plan.limit < 2 * max_terms:
         raise IllConditionedSeriesError(f"split at {p}/{q}: no cut below {plan.limit + 1}, "
                                         f"where the pairs pass half a period")
     if cut is not None:
@@ -469,29 +490,30 @@ def _split(plan: _Plan, beta: float,
         error = IllConditionedSeriesError if delta1 or own else ConvergenceFailureError
         raise error(f"split at {p}/{q}: a sum does not stop within {max_terms} terms")
     first, second = plan.families
-    cap = 0.5 * plan.abs_tol
+    derivative, cap = plan.derivative, 0.5 * plan.abs_tol
     try:
         # the pairing convergent lies below alpha's own ratio: m = p and
         # k = q are terms of the families, not multiples they skip
-        if probe and any(4.0 * EPS * abs(family.term(beta, m, plan.derivative)) > cap
+        if probe and any(4.0 * EPS * abs(family.term(beta, m, derivative)) > cap
                          for family, m, stop in zip(plan.families, probe, (stop1, stop2))
                          if m <= min(stop, _TABLE_TERMS)):
             raise IllConditionedSeriesError(f"split at {p}/{q}: a term's noise above half "
                                             f"the tolerance")
-        v1, abs_sum = _divisor_series(first, beta, plan.derivative, count1, 0.0)
-        v2, abs_sum = _divisor_series(second, beta, plan.derivative, count2, abs_sum)
-        pairs = 0.0
+        terms1 = first.terms(beta, count1, derivative) if count1 else ()
+        terms2 = second.terms(beta, count2, derivative) if count2 else ()
+        pairs = ()
         if n:
-            # the pairs, reindexed by m = n p, k = n q
+            # the pairs, reindexed by m = n p, k = n q: beta^e (e_n x + y)
             growth = (repeat(log_beta, n) if not delta1 else
                       (math.expm1(k * delta1 * log_beta) / (k * delta1) for k in range(1, n + 1)))
-            terms = [beta ** e * (g * x + y)
-                     for g, e, x, y in zip(growth, *_rows(plan.pairs, n, plan._pairs))]
-            pairs = math.fsum(terms)
-            abs_sum = reduce(add, map(abs, terms), abs_sum)
+            exps, xs, ys = _rows(plan.pairs, n, plan._pairs)
+            pairs = list(map(mul, map(pow, repeat(beta, n), exps),
+                             map(add, map(mul, growth, xs), ys)))
+        value = math.fsum(terms1) + math.fsum(terms2) + (math.fsum(pairs) if n else 0.0)
     except OverflowError:
         raise IllConditionedSeriesError(f"split at {p}/{q}: a term overflows") from None
-    value = v1 + v2 + pairs
+    # left to right, in the order of the terms
+    abs_sum = reduce(add, map(abs, chain(terms1, terms2, pairs)), 0.0)
     noise = 4.0 * EPS * (abs_sum + abs(value))
     if own and 4.0 * EPS * abs_sum > cap:
         raise IllConditionedSeriesError(f"split at {p}/{q}: summed noise above half the tolerance")

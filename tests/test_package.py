@@ -120,17 +120,24 @@ def test_package_calls_no_builtin_sum():
                 path.name, node.lineno)
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    return any(isinstance(d, ast.Name) and d.id == "dataclass"
-               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
-               for d in node.decorator_list)
+def _is_named_tuple(node: ast.ClassDef) -> bool:
+    return any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A dataclass, or a NamedTuple of fields."""
+    return _is_named_tuple(node) or any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+        for d in node.decorator_list)
 
 
 def test_every_slot_and_field_is_read():
     # state that nothing reads is dead: every name a class lists in
-    # __slots__, and every field of a dataclass, must be read as an
-    # attribute somewhere in the package (by name, whatever the object, but
-    # not off an imported module: math.floor reads no field "floor")
+    # __slots__, and every field of a dataclass or NamedTuple, must be read
+    # as an attribute somewhere in the package (by name, whatever the
+    # object, but not off an imported module: math.floor reads no field
+    # "floor")
     declared: dict[str, str] = {}
     read: set[str] = set()
     for path in sorted(PACKAGE.glob("*.py")):
@@ -147,7 +154,7 @@ def test_every_slot_and_field_is_read():
                 if isinstance(stmt, ast.Assign) and any(
                         isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets):
                     names = ast.literal_eval(stmt.value)
-                elif isinstance(stmt, ast.AnnAssign) and _is_dataclass(node):
+                elif isinstance(stmt, ast.AnnAssign) and _is_record(node):
                     names = [stmt.target.id]
                 else:
                     continue

@@ -166,6 +166,24 @@ def test_own_ratio_sums_a_vanished_divisor_as_its_resonant_term(alpha):
         assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound + err, derivative
 
 
+@pytest.mark.parametrize("derivative,oracle", [(False, g_mpmath), (True, gprime_mpmath)])
+def test_the_integral_oracle_refuses_beta_below_1e_20(derivative, oracle):
+    # at beta 1e-300 the 30-digit integral of g at alpha 0.3 gives 2.97e-91,
+    # about half its leading residue 5.61e-91, with no sign of it in its
+    # estimate: below 1e-20 it refuses, and points to residue_sum, which
+    # the series matches there; at 1e-20 it still agrees with residue_sum
+    for beta in (1e-300, 9.9e-21):
+        with pytest.raises(ValueError, match="use residue_sum there"):
+            oracle(0.3, 0.5, beta)
+    if not derivative:
+        rep = g_series(validate(0.3, 0.5), 1e-300)
+        ref = residue_sum(0.3, 0.5, 1e-300, False, 3.5)
+        assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound
+        assert 5.6e-91 < rep.value < 5.7e-91
+    ref, err = oracle(0.3, 0.5, 1e-20)
+    assert abs(ref - residue_sum(0.3, 0.5, 1e-20, derivative, 3.5)) <= err + 1e-15 * abs(ref)
+
+
 def test_tail_bound_is_honest():
     p = validate(SQRT2, 0.5)
     for beta in (0.2, 0.5, 0.8):
@@ -510,6 +528,41 @@ def test_series_refuses_a_budget_its_cut_passes(max_terms, series):
             f"^split at 3/10: a sum does not stop within {max_terms} terms$")) as err:
         series(validate(0.3, 0.5), 0.9, Tolerance(max_terms=max_terms))
     assert (err.value.value, err.value.error_bound) == (None, None)
+
+
+@pytest.mark.parametrize("max_terms", [5, 50, 500])
+def test_the_cut_walks_only_as_far_as_the_budget_can_hold(max_terms):
+    # past the plan's last M every cut sums more than max_terms terms of a
+    # family, or pairs, so the walk stops there: where the full walk (to 2
+    # max_terms, or the pairs' half period) finds a cut past it, the budget
+    # refuses that cut.  last is the last M whose counts, with K the last k
+    # at alpha k <= M, fit the budget, counted here one k at a time
+    forms = [(0.3, None), (1.9, None), (1.0, None), (SQRT2, "own"), (0.5 + SQRT2 / 40.0, "own"),
+             (1.50000001, (3, 2))]
+    tol = Tolerance(max_terms=max_terms)
+    for (alpha, form), derivative in itertools.product(forms, (False, True)):
+        profile = _profile(alpha)[0]
+        ratio = (profile.p, profile.q) if form is None else alpha.as_integer_ratio()
+        pair = form if isinstance(form, tuple) else ratio
+        plan = _plan(*ratio, *pair, 0.5, derivative, tol.abs_tol, max_terms, form == "own")
+        p, q = pair
+        fits, k = [], 0
+        for m in range(2 * max_terms + 2):
+            while (k + 1) * ratio[0] <= m * ratio[1]:
+                k += 1
+            if max(m - m // p, m // p, k - k // q) <= max_terms:
+                fits.append(m)
+        assert fits == list(range(len(fits)))
+        assert plan.last == min(plan.limit, fits[-1]), (alpha, form)
+        for beta in (0.3, 0.9, 0.99):
+            args = (beta, math.log(beta), plan.ratio, plan.lam, derivative, plan.budget)
+            full, walked = _cut(*args, plan.limit), _cut(*args, plan.last)
+            if full is None or full[0] <= plan.last:
+                assert walked == full
+            else:
+                assert walked is None
+                assert max(full[0] - full[0] // p, full[0] // p,
+                           full[1] - full[1] // q) > max_terms
 
 
 def _divisor_terms(beta, step, div, num, derivative, count, skip):

@@ -102,6 +102,42 @@ extra["doney_rest"] = tracer.counts["accurate.reductions"] - first
 """
 
 
+# the benchmark's grid in miniature, with fixed points: at a Doney alpha,
+# and at the rationals 1 and 3/10, kappa over a beta x scale grid, whose
+# argument of g, beta / s, spans 2e-4 to 1e3 and avoids the band, two exit
+# transforms and g' at five betas, one of them 1, in the band where
+# quadrature runs
+GRID = """
+code = 0
+for alpha, rho in ((0.8, 0.25), (1.0, 0.5), (0.3, 0.5)):
+    params = stablekappa.validate(alpha, rho)
+    for beta in (1e-3, 0.02, 0.3, 3.0, 200.0):
+        for s in (0.2, 1.0, 5.0):
+            entry["kappa"](params, stablekappa.KappaQuery(s ** alpha, beta))
+    for eta, gamma, theta in ((0.5, 0.002, 300.0), (2.0, 0.7, 40.0)):
+        entry["exit_transform"](params, eta ** alpha, gamma, theta)
+    for beta in (0.005, 0.3, 1.0, 4.0, 600.0):
+        entry["gprime_any_beta"](params, beta)
+"""
+
+# GRID's work counters (``python tests/test_tracing_contract.py`` prints them)
+GRID_PINS = {
+    "series.calls": 46,
+    "series.terms": 1318,
+    "special.doney.calls": 38,
+    "quadrature.nodes": 420,
+    "accurate.reductions": 501,
+}
+
+# g at the dyadic alpha 2^-70: the second family's poles lie 2^-70 apart,
+# so a cut past M = 0 sums more than the term budget, and quadrature runs
+DYADIC = """
+code = 0
+res = entry["g_any_beta"](stablekappa.validate(2.0 ** -70, 0.5), 0.3)
+extra["result"] = [res.method.value, res.value]
+"""
+
+
 def _traced(body: str) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", TRACED.format(body=body), str(ROOT / "src"),
@@ -191,3 +227,27 @@ def test_every_evaluator_the_plan_looks_up_is_traced():
                  and fn.__module__ != kappa_module.__name__}
     assert {"g_doney", "g_series", "gprime_series", "g_quad", "gprime_quad"} <= looked_up
     assert looked_up <= set(tracing.LAYER_OF)
+
+
+def test_grid_work_counters():
+    # every call of GRID returns, and its work is pinned exactly: a change
+    # that only makes each call cheaper leaves these counters as they are
+    metrics = _traced(GRID)
+    assert {name: metrics[name] for name in GRID_PINS} == GRID_PINS
+
+
+def test_the_cut_walks_no_further_than_the_term_budget():
+    # the cut stops where no later one can meet the term budget: a walk
+    # over all 2 max_terms intervals would reduce every candidate's sines
+    # exactly, 120006 reductions, before the split refuses
+    metrics = _traced(DYADIC)
+    assert metrics["result"] == ["quadrature", 0.3465735902799727]
+    assert metrics["accurate.reductions"] == 6
+
+
+if __name__ == "__main__":
+    metrics = _traced(GRID)
+    print("GRID_PINS = {")
+    for name in GRID_PINS:
+        print(f'    "{name}": {metrics[name]!r},')
+    print("}")

@@ -11,9 +11,9 @@ candidate methods for one beta, for g or g', in the order they are tried,
 each with the reason it runs or is skipped.  A beta >= 1.05 is planned at
 1/beta and every result reflected; what follows is said of the beta
 planned.  For beta <= 0.95 the order is the Doney closed form (exact
-and cheapest), the small-divisor series (which decides its own
-conditioning at this beta, and raises IllConditionedSeriesError where it
-does not fit), then quadrature.  In the band 0.95 < beta < 1.05, where the
+and cheapest), the small-divisor series (which picks its own form at this
+beta, and raises IllConditionedSeriesError where none gives a result),
+then quadrature.  In the band 0.95 < beta < 1.05, where the
 series slow down, quadrature comes first and the Doney and series
 candidates are skipped, except that below beta = 1 the series at rational
 alpha stays on as its fallback: a rational alpha has no small divisors.
@@ -24,6 +24,12 @@ method, tolerance, region), the region being whether beta is reflected,
 whether the beta planned lies in the band and whether it lies below 1:
 ``find_doney_case`` and ``classify`` are read only when an entry is
 filled, and each step looks up its evaluator when it runs.
+
+Whether a result meets the tolerance is decided in one place too,
+``_outcome``, on the bound returned after reflection: above
+``Tolerance.abs_tol`` it raises ConvergenceFailureError, carrying the
+value and bound, and the plan tries its next step.  An evaluator refuses
+only where it has no result.
 """
 
 from __future__ import annotations
@@ -153,19 +159,22 @@ def _steps(params: StableParams, derivative: bool, method: MethodChoice,
     return (step,)
 
 
-def _outcome(run, params: StableParams, beta: float, derivative: bool) -> tuple:
+def _outcome(run, params: StableParams, beta: float, derivative: bool, abs_tol: float) -> tuple:
     """One step's result at beta.  For beta >= 1.05 the step runs at 1/beta
     and g(beta) = g(1/beta) + alpha rho log(beta), or its derivative
-    g'(beta) = alpha rho / beta - g'(1/beta) / beta^2, reflects it back."""
-    if beta < _BAND_HI:
-        return run(beta)
-    value, bound, method, used = run(1.0 / beta)
-    if derivative:
+    g'(beta) = alpha rho / beta - g'(1/beta) / beta^2, reflects it back.  A
+    bound above abs_tol, after reflection, raises ConvergenceFailureError."""
+    reflected = beta >= _BAND_HI
+    value, bound, method, used = run(1.0 / beta if reflected else beta)
+    if reflected and derivative:
         value = params.alpha * params.rho / beta - value / (beta * beta)
         bound = bound / (beta * beta) + 4.0 * EPS * (1.0 + abs(value))
-    else:
+    elif reflected:
         value += params.alpha * params.rho * math.log(beta)
         bound += 4.0 * EPS * (1.0 + abs(value))
+    if not bound <= abs_tol:
+        raise ConvergenceFailureError(f"{method.value}: error bound {bound:.3e} above the "
+                                      f"tolerance {abs_tol:.3e}", value=value, error_bound=bound)
     return value, bound, method, used
 
 
@@ -179,23 +188,24 @@ def plan(params: StableParams, beta: float, derivative: bool = False,
     A forced method is the one step of that method, alone; in the band it
     is quadrature, whatever is forced.  A forced step that the plan skips
     raises MethodNotApplicableError for the reason it gives."""
+    abs_tol = (tol or DEFAULT_TOLERANCE).abs_tol
     for m, reason, run in _steps(params, derivative, method, tol, _region(beta)):
         yield Candidate(m, reason, run and (
-            lambda run=run: EvalResult(*_outcome(run, params, beta, derivative))))
+            lambda run=run: EvalResult(*_outcome(run, params, beta, derivative, abs_tol))))
 
 
 def _any_beta(params: StableParams, beta: float, derivative: bool,
               method: MethodChoice, tol: Tolerance | None) -> tuple:
     """(value, bound, method, terms or nodes) of the first step of the plan
-    that converges.  One that raises ConvergenceFailureError or
-    IllConditionedSeriesError passes to the next; the last failure is
-    raised, each earlier one chained on as the ``__cause__`` of the one
-    after it."""
-    failures = []
+    whose result meets the tolerance (``_outcome``).  One that raises
+    ConvergenceFailureError or IllConditionedSeriesError passes to the
+    next; the last failure is raised, each earlier one chained on as the
+    ``__cause__`` of the one after it."""
+    failures, abs_tol = [], (tol or DEFAULT_TOLERANCE).abs_tol
     for _, _, run in _steps(params, derivative, method, tol, _region(beta)):
         if run is not None:
             try:
-                return _outcome(run, params, beta, derivative)
+                return _outcome(run, params, beta, derivative, abs_tol)
             except _FALLBACK as exc:
                 failures.append(exc)
     for earlier, later in zip(failures, failures[1:]):
@@ -206,14 +216,14 @@ def _any_beta(params: StableParams, beta: float, derivative: bool,
 def g_any_beta(params: StableParams, beta: float,
                method: MethodChoice = MethodChoice.AUTO,
                tol: Tolerance | None = None) -> EvalResult:
-    """g(beta) for any beta > 0 by the first candidate of ``plan`` that converges."""
+    """g(beta) for any beta > 0 by the first step of ``plan`` that meets the tolerance."""
     return EvalResult(*_any_beta(params, beta, False, method, tol))
 
 
 def gprime_any_beta(params: StableParams, beta: float,
                     method: MethodChoice = MethodChoice.AUTO,
                     tol: Tolerance | None = None) -> EvalResult:
-    """g'(beta) for any beta > 0 by the first candidate of ``plan`` that converges."""
+    """g'(beta) for any beta > 0 by the first step of ``plan`` that meets the tolerance."""
     return EvalResult(*_any_beta(params, beta, True, method, tol))
 
 

@@ -13,8 +13,10 @@ ten between them; the tail beyond 1 is mapped onto (0, 1] by x = 1/y (never
 truncated).  Interval ends touching 0 get an extra quartic map x = s*t**4
 that absorbs the log/x**alpha endpoint singularities into a C^2 integrand.
 Panels use the embedded (G7, K15) pair; the worst panel is bisected until
-the summed |K15 - G7| estimate meets the tolerance: the larger of
-``Tolerance.abs_tol`` and a fixed relative 1e-14 of the value.  Node
+the summed |K15 - G7| estimate meets the stopping rule: the larger of
+``Tolerance.abs_tol`` and a fixed relative 1e-14 of the value.  That rule
+only stops the bisection; the result returns with its bound, and dispatch
+(``kappa._outcome``) refuses it if the bound exceeds ``abs_tol``.  Node
 placement is fully deterministic.
 """
 
@@ -62,7 +64,7 @@ _WG = (
     0.41795918367346939,
 )
 
-_REL_TOL = 1e-14  # relative error target; the absolute one is Tolerance.abs_tol
+_REL_TOL = 1e-14  # relative stopping rule; the absolute one is Tolerance.abs_tol
 _MAX_REFINEMENTS = 30  # panel bisections before ConvergenceFailureError
 
 

@@ -56,17 +56,18 @@ the exponents and coefficients of its two nonresonant families, and the
 exponents and factors of its pairs.  At each beta it computes only log
 beta, the cut, and one pass over each sum.
 
-The series decides its conditioning at each beta itself, from alpha's
-cached ``diophantine._profile``, its cut and its terms, the cut computed
-once per form tried: the split at a rational alpha; else the generic sum,
-unless a family needs more terms than the budget, the noise of the summed
-|terms| exceeds half the tolerance, or its bound the tolerance; else the
-split at the pairing convergent p/q, the one before alpha's largest partial
-quotient, unless its projected noise exceeds half the tolerance, or no cut
-meets the tolerance within the budget and before the pairs pass half a
-period, all checked before it sums.  The generic sum reads its terms m = p
-and k = q, where alpha's divisors are smallest, before it sums the rest:
-4 eps times either above half the tolerance makes the summed noise so too.
+The series picks its form at each beta from alpha's cached
+``diophantine._profile``, its cut and its terms, the cut computed once per
+form tried: the split at a rational alpha; else the generic sum, unless a
+family needs more terms than the budget or the noise of the summed |terms|
+exceeds half the tolerance; else the split at the pairing convergent p/q,
+the one before alpha's largest partial quotient, unless no cut meets the
+tolerance within the budget and before the pairs pass half a period.  The
+generic sum reads its terms m = p and k = q, where alpha's divisors are
+smallest, before it sums the rest: 4 eps times either above half the
+tolerance makes the summed noise so too.  Past that a form refuses only a
+sum past the term budget or a term that overflows, and returns its bound
+whatever its size: dispatch (``kappa._outcome``) checks the tolerance.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from itertools import chain, islice, repeat
 from operator import add, mul
 from typing import NamedTuple
 
-from .accurate import EPS, sin_mpi, sin_pi, sincos_mpi
+from .accurate import EPS, sin_mpi, sincos_mpi
 from .diophantine import AlphaKind, _profile
 from .params import (
     DEFAULT_TOLERANCE,
@@ -106,7 +107,8 @@ class SeriesReport(_Record, _ReportFields):
     tail_bound is R(c'), the proven bound on the contour integral left at
     the cut c' that stops every sum (see the module docstring);
     noise_bound, 4 eps times the left-to-right sum of |terms| and |value|,
-    bounds the rounding of the terms, whose every sum is exactly rounded.
+    bounds the rounding of the terms, whose every sum is exactly rounded,
+    plus for g' that of the exponents of its lead terms (``_Family``).
     Split at p/q (paired near it, at a rational alpha = p/q, or for the
     generic sum at alpha's own ratio), terms_first_series counts the first
     series' terms that p does not divide plus the pairs, and
@@ -160,14 +162,22 @@ class _Family:
     ``sines`` holds sin(m pi num) and sin(m pi div), shared by g and g', and
     ``tables[derivative]`` each term's exponent step m - shift and
     coefficient.  The split series sums the multiples of skip, p or q, as
-    pairs; at alpha's own ratio they are the indices whose divisor vanishes."""
+    pairs; at alpha's own ratio they are the indices whose divisor vanishes.
 
-    __slots__ = ("step", "div", "num", "skip", "sines", "tables")
+    The g' exponent step m - 1 of the first ``lead`` terms, step m < 1/2, is
+    rounded by the subtraction (above 1/2 Sterbenz makes it exact), and
+    beta^e multiplies its error eps_m by |log beta|: ``slips`` holds eps_m,
+    the exact step m - 1 less the float, from the integer ratios of both."""
+
+    __slots__ = ("step", "div", "num", "skip", "sines", "tables", "lead", "slips")
 
     def __init__(self, step: float, d_num: int, d_den: int, n_num: int, n_den: int, skip: int):
         self.step, self.div, self.num, self.skip = step, (d_num, d_den), (n_num, n_den), skip
         self.sines = (array("d"), array("d"))
         self.tables = ((array("d"), array("d")), (array("d"), array("d")))
+        s_num, s_den = step.as_integer_ratio()
+        top = (s_den - 1) // (2 * s_num)  # the last m with step m < 1/2
+        self.lead, self.slips = top - top // skip, (array("d"),)
 
     def _indices(self, start: int, end: int) -> list[int]:
         """The indices m of the terms numbered start..end-1 from 0: the
@@ -186,6 +196,14 @@ class _Family:
         return ([self.step * m - shift for m in ms],
                 [(pre if m % 2 else -pre) * s_num / (m ** deg * s_div) for m, s_num, s_div
                  in zip(ms, islice(nums, start, end), islice(divs, start, end))])
+
+    def _slips(self, start: int, end: int) -> tuple[list]:
+        s_num, s_den = self.step.as_integer_ratio()
+        slips = []
+        for m in self._indices(start, end):
+            e_num, e_den = (self.step * m - 1.0).as_integer_ratio()
+            slips.append(((s_num * m - s_den) * e_den - e_num * s_den) / (s_den * e_den))
+        return (slips,)
 
     def term(self, beta: float, m: int, derivative: bool) -> float:
         """The term at index m <= ``_TABLE_TERMS``, m < skip, at beta."""
@@ -386,15 +404,10 @@ class _Plan:
     the index it stays below, the last M its cut walks to (``_last``), the
     pairs' exponent shift and index power -deg, the two nonresonant
     families, and the table of its pairs n: exponent N - shift and factors
-    X_n, Y_n (``_pair_factors``).  Paired (delta_1 != 0), also what its
-    projected noise reads (``_projected_noise``): the reach min(|delta_1|
-    max_terms, min(alpha, 1)/2) of the pairs, the factors x = pi reach,
-    sin x and the slope of 1/sinc of the pairs' bound there, and half of
-    sin(pi/p) and sin(pi/q) as the nonresonant families' floors."""
+    X_n, Y_n (``_pair_factors``)."""
 
     __slots__ = ("p", "q", "delta1", "lam", "budget", "abs_tol", "max_terms", "limit", "last",
-                 "shift", "deg", "reach", "pair_noise", "floors", "own", "families", "derivative",
-                 "ratio", "rho", "pairs")
+                 "shift", "deg", "own", "families", "derivative", "ratio", "rho", "pairs")
 
     def __init__(self, a_num: int, a_den: int, p: int, q: int, rho: float, derivative: bool,
                  abs_tol: float, max_terms: int, own: bool = False):
@@ -415,13 +428,6 @@ class _Plan:
         self.limit = 2 * max_terms
         if gap:
             self.limit = min(self.limit, int(0.5 * min(alpha, 1.0) / abs(self.delta1)) * p - 1)
-            self.reach = min(abs(self.delta1) * max_terms, 0.5 * min(alpha, 1.0))
-            x = math.pi * self.reach
-            y = x / min(alpha, 1.0)
-            sin_y = math.sin(y)
-            slope = abs(1.0 - 1.0 / alpha) * math.pi * (sin_y - y * math.cos(y)) / (sin_y * sin_y)
-            self.pair_noise = (x, math.sin(x), slope)
-            self.floors = tuple(0.5 * sin_pi(1.0 / family.skip) for family in self.families)
         # it walks no further than a cut can meet the term budget
         self.last = min(self.limit, _last(a_num, a_den, p, q, max_terms))
         self.derivative, self.ratio, self.rho = derivative, (a_num, a_den), (r_num, r_den)
@@ -437,23 +443,6 @@ class _Plan:
 _plan = lru_cache(maxsize=_TABLES)(_Plan)
 
 
-def _projected_noise(plan: _Plan, beta: float) -> float:
-    """4 eps times the paired split's g' term bounds summed in closed form
-    at beta clamped into [1e-6, 0.95]: each nonresonant family's under its
-    floor, and the pairs' under the mean-value bound alpha (b^-reach x/sin x
-    (pi + |log b|) + slope)/pi of a pair within the reach."""
-    b = min(max(beta, 1e-6), 0.95)
-    noise = 0.0
-    for family, c in zip(plan.families, plan.floors):
-        if family.skip > 1:
-            noise += family.step * b ** (family.step - 1.0) / (c * (1.0 - b ** family.step))
-    x, sin_x, slope = plan.pair_noise
-    alpha = plan.ratio[0] / plan.ratio[1]
-    pre = alpha * (b ** -plan.reach * x / sin_x * (math.pi + abs(math.log(b))) + slope) / math.pi
-    noise += pre * b ** (plan.p - 1.0) / (1.0 - b ** plan.p)
-    return 4.0 * EPS * noise
-
-
 def _split(plan: _Plan, beta: float,
            probe: tuple[int, int] | None = None) -> tuple[float, int, int, float, float]:
     """g(beta) (or g') for 0 < beta < 1 by the series split at p/q (see the
@@ -461,22 +450,17 @@ def _split(plan: _Plan, beta: float,
     indices m = n p and k = n q, plus one sum over the pairs n, each
     beta^(N - shift) (e_n X_n + Y_n), all stopped at one cut (``_cut``).
     Only log beta, the cut, e_n and the powers of beta are computed per
-    beta.  Paired, IllConditionedSeriesError is raised before any sum where
-    the projected noise exceeds half the tolerance, the cut would pass the
-    pairs' half period, or a sum needs more terms than the budget.  The
-    generic sum (``own``) raises it where the budget refuses, where 4 eps
-    times its term m or k of ``probe`` (alpha's pairing convergent), read
-    before the sum if the cut reaches it, exceeds half the tolerance, or
-    where the noise of the summed |terms| does: each probed term is one of
-    them, so the probe changes no outcome.  At rational alpha the budget
-    raises ConvergenceFailureError, and at delta_1 = 0 a bound above the
-    tolerance after the sum, whose noise no projection budgets, or a term
-    that overflows, IllConditionedSeriesError.  Returns the fields of a
-    ``SeriesReport``, the pairs counted in its ``terms_first_series``."""
+    beta.  IllConditionedSeriesError is raised where no cut meets the
+    budget before the pairs pass half a period, a sum needs more terms than
+    the budget, or a term overflows; the generic sum (``own``) also raises
+    it where 4 eps times its term m or k of ``probe`` (alpha's pairing
+    convergent), read before the sum if the cut reaches it, exceeds half
+    the tolerance, or where the noise of the summed |terms| does: each
+    probed term is one of them, so the probe changes no outcome.  At
+    rational alpha the term budget raises ConvergenceFailureError.  Returns
+    the fields of a ``SeriesReport``, the pairs counted in its
+    ``terms_first_series``, whatever the size of its bound."""
     p, q, delta1, max_terms, own = plan.p, plan.q, plan.delta1, plan.max_terms, plan.own
-    if delta1 and (noise := _projected_noise(plan, beta)) > 0.5 * plan.abs_tol:
-        raise IllConditionedSeriesError(f"split at {p}/{q}: projected noise "
-                                        f"{noise:.3e} above half the tolerance")
     log_beta = math.log(beta)
     cut = _cut(beta, log_beta, plan.ratio, plan.lam, plan.derivative, plan.budget, plan.last)
     if cut is None and plan.last == plan.limit < 2 * max_terms:
@@ -514,12 +498,13 @@ def _split(plan: _Plan, beta: float,
         raise IllConditionedSeriesError(f"split at {p}/{q}: a term overflows") from None
     # left to right, in the order of the terms
     abs_sum = reduce(add, map(abs, chain(terms1, terms2, pairs)), 0.0)
-    noise = 4.0 * EPS * (abs_sum + abs(value))
     if own and 4.0 * EPS * abs_sum > cap:
         raise IllConditionedSeriesError(f"split at {p}/{q}: summed noise above half the tolerance")
-    if not delta1 and tail + noise > plan.abs_tol:
-        raise IllConditionedSeriesError(
-            f"error bound {tail + noise:.3e} above the tolerance {plan.abs_tol:.3e}")
+    noise = 4.0 * EPS * (abs_sum + abs(value))
+    if derivative and (lead := min(second.lead, count2)):
+        # what the rounded exponents of the lead add: |log beta eps_k t_k|
+        (slips,) = _rows(second.slips, lead, second._slips)
+        noise += abs(log_beta) * reduce(add, map(abs, map(mul, slips, islice(terms2, lead))))
     return value, count1 + n, count2, tail, noise
 
 

@@ -60,6 +60,17 @@ def test_commands_refuse_an_infinite_tolerance(capsys, argv):
     assert err.startswith("error: abs_tol must be finite and positive")
 
 
+def test_eval_refuses_a_bound_above_the_tolerance(capsys):
+    # every method's bound here exceeds 1e-16; quadrature, the last step,
+    # stops on its relative rule with bound 2.3e-15, which dispatch refuses:
+    # its message goes to stderr as it is, and the record says so
+    code, out, err = run(capsys, "eval", "--alpha", SQRT2, "--rho", "0.5",
+                         "--beta", "0.3", "--tol", "1e-16")
+    assert code == 2
+    assert err == "error: quadrature: error bound 2.275e-15 above the tolerance 1.000e-16\n"
+    assert "status=convergence_failure" in out
+
+
 def test_eval_series_vs_quadrature(capsys):
     code, out, _ = run(capsys, "eval", "--alpha", SQRT2, "--rho", "0.5",
                        "--beta", "0.3", "--method", "series", "--format", "json")

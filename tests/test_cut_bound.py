@@ -21,10 +21,13 @@ from pathlib import Path
 import pytest
 
 from stablekappa import (
+    ConvergenceFailureError,
     IllConditionedSeriesError,
+    MethodChoice,
     SeriesReport,
     Tolerance,
     g_series,
+    gprime_any_beta,
     gprime_series,
     validate,
 )
@@ -126,11 +129,16 @@ def test_the_grid_reaches_every_form_of_the_series(outcomes):
     assert {((1, 1), split), ((3, 10), split), ((19, 10), split), ((1, 2), split)} <= forms
     assert {(alpha.as_integer_ratio(), split) for alpha in PAIRINGS} <= forms
     assert {(alpha.as_integer_ratio(), generic) for alpha in ALPHAS[4:]} <= forms
-    # every paired split returns; the series refuses only g' at 3/10 and
-    # beta 1e-8, where |g'| is about beta^(alpha - 1) = 4e5 and its rounding
-    # alone exceeds the tolerance
-    refused = {key for key, (rep, _, _) in results.items() if rep is None}
-    assert refused == {((0.3, rho, 1e-8, True), "series") for rho in (0.5, 0.9)}
+    # every form returns everywhere; only g' at 3/10 and beta 1e-8, where
+    # |g'| is about beta^(alpha - 1) = 4e5, returns a bound above the
+    # tolerance, its rounding alone, which dispatch then refuses
+    assert all(rep is not None for rep, _, _ in results.values())
+    missed = {key for key, (rep, _, _) in results.items()
+              if rep.tail_bound + rep.noise_bound > 1e-10}
+    assert missed == {((0.3, rho, 1e-8, True), "series") for rho in (0.5, 0.9)}
+    for (_, rho, beta, _), _ in missed:
+        with pytest.raises(ConvergenceFailureError, match="above the tolerance"):
+            gprime_any_beta(validate(0.3, rho), beta, MethodChoice.SERIES)
 
 
 def test_no_split_stops_inside_a_pair(outcomes):

@@ -9,17 +9,20 @@ from hypothesis import strategies as st
 
 from stablekappa import (
     AlphaKind,
+    ConvergenceFailureError,
     IllConditionedSeriesError,
+    MethodChoice,
     Tolerance,
     cf_expand,
     classify,
+    gprime_any_beta,
     gprime_series,
     validate,
 )
 from stablekappa import series as series_module
-from stablekappa.accurate import EPS, sin_mpi, sin_pi
+from stablekappa.accurate import EPS, sin_mpi
 from stablekappa.diophantine import RATIONAL_DENOMINATOR_CAP, AlphaClass, _profile
-from stablekappa.series import _cut, _plan, _projected_noise, _split
+from stablekappa.series import _cut, _plan, _split
 
 from oracles import cut_scan, cut_tail_scan
 
@@ -101,8 +104,9 @@ def test_classify_sqrt2_irrational():
 def test_classify_near_rational_ill_conditioned():
     # 1e-12 from 1/2 the profile is Irrational with the pairing convergent
     # 1/2, where |sin(pi/alpha)| is 1.3e-11 and the generic sum fails; the
-    # series, not classify, pairs at 1/2 where the pairs fit the term budget
-    # and their noise the tolerance, and refuses elsewhere
+    # series, not classify, pairs at 1/2 where the pairs fit the term budget,
+    # and refuses elsewhere.  At tol 1e-15 the pairs return a bound of
+    # 4.9e-15, their rounding, and dispatch refuses it
     ac = classify(0.5 + 1e-12)
     assert (ac, (1, 2)) == _profile(0.5 + 1e-12)
     assert (ac.kind, ac.p, ac.q) == (AlphaKind.IRRATIONAL, None, None)
@@ -111,8 +115,12 @@ def test_classify_near_rational_ill_conditioned():
     assert (rep.terms_first_series, rep.terms_second_series) == (225, 226)
     with pytest.raises(IllConditionedSeriesError, match="does not stop within 50 terms"):
         gprime_series(params, 0.9, Tolerance(max_terms=50))
-    with pytest.raises(IllConditionedSeriesError, match="projected noise"):
-        gprime_series(params, 0.9, Tolerance(abs_tol=1e-15))
+    tight = Tolerance(abs_tol=1e-15)
+    rep = gprime_series(params, 0.9, tight)
+    assert (rep.terms_first_series, rep.terms_second_series) == (335, 335)
+    assert rep.tail_bound <= 0.375 * tight.abs_tol < tight.abs_tol < rep.noise_bound
+    with pytest.raises(ConvergenceFailureError, match="series: error bound 4.926e-15"):
+        gprime_any_beta(params, 0.9, MethodChoice.SERIES, tight)
 
 
 def test_series_refuses_a_tolerance_below_float_range():
@@ -163,28 +171,15 @@ def _paired_uncached(alpha: float, rho: float, tol: Tolerance,
                      beta: float) -> tuple[int, int] | None:
     """The stops of the split of g' at the pairing convergent recomputed, or
     None where it refuses: the convergent p/q (p >= 1) before the largest
-    partial quotient (``_uncached_profile``); the noise projected at beta
-    clamped into [1e-6, 0.95]; the cut scanned for a bound under 3/8 of the
-    tolerance below the index where the pairs pass half a period, and each
-    sum within the budget."""
+    partial quotient (``_uncached_profile``); the cut scanned for a bound
+    under 3/8 of the tolerance below the index where the pairs pass half a
+    period, and each sum within the budget."""
     _, pair = _uncached_profile(alpha)
     if pair is None:
         return None
     p, q = pair
-    b = min(max(beta, 1e-6), 0.95)
-    noise = 0.0
-    for skip, step in ((p, 1.0), (q, alpha)):
-        if skip > 1:
-            noise += step * b ** (step - 1.0) / (0.5 * sin_pi(1.0 / skip) * (1.0 - b ** step))
     delta1 = abs(float(Fraction(alpha) * q - p))
     half = 0.5 * min(alpha, 1.0)
-    reach = min(delta1 * tol.max_terms, half)
-    x, y = math.pi * reach, math.pi * reach / min(alpha, 1.0)
-    slope = abs(1.0 - 1.0 / alpha) * math.pi * (math.sin(y) - y * math.cos(y)) / math.sin(y) ** 2
-    pre = alpha * (b ** -reach * x / math.sin(x) * (math.pi + abs(math.log(b))) + slope) / math.pi
-    noise += pre * b ** (p - 1.0) / (1.0 - b ** p)
-    if 4.0 * EPS * noise > 0.5 * tol.abs_tol:
-        return None
     limit = min(2 * tol.max_terms, int(half / delta1) * p - 1)
     found = cut_scan(beta, alpha.as_integer_ratio(), rho, True, 0.375 * tol.abs_tol, limit)
     if found is None:
@@ -222,29 +217,23 @@ def _own_ratio_uncached(alpha: float, rho: float, tol: Tolerance,
                         beta: float) -> tuple[int, int] | None:
     """The stops of the generic sum of g', the split at alpha's own ratio,
     recomputed with no table, or None where it refuses: the cut does not
-    meet a quarter of the tolerance within the budget, 4 eps times the
-    |terms| of both families summed to it exceeds half the tolerance, or
-    the bound, the tail and 4 eps times the |terms| and |value|, exceeds
-    the tolerance.  Each term is beta^(step m - 1) times step sin(m pi num)
-    / sin(m pi div), signed (-1)^(m+1), as the families compute it."""
+    meet a quarter of the tolerance within the budget, or 4 eps times the
+    |terms| of both families summed to it exceeds half the tolerance.  Each
+    term is beta^(step m - 1) times step sin(m pi num) / sin(m pi div),
+    signed (-1)^(m+1), as the families compute it."""
     (a_num, a_den), (r_num, r_den) = alpha.as_integer_ratio(), rho.as_integer_ratio()
     found = cut_tail_scan(beta, (a_num, a_den), rho, True, 0.25 * tol.abs_tol, tol.max_terms)
     if found is None or found[1] > tol.max_terms:
         return None
-    *stops, tail = found
-    value = abs_sum = 0.0
+    *stops, _ = found
+    abs_sum = 0.0
     for stop, step, div, num in zip(stops, (1.0, alpha), ((a_den, a_num), (a_num, a_den)),
                                     ((r_num, r_den), (r_num * a_num, r_den * a_den))):
-        terms = []
         for m in range(1, stop + 1):
-            terms.append(beta ** (step * m - 1.0) * (
+            abs_sum += abs(beta ** (step * m - 1.0) * (
                 (step if m % 2 else -step) * sin_mpi(m, *num) / sin_mpi(m, *div)))
-            abs_sum += abs(terms[-1])
             if 4.0 * EPS * abs_sum > 0.5 * tol.abs_tol:
                 return None  # the |terms| only add up
-        value += math.fsum(terms)
-    if tail + 4.0 * EPS * (abs_sum + abs(value)) > tol.abs_tol:
-        return None
     return tuple(stops)
 
 
@@ -252,8 +241,8 @@ def test_series_stops_match_uncached_recomputation():
     # the decision the series of g' makes, at rho 0.5: the stops of the
     # split at alpha's own ratio, the generic sum (the cut read off its
     # plan from its first guess, and its refusals), else the split's at the
-    # pairing convergent (its projected noise, and the cut read off its
-    # plan), else a refusal; each against a scan from the first unit
+    # pairing convergent (the cut read off its plan), else a refusal; each
+    # against a scan from the first unit
     # interval that could hold the cut and, for the generic sum, its terms
     # recomputed and summed
     rho, kinds = 0.5, set()
@@ -280,9 +269,8 @@ def test_series_stops_match_uncached_recomputation():
                     if got is not None:
                         kinds.add("generic")
                         continue
-                    if _projected_noise(plan, beta) <= 0.5 * tol.abs_tol:
-                        got = _cut(beta, log_beta, plan.ratio, plan.lam, True, plan.budget,
-                                   plan.limit)
+                    got = _cut(beta, log_beta, plan.ratio, plan.lam, True, plan.budget,
+                               plan.limit)
                     if got is not None:
                         p, q = pair
                         stop1, stop2, _ = got

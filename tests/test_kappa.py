@@ -7,7 +7,6 @@ import pytest
 from stablekappa import (
     ConvergenceFailureError,
     EvalResult,
-    IllConditionedSeriesError,
     KappaQuery,
     MethodChoice,
     MethodNotApplicableError,
@@ -19,6 +18,7 @@ from stablekappa import (
     g_series,
     gprime_any_beta,
     gprime_quad,
+    gprime_series,
     kappa,
     validate,
 )
@@ -341,25 +341,44 @@ def test_failed_candidate_passes_to_the_next(monkeypatch):
 
 
 def test_last_failure_carries_every_earlier_one():
-    # at 1/10 and beta 1e8, planned at 1e-8, the split series refuses its
-    # bound and then quadrature fails; the quadrature failure is raised, with
-    # the series' refusal chained on as its cause
+    # 1e-12 from 1/2 at beta 1.2e-12, g' by the paired series has a bound
+    # above the tolerance, which dispatch refuses, and then quadrature
+    # fails; the quadrature failure is raised, with the refusal chained on
+    # as its cause, naming the method, its bound and the tolerance and
+    # carrying the value and the bound it refused
+    params = validate(0.500000000001, 0.5)
     with pytest.raises(ConvergenceFailureError, match="quadrature error estimate") as err:
-        gprime_any_beta(validate(0.1, 0.5), 1e8)
+        gprime_any_beta(params, 1.2e-12)
     cause = err.value.__cause__
-    assert isinstance(cause, IllConditionedSeriesError)
-    assert "above the tolerance" in str(cause)
+    assert isinstance(cause, ConvergenceFailureError) and cause.__cause__ is None
+    rep = gprime_series(params, 1.2e-12)
+    bound = rep.tail_bound + rep.noise_bound
+    assert (cause.value, cause.error_bound) == (rep.value, bound)
+    assert str(cause) == f"series: error bound {bound:.3e} above the tolerance 1.000e-10"
 
 
 def test_auto_dispatch_converges_near_one_half():
     # 1e-12 from 1/2, quadrature raised ConvergenceFailureError on 55 of
     # these 156 calls (beta <= 1.2e-4 or >= 1.2e4); the series pairs the
-    # near-resonant terms there and runs on every one of them
+    # near-resonant terms there and runs on all but five of them: g' at
+    # beta 1.2e-12, where |g'| is up to 6e5 and the series' bound, 1.3e-10
+    # to 8.1e-10, misses the tolerance, so dispatch refuses it and
+    # quadrature fails too
     params = [validate(0.500000000001, rho) for rho in (0.01, 0.1, 0.3, 0.5, 0.9, 0.99)]
     betas = [1.2 * 10.0 ** e for e in range(-12, 13, 2)]
-    methods = {fn(p, beta).method for p in params for beta in betas
-               for fn in (g_any_beta, gprime_any_beta)}
+    methods, failed = set(), set()
+    for p in params:
+        for beta in betas:
+            for fn in (g_any_beta, gprime_any_beta):
+                try:
+                    methods.add(fn(p, beta).method)
+                except ConvergenceFailureError:
+                    failed.add((p.rho, beta, fn is gprime_any_beta))
     assert methods == {MethodChoice.SERIES}
+    assert failed == {(rho, 1.2e-12, True) for rho in (0.1, 0.3, 0.5, 0.9, 0.99)}
+    for rho, beta, _ in failed:
+        rep = gprime_series(validate(0.500000000001, rho), beta)
+        assert 1e-10 < rep.tail_bound + rep.noise_bound < 1e-9
     # a few of them against the 30-digit integral, at the smallest betas
     for beta in (1.2e-12, 1.2e-8, 1.2e-4):
         res = g_any_beta(params[2], beta)

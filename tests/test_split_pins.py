@@ -12,7 +12,9 @@ generically at every beta, were recorded while the generic sum was a
 separate body, before it became the split at alpha's own ratio.  Three
 near 3/2 (g at beta 0.01 and 0.1, g' at 0.01) were re-recorded when the
 generic sum stopped refusing on a divisor-floor estimate and began to
-return them with its summed noise under half the tolerance.  Each is
+return them with its summed noise under half the tolerance, and the five
+noise pins of g' at 0.3 when the noise began to count the rounding of the
+exponents alpha k - 1 below -1/2.  Each is
 checked cold, every table and plan cleared before the call, and warm,
 after every case has filled them, and each value lies within its tail and
 noise bounds of the 30-digit integral (``tests/oracles.g_mpmath`` or
@@ -53,11 +55,11 @@ PINS = {
         ("0x1.6bcdf727990dep-2", 279, 838, "0x1.478ce016402c3p-35", "0x1.7c9beb1d8fbf9p-48"),
     ),
     (0.3, None, "gprime"): (
-        ("0x1.9453fb7d2a2fbp+1", 6, 19, "0x1.29ea6c03e2274p-38", "0x1.7c8b1d1b5f755p-47"),
-        ("0x1.05efe787e7c21p-1", 11, 34, "0x1.d0b2036497ac4p-36", "0x1.3267619fd4c70p-48"),
-        ("0x1.14e1ac1d66f2cp-3", 34, 103, "0x1.2b7f2ab2371b9p-35", "0x1.104e9cb4c58ddp-48"),
-        ("0x1.50326e7155c4cp-4", 218, 656, "0x1.4871aabf62a72p-35", "0x1.d31517bb0b387p-47"),
-        ("0x1.43eb98bcb1d94p-4", 371, 1115, "0x1.463bf8a485bc5p-35", "0x1.7bd4f11063147p-46"),
+        ("0x1.9453fb7d2a2fbp+1", 6, 19, "0x1.29ea6c03e2274p-38", "0x1.a37dd27cc5a02p-47"),
+        ("0x1.05efe787e7c21p-1", 11, 34, "0x1.d0b2036497ac4p-36", "0x1.3a2ccc9b0d895p-48"),
+        ("0x1.14e1ac1d66f2cp-3", 34, 103, "0x1.2b7f2ab2371b9p-35", "0x1.1110b9e1d866ep-48"),
+        ("0x1.50326e7155c4cp-4", 218, 656, "0x1.4871aabf62a72p-35", "0x1.d31ede8b3756fp-47"),
+        ("0x1.43eb98bcb1d94p-4", 371, 1115, "0x1.463bf8a485bc5p-35", "0x1.7bd7b9f2af6aep-46"),
     ),
     (0.8, None, "g"): (
         ("0x1.f84792fc431a6p-7", 5, 5, "0x1.23bf7d6dd56ddp-37", "0x1.a0cdf14bd2e18p-55"),

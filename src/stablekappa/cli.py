@@ -241,9 +241,7 @@ def _run_plan(params: StableParams, beta: float, derivative: bool,
         try:
             results[name] = step.run()
         except _NOCONV as exc:
-            skipped[name] = ("skipped: ill-conditioned, also with the near-resonant terms "
-                             "paired" if isinstance(exc, IllConditionedSeriesError)
-                             else "skipped: did not converge")
+            skipped[name] = f"skipped: {exc}"
             failure = exc
     if not results:
         raise failure

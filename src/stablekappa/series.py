@@ -24,8 +24,9 @@ along c', by
 lambda = pi (1 + 1/alpha - rho).  The bound is proven for every alpha and
 rho: it assumes nothing about the divisors.  ``_cut`` picks one c' per call
 that stops every sum of it, and R(c') is the tail bound reported.  Each
-term is beta^(step m - shift) times a coefficient cached across beta, and
-each sum is ``math.fsum``.
+term is beta^(step m) times a coefficient cached across beta, that of g or
+of g', each sum is ``math.fsum``, and the sum of g' is divided by beta
+once.
 
 Near a resonance, alpha = p/q + eps, the term m = n p of the first series
 and k = n q of the second have divisors of size n eps with opposite signs.
@@ -106,9 +107,11 @@ class SeriesReport(_Record, _ReportFields):
 
     tail_bound is R(c'), the proven bound on the contour integral left at
     the cut c' that stops every sum (see the module docstring);
-    noise_bound, 4 eps times the left-to-right sum of |terms| and |value|,
-    bounds the rounding of the terms, whose every sum is exactly rounded,
-    plus for g' that of the exponents of its lead terms (``_Family``).
+    noise_bound, 4 eps times the left-to-right sum of |terms| and |value|
+    (for g', of the terms over beta), bounds the rounding of the terms,
+    whose every sum is exactly rounded; for g', where a power of beta or a
+    term can fall below the normal floats, it adds 2^-1074 (1 + |coefficient|)
+    per term over beta.
     Split at p/q (paired near it, at a rational alpha = p/q, or for the
     generic sum at alpha's own ratio), terms_first_series counts the first
     series' terms that p does not divide plus the pairs, and
@@ -154,67 +157,46 @@ def _rows(columns: tuple, count: int, entries, *args) -> tuple:
 
 class _Family:
     """One divisor series of g and g' over the indices m that ``skip`` does
-    not divide, and its beta-free tables:
+    not divide, and its beta-free table:
 
         g:   sum_m (-1)^(m+1) beta^(step m) sin(m pi num) / (m sin(m pi div))
-        g':  sum_m (-1)^(m+1) step beta^(step m - 1) sin(m pi num) / sin(m pi div)
+        g':  sum_m (-1)^(m+1) beta^(step m) step sin(m pi num) / sin(m pi div)
 
-    ``sines`` holds sin(m pi num) and sin(m pi div), shared by g and g', and
-    ``tables[derivative]`` each term's exponent step m - shift and
-    coefficient.  The split series sums the multiples of skip, p or q, as
-    pairs; at alpha's own ratio they are the indices whose divisor vanishes.
+    g' being that sum over beta (``_split`` divides once).  ``table`` holds
+    each term's exponent step m and its g and g' coefficients, all three
+    from the term's two exact sine reductions.  The split series sums the
+    multiples of skip, p or q, as pairs; at alpha's own ratio they are the
+    indices whose divisor vanishes."""
 
-    The g' exponent step m - 1 of the first ``lead`` terms, step m < 1/2, is
-    rounded by the subtraction (above 1/2 Sterbenz makes it exact), and
-    beta^e multiplies its error eps_m by |log beta|: ``slips`` holds eps_m,
-    the exact step m - 1 less the float, from the integer ratios of both."""
-
-    __slots__ = ("step", "div", "num", "skip", "sines", "tables", "lead", "slips")
+    __slots__ = ("step", "div", "num", "skip", "table")
 
     def __init__(self, step: float, d_num: int, d_den: int, n_num: int, n_den: int, skip: int):
         self.step, self.div, self.num, self.skip = step, (d_num, d_den), (n_num, n_den), skip
-        self.sines = (array("d"), array("d"))
-        self.tables = ((array("d"), array("d")), (array("d"), array("d")))
-        s_num, s_den = step.as_integer_ratio()
-        top = (s_den - 1) // (2 * s_num)  # the last m with step m < 1/2
-        self.lead, self.slips = top - top // skip, (array("d"),)
+        self.table = (array("d"), array("d"), array("d"))
 
-    def _indices(self, start: int, end: int) -> list[int]:
-        """The indices m of the terms numbered start..end-1 from 0: the
-        m that skip does not divide, in increasing order."""
-        k = self.skip - 1
-        return [i + i // k + 1 for i in range(start, end)]
-
-    def _sines(self, start: int, end: int) -> tuple[list, list]:
-        ms = self._indices(start, end)
-        return [sin_mpi(m, *self.num) for m in ms], [sin_mpi(m, *self.div) for m in ms]
-
-    def _terms(self, start: int, end: int, derivative: bool) -> tuple[list, list]:
-        pre, shift, deg = (self.step, 1.0, 0) if derivative else (1.0, 0.0, 1)
-        nums, divs = _rows(self.sines, end, self._sines)
-        ms = self._indices(start, end)
-        return ([self.step * m - shift for m in ms],
-                [(pre if m % 2 else -pre) * s_num / (m ** deg * s_div) for m, s_num, s_div
-                 in zip(ms, islice(nums, start, end), islice(divs, start, end))])
-
-    def _slips(self, start: int, end: int) -> tuple[list]:
-        s_num, s_den = self.step.as_integer_ratio()
-        slips = []
-        for m in self._indices(start, end):
-            e_num, e_den = (self.step * m - 1.0).as_integer_ratio()
-            slips.append(((s_num * m - s_den) * e_den - e_num * s_den) / (s_den * e_den))
-        return (slips,)
+    def _terms(self, start: int, end: int) -> tuple[list, list, list]:
+        """The rows of the terms numbered start..end-1 from 0, whose indices
+        m are those that skip does not divide, in increasing order."""
+        k, step, exps, gs, gprimes = self.skip - 1, self.step, [], [], []
+        for i in range(start, end):
+            m = i + i // k + 1
+            s_num, s_div = sin_mpi(m, *self.num), sin_mpi(m, *self.div)
+            exps.append(step * m)
+            gs.append((1.0 if m % 2 else -1.0) * s_num / (m * s_div))
+            gprimes.append((step if m % 2 else -step) * s_num / s_div)
+        return exps, gs, gprimes
 
     def term(self, beta: float, m: int, derivative: bool) -> float:
-        """The term at index m <= ``_TABLE_TERMS``, m < skip, at beta."""
-        exps, coefs = _rows(self.tables[derivative], m, self._terms, derivative)
-        return beta ** exps[m - 1] * coefs[m - 1]
+        """The term at index m <= ``_TABLE_TERMS``, m < skip, at beta (for
+        g', beta times it)."""
+        table = _rows(self.table, m, self._terms)
+        return beta ** table[0][m - 1] * table[1 + derivative][m - 1]
 
     def terms(self, beta: float, count: int, derivative: bool) -> list[float]:
-        """The first ``count`` terms at beta: beta^(step m - shift) times
-        the coefficient."""
-        exps, coefs = _rows(self.tables[derivative], count, self._terms, derivative)
-        return list(map(mul, map(pow, repeat(beta, count), exps), coefs))
+        """The first ``count`` terms at beta: beta^(step m) times the g or
+        g' coefficient."""
+        table = _rows(self.table, count, self._terms)
+        return list(map(mul, map(pow, repeat(beta, count), table[0]), table[1 + derivative]))
 
 
 # the family of divisor sin(m pi d_num/d_den) and numerator sin(m pi
@@ -338,11 +320,11 @@ def _excess(y: float) -> float:
 def _pair_factors(ns, ratio: tuple[int, int], p: int, q: int,
                   rho: tuple[int, int], deg: int):
     """X_n, Y_n for each n of ns, interleaved: pair n of the split series is
-    beta^(N - shift) (e_n X_n + Y_n) with N = n p, delta = n delta_1 and
-    e_n = expm1(delta log beta)/delta, or log beta at delta_1 = 0.
+    beta^N (e_n X_n + Y_n), for g' over beta, with N = n p, delta = n
+    delta_1 and e_n = expm1(delta log beta)/delta, or log beta at delta_1 = 0.
 
     The pair is s alpha/(pi delta) [H(N + delta)/sinc(delta) -
-    H(N)/sinc(delta/alpha)] with H(x) = beta^(x - shift) sin(rho pi x)/x^deg.
+    H(N)/sinc(delta/alpha)] with H(x) = beta^x sin(rho pi x)/x^deg.
     It is summed as D/sinc(delta) + H(N) E with D = (H(N + delta) -
     H(N))/delta and E = (1/sinc(delta) - 1/sinc(delta/alpha))/delta, and
     neither is taken as a difference quotient: beta^delta - 1 is
@@ -402,12 +384,11 @@ class _Plan:
     p a_den)/a_den, lambda, the budget of its cut (3/8 of the tolerance; a
     quarter for the generic sum at alpha's own ratio, marked ``own``) and
     the index it stays below, the last M its cut walks to (``_last``), the
-    pairs' exponent shift and index power -deg, the two nonresonant
-    families, and the table of its pairs n: exponent N - shift and factors
-    X_n, Y_n (``_pair_factors``)."""
+    pairs' index power -deg, the two nonresonant families, and the table of
+    its pairs n: exponent N and factors X_n, Y_n (``_pair_factors``)."""
 
     __slots__ = ("p", "q", "delta1", "lam", "budget", "abs_tol", "max_terms", "limit", "last",
-                 "shift", "deg", "own", "families", "derivative", "ratio", "rho", "pairs")
+                 "deg", "own", "families", "derivative", "ratio", "rho", "pairs")
 
     def __init__(self, a_num: int, a_den: int, p: int, q: int, rho: float, derivative: bool,
                  abs_tol: float, max_terms: int, own: bool = False):
@@ -417,7 +398,7 @@ class _Plan:
         self.lam = math.pi * (1.0 + a_den / a_num - rho)
         self.budget, self.abs_tol = (0.25 if own else 0.375) * abs_tol, abs_tol
         self.max_terms = max_terms
-        self.shift, self.deg = (1, 0) if derivative else (0, 1)
+        self.deg = 0 if derivative else 1
         # the first family over m with p not dividing m, the second over k
         # with q not dividing k, in powers beta^alpha, with sin(k pi rho alpha)
         self.families = (_family(1.0, a_den, a_num, r_num, r_den, p),
@@ -436,7 +417,7 @@ class _Plan:
     def _pairs(self, start: int, end: int) -> tuple[list, list, list]:
         ns = range(start + 1, end + 1)
         factors = list(_pair_factors(ns, self.ratio, self.p, self.q, self.rho, self.deg))
-        return [n * self.p - self.shift for n in ns], factors[::2], factors[1::2]
+        return [n * self.p for n in ns], factors[::2], factors[1::2]
 
 
 # the plan of one (a_num, a_den, p, q, rho, derivative, abs_tol, max_terms, own)
@@ -448,15 +429,16 @@ def _split(plan: _Plan, beta: float,
     """g(beta) (or g') for 0 < beta < 1 by the series split at p/q (see the
     module docstring), read off its plan: the two divisor series less the
     indices m = n p and k = n q, plus one sum over the pairs n, each
-    beta^(N - shift) (e_n X_n + Y_n), all stopped at one cut (``_cut``).
-    Only log beta, the cut, e_n and the powers of beta are computed per
-    beta.  IllConditionedSeriesError is raised where no cut meets the
-    budget before the pairs pass half a period, a sum needs more terms than
-    the budget, or a term overflows; the generic sum (``own``) also raises
-    it where 4 eps times its term m or k of ``probe`` (alpha's pairing
-    convergent), read before the sum if the cut reaches it, exceeds half
-    the tolerance, or where the noise of the summed |terms| does: each
-    probed term is one of them, so the probe changes no outcome.  At
+    beta^N (e_n X_n + Y_n), all stopped at one cut (``_cut``), and for g'
+    divided by beta.  Only log beta, the cut, e_n and the powers of beta
+    are computed per beta.  IllConditionedSeriesError is raised where no
+    cut meets the budget before the pairs pass half a period, a sum needs
+    more terms than the budget, or a term or its quotient by beta
+    overflows; the generic sum (``own``) also raises it where 4 eps times
+    its term m or k of ``probe`` (alpha's pairing convergent), read before
+    the sum if the cut reaches it, exceeds half the tolerance, or where the
+    noise of the summed |terms| does (for g', each over beta): each probed
+    term is one of them, so the probe changes no outcome.  At
     rational alpha the term budget raises ConvergenceFailureError.  Returns
     the fields of a ``SeriesReport``, the pairs counted in its
     ``terms_first_series``, whatever the size of its bound."""
@@ -475,36 +457,47 @@ def _split(plan: _Plan, beta: float,
         raise error(f"split at {p}/{q}: a sum does not stop within {max_terms} terms")
     first, second = plan.families
     derivative, cap = plan.derivative, 0.5 * plan.abs_tol
+    # g' sums g's powers of beta and divides by beta once; here a power of
+    # beta, or a term whose coefficient exceeds eps (2^-970 = 2^-1022/eps),
+    # can fall below the normal floats, off by up to 2^-1074 whatever its
+    # size, which the quotient by beta magnifies
+    over = beta if derivative else 1.0
+    subnormal = derivative and beta ** max(stop1, second.step * stop2) < 2.0 ** -970
     try:
         # the pairing convergent lies below alpha's own ratio: m = p and
         # k = q are terms of the families, not multiples they skip
-        if probe and any(4.0 * EPS * abs(family.term(beta, m, derivative)) > cap
+        if probe and any(4.0 * EPS * (abs(family.term(beta, m, derivative)) / over) > cap
                          for family, m, stop in zip(plan.families, probe, (stop1, stop2))
                          if m <= min(stop, _TABLE_TERMS)):
             raise IllConditionedSeriesError(f"split at {p}/{q}: a term's noise above half "
                                             f"the tolerance")
         terms1 = first.terms(beta, count1, derivative) if count1 else ()
         terms2 = second.terms(beta, count2, derivative) if count2 else ()
-        pairs = ()
+        pairs = factors = ()
         if n:
             # the pairs, reindexed by m = n p, k = n q: beta^e (e_n x + y)
             growth = (repeat(log_beta, n) if not delta1 else
                       (math.expm1(k * delta1 * log_beta) / (k * delta1) for k in range(1, n + 1)))
             exps, xs, ys = _rows(plan.pairs, n, plan._pairs)
-            pairs = list(map(mul, map(pow, repeat(beta, n), exps),
-                             map(add, map(mul, growth, xs), ys)))
-        value = math.fsum(terms1) + math.fsum(terms2) + (math.fsum(pairs) if n else 0.0)
+            factors = map(add, map(mul, growth, xs), ys)
+            if subnormal:
+                factors = list(factors)
+            pairs = list(map(mul, map(pow, repeat(beta, n), exps), factors))
+        value = (math.fsum(terms1) + math.fsum(terms2) + (math.fsum(pairs) if n else 0.0)) / over
+        # left to right, in the order of the terms
+        abs_sum = reduce(add, map(abs, chain(terms1, terms2, pairs)), 0.0) / over
+        noise = 4.0 * EPS * (abs_sum + abs(value))
+        if subnormal:
+            coefs = (islice(_rows(family.table, count, family._terms)[2], count)
+                     for family, count in zip(plan.families, (count1, count2)))
+            noise += reduce(add, map(abs, chain(*coefs, factors)),
+                            float(count1 + count2 + n)) * (2.0 ** -1074 / beta)
+        if noise == math.inf:
+            raise OverflowError
     except OverflowError:
         raise IllConditionedSeriesError(f"split at {p}/{q}: a term overflows") from None
-    # left to right, in the order of the terms
-    abs_sum = reduce(add, map(abs, chain(terms1, terms2, pairs)), 0.0)
     if own and 4.0 * EPS * abs_sum > cap:
         raise IllConditionedSeriesError(f"split at {p}/{q}: summed noise above half the tolerance")
-    noise = 4.0 * EPS * (abs_sum + abs(value))
-    if derivative and (lead := min(second.lead, count2)):
-        # what the rounded exponents of the lead add: |log beta eps_k t_k|
-        (slips,) = _rows(second.slips, lead, second._slips)
-        noise += abs(log_beta) * reduce(add, map(abs, map(mul, slips, islice(terms2, lead))))
     return value, count1 + n, count2, tail, noise
 
 

@@ -103,7 +103,9 @@ def gprime_half_closed(rho: float, beta: float) -> float:
     return num / den
 
 
-_INTEGRAL_BETA_MIN = 1e-20  # below it, residue_sum is the oracle
+# the least beta of the integral oracle of g and of g' (by ``derivative``);
+# below it, residue_sum is the oracle
+_INTEGRAL_BETA_MIN = {False: 1e-12, True: 1e-20}
 
 
 def _mpmath_integral(alpha: float, rho: float, beta, derivative: bool):
@@ -118,12 +120,14 @@ def _mpmath_integral(alpha: float, rho: float, beta, derivative: bool):
     split at x = 1, beta, beta (1 -+ sin(pi rho)) and, for rho above 1/2,
     the near-zero -beta cos(pi rho) of the denominator.
 
-    Below beta 1e-20 the quadrature loses digits that its error estimate
-    does not show (at alpha 0.3, rho 0.5, beta 1e-300 it gives 2.97e-91,
-    where the leading residue alone is 5.61e-91), so it refuses there.
+    Below beta 1e-12 for g, 1e-20 for g', the quadrature loses digits that
+    its error estimate does not show (for g at alpha 0.3, rho 0.5, beta
+    1e-300 it gives 2.97e-91, where the leading residue alone is 5.61e-91;
+    at alpha 1.5, rho 2/3, beta 1e-18 it is 5.3e-11 off relative, against
+    an estimate of 3.9e-15), so it refuses there.
     """
-    if beta < _INTEGRAL_BETA_MIN:
-        raise ValueError(f"the integral oracle loses digits below beta {_INTEGRAL_BETA_MIN!r}, "
+    if beta < (least := _INTEGRAL_BETA_MIN[derivative]):
+        raise ValueError(f"the integral oracle loses digits below beta {least!r}, "
                          f"got {beta!r}: use residue_sum there")
     with mpmath.workdps(30):
         a, r, b = mpf(alpha), mpf(rho), mpf(beta)

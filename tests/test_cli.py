@@ -190,7 +190,7 @@ def test_compare_rational_derivative_has_rational_column(capsys):
 def test_compare_near_rational_reports_skip(capsys):
     # 1e-12 from 1/2 the series pairs its near-resonant terms and runs
     # beside quadrature; with a budget of 50 terms the pairs do not fit
-    # either, and the skip gives that reason
+    # either, and the skip gives the paired split's refusal
     argv = ("compare", "--alpha", "0.500000000001", "--rho", "0.3", "--beta", "0.9",
             "--format", "json")
     code, out, _ = run(capsys, *argv)
@@ -201,7 +201,7 @@ def test_compare_near_rational_reports_skip(capsys):
     code, out, _ = run(capsys, *argv, "--max-terms", "50")
     assert code == 0
     assert json.loads(out)["skipped"]["series"] == (
-        "skipped: ill-conditioned, also with the near-resonant terms paired")
+        "skipped: split at 1/2: a sum does not stop within 50 terms")
 
 
 def test_classify_rational(capsys):
@@ -437,9 +437,20 @@ def test_compare_skips_rational_that_does_not_converge(capsys):
                        "--rho", "0.3", "--beta", "0.998", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["skipped"]["series"] == "skipped: did not converge"
+    assert payload["skipped"]["series"] == (
+        "skipped: split at 4/5: a sum does not stop within 10000 terms")
     assert list(payload["methods"]) == ["quadrature"]
     assert payload["agree"] is True
+
+
+def test_compare_names_why_it_skipped_a_candidate(capsys):
+    # the Doney closed form at tol 1e-15 runs, and dispatch refuses its
+    # bound: the skip gives the refusal, bound and tolerance
+    code, out, _ = run(capsys, "compare", "--alpha", "0.8", "--rho", "0.25", "--beta", "0.3",
+                       "--tol", "1e-15", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["skipped"]["doney"] == (
+        "skipped: doney: error bound 3.994e-15 above the tolerance 1.000e-15")
 
 
 @pytest.mark.parametrize("alpha, rho", [(SQRT2, "0.5"), ("0.8", "0.25"),

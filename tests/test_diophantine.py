@@ -287,7 +287,8 @@ def test_generic_sum_probe_changes_no_outcome():
     # refuses if 4 eps times either exceeds half the tolerance.  Wherever
     # it does, 4 eps times the |terms| of both families summed to the cut
     # exceeds half the tolerance too, and the sum without the probe refuses
-    # on it; everywhere the outcome is the same with or without the probe
+    # on it; everywhere the outcome is the same with or without the probe.
+    # g' compares its terms at the powers of beta of g over beta
     probed = 0
     for alpha, derivative in itertools.product(GRID_ALPHAS, (False, True)):
         _, pair = _profile(alpha)
@@ -311,7 +312,8 @@ def test_generic_sum_probe_changes_no_outcome():
                 first, second = own.families
                 terms = (first.terms(beta, stop1, derivative)
                          + second.terms(beta, stop2, derivative))
-                assert 4.0 * EPS * math.fsum(map(abs, terms)) > 0.5 * tol.abs_tol
+                over = beta if derivative else 1.0
+                assert 4.0 * EPS * (math.fsum(map(abs, terms)) / over) > 0.5 * tol.abs_tol
                 probed += 1
     assert probed > 1000
 

@@ -9,8 +9,10 @@ runnable), or the type of the error the plan raises, and the result as
 (value, bound) in float hex with its method and count, or the type of the
 error raised.  They were recorded while the plan was still a generator
 that looked up what it needed as it went, the series rows again when
-the series began to stop at one contour cut, and the g' rows at 4/5 when
-the Doney closed form began to cover g': each series and Doney value lies
+the series began to stop at one contour cut, the g' rows at 4/5 when
+the Doney closed form began to cover g', and the g' series values when g'
+began to sum at the powers of beta of g and divide by beta once (their
+bounds unchanged): each series and Doney value lies
 within its bound of the 30-digit integral (``tests/oracles.g_mpmath`` or
 ``gprime_mpmath``), stored as float hex with its error estimate in
 ``ORACLE``.  Each case is checked cold, the plan cache cleared before the
@@ -164,9 +166,9 @@ PINS = {
     ),
     (SQRT2, 0.5, True, 'auto'): (
         (('doney no_case', 'series irrational', 'quadrature reference'),
-         ('0x1.380bb5d40c586p-1', '0x1.7cb6f8e87f40bp-36', 'series', 37)),
+         ('0x1.380bb5d40c588p-1', '0x1.7cb6f8e87f40bp-36', 'series', 37)),
         (('doney no_case', 'series irrational', 'quadrature reference'),
-         ('0x1.7492afebaddd0p-2', '0x1.71796af6f10bfp-36', 'series', 821)),
+         ('0x1.7492afebaddcep-2', '0x1.71796af6f10bfp-36', 'series', 821)),
         (('quadrature band', 'doney no_case', 'series skip_band'),
          ('0x1.7047abcdababap-2', '0x1.1cc59e35c28f6p-37', 'quadrature', 165)),
         (('quadrature band', 'doney no_case', 'series skip_band'),
@@ -180,7 +182,7 @@ PINS = {
         (('quadrature band reflected', 'doney no_case', 'series skip_band'),
          ('0x1.5fa05848940d6p-2', '0x1.cf0ab9ad9e930p-38', 'quadrature', 165)),
         (('doney no_case', 'series irrational reflected', 'quadrature reference reflected'),
-         ('0x1.5e385b734e07cp-2', '0x1.535ef7a35206ep-36', 'series', 722)),
+         ('0x1.5e385b734e07bp-2', '0x1.535ef7a35206ep-36', 'series', 722)),
         (('doney no_case', 'series irrational reflected', 'quadrature reference reflected'),
          ('0x1.8fbe30cd5c174p-3', '0x1.fbb631e82097bp-40', 'series', 49)),
     ),
@@ -208,9 +210,9 @@ PINS = {
     ),
     (SQRT2, 0.5, True, 'series'): (
         (('series irrational',),
-         ('0x1.380bb5d40c586p-1', '0x1.7cb6f8e87f40bp-36', 'series', 37)),
+         ('0x1.380bb5d40c588p-1', '0x1.7cb6f8e87f40bp-36', 'series', 37)),
         (('series irrational',),
-         ('0x1.7492afebaddd0p-2', '0x1.71796af6f10bfp-36', 'series', 821)),
+         ('0x1.7492afebaddcep-2', '0x1.71796af6f10bfp-36', 'series', 821)),
         (('quadrature band',),
          ('0x1.7047abcdababap-2', '0x1.1cc59e35c28f6p-37', 'quadrature', 165)),
         (('quadrature band',),
@@ -224,7 +226,7 @@ PINS = {
         (('quadrature band reflected',),
          ('0x1.5fa05848940d6p-2', '0x1.cf0ab9ad9e930p-38', 'quadrature', 165)),
         (('series irrational reflected',),
-         ('0x1.5e385b734e07cp-2', '0x1.535ef7a35206ep-36', 'series', 722)),
+         ('0x1.5e385b734e07bp-2', '0x1.535ef7a35206ep-36', 'series', 722)),
         (('series irrational reflected',),
          ('0x1.8fbe30cd5c174p-3', '0x1.fbb631e82097bp-40', 'series', 49)),
     ),
@@ -384,9 +386,9 @@ PINS = {
     ),
     (0.8, 0.25, True, 'series'): (
         (('series 4/5',),
-         ('0x1.bd752d8faad49p-3', '0x1.051f21a3d4d67p-35', 'series', 42)),
+         ('0x1.bd752d8faad4dp-3', '0x1.051f21a3d4d67p-35', 'series', 42)),
         (('series 4/5',),
-         ('0x1.a88612761ac48p-4', '0x1.2e0eec1035955p-35', 'series', 927)),
+         ('0x1.a88612761abfap-4', '0x1.2e0eec1035955p-35', 'series', 927)),
         (('quadrature band',),
          ('0x1.a268d889eb677p-4', '0x1.676ec7f000000p-35', 'quadrature', 135)),
         (('quadrature band',),
@@ -400,9 +402,9 @@ PINS = {
         (('quadrature band reflected',),
          ('0x1.8b1b7adc1dc48p-4', '0x1.eb10e39cce54cp-36', 'quadrature', 135)),
         (('series 4/5 reflected',),
-         ('0x1.892b54d54bc0dp-4', '0x1.16e47fba49bdap-35', 'series', 815)),
+         ('0x1.892b54d54bbc0p-4', '0x1.16e47fba49bdap-35', 'series', 815)),
         (('series 4/5 reflected',),
-         ('0x1.9fbd0684786d2p-5', '0x1.ba2a23a58a7f0p-39', 'series', 55)),
+         ('0x1.9fbd0684786d1p-5', '0x1.ba2a23a58a7f0p-39', 'series', 55)),
     ),
     (0.8, 0.25, True, 'quadrature'): (
         (('quadrature reference',),
@@ -516,9 +518,9 @@ PINS = {
     ),
     (0.5, 0.3, True, 'auto'): (
         (('doney no_case', 'series 1/2', 'quadrature reference'),
-         ('0x1.7ccde6e64c1b4p-3', '0x1.1461bce756d2ap-35', 'series', 41)),
+         ('0x1.7ccde6e64c1b2p-3', '0x1.1461bce756d2ap-35', 'series', 41)),
         (('doney no_case', 'series 1/2', 'quadrature reference'),
-         ('0x1.3fc37acdc1399p-4', '0x1.47e3ef6ec64a1p-35', 'series', 922)),
+         ('0x1.3fc37acdc1397p-4', '0x1.47e3ef6ec64a1p-35', 'series', 922)),
         (('quadrature band', 'doney no_case', 'series 1/2'),
          ('0x1.3a9abf3a84955p-4', '0x1.efa3922f5c28fp-35', 'quadrature', 135)),
         (('quadrature band', 'doney no_case', 'series skip_band'),
@@ -532,7 +534,7 @@ PINS = {
         (('quadrature band reflected', 'doney no_case', 'series 1/2 reflected'),
          ('0x1.2717e64af9e74p-4', '0x1.d142994244778p-35', 'quadrature', 135)),
         (('doney no_case', 'series 1/2 reflected', 'quadrature reference reflected'),
-         ('0x1.257b3c1ad5bd3p-4', '0x1.2227723ecb6cap-35', 'series', 812)),
+         ('0x1.257b3c1ad5be2p-4', '0x1.2227723ecb6cap-35', 'series', 812)),
         (('doney no_case', 'series 1/2 reflected', 'quadrature reference reflected'),
          ('0x1.261bc322ca174p-5', '0x1.0d00e9b8f0036p-38', 'series', 54)),
     ),
@@ -560,9 +562,9 @@ PINS = {
     ),
     (0.5, 0.3, True, 'series'): (
         (('series 1/2',),
-         ('0x1.7ccde6e64c1b4p-3', '0x1.1461bce756d2ap-35', 'series', 41)),
+         ('0x1.7ccde6e64c1b2p-3', '0x1.1461bce756d2ap-35', 'series', 41)),
         (('series 1/2',),
-         ('0x1.3fc37acdc1399p-4', '0x1.47e3ef6ec64a1p-35', 'series', 922)),
+         ('0x1.3fc37acdc1397p-4', '0x1.47e3ef6ec64a1p-35', 'series', 922)),
         (('quadrature band',),
          ('0x1.3a9abf3a84955p-4', '0x1.efa3922f5c28fp-35', 'quadrature', 135)),
         (('quadrature band',),
@@ -576,7 +578,7 @@ PINS = {
         (('quadrature band reflected',),
          ('0x1.2717e64af9e74p-4', '0x1.d142994244778p-35', 'quadrature', 135)),
         (('series 1/2 reflected',),
-         ('0x1.257b3c1ad5bd3p-4', '0x1.2227723ecb6cap-35', 'series', 812)),
+         ('0x1.257b3c1ad5be2p-4', '0x1.2227723ecb6cap-35', 'series', 812)),
         (('series 1/2 reflected',),
          ('0x1.261bc322ca174p-5', '0x1.0d00e9b8f0036p-38', 'series', 54)),
     ),

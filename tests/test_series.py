@@ -169,19 +169,25 @@ def test_own_ratio_sums_a_vanished_divisor_as_its_resonant_term(alpha):
 @pytest.mark.parametrize("derivative,oracle", [(False, g_mpmath), (True, gprime_mpmath)])
 def test_the_integral_oracle_refuses_beta_below_1e_20(derivative, oracle):
     # at beta 1e-300 the 30-digit integral of g at alpha 0.3 gives 2.97e-91,
-    # about half its leading residue 5.61e-91, with no sign of it in its
-    # estimate: below 1e-20 it refuses, and points to residue_sum, which
-    # the series matches there; at 1e-20 it still agrees with residue_sum
-    for beta in (1e-300, 9.9e-21):
+    # about half its leading residue 5.61e-91, and at 1e-18 that of g at
+    # alpha 1.5, rho 2/3 is 5.3e-11 off relative, with no sign of either in
+    # its estimate: below 1e-20 for g', 1e-12 for g, it refuses, and points
+    # to residue_sum, which the series matches there; at that floor it still
+    # agrees with residue_sum, cut below the double pole 3 at the rational 3/2
+    floor = 1e-20 if derivative else 1e-12
+    for alpha, rho, beta in ((0.3, 0.5, 1e-300), (0.3, 0.5, 0.99 * floor),
+                             (1.5, 2 / 3, min(1e-18, 0.99 * floor))):
         with pytest.raises(ValueError, match="use residue_sum there"):
-            oracle(0.3, 0.5, beta)
+            oracle(alpha, rho, beta)
     if not derivative:
         rep = g_series(validate(0.3, 0.5), 1e-300)
         ref = residue_sum(0.3, 0.5, 1e-300, False, 3.5)
         assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound
         assert 5.6e-91 < rep.value < 5.7e-91
-    ref, err = oracle(0.3, 0.5, 1e-20)
-    assert abs(ref - residue_sum(0.3, 0.5, 1e-20, derivative, 3.5)) <= err + 1e-15 * abs(ref)
+    for alpha, rho, cut in ((0.3, 0.5, 3.5), (1.5, 2 / 3, 2.9)):
+        ref, err = oracle(alpha, rho, floor)
+        assert abs(ref - residue_sum(alpha, rho, floor, derivative, cut)) <= (
+            err + 1e-15 * abs(ref)), alpha
 
 
 def test_tail_bound_is_honest():
@@ -193,8 +199,9 @@ def test_tail_bound_is_honest():
 
 
 # ---------------------------------------------------------------------------
-# the beta-free tables shared across betas: the divisor families' sines and
-# terms, and the split plans' pair tables (at delta = 0 for the rational 3/10)
+# the beta-free tables shared across betas, g and g': the divisor families'
+# exponents and coefficients, and the split plans' pair tables (at delta = 0
+# for the rational 3/10)
 # ---------------------------------------------------------------------------
 
 TABLE_PARAMS = ((SQRT2, 0.5), (0.5 + SQRT2 / 40.0, 0.5), (0.3, 0.5))
@@ -222,7 +229,7 @@ def _tables(family_or_plan):
     if isinstance(family_or_plan, series_module._Plan):
         return (family_or_plan.pairs,) + tuple(
             table for family in family_or_plan.families for table in _tables(family))
-    return (family_or_plan.sines,) + family_or_plan.tables
+    return (family_or_plan.table,)
 
 
 @pytest.mark.parametrize("alpha,rho", TABLE_PARAMS)
@@ -240,15 +247,16 @@ def test_sine_tables_leave_values_bit_identical(alpha, rho, series):
 
 def test_sine_table_past_its_length_cap(monkeypatch):
     p, rational = validate(SQRT2, 0.5), validate(0.3, 0.5)
-    cold = _cold(p, 0.6, g_series), _cold(rational, 0.6, g_series)
+    cases = ((p, g_series), (rational, g_series), (p, gprime_series))
+    cold = [_cold(params, 0.6, series) for params, series in cases]
     monkeypatch.setattr(series_module, "_TABLE_TERMS", 5)
     _clear_tables()
     for _ in range(2):
-        assert (_bits(g_series(p, 0.6)), _bits(g_series(rational, 0.6))) == cold
+        assert [_bits(series(params, 0.6)) for params, series in cases] == cold
     # every column of a table that was filled holds _TABLE_TERMS rows: a
-    # generic family's two sines and g's exponents and coefficients; the
-    # rational plan's pairs (exponent, X_n, Y_n) and the same two tables for
-    # each of its nonresonant families; g' left its tables empty
+    # generic family's exponents and g and g' coefficients; the rational
+    # plan's pairs (exponent, X_n, Y_n) and the same table for each of its
+    # nonresonant families
     a_num, a_den = SQRT2.as_integer_ratio()
     generic = (series_module._family(1.0, a_den, a_num, 1, 2, a_num),
                series_module._family(SQRT2, a_num, a_den, a_num, 2 * a_den, a_den))
@@ -257,7 +265,7 @@ def test_sine_table_past_its_length_cap(monkeypatch):
         filled = [table for table in _tables(owner) if len(table[-1])]
         assert [len(column) for table in filled for column in table] == [5] * (
             sum(map(len, filled)))
-        assert len(filled) == (5 if owner is plan else 2)
+        assert len(filled) == (3 if owner is plan else 1)
 
 
 def test_sine_tables_under_concurrent_growth():
@@ -454,9 +462,7 @@ def test_series_below_the_first_pole_sums_no_term(alpha, beta, monkeypatch):
     # lies below 3/2 for g' too.  Every value lies within its bound of the
     # residues below 3.5 at 50 digits (the integral oracles lose digits
     # here: at alpha 0.3 and beta 1e-300 they give 2.97e-91 for g, where the
-    # leading residue is 5.61e-91); below alpha 1/2 that holds for g' only
-    # with the rounding of the exponents alpha k - 1 in its noise, which
-    # |log beta| magnifies
+    # leading residue is 5.61e-91), and g' within 4 eps of them
     params, summed, fsum = validate(alpha, 0.5), [], math.fsum
     most = max(6, 1 + int(1.5 / alpha))
 
@@ -475,6 +481,8 @@ def test_series_below_the_first_pole_sums_no_term(alpha, beta, monkeypatch):
         assert rep.terms_first_series + rep.terms_second_series <= most
         ref = residue_sum(alpha, 0.5, beta, derivative, 3.5)
         assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound, series
+        if derivative:
+            assert abs(rep.value - ref) <= 4.0 * EPS * abs(ref)
     assert summed and max(summed) <= most
     if alpha > 0.5:
         assert g_series(params, beta).terms_first_series == 0
@@ -566,11 +574,12 @@ def test_the_cut_walks_only_as_far_as_the_budget_can_hold(max_terms):
 
 def _divisor_terms(beta, step, div, num, derivative, count, skip):
     """The first count float terms of a divisor series over the indices skip
-    (if any) does not divide: beta**(step m - shift) times the coefficient
-    (-1)**(m+1) pre sin(m pi num) / (m**deg sin(m pi div))."""
-    pre, shift, deg = (step, 1.0, 0) if derivative else (1.0, 0.0, 1)
+    (if any) does not divide: beta**(step m) times the coefficient
+    (-1)**(m+1) pre sin(m pi num) / (m**deg sin(m pi div)), for g' beta
+    times its terms."""
+    pre, deg = (step, 0) if derivative else (1.0, 1)
     ms = itertools.islice((m for m in itertools.count(1) if skip is None or m % skip), count)
-    return [beta ** (step * m - shift)
+    return [beta ** (step * m)
             * ((pre if m % 2 else -pre) * sin_mpi(m, *num) / (m ** deg * sin_mpi(m, *div)))
             for m in ms]
 
@@ -586,7 +595,8 @@ def test_each_family_is_the_exactly_rounded_sum_of_its_terms(alpha, series, monk
     # sum the series takes is recorded, checked term for term against the
     # family rebuilt here, and its value against the exact rational sum.
     # the series decides on the generic sum at the irrational alphas, and
-    # splits at the rational 3/10, whose profile names p and q
+    # splits at the rational 3/10, whose profile names p and q; g' sums at
+    # the powers of beta of g and divides by beta once
     beta, rho = 0.95, 0.5
     derivative = series is gprime_series
     aclass = classify(alpha)
@@ -608,18 +618,18 @@ def test_each_family_is_the_exactly_rounded_sum_of_its_terms(alpha, series, monk
     want = [_divisor_terms(beta, step, div, num, derivative, len(terms), skip)
             for (step, div, num), skip, (terms, _) in zip(families, skips, sums)]
     if aclass.p:
-        # the pairs at rational alpha: beta**(N - shift) (X log beta + Y)
-        shift, deg = (1, 0) if derivative else (0, 1)
+        # the pairs at rational alpha: beta**N (X log beta + Y)
         ns = range(1, len(sums[2][0]) + 1)
         factors = iter(list(series_module._pair_factors(
-            ns, (a_num, a_den), a_num, a_den, (r_num, r_den), deg)))
-        want.append([beta ** (n * a_num - shift) * (math.log(beta) * x + y)
+            ns, (a_num, a_den), a_num, a_den, (r_num, r_den), 0 if derivative else 1)))
+        want.append([beta ** (n * a_num) * (math.log(beta) * x + y)
                      for n, x, y in zip(ns, factors, factors)])
     assert [terms for terms, _ in sums] == want
     assert min(map(len, want)) > 100
     assert all(value == _exactly_rounded(terms) for terms, value in sums)
     first, second, *pairs = (value for _, value in sums)
-    assert rep.value == (first + second + pairs[0] if pairs else first + second)
+    total = first + second + pairs[0] if pairs else first + second
+    assert rep.value == (total / beta if derivative else total)
 
 
 def test_rational_split_refuses_a_missed_tolerance():
@@ -905,6 +915,27 @@ def test_dyadic_alpha_quadrature(alpha, any_beta, oracle):
         assert res.method is MethodChoice.QUADRATURE
         ref, err = oracle(alpha, 0.5, beta)
         assert abs(res.value - ref) <= res.abs_error_bound + err, beta
+
+
+def test_gprime_below_the_normal_floats_counts_their_rounding():
+    # at a subnormal beta the powers beta^(step m) and the terms of g' keep
+    # few digits, off by up to 2^-1074 whatever their size, and the quotient
+    # by beta magnifies that; the noise counts it, so every value lies within
+    # its bound of the residues at 50 digits (at the rational 1, of the
+    # resonant term at 1, -(log beta sin(pi rho) + pi rho cos(pi rho))/pi,
+    # the rest below beta)
+    for alpha, rho in ((1.0, 0.3), (1.0000001, 0.3), (SQRT2, 0.5), (math.pi / 2.0, 0.5),
+                       (0.5 + SQRT2 / 40.0, 0.5)):
+        for beta in (1e-310, 1e-320):
+            for tol in (Tolerance(), Tolerance(abs_tol=1e-6)):
+                rep = gprime_series(validate(alpha, rho), beta, tol)
+                if alpha == 1.0:
+                    b, r = mpf(beta), mpf(rho)
+                    ref = -(mpmath.log(b) * mpmath.sinpi(r) + mpmath.pi * r * mpmath.cospi(r)) / (
+                        mpmath.pi)
+                else:
+                    ref = residue_sum(alpha, rho, beta, True, 3.5)
+                assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound, (alpha, beta)
 
 
 def test_a_term_that_overflows_is_a_typed_refusal():

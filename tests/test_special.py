@@ -247,20 +247,20 @@ RATIONAL_VALUES = [
 
 # the same points stopped at one contour cut, whose tail bound is proven
 # for every alpha: (value, bound, terms), each value within the two bounds
-# of its value above, with fewer terms; the bound of (3, 10, g') grew when
-# the noise began to count the rounding of the g' exponents alpha k - 1
-# below -1/2 (``series._Family``)
+# of its value above, with fewer terms; the g' values moved by 11-17 ulps,
+# and the bound of (3, 10, g') fell by 2e-7 of itself, when g' began to sum
+# at the powers of beta of g and divide by beta once (``series._split``)
 CUT_VALUES = {
     (1, 2, 0.3, 0.4, False): ("0x1.5ed63178627c1p-3", "0x1.c8532f54a1c50p-36", 45),
     (1, 2, 0.3, 0.4, True): ("0x1.34749f19a43bap-3", "0x1.a437876b46922p-36", 54),
     (4, 5, 0.3, 0.85, False): ("0x1.fa1de4d8a2296p-3", "0x1.3bcc8c4614cd1p-35", 232),
-    (4, 5, 0.3, 0.85, True): ("0x1.12f0aeea5c8dcp-3", "0x1.1c258b0412d5ap-35", 295),
+    (4, 5, 0.3, 0.85, True): ("0x1.12f0aeea5c8cbp-3", "0x1.1c258b0412d5ap-35", 295),
     (3, 10, 0.5, 0.6, False): ("0x1.4abbf26702ff6p-2", "0x1.f81c2ee26efabp-36", 154),
-    (3, 10, 0.5, 0.6, True): ("0x1.dab4fd0cad760p-4", "0x1.1d1306841f981p-35", 185),
+    (3, 10, 0.5, 0.6, True): ("0x1.dab4fd0cad753p-4", "0x1.1d130294cde02p-35", 185),
     (19, 10, 0.5, 0.3, False): ("0x1.06ba728b859d4p-2", "0x1.5443f87acbd87p-36", 27),
     (19, 10, 0.5, 0.3, True): ("0x1.7bf5f72e1d63ep-1", "0x1.f1e99450c8c56p-36", 31),
     (3, 2, 0.5, 0.9, False): ("0x1.1160ffb701eaep-1", "0x1.0edda98bd0832p-35", 243),
-    (3, 2, 0.5, 0.9, True): ("0x1.968f1629bea41p-2", "0x1.3a928001f6ec4p-35", 308),
+    (3, 2, 0.5, 0.9, True): ("0x1.968f1629bea36p-2", "0x1.3a928001f6ec4p-35", 308),
     (1, 1, 0.5, 0.7, False): ("0x1.8698d27c4d90fp-2", "0x1.d3e3721335a36p-36", 56),
     (1, 1, 0.5, 0.7, True): ("0x1.3e8ff89875917p-2", "0x1.055ca2d873e9ep-35", 68),
 }

@@ -12,9 +12,9 @@ generically at every beta, were recorded while the generic sum was a
 separate body, before it became the split at alpha's own ratio.  Three
 near 3/2 (g at beta 0.01 and 0.1, g' at 0.01) were re-recorded when the
 generic sum stopped refusing on a divisor-floor estimate and began to
-return them with its summed noise under half the tolerance, and the five
-noise pins of g' at 0.3 when the noise began to count the rounding of the
-exponents alpha k - 1 below -1/2.  Each is
+return them with its summed noise under half the tolerance, and the values
+and noise of g' when it began to sum at the powers of beta of g and divide
+by beta once (its counts and tails unchanged).  Each is
 checked cold, every table and plan cleared before the call, and warm,
 after every case has filled them, and each value lies within its tail and
 noise bounds of the 30-digit integral (``tests/oracles.g_mpmath`` or
@@ -55,11 +55,11 @@ PINS = {
         ("0x1.6bcdf727990dep-2", 279, 838, "0x1.478ce016402c3p-35", "0x1.7c9beb1d8fbf9p-48"),
     ),
     (0.3, None, "gprime"): (
-        ("0x1.9453fb7d2a2fbp+1", 6, 19, "0x1.29ea6c03e2274p-38", "0x1.a37dd27cc5a02p-47"),
-        ("0x1.05efe787e7c21p-1", 11, 34, "0x1.d0b2036497ac4p-36", "0x1.3a2ccc9b0d895p-48"),
-        ("0x1.14e1ac1d66f2cp-3", 34, 103, "0x1.2b7f2ab2371b9p-35", "0x1.1110b9e1d866ep-48"),
-        ("0x1.50326e7155c4cp-4", 218, 656, "0x1.4871aabf62a72p-35", "0x1.d31ede8b3756fp-47"),
-        ("0x1.43eb98bcb1d94p-4", 371, 1115, "0x1.463bf8a485bc5p-35", "0x1.7bd7b9f2af6aep-46"),
+        ("0x1.9453fb7d2a2fdp+1", 6, 19, "0x1.29ea6c03e2274p-38", "0x1.7c8b1d1b5f753p-47"),
+        ("0x1.05efe787e7c22p-1", 11, 34, "0x1.d0b2036497ac4p-36", "0x1.3267619fd4c70p-48"),
+        ("0x1.14e1ac1d66f2cp-3", 34, 103, "0x1.2b7f2ab2371b9p-35", "0x1.104e9cb4c58ddp-48"),
+        ("0x1.50326e7155c65p-4", 218, 656, "0x1.4871aabf62a72p-35", "0x1.d31517bb0b396p-47"),
+        ("0x1.43eb98bcb1da4p-4", 371, 1115, "0x1.463bf8a485bc5p-35", "0x1.7bd4f11063147p-46"),
     ),
     (0.8, None, "g"): (
         ("0x1.f84792fc431a6p-7", 5, 5, "0x1.23bf7d6dd56ddp-37", "0x1.a0cdf14bd2e18p-55"),
@@ -69,11 +69,11 @@ PINS = {
         ("0x1.bc718a61f491ep-3", 291, 292, "0x1.314557574fdcdp-35", "0x1.5d0b9a2b3cd1cp-48"),
     ),
     (0.8, None, "gprime"): (
-        ("0x1.0d1a7af10ced1p+0", 6, 7, "0x1.24a86d00aa924p-36", "0x1.07d8342c8e6dap-48"),
-        ("0x1.95187f394e4a1p-2", 11, 12, "0x1.7f5724240e5e2p-36", "0x1.818377cd49fb9p-49"),
+        ("0x1.0d1a7af10ced1p+0", 6, 7, "0x1.24a86d00aa924p-36", "0x1.07d8342c8e6dbp-48"),
+        ("0x1.95187f394e4a3p-2", 11, 12, "0x1.7f5724240e5e2p-36", "0x1.818377cd49fbbp-49"),
         ("0x1.458761a740f16p-3", 35, 36, "0x1.f2f10e3ce6d63p-36", "0x1.06b1353feda89p-48"),
-        ("0x1.b8baf1cd06e58p-4", 227, 228, "0x1.061c10c2b3141p-35", "0x1.0d2d1fd5e277ap-46"),
-        ("0x1.aba82ec7bdf50p-4", 383, 384, "0x1.3f1f945ab6a26p-35", "0x1.b7b1c909cdcfbp-46"),
+        ("0x1.b8baf1cd06e58p-4", 227, 228, "0x1.061c10c2b3141p-35", "0x1.0d2d1fd5e2775p-46"),
+        ("0x1.aba82ec7bdf9ep-4", 383, 384, "0x1.3f1f945ab6a26p-35", "0x1.b7b1c909cdcfdp-46"),
     ),
     (1.0, None, "g"): (
         ("0x1.24b8a21e6e5b7p-6", 5, 0, "0x1.b267f93e734bep-40", "0x1.24bad617b6f10p-55"),
@@ -83,11 +83,11 @@ PINS = {
         ("0x1.cc578d879bf3cp-2", 294, 0, "0x1.3527ad595658ap-35", "0x1.5ebe029072beap-50"),
     ),
     (1.0, None, "gprime"): (
-        ("0x1.78816053ce959p+0", 6, 0, "0x1.2aa77b5aef443p-37", "0x1.788b040a2d12ep-49"),
-        ("0x1.8ce4e2ce192a7p-1", 11, 0, "0x1.d836bb2bb7312p-36", "0x1.90e732abef48ap-50"),
+        ("0x1.78816053ce958p+0", 6, 0, "0x1.2aa77b5aef443p-37", "0x1.788b040a2d12ep-49"),
+        ("0x1.8ce4e2ce192a5p-1", 11, 0, "0x1.d836bb2bb7312p-36", "0x1.90e732abef488p-50"),
         ("0x1.818b706352119p-2", 35, 0, "0x1.334ed71299980p-35", "0x1.0107a0420c0bcp-50"),
-        ("0x1.118f2910734eep-2", 227, 0, "0x1.42e080b922cb5p-35", "0x1.67f24380f8987p-49"),
-        ("0x1.0a37cf95edffdp-2", 386, 0, "0x1.468282fcd053ep-35", "0x1.1de315063b6ecp-48"),
+        ("0x1.118f2910734eep-2", 227, 0, "0x1.42e080b922cb5p-35", "0x1.67f24380f898bp-49"),
+        ("0x1.0a37cf95edffdp-2", 386, 0, "0x1.468282fcd053ep-35", "0x1.1de315063b6e8p-48"),
     ),
     (1.5, None, "g"): (
         ("0x1.460d6cccbaa94p-7", 5, 2, "0x1.7d9b3b3309eb1p-37", "0x1.47b0e059d0260p-56"),
@@ -100,8 +100,8 @@ PINS = {
         ("0x1.faee41e6a51c4p-1", 6, 2, "0x1.02a463b94bb38p-36", "0x1.00068de3ade4ep-49"),
         ("0x1.d1745d1743d1cp-1", 12, 4, "0x1.4728c8bbc6e0dp-38", "0x1.0295fad4093bap-49"),
         ("0x1.5555555540001p-1", 36, 12, "0x1.0a22f232cae92p-35", "0x1.5555555540001p-49"),
-        ("0x1.0d79435e6a139p-1", 233, 78, "0x1.2933e3e788855p-35", "0x1.50d79435c8aa3p-47"),
-        ("0x1.07eae2f830a6ep-1", 395, 132, "0x1.440bf1b812eebp-35", "0x1.12ea01c2505cap-46"),
+        ("0x1.0d79435e6a139p-1", 233, 78, "0x1.2933e3e788855p-35", "0x1.50d79435c8aaap-47"),
+        ("0x1.07eae2f830a6fp-1", 395, 132, "0x1.440bf1b812eebp-35", "0x1.12ea01c2505cdp-46"),
     ),
     (1.9, None, "g"): (
         ("0x1.462f5db7faaa7p-7", 5, 2, "0x1.e8d66fb60f19bp-38", "0x1.48d075c82703dp-56"),
@@ -111,11 +111,11 @@ PINS = {
         ("0x1.47596c48c4f5dp-1", 304, 144, "0x1.3feccca386f24p-35", "0x1.115960b71200dp-48"),
     ),
     (1.9, None, "gprime"): (
-        ("0x1.fa00525a631c8p-1", 6, 3, "0x1.c245daadac9a5p-37", "0x1.00e75df34435dp-49"),
+        ("0x1.fa00525a631c9p-1", 6, 3, "0x1.c245daadac9a5p-37", "0x1.00e75df34435ep-49"),
         ("0x1.c8461aa6f0db6p-1", 12, 6, "0x1.b5a6ae82ea94bp-38", "0x1.038be3614f744p-49"),
         ("0x1.46d776e3349e5p-1", 37, 18, "0x1.313d0978ae1a1p-36", "0x1.5b1e6b72ff412p-49"),
-        ("0x1.003f38a35d60ap-1", 232, 110, "0x1.30476758e46c5p-35", "0x1.0ff551c5f3930p-46"),
-        ("0x1.f5b8b94b33fa3p-2", 394, 187, "0x1.3da4fd2895d60p-35", "0x1.f386102fc3ae9p-46"),
+        ("0x1.003f38a35d60bp-1", 232, 110, "0x1.30476758e46c5p-35", "0x1.0ff551c5f3930p-46"),
+        ("0x1.f5b8b94b33fadp-2", 394, 187, "0x1.3da4fd2895d60p-35", "0x1.f386102fc3aebp-46"),
     ),
     (2.0, None, "g"): (
         ("0x1.460d6cccbaa93p-7", 5, 0, "0x1.ccc1de4ee931dp-39", "0x1.47b0e059d025fp-56"),
@@ -125,11 +125,11 @@ PINS = {
         ("0x1.534bd687b5458p-1", 305, 0, "0x1.401551e7c4004p-35", "0x1.bcf0cd469c0d8p-49"),
     ),
     (2.0, None, "gprime"): (
-        ("0x1.faee41e6a51c1p-1", 6, 0, "0x1.3cc548d640524p-36", "0x1.00068de3ade4dp-49"),
-        ("0x1.d1745d1743d1cp-1", 12, 0, "0x1.90afcaf597371p-38", "0x1.0295fad4093bap-49"),
+        ("0x1.faee41e6a51c3p-1", 6, 0, "0x1.3cc548d640524p-36", "0x1.00068de3ade4dp-49"),
+        ("0x1.d1745d1743d1ap-1", 12, 0, "0x1.90afcaf597371p-38", "0x1.0295fad4093b9p-49"),
         ("0x1.5555555540000p-1", 36, 0, "0x1.45f306dc9c898p-35", "0x1.5555555540000p-49"),
-        ("0x1.0d79435e3a218p-1", 234, 0, "0x1.479904d974e7bp-35", "0x1.50d79435c8aa6p-47"),
-        ("0x1.07eae2f7fe3e0p-1", 398, 0, "0x1.49a3396014d16p-35", "0x1.12ea01c2537ffp-46"),
+        ("0x1.0d79435e3a21cp-1", 234, 0, "0x1.479904d974e7bp-35", "0x1.50d79435c8a9fp-47"),
+        ("0x1.07eae2f7fe3dcp-1", 398, 0, "0x1.49a3396014d16p-35", "0x1.12ea01c253803p-46"),
     ),
     (1.50000001, None, "g"): (
         ("0x1.633a413d7f400p-7", 5, 3, "0x1.47175170ba983p-37", "0x1.fe08eacc5fcaep-47"),
@@ -139,11 +139,11 @@ PINS = {
         ("0x1.196a6b090e139p-1", 300, 100, "0x1.364ff7cb4b93cp-35", "0x1.b2124d0a9d80cp-49"),
     ),
     (1.50000001, None, "gprime"): (
-        ("0x1.0c81ba61b4800p+0", 6, 4, "0x1.bb62f5bb33048p-37", "0x1.2a8f52f6c6e44p-38"),
-        ("0x1.a938bc6d4fda4p-1", 12, 4, "0x1.186c1bb185e9ep-38", "0x1.2a81742ded6c8p-49"),
+        ("0x1.0c81ba61b4c80p+0", 6, 4, "0x1.bb62f5bb33048p-37", "0x1.2a8f52f6c6e46p-38"),
+        ("0x1.a938bc6d4fda6p-1", 12, 4, "0x1.186c1bb185e9ep-38", "0x1.2a81742ded6cap-49"),
         ("0x1.0c6c963e3ac0bp-1", 36, 12, "0x1.c83bf1406f618p-36", "0x1.5e28948c3ef4cp-49"),
-        ("0x1.968f16563c33ap-2", 231, 77, "0x1.3a803427fdaf9p-35", "0x1.272650005800fp-47"),
-        ("0x1.8d32f859cacfep-2", 393, 131, "0x1.3a584bcfcdf2ep-35", "0x1.de4e67a7e08cdp-47"),
+        ("0x1.968f16563c334p-2", 231, 77, "0x1.3a803427fdaf9p-35", "0x1.2726500058011p-47"),
+        ("0x1.8d32f859cad00p-2", 393, 131, "0x1.3a584bcfcdf2ep-35", "0x1.de4e67a7e08cep-47"),
     ),
     (1.50000001, (3, 2), "g"): (
         ("0x1.633a413d7f289p-7", 5, 2, "0x1.47175170ba983p-37", "0x1.7a65e5722e773p-56"),
@@ -153,11 +153,11 @@ PINS = {
         ("0x1.196a6b090e139p-1", 300, 100, "0x1.364ff7cb4b93cp-35", "0x1.b2124d0a9d80cp-49"),
     ),
     (1.50000001, (3, 2), "gprime"): (
-        ("0x1.0c81ba61b46b5p+0", 6, 2, "0x1.bb62f5bb33048p-37", "0x1.27a8def532938p-49"),
-        ("0x1.a938bc6d4fda4p-1", 12, 4, "0x1.186c1bb185e9ep-38", "0x1.2a81742ded6c8p-49"),
+        ("0x1.0c81ba61b46b4p+0", 6, 2, "0x1.bb62f5bb33048p-37", "0x1.27a8def532938p-49"),
+        ("0x1.a938bc6d4fda6p-1", 12, 4, "0x1.186c1bb185e9ep-38", "0x1.2a81742ded6cap-49"),
         ("0x1.0c6c963e3ac0bp-1", 36, 12, "0x1.c83bf1406f618p-36", "0x1.5e28948c3ef4cp-49"),
-        ("0x1.968f16563c33ap-2", 231, 77, "0x1.3a803427fdaf9p-35", "0x1.272650005800fp-47"),
-        ("0x1.8d32f859cacfep-2", 393, 131, "0x1.3a584bcfcdf2ep-35", "0x1.de4e67a7e08cdp-47"),
+        ("0x1.968f16563c334p-2", 231, 77, "0x1.3a803427fdaf9p-35", "0x1.2726500058011p-47"),
+        ("0x1.8d32f859cad00p-2", 393, 131, "0x1.3a584bcfcdf2ep-35", "0x1.de4e67a7e08cep-47"),
     ),
     (0.5353553390593274, None, "g"): (
         ("0x1.c33c3986a4ee7p-5", 5, 10, "0x1.6b4e3e6edec6ep-40", "0x1.47bcedb6328fap-53"),
@@ -168,10 +168,10 @@ PINS = {
     ),
     (0.5353553390593274, None, "gprime"): (
         ("0x1.53ed038c8196dp+1", 6, 12, "0x1.b806133752938p-37", "0x1.4a062b0bf0807p-47"),
-        ("0x1.596284e2e4420p-1", 11, 21, "0x1.2ba99e6f7d139p-36", "0x1.a06edac8d35b2p-48"),
+        ("0x1.596284e2e441bp-1", 11, 21, "0x1.2ba99e6f7d139p-36", "0x1.a06edac8d35b0p-48"),
         ("0x1.cba939782c570p-3", 35, 66, "0x1.7e1ae9966fafdp-36", "0x1.bb6eb84f3f920p-48"),
-        ("0x1.29051646b9898p-3", 228, 426, "0x1.b443ed1595b85p-36", "0x1.412a1153d9ba0p-45"),
-        ("0x1.1f5bdf273ae00p-3", 388, 725, "0x1.829645fa777cbp-36", "0x1.06312677d826ap-43"),
+        ("0x1.29051646b98bcp-3", 228, 426, "0x1.b443ed1595b85p-36", "0x1.412a1153d9b94p-45"),
+        ("0x1.1f5bdf273ae3cp-3", 388, 725, "0x1.829645fa777cbp-36", "0x1.06312677d826dp-43"),
     ),
     (0.5353553390593274, (53, 99), "g"): (
         ("0x1.c33c398663701p-5", 5, 9, "0x1.d5e6d118ceefcp-36", "0x1.47bcedb611d07p-53"),
@@ -182,10 +182,10 @@ PINS = {
     ),
     (0.5353553390593274, (53, 99), "gprime"): (
         ("0x1.53ed038c8196dp+1", 6, 12, "0x1.b806133752938p-37", "0x1.4a062b0bf0807p-47"),
-        ("0x1.596284e2e4420p-1", 11, 21, "0x1.2ba99e6f7d139p-36", "0x1.a06edac8d35b2p-48"),
+        ("0x1.596284e2e441bp-1", 11, 21, "0x1.2ba99e6f7d139p-36", "0x1.a06edac8d35b0p-48"),
         ("0x1.cba939782c570p-3", 35, 66, "0x1.d5a4538113cadp-36", "0x1.bb6eb84f3f920p-48"),
-        ("0x1.2905164746137p-3", 223, 413, "0x1.385f6c235d358p-35", "0x1.016c7d726855fp-45"),
-        ("0x1.1f5bdf26b7d88p-3", 380, 703, "0x1.49562a5941bbdp-35", "0x1.b4e5797166072p-45"),
+        ("0x1.2905164746157p-3", 223, 413, "0x1.385f6c235d358p-35", "0x1.016c7d7268561p-45"),
+        ("0x1.1f5bdf26b7daap-3", 380, 703, "0x1.49562a5941bbdp-35", "0x1.b4e5797166068p-45"),
     ),
     (1.4142135623730951, None, "g"): (
         ("0x1.73b36c2980e48p-7", 5, 3, "0x1.8b40920757e42p-38", "0x1.9be284a5d0546p-56"),
@@ -195,11 +195,11 @@ PINS = {
         ("0x1.100ade66dc980p-1", 307, 217, "0x1.501b809faa537p-36", "0x1.cba330a966c03p-48"),
     ),
     (1.4142135623730951, None, "gprime"): (
-        ("0x1.1572b7ceebb12p+0", 6, 4, "0x1.7d7ff942c6e10p-36", "0x1.41e1c612f2e84p-49"),
-        ("0x1.a3c5411b3fbd4p-1", 12, 8, "0x1.e3fe6a3f68234p-38", "0x1.4bf12f6f76452p-49"),
+        ("0x1.1572b7ceebb13p+0", 6, 4, "0x1.7d7ff942c6e10p-36", "0x1.41e1c612f2e84p-49"),
+        ("0x1.a3c5411b3fbd3p-1", 12, 8, "0x1.e3fe6a3f68234p-38", "0x1.4bf12f6f76452p-49"),
         ("0x1.ff77dc83fdd20p-2", 37, 26, "0x1.8525c0e5e3ad2p-37", "0x1.1c00ddb26fb20p-48"),
-        ("0x1.7fcd0aa3dcda6p-2", 235, 166, "0x1.5c90b7e0a2cf7p-36", "0x1.d1d0f63a82ed4p-46"),
-        ("0x1.76c2c3c3359f8p-2", 399, 282, "0x1.6b3bc2a01c515p-36", "0x1.aa665315836dbp-45"),
+        ("0x1.7fcd0aa3dcd97p-2", 235, 166, "0x1.5c90b7e0a2cf7p-36", "0x1.d1d0f63a82ed5p-46"),
+        ("0x1.76c2c3c3359f7p-2", 399, 282, "0x1.6b3bc2a01c515p-36", "0x1.aa665315836d4p-45"),
     ),
     (1.5707963267948966, None, "g"): (
         ("0x1.514ee59f13af3p-7", 5, 3, "0x1.157ef55b095d6p-39", "0x1.64a220130da70p-56"),
@@ -209,11 +209,11 @@ PINS = {
         ("0x1.0a6fbed6c4badp-1", 305, 194, "0x1.7dc6f57403d04p-36", "0x1.1958688aa4107p-47"),
     ),
     (1.5707963267948966, None, "gprime"): (
-        ("0x1.feea81fa12c7ap-1", 7, 4, "0x1.018499646d3cep-38", "0x1.17326bd6e2fddp-49"),
-        ("0x1.9451a7605b0a3p-1", 13, 8, "0x1.2cbe8d40c8052p-41", "0x1.28e1071a1fdf3p-49"),
+        ("0x1.feea81fa12c7ap-1", 7, 4, "0x1.018499646d3cep-38", "0x1.17326bd6e2fdcp-49"),
+        ("0x1.9451a7605b0a3p-1", 13, 8, "0x1.2cbe8d40c8052p-41", "0x1.28e1071a1fdf2p-49"),
         ("0x1.fb39dbd461128p-2", 38, 24, "0x1.89200d3c5d32dp-38", "0x1.28b46a53872e2p-48"),
-        ("0x1.7f4acc69ce8e8p-2", 236, 150, "0x1.4e426791cab43p-36", "0x1.4b1c991206422p-45"),
-        ("0x1.766b295d3e500p-2", 399, 254, "0x1.ad5b802c0965ap-36", "0x1.2ebd272c4235fp-44"),
+        ("0x1.7f4acc69ce8f9p-2", 236, 150, "0x1.4e426791cab43p-36", "0x1.4b1c99120641fp-45"),
+        ("0x1.766b295d3e524p-2", 399, 254, "0x1.ad5b802c0965ap-36", "0x1.2ebd272c4235fp-44"),
     ),
 }
 # (value, error estimate) of the 30-digit integral per (alpha, series) and

@@ -1,16 +1,14 @@
 """The split series' sums, bit for bit.
 
 ``series._split`` sums each nonresonant family with ``math.fsum``, the
-pairs likewise, and the |terms| left to right for its noise bound, which
-for g' adds |log beta| times |eps_k t_k| over the terms whose exponent
-alpha k - 1 lies below -1/2, eps_k its rounding error.  Here
-every term is recomputed one at a time off the same beta-free tables and
-the same cut, and the value, counts, tail and noise must agree to the bit:
-however the split builds and sums its terms, it gives these floats.
+pairs likewise, and the |terms| left to right for its noise bound; g' sums
+its terms at the powers of beta of g and divides both sums by beta once.
+Here every term is recomputed one at a time off the same beta-free tables
+and the same cut, and the value, counts, tail and noise must agree to the
+bit: however the split builds and sums its terms, it gives these floats.
 """
 
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -48,17 +46,6 @@ def _plan_of(alpha, rho, form, derivative, tol=Tolerance()):
     return _plan(*ratio, *pair, rho, derivative, *bounds), None
 
 
-def _slips(family, count, derivative):
-    """(index, exact exponent less the float) of the g' terms of ``family``
-    among its first ``count`` whose exponent step k - 1 lies below -1/2."""
-    if not derivative:
-        return []
-    step = Fraction(family.step)
-    ks = [k for k in range(1, 2 * count + 2) if k % family.skip][:count]
-    return [(i, float(step * k - 1 - Fraction(family.step * k - 1.0)))
-            for i, k in enumerate(ks) if step * k < Fraction(1, 2)]
-
-
 def _recomputed(plan, beta):
     """The fields of ``_split``'s report, each term computed on its own."""
     log_beta = math.log(beta)
@@ -66,13 +53,12 @@ def _recomputed(plan, beta):
                               plan.budget, plan.limit)
     n = stop1 // plan.p
     counts = stop1 - n, stop2 - stop2 // plan.q
-    sums, terms, slipped = [], [], 0.0
+    sums, terms = [], []
     for family, count in zip(plan.families, counts):
-        exps, coefs = family.tables[plan.derivative]
+        exps, g_coefs, gprime_coefs = family.table
+        coefs = gprime_coefs if plan.derivative else g_coefs
         assert count <= len(coefs)
         family_terms = [beta ** exps[i] * coefs[i] for i in range(count)]
-        for i, slip in _slips(family, count, plan.derivative):
-            slipped += abs(slip * family_terms[i])
         sums.append(math.fsum(family_terms))
         terms += family_terms
     exps, xs, ys = plan.pairs
@@ -88,9 +74,9 @@ def _recomputed(plan, beta):
     for term in terms:
         abs_sum += abs(term)
     value = sums[0] + sums[1] + sums[2]
+    if plan.derivative:
+        value, abs_sum = value / beta, abs_sum / beta
     noise = 4.0 * EPS * (abs_sum + abs(value))
-    if slipped:
-        noise += abs(log_beta) * slipped
     return value, counts[0] + n, counts[1], tail, noise
 
 

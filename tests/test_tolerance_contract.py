@@ -89,7 +89,7 @@ def outcomes():
 OUTCOMES = {
     0.01: (0, 247, 96, 113, 0),
     0.1: (0, 276, 71, 109, 0),
-    0.3: (0, 281, 69, 106, 0),
+    0.3: (0, 282, 69, 105, 0),
     0.5: (0, 290, 61, 105, 0),
     0.500001: (0, 210, 136, 110, 0),
     0.500000000001: (0, 293, 65, 98, 0),

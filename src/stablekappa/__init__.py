@@ -1,12 +1,12 @@
 """stablekappa: the ladder-process Laplace exponent of stable processes.
 
 Evaluates g(beta), g'(beta), and kappa(gamma, beta) = gamma^rho
-exp(g(beta gamma^(-1/alpha))) by three cross-validating routes: adaptive
-quadrature of the defining integral, the small-divisor power series (split
-at a nearby rational p/q with each near-resonant pair of terms summed as
-one, and at alpha = p/q itself split at its resonant terms), and Doney-case
-closed forms.  Continued-fraction conditioning analysis picks the method
-automatically.
+exp(g(beta gamma^(-1/alpha))) by three cross-validating routes: the
+trapezoid rule on the Mellin-Barnes line whose residues are the two series,
+with an a priori bound, the small-divisor power series (split at a nearby
+rational p/q with each near-resonant pair of terms summed as one, and at
+alpha = p/q itself split at its resonant terms), and Doney-case closed
+forms.  Continued-fraction conditioning analysis picks the series' form.
 """
 
 from .diophantine import (

@@ -105,7 +105,7 @@ def _add_common(p: argparse.ArgumentParser, beta: bool = False, method: bool = T
                        default="auto", help="evaluator (default: auto)")
     p.add_argument("--tol", type=float, default=1e-10, help="absolute tolerance")
     p.add_argument("--max-terms", type=int, default=10000, dest="max_terms",
-                   help="series term budget")
+                   help="budget of series terms and quadrature steps, per method")
     p.add_argument("--format", choices=["json", "csv", "text"] if csv else ["json", "text"],
                    default="text", help="output format")
     if derivative:
@@ -357,7 +357,8 @@ _METHOD_POINTS = (
     (0.8, 0.25, 2.5, True),
 )
 # g' against the central difference of g: at h = 1e-4 its truncation
-# h^2 |g'''| / 6 is 3.5e-9, and g's own errors (about 1e-14) over 2h add 1e-10.
+# h^2 |g'''| / 6 is 3.5e-9, and g's two values, each within its bound of at
+# most 1e-13, add at most 1e-9 over 2h.
 _DIFF_STEP = 1e-4
 _DIFF_TOL = 1e-8
 
@@ -373,8 +374,9 @@ def _methods_checks():
             yield (f"{target} alpha={alpha:.4f} rho={rho!r} beta={beta!r} {pair}",
                    d, _agreement_threshold(bs))
     params, beta, h = StableParams(math.sqrt(2.0), 0.5), 0.3, _DIFF_STEP
-    slope = (g_quad(params, beta + h, tol).value
-             - g_quad(params, beta - h, tol).value) / (2.0 * h)
+    fine = Tolerance(abs_tol=1e-13)
+    slope = (g_quad(params, beta + h, fine).value
+             - g_quad(params, beta - h, fine).value) / (2.0 * h)
     err = abs(gprime_series(params, beta, tol).value - slope)
     yield (f"g' alpha={params.alpha:.4f} rho={params.rho!r} beta={beta!r} series "
            f"vs central difference of quadrature g, h={h:.0e}", err, _DIFF_TOL)

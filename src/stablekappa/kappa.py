@@ -13,17 +13,15 @@ each with the reason it runs or is skipped.  A beta >= 1.05 is planned at
 planned.  For beta <= 0.95 the order is the Doney closed form (exact
 and cheapest), the small-divisor series (which picks its own form at this
 beta, and raises IllConditionedSeriesError where none gives a result),
-then quadrature.  In the band 0.95 < beta < 1.05, where the
-series slow down, quadrature comes first and the Doney and series
-candidates are skipped, except that below beta = 1 the series at rational
-alpha stays on as its fallback: a rational alpha has no small divisors.
-So a beta in [1.05, 1/0.95) is planned in the band at 1/beta.  A forced method
-runs its own step of this plan alone, except in the band, and raises when
-the plan skips that step.  The steps are cached per (params, g or g',
-method, tolerance, region), the region being whether beta is reflected,
-whether the beta planned lies in the band and whether it lies below 1:
-``find_doney_case`` and ``classify`` are read only when an entry is
-filled, and each step looks up its evaluator when it runs.
+then quadrature on the Mellin-Barnes line, which has no small divisors.
+In the band 0.95 < beta < 1.05, where the series slow down, the line runs
+alone and the Doney and series candidates are skipped.  So a beta in
+[1.05, 1/0.95) is planned in the band at 1/beta.  A forced method runs its
+own step of this plan alone, except in the band, and raises when the plan
+skips that step.  The steps are cached per (params, g or g', method,
+tolerance, region), the region being whether beta is reflected and whether
+the beta planned lies in the band: ``find_doney_case`` is read only when
+an entry is filled, and each step looks up its evaluator when it runs.
 
 Whether a result meets the tolerance is decided in one place too,
 ``_outcome``, on the bound returned after reflection: above
@@ -39,7 +37,6 @@ from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 from .accurate import EPS
-from .diophantine import AlphaKind, classify
 from .params import (
     DEFAULT_TOLERANCE,
     ConvergenceFailureError,
@@ -91,23 +88,22 @@ class Candidate(NamedTuple):
 _IN_BAND = "skipped: 0.95 < beta < 1.05, where quadrature runs"
 
 
-def _region(beta: float) -> tuple[bool, bool, bool]:
-    """(reflected, in the band, below 1): beta >= 1.05 is planned at 1/beta,
-    and the other two are read at the beta planned."""
+def _region(beta: float) -> tuple[bool, bool]:
+    """(reflected, in the band): beta >= 1.05 is planned at 1/beta, and the
+    band is read at the beta planned."""
     if not (math.isfinite(beta) and beta > 0.0):
         raise OutOfRangeError(f"beta must be positive, got {beta!r}")
-    inner = 1.0 / beta if beta >= _BAND_HI else beta
-    return beta >= _BAND_HI, inner > _BAND_LO, inner < 1.0
+    return beta >= _BAND_HI, (1.0 / beta if beta >= _BAND_HI else beta) > _BAND_LO
 
 
 @lru_cache(maxsize=_STEPS_CACHE)
 def _steps(params: StableParams, derivative: bool, method: MethodChoice,
-           tol: Tolerance | None, region: tuple[bool, bool, bool]) -> tuple:
+           tol: Tolerance | None, region: tuple[bool, bool]) -> tuple:
     """The steps of ``plan`` in one region, each (method, reason, evaluator
     of the planned beta or None when skipped).  An evaluator returns
     (value, bound, method, terms or nodes) and looks up its method's
     function when it runs."""
-    reflected, band, below_one = region
+    reflected, band = region
     tol = tol or DEFAULT_TOLERANCE
     case = find_doney_case(params)
 
@@ -130,23 +126,15 @@ def _steps(params: StableParams, derivative: bool, method: MethodChoice,
         return (value, 4.0 * EPS * (case.k + case.l + 2) * (scale + abs(value)),
                 MethodChoice.DONEY, case.k + case.l)
 
-    steps = [(MethodChoice.QUADRATURE, "0.95 < beta < 1.05, where both series slow down",
-              quadrature)] if band else []
-    if case is None:
-        steps.append((MethodChoice.DONEY, "skipped: no (k, l) with rho + k = l/alpha", None))
-    else:
-        steps.append((MethodChoice.DONEY, _IN_BAND, None) if band else
-                     (MethodChoice.DONEY, f"Doney case (k, l) = ({case.k}, {case.l})", doney))
-    aclass = classify(params.alpha)
-    rational = aclass.kind is AlphaKind.RATIONAL
-    if band and not (rational and below_one):
-        steps.append((MethodChoice.SERIES, _IN_BAND, None))
-    else:
-        reason = (f"rational alpha {aclass.p}/{aclass.q}, split at its resonant terms"
-                  if rational else "irrational alpha, paired where the generic sum refuses")
-        steps.append((MethodChoice.SERIES, reason, series))
-    if not band:
-        steps.append((MethodChoice.QUADRATURE, "reference evaluator", quadrature))
+    closed = (MethodChoice.DONEY, "skipped: no (k, l) with rho + k = l/alpha", None)
+    if case is not None:
+        closed = ((MethodChoice.DONEY, _IN_BAND, None) if band else
+                  (MethodChoice.DONEY, f"Doney case (k, l) = ({case.k}, {case.l})", doney))
+    line = (MethodChoice.QUADRATURE, "0.95 < beta < 1.05, where both series slow down"
+            if band else "the line, last: it has no small divisors", quadrature)
+    steps = [line, closed, (MethodChoice.SERIES, _IN_BAND, None)] if band else [
+        closed, (MethodChoice.SERIES, "generic, paired or split as alpha and beta need", series),
+        line]
     if reflected:
         steps = [(m, reason + "; at 1/beta, reflected" if run else reason, run)
                  for m, reason, run in steps]

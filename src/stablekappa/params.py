@@ -118,9 +118,9 @@ class _EvalFields(NamedTuple):
 class EvalResult(_Record, _EvalFields):
     """A computed value with its error bound and provenance.
 
-    abs_error_bound is an upper estimate of the absolute error.  A series
-    bound is proven: the contour-cut tail bound R(c') of the series plus
-    its rounding noise; a quadrature bound is an embedded-rule estimate.
+    abs_error_bound bounds the absolute error: for the series, the tail
+    bound R(c') at its contour cut plus its rounding noise; for quadrature,
+    the a priori bound of the trapezoid rule on the Mellin-Barnes line.
     """
 
     __slots__ = ()

@@ -1,5 +1,5 @@
-import importlib
 import math
+import sys
 from collections import Counter
 
 import pytest
@@ -27,8 +27,9 @@ from stablekappa.kappa import plan
 
 from oracles import g_mpmath, gprime_mpmath
 
-# the package re-exports the function kappa under the submodule's name
-kappa_module = importlib.import_module("stablekappa.kappa")
+# the package re-exports the function kappa under the submodule's name, so
+# the module is patched through sys.modules, never by its dotted path
+kappa_module = sys.modules["stablekappa.kappa"]
 
 SQRT2 = math.sqrt(2.0)
 TOL = Tolerance(abs_tol=1e-11)
@@ -259,14 +260,12 @@ def test_plan_order_and_skips():
             ("doney", False), ("series", True), ("quadrature", True)]
         assert _methods(validate(0.8, 0.25), 0.3, derivative) == [
             ("doney", True), ("series", True), ("quadrature", True)]
-    # the band puts quadrature first and skips the series, except at
-    # rational alpha below 1; reflection keeps the inner order
-    assert _methods(validate(SQRT2, 0.5), 0.97, False) == [
-        ("quadrature", True), ("doney", False), ("series", False)]
-    assert _methods(validate(0.8, 0.25), 0.97, False) == [
-        ("quadrature", True), ("doney", False), ("series", True)]
-    assert _methods(validate(0.8, 0.25), 1.03, False) == [
-        ("quadrature", True), ("doney", False), ("series", False)]
+    # the band runs quadrature alone, at rational alpha too, below 1 and
+    # above; reflection keeps the inner order
+    for params, beta in ((validate(SQRT2, 0.5), 0.97), (validate(0.8, 0.25), 0.97),
+                         (validate(0.5, 0.3), 0.99), (validate(0.8, 0.25), 1.03)):
+        assert _methods(params, beta, False) == [
+            ("quadrature", True), ("doney", False), ("series", False)]
     assert _methods(validate(0.5, 0.3), 2.5, True) == _methods(validate(0.5, 0.3), 0.4, True)
 
 
@@ -280,8 +279,8 @@ def test_plan_reflected_candidate_matches_dispatch():
 
 def test_dispatch_reads_its_lookups_at_most_once_per_key(monkeypatch):
     # the steps are cached per (params, g or g', method, tolerance, region):
-    # the first call at a key reads find_doney_case and classify at most
-    # once each, and a later call in the same region reads neither
+    # the first call at a key reads find_doney_case at most once, and a
+    # later call in the same region does not read it
     calls = Counter()
 
     def counted(name):
@@ -292,8 +291,7 @@ def test_dispatch_reads_its_lookups_at_most_once_per_key(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("classify", "find_doney_case"):
-        monkeypatch.setattr(kappa_module, name, counted(name))
+    monkeypatch.setattr(kappa_module, "find_doney_case", counted("find_doney_case"))
     kappa_module._steps.cache_clear()
     cases = ((g_any_beta, validate(0.8, 0.25), 0.5, 0.4),      # Doney
              (g_any_beta, validate(SQRT2, 0.5), 0.97, 0.99),   # band
@@ -310,8 +308,8 @@ def test_dispatch_reads_its_lookups_at_most_once_per_key(monkeypatch):
 
 
 def test_doney_call_builds_no_series_plan():
-    # the one-shot kappa at a Doney point fills its plan, which reads
-    # alpha's profile, but builds no split plan, no sine table and no cut table
+    # the one-shot kappa at a Doney point fills its plan, but builds no
+    # split plan, no sine table and no cut table
     caches = (series_module._plan, series_module._family, series_module._cuts)
     kappa_module._steps.cache_clear()
     for cache in caches:
@@ -342,13 +340,16 @@ def test_failed_candidate_passes_to_the_next(monkeypatch):
 
 def test_last_failure_carries_every_earlier_one():
     # 1e-12 from 1/2 at beta 1.2e-12, g' by the paired series has a bound
-    # above the tolerance, which dispatch refuses, and then quadrature
-    # fails; the quadrature failure is raised, with the refusal chained on
-    # as its cause, naming the method, its bound and the tolerance and
+    # above the tolerance, which dispatch refuses, and so has quadrature;
+    # the quadrature refusal is raised, with the series refusal chained on
+    # as its cause, each naming the method, its bound and the tolerance and
     # carrying the value and the bound it refused
     params = validate(0.500000000001, 0.5)
-    with pytest.raises(ConvergenceFailureError, match="quadrature error estimate") as err:
+    with pytest.raises(ConvergenceFailureError,
+                       match="^quadrature: error bound .* above the tolerance") as err:
         gprime_any_beta(params, 1.2e-12)
+    quad = gprime_quad(params, 1.2e-12)
+    assert (err.value.value, err.value.error_bound) == (quad.value, quad.abs_error_bound)
     cause = err.value.__cause__
     assert isinstance(cause, ConvergenceFailureError) and cause.__cause__ is None
     rep = gprime_series(params, 1.2e-12)
@@ -357,13 +358,47 @@ def test_last_failure_carries_every_earlier_one():
     assert str(cause) == f"series: error bound {bound:.3e} above the tolerance 1.000e-10"
 
 
+def test_forced_quadrature_near_one_half_fails_on_its_pins():
+    # the line has no small divisors, so 1e-12 from 1/2 it fails only where
+    # its rounding, relative to the size of its nodes, misses the tolerance:
+    # g' at beta <= 1.2e-8 (1.2e-10 at rho 0.01), where the nodes grow like
+    # beta^(c - 1) = beta^-0.75 and the value like beta^-0.5; it returns on
+    # the other 139 of the 156 calls that adaptive quadrature failed 45 of
+    rhos = (0.01, 0.1, 0.3, 0.5, 0.9, 0.99)
+    betas = [1.2 * 10.0 ** e for e in range(-12, 13, 2)]
+    failed = set()
+    for rho in rhos:
+        params = validate(0.500000000001, rho)
+        for beta in betas:
+            for fn in (g_any_beta, gprime_any_beta):
+                try:
+                    assert fn(params, beta, MethodChoice.QUADRATURE).method is (
+                        MethodChoice.QUADRATURE)
+                except ConvergenceFailureError:
+                    failed.add((rho, beta, fn is gprime_any_beta))
+    assert failed == ({(rho, beta, True) for rho in rhos for beta in (1.2e-12, 1.2e-10)}
+                      | {(rho, 1.2e-8, True) for rho in rhos[1:]})
+
+
+@pytest.mark.parametrize("beta", [0.97, 0.999, 1.0, 1.03])
+def test_band_at_the_one_sided_endpoint_returns_by_quadrature(beta):
+    # 1e-7 above 1 at rho = 1/alpha adaptive quadrature raised in the band,
+    # where the plan has no other step, even at tol 1e-6
+    alpha = 1.0000001
+    params, tol = validate(alpha, 1.0 / alpha), Tolerance(abs_tol=1e-6)
+    for fn, oracle in ((g_any_beta, g_mpmath), (gprime_any_beta, gprime_mpmath)):
+        res = fn(params, beta, tol=tol)
+        assert res.method is MethodChoice.QUADRATURE
+        ref, err = oracle(alpha, 1.0 / alpha, beta)
+        assert abs(res.value - ref) <= res.abs_error_bound + err, fn.__name__
+
+
 def test_auto_dispatch_converges_near_one_half():
-    # 1e-12 from 1/2, quadrature raised ConvergenceFailureError on 55 of
-    # these 156 calls (beta <= 1.2e-4 or >= 1.2e4); the series pairs the
-    # near-resonant terms there and runs on all but five of them: g' at
-    # beta 1.2e-12, where |g'| is up to 6e5 and the series' bound, 1.3e-10
-    # to 8.1e-10, misses the tolerance, so dispatch refuses it and
-    # quadrature fails too
+    # 1e-12 from 1/2 the series pairs the near-resonant terms and runs on
+    # all but five of these 156 calls: g' at beta 1.2e-12, where |g'| is up
+    # to 6e5 and the series' bound, 1.3e-10 to 8.1e-10, misses the
+    # tolerance, so dispatch refuses it and quadrature fails too
+    # (``test_forced_quadrature_near_one_half_fails_on_its_pins``)
     params = [validate(0.500000000001, rho) for rho in (0.01, 0.1, 0.3, 0.5, 0.9, 0.99)]
     betas = [1.2 * 10.0 ** e for e in range(-12, 13, 2)]
     methods, failed = set(), set()

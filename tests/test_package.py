@@ -31,7 +31,7 @@ def test_package_imports_only_the_standard_library():
 # one-shot CLI call pays for each at start-up, so a new one is added here on
 # purpose, and one no module imports any more is struck off
 STDLIB_IMPORTS = {
-    "__future__", "argparse", "array", "dataclasses", "enum", "functools",
+    "__future__", "argparse", "array", "cmath", "dataclasses", "enum", "functools",
     "itertools", "json", "math", "operator", "sys", "threading", "typing",
 }
 

@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from stablekappa import quadrature as quadrature_module
 from stablekappa import (
     ConvergenceFailureError,
     MethodChoice,
@@ -14,7 +13,7 @@ from stablekappa import (
 )
 
 from conftest import admissible_rho_grid, g_integral_oracle, gprime_integral_oracle
-from oracles import g_mpmath
+from oracles import g_mpmath, gprime_mpmath
 
 TIGHT = Tolerance(abs_tol=1e-12)
 
@@ -120,26 +119,31 @@ def test_tolerance_monotonicity():
     (math.sqrt(2.0), 1e-6, 1e-10),
 ])
 def test_bound_holds_decades_below_one(alpha, beta, abs_tol):
-    # with only beta and 1 as splits, the error here exceeded the bound
-    # (4e-5 against 9e-8 at alpha 0.5); the decade splits between beta and 1
-    # keep it within
+    # adaptive quadrature split only at beta and 1 once erred by 4e-5
+    # against an estimate of 9e-8 here, at alpha 0.5
     res = g_quad(validate(alpha, 0.3), beta, Tolerance(abs_tol=abs_tol))
     want, _ = g_mpmath(alpha, 0.3, beta)
     assert abs(res.value - float(want)) <= res.abs_error_bound
 
 
 def test_near_singular_rho_band():
-    # rho close to 1 puts a sharp peak at x = beta; the band splits handle it
+    # rho close to 1 puts a sharp peak at x = beta in the defining integral
     p = validate(1.05, 0.93)
     res = g_quad(p, 0.6, TIGHT)
     assert abs(res.value - g_integral_oracle(1.05, 0.93, 0.6)) < 1e-9
 
 
-def test_convergence_failure_raises(monkeypatch):
-    monkeypatch.setattr(quadrature_module, "_MAX_REFINEMENTS", 3)
+def test_convergence_failure_raises():
+    # the steps are counted before any node is evaluated: the call that
+    # needs more than the budget refuses, and the one that fits returns them
     p = validate(0.8, 0.25)
-    with pytest.raises(ConvergenceFailureError, match="after 3 refinements"):
-        g_quad(p, 0.5, Tolerance(abs_tol=1e-300))
+    nodes = g_quad(p, 0.5, TIGHT).terms_or_nodes_used
+    with pytest.raises(ConvergenceFailureError, match="needs more than 50 steps"):
+        g_quad(p, 0.5, Tolerance(abs_tol=1e-12, max_terms=50))
+    with pytest.raises(ConvergenceFailureError, match=f"needs more than {nodes - 2} steps"):
+        g_quad(p, 0.5, Tolerance(abs_tol=1e-12, max_terms=nodes - 2))
+    res = g_quad(p, 0.5, Tolerance(abs_tol=1e-12, max_terms=nodes - 1))
+    assert res == g_quad(p, 0.5, TIGHT)
 
 
 def test_beta_must_be_positive():
@@ -148,3 +152,32 @@ def test_beta_must_be_positive():
         g_quad(p, 0.0)
     with pytest.raises(OutOfRangeError):
         gprime_quad(p, -1.0)
+
+
+# The line and the series share F(s), so they cannot check each other's F:
+# the defining integral at 30 digits is the independent check.  Each
+# (alpha, rho) takes two of the betas, alternately the small one with the
+# band below 1 and the middle one with the band above; above alpha 1, rho
+# takes the one-sided endpoints 1 - 1/alpha and 1/alpha.
+ORACLE_ALPHAS = (0.01, 0.1, 0.3, 0.5, 0.500000000001, 0.5 + math.sqrt(2.0) / 40.0, 0.8, 1.0,
+                 1.0000001, math.sqrt(2.0), 1.5, 1.50000001, 2.0)
+ORACLE_BETAS = (1e-6, 0.3, 0.97, 1.03)
+
+
+def _oracle_points():
+    pairs = [(alpha, rho) for alpha in ORACLE_ALPHAS
+             for rho in (sorted({1.0 - 1.0 / alpha, 1.0 / alpha}) if alpha > 1.0 else
+                         (0.3 if alpha <= 0.5 else 0.5,))]
+    return [(alpha, rho, beta) for i, (alpha, rho) in enumerate(pairs)
+            for beta in ORACLE_BETAS[i % 2::2]]
+
+
+@pytest.mark.parametrize("alpha, rho, beta", _oracle_points())
+def test_line_within_its_bound_of_the_integral(alpha, rho, beta):
+    params = validate(alpha, rho)
+    for quad, oracle in ((g_quad, g_mpmath), (gprime_quad, gprime_mpmath)):
+        ref, err = oracle(alpha, rho, beta)
+        for abs_tol in (1e-6, 1e-10, 1e-13):
+            res = quad(params, beta, Tolerance(abs_tol=abs_tol))
+            assert abs(res.value - float(ref)) <= res.abs_error_bound + float(err), (
+                quad.__name__, abs_tol)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -249,7 +250,10 @@ RATIONAL_VALUES = [
 # for every alpha: (value, bound, terms), each value within the two bounds
 # of its value above, with fewer terms; the g' values moved by 11-17 ulps,
 # and the bound of (3, 10, g') fell by 2e-7 of itself, when g' began to sum
-# at the powers of beta of g and divide by beta once (``series._split``)
+# at the powers of beta of g and divide by beta once (``series._split``).
+# After an intended change, print the table from the current tree with
+#
+#     PYTHONPATH=src python tests/test_special.py
 CUT_VALUES = {
     (1, 2, 0.3, 0.4, False): ("0x1.5ed63178627c1p-3", "0x1.c8532f54a1c50p-36", 45),
     (1, 2, 0.3, 0.4, True): ("0x1.34749f19a43bap-3", "0x1.a437876b46922p-36", 54),
@@ -328,3 +332,13 @@ def test_find_doney_case_cache_stays_at_its_bound():
     for i in range(bound + 8):
         find_doney_case(validate(1.0 + SQRT2 / (100.0 + i), 0.5))
     assert find_doney_case.cache_info().currsize == bound
+
+
+if __name__ == "__main__":
+    print("CUT_VALUES = {")
+    for p, q, rho, beta, derivative, *_ in RATIONAL_VALUES:
+        value, bound, terms = _split(p, q, rho, beta, derivative=derivative)
+        print(f'    {(p, q, rho, beta, derivative)!r}: '
+              f'("{value.hex()}", "{bound.hex()}", {terms}),')
+    print("}")
+    sys.exit(0)

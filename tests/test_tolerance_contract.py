@@ -87,19 +87,19 @@ def outcomes():
 # per alpha: results by (doney, series, quadrature), then the failures
 # (ConvergenceFailureError, IllConditionedSeriesError)
 OUTCOMES = {
-    0.01: (0, 247, 96, 113, 0),
-    0.1: (0, 276, 71, 109, 0),
-    0.3: (0, 282, 69, 105, 0),
-    0.5: (0, 290, 61, 105, 0),
-    0.500001: (0, 210, 136, 110, 0),
-    0.500000000001: (0, 293, 65, 98, 0),
-    0.5 + SQRT2 / 40.0: (0, 291, 65, 100, 0),
-    0.8: (88, 216, 65, 87, 0),
+    0.01: (0, 247, 108, 101, 0),
+    0.1: (0, 276, 81, 99, 0),
+    0.3: (0, 282, 77, 97, 0),
+    0.5: (0, 290, 75, 91, 0),
+    0.500001: (0, 210, 149, 97, 0),
+    0.500000000001: (0, 293, 72, 91, 0),
+    0.5 + SQRT2 / 40.0: (0, 291, 74, 91, 0),
+    0.8: (88, 216, 70, 82, 0),
     1.0: (0, 331, 60, 65, 0),
-    1.0000001: (0, 342, 42, 72, 0),
-    SQRT2: (0, 314, 57, 85, 0),
-    1.5: (194, 133, 54, 75, 0),
-    1.50000001: (0, 327, 54, 75, 0),
+    1.0000001: (0, 342, 60, 54, 0),
+    SQRT2: (0, 314, 69, 73, 0),
+    1.5: (194, 133, 57, 72, 0),
+    1.50000001: (0, 327, 57, 72, 0),
     1.9: (174, 153, 54, 75, 0),
     2.0: (98, 11, 18, 25, 0),
 }

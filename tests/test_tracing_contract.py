@@ -38,6 +38,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = entry["main"](["table", "--alpha", repr(2 ** 0.5), "--rho", "0.5",
                           "--beta-start", "0.3", "--beta-stop", "0.97",
                           "--beta-count", "2"])
+    # classify runs only when asked for: dispatch does not read it
+    code = code or entry["main"](["classify", "--alpha", "0.5"])
 # g' at rational alpha runs the split series
 entry["gprime_any_beta"](stablekappa.validate(0.5, 0.3), 0.4)
 """
@@ -125,12 +127,14 @@ GRID_PINS = {
     "series.calls": 46,
     "series.terms": 1318,
     "special.doney.calls": 38,
-    "quadrature.nodes": 420,
+    "quadrature.nodes": 204,
     "accurate.reductions": 501,
 }
 
 # g at the dyadic alpha 2^-70: the second family's poles lie 2^-70 apart,
 # so a cut past M = 0 sums more than the term budget, and quadrature runs
+# (``python tests/test_tracing_contract.py`` prints its result)
+DYADIC_RESULT = ["quadrature", 0.34657359027995865]
 DYADIC = """
 code = 0
 res = entry["g_any_beta"](stablekappa.validate(2.0 ** -70, 0.5), 0.3)
@@ -161,11 +165,11 @@ def test_tracer_counts_every_wrapped_layer():
 
 
 def test_sweep_work_counters():
-    # classify expands sqrt 2 in integers and makes no exact reduction, and
-    # each series sine is computed once across the betas; classify is read
-    # once per plan region the table touches, and every row lies below the band
+    # each series sine is computed once across the betas, and every row
+    # lies below the band; dispatch reads no classify, the series reads
+    # alpha's profile itself
     metrics = _traced(SWEEP)
-    assert metrics["diophantine.classify.calls"] == 1
+    assert metrics["diophantine.classify.calls"] == 0
     assert metrics["diophantine.classify.reductions"] == 0
     assert metrics["accurate.reductions"] <= 900
     assert metrics["series.terms"] == 2910
@@ -173,7 +177,7 @@ def test_sweep_work_counters():
 
 def test_paired_sweep_work_counters():
     metrics = _traced(PAIRED)
-    assert metrics["diophantine.classify.calls"] == 1  # one plan region
+    assert metrics["diophantine.classify.calls"] == 0
     assert metrics["quadrature.calls"] == 0
     assert metrics["series.calls"] == 40
     # the pairs count as first-series terms; at the seven betas up to 0.15
@@ -241,7 +245,7 @@ def test_the_cut_walks_no_further_than_the_term_budget():
     # over all 2 max_terms intervals would reduce every candidate's sines
     # exactly, 120006 reductions, before the split refuses
     metrics = _traced(DYADIC)
-    assert metrics["result"] == ["quadrature", 0.3465735902799727]
+    assert metrics["result"] == DYADIC_RESULT
     assert metrics["accurate.reductions"] == 6
 
 
@@ -251,3 +255,4 @@ if __name__ == "__main__":
     for name in GRID_PINS:
         print(f'    "{name}": {metrics[name]!r},')
     print("}")
+    print(f"DYADIC_RESULT = {_traced(DYADIC)['result']!r}")

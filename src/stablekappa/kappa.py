@@ -10,18 +10,24 @@ Which evaluator runs is decided in one place, ``plan``: it yields the
 candidate methods for one beta, for g or g', in the order they are tried,
 each with the reason it runs or is skipped.  A beta >= 1.05 is planned at
 1/beta and every result reflected; what follows is said of the beta
-planned.  For beta <= 0.95 the order is the Doney closed form (exact
-and cheapest), the small-divisor series (which picks its own form at this
-beta, and raises IllConditionedSeriesError where none gives a result),
-then quadrature on the Mellin-Barnes line, which has no small divisors.
-In the band 0.95 < beta < 1.05, where the series slow down, the line runs
-alone and the Doney and series candidates are skipped.  So a beta in
-[1.05, 1/0.95) is planned in the band at 1/beta.  A forced method runs its
-own step of this plan alone, except in the band, and raises when the plan
-skips that step.  The steps are cached per (params, g or g', method,
-tolerance, region), the region being whether beta is reflected and whether
-the beta planned lies in the band: ``find_doney_case`` is read only when
-an entry is filled, and each step looks up its evaluator when it runs.
+planned.  One edge, ``quadrature.EDGE`` = 0.5, splits it.  Up to the edge
+the order is the Doney closed form (exact and cheapest), the
+small-divisor series (which picks its own form at this beta, and raises
+IllConditionedSeriesError where none gives a result), then quadrature on
+the Mellin-Barnes line, which has no small divisors.  Above the edge the
+line, read off one cached beta-free table, costs less than either series,
+which converge like 1/|log beta| near 1 (``tests/test_quadrature.py
+--crossover`` prints both costs): the order is Doney, the line, then the
+series.  Above 0.95 the Doney logs lose digits like eps/(1 - beta) and
+the series slow further, so there the line runs alone and the Doney and
+series candidates are skipped: the band 0.95 < beta < 1.05, which a beta
+in [1.05, 1/0.95) reaches at 1/beta.  A forced method runs its own step
+of this plan alone, except in the band, and raises when the plan skips
+that step.  The steps are cached per (params, g or g', method, tolerance,
+region), the region being whether beta is reflected and where the beta
+planned lies: up to the edge, up to 0.95 or in the band.
+``find_doney_case`` is read only when an entry is filled, and each step
+looks up its evaluator when it runs.
 
 Whether a result meets the tolerance is decided in one place too,
 ``_outcome``, on the bound returned after reflection: above
@@ -49,12 +55,12 @@ from .params import (
     Tolerance,
     _Record,
 )
-from .quadrature import g_quad, gprime_quad
+from .quadrature import EDGE, g_quad, gprime_quad
 from .series import g_series, gprime_series
 from .special import find_doney_case, g_doney
 
-_BAND_LO = 0.95
-_BAND_HI = 1.05
+_REFLECT = 1.05   # a beta at or above it is planned at 1/beta
+_NEAR_ONE = 0.95  # above it Doney's logs lose digits like eps/(1 - beta) and both series slow
 _STEPS_CACHE = 256   # (params, g or g', method, tolerance, region) plans kept
 _FALLBACK = (ConvergenceFailureError, IllConditionedSeriesError)
 
@@ -88,22 +94,25 @@ class Candidate(NamedTuple):
 _IN_BAND = "skipped: 0.95 < beta < 1.05, where quadrature runs"
 
 
-def _region(beta: float) -> tuple[bool, bool]:
-    """(reflected, in the band): beta >= 1.05 is planned at 1/beta, and the
-    band is read at the beta planned."""
+def _region(beta: float) -> tuple[bool, int]:
+    """(reflected, zone): beta >= 1.05 is planned at 1/beta, and the zone is
+    read at the beta planned: 0 up to EDGE, 1 up to 0.95, 2 above (the band)."""
     if not (math.isfinite(beta) and beta > 0.0):
         raise OutOfRangeError(f"beta must be positive, got {beta!r}")
-    return beta >= _BAND_HI, (1.0 / beta if beta >= _BAND_HI else beta) > _BAND_LO
+    reflected = beta >= _REFLECT
+    planned = 1.0 / beta if reflected else beta
+    return reflected, (planned > EDGE) + (planned > _NEAR_ONE)
 
 
 @lru_cache(maxsize=_STEPS_CACHE)
 def _steps(params: StableParams, derivative: bool, method: MethodChoice,
-           tol: Tolerance | None, region: tuple[bool, bool]) -> tuple:
+           tol: Tolerance | None, region: tuple[bool, int]) -> tuple:
     """The steps of ``plan`` in one region, each (method, reason, evaluator
     of the planned beta or None when skipped).  An evaluator returns
     (value, bound, method, terms or nodes) and looks up its method's
     function when it runs."""
-    reflected, band = region
+    reflected, zone = region
+    band = zone == 2
     tol = tol or DEFAULT_TOLERANCE
     case = find_doney_case(params)
 
@@ -130,11 +139,13 @@ def _steps(params: StableParams, derivative: bool, method: MethodChoice,
     if case is not None:
         closed = ((MethodChoice.DONEY, _IN_BAND, None) if band else
                   (MethodChoice.DONEY, f"Doney case (k, l) = ({case.k}, {case.l})", doney))
-    line = (MethodChoice.QUADRATURE, "0.95 < beta < 1.05, where both series slow down"
-            if band else "the line, last: it has no small divisors", quadrature)
-    steps = [line, closed, (MethodChoice.SERIES, _IN_BAND, None)] if band else [
-        closed, (MethodChoice.SERIES, "generic, paired or split as alpha and beta need", series),
-        line]
+    line = (MethodChoice.QUADRATURE, (
+        "the line, last: it has no small divisors",
+        f"{EDGE} < beta < {1.0 / EDGE:g}, where the line's table costs least",
+        "0.95 < beta < 1.05, where both series slow down")[zone], quadrature)
+    series_step = (MethodChoice.SERIES, "generic, paired or split as alpha and beta need", series)
+    steps = ([closed, series_step, line], [closed, line, series_step],
+             [line, closed, (MethodChoice.SERIES, _IN_BAND, None)])[zone]
     if reflected:
         steps = [(m, reason + "; at 1/beta, reflected" if run else reason, run)
                  for m, reason, run in steps]
@@ -152,7 +163,7 @@ def _outcome(run, params: StableParams, beta: float, derivative: bool, abs_tol: 
     and g(beta) = g(1/beta) + alpha rho log(beta), or its derivative
     g'(beta) = alpha rho / beta - g'(1/beta) / beta^2, reflects it back.  A
     bound above abs_tol, after reflection, raises ConvergenceFailureError."""
-    reflected = beta >= _BAND_HI
+    reflected = beta >= _REFLECT
     value, bound, method, used = run(1.0 / beta if reflected else beta)
     if reflected and derivative:
         value = params.alpha * params.rho / beta - value / (beta * beta)

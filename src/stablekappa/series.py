@@ -74,11 +74,12 @@ whatever its size: dispatch (``kappa._outcome``) checks the tolerance.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from array import array
 from functools import lru_cache, reduce
 from itertools import chain, islice, repeat
-from operator import add, mul
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .accurate import EPS, sin_mpi, sincos_mpi
@@ -192,11 +193,19 @@ class _Family:
         table = _rows(self.table, m, self._terms)
         return beta ** table[0][m - 1] * table[1 + derivative][m - 1]
 
-    def terms(self, beta: float, count: int, derivative: bool) -> list[float]:
-        """The first ``count`` terms at beta: beta^(step m) times the g or
-        g' coefficient."""
+    def terms(self, beta: float, count: int, derivative: bool, over: bool = False) -> list[float]:
+        """The first ``count`` terms at beta: beta^(step m) times the g or g'
+        coefficient, each over beta if ``over``: as beta^(step m - 1), step
+        m - 1 exact for step m >= 1, else as beta^(step m) / beta."""
         table = _rows(self.table, count, self._terms)
-        return list(map(mul, map(pow, repeat(beta, count), table[0]), table[1 + derivative]))
+        exps, coefs = table[0], table[1 + derivative]
+        if over:
+            terms = [(beta ** (e - 1.0) if e >= 1.0 else beta ** e / beta) * c
+                     for e, c, _ in zip(exps, coefs, range(count))]
+            if math.inf in map(abs, terms):
+                raise OverflowError
+            return terms
+        return list(map(mul, map(pow, repeat(beta, count), exps), coefs))
 
 
 # the family of divisor sin(m pi d_num/d_den) and numerator sin(m pi
@@ -460,8 +469,13 @@ def _split(plan: _Plan, beta: float,
     # g' sums g's powers of beta and divides by beta once; here a power of
     # beta, or a term whose coefficient exceeds eps (2^-970 = 2^-1022/eps),
     # can fall below the normal floats, off by up to 2^-1074 whatever its
-    # size, which the quotient by beta magnifies
+    # size, which the quotient by beta magnifies.  At a subnormal beta the
+    # powers near beta itself are such: there each term is taken over beta
+    # (``_Family.terms``), the pairs as beta^(N - 1), and only the terms
+    # below beta^1 keep the quotient
     over = beta if derivative else 1.0
+    termwise = derivative and beta < sys.float_info.min
+    div = 1.0 if termwise else over
     subnormal = derivative and beta ** max(stop1, second.step * stop2) < 2.0 ** -970
     try:
         # the pairing convergent lies below alpha's own ratio: m = p and
@@ -471,8 +485,8 @@ def _split(plan: _Plan, beta: float,
                          if m <= min(stop, _TABLE_TERMS)):
             raise IllConditionedSeriesError(f"split at {p}/{q}: a term's noise above half "
                                             f"the tolerance")
-        terms1 = first.terms(beta, count1, derivative) if count1 else ()
-        terms2 = second.terms(beta, count2, derivative) if count2 else ()
+        terms1 = first.terms(beta, count1, derivative, termwise) if count1 else ()
+        terms2 = second.terms(beta, count2, derivative, termwise) if count2 else ()
         pairs = factors = ()
         if n:
             # the pairs, reindexed by m = n p, k = n q: beta^e (e_n x + y)
@@ -482,16 +496,19 @@ def _split(plan: _Plan, beta: float,
             factors = map(add, map(mul, growth, xs), ys)
             if subnormal:
                 factors = list(factors)
+            if termwise:
+                exps = map(sub, exps, repeat(1.0))
             pairs = list(map(mul, map(pow, repeat(beta, n), exps), factors))
-        value = (math.fsum(terms1) + math.fsum(terms2) + (math.fsum(pairs) if n else 0.0)) / over
+        value = (math.fsum(terms1) + math.fsum(terms2) + (math.fsum(pairs) if n else 0.0)) / div
         # left to right, in the order of the terms
-        abs_sum = reduce(add, map(abs, chain(terms1, terms2, pairs)), 0.0) / over
+        abs_sum = reduce(add, map(abs, chain(terms1, terms2, pairs)), 0.0) / div
         noise = 4.0 * EPS * (abs_sum + abs(value))
         if subnormal:
             coefs = (islice(_rows(family.table, count, family._terms)[2], count)
                      for family, count in zip(plan.families, (count1, count2)))
             noise += reduce(add, map(abs, chain(*coefs, factors)),
-                            float(count1 + count2 + n)) * (2.0 ** -1074 / beta)
+                            float(count1 + count2 + n)) * (
+                2.0 ** -1074 / (1.0 if termwise and second.step >= 1.0 else beta))
         if noise == math.inf:
             raise OverflowError
     except OverflowError:

@@ -232,7 +232,11 @@ def test_classify_sqrt2(capsys):
     payload = json.loads(out)
     assert payload["kind"] == "irrational"
     assert payload["convergents"][:4] == [[1, 1], [3, 2], [7, 5], [17, 12]]
-    assert payload["recommended_method"] == "series"
+    # at the default beta 0.9 the line runs first; below its edge the series
+    assert payload["recommended_method"] == "quadrature"
+    _, out, _ = run(capsys, "classify", "--alpha", SQRT2, "--rho", "0.5", "--beta", "0.3",
+                    "--format", "json")
+    assert json.loads(out)["recommended_method"] == "series"
 
 
 def test_classify_near_rational_ill(capsys):

@@ -12,8 +12,10 @@ that looked up what it needed as it went, the series rows again when
 the series began to stop at one contour cut, the g' rows at 4/5 when
 the Doney closed form began to cover g', and the g' series values when g'
 began to sum at the powers of beta of g and divide by beta once (their
-bounds unchanged), and the quadrature rows again when quadrature became
-the trapezoid rule on the Mellin-Barnes line: every value, by whichever
+bounds unchanged), the quadrature rows again when quadrature became
+the trapezoid rule on the Mellin-Barnes line, and the rows from 0.95 to
+1.06 again when the line, read off its beta-free table, began to run
+first above beta 0.5: every value, by whichever
 method, lies within its bound of the 30-digit integral
 (``tests/oracles.g_mpmath`` or ``gprime_mpmath``), stored as float hex
 with its error estimate in ``ORACLE``.  Each case is checked cold, the
@@ -62,6 +64,11 @@ STEPS = {
          '; at 1/beta, reflected', True),
     'quadrature last reflected':
         ('quadrature', 'the line, last: it has no small divisors; at 1/beta, reflected', True),
+    'quadrature zone':
+        ('quadrature', "0.5 < beta < 2, where the line's table costs least", True),
+    'quadrature zone reflected':
+        ('quadrature', "0.5 < beta < 2, where the line's table costs least"
+         '; at 1/beta, reflected', True),
     'doney case (1, 1)':
         ('doney', 'Doney case (k, l) = (1, 1)', True),
     'doney skip_band':
@@ -73,22 +80,22 @@ PINS = {
     (SQRT2, 0.5, False, 'auto'): (
         (('doney no_case', 'series', 'quadrature last'),
          ('0x1.dfed3906688c9p-3', '0x1.634851cc43b8cp-36', 'series', 32)),
-        (('doney no_case', 'series', 'quadrature last'),
-         ('0x1.11e928ce77d20p-1', '0x1.733b26b0b8a4cp-36', 'series', 623)),
+        (('doney no_case', 'quadrature zone', 'series'),
+         ('0x1.11e928ce6b5c7p-1', '0x1.ef4f42212eaf8p-37', 'quadrature', 88)),
         (('quadrature band', 'doney no_case', 'series skip_band'),
-         ('0x1.159d6d92e11fap-1', '0x1.97672acf522a8p-36', 'quadrature', 85)),
+         ('0x1.159d6d92e1295p-1', '0x1.f28956c9045cep-37', 'quadrature', 88)),
         (('quadrature band', 'doney no_case', 'series skip_band'),
-         ('0x1.1b1790c1445fdp-1', '0x1.9af081274b47bp-36', 'quadrature', 85)),
+         ('0x1.1b1790c144752p-1', '0x1.f74e4b2244ac4p-37', 'quadrature', 88)),
         (('quadrature band', 'doney no_case', 'series skip_band'),
-         ('0x1.207a2c7c4106cp-1', '0x1.9e6f62e11a2e1p-36', 'quadrature', 85)),
+         ('0x1.207a2c7c41272p-1', '0x1.fbfe6ea0ac746p-37', 'quadrature', 88)),
         (('quadrature band reflected', 'doney no_case', 'series skip_band'),
-         ('0x1.2404977f1d254p-1', '0x1.9554ad0a6111ap-36', 'quadrature', 85)),
+         ('0x1.2404977f1d27fp-1', '0x1.efbeaf87d822fp-37', 'quadrature', 88)),
         (('quadrature band reflected', 'doney no_case', 'series skip_band'),
-         ('0x1.2431a6fe61f15p-1', '0x1.9538f77f02a85p-36', 'quadrature', 85)),
+         ('0x1.2431a6fe61f39p-1', '0x1.ef99140ecd220p-37', 'quadrature', 88)),
         (('quadrature band reflected', 'doney no_case', 'series skip_band'),
-         ('0x1.247b1e8fd1f6cp-1', '0x1.950bd92507ec4p-36', 'quadrature', 85)),
-        (('doney no_case', 'series reflected', 'quadrature last reflected'),
-         ('0x1.25c6182e1c5ccp-1', '0x1.62aadd1726a52p-36', 'series', 553)),
+         ('0x1.247b1e8fd1f88p-1', '0x1.ef5bd40da8eecp-37', 'quadrature', 88)),
+        (('doney no_case', 'quadrature zone reflected', 'series reflected'),
+         ('0x1.25c6182e0f243p-1', '0x1.ee48e3ed749f0p-37', 'quadrature', 88)),
         (('doney no_case', 'series reflected', 'quadrature last reflected'),
          ('0x1.e14599500d884p-1', '0x1.78a031de5e9cap-36', 'series', 39)),
     ),
@@ -98,17 +105,17 @@ PINS = {
         ('MethodNotApplicableError',
          'MethodNotApplicableError'),
         (('quadrature band',),
-         ('0x1.159d6d92e11fap-1', '0x1.97672acf522a8p-36', 'quadrature', 85)),
+         ('0x1.159d6d92e1295p-1', '0x1.f28956c9045cep-37', 'quadrature', 88)),
         (('quadrature band',),
-         ('0x1.1b1790c1445fdp-1', '0x1.9af081274b47bp-36', 'quadrature', 85)),
+         ('0x1.1b1790c144752p-1', '0x1.f74e4b2244ac4p-37', 'quadrature', 88)),
         (('quadrature band',),
-         ('0x1.207a2c7c4106cp-1', '0x1.9e6f62e11a2e1p-36', 'quadrature', 85)),
+         ('0x1.207a2c7c41272p-1', '0x1.fbfe6ea0ac746p-37', 'quadrature', 88)),
         (('quadrature band reflected',),
-         ('0x1.2404977f1d254p-1', '0x1.9554ad0a6111ap-36', 'quadrature', 85)),
+         ('0x1.2404977f1d27fp-1', '0x1.efbeaf87d822fp-37', 'quadrature', 88)),
         (('quadrature band reflected',),
-         ('0x1.2431a6fe61f15p-1', '0x1.9538f77f02a85p-36', 'quadrature', 85)),
+         ('0x1.2431a6fe61f39p-1', '0x1.ef99140ecd220p-37', 'quadrature', 88)),
         (('quadrature band reflected',),
-         ('0x1.247b1e8fd1f6cp-1', '0x1.950bd92507ec4p-36', 'quadrature', 85)),
+         ('0x1.247b1e8fd1f88p-1', '0x1.ef5bd40da8eecp-37', 'quadrature', 88)),
         ('MethodNotApplicableError',
          'MethodNotApplicableError'),
         ('MethodNotApplicableError',
@@ -120,17 +127,17 @@ PINS = {
         (('series',),
          ('0x1.11e928ce77d20p-1', '0x1.733b26b0b8a4cp-36', 'series', 623)),
         (('quadrature band',),
-         ('0x1.159d6d92e11fap-1', '0x1.97672acf522a8p-36', 'quadrature', 85)),
+         ('0x1.159d6d92e1295p-1', '0x1.f28956c9045cep-37', 'quadrature', 88)),
         (('quadrature band',),
-         ('0x1.1b1790c1445fdp-1', '0x1.9af081274b47bp-36', 'quadrature', 85)),
+         ('0x1.1b1790c144752p-1', '0x1.f74e4b2244ac4p-37', 'quadrature', 88)),
         (('quadrature band',),
-         ('0x1.207a2c7c4106cp-1', '0x1.9e6f62e11a2e1p-36', 'quadrature', 85)),
+         ('0x1.207a2c7c41272p-1', '0x1.fbfe6ea0ac746p-37', 'quadrature', 88)),
         (('quadrature band reflected',),
-         ('0x1.2404977f1d254p-1', '0x1.9554ad0a6111ap-36', 'quadrature', 85)),
+         ('0x1.2404977f1d27fp-1', '0x1.efbeaf87d822fp-37', 'quadrature', 88)),
         (('quadrature band reflected',),
-         ('0x1.2431a6fe61f15p-1', '0x1.9538f77f02a85p-36', 'quadrature', 85)),
+         ('0x1.2431a6fe61f39p-1', '0x1.ef99140ecd220p-37', 'quadrature', 88)),
         (('quadrature band reflected',),
-         ('0x1.247b1e8fd1f6cp-1', '0x1.950bd92507ec4p-36', 'quadrature', 85)),
+         ('0x1.247b1e8fd1f88p-1', '0x1.ef5bd40da8eecp-37', 'quadrature', 88)),
         (('series reflected',),
          ('0x1.25c6182e1c5ccp-1', '0x1.62aadd1726a52p-36', 'series', 553)),
         (('series reflected',),
@@ -138,45 +145,45 @@ PINS = {
     ),
     (SQRT2, 0.5, False, 'quadrature'): (
         (('quadrature last',),
-         ('0x1.dfed39065eb48p-3', '0x1.86403df5214bdp-36', 'quadrature', 83)),
-        (('quadrature last',),
-         ('0x1.11e928ce6b5abp-1', '0x1.9505902ecaccap-36', 'quadrature', 85)),
+         ('0x1.dfed39065eb47p-3', '0x1.86403df5214b8p-36', 'quadrature', 83)),
+        (('quadrature zone',),
+         ('0x1.11e928ce6b5c7p-1', '0x1.ef4f42212eaf8p-37', 'quadrature', 88)),
         (('quadrature band',),
-         ('0x1.159d6d92e11fap-1', '0x1.97672acf522a8p-36', 'quadrature', 85)),
+         ('0x1.159d6d92e1295p-1', '0x1.f28956c9045cep-37', 'quadrature', 88)),
         (('quadrature band',),
-         ('0x1.1b1790c1445fdp-1', '0x1.9af081274b47bp-36', 'quadrature', 85)),
+         ('0x1.1b1790c144752p-1', '0x1.f74e4b2244ac4p-37', 'quadrature', 88)),
         (('quadrature band',),
-         ('0x1.207a2c7c4106cp-1', '0x1.9e6f62e11a2e1p-36', 'quadrature', 85)),
+         ('0x1.207a2c7c41272p-1', '0x1.fbfe6ea0ac746p-37', 'quadrature', 88)),
         (('quadrature band reflected',),
-         ('0x1.2404977f1d254p-1', '0x1.9554ad0a6111ap-36', 'quadrature', 85)),
+         ('0x1.2404977f1d27fp-1', '0x1.efbeaf87d822fp-37', 'quadrature', 88)),
         (('quadrature band reflected',),
-         ('0x1.2431a6fe61f15p-1', '0x1.9538f77f02a85p-36', 'quadrature', 85)),
+         ('0x1.2431a6fe61f39p-1', '0x1.ef99140ecd220p-37', 'quadrature', 88)),
         (('quadrature band reflected',),
-         ('0x1.247b1e8fd1f6cp-1', '0x1.950bd92507ec4p-36', 'quadrature', 85)),
+         ('0x1.247b1e8fd1f88p-1', '0x1.ef5bd40da8eecp-37', 'quadrature', 88)),
+        (('quadrature zone reflected',),
+         ('0x1.25c6182e0f243p-1', '0x1.ee48e3ed749f0p-37', 'quadrature', 88)),
         (('quadrature last reflected',),
-         ('0x1.25c6182e0f251p-1', '0x1.94417b95689d3p-36', 'quadrature', 85)),
-        (('quadrature last reflected',),
-         ('0x1.e145995019569p-1', '0x1.a70ffdca2974fp-36', 'quadrature', 83)),
+         ('0x1.e14599501956ap-1', '0x1.a70ffdca29762p-36', 'quadrature', 83)),
     ),
     (SQRT2, 0.5, True, 'auto'): (
         (('doney no_case', 'series', 'quadrature last'),
          ('0x1.380bb5d40c588p-1', '0x1.7cb6f8e87f40bp-36', 'series', 37)),
-        (('doney no_case', 'series', 'quadrature last'),
-         ('0x1.7492afebaddcep-2', '0x1.71796af6f10bfp-36', 'series', 821)),
+        (('doney no_case', 'quadrature zone', 'series'),
+         ('0x1.7492afeb881c5p-2', '0x1.fc78bced90b47p-37', 'quadrature', 84)),
         (('quadrature band', 'doney no_case', 'series skip_band'),
-         ('0x1.7047abcd99511p-2', '0x1.9e05aab2e212ap-36', 'quadrature', 81)),
+         ('0x1.7047abcd9f923p-2', '0x1.f545474ad27fbp-37', 'quadrature', 84)),
         (('quadrature band', 'doney no_case', 'series skip_band'),
-         ('0x1.6a09e667e2ea0p-2', '0x1.96898d98a5614p-36', 'quadrature', 81)),
+         ('0x1.6a09e667e8612p-2', '0x1.eaf07e59f0b29p-37', 'quadrature', 84)),
         (('quadrature band', 'doney no_case', 'series skip_band'),
-         ('0x1.6405e3546760cp-2', '0x1.8f8ac13922ab7p-36', 'quadrature', 81)),
+         ('0x1.6405e3546bf06p-2', '0x1.e121e4098fd5cp-37', 'quadrature', 84)),
         (('quadrature band reflected', 'doney no_case', 'series skip_band'),
-         ('0x1.6021ac13ce024p-2', '0x1.7bc37a9d347abp-36', 'quadrature', 81)),
+         ('0x1.6021ac13c7fecp-2', '0x1.cc736210ea476p-37', 'quadrature', 84)),
         (('quadrature band reflected', 'doney no_case', 'series skip_band'),
-         ('0x1.5ff07afacd067p-2', '0x1.7b43246da98acp-36', 'quadrature', 81)),
+         ('0x1.5ff07afac701ep-2', '0x1.cbdfec2aeb655p-37', 'quadrature', 84)),
         (('quadrature band reflected', 'doney no_case', 'series skip_band'),
-         ('0x1.5fa05848a52a7p-2', '0x1.7a727303aa632p-36', 'quadrature', 81)),
-        (('doney no_case', 'series reflected', 'quadrature last reflected'),
-         ('0x1.5e385b734e07bp-2', '0x1.535ef7a35206ep-36', 'series', 722)),
+         ('0x1.5fa058489f245p-2', '0x1.caf0087aeeaf1p-37', 'quadrature', 84)),
+        (('doney no_case', 'quadrature zone reflected', 'series reflected'),
+         ('0x1.5e385b7370035p-2', '0x1.c6bf6c0916cf0p-37', 'quadrature', 84)),
         (('doney no_case', 'series reflected', 'quadrature last reflected'),
          ('0x1.8fbe30cd5c174p-3', '0x1.fbb631e82097bp-40', 'series', 49)),
     ),
@@ -186,17 +193,17 @@ PINS = {
         ('MethodNotApplicableError',
          'MethodNotApplicableError'),
         (('quadrature band',),
-         ('0x1.7047abcd99511p-2', '0x1.9e05aab2e212ap-36', 'quadrature', 81)),
+         ('0x1.7047abcd9f923p-2', '0x1.f545474ad27fbp-37', 'quadrature', 84)),
         (('quadrature band',),
-         ('0x1.6a09e667e2ea0p-2', '0x1.96898d98a5614p-36', 'quadrature', 81)),
+         ('0x1.6a09e667e8612p-2', '0x1.eaf07e59f0b29p-37', 'quadrature', 84)),
         (('quadrature band',),
-         ('0x1.6405e3546760cp-2', '0x1.8f8ac13922ab7p-36', 'quadrature', 81)),
+         ('0x1.6405e3546bf06p-2', '0x1.e121e4098fd5cp-37', 'quadrature', 84)),
         (('quadrature band reflected',),
-         ('0x1.6021ac13ce024p-2', '0x1.7bc37a9d347abp-36', 'quadrature', 81)),
+         ('0x1.6021ac13c7fecp-2', '0x1.cc736210ea476p-37', 'quadrature', 84)),
         (('quadrature band reflected',),
-         ('0x1.5ff07afacd067p-2', '0x1.7b43246da98acp-36', 'quadrature', 81)),
+         ('0x1.5ff07afac701ep-2', '0x1.cbdfec2aeb655p-37', 'quadrature', 84)),
         (('quadrature band reflected',),
-         ('0x1.5fa05848a52a7p-2', '0x1.7a727303aa632p-36', 'quadrature', 81)),
+         ('0x1.5fa058489f245p-2', '0x1.caf0087aeeaf1p-37', 'quadrature', 84)),
         ('MethodNotApplicableError',
          'MethodNotApplicableError'),
         ('MethodNotApplicableError',
@@ -208,17 +215,17 @@ PINS = {
         (('series',),
          ('0x1.7492afebaddcep-2', '0x1.71796af6f10bfp-36', 'series', 821)),
         (('quadrature band',),
-         ('0x1.7047abcd99511p-2', '0x1.9e05aab2e212ap-36', 'quadrature', 81)),
+         ('0x1.7047abcd9f923p-2', '0x1.f545474ad27fbp-37', 'quadrature', 84)),
         (('quadrature band',),
-         ('0x1.6a09e667e2ea0p-2', '0x1.96898d98a5614p-36', 'quadrature', 81)),
+         ('0x1.6a09e667e8612p-2', '0x1.eaf07e59f0b29p-37', 'quadrature', 84)),
         (('quadrature band',),
-         ('0x1.6405e3546760cp-2', '0x1.8f8ac13922ab7p-36', 'quadrature', 81)),
+         ('0x1.6405e3546bf06p-2', '0x1.e121e4098fd5cp-37', 'quadrature', 84)),
         (('quadrature band reflected',),
-         ('0x1.6021ac13ce024p-2', '0x1.7bc37a9d347abp-36', 'quadrature', 81)),
+         ('0x1.6021ac13c7fecp-2', '0x1.cc736210ea476p-37', 'quadrature', 84)),
         (('quadrature band reflected',),
-         ('0x1.5ff07afacd067p-2', '0x1.7b43246da98acp-36', 'quadrature', 81)),
+         ('0x1.5ff07afac701ep-2', '0x1.cbdfec2aeb655p-37', 'quadrature', 84)),
         (('quadrature band reflected',),
-         ('0x1.5fa05848a52a7p-2', '0x1.7a727303aa632p-36', 'quadrature', 81)),
+         ('0x1.5fa058489f245p-2', '0x1.caf0087aeeaf1p-37', 'quadrature', 84)),
         (('series reflected',),
          ('0x1.5e385b734e07bp-2', '0x1.535ef7a35206ep-36', 'series', 722)),
         (('series reflected',),
@@ -226,44 +233,44 @@ PINS = {
     ),
     (SQRT2, 0.5, True, 'quadrature'): (
         (('quadrature last',),
-         ('0x1.380bb5d415787p-1', '0x1.94750ef8323c1p-36', 'quadrature', 86)),
-        (('quadrature last',),
-         ('0x1.7492afeb816fap-2', '0x1.a34f052c19bb7p-36', 'quadrature', 81)),
+         ('0x1.380bb5d415787p-1', '0x1.94750ef8323c0p-36', 'quadrature', 86)),
+        (('quadrature zone',),
+         ('0x1.7492afeb881c5p-2', '0x1.fc78bced90b47p-37', 'quadrature', 84)),
         (('quadrature band',),
-         ('0x1.7047abcd99511p-2', '0x1.9e05aab2e212ap-36', 'quadrature', 81)),
+         ('0x1.7047abcd9f923p-2', '0x1.f545474ad27fbp-37', 'quadrature', 84)),
         (('quadrature band',),
-         ('0x1.6a09e667e2ea0p-2', '0x1.96898d98a5614p-36', 'quadrature', 81)),
+         ('0x1.6a09e667e8612p-2', '0x1.eaf07e59f0b29p-37', 'quadrature', 84)),
         (('quadrature band',),
-         ('0x1.6405e3546760cp-2', '0x1.8f8ac13922ab7p-36', 'quadrature', 81)),
+         ('0x1.6405e3546bf06p-2', '0x1.e121e4098fd5cp-37', 'quadrature', 84)),
         (('quadrature band reflected',),
-         ('0x1.6021ac13ce024p-2', '0x1.7bc37a9d347abp-36', 'quadrature', 81)),
+         ('0x1.6021ac13c7fecp-2', '0x1.cc736210ea476p-37', 'quadrature', 84)),
         (('quadrature band reflected',),
-         ('0x1.5ff07afacd067p-2', '0x1.7b43246da98acp-36', 'quadrature', 81)),
+         ('0x1.5ff07afac701ep-2', '0x1.cbdfec2aeb655p-37', 'quadrature', 84)),
         (('quadrature band reflected',),
-         ('0x1.5fa05848a52a7p-2', '0x1.7a727303aa632p-36', 'quadrature', 81)),
+         ('0x1.5fa058489f245p-2', '0x1.caf0087aeeaf1p-37', 'quadrature', 84)),
+        (('quadrature zone reflected',),
+         ('0x1.5e385b7370035p-2', '0x1.c6bf6c0916cf0p-37', 'quadrature', 84)),
         (('quadrature last reflected',),
-         ('0x1.5e385b73760dfp-2', '0x1.76ce9f6e74026p-36', 'quadrature', 81)),
-        (('quadrature last reflected',),
-         ('0x1.8fbe30cd64a44p-3', '0x1.f7bfd1b97c9dap-39', 'quadrature', 85)),
+         ('0x1.8fbe30cd64a44p-3', '0x1.f7bfd1b97c9d1p-39', 'quadrature', 85)),
     ),
     (0.8, 0.25, False, 'auto'): (
         (('doney case (1, 1)', 'series', 'quadrature last'),
          ('0x1.fc31aa21dd108p-4', '0x1.1fc31aa21dd10p-48', 'doney', 2)),
-        (('doney case (1, 1)', 'series', 'quadrature last'),
+        (('doney case (1, 1)', 'quadrature zone', 'series'),
          ('0x1.be92ee3f84e30p-3', '0x1.37d25dc7f09c6p-48', 'doney', 2)),
         (('quadrature band', 'doney skip_band', 'series skip_band'),
-         ('0x1.c2c9d7b925e00p-3', '0x1.71cc9632d1b0ap-36', 'quadrature', 59)),
+         ('0x1.c2c9d7b925838p-3', '0x1.6cbeefcff00abp-36', 'quadrature', 59)),
         (('quadrature band', 'doney skip_band', 'series skip_band'),
-         ('0x1.c8ff7c79a42c0p-3', '0x1.7410080b84459p-36', 'quadrature', 59)),
+         ('0x1.c8ff7c79a3ca8p-3', '0x1.6f55616be879dp-36', 'quadrature', 59)),
         (('quadrature band', 'doney skip_band', 'series skip_band'),
-         ('0x1.cf141704b5697p-3', '0x1.764ab22927106p-36', 'quadrature', 59)),
+         ('0x1.cf141704b5051p-3', '0x1.71de9b5084f93p-36', 'quadrature', 59)),
         (('quadrature band reflected', 'doney skip_band', 'series skip_band'),
-         ('0x1.d310375b6c3ebp-3', '0x1.7078edd56914dp-36', 'quadrature', 59)),
+         ('0x1.d310375b6be61p-3', '0x1.6b3859b1c2928p-36', 'quadrature', 59)),
         (('quadrature band reflected', 'doney skip_band', 'series skip_band'),
-         ('0x1.d342dcbcda0f6p-3', '0x1.70671ed29f272p-36', 'quadrature', 59)),
+         ('0x1.d342dcbcd9b72p-3', '0x1.6b23e0908f969p-36', 'quadrature', 59)),
         (('quadrature band reflected', 'doney skip_band', 'series skip_band'),
-         ('0x1.d3956c228a082p-3', '0x1.704a1e4d4d3adp-36', 'quadrature', 59)),
-        (('doney case (1, 1) reflected', 'series reflected', 'quadrature last reflected'),
+         ('0x1.d3956c2289b04p-3', '0x1.6b028770951f0p-36', 'quadrature', 59)),
+        (('doney case (1, 1) reflected', 'quadrature zone reflected', 'series reflected'),
          ('0x1.d50927c6e0105p-3', '0x1.864db0341efc4p-48', 'doney', 2)),
         (('doney case (1, 1) reflected', 'series reflected', 'quadrature last reflected'),
          ('0x1.4f13e3f40938ap-2', '0x1.79cc35badb142p-48', 'doney', 2)),
@@ -274,17 +281,17 @@ PINS = {
         (('doney case (1, 1)',),
          ('0x1.be92ee3f84e30p-3', '0x1.37d25dc7f09c6p-48', 'doney', 2)),
         (('quadrature band',),
-         ('0x1.c2c9d7b925e00p-3', '0x1.71cc9632d1b0ap-36', 'quadrature', 59)),
+         ('0x1.c2c9d7b925838p-3', '0x1.6cbeefcff00abp-36', 'quadrature', 59)),
         (('quadrature band',),
-         ('0x1.c8ff7c79a42c0p-3', '0x1.7410080b84459p-36', 'quadrature', 59)),
+         ('0x1.c8ff7c79a3ca8p-3', '0x1.6f55616be879dp-36', 'quadrature', 59)),
         (('quadrature band',),
-         ('0x1.cf141704b5697p-3', '0x1.764ab22927106p-36', 'quadrature', 59)),
+         ('0x1.cf141704b5051p-3', '0x1.71de9b5084f93p-36', 'quadrature', 59)),
         (('quadrature band reflected',),
-         ('0x1.d310375b6c3ebp-3', '0x1.7078edd56914dp-36', 'quadrature', 59)),
+         ('0x1.d310375b6be61p-3', '0x1.6b3859b1c2928p-36', 'quadrature', 59)),
         (('quadrature band reflected',),
-         ('0x1.d342dcbcda0f6p-3', '0x1.70671ed29f272p-36', 'quadrature', 59)),
+         ('0x1.d342dcbcd9b72p-3', '0x1.6b23e0908f969p-36', 'quadrature', 59)),
         (('quadrature band reflected',),
-         ('0x1.d3956c228a082p-3', '0x1.704a1e4d4d3adp-36', 'quadrature', 59)),
+         ('0x1.d3956c2289b04p-3', '0x1.6b028770951f0p-36', 'quadrature', 59)),
         (('doney case (1, 1) reflected',),
          ('0x1.d50927c6e0105p-3', '0x1.864db0341efc4p-48', 'doney', 2)),
         (('doney case (1, 1) reflected',),
@@ -296,17 +303,17 @@ PINS = {
         (('series',),
          ('0x1.be92ee3fb253ap-3', '0x1.3cace4411821bp-35', 'series', 695)),
         (('quadrature band',),
-         ('0x1.c2c9d7b925e00p-3', '0x1.71cc9632d1b0ap-36', 'quadrature', 59)),
+         ('0x1.c2c9d7b925838p-3', '0x1.6cbeefcff00abp-36', 'quadrature', 59)),
         (('quadrature band',),
-         ('0x1.c8ff7c79a42c0p-3', '0x1.7410080b84459p-36', 'quadrature', 59)),
+         ('0x1.c8ff7c79a3ca8p-3', '0x1.6f55616be879dp-36', 'quadrature', 59)),
         (('quadrature band',),
-         ('0x1.cf141704b5697p-3', '0x1.764ab22927106p-36', 'quadrature', 59)),
+         ('0x1.cf141704b5051p-3', '0x1.71de9b5084f93p-36', 'quadrature', 59)),
         (('quadrature band reflected',),
-         ('0x1.d310375b6c3ebp-3', '0x1.7078edd56914dp-36', 'quadrature', 59)),
+         ('0x1.d310375b6be61p-3', '0x1.6b3859b1c2928p-36', 'quadrature', 59)),
         (('quadrature band reflected',),
-         ('0x1.d342dcbcda0f6p-3', '0x1.70671ed29f272p-36', 'quadrature', 59)),
+         ('0x1.d342dcbcd9b72p-3', '0x1.6b23e0908f969p-36', 'quadrature', 59)),
         (('quadrature band reflected',),
-         ('0x1.d3956c228a082p-3', '0x1.704a1e4d4d3adp-36', 'quadrature', 59)),
+         ('0x1.d3956c2289b04p-3', '0x1.6b028770951f0p-36', 'quadrature', 59)),
         (('series reflected',),
          ('0x1.d50927c70ec9dp-3', '0x1.4601b3c863372p-35', 'series', 615)),
         (('series reflected',),
@@ -314,44 +321,44 @@ PINS = {
     ),
     (0.8, 0.25, False, 'quadrature'): (
         (('quadrature last',),
-         ('0x1.fc31aa21d1ea9p-4', '0x1.a4d23ed48c6bcp-36', 'quadrature', 57)),
-        (('quadrature last',),
-         ('0x1.be92ee3f805a5p-3', '0x1.7045348297299p-36', 'quadrature', 59)),
+         ('0x1.fc31aa21d1ea9p-4', '0x1.a4d23ed48c6cap-36', 'quadrature', 57)),
+        (('quadrature zone',),
+         ('0x1.be92ee3f80026p-3', '0x1.6afd9da5df0dcp-36', 'quadrature', 59)),
         (('quadrature band',),
-         ('0x1.c2c9d7b925e00p-3', '0x1.71cc9632d1b0ap-36', 'quadrature', 59)),
+         ('0x1.c2c9d7b925838p-3', '0x1.6cbeefcff00abp-36', 'quadrature', 59)),
         (('quadrature band',),
-         ('0x1.c8ff7c79a42c0p-3', '0x1.7410080b84459p-36', 'quadrature', 59)),
+         ('0x1.c8ff7c79a3ca8p-3', '0x1.6f55616be879dp-36', 'quadrature', 59)),
         (('quadrature band',),
-         ('0x1.cf141704b5697p-3', '0x1.764ab22927106p-36', 'quadrature', 59)),
+         ('0x1.cf141704b5051p-3', '0x1.71de9b5084f93p-36', 'quadrature', 59)),
         (('quadrature band reflected',),
-         ('0x1.d310375b6c3ebp-3', '0x1.7078edd56914dp-36', 'quadrature', 59)),
+         ('0x1.d310375b6be61p-3', '0x1.6b3859b1c2928p-36', 'quadrature', 59)),
         (('quadrature band reflected',),
-         ('0x1.d342dcbcda0f6p-3', '0x1.70671ed29f272p-36', 'quadrature', 59)),
+         ('0x1.d342dcbcd9b72p-3', '0x1.6b23e0908f969p-36', 'quadrature', 59)),
         (('quadrature band reflected',),
-         ('0x1.d3956c228a082p-3', '0x1.704a1e4d4d3adp-36', 'quadrature', 59)),
+         ('0x1.d3956c2289b04p-3', '0x1.6b028770951f0p-36', 'quadrature', 59)),
+        (('quadrature zone reflected',),
+         ('0x1.d50927c6db59dp-3', '0x1.6a6cc64395ebep-36', 'quadrature', 59)),
         (('quadrature last reflected',),
-         ('0x1.d50927c6dbb00p-3', '0x1.6fc7f8aece9dap-36', 'quadrature', 59)),
-        (('quadrature last reflected',),
-         ('0x1.4f13e3f40a6e0p-2', '0x1.71a4a55d0c778p-36', 'quadrature', 58)),
+         ('0x1.4f13e3f40a6e0p-2', '0x1.71a4a55d0c77dp-36', 'quadrature', 58)),
     ),
     (0.8, 0.25, True, 'auto'): (
         (('doney case (1, 1)', 'series', 'quadrature last'),
          ('0x1.bd752d8fe813bp-3', '0x1.a565811fb3ddfp-47', 'doney', 2)),
-        (('doney case (1, 1)', 'series', 'quadrature last'),
+        (('doney case (1, 1)', 'quadrature zone', 'series'),
          ('0x1.a8861275c457ap-4', '0x1.41a8861275c41p-43', 'doney', 2)),
         (('quadrature band', 'doney skip_band', 'series skip_band'),
-         ('0x1.a268d889beaf0p-4', '0x1.8769a1377ff6ep-36', 'quadrature', 59)),
+         ('0x1.a268d889ca7c4p-4', '0x1.ed19784bb45c9p-37', 'quadrature', 61)),
         (('quadrature band', 'doney skip_band', 'series skip_band'),
-         ('0x1.9999999974e04p-4', '0x1.8029f3c9e1453p-36', 'quadrature', 59)),
+         ('0x1.999999997dec5p-4', '0x1.e20193ef1837dp-37', 'quadrature', 61)),
         (('quadrature band', 'doney skip_band', 'series skip_band'),
-         ('0x1.91323afb711e0p-4', '0x1.796a3bfcbee64p-36', 'quadrature', 59)),
+         ('0x1.91323afb77c3fp-4', '0x1.d77d264033c52p-37', 'quadrature', 61)),
         (('quadrature band reflected', 'doney skip_band', 'series skip_band'),
-         ('0x1.8bce01768e380p-4', '0x1.6721cac1ba7edp-36', 'quadrature', 59)),
+         ('0x1.8bce017681e75p-4', '0x1.c5761d47edae8p-37', 'quadrature', 61)),
         (('quadrature band reflected', 'doney skip_band', 'series skip_band'),
-         ('0x1.8b8a15371d3fep-4', '0x1.66a9f3d5db456p-36', 'quadrature', 59)),
+         ('0x1.8b8a153710df3p-4', '0x1.c4ebd4e36699bp-37', 'quadrature', 61)),
         (('quadrature band reflected', 'doney skip_band', 'series skip_band'),
-         ('0x1.8b1b7adc4b010p-4', '0x1.65e7167c3da53p-36', 'quadrature', 59)),
-        (('doney case (1, 1) reflected', 'series reflected', 'quadrature last reflected'),
+         ('0x1.8b1b7adc3e867p-4', '0x1.c40ada393227ap-37', 'quadrature', 61)),
+        (('doney case (1, 1) reflected', 'quadrature zone reflected', 'series reflected'),
          ('0x1.892b54d59be45p-4', '0x1.fe7ea546e92ccp-44', 'doney', 2)),
         (('doney case (1, 1) reflected', 'series reflected', 'quadrature last reflected'),
          ('0x1.9fbd0684854a3p-5', '0x1.b583e9794aceep-49', 'doney', 2)),
@@ -362,17 +369,17 @@ PINS = {
         (('doney case (1, 1)',),
          ('0x1.a8861275c457ap-4', '0x1.41a8861275c41p-43', 'doney', 2)),
         (('quadrature band',),
-         ('0x1.a268d889beaf0p-4', '0x1.8769a1377ff6ep-36', 'quadrature', 59)),
+         ('0x1.a268d889ca7c4p-4', '0x1.ed19784bb45c9p-37', 'quadrature', 61)),
         (('quadrature band',),
-         ('0x1.9999999974e04p-4', '0x1.8029f3c9e1453p-36', 'quadrature', 59)),
+         ('0x1.999999997dec5p-4', '0x1.e20193ef1837dp-37', 'quadrature', 61)),
         (('quadrature band',),
-         ('0x1.91323afb711e0p-4', '0x1.796a3bfcbee64p-36', 'quadrature', 59)),
+         ('0x1.91323afb77c3fp-4', '0x1.d77d264033c52p-37', 'quadrature', 61)),
         (('quadrature band reflected',),
-         ('0x1.8bce01768e380p-4', '0x1.6721cac1ba7edp-36', 'quadrature', 59)),
+         ('0x1.8bce017681e75p-4', '0x1.c5761d47edae8p-37', 'quadrature', 61)),
         (('quadrature band reflected',),
-         ('0x1.8b8a15371d3fep-4', '0x1.66a9f3d5db456p-36', 'quadrature', 59)),
+         ('0x1.8b8a153710df3p-4', '0x1.c4ebd4e36699bp-37', 'quadrature', 61)),
         (('quadrature band reflected',),
-         ('0x1.8b1b7adc4b010p-4', '0x1.65e7167c3da53p-36', 'quadrature', 59)),
+         ('0x1.8b1b7adc3e867p-4', '0x1.c40ada393227ap-37', 'quadrature', 61)),
         (('doney case (1, 1) reflected',),
          ('0x1.892b54d59be45p-4', '0x1.fe7ea546e92ccp-44', 'doney', 2)),
         (('doney case (1, 1) reflected',),
@@ -384,17 +391,17 @@ PINS = {
         (('series',),
          ('0x1.a88612761abfap-4', '0x1.2e0eec1035955p-35', 'series', 927)),
         (('quadrature band',),
-         ('0x1.a268d889beaf0p-4', '0x1.8769a1377ff6ep-36', 'quadrature', 59)),
+         ('0x1.a268d889ca7c4p-4', '0x1.ed19784bb45c9p-37', 'quadrature', 61)),
         (('quadrature band',),
-         ('0x1.9999999974e04p-4', '0x1.8029f3c9e1453p-36', 'quadrature', 59)),
+         ('0x1.999999997dec5p-4', '0x1.e20193ef1837dp-37', 'quadrature', 61)),
         (('quadrature band',),
-         ('0x1.91323afb711e0p-4', '0x1.796a3bfcbee64p-36', 'quadrature', 59)),
+         ('0x1.91323afb77c3fp-4', '0x1.d77d264033c52p-37', 'quadrature', 61)),
         (('quadrature band reflected',),
-         ('0x1.8bce01768e380p-4', '0x1.6721cac1ba7edp-36', 'quadrature', 59)),
+         ('0x1.8bce017681e75p-4', '0x1.c5761d47edae8p-37', 'quadrature', 61)),
         (('quadrature band reflected',),
-         ('0x1.8b8a15371d3fep-4', '0x1.66a9f3d5db456p-36', 'quadrature', 59)),
+         ('0x1.8b8a153710df3p-4', '0x1.c4ebd4e36699bp-37', 'quadrature', 61)),
         (('quadrature band reflected',),
-         ('0x1.8b1b7adc4b010p-4', '0x1.65e7167c3da53p-36', 'quadrature', 59)),
+         ('0x1.8b1b7adc3e867p-4', '0x1.c40ada393227ap-37', 'quadrature', 61)),
         (('series reflected',),
          ('0x1.892b54d54bbc0p-4', '0x1.16e47fba49bdap-35', 'series', 815)),
         (('series reflected',),
@@ -402,45 +409,45 @@ PINS = {
     ),
     (0.8, 0.25, True, 'quadrature'): (
         (('quadrature last',),
-         ('0x1.bd752d8ff6ff0p-3', '0x1.822b8dbb14e18p-36', 'quadrature', 63)),
-        (('quadrature last',),
-         ('0x1.a886127591f23p-4', '0x1.8c8c913a6d70cp-36', 'quadrature', 59)),
+         ('0x1.bd752d8ff6fefp-3', '0x1.822b8dbb14e10p-36', 'quadrature', 63)),
+        (('quadrature zone',),
+         ('0x1.a88612759fc5ep-4', '0x1.f4d70c4401b06p-37', 'quadrature', 61)),
         (('quadrature band',),
-         ('0x1.a268d889beaf0p-4', '0x1.8769a1377ff6ep-36', 'quadrature', 59)),
+         ('0x1.a268d889ca7c4p-4', '0x1.ed19784bb45c9p-37', 'quadrature', 61)),
         (('quadrature band',),
-         ('0x1.9999999974e04p-4', '0x1.8029f3c9e1453p-36', 'quadrature', 59)),
+         ('0x1.999999997dec5p-4', '0x1.e20193ef1837dp-37', 'quadrature', 61)),
         (('quadrature band',),
-         ('0x1.91323afb711e0p-4', '0x1.796a3bfcbee64p-36', 'quadrature', 59)),
+         ('0x1.91323afb77c3fp-4', '0x1.d77d264033c52p-37', 'quadrature', 61)),
         (('quadrature band reflected',),
-         ('0x1.8bce01768e380p-4', '0x1.6721cac1ba7edp-36', 'quadrature', 59)),
+         ('0x1.8bce017681e75p-4', '0x1.c5761d47edae8p-37', 'quadrature', 61)),
         (('quadrature band reflected',),
-         ('0x1.8b8a15371d3fep-4', '0x1.66a9f3d5db456p-36', 'quadrature', 59)),
+         ('0x1.8b8a153710df3p-4', '0x1.c4ebd4e36699bp-37', 'quadrature', 61)),
         (('quadrature band reflected',),
-         ('0x1.8b1b7adc4b010p-4', '0x1.65e7167c3da53p-36', 'quadrature', 59)),
+         ('0x1.8b1b7adc3e867p-4', '0x1.c40ada393227ap-37', 'quadrature', 61)),
+        (('quadrature zone reflected',),
+         ('0x1.892b54d5bcf0fp-4', '0x1.c01c9a3407b1fp-37', 'quadrature', 61)),
         (('quadrature last reflected',),
-         ('0x1.892b54d5c9decp-4', '0x1.62812bc4eb0cep-36', 'quadrature', 59)),
-        (('quadrature last reflected',),
-         ('0x1.9fbd068471464p-5', '0x1.f0b57536e9b4bp-39', 'quadrature', 62)),
+         ('0x1.9fbd068471463p-5', '0x1.f0b57536e9b46p-39', 'quadrature', 62)),
     ),
     (0.5, 0.3, False, 'auto'): (
         (('doney no_case', 'series', 'quadrature last'),
          ('0x1.3ca998eb81d95p-3', '0x1.4504fa608bd5fp-35', 'series', 34)),
-        (('doney no_case', 'series', 'quadrature last'),
-         ('0x1.d5d0bd4703f6cp-3', '0x1.47ed8874000f3p-35', 'series', 692)),
+        (('doney no_case', 'quadrature zone', 'series'),
+         ('0x1.d5d0bd46d983bp-3', '0x1.64d4829709a6cp-36', 'quadrature', 71)),
         (('quadrature band', 'doney no_case', 'series skip_band'),
-         ('0x1.d8fcb0e8d3030p-3', '0x1.a754a2354b689p-36', 'quadrature', 70)),
+         ('0x1.d8fcb0e8d42fap-3', '0x1.65def1530814ap-36', 'quadrature', 71)),
         (('quadrature band', 'doney no_case', 'series skip_band'),
-         ('0x1.dda66e713c925p-3', '0x1.a93cf0144400ap-36', 'quadrature', 70)),
+         ('0x1.dda66e713deffp-3', '0x1.676679ce8e310p-36', 'quadrature', 71)),
         (('quadrature band', 'doney no_case', 'series skip_band'),
-         ('0x1.e23476dcbab61p-3', '0x1.ab1b2d9e595d5p-36', 'quadrature', 70)),
+         ('0x1.e23476dcbc41dp-3', '0x1.68e4bd478f191p-36', 'quadrature', 71)),
         (('quadrature band reflected', 'doney no_case', 'series skip_band'),
-         ('0x1.e52f1c5167b4ep-3', '0x1.a635e4adaf44cp-36', 'quadrature', 70)),
+         ('0x1.e52f1c5168c37p-3', '0x1.64f968dffc679p-36', 'quadrature', 71)),
         (('quadrature band reflected', 'doney no_case', 'series skip_band'),
-         ('0x1.e554f1564f6e4p-3', '0x1.a626ca6fefadap-36', 'quadrature', 70)),
+         ('0x1.e554f156507b1p-3', '0x1.64ed41c4da8a0p-36', 'quadrature', 71)),
         (('quadrature band reflected', 'doney no_case', 'series skip_band'),
-         ('0x1.e5929bb11fbbap-3', '0x1.a60e30a8b62a1p-36', 'quadrature', 70)),
-        (('doney no_case', 'series reflected', 'quadrature last reflected'),
-         ('0x1.e6a82a8622152p-3', '0x1.4060f92640dcep-35', 'series', 614)),
+         ('0x1.e5929bb120c60p-3', '0x1.64d97560577f5p-36', 'quadrature', 71)),
+        (('doney no_case', 'quadrature zone reflected', 'series reflected'),
+         ('0x1.e6a82a85d97afp-3', '0x1.648080c5b8bb2p-36', 'quadrature', 71)),
         (('doney no_case', 'series reflected', 'quadrature last reflected'),
          ('0x1.3c291d4068a6bp-2', '0x1.c8586b7dbf057p-36', 'series', 45)),
     ),
@@ -450,17 +457,17 @@ PINS = {
         ('MethodNotApplicableError',
          'MethodNotApplicableError'),
         (('quadrature band',),
-         ('0x1.d8fcb0e8d3030p-3', '0x1.a754a2354b689p-36', 'quadrature', 70)),
+         ('0x1.d8fcb0e8d42fap-3', '0x1.65def1530814ap-36', 'quadrature', 71)),
         (('quadrature band',),
-         ('0x1.dda66e713c925p-3', '0x1.a93cf0144400ap-36', 'quadrature', 70)),
+         ('0x1.dda66e713deffp-3', '0x1.676679ce8e310p-36', 'quadrature', 71)),
         (('quadrature band',),
-         ('0x1.e23476dcbab61p-3', '0x1.ab1b2d9e595d5p-36', 'quadrature', 70)),
+         ('0x1.e23476dcbc41dp-3', '0x1.68e4bd478f191p-36', 'quadrature', 71)),
         (('quadrature band reflected',),
-         ('0x1.e52f1c5167b4ep-3', '0x1.a635e4adaf44cp-36', 'quadrature', 70)),
+         ('0x1.e52f1c5168c37p-3', '0x1.64f968dffc679p-36', 'quadrature', 71)),
         (('quadrature band reflected',),
-         ('0x1.e554f1564f6e4p-3', '0x1.a626ca6fefadap-36', 'quadrature', 70)),
+         ('0x1.e554f156507b1p-3', '0x1.64ed41c4da8a0p-36', 'quadrature', 71)),
         (('quadrature band reflected',),
-         ('0x1.e5929bb11fbbap-3', '0x1.a60e30a8b62a1p-36', 'quadrature', 70)),
+         ('0x1.e5929bb120c60p-3', '0x1.64d97560577f5p-36', 'quadrature', 71)),
         ('MethodNotApplicableError',
          'MethodNotApplicableError'),
         ('MethodNotApplicableError',
@@ -472,17 +479,17 @@ PINS = {
         (('series',),
          ('0x1.d5d0bd4703f6cp-3', '0x1.47ed8874000f3p-35', 'series', 692)),
         (('quadrature band',),
-         ('0x1.d8fcb0e8d3030p-3', '0x1.a754a2354b689p-36', 'quadrature', 70)),
+         ('0x1.d8fcb0e8d42fap-3', '0x1.65def1530814ap-36', 'quadrature', 71)),
         (('quadrature band',),
-         ('0x1.dda66e713c925p-3', '0x1.a93cf0144400ap-36', 'quadrature', 70)),
+         ('0x1.dda66e713deffp-3', '0x1.676679ce8e310p-36', 'quadrature', 71)),
         (('quadrature band',),
-         ('0x1.e23476dcbab61p-3', '0x1.ab1b2d9e595d5p-36', 'quadrature', 70)),
+         ('0x1.e23476dcbc41dp-3', '0x1.68e4bd478f191p-36', 'quadrature', 71)),
         (('quadrature band reflected',),
-         ('0x1.e52f1c5167b4ep-3', '0x1.a635e4adaf44cp-36', 'quadrature', 70)),
+         ('0x1.e52f1c5168c37p-3', '0x1.64f968dffc679p-36', 'quadrature', 71)),
         (('quadrature band reflected',),
-         ('0x1.e554f1564f6e4p-3', '0x1.a626ca6fefadap-36', 'quadrature', 70)),
+         ('0x1.e554f156507b1p-3', '0x1.64ed41c4da8a0p-36', 'quadrature', 71)),
         (('quadrature band reflected',),
-         ('0x1.e5929bb11fbbap-3', '0x1.a60e30a8b62a1p-36', 'quadrature', 70)),
+         ('0x1.e5929bb120c60p-3', '0x1.64d97560577f5p-36', 'quadrature', 71)),
         (('series reflected',),
          ('0x1.e6a82a8622152p-3', '0x1.4060f92640dcep-35', 'series', 614)),
         (('series reflected',),
@@ -490,45 +497,45 @@ PINS = {
     ),
     (0.5, 0.3, False, 'quadrature'): (
         (('quadrature last',),
-         ('0x1.3ca998ebc5d32p-3', '0x1.a7e3b17976946p-36', 'quadrature', 69)),
-        (('quadrature last',),
-         ('0x1.d5d0bd46d8795p-3', '0x1.a6093ddf68518p-36', 'quadrature', 70)),
+         ('0x1.3ca998ebc5d32p-3', '0x1.a7e3b17976934p-36', 'quadrature', 69)),
+        (('quadrature zone',),
+         ('0x1.d5d0bd46d983bp-3', '0x1.64d4829709a6cp-36', 'quadrature', 71)),
         (('quadrature band',),
-         ('0x1.d8fcb0e8d3030p-3', '0x1.a754a2354b689p-36', 'quadrature', 70)),
+         ('0x1.d8fcb0e8d42fap-3', '0x1.65def1530814ap-36', 'quadrature', 71)),
         (('quadrature band',),
-         ('0x1.dda66e713c925p-3', '0x1.a93cf0144400ap-36', 'quadrature', 70)),
+         ('0x1.dda66e713deffp-3', '0x1.676679ce8e310p-36', 'quadrature', 71)),
         (('quadrature band',),
-         ('0x1.e23476dcbab61p-3', '0x1.ab1b2d9e595d5p-36', 'quadrature', 70)),
+         ('0x1.e23476dcbc41dp-3', '0x1.68e4bd478f191p-36', 'quadrature', 71)),
         (('quadrature band reflected',),
-         ('0x1.e52f1c5167b4ep-3', '0x1.a635e4adaf44cp-36', 'quadrature', 70)),
+         ('0x1.e52f1c5168c37p-3', '0x1.64f968dffc679p-36', 'quadrature', 71)),
         (('quadrature band reflected',),
-         ('0x1.e554f1564f6e4p-3', '0x1.a626ca6fefadap-36', 'quadrature', 70)),
+         ('0x1.e554f156507b1p-3', '0x1.64ed41c4da8a0p-36', 'quadrature', 71)),
         (('quadrature band reflected',),
-         ('0x1.e5929bb11fbbap-3', '0x1.a60e30a8b62a1p-36', 'quadrature', 70)),
+         ('0x1.e5929bb120c60p-3', '0x1.64d97560577f5p-36', 'quadrature', 71)),
+        (('quadrature zone reflected',),
+         ('0x1.e6a82a85d97afp-3', '0x1.648080c5b8bb2p-36', 'quadrature', 71)),
         (('quadrature last reflected',),
-         ('0x1.e6a82a85d87c2p-3', '0x1.a59fb500c4571p-36', 'quadrature', 70)),
-        (('quadrature last reflected',),
-         ('0x1.3c291d4051f9cp-2', '0x1.76faaa8fc277cp-36', 'quadrature', 70)),
+         ('0x1.3c291d4051f9cp-2', '0x1.76faaa8fc278ap-36', 'quadrature', 70)),
     ),
     (0.5, 0.3, True, 'auto'): (
         (('doney no_case', 'series', 'quadrature last'),
          ('0x1.7ccde6e64c1b2p-3', '0x1.1461bce756d2ap-35', 'series', 41)),
-        (('doney no_case', 'series', 'quadrature last'),
-         ('0x1.3fc37acdc1397p-4', '0x1.47e3ef6ec64a1p-35', 'series', 922)),
+        (('doney no_case', 'quadrature zone', 'series'),
+         ('0x1.3fc37accb7e22p-4', '0x1.cceb0efa86b6bp-37', 'quadrature', 73)),
         (('quadrature band', 'doney no_case', 'series skip_band'),
-         ('0x1.3a9abf3a550bep-4', '0x1.90a7780d4ce2ep-36', 'quadrature', 70)),
+         ('0x1.3a9abf3a67f49p-4', '0x1.c4d8e3065b0bep-37', 'quadrature', 73)),
         (('quadrature band', 'doney no_case', 'series skip_band'),
-         ('0x1.3333333308325p-4', '0x1.8814fa0ac9d27p-36', 'quadrature', 70)),
+         ('0x1.3333333318a55p-4', '0x1.b94de0b6eb2aep-37', 'quadrature', 73)),
         (('quadrature band', 'doney no_case', 'series skip_band'),
-         ('0x1.2c2b21c6cba47p-4', '0x1.8024c53a65aa3p-36', 'quadrature', 70)),
+         ('0x1.2c2b21c6d9d05p-4', '0x1.ae631dee7c01ap-37', 'quadrature', 73)),
         (('quadrature band reflected', 'doney no_case', 'series skip_band'),
-         ('0x1.27ac7d693d5dep-4', '0x1.704842a6f80bdp-36', 'quadrature', 70)),
+         ('0x1.27ac7d692ad57p-4', '0x1.a136a2bda8ba3p-37', 'quadrature', 73)),
         (('quadrature band reflected', 'doney no_case', 'series skip_band'),
-         ('0x1.2773f3317dd9ep-4', '0x1.6fd668732cccap-36', 'quadrature', 70)),
+         ('0x1.2773f3316b480p-4', '0x1.a0c19523e04c8p-37', 'quadrature', 73)),
         (('quadrature band reflected', 'doney no_case', 'series skip_band'),
-         ('0x1.2717e64b278e2p-4', '0x1.6f1d493554980p-36', 'quadrature', 70)),
-        (('doney no_case', 'series reflected', 'quadrature last reflected'),
-         ('0x1.257b3c1ad5be2p-4', '0x1.2227723ecb6cap-35', 'series', 812)),
+         ('0x1.2717e64b14ecfp-4', '0x1.a0031ddd68e2dp-37', 'quadrature', 73)),
+        (('doney no_case', 'quadrature zone reflected', 'series reflected'),
+         ('0x1.257b3c1b373e3p-4', '0x1.9caed4aeb94e1p-37', 'quadrature', 73)),
         (('doney no_case', 'series reflected', 'quadrature last reflected'),
          ('0x1.261bc322ca174p-5', '0x1.0d00e9b8f0036p-38', 'series', 54)),
     ),
@@ -538,17 +545,17 @@ PINS = {
         ('MethodNotApplicableError',
          'MethodNotApplicableError'),
         (('quadrature band',),
-         ('0x1.3a9abf3a550bep-4', '0x1.90a7780d4ce2ep-36', 'quadrature', 70)),
+         ('0x1.3a9abf3a67f49p-4', '0x1.c4d8e3065b0bep-37', 'quadrature', 73)),
         (('quadrature band',),
-         ('0x1.3333333308325p-4', '0x1.8814fa0ac9d27p-36', 'quadrature', 70)),
+         ('0x1.3333333318a55p-4', '0x1.b94de0b6eb2aep-37', 'quadrature', 73)),
         (('quadrature band',),
-         ('0x1.2c2b21c6cba47p-4', '0x1.8024c53a65aa3p-36', 'quadrature', 70)),
+         ('0x1.2c2b21c6d9d05p-4', '0x1.ae631dee7c01ap-37', 'quadrature', 73)),
         (('quadrature band reflected',),
-         ('0x1.27ac7d693d5dep-4', '0x1.704842a6f80bdp-36', 'quadrature', 70)),
+         ('0x1.27ac7d692ad57p-4', '0x1.a136a2bda8ba3p-37', 'quadrature', 73)),
         (('quadrature band reflected',),
-         ('0x1.2773f3317dd9ep-4', '0x1.6fd668732cccap-36', 'quadrature', 70)),
+         ('0x1.2773f3316b480p-4', '0x1.a0c19523e04c8p-37', 'quadrature', 73)),
         (('quadrature band reflected',),
-         ('0x1.2717e64b278e2p-4', '0x1.6f1d493554980p-36', 'quadrature', 70)),
+         ('0x1.2717e64b14ecfp-4', '0x1.a0031ddd68e2dp-37', 'quadrature', 73)),
         ('MethodNotApplicableError',
          'MethodNotApplicableError'),
         ('MethodNotApplicableError',
@@ -560,17 +567,17 @@ PINS = {
         (('series',),
          ('0x1.3fc37acdc1397p-4', '0x1.47e3ef6ec64a1p-35', 'series', 922)),
         (('quadrature band',),
-         ('0x1.3a9abf3a550bep-4', '0x1.90a7780d4ce2ep-36', 'quadrature', 70)),
+         ('0x1.3a9abf3a67f49p-4', '0x1.c4d8e3065b0bep-37', 'quadrature', 73)),
         (('quadrature band',),
-         ('0x1.3333333308325p-4', '0x1.8814fa0ac9d27p-36', 'quadrature', 70)),
+         ('0x1.3333333318a55p-4', '0x1.b94de0b6eb2aep-37', 'quadrature', 73)),
         (('quadrature band',),
-         ('0x1.2c2b21c6cba47p-4', '0x1.8024c53a65aa3p-36', 'quadrature', 70)),
+         ('0x1.2c2b21c6d9d05p-4', '0x1.ae631dee7c01ap-37', 'quadrature', 73)),
         (('quadrature band reflected',),
-         ('0x1.27ac7d693d5dep-4', '0x1.704842a6f80bdp-36', 'quadrature', 70)),
+         ('0x1.27ac7d692ad57p-4', '0x1.a136a2bda8ba3p-37', 'quadrature', 73)),
         (('quadrature band reflected',),
-         ('0x1.2773f3317dd9ep-4', '0x1.6fd668732cccap-36', 'quadrature', 70)),
+         ('0x1.2773f3316b480p-4', '0x1.a0c19523e04c8p-37', 'quadrature', 73)),
         (('quadrature band reflected',),
-         ('0x1.2717e64b278e2p-4', '0x1.6f1d493554980p-36', 'quadrature', 70)),
+         ('0x1.2717e64b14ecfp-4', '0x1.a0031ddd68e2dp-37', 'quadrature', 73)),
         (('series reflected',),
          ('0x1.257b3c1ad5be2p-4', '0x1.2227723ecb6cap-35', 'series', 812)),
         (('series reflected',),
@@ -578,25 +585,25 @@ PINS = {
     ),
     (0.5, 0.3, True, 'quadrature'): (
         (('quadrature last',),
-         ('0x1.7ccde6e622dedp-3', '0x1.a2f1306bf2457p-36', 'quadrature', 75)),
-        (('quadrature last',),
-         ('0x1.3fc37acca33dbp-4', '0x1.96c1a32f81ed9p-36', 'quadrature', 70)),
+         ('0x1.7ccde6e622debp-3', '0x1.a2f1306bf2462p-36', 'quadrature', 75)),
+        (('quadrature zone',),
+         ('0x1.3fc37accb7e22p-4', '0x1.cceb0efa86b6bp-37', 'quadrature', 73)),
         (('quadrature band',),
-         ('0x1.3a9abf3a550bep-4', '0x1.90a7780d4ce2ep-36', 'quadrature', 70)),
+         ('0x1.3a9abf3a67f49p-4', '0x1.c4d8e3065b0bep-37', 'quadrature', 73)),
         (('quadrature band',),
-         ('0x1.3333333308325p-4', '0x1.8814fa0ac9d27p-36', 'quadrature', 70)),
+         ('0x1.3333333318a55p-4', '0x1.b94de0b6eb2aep-37', 'quadrature', 73)),
         (('quadrature band',),
-         ('0x1.2c2b21c6cba47p-4', '0x1.8024c53a65aa3p-36', 'quadrature', 70)),
+         ('0x1.2c2b21c6d9d05p-4', '0x1.ae631dee7c01ap-37', 'quadrature', 73)),
         (('quadrature band reflected',),
-         ('0x1.27ac7d693d5dep-4', '0x1.704842a6f80bdp-36', 'quadrature', 70)),
+         ('0x1.27ac7d692ad57p-4', '0x1.a136a2bda8ba3p-37', 'quadrature', 73)),
         (('quadrature band reflected',),
-         ('0x1.2773f3317dd9ep-4', '0x1.6fd668732cccap-36', 'quadrature', 70)),
+         ('0x1.2773f3316b480p-4', '0x1.a0c19523e04c8p-37', 'quadrature', 73)),
         (('quadrature band reflected',),
-         ('0x1.2717e64b278e2p-4', '0x1.6f1d493554980p-36', 'quadrature', 70)),
+         ('0x1.2717e64b14ecfp-4', '0x1.a0031ddd68e2dp-37', 'quadrature', 73)),
+        (('quadrature zone reflected',),
+         ('0x1.257b3c1b373e3p-4', '0x1.9caed4aeb94e1p-37', 'quadrature', 73)),
         (('quadrature last reflected',),
-         ('0x1.257b3c1b4a235p-4', '0x1.6be2f8851c41dp-36', 'quadrature', 70)),
-        (('quadrature last reflected',),
-         ('0x1.261bc322dac8cp-5', '0x1.fe358d59a2397p-39', 'quadrature', 74)),
+         ('0x1.261bc322dac8cp-5', '0x1.fe358d59a2394p-39', 'quadrature', 74)),
     ),
 }
 

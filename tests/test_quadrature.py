@@ -1,19 +1,26 @@
+import importlib
 import math
+import sys
 
 import pytest
 
 from stablekappa import (
     ConvergenceFailureError,
+    IllConditionedSeriesError,
     MethodChoice,
     OutOfRangeError,
     Tolerance,
+    g_any_beta,
     g_quad,
+    gprime_any_beta,
     gprime_quad,
     validate,
 )
 
 from conftest import admissible_rho_grid, g_integral_oracle, gprime_integral_oracle
 from oracles import g_mpmath, gprime_mpmath
+
+quadrature_module = importlib.import_module("stablekappa.quadrature")
 
 TIGHT = Tolerance(abs_tol=1e-12)
 
@@ -181,3 +188,111 @@ def test_line_within_its_bound_of_the_integral(alpha, rho, beta):
             res = quad(params, beta, Tolerance(abs_tol=abs_tol))
             assert abs(res.value - float(ref)) <= res.abs_error_bound + float(err), (
                 quad.__name__, abs_tol)
+
+
+# The table of (EDGE, 1/EDGE) fixes h and n for the worst beta of that
+# range and is shared by every beta there; the line of one beta alone is
+# the same rule at its own h and n.  Each alpha kind (rational,
+# near-resonant, generic, small) takes two betas of the table's range,
+# alternately one below 1 and one above.
+TABLE_ALPHAS = ((0.5, 0.3), (0.8, 0.25), (1.0, 0.5), (1.9, 0.5), (2.0, 0.5),
+                (0.500000000001, 0.3), (0.5 + math.sqrt(2.0) / 40.0, 0.5), (1.0000001, 0.5),
+                (1.50000001, 1.0 - 1.0 / 1.50000001), (math.sqrt(2.0), 0.5),
+                (math.pi / 2.0, 0.45), (math.e / 2.0, 1.0 / (math.e / 2.0)), (0.01, 0.3),
+                (0.1, 0.7), (0.3, 0.5))
+TABLE_BETAS = (0.55, 1.9, 0.8, 1.3, 0.99, 1.01)
+
+
+def _table_points():
+    return [(alpha, rho, TABLE_BETAS[(2 * i + k) % len(TABLE_BETAS)])
+            for i, (alpha, rho) in enumerate(TABLE_ALPHAS) for k in (0, 1)]
+
+
+@pytest.mark.parametrize("alpha, rho, beta", _table_points())
+def test_table_within_its_bound_of_the_integral(alpha, rho, beta):
+    params = validate(alpha, rho)
+    log_beta = math.log(beta)
+    for derivative, (quad, oracle) in enumerate(((g_quad, g_mpmath), (gprime_quad, gprime_mpmath))):
+        ref, err = oracle(alpha, rho, beta)
+        # at 1e-15 the rounding term is most of the bound
+        for abs_tol in (1e-6, 1e-10, 1e-13, 1e-15):
+            res = quad(params, beta, Tolerance(abs_tol=abs_tol))
+            assert abs(res.value - float(ref)) <= res.abs_error_bound + float(err), (
+                quad.__name__, abs_tol)
+            # the line of this beta alone: the same rule at its own h and n
+            own = quadrature_module._Table(alpha, rho, bool(derivative), abs_tol, 10000,
+                                           log_beta, log_beta)(beta)
+            assert abs(res.value - own.value) <= res.abs_error_bound + own.abs_error_bound, (
+                quad.__name__, abs_tol)
+
+
+def test_one_table_per_key_over_the_edge_range(monkeypatch):
+    # dispatch reaches the table through g_quad and gprime_quad: a sweep of
+    # beta across (EDGE, 1/EDGE) builds one table per (alpha, rho, g or g',
+    # abs_tol, max_terms), keyed on those plain values, whatever the beta
+    built = []
+
+    class Counted(quadrature_module._Table):
+        __slots__ = ()
+
+        def __init__(self, *key):
+            built.append(key)
+            super().__init__(*key)
+
+    monkeypatch.setattr(quadrature_module, "_Table", Counted)
+    quadrature_module._zone.cache_clear()
+    params, tol = validate(math.sqrt(2.0), 0.5), Tolerance(abs_tol=1e-9)
+    betas = [0.51 + 0.07 * i for i in range(21)]
+    assert betas[-1] < 1.0 / quadrature_module.EDGE
+    for any_beta in (g_any_beta, gprime_any_beta):
+        for beta in betas:
+            assert any_beta(params, beta, tol=tol).method is MethodChoice.QUADRATURE
+    edge = math.log(quadrature_module.EDGE)
+    assert built == [(params.alpha, params.rho, derivative, 1e-9, 10000, edge, -edge)
+                     for derivative in (False, True)]
+    # and outside the range each call makes its own, not cached
+    g_quad(params, 0.3, tol)
+    assert len(built) == 3 and quadrature_module._zone.cache_info().currsize == 2
+
+
+def _crossover():
+    """Print the warm microseconds per call of the series and of the line's
+    table at the sweep's and the grid's alphas, for g and g', at betas from
+    0.1 to 0.95: the edge above which dispatch runs the line first is
+    chosen where the table costs less than the series."""
+    import timeit
+
+    from stablekappa.series import g_series, gprime_series
+
+    alphas = ((math.sqrt(2.0), 0.5), (math.pi / 2.0, 0.45), (0.5 + math.sqrt(2.0) / 40.0, 0.5),
+              (1.0000001, 0.5), (1.50000001, 0.5), (0.8, 0.25), (1.5, 2.0 / 3.0), (2.0, 0.5),
+              (1.0, 0.5), (0.3, 0.5), (1.9, 0.5))
+    betas = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95)
+    tol = Tolerance()
+
+    def micros(call):
+        call()
+        return min(timeit.repeat(call, number=100, repeat=3)) / 100 * 1e6
+
+    print("series/table us per call; the table of each beta covers [beta, 1/beta]")
+    print(f"{'':>22}" + "".join(f"{beta:>10}" for beta in betas))
+    for derivative, series in enumerate((g_series, gprime_series)):
+        for alpha, rho in alphas:
+            params, cells = validate(alpha, rho), []
+            for beta in betas:
+                edge = math.log(beta)
+                table = quadrature_module._Table(alpha, rho, bool(derivative), tol.abs_tol,
+                                                 tol.max_terms, edge, -edge)
+                try:
+                    cost = f"{micros(lambda: series(params, beta, tol)):.0f}"
+                except (ConvergenceFailureError, IllConditionedSeriesError):
+                    cost = "-"
+                cells.append(f"{cost}/{micros(lambda: table(beta)):.0f}")
+            name = f"{'gprime' if derivative else 'g'} {alpha:.9g} {rho:.4g}"
+            print(f"{name:>22}" + "".join(f"{cell:>10}" for cell in cells))
+
+
+if __name__ == "__main__":
+    if "--crossover" in sys.argv:
+        _crossover()
+    sys.exit(0)

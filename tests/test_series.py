@@ -842,7 +842,8 @@ def test_dispatch_computes_each_stopping_index_once(alpha, counts, monkeypatch):
     # one cut per form the series tries: the generic sum's, which stops
     # both its families; near 3/2 and 1e-7 above 1 the generic sum refuses
     # its noise at that cut, and the split at 3/2 or 1/1 takes one more, for
-    # its two families and its pairs: nothing else asks for a stop
+    # its two families and its pairs: nothing else asks for a stop.  The
+    # series is forced, since at 0.9 the line runs first
     calls = []
 
     def counted(*args):
@@ -854,7 +855,7 @@ def test_dispatch_computes_each_stopping_index_once(alpha, counts, monkeypatch):
     for beta in (0.3, 0.9):
         for any_beta in (g_any_beta, gprime_any_beta):
             calls.clear()
-            assert any_beta(params, beta).method is MethodChoice.SERIES
+            assert any_beta(params, beta, MethodChoice.SERIES).method is MethodChoice.SERIES
             assert len(calls) in counts, (beta, any_beta)
 
 
@@ -936,6 +937,20 @@ def test_gprime_below_the_normal_floats_counts_their_rounding():
                 else:
                     ref = residue_sum(alpha, rho, beta, True, 3.5)
                 assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound, (alpha, beta)
+
+
+def test_gprime_at_a_subnormal_beta_keeps_its_digits():
+    # at alpha 1 the value is the resonant term at 1, -(log beta sin(pi rho)
+    # + pi rho cos(pi rho))/pi, the rest below beta: taken over beta term
+    # by term, it keeps its digits at a subnormal beta, where the powers
+    # near beta and their quotient by beta would not
+    params, r = validate(1.0, 0.3), mpf(0.3)
+    for beta in (1e-310, 1e-320):
+        rep = gprime_series(params, beta)
+        ref = float(-(mpmath.log(mpf(beta)) * mpmath.sinpi(r)
+                      + mpmath.pi * r * mpmath.cospi(r)) / mpmath.pi)
+        assert abs(rep.value - ref) <= 4.0 * math.ulp(ref), beta
+        assert rep.tail_bound + rep.noise_bound < 1e-10, beta
 
 
 def test_a_term_that_overflows_is_a_typed_refusal():

@@ -87,21 +87,21 @@ def outcomes():
 # per alpha: results by (doney, series, quadrature), then the failures
 # (ConvergenceFailureError, IllConditionedSeriesError)
 OUTCOMES = {
-    0.01: (0, 247, 108, 101, 0),
-    0.1: (0, 276, 81, 99, 0),
-    0.3: (0, 282, 77, 97, 0),
-    0.5: (0, 290, 75, 91, 0),
-    0.500001: (0, 210, 149, 97, 0),
-    0.500000000001: (0, 293, 72, 91, 0),
-    0.5 + SQRT2 / 40.0: (0, 291, 74, 91, 0),
-    0.8: (88, 216, 70, 82, 0),
-    1.0: (0, 331, 60, 65, 0),
-    1.0000001: (0, 342, 60, 54, 0),
-    SQRT2: (0, 314, 69, 73, 0),
-    1.5: (194, 133, 57, 72, 0),
-    1.50000001: (0, 327, 57, 72, 0),
-    1.9: (174, 153, 54, 75, 0),
-    2.0: (98, 11, 18, 25, 0),
+    0.01: (0, 214, 144, 98, 0),
+    0.1: (0, 222, 135, 99, 0),
+    0.3: (0, 228, 131, 97, 0),
+    0.5: (0, 236, 129, 91, 0),
+    0.500001: (0, 190, 169, 97, 0),
+    0.500000000001: (0, 238, 127, 91, 0),
+    0.5 + SQRT2 / 40.0: (0, 237, 129, 90, 0),
+    0.8: (88, 179, 107, 82, 0),
+    1.0: (0, 273, 120, 63, 0),
+    1.0000001: (0, 284, 121, 51, 0),
+    SQRT2: (0, 260, 124, 56, 16),
+    1.5: (194, 111, 80, 71, 0),
+    1.50000001: (0, 273, 112, 71, 0),
+    1.9: (174, 129, 78, 75, 0),
+    2.0: (98, 10, 19, 25, 0),
 }
 
 

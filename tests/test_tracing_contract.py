@@ -44,7 +44,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 entry["gprime_any_beta"](stablekappa.validate(0.5, 0.3), 0.4)
 """
 
-# a 40-row g table at sqrt 2: the series runs at every row
+# a 40-row g table at sqrt 2: the series runs at the 22 rows up to the
+# line's edge, 0.5, and the line, read off its table, at the 18 above
 SWEEP = """
 with contextlib.redirect_stdout(io.StringIO()):
     code = entry["main"](["table", "--alpha", repr(2 ** 0.5), "--rho", "0.5",
@@ -54,7 +55,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 
 
 # a 40-row g table at 1.50000001: the series pairs its terms near 3/2 at
-# every row, where quadrature ran before
+# every row up to the line's edge
 PAIRED = """
 with contextlib.redirect_stdout(io.StringIO()):
     code = entry["main"](["table", "--alpha", "1.50000001", "--rho", "0.5",
@@ -63,7 +64,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 """
 
 # a 40-row g' table at the rational 3/10: the split series runs at every
-# row, its resonant terms the pairs at delta = 0
+# row up to the line's edge, its resonant terms the pairs at delta = 0
 RATIONAL = """
 with contextlib.redirect_stdout(io.StringIO()):
     code = entry["main"](["table", "--alpha", "0.3", "--rho", "0.5", "--derivative",
@@ -73,7 +74,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 
 
 # a 40-row g table at the rational 19/10: the split series runs at every
-# row, as on the benchmark's grid
+# row up to the line's edge, as on the benchmark's grid
 RATIONAL_G = """
 with contextlib.redirect_stdout(io.StringIO()):
     code = entry["main"](["table", "--alpha", "1.9", "--rho", "0.5",
@@ -124,11 +125,11 @@ for alpha, rho in ((0.8, 0.25), (1.0, 0.5), (0.3, 0.5)):
 
 # GRID's work counters (``python tests/test_tracing_contract.py`` prints them)
 GRID_PINS = {
-    "series.calls": 46,
-    "series.terms": 1318,
-    "special.doney.calls": 38,
-    "quadrature.nodes": 204,
-    "accurate.reductions": 501,
+    "series.calls": 42,
+    "series.terms": 886,
+    "special.doney.calls": 44,
+    "quadrature.nodes": 529,
+    "accurate.reductions": 257,
 }
 
 # g at the dyadic alpha 2^-70: the second family's poles lie 2^-70 apart,
@@ -172,35 +173,36 @@ def test_sweep_work_counters():
     assert metrics["diophantine.classify.calls"] == 0
     assert metrics["diophantine.classify.reductions"] == 0
     assert metrics["accurate.reductions"] <= 900
-    assert metrics["series.terms"] == 2910
+    assert (metrics["series.calls"], metrics["quadrature.calls"]) == (22, 18)
+    assert metrics["series.terms"] == 625
 
 
 def test_paired_sweep_work_counters():
     metrics = _traced(PAIRED)
     assert metrics["diophantine.classify.calls"] == 0
-    assert metrics["quadrature.calls"] == 0
-    assert metrics["series.calls"] == 40
+    assert metrics["quadrature.calls"] == 18
+    assert metrics["series.calls"] == 22
     # the pairs count as first-series terms; at the seven betas up to 0.15
     # the generic sum returns, its summed noise under half the tolerance
-    assert metrics["series.terms"] == 2263
+    assert metrics["series.terms"] == 504
 
 
 def test_rational_sweep_work_counters():
     # the pair factors at delta = 0 are reduced once for the table, like the
     # nonresonant sums' sines, not once per beta
     metrics = _traced(RATIONAL)
-    assert metrics["series.calls"] == 40
-    assert metrics["series.terms"] == 7802
+    assert metrics["series.calls"] == 22
+    assert metrics["series.terms"] == 1641
     assert metrics["accurate.reductions"] <= 2060
 
 
 def test_rational_g_sweep_work_counters():
     # g at 19/10, the split of the benchmark's grid: its cut may pass an
     # interval whose midpoint is a pole alpha k, yet sums fewer terms than
-    # the stops it replaced (2887)
+    # the stops it replaced (2887 over all 40 rows, 2484 since)
     metrics = _traced(RATIONAL_G)
-    assert metrics["series.calls"] == 40
-    assert metrics["series.terms"] == 2484
+    assert metrics["series.calls"] == 22
+    assert metrics["series.terms"] == 536
 
 
 def test_beta_free_work_is_done_once():

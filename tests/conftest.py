@@ -1,14 +1,45 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles for the test suite, the guard that keeps the
+30-digit integral out of it, and one way to clear every cache.
 
 These deliberately avoid the package's own quadrature and reduction code:
 scipy's QUADPACK and mpmath are the second opinion that keeps every
 cross-check two-sided.
 """
 
+import importlib
 import math
 
 import pytest
 from scipy.integrate import quad
+
+import oracles
+from stablekappa import diophantine, quadrature, series, special
+
+# the package re-exports the function kappa under the submodule's name
+kappa_module = importlib.import_module("stablekappa.kappa")
+
+
+def clear_caches():
+    """Empty every cache of the package: dispatch's plans, the line's
+    tables, the series' plans, families and cuts, alpha's profiles and the
+    Doney cases and cosines."""
+    for cache in (kappa_module._steps, quadrature._zone, series._plan, series._family,
+                  series._cuts, diophantine._profile, special.find_doney_case, special._cosines):
+        cache.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _no_live_oracle(request, monkeypatch):
+    """Fail a test that integrates the 30-digit oracle: tests read it from
+    the store (``store.oracle``), all but the oracle's own test."""
+    if request.node.originalname == "test_the_integral_oracle_refuses_beta_below_1e_20":
+        return
+
+    def live(*args):
+        pytest.fail(f"a live 30-digit integral at {args!r}: add the point to its module's "
+                    "ORACLE_POINTS, run python tests/regen.py oracle and read store.oracle")
+
+    monkeypatch.setattr(oracles, "_mpmath_integral", live)
 
 
 def g_integral_oracle(alpha: float, rho: float, beta: float) -> float:

@@ -11,7 +11,7 @@ import pytest
 from stablekappa import MethodChoice, g_any_beta, validate
 from stablekappa.cli import _SELFTEST_GROUPS, _build_parser, main
 
-from oracles import g_mpmath
+import store
 
 SQRT2 = repr(math.sqrt(2.0))
 # the module, which the package's kappa function shadows as an attribute
@@ -397,17 +397,26 @@ def test_kappa_transform_failure_records_its_arguments(capsys):
 def test_kappa_at_rational_alpha_with_a_huge_argument_of_g(capsys):
     # g's argument beta gamma^(-1/alpha) is 4.4e9, planned at its inverse;
     # adaptive quadrature of g failed there, the series split at 3/10 does not
-    alpha, rho, gamma, beta = 0.3, 0.5, 0.01, 952.7247059096829
+    alpha, rho, gamma, beta = HUGE_ARGUMENT
     code, out, _ = run(capsys, "kappa", "--alpha", repr(alpha), "--rho", repr(rho),
                        "--gamma", repr(gamma), "--beta", repr(beta), "--format", "json")
     assert code == 0
     rec = json.loads(out)
     assert rec["method"] == "series"
     with mpmath.workdps(30):
-        arg = mpmath.mpf(beta) * mpmath.mpf(gamma) ** (-1 / mpmath.mpf(alpha))
-        g, err = g_mpmath(alpha, rho, arg)
+        g, err = store.oracle(alpha, rho, _huge_argument(), False)
         ref = mpmath.mpf(gamma) ** rho * mpmath.exp(g)
         assert abs(rec["value"] - ref) <= rec["abs_error_bound"] + ref * err
+
+
+HUGE_ARGUMENT = (0.3, 0.5, 0.01, 952.7247059096829)
+
+
+def _huge_argument():
+    """beta gamma^(-1/alpha) of HUGE_ARGUMENT, rounded to a float from 30 digits."""
+    alpha, _, gamma, beta = map(mpmath.mpf, HUGE_ARGUMENT)
+    with mpmath.workdps(30):
+        return float(beta * gamma ** (-1 / alpha))
 
 
 def test_kappa_gamma_defaults_to_one(capsys):
@@ -523,7 +532,7 @@ def test_eval_at_a_dyadic_alpha_with_a_zero_divisor_floor(capsys):
     assert (code, err) == (0, "")
     rec = json.loads(out)
     assert (rec["method"], rec["status"]) == ("quadrature", "ok")
-    ref, ref_err = g_mpmath(2.0 ** -30, 0.5, 0.3)
+    ref, ref_err = store.oracle(2.0 ** -30, 0.5, 0.3, False)
     assert abs(rec["value"] - ref) <= rec["abs_error_bound"] + ref_err
 
 
@@ -537,3 +546,6 @@ def test_eval_where_a_series_term_overflows(capsys):
         assert code == 2, beta
         assert json.loads(out)["status"] == "convergence_failure"
         assert err.startswith("error: quadrature: the line needs more than 10000 steps")
+
+
+ORACLE_POINTS = [(0.3, 0.5, _huge_argument(), False), (2.0 ** -30, 0.5, 0.3, False)]

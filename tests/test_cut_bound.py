@@ -4,19 +4,12 @@ Every value the series returns, generic, paired near a resonance or split
 at a rational alpha, for g and g', lies within its tail bound R(c') plus
 its noise bound of ``tests/oracles.g_mpmath`` (or ``gprime_mpmath``), and
 every split stops with its pairs whole.  Near a resonance the split at the
-pairing convergent is also called directly.  The oracle takes about 55 ms a
-point, so its values are stored as float hex with its error estimate in
-``tests/cut_oracle.txt``; after a change of the grid, rebuild the file with
-
-    PYTHONPATH=src:tests python tests/test_cut_bound.py
-
-The grid leaves out alpha = 1 + 2^-40 at rho = 1/alpha, where the oracle
-itself is off by up to 4.3e-8.
+pairing convergent is also called directly.  The oracle's values are read
+from the store.  The grid leaves out alpha = 1 + 2^-40 at rho = 1/alpha,
+where the oracle itself is off by up to 4.3e-8.
 """
 
 import math
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -33,7 +26,8 @@ from stablekappa import (
 )
 from stablekappa import series as series_module
 
-ORACLE = Path(__file__).resolve().parent / "cut_oracle.txt"
+import store
+
 SQRT2 = math.sqrt(2.0)
 # rational; near 3/2 and near 53/99, where the series pairs; irrational
 ALPHAS = (1.0, 0.3, 1.9, 0.5, 1.50000001, 0.5 + SQRT2 / 40.0, SQRT2, math.pi / 2.0,
@@ -46,22 +40,12 @@ def _rhos(alpha):
     return (0.5, 0.9 if alpha <= 1.0 else 1.0 / alpha)
 
 
-def _points():
-    return [(alpha, rho, beta, derivative) for alpha in ALPHAS for rho in _rhos(alpha)
-            for beta in BETAS for derivative in (False, True)]
-
-
-def _read_oracle() -> dict:
-    table = {}
-    for line in ORACLE.read_text().splitlines():
-        alpha, rho, beta, derivative, value, err = line.split()
-        table[float.fromhex(alpha), float.fromhex(rho), float.fromhex(beta),
-              derivative == "1"] = (float.fromhex(value), float.fromhex(err))
-    return table
+ORACLE_POINTS = [(alpha, rho, beta, derivative) for alpha in ALPHAS for rho in _rhos(alpha)
+                 for beta in BETAS for derivative in (False, True)]
 
 
 def test_oracle_file_covers_the_grid():
-    assert set(_read_oracle()) == set(_points())
+    assert set(ORACLE_POINTS) <= set(store.load("oracle"))
 
 
 # the pairing convergents of the near-resonant alphas, where the split is
@@ -81,7 +65,7 @@ def outcomes():
     """Each grid point's (series report or None where it refuses, oracle
     value, oracle error), by form: the series' own decision, and the split
     at the pairing convergent; and the (skips, cut) of every cut taken."""
-    oracle, cuts, results = _read_oracle(), [], {}
+    cuts, results = [], {}
     cut = series_module._cut
 
     def recorded(*args):
@@ -91,7 +75,7 @@ def outcomes():
 
     series_module._cut = recorded
     try:
-        for point in _points():
+        for point in ORACLE_POINTS:
             alpha, rho, beta, derivative = point
             series = gprime_series if derivative else g_series
             forms = {"series": lambda: series(validate(alpha, rho), beta)}
@@ -102,7 +86,7 @@ def outcomes():
                     rep = evaluate()
                 except IllConditionedSeriesError:
                     rep = None
-                results[point, form] = (rep, *oracle[point])
+                results[point, form] = (rep, *store.oracle(*point))
     finally:
         series_module._cut = cut
     return results, cuts
@@ -157,14 +141,3 @@ def test_no_split_stops_inside_a_pair(outcomes):
             checked += stop1 >= p
     assert checked > 100
 
-
-if __name__ == "__main__":
-    from oracles import g_mpmath, gprime_mpmath
-
-    lines = []
-    for alpha, rho, beta, derivative in _points():
-        value, err = (gprime_mpmath if derivative else g_mpmath)(alpha, rho, beta)
-        lines.append(" ".join((alpha.hex(), rho.hex(), beta.hex(), str(int(derivative)),
-                               float(value).hex(), float(err).hex())))
-    ORACLE.write_text("\n".join(lines) + "\n")
-    sys.exit(0)

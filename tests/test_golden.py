@@ -1,25 +1,18 @@
 """Golden CLI outputs: stdout and exit code of fixed command lines, byte for byte.
 
-Each command has one checked-in file under tests/golden/ holding, per case,
-the command line, its exit code and its stdout.  After an intended output
-change, regenerate the files with
-
-    PYTHONPATH=src python tests/test_golden.py
-
-and name every changed case in CHANGES.md.
+Each command has one file in the store tests/pins/golden/ holding, per
+case, the command line, its exit code and its stdout.
 """
 
 import contextlib
 import io
 import math
-import sys
-from pathlib import Path
 
 import pytest
 
 from stablekappa.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+import store
 
 # (alpha, rho) per alpha kind
 ALPHAS = (
@@ -94,14 +87,10 @@ def render(command: str) -> str:
     return "\n".join(blocks)
 
 
+def pins() -> dict:
+    return {command: render(command) for command in _cases()}
+
+
 @pytest.mark.parametrize("command", list(_cases()))
 def test_golden_cli_output(command):
-    expected = (GOLDEN / f"{command}.txt").read_text()
-    assert render(command) == expected
-
-
-if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
-    for name in _cases():
-        (GOLDEN / f"{name}.txt").write_text(render(name))
-    sys.exit(0)
+    assert render(command) == store.load("golden")[command]

@@ -25,7 +25,8 @@ from stablekappa import (
 from stablekappa import series as series_module
 from stablekappa.kappa import plan
 
-from oracles import g_mpmath, gprime_mpmath
+import store
+from conftest import clear_caches
 
 # the package re-exports the function kappa under the submodule's name, so
 # the module is patched through sys.modules, never by its dotted path
@@ -79,17 +80,20 @@ def test_auto_dispatch_rational_for_rational_without_case():
 # one reflected from beta = 1e-6; then, at the default tolerance, 1e-7
 # above 1 at rho = 1 - 1/alpha, where the series now sums generic and
 # split its terms near 1/1 before, the last point reflected
-@pytest.mark.parametrize("alpha, rho, beta", [
+FORMER_FAULTS = [
     (0.3, 0.99, 1e-8), (0.3, 0.99, 1e-6), (0.3, 0.999, 1e-4), (0.5, 0.999, 1e-6),
     (0.3, 0.99, 1e6), (1.0000001, 1.0 - 1.0 / 1.0000001, 1.2e-6),
     (1.0000001, 1.0 - 1.0 / 1.0000001, 0.012), (1.0000001, 1.0 - 1.0 / 1.0000001, 120.0),
-])
+]
+
+
+@pytest.mark.parametrize("alpha, rho, beta", FORMER_FAULTS)
 def test_auto_dispatch_g_at_former_quadrature_faults(alpha, rho, beta):
     tol = Tolerance() if alpha == 1.0000001 else TOL
     res = g_any_beta(validate(alpha, rho), beta, MethodChoice.AUTO, tol)
     assert res.method is MethodChoice.SERIES
     assert res.abs_error_bound <= tol.abs_tol
-    ref, err = g_mpmath(alpha, rho, beta)
+    ref, err = store.oracle(alpha, rho, beta, False)
     assert abs(res.value - ref) <= res.abs_error_bound + err
 
 
@@ -108,7 +112,7 @@ def test_doney_gprime_within_its_bound_of_the_oracle(alpha, rho):
         res = gprime_any_beta(params, beta, MethodChoice.DONEY)
         assert res.method is MethodChoice.DONEY
         assert gprime_any_beta(params, beta) == res
-        ref, err = gprime_mpmath(alpha, rho, beta)
+        ref, err = store.oracle(alpha, rho, beta, True)
         assert abs(res.value - ref) <= res.abs_error_bound + err, beta
 
 
@@ -311,9 +315,7 @@ def test_doney_call_builds_no_series_plan():
     # the one-shot kappa at a Doney point fills its plan, but builds no
     # split plan, no sine table and no cut table
     caches = (series_module._plan, series_module._family, series_module._cuts)
-    kappa_module._steps.cache_clear()
-    for cache in caches:
-        cache.cache_clear()
+    clear_caches()
     assert kappa(validate(0.8, 0.25), KappaQuery(1.0, 0.5)).method is MethodChoice.DONEY
     assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
 
@@ -380,16 +382,19 @@ def test_forced_quadrature_near_one_half_fails_on_its_pins():
                       | {(rho, 1.2e-8, True) for rho in rhos[1:]})
 
 
-@pytest.mark.parametrize("beta", [0.97, 0.999, 1.0, 1.03])
+ENDPOINT_BAND = (0.97, 0.999, 1.0, 1.03)
+
+
+@pytest.mark.parametrize("beta", ENDPOINT_BAND)
 def test_band_at_the_one_sided_endpoint_returns_by_quadrature(beta):
     # 1e-7 above 1 at rho = 1/alpha adaptive quadrature raised in the band,
     # where the plan has no other step, even at tol 1e-6
     alpha = 1.0000001
     params, tol = validate(alpha, 1.0 / alpha), Tolerance(abs_tol=1e-6)
-    for fn, oracle in ((g_any_beta, g_mpmath), (gprime_any_beta, gprime_mpmath)):
+    for fn in (g_any_beta, gprime_any_beta):
         res = fn(params, beta, tol=tol)
         assert res.method is MethodChoice.QUADRATURE
-        ref, err = oracle(alpha, 1.0 / alpha, beta)
+        ref, err = store.oracle(alpha, 1.0 / alpha, beta, fn is gprime_any_beta)
         assert abs(res.value - ref) <= res.abs_error_bound + err, fn.__name__
 
 
@@ -416,7 +421,18 @@ def test_auto_dispatch_converges_near_one_half():
         rep = gprime_series(validate(0.500000000001, rho), beta)
         assert 1e-10 < rep.tail_bound + rep.noise_bound < 1e-9
     # a few of them against the 30-digit integral, at the smallest betas
-    for beta in (1.2e-12, 1.2e-8, 1.2e-4):
+    for beta in NEAR_HALF_BETAS:
         res = g_any_beta(params[2], beta)
-        ref, err = g_mpmath(0.500000000001, 0.3, beta)
+        ref, err = store.oracle(0.500000000001, 0.3, beta, False)
         assert abs(res.value - ref) <= res.abs_error_bound + err, beta
+
+
+NEAR_HALF_BETAS = (1.2e-12, 1.2e-8, 1.2e-4)
+
+
+ORACLE_POINTS = ([(alpha, rho, beta, False) for alpha, rho, beta in FORMER_FAULTS]
+                 + [(alpha, rho, beta, True) for alpha, rho in DONEY_PARAMS
+                    for beta in DONEY_BETAS]
+                 + [(1.0000001, 1.0 / 1.0000001, beta, derivative) for beta in ENDPOINT_BAND
+                    for derivative in (False, True)]
+                 + [(0.500000000001, 0.3, beta, False) for beta in NEAR_HALF_BETAS])

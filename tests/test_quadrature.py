@@ -18,7 +18,7 @@ from stablekappa import (
 )
 
 from conftest import admissible_rho_grid, g_integral_oracle, gprime_integral_oracle
-from oracles import g_mpmath, gprime_mpmath
+import store
 
 quadrature_module = importlib.import_module("stablekappa.quadrature")
 
@@ -120,17 +120,16 @@ def test_tolerance_monotonicity():
         assert tight.abs_error_bound <= loose.abs_error_bound
 
 
-@pytest.mark.parametrize("alpha,beta,abs_tol", [
-    (0.5, 1e-8, 1e-6),
-    (0.3, 1e-8, 1e-6),
-    (math.sqrt(2.0), 1e-6, 1e-10),
-])
+DECADES_BELOW_ONE = [(0.5, 1e-8, 1e-6), (0.3, 1e-8, 1e-6), (math.sqrt(2.0), 1e-6, 1e-10)]
+
+
+@pytest.mark.parametrize("alpha,beta,abs_tol", DECADES_BELOW_ONE)
 def test_bound_holds_decades_below_one(alpha, beta, abs_tol):
     # adaptive quadrature split only at beta and 1 once erred by 4e-5
     # against an estimate of 9e-8 here, at alpha 0.5
     res = g_quad(validate(alpha, 0.3), beta, Tolerance(abs_tol=abs_tol))
-    want, _ = g_mpmath(alpha, 0.3, beta)
-    assert abs(res.value - float(want)) <= res.abs_error_bound
+    want, _ = store.oracle(alpha, 0.3, beta, False)
+    assert abs(res.value - want) <= res.abs_error_bound
 
 
 def test_near_singular_rho_band():
@@ -182,12 +181,11 @@ def _oracle_points():
 @pytest.mark.parametrize("alpha, rho, beta", _oracle_points())
 def test_line_within_its_bound_of_the_integral(alpha, rho, beta):
     params = validate(alpha, rho)
-    for quad, oracle in ((g_quad, g_mpmath), (gprime_quad, gprime_mpmath)):
-        ref, err = oracle(alpha, rho, beta)
+    for derivative, quad in enumerate((g_quad, gprime_quad)):
+        ref, err = store.oracle(alpha, rho, beta, derivative)
         for abs_tol in (1e-6, 1e-10, 1e-13):
             res = quad(params, beta, Tolerance(abs_tol=abs_tol))
-            assert abs(res.value - float(ref)) <= res.abs_error_bound + float(err), (
-                quad.__name__, abs_tol)
+            assert abs(res.value - ref) <= res.abs_error_bound + err, (quad.__name__, abs_tol)
 
 
 # The table of (EDGE, 1/EDGE) fixes h and n for the worst beta of that
@@ -212,18 +210,22 @@ def _table_points():
 def test_table_within_its_bound_of_the_integral(alpha, rho, beta):
     params = validate(alpha, rho)
     log_beta = math.log(beta)
-    for derivative, (quad, oracle) in enumerate(((g_quad, g_mpmath), (gprime_quad, gprime_mpmath))):
-        ref, err = oracle(alpha, rho, beta)
+    for derivative, quad in enumerate((g_quad, gprime_quad)):
+        ref, err = store.oracle(alpha, rho, beta, derivative)
         # at 1e-15 the rounding term is most of the bound
         for abs_tol in (1e-6, 1e-10, 1e-13, 1e-15):
             res = quad(params, beta, Tolerance(abs_tol=abs_tol))
-            assert abs(res.value - float(ref)) <= res.abs_error_bound + float(err), (
-                quad.__name__, abs_tol)
+            assert abs(res.value - ref) <= res.abs_error_bound + err, (quad.__name__, abs_tol)
             # the line of this beta alone: the same rule at its own h and n
             own = quadrature_module._Table(alpha, rho, bool(derivative), abs_tol, 10000,
                                            log_beta, log_beta)(beta)
             assert abs(res.value - own.value) <= res.abs_error_bound + own.abs_error_bound, (
                 quad.__name__, abs_tol)
+
+
+ORACLE_POINTS = ([(alpha, 0.3, beta, False) for alpha, beta, _ in DECADES_BELOW_ONE]
+                 + [(*point, derivative) for point in _oracle_points() + _table_points()
+                    for derivative in (False, True)])
 
 
 def test_one_table_per_key_over_the_edge_range(monkeypatch):

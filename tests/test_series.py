@@ -29,10 +29,14 @@ from stablekappa.accurate import EPS, sin_mpi
 from stablekappa.diophantine import _profile
 from stablekappa.series import SeriesReport, _cut, _plan, _split
 
+import store
+from conftest import clear_caches
 from oracles import cut_scan, g_mpmath, gprime_mpmath, residue_sum
 
 TIGHT = Tolerance(abs_tol=1e-12)
 SQRT2 = math.sqrt(2.0)
+# g and g', each by the id of the 30-digit integral it is checked against
+DERIVATIVE_IDS = ["g_series-g_mpmath", "gprime_series-gprime_mpmath"]
 
 
 def _own_ratio(alpha, rho, beta, tol=None, derivative=False):
@@ -137,6 +141,9 @@ def test_series_endpoint_rho_one_sided_sums_to_log():
     assert abs(rep.value - math.log(1.5)) <= rep.tail_bound + rep.noise_bound
 
 
+ENDPOINT_BETAS = (1.2e-6, 0.012, 0.5)
+
+
 def test_one_sided_endpoint_within_its_bound_of_mpmath():
     # 1e-7 above 1 at rho = 1/alpha, rho alpha is 1 within 4 eps but not
     # exactly, and the divisors sin(k pi alpha) are as small as 3e-7: the
@@ -145,11 +152,11 @@ def test_one_sided_endpoint_within_its_bound_of_mpmath():
     # and g' (at the default tolerance g' pairs at 1/1 instead)
     alpha, tol = 1.0000001, Tolerance(abs_tol=1e-8)
     params = validate(alpha, 1.0 / alpha)
-    for beta in (1.2e-6, 0.012, 0.5):
-        for series, oracle in ((g_series, g_mpmath), (gprime_series, gprime_mpmath)):
+    for beta in ENDPOINT_BETAS:
+        for series in (g_series, gprime_series):
             rep = series(params, beta, tol)
             assert rep == _own_ratio(alpha, 1.0 / alpha, beta, tol, series is gprime_series)
-            ref, err = oracle(alpha, 1.0 / alpha, beta)
+            ref, err = store.oracle(alpha, 1.0 / alpha, beta, series is gprime_series)
             assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound + err, (beta, series)
 
 
@@ -159,10 +166,10 @@ def test_own_ratio_sums_a_vanished_divisor_as_its_resonant_term(alpha):
     # 3/2, the float's own numerator: the split at its own ratio, called as
     # the generic sum there, takes those indices as its pairs at delta = 0,
     # the resonant terms, and lies within its bound of the integral
-    for derivative, oracle in ((False, g_mpmath), (True, gprime_mpmath)):
+    for derivative in (False, True):
         rep = _own_ratio(alpha, 0.5, 0.3, derivative=derivative)
         assert rep.terms_first_series > 0
-        ref, err = oracle(alpha, 0.5, 0.3)
+        ref, err = store.oracle(alpha, 0.5, 0.3, derivative)
         assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound + err, derivative
 
 
@@ -213,14 +220,8 @@ def _bits(rep):
             rep.terms_first_series, rep.terms_second_series)
 
 
-def _clear_tables():
-    series_module._plan.cache_clear()
-    series_module._family.cache_clear()
-    series_module._cuts.cache_clear()
-
-
 def _cold(params, beta, series):
-    _clear_tables()
+    clear_caches()
     return _bits(series(params, beta))
 
 
@@ -240,7 +241,7 @@ def test_sine_tables_leave_values_bit_identical(alpha, rho, series):
     # ascending, each sum runs past the table and grows it midway;
     # descending, the first sum builds it and the others only read
     for order in (TABLE_BETAS, TABLE_BETAS[::-1]):
-        _clear_tables()
+        clear_caches()
         for beta in order:
             assert _bits(series(p, beta)) == cold[beta], (order[0], beta)
 
@@ -250,7 +251,7 @@ def test_sine_table_past_its_length_cap(monkeypatch):
     cases = ((p, g_series), (rational, g_series), (p, gprime_series))
     cold = [_cold(params, 0.6, series) for params, series in cases]
     monkeypatch.setattr(series_module, "_TABLE_TERMS", 5)
-    _clear_tables()
+    clear_caches()
     for _ in range(2):
         assert [_bits(series(params, 0.6)) for params, series in cases] == cold
     # every column of a table that was filled holds _TABLE_TERMS rows: a
@@ -282,9 +283,9 @@ def test_sine_tables_under_concurrent_growth():
     serial = {}
     for k, evaluate in enumerate(evals):
         for beta in TABLE_BETAS:
-            _clear_tables()
+            clear_caches()
             serial[k, beta] = evaluate(beta)
-    _clear_tables()
+    clear_caches()
     workers = 2 * len(evals)
     start = threading.Barrier(workers)
     results = [None] * workers
@@ -650,7 +651,7 @@ def test_rational_split_refuses_a_missed_tolerance():
     assert (err.value.value, err.value.error_bound) == (rep.value, bound)
     res = g_any_beta(params, beta, tol=tol)
     assert res.method is MethodChoice.QUADRATURE
-    ref, err = g_mpmath(alpha, rho, beta)
+    ref, err = store.oracle(alpha, rho, beta, False)
     assert err < 1e-25
     assert res.abs_error_bound <= tol.abs_tol
     assert abs(res.value - ref) <= res.abs_error_bound
@@ -757,7 +758,7 @@ def test_paired_series_keeps_its_pairs_within_half_a_period():
     for beta in (0.75, 0.85):
         rep = _paired(p, 3, 2, beta, tol)
         assert rep.terms_second_series > 0
-        ref, err = g_mpmath(p.alpha, 0.5, beta)
+        ref, err = store.oracle(p.alpha, 0.5, beta, False)
         assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound + err, beta
     with pytest.raises(IllConditionedSeriesError, match="where the pairs pass half a period"):
         _paired(p, 3, 2, 0.9, tol)
@@ -777,22 +778,25 @@ def test_paired_series_keeps_its_pairs_within_half_a_period():
             _paired(p, 1, 1, 0.9, Tolerance(max_terms=5), derivative)
 
 
+def _paired_points(alpha):
+    """(rho, beta) of the paired split's check at alpha: rho 0.3, 0.5 and 0.9
+    where admissible (at 3/2 only 0.5)."""
+    return [(rho, beta) for rho in (0.3, 0.5, 0.9) if 1.0 - 1.0 / alpha <= rho <= 1.0 / alpha
+            for beta in (1e-8, 0.01, 0.5, 0.94)]
+
+
 @pytest.mark.parametrize("alpha,p,q", PAIRED_ALPHAS)
-@pytest.mark.parametrize("series,oracle", [(g_series, g_mpmath),
-                                           (gprime_series, gprime_mpmath)])
-def test_paired_series_within_its_bound_of_mpmath(alpha, p, q, series, oracle):
+@pytest.mark.parametrize("derivative", [False, True], ids=DERIVATIVE_IDS)
+def test_paired_series_within_its_bound_of_mpmath(alpha, p, q, derivative):
     # the split at the pairing convergent, called directly at every beta,
     # and 1e-6 above 1/2 at 1/2 where the series splits at 500001/1000000
     if alpha != 0.5 + 1e-6:
         assert _profile(alpha)[1] == (p, q)
-    for rho in (0.3, 0.5, 0.9):
-        if not 1.0 - 1.0 / alpha <= rho <= 1.0 / alpha:
-            continue  # at 3/2 only 0.5 is admissible
-        for beta in (1e-8, 0.01, 0.5, 0.94):
-            rep = _paired(validate(alpha, rho), p, q, beta, derivative=series is gprime_series)
-            ref, err = oracle(alpha, rho, beta)
-            assert err < 1e-25
-            assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound, (rho, beta)
+    for rho, beta in _paired_points(alpha):
+        rep = _paired(validate(alpha, rho), p, q, beta, derivative=derivative)
+        ref, err = store.oracle(alpha, rho, beta, derivative)
+        assert err < 1e-25
+        assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound, (rho, beta)
 
 
 # (alpha, beta, tolerance) at rho 0.5 per g or g' where the generic sum
@@ -804,31 +808,34 @@ GENERIC_ROWS = {False: ((0.01 + math.pi * 1e-12, 1e-6, Tolerance(abs_tol=1e-13))
                        (SQRT2 / 2.0, 1e-6, Tolerance(abs_tol=1e-13)))}
 
 
-@pytest.mark.parametrize("series,oracle", [(g_series, g_mpmath),
-                                           (gprime_series, gprime_mpmath)])
-def test_dispatched_series_within_its_bound_of_mpmath(series, oracle):
+# (alpha, beta) at rho 0.5 where the series decides its form
+DISPATCHED = [(alpha, beta) for alpha in (SQRT2, math.pi / 2.0, math.sqrt(3.0), math.e / 2.0,
+                                          0.5 + SQRT2 / 40.0, 1.5 - 1e-4 * math.pi, 1.50000001)
+              for beta in (1e-4, 0.3, 0.8, 0.94)]
+
+
+@pytest.mark.parametrize("derivative", [False, True], ids=DERIVATIVE_IDS)
+def test_dispatched_series_within_its_bound_of_mpmath(derivative):
     # the form the series decides on, generic or paired, at generic alphas
     # and near 1/2 and 3/2: every value the series returns lies within its
     # tail and noise bounds of the 30-digit integral
     kinds = set()
-    derivative = series is gprime_series
-    for alpha in (SQRT2, math.pi / 2.0, math.sqrt(3.0), math.e / 2.0,
-                  0.5 + SQRT2 / 40.0, 1.5 - 1e-4 * math.pi, 1.50000001):
-        for beta in (1e-4, 0.3, 0.8, 0.94):
-            ref, _ = oracle(alpha, 0.5, beta)
-            for tol in (Tolerance(), Tolerance(abs_tol=1e-13)):
-                try:
-                    rep = series(validate(alpha, 0.5), beta, tol)
-                except IllConditionedSeriesError:
-                    continue
-                kinds.add(rep == _own_ratio(alpha, 0.5, beta, tol, derivative))
-                assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound, (
-                    alpha, beta, tol)
+    series = gprime_series if derivative else g_series
+    for alpha, beta in DISPATCHED:
+        ref, _ = store.oracle(alpha, 0.5, beta, derivative)
+        for tol in (Tolerance(), Tolerance(abs_tol=1e-13)):
+            try:
+                rep = series(validate(alpha, 0.5), beta, tol)
+            except IllConditionedSeriesError:
+                continue
+            kinds.add(rep == _own_ratio(alpha, 0.5, beta, tol, derivative))
+            assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound, (
+                alpha, beta, tol)
     assert kinds == {False, True}
     for alpha, beta, tol in GENERIC_ROWS[derivative]:
         rep = series(validate(alpha, 0.5), beta, tol)
         assert rep == _own_ratio(alpha, 0.5, beta, tol, derivative)
-        ref, _ = oracle(alpha, 0.5, beta)
+        ref, _ = store.oracle(alpha, 0.5, beta, derivative)
         assert abs(rep.value - ref) <= rep.tail_bound + rep.noise_bound, (alpha, beta, tol)
 
 
@@ -889,7 +896,7 @@ def test_generic_series_refuses_its_summed_noise_over_the_cap():
         _split(plan, beta, pair)
     decided = g_series(params, beta, tol)
     assert decided == _paired(params, 1, 1, beta, tol)
-    ref, err = g_mpmath(alpha, rho, beta)
+    ref, err = store.oracle(alpha, rho, beta, False)
     assert abs(decided.value - ref) <= decided.tail_bound + decided.noise_bound + err
 
 
@@ -897,10 +904,14 @@ def test_generic_series_refuses_its_summed_noise_over_the_cap():
 # refusals the series raises typed, so that dispatch moves on to quadrature
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("alpha", [2.0 ** -30, 2.0 ** -21, 2.0 ** -20])
-@pytest.mark.parametrize("any_beta,oracle", [(g_any_beta, g_mpmath),
-                                             (gprime_any_beta, gprime_mpmath)])
-def test_dyadic_alpha_quadrature(alpha, any_beta, oracle):
+DYADIC_ALPHAS = (2.0 ** -30, 2.0 ** -21, 2.0 ** -20)
+DYADIC_BETAS = (1e-3, 0.3, 2.5)
+
+
+@pytest.mark.parametrize("alpha", DYADIC_ALPHAS)
+@pytest.mark.parametrize("any_beta", [g_any_beta, gprime_any_beta],
+                         ids=["g_any_beta-g_mpmath", "gprime_any_beta-gprime_mpmath"])
+def test_dyadic_alpha_quadrature(alpha, any_beta):
     # 2^-k with 2^k above the rational cap is irrational by its profile,
     # and every sin(m pi/alpha) vanishes: the split at its own ratio 1/2^k
     # pairs each m with k = m 2^k, and its second family, summed to near
@@ -908,13 +919,13 @@ def test_dyadic_alpha_quadrature(alpha, any_beta, oracle):
     # refuses it typed, and quadrature evaluates it
     params = validate(alpha, 0.5)
     assert classify(alpha).kind is AlphaKind.IRRATIONAL
-    for beta in (1e-3, 0.3, 2.5):
+    derivative = any_beta is gprime_any_beta
+    for beta in DYADIC_BETAS:
         with pytest.raises(IllConditionedSeriesError):
-            (gprime_series if any_beta is gprime_any_beta else g_series)(
-                params, min(beta, 1.0 / beta))
+            (gprime_series if derivative else g_series)(params, min(beta, 1.0 / beta))
         res = any_beta(params, beta)
         assert res.method is MethodChoice.QUADRATURE
-        ref, err = oracle(alpha, 0.5, beta)
+        ref, err = store.oracle(alpha, 0.5, beta, derivative)
         assert abs(res.value - ref) <= res.abs_error_bound + err, beta
 
 
@@ -968,3 +979,16 @@ def test_a_term_that_overflows_is_a_typed_refusal():
         with pytest.raises(ConvergenceFailureError, match="quadrature") as err:
             gprime_any_beta(params, beta)
         assert type(err.value.__cause__) is refusal, beta
+
+
+ORACLE_POINTS = (
+    [(1.0000001, 1.0 / 1.0000001, beta, d) for beta in ENDPOINT_BETAS for d in (False, True)]
+    + [(alpha, 0.5, 0.3, d) for alpha in (0.5, 1.5) for d in (False, True)]
+    + [(0.5 + 1e-6, 0.3, 0.9, False), (1.0 + 1e-5 * math.pi, 0.3, 0.05, False)]
+    + [(1.5 + 1e-3 * math.pi, 0.5, beta, False) for beta in (0.75, 0.85)]
+    + [(alpha, rho, beta, d) for alpha, _, _ in PAIRED_ALPHAS
+       for rho, beta in _paired_points(alpha) for d in (False, True)]
+    + [(alpha, 0.5, beta, d) for alpha, beta in DISPATCHED for d in (False, True)]
+    + [(alpha, 0.5, beta, d) for d in (False, True) for alpha, beta, _ in GENERIC_ROWS[d]]
+    + [(alpha, 0.5, beta, d) for alpha in DYADIC_ALPHAS for beta in DYADIC_BETAS
+       for d in (False, True)])

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import pytest
 
@@ -18,7 +17,8 @@ from stablekappa import (
 from stablekappa.accurate import cos_mpi
 
 from conftest import gprime_integral_oracle
-from oracles import _chebyshev_u, g_k_series, g_mpmath, gprime_half_closed, gprime_mpmath
+import store
+from oracles import _chebyshev_u, g_k_series, gprime_half_closed
 
 TIGHT = Tolerance(abs_tol=1e-12)
 SQRT2 = math.sqrt(2.0)
@@ -171,15 +171,18 @@ def test_gprime_rational_vs_scipy_oracle(p, q, rho, beta):
 # every alpha kind of the split: both nonresonant families (4/5, 3/10,
 # 19/10), the first one empty (1/2, 1), the second one empty (2), and the
 # spectrally one-sided endpoint (3/2, rho = 2/3)
-@pytest.mark.parametrize("p,q,rho,beta", [
+GPRIME_RATIONAL_POINTS = [
     (4, 5, 0.25, 0.3), (4, 5, 0.3, 0.9), (4, 5, 0.7, 1e-3),
     (3, 10, 0.5, 0.5), (3, 10, 0.9, 0.97), (3, 10, 0.2, 1e-3),
     (1, 2, 0.3, 0.4), (1, 2, 0.7, 0.97), (1, 1, 0.5, 0.5), (1, 1, 0.2, 0.9),
     (3, 2, 2.0 / 3.0, 0.5), (3, 2, 2.0 / 3.0, 0.95), (2, 1, 0.5, 0.4),
     (2, 1, 0.5, 0.97), (19, 10, 0.5, 0.7), (19, 10, 0.5, 0.05),
-])
+]
+
+
+@pytest.mark.parametrize("p,q,rho,beta", GPRIME_RATIONAL_POINTS)
 def test_gprime_rational_within_its_bound_of_mpmath(p, q, rho, beta):
-    ref, err = gprime_mpmath(p / q, rho, beta)
+    ref, err = store.oracle(p / q, rho, beta, True)
     assert err < 1e-25
     for abs_tol in (1e-6, 1e-10, 1e-13):
         value, bound, _ = _split(p, q, rho, beta, Tolerance(abs_tol=abs_tol),
@@ -203,11 +206,15 @@ G_RATIONAL_POINTS = [
 
 @pytest.mark.parametrize("p,q,rho,beta", G_RATIONAL_POINTS)
 def test_g_rational_within_its_bound_of_mpmath(p, q, rho, beta):
-    ref, err = g_mpmath(p / q, rho, beta)
+    ref, err = store.oracle(p / q, rho, beta, False)
     assert err < 1e-25
     for abs_tol in (1e-6, 1e-10, 1e-13):
         value, bound, _ = _split(p, q, rho, beta, Tolerance(abs_tol=abs_tol))
         assert abs(value - ref) <= bound, abs_tol
+
+
+ORACLE_POINTS = ([(p / q, rho, beta, True) for p, q, rho, beta in GPRIME_RATIONAL_POINTS]
+                 + [(p / q, rho, beta, False) for p, q, rho, beta in G_RATIONAL_POINTS])
 
 
 @pytest.mark.parametrize("p,q,rho,beta", [
@@ -226,10 +233,10 @@ def test_g_rational_central_difference_matches_gprime_rational(p, q, rho, beta):
 
 
 # (p, q, rho, beta, derivative, value, bound, terms) of the rational split
-# before it became the delta_1 = 0 case of the paired split series, and
-# before the series method took over the rational-alpha evaluators; the
-# values of (3, 10, g), (19, 10, g) and (3, 2, g and g') moved by 1-6 ulps,
-# each less than its noise bound, when every sum became exactly rounded
+# before the series stopped at one contour cut: a reference.  Stopped at
+# the cut, whose tail bound is proven for every alpha, each value (pinned
+# in the store ``special``) lies within the two bounds of its value here,
+# with fewer terms
 RATIONAL_VALUES = [
     (1, 2, 0.3, 0.4, False, "0x1.5ed631783c6b6p-3", "0x1.4a5c76cfe0e48p-36", 47),
     (1, 2, 0.3, 0.4, True, "0x1.34749f197d250p-3", "0x1.48b877180ebf5p-36", 56),
@@ -246,34 +253,15 @@ RATIONAL_VALUES = [
 ]
 
 
-# the same points stopped at one contour cut, whose tail bound is proven
-# for every alpha: (value, bound, terms), each value within the two bounds
-# of its value above, with fewer terms; the g' values moved by 11-17 ulps,
-# and the bound of (3, 10, g') fell by 2e-7 of itself, when g' began to sum
-# at the powers of beta of g and divide by beta once (``series._split``).
-# After an intended change, print the table from the current tree with
-#
-#     PYTHONPATH=src python tests/test_special.py
-CUT_VALUES = {
-    (1, 2, 0.3, 0.4, False): ("0x1.5ed63178627c1p-3", "0x1.c8532f54a1c50p-36", 45),
-    (1, 2, 0.3, 0.4, True): ("0x1.34749f19a43bap-3", "0x1.a437876b46922p-36", 54),
-    (4, 5, 0.3, 0.85, False): ("0x1.fa1de4d8a2296p-3", "0x1.3bcc8c4614cd1p-35", 232),
-    (4, 5, 0.3, 0.85, True): ("0x1.12f0aeea5c8cbp-3", "0x1.1c258b0412d5ap-35", 295),
-    (3, 10, 0.5, 0.6, False): ("0x1.4abbf26702ff6p-2", "0x1.f81c2ee26efabp-36", 154),
-    (3, 10, 0.5, 0.6, True): ("0x1.dab4fd0cad753p-4", "0x1.1d130294cde02p-35", 185),
-    (19, 10, 0.5, 0.3, False): ("0x1.06ba728b859d4p-2", "0x1.5443f87acbd87p-36", 27),
-    (19, 10, 0.5, 0.3, True): ("0x1.7bf5f72e1d63ep-1", "0x1.f1e99450c8c56p-36", 31),
-    (3, 2, 0.5, 0.9, False): ("0x1.1160ffb701eaep-1", "0x1.0edda98bd0832p-35", 243),
-    (3, 2, 0.5, 0.9, True): ("0x1.968f1629bea36p-2", "0x1.3a928001f6ec4p-35", 308),
-    (1, 1, 0.5, 0.7, False): ("0x1.8698d27c4d90fp-2", "0x1.d3e3721335a36p-36", 56),
-    (1, 1, 0.5, 0.7, True): ("0x1.3e8ff89875917p-2", "0x1.055ca2d873e9ep-35", 68),
-}
+def pins() -> dict:
+    return {(p, q, rho, beta, derivative): _split(p, q, rho, beta, derivative=derivative)
+            for p, q, rho, beta, derivative, *_ in RATIONAL_VALUES}
 
 
 @pytest.mark.parametrize("p,q,rho,beta,derivative,value,bound,terms", RATIONAL_VALUES)
 def test_rational_split_values_unchanged(p, q, rho, beta, derivative, value, bound, terms):
-    got, got_bound, got_terms = _split(p, q, rho, beta, derivative=derivative)
-    assert (got.hex(), got_bound.hex(), got_terms) == CUT_VALUES[p, q, rho, beta, derivative]
+    got, got_bound, got_terms = pinned = _split(p, q, rho, beta, derivative=derivative)
+    assert repr(pinned) == repr(store.load("special")[p, q, rho, beta, derivative])
     assert abs(got - float.fromhex(value)) <= got_bound + float.fromhex(bound)
     assert got_terms < terms
 
@@ -333,12 +321,3 @@ def test_find_doney_case_cache_stays_at_its_bound():
         find_doney_case(validate(1.0 + SQRT2 / (100.0 + i), 0.5))
     assert find_doney_case.cache_info().currsize == bound
 
-
-if __name__ == "__main__":
-    print("CUT_VALUES = {")
-    for p, q, rho, beta, derivative, *_ in RATIONAL_VALUES:
-        value, bound, terms = _split(p, q, rho, beta, derivative=derivative)
-        print(f'    {(p, q, rho, beta, derivative)!r}: '
-              f'("{value.hex()}", "{bound.hex()}", {terms}),')
-    print("}")
-    sys.exit(0)

@@ -7,14 +7,9 @@ plan then tries its next step.  Over a fixed grid of alpha kinds
 (rational, a large denominator, near-resonant, generic, small), their
 admissible rho with the one-sided endpoints, beta from 1e-300 to 1e12 and
 four tolerances, auto g and g' either return a bound within the tolerance
-or raise a typed error, and the outcomes per alpha are pinned in
-``OUTCOMES``: (results by the Doney form, the series and quadrature,
-ConvergenceFailureError, IllConditionedSeriesError).  After an intended
-change of dispatch, print the table from the current tree with
-
-    PYTHONPATH=src python tests/test_tolerance_contract.py
-
-and say in CHANGES.md which counts moved and why.
+or raise a typed error, and the outcomes per alpha are pinned in the store
+``outcomes``: (results by the Doney form, the series and quadrature,
+ConvergenceFailureError, IllConditionedSeriesError).
 
 The g' points at beta 1e8 and 1e12 that a refusal of the inner bound, not
 the one returned, sent to a failing quadrature all return by the series,
@@ -22,7 +17,6 @@ within their bound of the 30-digit integral.
 """
 
 import math
-import sys
 from collections import Counter
 
 import pytest
@@ -36,6 +30,8 @@ from stablekappa import (
     gprime_any_beta,
     validate,
 )
+
+import store
 
 SQRT2 = math.sqrt(2.0)
 ALPHAS = (0.01, 0.1, 0.3, 0.5, 0.500001, 0.500000000001, 0.5 + SQRT2 / 40.0, 0.8, 1.0,
@@ -84,25 +80,8 @@ def outcomes():
     return {alpha: _outcomes(alpha) for alpha in ALPHAS}
 
 
-# per alpha: results by (doney, series, quadrature), then the failures
-# (ConvergenceFailureError, IllConditionedSeriesError)
-OUTCOMES = {
-    0.01: (0, 214, 144, 98, 0),
-    0.1: (0, 222, 135, 99, 0),
-    0.3: (0, 228, 131, 97, 0),
-    0.5: (0, 236, 129, 91, 0),
-    0.500001: (0, 190, 169, 97, 0),
-    0.500000000001: (0, 238, 127, 91, 0),
-    0.5 + SQRT2 / 40.0: (0, 237, 129, 90, 0),
-    0.8: (88, 179, 107, 82, 0),
-    1.0: (0, 273, 120, 63, 0),
-    1.0000001: (0, 284, 121, 51, 0),
-    SQRT2: (0, 260, 124, 56, 16),
-    1.5: (194, 111, 80, 71, 0),
-    1.50000001: (0, 273, 112, 71, 0),
-    1.9: (174, 129, 78, 75, 0),
-    2.0: (98, 10, 19, 25, 0),
-}
+def pins() -> dict:
+    return {alpha: _count(_outcomes(alpha)) for alpha in ALPHAS}
 
 
 def test_no_result_above_its_tolerance_and_every_refusal_typed(outcomes):
@@ -126,26 +105,21 @@ def test_no_result_above_its_tolerance_and_every_refusal_typed(outcomes):
 
 
 def test_outcomes_per_alpha_are_pinned(outcomes):
-    assert {alpha: _count(calls) for alpha, calls in outcomes.items()} == OUTCOMES
+    counts = {alpha: _count(calls) for alpha, calls in outcomes.items()}
+    assert store.dumps(counts) == store.dumps(store.load("outcomes"))
+
+
+# the g' points at large beta, at rho 0.5
+LARGE_BETA = [(alpha, beta) for alpha in (0.1, 0.3, 0.5, 0.500001, 0.01) for beta in (1e8, 1e12)]
+
+ORACLE_POINTS = [(alpha, 0.5, beta, True) for alpha, beta in LARGE_BETA]
 
 
 def test_g_prime_at_large_beta_returns_by_the_series():
-    from oracles import gprime_mpmath
+    for alpha, beta in LARGE_BETA:
+        res = gprime_any_beta(validate(alpha, 0.5), beta)
+        ref, err = store.oracle(alpha, 0.5, beta, True)
+        assert res.method is MethodChoice.SERIES, (alpha, beta)
+        assert res.abs_error_bound < 1e-15, (alpha, beta)
+        assert abs(res.value - ref) <= res.abs_error_bound + err, (alpha, beta)
 
-    for alpha in (0.1, 0.3, 0.5, 0.500001, 0.01):
-        for beta in (1e8, 1e12):
-            res = gprime_any_beta(validate(alpha, 0.5), beta)
-            ref, err = gprime_mpmath(alpha, 0.5, beta)
-            assert res.method is MethodChoice.SERIES, (alpha, beta)
-            assert res.abs_error_bound < 1e-15, (alpha, beta)
-            assert abs(res.value - ref) <= res.abs_error_bound + err, (alpha, beta)
-
-
-if __name__ == "__main__":
-    print("OUTCOMES = {")
-    for alpha in ALPHAS:
-        name = "0.5 + SQRT2 / 40.0" if alpha == 0.5 + SQRT2 / 40.0 else (
-            "SQRT2" if alpha == SQRT2 else repr(alpha))
-        print(f"    {name}: {_count(_outcomes(alpha))},")
-    print("}")
-    sys.exit(0)

@@ -4,8 +4,9 @@ and the work counters it records on a fixed sweep.
 ``bench/tracing.py`` replaces package functions by name from outside the
 package and counts work from their results, so a rename inside the
 package would silently zero a per-layer counter.  The counters do not
-depend on the hardware, so they gate work regressions exactly.  The
-tracer patches modules in place, hence the separate interpreter.
+depend on the hardware, so they gate work regressions exactly: the
+counters of ``PINNED`` match the store ``tracing``.  The tracer patches
+modules in place, hence the separate interpreter.
 """
 
 import importlib
@@ -14,6 +15,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import store
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -123,24 +126,23 @@ for alpha, rho in ((0.8, 0.25), (1.0, 0.5), (0.3, 0.5)):
         entry["gprime_any_beta"](params, beta)
 """
 
-# GRID's work counters (``python tests/test_tracing_contract.py`` prints them)
-GRID_PINS = {
-    "series.calls": 42,
-    "series.terms": 886,
-    "special.doney.calls": 44,
-    "quadrature.nodes": 529,
-    "accurate.reductions": 257,
-}
-
 # g at the dyadic alpha 2^-70: the second family's poles lie 2^-70 apart,
 # so a cut past M = 0 sums more than the term budget, and quadrature runs
-# (``python tests/test_tracing_contract.py`` prints its result)
-DYADIC_RESULT = ["quadrature", 0.34657359027995865]
 DYADIC = """
 code = 0
 res = entry["g_any_beta"](stablekappa.validate(2.0 ** -70, 0.5), 0.3)
 extra["result"] = [res.method.value, res.value]
 """
+
+
+# the counters of each workload pinned exactly
+PINNED = {"SWEEP": ("series.calls", "quadrature.calls", "series.terms"),
+          "PAIRED": ("series.calls", "quadrature.calls", "series.terms"),
+          "RATIONAL": ("series.calls", "series.terms"),
+          "RATIONAL_G": ("series.calls", "series.terms"),
+          "GRID": ("series.calls", "series.terms", "special.doney.calls", "quadrature.nodes",
+                   "accurate.reductions"),
+          "DYADIC": ("result", "accurate.reductions")}
 
 
 def _traced(body: str) -> dict:
@@ -152,6 +154,20 @@ def _traced(body: str) -> dict:
     result = json.loads(proc.stdout)
     assert result["code"] == 0
     return {**result["metrics"], **result["extra"]}
+
+
+def _pinned(name: str, metrics: dict) -> dict:
+    return {(name, counter): metrics[counter] for counter in PINNED[name]}
+
+
+def pins() -> dict:
+    return {key: value for name in PINNED
+            for key, value in _pinned(name, _traced(globals()[name])).items()}
+
+
+def _assert_pinned(name: str, metrics: dict) -> None:
+    stored = {key: value for key, value in store.load("tracing").items() if key[0] == name}
+    assert store.dumps(_pinned(name, metrics)) == store.dumps(stored)
 
 
 def test_tracer_counts_every_wrapped_layer():
@@ -173,36 +189,29 @@ def test_sweep_work_counters():
     assert metrics["diophantine.classify.calls"] == 0
     assert metrics["diophantine.classify.reductions"] == 0
     assert metrics["accurate.reductions"] <= 900
-    assert (metrics["series.calls"], metrics["quadrature.calls"]) == (22, 18)
-    assert metrics["series.terms"] == 625
+    _assert_pinned("SWEEP", metrics)
 
 
 def test_paired_sweep_work_counters():
-    metrics = _traced(PAIRED)
-    assert metrics["diophantine.classify.calls"] == 0
-    assert metrics["quadrature.calls"] == 18
-    assert metrics["series.calls"] == 22
     # the pairs count as first-series terms; at the seven betas up to 0.15
     # the generic sum returns, its summed noise under half the tolerance
-    assert metrics["series.terms"] == 504
+    metrics = _traced(PAIRED)
+    assert metrics["diophantine.classify.calls"] == 0
+    _assert_pinned("PAIRED", metrics)
 
 
 def test_rational_sweep_work_counters():
     # the pair factors at delta = 0 are reduced once for the table, like the
     # nonresonant sums' sines, not once per beta
     metrics = _traced(RATIONAL)
-    assert metrics["series.calls"] == 22
-    assert metrics["series.terms"] == 1641
+    _assert_pinned("RATIONAL", metrics)
     assert metrics["accurate.reductions"] <= 2060
 
 
 def test_rational_g_sweep_work_counters():
     # g at 19/10, the split of the benchmark's grid: its cut may pass an
-    # interval whose midpoint is a pole alpha k, yet sums fewer terms than
-    # the stops it replaced (2887 over all 40 rows, 2484 since)
-    metrics = _traced(RATIONAL_G)
-    assert metrics["series.calls"] == 22
-    assert metrics["series.terms"] == 536
+    # interval whose midpoint is a pole alpha k
+    _assert_pinned("RATIONAL_G", _traced(RATIONAL_G))
 
 
 def test_beta_free_work_is_done_once():
@@ -238,23 +247,12 @@ def test_every_evaluator_the_plan_looks_up_is_traced():
 def test_grid_work_counters():
     # every call of GRID returns, and its work is pinned exactly: a change
     # that only makes each call cheaper leaves these counters as they are
-    metrics = _traced(GRID)
-    assert {name: metrics[name] for name in GRID_PINS} == GRID_PINS
+    _assert_pinned("GRID", _traced(GRID))
 
 
 def test_the_cut_walks_no_further_than_the_term_budget():
     # the cut stops where no later one can meet the term budget: a walk
     # over all 2 max_terms intervals would reduce every candidate's sines
     # exactly, 120006 reductions, before the split refuses
-    metrics = _traced(DYADIC)
-    assert metrics["result"] == DYADIC_RESULT
-    assert metrics["accurate.reductions"] == 6
+    _assert_pinned("DYADIC", _traced(DYADIC))
 
-
-if __name__ == "__main__":
-    metrics = _traced(GRID)
-    print("GRID_PINS = {")
-    for name in GRID_PINS:
-        print(f'    "{name}": {metrics[name]!r},')
-    print("}")
-    print(f"DYADIC_RESULT = {_traced(DYADIC)['result']!r}")
